@@ -11,6 +11,7 @@ hypotheses not met), 4 not-converged under --strict.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -52,6 +53,9 @@ def _fragment(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            # JSON has no nan or infinity; refuse rather than print them
+            raise ValueError(f"non-finite value {x!r} in the report")
         return f"{x:.17g}"
     if isinstance(x, str):
         return json.dumps(x, ensure_ascii=True)

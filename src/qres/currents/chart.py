@@ -10,10 +10,12 @@ is lam^3 * sin(eta)*cos(eta) d(eta) d(xi1) d(xi2).  Surfaces that are radial
 graphs lam = lam*(eta, xi1, xi2) are handled by the same chart with the graph
 slope folded into the tangent rows.
 
-Pullbacks of wedge monomials in (dz1, dz1bar, dz2, dz2bar) are computed as
-cofactor determinants of the tangent rows, never transcribed by hand.
-Coordinate index order is fixed as (z1, z1bar, z2, z2bar) and parameter order
-as (lam, eta, xi1, xi2).
+Pullbacks of 3-form monomials in (dz1, dz1bar, dz2, dz2bar) onto such graphs
+are computed as cofactor determinants of the tangent rows, never transcribed
+by hand.  The 4-form volume element needs no determinant at run time: the
+full Jacobian has determinant 4 * lam^3 * sin(eta)*cos(eta), and det4 is kept
+as the independent check of that closed form.  Coordinate index order is
+fixed as (z1, z1bar, z2, z2bar) and parameter order as (lam, eta, xi1, xi2).
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ def det3(rows, triple):
 
 
 def det4(jac):
-    """Determinant of the (4, 4, ...) Jacobian by cofactor expansion."""
+    """Determinant of the (4, 4, ...) Jacobian by cofactor expansion; on the
+    chart Jacobian it equals 4 * lam^3 * sin(eta)*cos(eta)."""
     total = np.zeros(jac.shape[2:], dtype=complex)
     sign = 1.0
     lower = jac[1:]

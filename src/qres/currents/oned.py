@@ -9,12 +9,14 @@ pairings alone.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import PoleOnDomain
 from ..qcore import Quat
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import bump
@@ -58,6 +60,14 @@ class Laurent1D:
         return out
 
 
+def _finite(value: complex, where: str, eps: float) -> complex:
+    """Pass a pairing value through, unless a pole too strong for floating
+    point overflowed it; then raise PoleOnDomain, as the 4D pairings do."""
+    if not cmath.isfinite(value):
+        raise PoleOnDomain(f"pairing overflows on the {where} at eps = {eps:g}")
+    return value
+
+
 def _as_callable_1d(g) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(g, Laurent1D):
         return g
@@ -75,8 +85,10 @@ def residue_1d(g, phi: Callable[[np.ndarray], np.ndarray], eps: float,
     gf = _as_callable_1d(g)
     theta = np.arange(n_theta) * (TWO_PI / n_theta)
     z = eps * np.exp(1j * theta)
-    vals = gf(z) * np.asarray(phi(z), dtype=complex) * (1j * z)
-    return complex(vals.sum() * (TWO_PI / n_theta))
+    with np.errstate(all="ignore"):
+        vals = gf(z) * np.asarray(phi(z), dtype=complex) * (1j * z)
+        value = complex(vals.sum() * (TWO_PI / n_theta))
+    return _finite(value, "circle", eps)
 
 
 def res_limit_1d(g, phi: Callable[[np.ndarray], np.ndarray],
@@ -108,9 +120,11 @@ def pv_1d(g, psi0: Callable[[np.ndarray], np.ndarray], R: float,
         edges = geometric_edges(eps, R, eps)
         r, wr = gauss_panels(edges, n_r)
         z = r[:, None] * phase[None, :]
-        vals = gf(z) * np.asarray(psi0(z), dtype=complex)
-        radial = (vals * r[:, None]).sum(axis=1) * (TWO_PI / n_theta)
-        values.append(Quat(complex(-2j * (radial * wr).sum()), 0.0))
+        with np.errstate(all="ignore"):
+            vals = gf(z) * np.asarray(psi0(z), dtype=complex)
+            radial = (vals * r[:, None]).sum(axis=1) * (TWO_PI / n_theta)
+            value = complex(-2j * (radial * wr).sum())
+        values.append(Quat(_finite(value, "annulus", eps), 0.0))
     return finalize(eps_list, values, part="1d-annulus")
 
 

@@ -12,14 +12,15 @@ by implicit differentiation, so the level geometry (round sphere, cylinder,
 or anything ray-monotone) is captured without special cases.  The
 principal-value pairing integrates a 4-form density over the complement of
 the excluded region, which is the metric ball |q| < eps by default or the
-sublevel set |f| < eps with region="levelset".
+sublevel set |f| < eps with region="levelset".  Its volume element is the
+chart's closed form 4 lam^3 sin(eta) cos(eta), and every radial node is the
+radius times a unit ray direction computed once per mesh.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from ..errors import PoleOnDomain
 from ..qcore import Quat
 from ..symfun import QFunction
 from .chart import (ORIENTATION_3FORM, ORIENTATION_4FORM, chart_jacobian,
-                    det4, graph_rows, pullback_3forms, sphere_to_complex)
+                    graph_rows, pullback_3forms, sphere_to_complex)
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import TestForm2, TestForm3
 from .quadrature import (QuadratureRule, build_quadrature, gauss_panels,
@@ -62,9 +63,9 @@ class _CompiledQFunction:
     def components(self, Z1, Z2):
         return self.f.f1.eval_numeric(Z1, Z2), self.f.f2.eval_numeric(Z1, Z2)
 
-    def modulus_sq(self, lam, eta, xi1, xi2):
-        Z1, Z2 = sphere_to_complex(lam, eta, xi1, xi2)
-        F1, F2 = self.components(Z1, Z2)
+    def modulus_sq(self, lam, u1, u2):
+        """|f|^2 at radius lam along the unit chart directions (u1, u2)."""
+        F1, F2 = self.components(lam * u1, lam * u2)
         return np.abs(F1) ** 2 + np.abs(F2) ** 2
 
     def jets(self, Z1, Z2):
@@ -84,19 +85,21 @@ def _solve_level_radius(comp: _CompiledQFunction, eta, xi1, xi2, eps: float,
     since hi bounds the test-form support, inactive rays with |f| < eps
     throughout carry no pairing mass.  Rays already at or above eps near the
     origin are flagged separately (third array) for the principal-value
-    domain, where they are included in full.
+    domain, where they are included in full.  The unit ray directions are
+    computed once; every step only rescales them.
     """
     target = eps * eps
+    u1, u2 = sphere_to_complex(1.0, eta, xi1, xi2)
     lo = np.zeros(np.shape(eta))
     hi = np.array(np.broadcast_to(lam_hi, np.shape(eta)), dtype=float)
     floor = _LAM_FLOOR_FACTOR * hi
-    g_lo = comp.modulus_sq(floor, eta, xi1, xi2)
-    g_hi = comp.modulus_sq(hi, eta, xi1, xi2)
+    g_lo = comp.modulus_sq(floor, u1, u2)
+    g_hi = comp.modulus_sq(hi, u1, u2)
     inside_at_floor = ~(g_lo >= target)
     active = inside_at_floor & (g_hi >= target)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        below = comp.modulus_sq(mid, eta, xi1, xi2) < target
+        below = comp.modulus_sq(mid, u1, u2) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi), active, inside_at_floor
@@ -110,6 +113,26 @@ def _flat_mesh(eta_nodes, eta_weights, rule: QuadratureRule):
     x1 = np.tile(np.repeat(rule.xi_nodes, nx), ne)
     x2 = np.tile(rule.xi_nodes, ne * nx)
     return e, x1, x2, w
+
+
+class _RayMesh(NamedTuple):
+    """Flattened chart mesh of the principal-value pairing: ray parameters,
+    raw weights, unit ray directions (u1, u2) and the volume factor
+    sin(eta)*cos(eta).  The node at radius lam on a ray is lam * (u1, u2)."""
+
+    eta: np.ndarray
+    xi1: np.ndarray
+    xi2: np.ndarray
+    w: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    sin_cos: np.ndarray
+
+    @classmethod
+    def build(cls, rule: QuadratureRule) -> "_RayMesh":
+        e, x1, x2, w = _flat_mesh(rule.eta_nodes, rule.eta_weights, rule)
+        u1, u2 = sphere_to_complex(1.0, e, x1, x2)
+        return cls(e, x1, x2, w, u1, u2, np.sin(e) * np.cos(e))
 
 
 def _level_slopes(jac, F1, F2, D1, D2):
@@ -137,9 +160,9 @@ def _coeff_arrays(profiles, Z1, Z2):
     return out
 
 
-def _masked_sum(c1, c2, w, mask):
+def _masked_sum(c1, c2, w, mask) -> Quat:
     if not mask.any():
-        return Quat(0.0, 0.0), 0
+        return Quat(0.0, 0.0)
     bad = mask & ~(np.isfinite(c1) & np.isfinite(c2))
     if bad.any():
         raise PoleOnDomain(
@@ -149,7 +172,7 @@ def _masked_sum(c1, c2, w, mask):
     wm = np.where(mask, w, 0.0)
     s1 = (wm * np.where(mask, c1, 0.0)).sum()
     s2 = (wm * np.where(mask, c2, 0.0)).sum()
-    return Quat(complex(s1), complex(s2)), 0
+    return Quat(complex(s1), complex(s2))
 
 
 @_quiet
@@ -184,7 +207,7 @@ def _residue_value(comp: _CompiledQFunction, phi: TestForm2, lam, eta, xi1,
     u2 = -F2 / G
     comp1 = u1 * alpha - u2 * np.conj(beta)
     comp2 = u1 * beta + u2 * np.conj(alpha)
-    value, _ = _masked_sum(comp1, comp2, w, transverse)
+    value = _masked_sum(comp1, comp2, w, transverse)
     dropped = int((~transverse).sum())
     return Quat(ORIENTATION_3FORM * complex(value.z1),
                 ORIENTATION_3FORM * complex(value.z2)), dropped
@@ -243,7 +266,7 @@ def residue_pair(f: QFunction, phi: TestForm2,
 @_quiet
 def _pv_density(comp: _CompiledQFunction, psi: TestForm3, Z1, Z2):
     """Scalar and j components of the principal-value density u * (P + Q j),
-    before the volume pullback factor."""
+    before the chart volume factor."""
     F1, F2, D1, D2 = comp.jets(Z1, Z2)
     G = np.abs(F1) ** 2 + np.abs(F2) ** 2
     ps1, ps2 = _coeff_arrays(psi.coefficients, Z1, Z2)
@@ -256,66 +279,62 @@ def _pv_density(comp: _CompiledQFunction, psi: TestForm3, Z1, Z2):
     return u1 * p_co - u2 * np.conj(q_co), u1 * q_co + u2 * np.conj(p_co)
 
 
+def _volume_sums(comp: _CompiledQFunction, psi: TestForm3, rays: _RayMesh,
+                 lam, w):
+    """Weighted sums of the pv density times the volume element
+    4 lam^3 sin(eta) cos(eta) at the nodes lam * (u1, u2) of the rays."""
+    c1, c2 = _pv_density(comp, psi, lam * rays.u1, lam * rays.u2)
+    vol = 4.0 * lam ** 3 * rays.sin_cos
+    i1 = c1 * vol
+    i2 = c2 * vol
+    if not (np.isfinite(i1).all() and np.isfinite(i2).all()):
+        raise PoleOnDomain("density is singular inside the integration "
+                           "region")
+    return (w * i1).sum(), (w * i2).sum()
+
+
 @_quiet
 def _pv_shell_integral(comp: _CompiledQFunction, psi: TestForm3,
-                       rule: QuadratureRule, lam_nodes, lam_weights,
+                       mesh: _RayMesh, lam_nodes, lam_weights,
                        chunk: int = 6) -> Quat:
     """Volume integral of the pv density over given radial shells."""
     total1 = 0.0 + 0.0j
     total2 = 0.0 + 0.0j
-    e, x1, x2, w_ang = _flat_mesh(rule.eta_nodes, rule.eta_weights, rule)
     for start in range(0, len(lam_nodes), chunk):
-        lam = lam_nodes[start:start + chunk]
-        wl = lam_weights[start:start + chunk]
-        L = lam[:, None]
-        W = wl[:, None] * w_ang[None, :]
-        E, X1, X2 = e[None, :], x1[None, :], x2[None, :]
-        Z1, Z2 = sphere_to_complex(L, E, X1, X2)
-        c1, c2 = _pv_density(comp, psi, Z1, Z2)
-        vol = det4(chart_jacobian(L, E, X1, X2))
-        i1 = c1 * vol
-        i2 = c2 * vol
-        if not (np.isfinite(i1).all() and np.isfinite(i2).all()):
-            raise PoleOnDomain("density is singular inside the integration "
-                               "region")
-        total1 += (W * i1).sum()
-        total2 += (W * i2).sum()
+        lam = lam_nodes[start:start + chunk, None]
+        w = lam_weights[start:start + chunk, None] * mesh.w
+        s1, s2 = _volume_sums(comp, psi, mesh, lam, w)
+        total1 += s1
+        total2 += s2
     return Quat(ORIENTATION_4FORM * total1, ORIENTATION_4FORM * total2)
 
 
 @_quiet
 def _pv_levelset_value(comp: _CompiledQFunction, psi: TestForm3,
-                       rule: QuadratureRule, eps: float, support: float,
+                       mesh: _RayMesh, eps: float, support: float,
                        n_log: int = 24) -> Quat:
     """Integral over {|f| >= eps} within the support ball, radially from the
     per-ray level radius outward (log-spaced Gauss nodes per ray)."""
-    e, x1, x2, w_ang = _flat_mesh(rule.eta_nodes, rule.eta_weights, rule)
-    hi = np.full(e.shape, support)
-    lam_star, active, inside = _solve_level_radius(comp, e, x1, x2, eps, hi)
+    hi = np.full(mesh.eta.shape, support)
+    lam_star, active, inside = _solve_level_radius(
+        comp, mesh.eta, mesh.xi1, mesh.xi2, eps, hi)
     start = np.where(inside, lam_star, _LAM_FLOOR_FACTOR * support)
     keep = active | ~inside
     if not keep.any():
         return Quat(0.0, 0.0)
     sel = np.flatnonzero(keep)
     start = np.minimum(start[sel], support)
-    e, x1, x2, w_ang = e[sel], x1[sel], x2[sel], w_ang[sel]
+    rays = _RayMesh(*(a[sel] for a in mesh))
     s_nodes, s_w = gauss_panels([0.0, 1.0], n_log)
     stretch = np.log(np.maximum(support / start, 1.0))
     total1 = 0.0 + 0.0j
     total2 = 0.0 + 0.0j
     for s, ws in zip(s_nodes, s_w):
         lam = start * np.exp(s * stretch)
-        w = w_ang * ws * lam * stretch
-        Z1, Z2 = sphere_to_complex(lam, e, x1, x2)
-        c1, c2 = _pv_density(comp, psi, Z1, Z2)
-        vol = det4(chart_jacobian(lam, e, x1, x2))
-        i1 = c1 * vol
-        i2 = c2 * vol
-        if not (np.isfinite(i1).all() and np.isfinite(i2).all()):
-            raise PoleOnDomain("density is singular inside the integration "
-                               "region")
-        total1 += (w * i1).sum()
-        total2 += (w * i2).sum()
+        s1, s2 = _volume_sums(comp, psi, rays, lam,
+                              rays.w * ws * lam * stretch)
+        total1 += s1
+        total2 += s2
     return Quat(ORIENTATION_4FORM * total1, ORIENTATION_4FORM * total2)
 
 
@@ -358,17 +377,18 @@ def pv_pair(f: QFunction, psi: TestForm3,
         raise ValueError("schedule must start inside the test-form support")
     comp = _CompiledQFunction(f)
     eps_list = schedule.values()
+    mesh = _RayMesh.build(rule)
     if region == "metric":
         lam0, w0 = gauss_panels(geometric_edges(eps_list[0], support,
                                                 eps_list[0]), 12)
-        running = _pv_shell_integral(comp, psi, rule, lam0, w0)
+        running = _pv_shell_integral(comp, psi, mesh, lam0, w0)
         values = [running]
         for k in range(1, len(eps_list)):
             lam_k, w_k = gauss_panels([eps_list[k], eps_list[k - 1]], 12)
-            running = running + _pv_shell_integral(comp, psi, rule, lam_k, w_k)
+            running = running + _pv_shell_integral(comp, psi, mesh, lam_k, w_k)
             values.append(running)
     elif region == "levelset":
-        values = [_pv_levelset_value(comp, psi, rule, eps, support)
+        values = [_pv_levelset_value(comp, psi, mesh, eps, support)
                   for eps in eps_list]
     else:
         raise ValueError("region must be 'metric' or 'levelset'")

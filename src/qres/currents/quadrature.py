@@ -2,8 +2,9 @@
 
 Gauss-Legendre in the colatitude-like angle eta, uniform trapezoid in the two
 phases (spectrally accurate for periodic integrands).  Weights are stored raw,
-without the sin*cos chart density, because surface and volume integrals pick
-up that factor through pullback determinants instead.
+without the sin*cos chart density: surface integrals pick up that factor
+through the pullback determinants of the level-set graph, and volume
+integrals through the closed-form volume element 4*lam^3*sin*cos.
 """
 
 from __future__ import annotations

@@ -245,7 +245,7 @@ class ConjPoly:
         out = np.zeros(np.broadcast(Z1, Z2).shape, dtype=complex)
         vals = (Z1, np.conj(Z1), Z2, np.conj(Z2))
         for (a, b, c, d), coeff in self._terms.items():
-            term = np.full(out.shape, complex(coeff))
+            term = complex(coeff)
             if a:
                 term = term * vals[0] ** a
             if b:

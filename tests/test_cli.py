@@ -3,12 +3,17 @@ reproducibility, exit codes, and a few pinned values."""
 import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from qres.cli import main
+import qres
+from qres.cli import _fragment, main
 
 SCHEMA = json.loads(importlib.resources.files("qres")
                     .joinpath("report_schema.json").read_text())
@@ -154,6 +159,28 @@ def test_oracle_1d_residue_recovers_two_pi_i():
     assert abs(value[0]) < 1e-8
     assert abs(value[1] - 2 * math.pi) < 1e-6
     assert data["result"]["converged"] is True
+
+
+@pytest.mark.parametrize("kind", ["residue", "pv"])
+def test_oracle_1d_overflowing_pole_exits_3_without_output(kind):
+    # a fresh interpreter, so numpy warnings would reach stderr unfiltered
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qres.__file__).resolve().parents[1]))
+    principal = ",".join(["0"] * 399 + ["1"])
+    res = subprocess.run(
+        [sys.executable, "-m", "qres.cli", "oracle-1d", "--kind", kind,
+         "--principal", principal],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("domain error: ")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_report_refuses_non_finite_floats(x):
+    with pytest.raises(ValueError, match="non-finite"):
+        _fragment({"value": [0.5, x]})
 
 
 def test_thread_count_comes_from_the_environment():

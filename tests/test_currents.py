@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from qres.catalogue import builtin
+from qres.currents.chart import chart_jacobian, det4, sphere_to_complex
 from qres.currents.estimate import EpsilonSchedule
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
-from qres.currents.pairings import (PoleOnDomain, _masked_sum, pv_pair,
+from qres.currents.pairings import (PoleOnDomain, _CompiledQFunction,
+                                    _masked_sum, _solve_level_radius, pv_pair,
                                     residue_pair)
 from qres.currents.quadrature import build_quadrature
 from qres.parsing import parse_poly, parse_qfunction
@@ -169,8 +171,38 @@ def test_masked_sum_flags_singular_nodes():
     with pytest.raises(PoleOnDomain, match=r"1 nodes"):
         _masked_sum(c1, c2, w, np.ones(3, dtype=bool))
     # masked-out nodes may be singular without consequence
-    val, _ = _masked_sum(c1, c2, w, np.array([True, False, True]))
+    val = _masked_sum(c1, c2, w, np.array([True, False, True]))
     assert complex(val.z1) == 3.0
+
+
+def test_chart_volume_element_has_closed_form():
+    # the pv integrators use 4 lam^3 sin(eta) cos(eta); the cofactor
+    # determinant of the full chart Jacobian is its independent oracle
+    rng = np.random.default_rng(11)
+    n = 1000
+    lam = rng.uniform(0.0, 1.0, n)
+    eta = rng.uniform(0.0, math.pi / 2, n)
+    xi1, xi2 = rng.uniform(0.0, 2 * math.pi, (2, n))
+    det = det4(chart_jacobian(lam, eta, xi1, xi2))
+    closed = 4.0 * lam ** 3 * np.sin(eta) * np.cos(eta)
+    assert np.abs(det - closed).max() < 1e-15
+
+
+@pytest.mark.parametrize("f", [builtin("conj").f, Z1_FN], ids=["conj", "z1"])
+def test_level_radius_lies_on_the_level_set(f):
+    comp = _CompiledQFunction(f)
+    rng = np.random.default_rng(12)
+    n = 500
+    eta = rng.uniform(0.05, math.pi / 2 - 0.05, n)
+    xi1, xi2 = rng.uniform(0.0, 2 * math.pi, (2, n))
+    eps = 0.3
+    lam, active, _ = _solve_level_radius(comp, eta, xi1, xi2, eps,
+                                         np.ones(n))
+    assert active.sum() > n // 2
+    F1, F2 = f.eval_numeric(*sphere_to_complex(
+        lam[active], eta[active], xi1[active], xi2[active]))
+    g = np.abs(F1) ** 2 + np.abs(F2) ** 2
+    assert np.abs(g / eps ** 2 - 1.0).max() < 1e-9
 
 
 def test_zero_test_forms_are_rejected():

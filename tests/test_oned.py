@@ -11,6 +11,7 @@ from qres.currents.estimate import EpsilonSchedule, finalize
 from qres.currents.forms import bump
 from qres.currents.oned import (Laurent1D, pv_1d, residue_1d,
                                 recover_principal_coefficients, res_limit_1d)
+from qres.errors import PoleOnDomain
 from qres.qcore import Quat
 
 TWO_PI_I = 2j * math.pi
@@ -98,6 +99,17 @@ def test_pv_requires_schedule_inside_radius():
     with pytest.raises(ValueError):
         pv_1d(g, lambda z: bump(np.abs(z)), R=0.2,
               schedule=EpsilonSchedule(0.25, 0.55, 6))
+
+
+def test_overflowing_pole_is_a_domain_error_not_nan():
+    # z^-400 overflows on every rung inside eps = 0.25: the pairings must
+    # refuse, as the 4D ones do, instead of returning nan values
+    g = Laurent1D(principal=(0,) * 399 + (1,))
+    sched = EpsilonSchedule(0.25, 0.55, 6)
+    with pytest.raises(PoleOnDomain, match="circle"):
+        res_limit_1d(g, lambda z: bump(np.abs(z)), sched)
+    with pytest.raises(PoleOnDomain, match="annulus"):
+        pv_1d(g, lambda z: bump(np.abs(z)), 1.0, sched)
 
 
 def test_recover_principal_coefficients():
