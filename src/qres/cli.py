@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -33,14 +32,6 @@ from .parsing import parse_point
 from .qcore import Quat
 
 _USAGE_ERRORS = (ParseError, UnknownName, TooCoarse)
-
-
-def _threads() -> int:
-    raw = os.environ.get("QR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------- emitters
@@ -116,18 +107,15 @@ def _parse_schedule(text: str, support: float) -> EpsilonSchedule:
         raise click.UsageError(f"bad schedule: {exc}")
 
 
-def _estimate_diagnostics(est, n_eta: int, n_xi: int,
-                          schedule: EpsilonSchedule) -> dict:
+def _estimate_diagnostics(est, schedule: EpsilonSchedule) -> dict:
     return {
         "table": [list(r) for r in est.rows()],
         "converged": est.converged,
         "diff_ratios": list(est.diff_ratios),
         "part": est.part,
         "notes": list(est.notes),
-        "rule": {"n_eta": n_eta, "n_xi": n_xi},
         "schedule": {"eps0": schedule.eps0, "ratio": schedule.ratio,
                      "count": schedule.count},
-        "threads": _threads(),
     }
 
 
@@ -211,7 +199,7 @@ def classify_cmd(spec, params, partners):
                      {"function": label, "params": params,
                       "partners": list(partners)},
                      result,
-                     {"notes": list(c.notes), "threads": _threads()},
+                     {"notes": list(c.notes)},
                      exact=True)
     _guarded(body)
 
@@ -235,7 +223,7 @@ def apply_d_cmd(spec, params, at_point):
         _emit_report("apply-d",
                      {"function": label, "params": params,
                       "at": at_point},
-                     result, {"threads": _threads()}, exact=True)
+                     result, {}, exact=True)
     _guarded(body)
 
 
@@ -255,7 +243,7 @@ def inverse_cmd(spec, params, at_point):
             result["value"] = _quat_floats(inv.eval(q))
         _emit_report("inverse",
                      {"function": label, "params": params, "at": at_point},
-                     result, {"threads": _threads()}, exact=True)
+                     result, {}, exact=True)
     _guarded(body)
 
 
@@ -275,7 +263,7 @@ def product_rule_cmd(spec_f, spec_g, params_f, params_g):
                       "params_f": params_f, "params_g": params_g},
                      {"residual_d1": str(res.d1), "residual_d2": str(res.d2),
                       "is_zero": res.is_zero},
-                     {"threads": _threads()}, exact=True)
+                     {}, exact=True)
     _guarded(body)
 
 
@@ -291,7 +279,7 @@ def hypermero_cmd(spec, params):
                      {"function": label, "params": params},
                      {"eq3": str(eq3), "eq4": str(eq4),
                       "hypermeromorphic": is_hypermeromorphic(f)},
-                     {"threads": _threads()}, exact=True)
+                     {}, exact=True)
     _guarded(body)
 
 
@@ -316,7 +304,7 @@ def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
                       "params_g": params_g, "real": real_form},
                      {"residual1": str(r1), "residual2": str(r2),
                       "is_zero": r1.is_zero and r2.is_zero},
-                     {"threads": _threads()}, exact=True)
+                     {}, exact=True)
     _guarded(body)
 
 
@@ -355,7 +343,8 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
                   "R": radius, "radial": radial, "schedule": schedule,
                   "mirror": not no_mirror}
         _finish_estimate("residue", inputs, est,
-                         _estimate_diagnostics(est, n_eta, n_xi, sched),
+                         {**_estimate_diagnostics(est, sched),
+                          "rule": {"n_eta": n_eta, "n_xi": n_xi}},
                          fmt, strict)
     _guarded(body)
 
@@ -391,7 +380,8 @@ def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
                   "psi2": psi2, "R": radius, "schedule": schedule,
                   "region": region, "part": part}
         _finish_estimate("pv", inputs, est,
-                         _estimate_diagnostics(est, n_eta, n_xi, sched),
+                         {**_estimate_diagnostics(est, sched),
+                          "rule": {"n_eta": n_eta, "n_xi": n_xi}},
                          fmt, strict)
     _guarded(body)
 
@@ -445,17 +435,8 @@ def oracle_1d_cmd(principal, tail, kind, power, radius, schedule, n_theta,
         inputs = {"principal": principal, "tail": tail, "kind": kind,
                   "power": power, "R": radius, "schedule": schedule,
                   "n_theta": n_theta}
-        diag = {
-            "table": [list(r) for r in est.rows()],
-            "converged": est.converged,
-            "diff_ratios": list(est.diff_ratios),
-            "part": est.part,
-            "notes": list(est.notes),
-            "schedule": {"eps0": sched.eps0, "ratio": sched.ratio,
-                         "count": sched.count},
-            "threads": _threads(),
-        }
-        _finish_estimate("oracle-1d", inputs, est, diag, fmt, strict)
+        _finish_estimate("oracle-1d", inputs, est,
+                         _estimate_diagnostics(est, sched), fmt, strict)
     _guarded(body)
 
 
@@ -478,7 +459,7 @@ def catalogue_cmd(name):
                 "zero_set": e.zero_set,
             })
         _emit_report("catalogue", {"name": name or ""}, rows,
-                     {"threads": _threads()}, exact=True)
+                     {}, exact=True)
     _guarded(body)
 
 

@@ -12,14 +12,17 @@ by implicit differentiation, so the level geometry (round sphere, cylinder,
 or anything ray-monotone) is captured without special cases.  The
 principal-value pairing integrates a 4-form density over the complement of
 the excluded region, which is the metric ball |q| < eps by default or the
-sublevel set |f| < eps with region="levelset".  Its volume element is the
-chart's closed form 4 lam^3 sin(eta) cos(eta), and every radial node is the
-radius times a unit ray direction computed once per mesh.
+sublevel set |f| < eps with region="levelset".  Both regions reduce to a
+table of radial nodes on the chart rays, summed by one integrator under a
+fixed node budget.  Its volume element is the chart's closed form
+4 lam^3 sin(eta) cos(eta), and every radial node is the radius times a unit
+ray direction computed once per mesh.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -39,6 +42,12 @@ _WIRT_VARS = ("z1", "z1b", "z2", "z2b")
 
 _BISECT_ITERS = 52
 _LAM_FLOOR_FACTOR = 1e-9
+# nodes per density evaluation on the principal-value path; bounds its memory
+_NODE_BUDGET = 1 << 15
+# Gauss nodes per radial panel: metric shells, and per-ray log-spaced nodes
+# of the levelset region
+_SHELL_ORDER = 12
+_LOG_ORDER = 24
 
 
 def _quiet(fn):
@@ -60,18 +69,17 @@ class _CompiledQFunction:
         self._d1 = [f.f1.wirtinger(v) for v in _WIRT_VARS]
         self._d2 = [f.f2.wirtinger(v) for v in _WIRT_VARS]
 
-    def components(self, Z1, Z2):
-        return self.f.f1.eval_numeric(Z1, Z2), self.f.f2.eval_numeric(Z1, Z2)
-
     def modulus_sq(self, lam, u1, u2):
         """|f|^2 at radius lam along the unit chart directions (u1, u2)."""
-        F1, F2 = self.components(lam * u1, lam * u2)
+        F1, F2 = self.f.eval_numeric(lam * u1, lam * u2)
         return np.abs(F1) ** 2 + np.abs(F2) ** 2
 
-    def jets(self, Z1, Z2):
-        F1, F2 = self.components(Z1, Z2)
-        D1 = [d.eval_numeric(Z1, Z2) for d in self._d1]
-        D2 = [d.eval_numeric(Z1, Z2) for d in self._d2]
+    def jets(self, Z1, Z2, idx1=range(4), idx2=range(4)):
+        """Both components, and the Wirtinger derivatives of f1 and f2 at
+        positions idx1 and idx2 of _WIRT_VARS (all four by default)."""
+        F1, F2 = self.f.eval_numeric(Z1, Z2)
+        D1 = [self._d1[i].eval_numeric(Z1, Z2) for i in idx1]
+        D2 = [self._d2[i].eval_numeric(Z1, Z2) for i in idx2]
         return F1, F2, D1, D2
 
 
@@ -160,6 +168,14 @@ def _coeff_arrays(profiles, Z1, Z2):
     return out
 
 
+def _inverse_times(F1, F2, a, b):
+    """Components of (1/f) * (a + b j) for f = F1 + F2 j, pointwise."""
+    G = np.abs(F1) ** 2 + np.abs(F2) ** 2
+    u1 = np.conj(F1) / G
+    u2 = -F2 / G
+    return u1 * a - u2 * np.conj(b), u1 * b + u2 * np.conj(a)
+
+
 def _masked_sum(c1, c2, w, mask) -> Quat:
     if not mask.any():
         return Quat(0.0, 0.0)
@@ -182,7 +198,6 @@ def _residue_value(comp: _CompiledQFunction, phi: TestForm2, lam, eta, xi1,
     jac = chart_jacobian(lam, eta, xi1, xi2)
     Z1, Z2 = sphere_to_complex(lam, eta, xi1, xi2)
     F1, F2, D1, D2 = comp.jets(Z1, Z2)
-    G = np.abs(F1) ** 2 + np.abs(F2) ** 2
     slopes, transverse = _level_slopes(jac, F1, F2, D1, D2)
     rows = graph_rows(jac, slopes)
     pb = pullback_3forms(rows)
@@ -203,10 +218,7 @@ def _residue_value(comp: _CompiledQFunction, phi: TestForm2, lam, eta, xi1,
         beta = beta + ((f2_z1 * np.conj(ph12) - f2_z2 * np.conj(ph11)) * pb["px"]
                        + (-f2_z1 * np.conj(ph22) + f2_z2 * np.conj(ph21)) * pb["py"])
 
-    u1 = np.conj(F1) / G
-    u2 = -F2 / G
-    comp1 = u1 * alpha - u2 * np.conj(beta)
-    comp2 = u1 * beta + u2 * np.conj(alpha)
+    comp1, comp2 = _inverse_times(F1, F2, alpha, beta)
     value = _masked_sum(comp1, comp2, w, transverse)
     dropped = int((~transverse).sum())
     return Quat(ORIENTATION_3FORM * complex(value.z1),
@@ -216,9 +228,7 @@ def _residue_value(comp: _CompiledQFunction, phi: TestForm2, lam, eta, xi1,
 def residue_pair(f: QFunction, phi: TestForm2,
                  rule: Optional[QuadratureRule] = None,
                  schedule: Optional[EpsilonSchedule] = None,
-                 include_mirror: bool = True,
-                 lam_cap: Optional[float] = None,
-                 n_eta_panel: int = 14) -> CurrentEstimate:
+                 include_mirror: bool = True) -> CurrentEstimate:
     """Pair the residue current of f against the 2-form phi.
 
     For each eps on the schedule the density is integrated over the level
@@ -241,11 +251,9 @@ def residue_pair(f: QFunction, phi: TestForm2,
     values: List[Quat] = []
     dropped_total = 0
     for eps in eps_list:
-        eta_nodes, eta_w = graded_eta_panels(eps, support, n_eta_panel)
+        eta_nodes, eta_w = graded_eta_panels(eps, support)
         e, x1, x2, w = _flat_mesh(eta_nodes, eta_w, rule)
         hi = phi.support_lambda(e)
-        if lam_cap is not None:
-            hi = np.minimum(hi, lam_cap)
         lam, active, _ = _solve_level_radius(comp, e, x1, x2, eps, hi)
         if not active.any():
             values.append(Quat(0.0, 0.0))
@@ -267,75 +275,66 @@ def residue_pair(f: QFunction, phi: TestForm2,
 def _pv_density(comp: _CompiledQFunction, psi: TestForm3, Z1, Z2):
     """Scalar and j components of the principal-value density u * (P + Q j),
     before the chart volume factor."""
-    F1, F2, D1, D2 = comp.jets(Z1, Z2)
-    G = np.abs(F1) ** 2 + np.abs(F2) ** 2
+    F1, F2, D1, D2 = comp.jets(Z1, Z2, idx1=(0, 2), idx2=(1, 3))
+    f1_z1, f1_z2 = D1
+    f2_z1b, f2_z2b = D2
     ps1, ps2 = _coeff_arrays(psi.coefficients, Z1, Z2)
-    f1_z1, _, f1_z2, _ = D1
-    _, f2_z1b, _, f2_z2b = D2
     p_co = f1_z1 * ps1 + f1_z2 * ps2
     q_co = -(f2_z1b * np.conj(ps1) - f2_z2b * np.conj(ps2))
-    u1 = np.conj(F1) / G
-    u2 = -F2 / G
-    return u1 * p_co - u2 * np.conj(q_co), u1 * q_co + u2 * np.conj(p_co)
-
-
-def _volume_sums(comp: _CompiledQFunction, psi: TestForm3, rays: _RayMesh,
-                 lam, w):
-    """Weighted sums of the pv density times the volume element
-    4 lam^3 sin(eta) cos(eta) at the nodes lam * (u1, u2) of the rays."""
-    c1, c2 = _pv_density(comp, psi, lam * rays.u1, lam * rays.u2)
-    vol = 4.0 * lam ** 3 * rays.sin_cos
-    i1 = c1 * vol
-    i2 = c2 * vol
-    if not (np.isfinite(i1).all() and np.isfinite(i2).all()):
-        raise PoleOnDomain("density is singular inside the integration "
-                           "region")
-    return (w * i1).sum(), (w * i2).sum()
+    return _inverse_times(F1, F2, p_co, q_co)
 
 
 @_quiet
-def _pv_shell_integral(comp: _CompiledQFunction, psi: TestForm3,
-                       mesh: _RayMesh, lam_nodes, lam_weights,
-                       chunk: int = 6) -> Quat:
-    """Volume integral of the pv density over given radial shells."""
+def _pv_radial(comp: _CompiledQFunction, psi: TestForm3, rays: _RayMesh,
+               lam, w_lam) -> Quat:
+    """Oriented integral of the pv density times the volume element
+    4 lam^3 sin(eta) cos(eta) over a radial node table on the rays.
+
+    Row k of the table holds radii lam[k] and radial weights w_lam[k], of
+    shape (1,) for one radius shared by every ray or (n_rays,) for one
+    radius per ray; the node is lam * (u1, u2).  As many rows as fit
+    _NODE_BUDGET nodes go through one density evaluation.
+    """
+    n_rays = len(rays.w)
+    if not n_rays:
+        # the levelset region keeps no ray when |f| < eps on all the support
+        return Quat(0.0, 0.0)
+    rows = max(1, _NODE_BUDGET // n_rays)
     total1 = 0.0 + 0.0j
     total2 = 0.0 + 0.0j
-    for start in range(0, len(lam_nodes), chunk):
-        lam = lam_nodes[start:start + chunk, None]
-        w = lam_weights[start:start + chunk, None] * mesh.w
-        s1, s2 = _volume_sums(comp, psi, mesh, lam, w)
-        total1 += s1
-        total2 += s2
+    for start in range(0, len(lam), rows):
+        lam_c = lam[start:start + rows]
+        c1, c2 = _pv_density(comp, psi, lam_c * rays.u1, lam_c * rays.u2)
+        vol = 4.0 * lam_c ** 3 * rays.sin_cos
+        i1 = c1 * vol
+        i2 = c2 * vol
+        if not (np.isfinite(i1).all() and np.isfinite(i2).all()):
+            raise PoleOnDomain("density is singular inside the integration "
+                               "region")
+        w = w_lam[start:start + rows] * rays.w
+        total1 += (w * i1).sum()
+        total2 += (w * i2).sum()
     return Quat(ORIENTATION_4FORM * total1, ORIENTATION_4FORM * total2)
 
 
 @_quiet
-def _pv_levelset_value(comp: _CompiledQFunction, psi: TestForm3,
-                       mesh: _RayMesh, eps: float, support: float,
-                       n_log: int = 24) -> Quat:
-    """Integral over {|f| >= eps} within the support ball, radially from the
-    per-ray level radius outward (log-spaced Gauss nodes per ray)."""
+def _levelset_nodes(comp: _CompiledQFunction, mesh: _RayMesh, eps: float,
+                    support: float):
+    """Rays that meet {|f| >= eps} within the support ball, with log-spaced
+    Gauss nodes on each from the level radius (or, for rays that start at or
+    above eps, from near the origin) out to the support.  Returns
+    (kept rays, lam, w_lam) as a radial node table for _pv_radial."""
     hi = np.full(mesh.eta.shape, support)
     lam_star, active, inside = _solve_level_radius(
         comp, mesh.eta, mesh.xi1, mesh.xi2, eps, hi)
     start = np.where(inside, lam_star, _LAM_FLOOR_FACTOR * support)
-    keep = active | ~inside
-    if not keep.any():
-        return Quat(0.0, 0.0)
-    sel = np.flatnonzero(keep)
+    sel = np.flatnonzero(active | ~inside)
     start = np.minimum(start[sel], support)
-    rays = _RayMesh(*(a[sel] for a in mesh))
-    s_nodes, s_w = gauss_panels([0.0, 1.0], n_log)
+    s_nodes, s_w = gauss_panels([0.0, 1.0], _LOG_ORDER)
     stretch = np.log(np.maximum(support / start, 1.0))
-    total1 = 0.0 + 0.0j
-    total2 = 0.0 + 0.0j
-    for s, ws in zip(s_nodes, s_w):
-        lam = start * np.exp(s * stretch)
-        s1, s2 = _volume_sums(comp, psi, rays, lam,
-                              rays.w * ws * lam * stretch)
-        total1 += s1
-        total2 += s2
-    return Quat(ORIENTATION_4FORM * total1, ORIENTATION_4FORM * total2)
+    lam = start * np.exp(s_nodes[:, None] * stretch)
+    rays = _RayMesh(*(a[sel] for a in mesh))
+    return rays, lam, s_w[:, None] * lam * stretch
 
 
 def pv_pair(f: QFunction, psi: TestForm3,
@@ -379,17 +378,16 @@ def pv_pair(f: QFunction, psi: TestForm3,
     eps_list = schedule.values()
     mesh = _RayMesh.build(rule)
     if region == "metric":
-        lam0, w0 = gauss_panels(geometric_edges(eps_list[0], support,
-                                                eps_list[0]), 12)
-        running = _pv_shell_integral(comp, psi, mesh, lam0, w0)
-        values = [running]
-        for k in range(1, len(eps_list)):
-            lam_k, w_k = gauss_panels([eps_list[k], eps_list[k - 1]], 12)
-            running = running + _pv_shell_integral(comp, psi, mesh, lam_k, w_k)
-            values.append(running)
+        edges = [geometric_edges(eps_list[0], support, eps_list[0])]
+        edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
+        shells = (gauss_panels(e, _SHELL_ORDER) for e in edges)
+        values = list(itertools.accumulate(
+            _pv_radial(comp, psi, mesh, lam[:, None], w[:, None])
+            for lam, w in shells))
     elif region == "levelset":
-        values = [_pv_levelset_value(comp, psi, mesh, eps, support)
-                  for eps in eps_list]
+        tables = (_levelset_nodes(comp, mesh, eps, support)
+                  for eps in eps_list)
+        values = [_pv_radial(comp, psi, *t) for t in tables]
     else:
         raise ValueError("region must be 'metric' or 'levelset'")
     notes = () if region == "metric" else ("excluded region follows the "

@@ -230,15 +230,6 @@ class ConjPoly:
             total = total + coeff * vals[0] ** a * vals[1] ** b * vals[2] ** c * vals[3] ** d
         return total
 
-    def to_numeric(self):
-        """(exponent array (n,4), coefficient array (n,)) for numpy evaluation."""
-        if not self._terms:
-            return np.zeros((0, 4), dtype=int), np.zeros(0, dtype=complex)
-        keys = sorted(self._terms)
-        exps = np.array(keys, dtype=int)
-        coeffs = np.array([complex(self._terms[k]) for k in keys], dtype=complex)
-        return exps, coeffs
-
     def eval_numeric(self, Z1, Z2):
         Z1 = np.asarray(Z1, dtype=complex)
         Z2 = np.asarray(Z2, dtype=complex)

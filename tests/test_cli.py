@@ -181,10 +181,3 @@ def test_oracle_1d_overflowing_pole_exits_3_without_output(kind):
 def test_report_refuses_non_finite_floats(x):
     with pytest.raises(ValueError, match="non-finite"):
         _fragment({"value": [0.5, x]})
-
-
-def test_thread_count_comes_from_the_environment():
-    data = report(["catalogue"], env={"QR_THREADS": "7"})
-    assert data["diagnostics"]["threads"] == 7
-    data = report(["catalogue"], env={"QR_THREADS": "junk"})
-    assert data["diagnostics"]["threads"] == 1

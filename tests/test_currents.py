@@ -10,8 +10,10 @@ from qres.catalogue import builtin
 from qres.currents.chart import chart_jacobian, det4, sphere_to_complex
 from qres.currents.estimate import EpsilonSchedule
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
+from qres.currents import pairings
 from qres.currents.pairings import (PoleOnDomain, _CompiledQFunction,
-                                    _masked_sum, _solve_level_radius, pv_pair,
+                                    _inverse_times, _masked_sum,
+                                    _solve_level_radius, pv_pair,
                                     residue_pair)
 from qres.currents.quadrature import build_quadrature
 from qres.parsing import parse_poly, parse_qfunction
@@ -203,6 +205,58 @@ def test_level_radius_lies_on_the_level_set(f):
         lam[active], eta[active], xi1[active], xi2[active]))
     g = np.abs(F1) ** 2 + np.abs(F2) ** 2
     assert np.abs(g / eps ** 2 - 1.0).max() < 1e-9
+
+
+def seeded_nodes(seed: int, n: int = 200):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4, n))
+    return z[0] + 1j * z[1], z[2] + 1j * z[3]
+
+
+def test_levelset_region_with_no_ray_left_is_zero():
+    # |f| = 1/100 lies below every eps on the ladder, so the excluded
+    # sublevel set swallows the whole support and no ray is kept
+    f = parse_qfunction("1/100 ; 0")
+    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    est = pv_pair(f, psi, rule=build_quadrature(8, 8),
+                  schedule=EpsilonSchedule(0.3, 0.7, 3), region="levelset")
+    assert all(v.norm() == 0.0 for v in est.values)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("region", ["metric", "levelset"])
+def test_pv_rungs_do_not_depend_on_the_node_budget(monkeypatch, rows,
+                                                   region):
+    # the default budget takes every radial row of this small mesh in one
+    # evaluation; one row at a time, or seven (a partial last chunk of the
+    # 12 shell and 24 log-spaced rows), must give the same sums
+    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    rule = build_quadrature(6, 8)
+    sched = EpsilonSchedule(0.4, 0.7, 4)
+    ref = pv_pair(Z1_FN, psi, rule=rule, schedule=sched, region=region)
+    n_rays = len(rule.eta_nodes) * len(rule.xi_nodes) ** 2
+    monkeypatch.setattr(pairings, "_NODE_BUDGET", rows * n_rays)
+    got = pv_pair(Z1_FN, psi, rule=rule, schedule=sched, region=region)
+    for u, v in zip(got.values, ref.values):
+        assert (u - v).norm() <= 1e-13 * v.norm()
+
+
+def test_jets_evaluate_only_the_requested_derivatives():
+    comp = _CompiledQFunction(builtin("cauchy_kernel").f)
+    Z1, Z2 = seeded_nodes(13)
+    F1, F2, D1, D2 = comp.jets(Z1, Z2)
+    G1, G2, E1, E2 = comp.jets(Z1, Z2, idx1=(0, 2), idx2=(1, 3))
+    assert len(E1) == len(E2) == 2
+    for a, b in [(G1, F1), (G2, F2), (E1[0], D1[0]), (E1[1], D1[2]),
+                 (E2[0], D2[1]), (E2[1], D2[3])]:
+        assert np.array_equal(a, b)
+
+
+def test_inverse_times_f_is_one():
+    F1, F2 = builtin("cauchy_kernel").f.eval_numeric(*seeded_nodes(14))
+    c1, c2 = _inverse_times(F1, F2, F1, F2)
+    assert np.abs(c1 - 1.0).max() < 1e-14
+    assert np.abs(c2).max() < 1e-14
 
 
 def test_zero_test_forms_are_rejected():
