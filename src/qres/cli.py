@@ -14,16 +14,17 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 import click
 
 from .catalogue import NAMES, builtin, resolve
 from .currents import (EpsilonSchedule, Laurent1D, TestForm2, TestForm3,
                        build_quadrature, bump, parse_profile, pv_1d, pv_pair,
-                       res_limit_1d, residue_pair)
-from .errors import (NotConverged, ParseError, QresError, TooCoarse,
-                     UnknownName)
+                       pv_rays, require_rays, res_limit_1d, residue_pair,
+                       residue_rays)
+from .errors import (NotConverged, ParseError, QresError, RuleTooLarge,
+                     TooCoarse, UnknownName)
 from .operators import (apply_D, classify, hypermero_residuals,
                         inverse_function, is_hypermeromorphic,
                         check_product_rule, product_compat_residuals,
@@ -31,7 +32,7 @@ from .operators import (apply_D, classify, hypermero_residuals,
 from .parsing import parse_point
 from .qcore import Quat
 
-_USAGE_ERRORS = (ParseError, UnknownName, TooCoarse)
+_USAGE_ERRORS = (ParseError, UnknownName, TooCoarse, RuleTooLarge)
 
 
 # ---------------------------------------------------------------- emitters
@@ -136,7 +137,8 @@ def _guarded(body):
     except click.ClickException:
         raise
     except _USAGE_ERRORS as exc:
-        raise click.UsageError(str(exc))
+        click.echo(f"usage error: {exc}", err=True)
+        sys.exit(2)
     except NotConverged as exc:
         click.echo(f"not converged: {exc}", err=True)
         sys.exit(4)
@@ -335,6 +337,7 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
         if phi.is_zero:
             raise click.UsageError("all test-form coefficients are zero")
         sched = _parse_schedule(schedule, phi.support_radius)
+        require_rays(residue_rays(n_xi, sched, phi.support_radius))
         rule = build_quadrature(n_eta, n_xi)
         est = residue_pair(f, phi, rule=rule, schedule=sched,
                            include_mirror=not no_mirror)
@@ -373,6 +376,7 @@ def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
         if psi.is_zero:
             raise click.UsageError("all test-form coefficients are zero")
         sched = _parse_schedule(schedule, psi.support_radius)
+        require_rays(pv_rays(n_eta, n_xi))
         rule = build_quadrature(n_eta, n_xi)
         est = pv_pair(f, psi, rule=rule, schedule=sched, region=region,
                       part=part)

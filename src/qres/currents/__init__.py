@@ -8,7 +8,8 @@ from .forms import Profile, TestForm2, TestForm3, bump, parse_profile
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .oned import (Laurent1D, pv_1d, recover_principal_coefficients,
                    res_limit_1d, residue_1d)
-from .pairings import pv_pair, residue_pair
+from .pairings import (MAX_RAYS, pv_pair, pv_rays, require_rays,
+                       residue_pair, residue_rays)
 
 __all__ = [
     "ORIENTATION_3FORM", "ORIENTATION_4FORM", "sphere_to_complex",
@@ -17,5 +18,6 @@ __all__ = [
     "CurrentEstimate", "EpsilonSchedule", "finalize",
     "Laurent1D", "pv_1d", "recover_principal_coefficients",
     "res_limit_1d", "residue_1d",
-    "pv_pair", "residue_pair",
+    "MAX_RAYS", "pv_pair", "pv_rays", "require_rays", "residue_pair",
+    "residue_rays",
 ]

@@ -8,7 +8,7 @@ verdict based on the decay of successive differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np

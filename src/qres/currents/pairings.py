@@ -15,25 +15,32 @@ the excluded region, which is the metric ball |q| < eps by default or the
 sublevel set |f| < eps with region="levelset".  Both regions reduce to a
 table of radial nodes on the chart rays, summed by one integrator under a
 fixed node budget.  Its volume element is the chart's closed form
-4 lam^3 sin(eta) cos(eta), and every radial node is the radius times a unit
-ray direction computed once per mesh.
+4 lam^3 sin(eta) cos(eta).
+
+Every node sits at lam * u on a chart ray with unit direction u, so each
+polynomial a pairing reads (numerators and denominators of f1, f2 and their
+Wirtinger derivatives, and the test-form coefficients) is tabulated once per
+mesh as p(lam u) = sum_k c_k(u) lam^k, the terms of total degree k summed at
+u.  The level-radius bisection, the level-set graph and the radial nodes
+then evaluate a Horner polynomial in the real radius, and a coefficient's
+bump is bump(lam r(u) / R) with r(u) its radius at u.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import PoleOnDomain
+from ..errors import PoleOnDomain, RuleTooLarge
 from ..qcore import Quat
-from ..symfun import QFunction
+from ..symfun import ConjPoly, ConjRational, QFunction
 from .chart import (ORIENTATION_3FORM, ORIENTATION_4FORM, chart_jacobian,
                     graph_rows, pullback_3forms, sphere_to_complex)
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
-from .forms import TestForm2, TestForm3
+from .forms import Profile, TestForm2, TestForm3, bump
 from .quadrature import (QuadratureRule, build_quadrature, gauss_panels,
                          geometric_edges, graded_eta_panels)
 
@@ -48,6 +55,8 @@ _NODE_BUDGET = 1 << 15
 # of the levelset region
 _SHELL_ORDER = 12
 _LOG_ORDER = 24
+# chart rays per mesh above which a rule is refused before any mesh is built
+MAX_RAYS = 1 << 20
 
 
 def _quiet(fn):
@@ -60,73 +69,199 @@ def _quiet(fn):
     return run
 
 
-class _CompiledQFunction:
-    """Numeric bundle: both components and all eight first Wirtinger
-    derivatives, evaluated on arrays."""
+def pv_rays(n_eta: int, n_xi: int) -> int:
+    """Chart rays of the principal-value mesh of an n_eta x n_xi rule."""
+    return n_eta * n_xi * n_xi
 
-    def __init__(self, f: QFunction):
-        self.f = f
-        self._d1 = [f.f1.wirtinger(v) for v in _WIRT_VARS]
-        self._d2 = [f.f2.wirtinger(v) for v in _WIRT_VARS]
 
-    def modulus_sq(self, lam, u1, u2):
-        """|f|^2 at radius lam along the unit chart directions (u1, u2)."""
-        F1, F2 = self.f.eval_numeric(lam * u1, lam * u2)
-        return np.abs(F1) ** 2 + np.abs(F2) ** 2
+def residue_rays(n_xi: int, schedule: EpsilonSchedule, support: float) -> int:
+    """Chart rays of the largest graded residue mesh on the ladder."""
+    n_eta = max(len(graded_eta_panels(eps, support)[0])
+                for eps in schedule.values())
+    return n_eta * n_xi * n_xi
 
-    def jets(self, Z1, Z2, idx1=range(4), idx2=range(4)):
-        """Both components, and the Wirtinger derivatives of f1 and f2 at
-        positions idx1 and idx2 of _WIRT_VARS (all four by default)."""
-        F1, F2 = self.f.eval_numeric(Z1, Z2)
-        D1 = [self._d1[i].eval_numeric(Z1, Z2) for i in idx1]
-        D2 = [self._d2[i].eval_numeric(Z1, Z2) for i in idx2]
-        return F1, F2, D1, D2
+
+def require_rays(rays: int) -> None:
+    """Refuse a mesh of more than MAX_RAYS chart rays."""
+    if rays > MAX_RAYS:
+        raise RuleTooLarge(f"the rule needs {rays} chart rays per mesh; "
+                           f"at most {MAX_RAYS} are allowed")
+
+
+def _paired(lam):
+    """Radii for a complex table's real view, where each ray has a real and
+    an imaginary column: a shared radius (last axis 1) already fits, a
+    per-ray radius is repeated for both columns."""
+    return lam if np.shape(lam)[-1] == 1 else np.repeat(lam, 2, axis=-1)
+
+
+class _RayPoly(NamedTuple):
+    """One polynomial along chart rays: p(lam u) = lam^low sum_k c[k] lam^k,
+    row k of c holding, per ray, the terms of total degree low + k at the
+    unit direction u.  Numerator tables are complex, denominator tables
+    (real-valued polynomials) real."""
+
+    low: int
+    c: np.ndarray
+
+    @classmethod
+    def build(cls, poly: ConjPoly, power, n_rays: int) -> "_RayPoly":
+        """Tabulate poly; power(var, e) is the e-th power of the ray
+        coordinate var in (u1, conj u1, u2, conj u2)."""
+        degrees = [sum(key) for key in poly.terms] or [0]
+        low = min(degrees)
+        c = np.zeros((max(degrees) - low + 1, n_rays), dtype=complex)
+        for (key, coeff), deg in zip(poly.terms.items(), degrees):
+            term = complex(coeff)
+            for var, e in enumerate(key):
+                if e:
+                    term = term * power(var, e)
+            c[deg - low] += term
+        return cls(low, c)
+
+    def at(self, lam):
+        """p(lam u), by Horner in the real radius on the real view of the
+        table; a complex table takes its radii from _paired."""
+        c = self.c.view(float)
+        out = c[-1]
+        for row in c[-2::-1]:
+            out = out * lam + row
+        if self.low:
+            out = out * lam ** self.low
+        elif len(c) == 1:
+            # a constant: the same row at every radius
+            out = np.broadcast_to(
+                out, np.broadcast_shapes(np.shape(lam), out.shape))
+        return out.view(self.c.dtype)
+
+    def take(self, sel) -> "_RayPoly":
+        return _RayPoly(self.low, self.c.take(sel, axis=1))
+
+
+class _RayRational(NamedTuple):
+    """A rational along chart rays: a complex numerator table over a real
+    denominator table, or over None for the constant 1, which is not
+    divided."""
+
+    num: _RayPoly
+    den: Optional[_RayPoly]
+
+    def at(self, lam, lam2):
+        v = self.num.at(lam2)
+        return v if self.den is None else v / self.den.at(lam)
+
+    def take(self, sel) -> "_RayRational":
+        return _RayRational(self.num.take(sel),
+                            None if self.den is None else self.den.take(sel))
+
+
+class _RayProfile(NamedTuple):
+    """A test-form coefficient along chart rays: poly(lam u) times
+    bump(lam r / R), where r is the profile's radius at the unit direction
+    (1, |u1| or |u2| for radial q, z1, z2)."""
+
+    poly: _RayPoly
+    r: object
+    R: float
+
+    def at(self, lam, lam2):
+        return self.poly.at(lam2) * bump(lam * self.r / self.R)
+
+    def take(self, sel) -> "_RayProfile":
+        r = self.r[sel] if np.ndim(self.r) else self.r
+        return _RayProfile(self.poly.take(sel), r, self.R)
+
+
+class _RayFunction(NamedTuple):
+    """Ray tables of what a pairing reads, on one set of chart rays: f1, f2
+    and the Wirtinger derivatives it needs, then its test-form coefficients
+    (None for a zero coefficient)."""
+
+    items: Tuple[object, ...]
+
+    @classmethod
+    def build(cls, rationals: Sequence[ConjRational],
+              profiles: Sequence[Optional[Profile]], u1, u2) -> "_RayFunction":
+        base = (u1, np.conj(u1), u2, np.conj(u2))
+        power = functools.lru_cache(maxsize=None)(
+            lambda var, e: base[var] ** e)
+
+        def table(poly):
+            return _RayPoly.build(poly, power, len(u1))
+
+        def real(poly):
+            low, c = table(poly)
+            return _RayPoly(low, np.ascontiguousarray(c.real))
+
+        radius = {"q": 1.0, "z1": np.abs(u1), "z2": np.abs(u2)}
+        return cls(tuple(
+            _RayRational(table(r.num),
+                         None if r.den == ConjPoly.one() else real(r.den))
+            for r in rationals) + tuple(
+            None if p is None else
+            _RayProfile(table(p.poly), radius[p.radial], p.R)
+            for p in profiles))
+
+    def take(self, sel) -> "_RayFunction":
+        """The same tables on the rays sel only."""
+        return _RayFunction(tuple(None if t is None else t.take(sel)
+                                  for t in self.items))
+
+    @_quiet
+    def values(self, lam) -> List[object]:
+        """Every table at radius lam, of shape (n_rays,), (rows, 1) or
+        (rows, n_rays), in build order; 0 for a zero coefficient.  A pole
+        comes out as inf or nan."""
+        lam2 = _paired(lam)
+        return [0j if t is None else t.at(lam, lam2) for t in self.items]
+
+    def modulus_sq(self, lam):
+        """|f|^2 at radius lam on every ray."""
+        lam2 = _paired(lam)
+        F1, F2 = (t.at(lam, lam2) for t in self.items[:2])
+        return F1.real ** 2 + F1.imag ** 2 + (F2.real ** 2 + F2.imag ** 2)
+
+
+def _ray_parts(f: QFunction, idx1=range(4), idx2=range(4)):
+    """f1, f2, then the Wirtinger derivatives of f1 and f2 at positions idx1
+    and idx2 of _WIRT_VARS."""
+    return ((f.f1, f.f2) + tuple(f.f1.wirtinger(_WIRT_VARS[i]) for i in idx1)
+            + tuple(f.f2.wirtinger(_WIRT_VARS[i]) for i in idx2))
 
 
 @_quiet
-def _solve_level_radius(comp: _CompiledQFunction, eta, xi1, xi2, eps: float,
-                        lam_hi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Radius where |f| = eps along each chart ray, by bisection on [0, hi].
+def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radius where |f| = eps along each chart ray, by bisection on
+    [0, lam_hi], with one entry of lam_hi per ray of ray_fn.
 
     Returns (lam_star, active, inside_at_floor).  A ray is active when
     |f| < eps just above the origin and |f| >= eps at the ray's support end;
-    since hi bounds the test-form support, inactive rays with |f| < eps
+    since lam_hi bounds the test-form support, inactive rays with |f| < eps
     throughout carry no pairing mass.  Rays already at or above eps near the
     origin are flagged separately (third array) for the principal-value
-    domain, where they are included in full.  The unit ray directions are
-    computed once; every step only rescales them.
+    domain, where they are included in full.
     """
     target = eps * eps
-    u1, u2 = sphere_to_complex(1.0, eta, xi1, xi2)
-    lo = np.zeros(np.shape(eta))
-    hi = np.array(np.broadcast_to(lam_hi, np.shape(eta)), dtype=float)
-    floor = _LAM_FLOOR_FACTOR * hi
-    g_lo = comp.modulus_sq(floor, u1, u2)
-    g_hi = comp.modulus_sq(hi, u1, u2)
+    hi = np.array(lam_hi, dtype=float)
+    lo = np.zeros(hi.shape)
+    g_lo = ray_fn.modulus_sq(_LAM_FLOOR_FACTOR * hi)
+    g_hi = ray_fn.modulus_sq(hi)
     inside_at_floor = ~(g_lo >= target)
     active = inside_at_floor & (g_hi >= target)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        below = comp.modulus_sq(mid, u1, u2) < target
+        below = ray_fn.modulus_sq(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi), active, inside_at_floor
 
 
-def _flat_mesh(eta_nodes, eta_weights, rule: QuadratureRule):
-    """Flattened (eta, xi1, xi2) product grid with combined raw weights."""
-    ne, nx = len(eta_nodes), len(rule.xi_nodes)
-    e = np.repeat(eta_nodes, nx * nx)
-    w = np.repeat(eta_weights, nx * nx) * rule.xi_weight ** 2
-    x1 = np.tile(np.repeat(rule.xi_nodes, nx), ne)
-    x2 = np.tile(rule.xi_nodes, ne * nx)
-    return e, x1, x2, w
-
-
 class _RayMesh(NamedTuple):
-    """Flattened chart mesh of the principal-value pairing: ray parameters,
-    raw weights, unit ray directions (u1, u2) and the volume factor
-    sin(eta)*cos(eta).  The node at radius lam on a ray is lam * (u1, u2)."""
+    """Flattened chart mesh: ray parameters (eta, xi1, xi2), raw weights,
+    unit ray directions (u1, u2) and the volume factor sin(eta)*cos(eta).
+    The node at radius lam on a ray is lam * (u1, u2); the ray tables of a
+    _RayFunction are built on (u1, u2)."""
 
     eta: np.ndarray
     xi1: np.ndarray
@@ -137,10 +272,18 @@ class _RayMesh(NamedTuple):
     sin_cos: np.ndarray
 
     @classmethod
-    def build(cls, rule: QuadratureRule) -> "_RayMesh":
-        e, x1, x2, w = _flat_mesh(rule.eta_nodes, rule.eta_weights, rule)
+    def build(cls, eta_nodes, eta_weights, rule: QuadratureRule) -> "_RayMesh":
+        """Product grid of the eta nodes with the rule's two phase grids."""
+        ne, nx = len(eta_nodes), len(rule.xi_nodes)
+        e = np.repeat(eta_nodes, nx * nx)
+        w = np.repeat(eta_weights, nx * nx) * rule.xi_weight ** 2
+        x1 = np.tile(np.repeat(rule.xi_nodes, nx), ne)
+        x2 = np.tile(rule.xi_nodes, ne * nx)
         u1, u2 = sphere_to_complex(1.0, e, x1, x2)
         return cls(e, x1, x2, w, u1, u2, np.sin(e) * np.cos(e))
+
+    def take(self, sel) -> "_RayMesh":
+        return _RayMesh(*(a[sel] for a in self))
 
 
 def _level_slopes(jac, F1, F2, D1, D2):
@@ -158,22 +301,12 @@ def _level_slopes(jac, F1, F2, D1, D2):
     return slopes, transverse
 
 
-def _coeff_arrays(profiles, Z1, Z2):
-    out = []
-    for p in profiles:
-        if p is None:
-            out.append(np.zeros(Z1.shape, dtype=complex))
-        else:
-            out.append(p.eval(Z1, Z2))
-    return out
-
-
 def _inverse_times(F1, F2, a, b):
-    """Components of (1/f) * (a + b j) for f = F1 + F2 j, pointwise."""
-    G = np.abs(F1) ** 2 + np.abs(F2) ** 2
-    u1 = np.conj(F1) / G
-    u2 = -F2 / G
-    return u1 * a - u2 * np.conj(b), u1 * b + u2 * np.conj(a)
+    """Components of (1/f) * (a + b j) for f = F1 + F2 j, pointwise:
+    (conj(F1) a + F2 conj(b), conj(F1) b - F2 conj(a)) / |f|^2."""
+    r = 1.0 / (F1.real ** 2 + F1.imag ** 2 + (F2.real ** 2 + F2.imag ** 2))
+    c1 = np.conj(F1)
+    return (c1 * a + F2 * np.conj(b)) * r, (c1 * b - F2 * np.conj(a)) * r
 
 
 def _masked_sum(c1, c2, w, mask) -> Quat:
@@ -192,17 +325,19 @@ def _masked_sum(c1, c2, w, mask) -> Quat:
 
 
 @_quiet
-def _residue_value(comp: _CompiledQFunction, phi: TestForm2, lam, eta, xi1,
-                   xi2, w, include_mirror: bool) -> Tuple[Quat, int]:
-    """Oriented integral of the residue density over one level-set graph."""
-    jac = chart_jacobian(lam, eta, xi1, xi2)
-    Z1, Z2 = sphere_to_complex(lam, eta, xi1, xi2)
-    F1, F2, D1, D2 = comp.jets(Z1, Z2)
+def _residue_value(values, rays: _RayMesh, lam,
+                   include_mirror: bool) -> Tuple[Quat, int]:
+    """Oriented integral of the residue density over one level-set graph,
+    lam holding the level radius of each ray and values the ray tables of
+    f1, f2, their eight Wirtinger derivatives and the four test-form
+    coefficients at lam."""
+    jac = chart_jacobian(lam, rays.eta, rays.xi1, rays.xi2)
+    F1, F2, *rest = values
+    D1, D2, (ph11, ph12, ph21, ph22) = rest[:4], rest[4:8], rest[8:]
     slopes, transverse = _level_slopes(jac, F1, F2, D1, D2)
     rows = graph_rows(jac, slopes)
     pb = pullback_3forms(rows)
 
-    ph11, ph12, ph21, ph22 = _coeff_arrays(phi.coefficients, Z1, Z2)
     f1_z1, f1_z1b, f1_z2, f1_z2b = D1
     f2_z1, f2_z1b, f2_z2, f2_z2b = D2
 
@@ -219,7 +354,7 @@ def _residue_value(comp: _CompiledQFunction, phi: TestForm2, lam, eta, xi1,
                        + (-f2_z1 * np.conj(ph22) + f2_z2 * np.conj(ph21)) * pb["py"])
 
     comp1, comp2 = _inverse_times(F1, F2, alpha, beta)
-    value = _masked_sum(comp1, comp2, w, transverse)
+    value = _masked_sum(comp1, comp2, rays.w, transverse)
     dropped = int((~transverse).sum())
     return Quat(ORIENTATION_3FORM * complex(value.z1),
                 ORIENTATION_3FORM * complex(value.z2)), dropped
@@ -246,21 +381,26 @@ def residue_pair(f: QFunction, phi: TestForm2,
         schedule = EpsilonSchedule.for_radius(support)
     if not schedule.eps0 < support:
         raise ValueError("schedule must start inside the test-form support")
-    comp = _CompiledQFunction(f)
+    require_rays(residue_rays(rule.n_xi, schedule, support))
+    parts = _ray_parts(f)
     eps_list = schedule.values()
     values: List[Quat] = []
     dropped_total = 0
     for eps in eps_list:
-        eta_nodes, eta_w = graded_eta_panels(eps, support)
-        e, x1, x2, w = _flat_mesh(eta_nodes, eta_w, rule)
-        hi = phi.support_lambda(e)
-        lam, active, _ = _solve_level_radius(comp, e, x1, x2, eps, hi)
+        mesh = _RayMesh.build(*graded_eta_panels(eps, support), rule)
+        lam, active, _ = _solve_level_radius(
+            _RayFunction.build(parts[:2], (), mesh.u1, mesh.u2),
+            phi.support_lambda(mesh.eta), eps)
         if not active.any():
             values.append(Quat(0.0, 0.0))
             continue
-        sel = np.flatnonzero(active)
-        val, dropped = _residue_value(comp, phi, lam[sel], e[sel], x1[sel],
-                                      x2[sel], w[sel], include_mirror)
+        # the density tables are built on the active rays only, and
+        # dropped once evaluated
+        rays = mesh.take(np.flatnonzero(active))
+        lam = lam[active]
+        values_at = _RayFunction.build(parts, phi.coefficients, rays.u1,
+                                       rays.u2).values(lam)
+        val, dropped = _residue_value(values_at, rays, lam, include_mirror)
         dropped_total += dropped
         values.append(val)
     notes = []
@@ -272,21 +412,17 @@ def residue_pair(f: QFunction, phi: TestForm2,
 
 
 @_quiet
-def _pv_density(comp: _CompiledQFunction, psi: TestForm3, Z1, Z2):
-    """Scalar and j components of the principal-value density u * (P + Q j),
-    before the chart volume factor."""
-    F1, F2, D1, D2 = comp.jets(Z1, Z2, idx1=(0, 2), idx2=(1, 3))
-    f1_z1, f1_z2 = D1
-    f2_z1b, f2_z2b = D2
-    ps1, ps2 = _coeff_arrays(psi.coefficients, Z1, Z2)
+def _pv_density(ray_fn: _RayFunction, lam):
+    """Scalar and j components of the principal-value density u * (P + Q j)
+    at radius lam, before the chart volume factor."""
+    F1, F2, f1_z1, f1_z2, f2_z1b, f2_z2b, ps1, ps2 = ray_fn.values(lam)
     p_co = f1_z1 * ps1 + f1_z2 * ps2
     q_co = -(f2_z1b * np.conj(ps1) - f2_z2b * np.conj(ps2))
     return _inverse_times(F1, F2, p_co, q_co)
 
 
 @_quiet
-def _pv_radial(comp: _CompiledQFunction, psi: TestForm3, rays: _RayMesh,
-               lam, w_lam) -> Quat:
+def _pv_radial(ray_fn: _RayFunction, rays: _RayMesh, lam, w_lam) -> Quat:
     """Oriented integral of the pv density times the volume element
     4 lam^3 sin(eta) cos(eta) over a radial node table on the rays.
 
@@ -304,7 +440,7 @@ def _pv_radial(comp: _CompiledQFunction, psi: TestForm3, rays: _RayMesh,
     total2 = 0.0 + 0.0j
     for start in range(0, len(lam), rows):
         lam_c = lam[start:start + rows]
-        c1, c2 = _pv_density(comp, psi, lam_c * rays.u1, lam_c * rays.u2)
+        c1, c2 = _pv_density(ray_fn, lam_c)
         vol = 4.0 * lam_c ** 3 * rays.sin_cos
         i1 = c1 * vol
         i2 = c2 * vol
@@ -318,23 +454,22 @@ def _pv_radial(comp: _CompiledQFunction, psi: TestForm3, rays: _RayMesh,
 
 
 @_quiet
-def _levelset_nodes(comp: _CompiledQFunction, mesh: _RayMesh, eps: float,
+def _levelset_nodes(ray_fn: _RayFunction, mesh: _RayMesh, eps: float,
                     support: float):
     """Rays that meet {|f| >= eps} within the support ball, with log-spaced
     Gauss nodes on each from the level radius (or, for rays that start at or
-    above eps, from near the origin) out to the support.  Returns
-    (kept rays, lam, w_lam) as a radial node table for _pv_radial."""
+    above eps, from near the origin) out to the support.  Returns the kept
+    rays' tables and mesh, lam and w_lam, as arguments of _pv_radial."""
     hi = np.full(mesh.eta.shape, support)
-    lam_star, active, inside = _solve_level_radius(
-        comp, mesh.eta, mesh.xi1, mesh.xi2, eps, hi)
+    lam_star, active, inside = _solve_level_radius(ray_fn, hi, eps)
     start = np.where(inside, lam_star, _LAM_FLOOR_FACTOR * support)
     sel = np.flatnonzero(active | ~inside)
     start = np.minimum(start[sel], support)
     s_nodes, s_w = gauss_panels([0.0, 1.0], _LOG_ORDER)
     stretch = np.log(np.maximum(support / start, 1.0))
     lam = start * np.exp(s_nodes[:, None] * stretch)
-    rays = _RayMesh(*(a[sel] for a in mesh))
-    return rays, lam, s_w[:, None] * lam * stretch
+    return (ray_fn.take(sel), mesh.take(sel), lam,
+            s_w[:, None] * lam * stretch)
 
 
 def pv_pair(f: QFunction, psi: TestForm3,
@@ -374,22 +509,25 @@ def pv_pair(f: QFunction, psi: TestForm3,
         schedule = EpsilonSchedule.for_radius(support)
     if not schedule.eps0 < support:
         raise ValueError("schedule must start inside the test-form support")
-    comp = _CompiledQFunction(f)
+    if region not in ("metric", "levelset"):
+        raise ValueError("region must be 'metric' or 'levelset'")
+    require_rays(pv_rays(rule.n_eta, rule.n_xi))
     eps_list = schedule.values()
-    mesh = _RayMesh.build(rule)
+    mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule)
+    # the four derivatives the density reads: f1_z1, f1_z2, f2_z1b, f2_z2b
+    ray_fn = _RayFunction.build(_ray_parts(f, (0, 2), (1, 3)),
+                                psi.coefficients, mesh.u1, mesh.u2)
     if region == "metric":
         edges = [geometric_edges(eps_list[0], support, eps_list[0])]
         edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
         shells = (gauss_panels(e, _SHELL_ORDER) for e in edges)
         values = list(itertools.accumulate(
-            _pv_radial(comp, psi, mesh, lam[:, None], w[:, None])
+            _pv_radial(ray_fn, mesh, lam[:, None], w[:, None])
             for lam, w in shells))
-    elif region == "levelset":
-        tables = (_levelset_nodes(comp, mesh, eps, support)
-                  for eps in eps_list)
-        values = [_pv_radial(comp, psi, *t) for t in tables]
+        notes = ()
     else:
-        raise ValueError("region must be 'metric' or 'levelset'")
-    notes = () if region == "metric" else ("excluded region follows the "
-                                           "level sets of |f|",)
+        # one rung's node table at a time: it is dropped before the next
+        values = [_pv_radial(*_levelset_nodes(ray_fn, mesh, eps, support))
+                  for eps in eps_list]
+        notes = ("excluded region follows the level sets of |f|",)
     return finalize(eps_list, values, part="(1,0)", notes=notes)

@@ -57,3 +57,7 @@ class TooCoarse(QresError):
 
 class NotConverged(QresError):
     """A limit estimate whose tail did not settle, surfaced in strict mode."""
+
+
+class RuleTooLarge(QresError):
+    """Quadrature rule whose chart mesh would exceed the ray cap."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 

@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import qres
+from qres import cli
 from qres.cli import _fragment, main
 
 SCHEMA = json.loads(importlib.resources.files("qres")
@@ -122,6 +123,31 @@ def test_unknown_name_is_a_usage_error():
 
 def test_parse_error_is_a_usage_error():
     assert invoke(["apply-d", "-f", "z1 + * z2 ; 0"]).exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["pv", "-f", "z1 ; 0", "--psi1", "z1*bump"],
+    ["residue", "-f", "conj", "--phi22", "bump"],
+], ids=["pv", "residue"])
+def test_oversized_rule_is_refused_before_it_is_built(monkeypatch, args):
+    # 4096 x 4096^2 chart rays: the count is checked before the quadrature
+    # rule (let alone a mesh) exists
+    def build(*a):
+        raise AssertionError("the rule was built")
+
+    monkeypatch.setattr(cli, "build_quadrature", build)
+    res = invoke(args + ["--n-eta", "4096", "--n-xi", "4096"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("usage error: the rule needs ")
+
+
+def test_usage_errors_take_one_line():
+    res = invoke(["pv", "-f", "z1 ; 0", "--psi1", "bump", "--n-eta", "2"])
+    assert res.exit_code == 2
+    assert res.stderr == ("usage error: rule 2x64 is too coarse: need "
+                          "n_eta >= 4 and n_xi >= 8\n")
 
 
 def test_zero_function_inverse_is_a_domain_error():

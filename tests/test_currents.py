@@ -2,20 +2,23 @@
 residues over shrinking level sets, principal values over shrinking
 excluded regions.  Reference masses come from radial quadrature."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qres.catalogue import builtin
+from qres.catalogue import NAMES, builtin
 from qres.currents.chart import chart_jacobian, det4, sphere_to_complex
 from qres.currents.estimate import EpsilonSchedule
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
 from qres.currents import pairings
-from qres.currents.pairings import (PoleOnDomain, _CompiledQFunction,
-                                    _inverse_times, _masked_sum,
-                                    _solve_level_radius, pv_pair,
-                                    residue_pair)
-from qres.currents.quadrature import build_quadrature
+from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _RayFunction,
+                                    _RayMesh, _WIRT_VARS, _inverse_times,
+                                    _masked_sum, _pv_radial, _ray_parts,
+                                    _solve_level_radius, pv_pair, pv_rays,
+                                    require_rays, residue_pair, residue_rays)
+from qres.currents.quadrature import build_quadrature, graded_eta_panels
+from qres.errors import RuleTooLarge
 from qres.parsing import parse_poly, parse_qfunction
 from qres.qcore import Quat
 from qres.symfun import ConjPoly
@@ -190,20 +193,54 @@ def test_chart_volume_element_has_closed_form():
     assert np.abs(det - closed).max() < 1e-15
 
 
-@pytest.mark.parametrize("f", [builtin("conj").f, Z1_FN], ids=["conj", "z1"])
-def test_level_radius_lies_on_the_level_set(f):
-    comp = _CompiledQFunction(f)
-    rng = np.random.default_rng(12)
-    n = 500
-    eta = rng.uniform(0.05, math.pi / 2 - 0.05, n)
-    xi1, xi2 = rng.uniform(0.0, 2 * math.pi, (2, n))
+def level_rays(kind: str):
+    """(eta, xi1, xi2) of seeded random rays, or of a residue rung mesh
+    with eta panels graded toward the chart poles."""
+    if kind == "random":
+        rng = np.random.default_rng(12)
+        n = 500
+        eta = rng.uniform(0.05, math.pi / 2 - 0.05, n)
+        xi1, xi2 = rng.uniform(0.0, 2 * math.pi, (2, n))
+        return eta, xi1, xi2
+    mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(8, 16))
+    return mesh.eta, mesh.xi1, mesh.xi2
+
+
+LEVEL_CASES = {
+    "conj": (builtin("conj").f, "random"),
+    "z1": (Z1_FN, "random"),
+    "cauchy_kernel": (builtin("cauchy_kernel").f, "graded"),
+    "prop34": (builtin("prop34", (Fraction(1, 8), Fraction(-1, 8))).f,
+               "graded"),
+}
+
+
+@pytest.mark.parametrize("name", list(LEVEL_CASES))
+def test_level_radius_lies_on_the_level_set(name):
+    # |f| is evaluated independently of the ray tables: through the chart
+    # map and the symbolic evaluator
+    f, kind = LEVEL_CASES[name]
+    eta, xi1, xi2 = level_rays(kind)
+    n = len(eta)
     eps = 0.3
-    lam, active, _ = _solve_level_radius(comp, eta, xi1, xi2, eps,
-                                         np.ones(n))
+    ray_fn = _RayFunction.build(_ray_parts(f, (), ()), (),
+                                *sphere_to_complex(1.0, eta, xi1, xi2))
+    lam, active, inside = _solve_level_radius(ray_fn, np.ones(n), eps)
+
+    def mod_sq(radius):
+        F1, F2 = f.eval_numeric(*sphere_to_complex(radius, eta, xi1, xi2))
+        return np.abs(F1) ** 2 + np.abs(F2) ** 2
+
+    # the masks: below eps just above the origin, at or above it at hi
+    want_inside = mod_sq(pairings._LAM_FLOOR_FACTOR * np.ones(n)) < eps ** 2
+    assert np.array_equal(inside, want_inside)
+    assert np.array_equal(active, want_inside & (mod_sq(np.ones(n)) >= eps ** 2))
+    if name == "cauchy_kernel":
+        # |f| = |q|^-3 falls along every ray: no ray starts below eps
+        assert not active.any()
+        return
     assert active.sum() > n // 2
-    F1, F2 = f.eval_numeric(*sphere_to_complex(
-        lam[active], eta[active], xi1[active], xi2[active]))
-    g = np.abs(F1) ** 2 + np.abs(F2) ** 2
+    g = mod_sq(lam)[active]
     assert np.abs(g / eps ** 2 - 1.0).max() < 1e-9
 
 
@@ -241,15 +278,85 @@ def test_pv_rungs_do_not_depend_on_the_node_budget(monkeypatch, rows,
         assert (u - v).norm() <= 1e-13 * v.norm()
 
 
+def unit_rays(seed: int, n: int = 64):
+    rng = np.random.default_rng(seed)
+    eta = rng.uniform(0.0, math.pi / 2, n)
+    xi1, xi2 = rng.uniform(0.0, 2 * math.pi, (2, n))
+    return sphere_to_complex(1.0, eta, xi1, xi2)
+
+
 def test_jets_evaluate_only_the_requested_derivatives():
-    comp = _CompiledQFunction(builtin("cauchy_kernel").f)
-    Z1, Z2 = seeded_nodes(13)
-    F1, F2, D1, D2 = comp.jets(Z1, Z2)
-    G1, G2, E1, E2 = comp.jets(Z1, Z2, idx1=(0, 2), idx2=(1, 3))
-    assert len(E1) == len(E2) == 2
-    for a, b in [(G1, F1), (G2, F2), (E1[0], D1[0]), (E1[1], D1[2]),
-                 (E2[0], D2[1]), (E2[1], D2[3])]:
+    # the principal-value density reads f1_z1, f1_z2, f2_z1b and f2_z2b
+    rationals = _ray_parts(builtin("cauchy_kernel").f)
+    u1, u2 = unit_rays(13)
+    lam = np.random.default_rng(13).uniform(0.1, 1.0, (3, len(u1)))
+    full = _RayFunction.build(rationals, (), u1, u2).values(lam)
+    part = _RayFunction.build(_ray_parts(builtin("cauchy_kernel").f,
+                                         (0, 2), (1, 3)),
+                              (), u1, u2).values(lam)
+    assert len(full) == 10 and len(part) == 6
+    for a, b in zip(part, [full[i] for i in (0, 1, 2, 4, 7, 9)]):
         assert np.array_equal(a, b)
+
+
+TABLE_PROFILES = (Profile(parse_poly("1 + z1*c2 - 2*c1^2"), 0.9, "q"),
+                  Profile(parse_poly("3*z2 + c2*z1^2"), 1.3, "z1"),
+                  None,
+                  Profile(ConjPoly.one(), 0.7, "z2"))
+TABLE_CASES = [(name, ()) for name in NAMES if name != "prop34"] + [
+    ("prop34", (1, 2)), ("prop34", (Fraction(-1, 2), Fraction(3, 4)))]
+
+
+def close(got, want, rtol=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape
+            and np.abs(got - want).max() <= rtol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("name,params", TABLE_CASES,
+                         ids=[f"{n}{list(p) or ''}" for n, p in TABLE_CASES])
+def test_ray_tables_match_the_symbolic_evaluators(name, params):
+    f = builtin(name, params).f
+    rationals = [f.f1, f.f2] + [g.wirtinger(v) for g in (f.f1, f.f2)
+                                for v in _WIRT_VARS]
+    u1, u2 = unit_rays(15)
+    n = len(u1)
+    ray_fn = _RayFunction.build(_ray_parts(f), TABLE_PROFILES, u1, u2)
+    rng = np.random.default_rng(16)
+    shared = rng.uniform(0.05, 1.2, (5, 1))
+    per_ray = rng.uniform(0.05, 1.2, (5, n))
+    sel = np.sort(rng.choice(n, 23, replace=False))
+    for fn, lam, rays in ((ray_fn, shared, slice(None)),
+                          (ray_fn, per_ray, slice(None)),
+                          (ray_fn.take(sel), per_ray[:, sel], sel)):
+        Z1, Z2 = lam * u1[rays], lam * u2[rays]
+        got = fn.values(lam)
+        want = [r.eval_numeric(Z1, Z2) for r in rationals]
+        want += [0 if p is None else p.eval(Z1, Z2) for p in TABLE_PROFILES]
+        assert len(got) == len(want) == 14
+        for g, w in zip(got, want):
+            if np.ndim(w) == 0:
+                assert g == 0
+            else:
+                assert close(g, w)
+        F1, F2 = want[:2]
+        assert close(fn.modulus_sq(lam), np.abs(F1) ** 2 + np.abs(F2) ** 2)
+
+
+def test_pole_on_a_ray_node_is_reported():
+    # cauchy_kernel has its pole at the origin: a radial row at lam = 0
+    # evaluates to nan there and the principal-value sum refuses it
+    rationals = _ray_parts(builtin("cauchy_kernel").f, (0, 2), (1, 3))
+    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(4, 8))
+    ray_fn = _RayFunction.build(rationals, psi.coefficients, mesh.u1, mesh.u2)
+    lam = np.array([[0.0], [0.5]])
+    F1 = ray_fn.values(lam)[0]
+    assert np.isnan(F1[0]).all() and np.isfinite(F1[1]).all()
+    with pytest.raises(PoleOnDomain, match="singular inside"):
+        _pv_radial(ray_fn, mesh, lam, np.ones((2, 1)))
+    assert np.isfinite(complex(_pv_radial(ray_fn, mesh, lam[1:],
+                                          np.ones((1, 1))).z1))
 
 
 def test_inverse_times_f_is_one():
@@ -290,3 +397,25 @@ def test_bad_region_and_part_are_rejected():
     with pytest.raises(ValueError, match="part"):
         pv_pair(Z1_FN, psi, rule=build_quadrature(8, 8),
                 schedule=EpsilonSchedule(0.3, 0.7, 3), part="(2,0)")
+
+
+def test_oversized_rules_are_refused_by_their_ray_count():
+    # the size is computed, never allocated
+    assert pv_rays(4096, 4096) == 4096 ** 3 > MAX_RAYS
+    with pytest.raises(RuleTooLarge, match="chart rays"):
+        require_rays(pv_rays(4096, 4096))
+    sched = EpsilonSchedule.for_radius(1.0)
+    assert residue_rays(4096, sched, 1.0) > MAX_RAYS
+    with pytest.raises(RuleTooLarge):
+        pv_pair(Z1_FN, TestForm3(psi1=Profile.bump_only(1.0)),
+                rule=build_quadrature(4, 2048))
+
+
+def test_ray_cap_admits_the_rules_in_use():
+    # library and CLI defaults, README examples, the benchmark's rule
+    default = EpsilonSchedule.for_radius(1.0)
+    readme = EpsilonSchedule(0.4, 0.7, 12)
+    for rays in (pv_rays(32, 64), pv_rays(16, 32),
+                 residue_rays(32, default, 1.0), residue_rays(64, default, 1.0),
+                 residue_rays(16, readme, 1.0)):
+        require_rays(rays)
