@@ -17,13 +17,23 @@ table of radial nodes on the chart rays, summed by one integrator under a
 fixed node budget.  Its volume element is the chart's closed form
 4 lam^3 sin(eta) cos(eta).
 
+The principal-value density is folded once per call, in exact arithmetic:
+with the four kernels K11, K12, K21, K22 of f (products of conj(f1), f2 and
+first Wirtinger derivatives), it is
+(psi1 K11 + psi2 K12, conj(psi1) K21 + conj(psi2) K22) / |f|^2, and since
+each coefficient is a polynomial times bump(|q| / R), a node needs |f|^2,
+one bump per distinct R and the kernel products that are not identically
+zero.
+
 Every node sits at lam * u on a chart ray with unit direction u, so each
-polynomial a pairing reads (numerators and denominators of f1, f2 and their
-Wirtinger derivatives, and the test-form coefficients) is tabulated once per
-mesh as p(lam u) = sum_k c_k(u) lam^k, the terms of total degree k summed at
-u.  The level-radius bisection, the level-set graph and the radial nodes
-then evaluate a Horner polynomial in the real radius, and a coefficient's
-bump is bump(lam r(u) / R) with r(u) its radius at u.
+rational a pairing reads (f1 and f2; the residue path's Wirtinger
+derivatives and test-form coefficients; the principal value's kernel
+products) is tabulated once per mesh as p(lam u) = sum_k c_k(u) lam^k for
+its numerator and denominator, the terms of total degree k summed at u.  The
+level-radius bisection, the level-set graph and the radial nodes then
+evaluate a Horner polynomial in the real radius; |f|^2 comes from the f1 and
+f2 tables, and a coefficient's bump is bump(lam r(u) / R) with r(u) its
+radius at u.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ _SHELL_ORDER = 12
 _LOG_ORDER = 24
 # chart rays per mesh above which a rule is refused before any mesh is built
 MAX_RAYS = 1 << 20
+_SINGULAR = "density is singular inside the integration region"
 
 
 def _quiet(fn):
@@ -174,8 +185,8 @@ class _RayProfile(NamedTuple):
 
 class _RayFunction(NamedTuple):
     """Ray tables of what a pairing reads, on one set of chart rays: f1, f2
-    and the Wirtinger derivatives it needs, then its test-form coefficients
-    (None for a zero coefficient)."""
+    and the other rationals it needs, then its test-form coefficients (None
+    for a zero coefficient)."""
 
     items: Tuple[object, ...]
 
@@ -218,15 +229,19 @@ class _RayFunction(NamedTuple):
     def modulus_sq(self, lam):
         """|f|^2 at radius lam on every ray."""
         lam2 = _paired(lam)
-        F1, F2 = (t.at(lam, lam2) for t in self.items[:2])
-        return F1.real ** 2 + F1.imag ** 2 + (F2.real ** 2 + F2.imag ** 2)
+        return _abs_sq(*(t.at(lam, lam2) for t in self.items[:2]))
 
 
-def _ray_parts(f: QFunction, idx1=range(4), idx2=range(4)):
-    """f1, f2, then the Wirtinger derivatives of f1 and f2 at positions idx1
-    and idx2 of _WIRT_VARS."""
-    return ((f.f1, f.f2) + tuple(f.f1.wirtinger(_WIRT_VARS[i]) for i in idx1)
-            + tuple(f.f2.wirtinger(_WIRT_VARS[i]) for i in idx2))
+def _abs_sq(F1, F2):
+    """|f|^2 = |F1|^2 + |F2|^2 from real and imaginary squares."""
+    return F1.real ** 2 + F1.imag ** 2 + (F2.real ** 2 + F2.imag ** 2)
+
+
+def _ray_parts(f: QFunction):
+    """f1, f2, then the Wirtinger derivatives of f1 and of f2 in _WIRT_VARS
+    order."""
+    return (f.f1, f.f2) + tuple(g.wirtinger(v) for g in (f.f1, f.f2)
+                                for v in _WIRT_VARS)
 
 
 @_quiet
@@ -304,7 +319,7 @@ def _level_slopes(jac, F1, F2, D1, D2):
 def _inverse_times(F1, F2, a, b):
     """Components of (1/f) * (a + b j) for f = F1 + F2 j, pointwise:
     (conj(F1) a + F2 conj(b), conj(F1) b - F2 conj(a)) / |f|^2."""
-    r = 1.0 / (F1.real ** 2 + F1.imag ** 2 + (F2.real ** 2 + F2.imag ** 2))
+    r = 1.0 / _abs_sq(F1, F2)
     c1 = np.conj(F1)
     return (c1 * a + F2 * np.conj(b)) * r, (c1 * b - F2 * np.conj(a)) * r
 
@@ -411,64 +426,114 @@ def residue_pair(f: QFunction, phi: TestForm2,
     return finalize(eps_list, values, part=part, notes=notes)
 
 
-@_quiet
-def _pv_density(ray_fn: _RayFunction, lam):
-    """Scalar and j components of the principal-value density u * (P + Q j)
-    at radius lam, before the chart volume factor."""
-    F1, F2, f1_z1, f1_z2, f2_z1b, f2_z2b, ps1, ps2 = ray_fn.values(lam)
-    p_co = f1_z1 * ps1 + f1_z2 * ps2
-    q_co = -(f2_z1b * np.conj(ps1) - f2_z2b * np.conj(ps2))
-    return _inverse_times(F1, F2, p_co, q_co)
+def _pv_kernels(f: QFunction):
+    """Kernels ((K11, K12), (K21, K22)) of the principal-value density,
+    exactly: with a = f1_z1 psi1 + f1_z2 psi2 and
+    b = f2_z2b conj(psi2) - f2_z1b conj(psi1), the density
+    (1/f) (a + b j), which is
+    (conj(f1) a + f2 conj(b), conj(f1) b - f2 conj(a)) / |f|^2,
+    equals (psi1 K11 + psi2 K12, conj(psi1) K21 + conj(psi2) K22) / |f|^2."""
+    f1, f2 = f.f1, f.f2
+    f1_z1, f1_z2 = f1.wirtinger("z1"), f1.wirtinger("z2")
+    f2_z1b, f2_z2b = f2.wirtinger("z1b"), f2.wirtinger("z2b")
+    c1 = f1.conjugate()
+    return ((c1 * f1_z1 - f2 * f2_z1b.conjugate(),
+             c1 * f1_z2 + f2 * f2_z2b.conjugate()),
+            (-(c1 * f2_z1b) - f2 * f1_z1.conjugate(),
+             c1 * f2_z2b - f2 * f1_z2.conjugate()))
+
+
+class _PvDensity(NamedTuple):
+    """The principal-value density of f against psi, folded once per call.
+
+    A coefficient psi_i is pi_i bump(|q| / R_i), so the density times |f|^2
+    is a sum over the distinct radii R of bump(lam / R) times the products
+    sum_i pi_i K1i (scalar part) and sum_i conj(pi_i) K2i (j part) over the
+    coefficients of radius R.  ray_fn tabulates f1, f2, then each product
+    that is not identically zero; slots holds, per product, its part
+    (0 scalar, 1 j) and its R."""
+
+    ray_fn: _RayFunction
+    slots: Tuple[Tuple[int, float], ...]
+
+    @classmethod
+    def build(cls, f: QFunction, psi: TestForm3, u1, u2) -> "_PvDensity":
+        sums = {}
+        for p, k1, k2 in zip(psi.coefficients, *_pv_kernels(f)):
+            if p is not None:
+                acc = sums.setdefault(p.R, [ConjRational.zero()] * 2)
+                acc[0] = acc[0] + k1 * p.poly
+                acc[1] = acc[1] + k2 * p.poly.conjugate()
+        products = [(part, R, r) for R, acc in sums.items()
+                    for part, r in enumerate(acc) if not r.is_zero]
+        ray_fn = _RayFunction.build(
+            (f.f1, f.f2) + tuple(r for _, _, r in products), (), u1, u2)
+        return cls(ray_fn, tuple((part, R) for part, R, _ in products))
+
+    def take(self, sel) -> "_PvDensity":
+        return _PvDensity(self.ray_fn.take(sel), self.slots)
+
+    @_quiet
+    def terms(self, lam, w):
+        """The density at radius lam, before the chart volume factor, times
+        the real weight w, as one term per surviving product: pairs of its
+        part (0 scalar, 1 j) and w bump(lam / R) P / |f|^2.  lam is shaped
+        as in _RayFunction.values.  A node where |f|^2 is zero or not finite
+        is a pole, whether or not any product survives the fold."""
+        F1, F2, *products = self.ray_fn.values(lam)
+        g = _abs_sq(F1, F2)
+        if not ((g > 0.0) & (g < np.inf)).all():
+            raise PoleOnDomain(_SINGULAR)
+        w = w / g
+        scaled = {R: bump(lam / R) * w for _, R in self.slots}
+        return [(part, P * scaled[R])
+                for (part, R), P in zip(self.slots, products)]
 
 
 @_quiet
-def _pv_radial(ray_fn: _RayFunction, rays: _RayMesh, lam, w_lam) -> Quat:
+def _pv_radial(density: _PvDensity, rays: _RayMesh, lam, w_lam) -> Quat:
     """Oriented integral of the pv density times the volume element
     4 lam^3 sin(eta) cos(eta) over a radial node table on the rays.
 
     Row k of the table holds radii lam[k] and radial weights w_lam[k], of
     shape (1,) for one radius shared by every ray or (n_rays,) for one
     radius per ray; the node is lam * (u1, u2).  As many rows as fit
-    _NODE_BUDGET nodes go through one density evaluation.
+    _NODE_BUDGET nodes go through one evaluation of the density.
     """
     n_rays = len(rays.w)
     if not n_rays:
         # the levelset region keeps no ray when |f| < eps on all the support
         return Quat(0.0, 0.0)
     rows = max(1, _NODE_BUDGET // n_rays)
-    total1 = 0.0 + 0.0j
-    total2 = 0.0 + 0.0j
+    totals = [0.0 + 0.0j, 0.0 + 0.0j]
     for start in range(0, len(lam), rows):
         lam_c = lam[start:start + rows]
-        c1, c2 = _pv_density(ray_fn, lam_c)
-        vol = 4.0 * lam_c ** 3 * rays.sin_cos
-        i1 = c1 * vol
-        i2 = c2 * vol
-        if not (np.isfinite(i1).all() and np.isfinite(i2).all()):
-            raise PoleOnDomain("density is singular inside the integration "
-                               "region")
-        w = w_lam[start:start + rows] * rays.w
-        total1 += (w * i1).sum()
-        total2 += (w * i2).sum()
-    return Quat(ORIENTATION_4FORM * total1, ORIENTATION_4FORM * total2)
+        w = ((w_lam[start:start + rows] * 4.0 * lam_c ** 3)
+             * (rays.w * rays.sin_cos))
+        for part, term in density.terms(lam_c, w):
+            totals[part] += term.sum()
+    if not np.isfinite(totals).all():
+        # a product that is not finite where |f|^2 is
+        raise PoleOnDomain(_SINGULAR)
+    return Quat(ORIENTATION_4FORM * totals[0], ORIENTATION_4FORM * totals[1])
 
 
 @_quiet
-def _levelset_nodes(ray_fn: _RayFunction, mesh: _RayMesh, eps: float,
+def _levelset_nodes(density: _PvDensity, mesh: _RayMesh, eps: float,
                     support: float):
     """Rays that meet {|f| >= eps} within the support ball, with log-spaced
     Gauss nodes on each from the level radius (or, for rays that start at or
     above eps, from near the origin) out to the support.  Returns the kept
-    rays' tables and mesh, lam and w_lam, as arguments of _pv_radial."""
+    rays' density and mesh, lam and w_lam, as arguments of _pv_radial."""
     hi = np.full(mesh.eta.shape, support)
-    lam_star, active, inside = _solve_level_radius(ray_fn, hi, eps)
+    lam_star, active, inside = _solve_level_radius(density.ray_fn, hi, eps)
     start = np.where(inside, lam_star, _LAM_FLOOR_FACTOR * support)
     sel = np.flatnonzero(active | ~inside)
     start = np.minimum(start[sel], support)
     s_nodes, s_w = gauss_panels([0.0, 1.0], _LOG_ORDER)
     stretch = np.log(np.maximum(support / start, 1.0))
     lam = start * np.exp(s_nodes[:, None] * stretch)
-    return (ray_fn.take(sel), mesh.take(sel), lam,
+    return (density.take(sel), mesh.take(sel), lam,
             s_w[:, None] * lam * stretch)
 
 
@@ -484,6 +549,13 @@ def pv_pair(f: QFunction, psi: TestForm3,
     removes the sublevel set |f| < eps instead, which costs a level-radius
     solve per eps.  part="(0,1)" is served by the formal conjugation
     symmetry of the expansion and marked as such in the result.
+
+    The density is folded once per call (_PvDensity): the kernel products
+    pi_i K1i and conj(pi_i) K2i of the coefficients pi_i bump(|q| / R_i) are
+    summed exactly per distinct R, and only those that are not identically
+    zero are tabulated beside f1 and f2.  Each node then costs |f|^2 from
+    the f1 and f2 tables, one bump per distinct R and one Horner evaluation
+    per surviving product.
     """
     if psi.is_zero:
         raise ValueError("test form is identically zero")
@@ -514,20 +586,18 @@ def pv_pair(f: QFunction, psi: TestForm3,
     require_rays(pv_rays(rule.n_eta, rule.n_xi))
     eps_list = schedule.values()
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule)
-    # the four derivatives the density reads: f1_z1, f1_z2, f2_z1b, f2_z2b
-    ray_fn = _RayFunction.build(_ray_parts(f, (0, 2), (1, 3)),
-                                psi.coefficients, mesh.u1, mesh.u2)
+    density = _PvDensity.build(f, psi, mesh.u1, mesh.u2)
     if region == "metric":
         edges = [geometric_edges(eps_list[0], support, eps_list[0])]
         edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
         shells = (gauss_panels(e, _SHELL_ORDER) for e in edges)
         values = list(itertools.accumulate(
-            _pv_radial(ray_fn, mesh, lam[:, None], w[:, None])
+            _pv_radial(density, mesh, lam[:, None], w[:, None])
             for lam, w in shells))
         notes = ()
     else:
         # one rung's node table at a time: it is dropped before the next
-        values = [_pv_radial(*_levelset_nodes(ray_fn, mesh, eps, support))
+        values = [_pv_radial(*_levelset_nodes(density, mesh, eps, support))
                   for eps in eps_list]
         notes = ("excluded region follows the level sets of |f|",)
     return finalize(eps_list, values, part="(1,0)", notes=notes)

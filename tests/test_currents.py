@@ -12,16 +12,17 @@ from qres.currents.chart import chart_jacobian, det4, sphere_to_complex
 from qres.currents.estimate import EpsilonSchedule
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
 from qres.currents import pairings
-from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _RayFunction,
-                                    _RayMesh, _WIRT_VARS, _inverse_times,
-                                    _masked_sum, _pv_radial, _ray_parts,
-                                    _solve_level_radius, pv_pair, pv_rays,
-                                    require_rays, residue_pair, residue_rays)
+from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _PvDensity,
+                                    _RayFunction, _RayMesh, _WIRT_VARS,
+                                    _inverse_times, _masked_sum, _pv_radial,
+                                    _ray_parts, _solve_level_radius, pv_pair,
+                                    pv_rays, require_rays, residue_pair,
+                                    residue_rays)
 from qres.currents.quadrature import build_quadrature, graded_eta_panels
 from qres.errors import RuleTooLarge
 from qres.parsing import parse_poly, parse_qfunction
 from qres.qcore import Quat
-from qres.symfun import ConjPoly
+from qres.symfun import ConjPoly, ConjRational, QFunction
 
 Z1_FN = parse_qfunction("z1 ; 0")
 PHI_PLANE = TestForm2(phi22=Profile(ConjPoly.one(), 1.0, radial="z2"))
@@ -223,7 +224,7 @@ def test_level_radius_lies_on_the_level_set(name):
     eta, xi1, xi2 = level_rays(kind)
     n = len(eta)
     eps = 0.3
-    ray_fn = _RayFunction.build(_ray_parts(f, (), ()), (),
+    ray_fn = _RayFunction.build((f.f1, f.f2), (),
                                 *sphere_to_complex(1.0, eta, xi1, xi2))
     lam, active, inside = _solve_level_radius(ray_fn, np.ones(n), eps)
 
@@ -285,20 +286,6 @@ def unit_rays(seed: int, n: int = 64):
     return sphere_to_complex(1.0, eta, xi1, xi2)
 
 
-def test_jets_evaluate_only_the_requested_derivatives():
-    # the principal-value density reads f1_z1, f1_z2, f2_z1b and f2_z2b
-    rationals = _ray_parts(builtin("cauchy_kernel").f)
-    u1, u2 = unit_rays(13)
-    lam = np.random.default_rng(13).uniform(0.1, 1.0, (3, len(u1)))
-    full = _RayFunction.build(rationals, (), u1, u2).values(lam)
-    part = _RayFunction.build(_ray_parts(builtin("cauchy_kernel").f,
-                                         (0, 2), (1, 3)),
-                              (), u1, u2).values(lam)
-    assert len(full) == 10 and len(part) == 6
-    for a, b in zip(part, [full[i] for i in (0, 1, 2, 4, 7, 9)]):
-        assert np.array_equal(a, b)
-
-
 TABLE_PROFILES = (Profile(parse_poly("1 + z1*c2 - 2*c1^2"), 0.9, "q"),
                   Profile(parse_poly("3*z2 + c2*z1^2"), 1.3, "z1"),
                   None,
@@ -343,20 +330,95 @@ def test_ray_tables_match_the_symbolic_evaluators(name, params):
         assert close(fn.modulus_sq(lam), np.abs(F1) ** 2 + np.abs(F2) ** 2)
 
 
+def unfolded_pv_density(f, psi, Z1, Z2):
+    """The principal-value density as it was computed before the fold:
+    (1/f) (a + b j) with a = f1_z1 psi1 + f1_z2 psi2 and
+    b = f2_z2b conj(psi2) - f2_z1b conj(psi1), every factor evaluated
+    separately at the nodes (Z1, Z2)."""
+    def at(r):
+        return np.broadcast_to(r.eval_numeric(Z1, Z2), Z1.shape)
+
+    F1, F2 = at(f.f1), at(f.f2)
+    f1_z1, f1_z2 = at(f.f1.wirtinger("z1")), at(f.f1.wirtinger("z2"))
+    f2_z1b, f2_z2b = at(f.f2.wirtinger("z1b")), at(f.f2.wirtinger("z2b"))
+    ps1, ps2 = (p.eval(Z1, Z2) for p in psi.coefficients)
+    p_co = f1_z1 * ps1 + f1_z2 * ps2
+    q_co = -(f2_z1b * np.conj(ps1) - f2_z2b * np.conj(ps2))
+    return _inverse_times(F1, F2, p_co, q_co)
+
+
+def folded_pv_density(density, lam):
+    parts = [0.0, 0.0]
+    for part, term in density.terms(lam, 1.0):
+        parts[part] = parts[part] + term
+    return parts
+
+
+FOLD_PSI = TestForm3(psi1=Profile(parse_poly("1 + z1*c2 - 2*c1^2"), 0.9),
+                     psi2=Profile(parse_poly("3*z2 + c2*z1^2"), 1.3))
+FOLD_CASES = TABLE_CASES + [("prop34", (Fraction(1, 8), Fraction(-1, 8)))]
+
+
+@pytest.mark.parametrize("name,params", FOLD_CASES,
+                         ids=[f"{n}{list(p) or ''}" for n, p in FOLD_CASES])
+def test_folded_pv_density_matches_the_unfolded_formula(name, params):
+    f = builtin(name, params).f
+    u1, u2 = unit_rays(15)
+    n = len(u1)
+    density = _PvDensity.build(f, FOLD_PSI, u1, u2)
+    rng = np.random.default_rng(17)
+    shared = rng.uniform(0.05, 1.2, (5, 1))
+    per_ray = rng.uniform(0.05, 1.2, (5, n))
+    sel = np.sort(rng.choice(n, 23, replace=False))
+    for dens, lam, rays in ((density, shared, slice(None)),
+                            (density, per_ray, slice(None)),
+                            (density.take(sel), per_ray[:, sel], sel)):
+        want = unfolded_pv_density(f, FOLD_PSI, lam * u1[rays],
+                                   lam * u2[rays])
+        got = folded_pv_density(dens, lam)
+        scale = max(np.abs(w).max() for w in want)
+        for g, w in zip(got, want):
+            # a part with no surviving product is the exact zero
+            assert np.abs(g - w).max() <= 1e-13 * scale
+            assert np.ndim(g) == 0 or np.shape(g) == np.shape(w)
+        if not scale:
+            assert density.slots == ()
+
+
 def test_pole_on_a_ray_node_is_reported():
     # cauchy_kernel has its pole at the origin: a radial row at lam = 0
     # evaluates to nan there and the principal-value sum refuses it
-    rationals = _ray_parts(builtin("cauchy_kernel").f, (0, 2), (1, 3))
     psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
     mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(4, 8))
-    ray_fn = _RayFunction.build(rationals, psi.coefficients, mesh.u1, mesh.u2)
+    density = _PvDensity.build(builtin("cauchy_kernel").f, psi,
+                               mesh.u1, mesh.u2)
     lam = np.array([[0.0], [0.5]])
-    F1 = ray_fn.values(lam)[0]
+    F1 = density.ray_fn.values(lam)[0]
     assert np.isnan(F1[0]).all() and np.isfinite(F1[1]).all()
     with pytest.raises(PoleOnDomain, match="singular inside"):
-        _pv_radial(ray_fn, mesh, lam, np.ones((2, 1)))
-    assert np.isfinite(complex(_pv_radial(ray_fn, mesh, lam[1:],
+        _pv_radial(density, mesh, lam, np.ones((2, 1)))
+    assert np.isfinite(complex(_pv_radial(density, mesh, lam[1:],
                                           np.ones((1, 1))).z1))
+
+
+def test_pole_is_reported_when_no_product_survives_the_fold():
+    # f = 1/|z1|^2 blows up on the plane z1 = 0; against psi2 alone every
+    # kernel product is identically zero, so only the explicit check on
+    # |f|^2 can see the pole
+    f = QFunction(ConjRational(ConjPoly.one(), parse_poly("z1*c1")),
+                  ConjRational.zero())
+    psi = TestForm3(psi2=Profile.bump_only(1.0))
+    mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(4, 8))
+    density = _PvDensity.build(f, psi, mesh.u1, mesh.u2)
+    assert density.slots == ()
+    # at lam = 0, f = inf + nan j; at lam = 1e-100, f is finite but |f|^2
+    # overflows to inf, where 1/|f|^2 = 0 would pass a finiteness check
+    for pole in (0.0, 1e-100):
+        lam = np.array([[pole], [0.5]])
+        with pytest.raises(PoleOnDomain, match="singular inside"):
+            _pv_radial(density, mesh, lam, np.ones((2, 1)))
+    val = _pv_radial(density, mesh, np.array([[0.5]]), np.ones((1, 1)))
+    assert val.norm() == 0.0
 
 
 def test_inverse_times_f_is_one():

@@ -1,8 +1,9 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package module imports is read somewhere in that module,
+and every module-level private name is read somewhere in the package.
 
-An AST scan of src/qres/**/*.py: package __init__ files (re-exports) and
-names listed in a module's __all__ are exempt.  Annotations count as reads,
-including quoted ones.
+An AST scan of src/qres/**/*.py: for imports, package __init__ files
+(re-exports) and names listed in a module's __all__ are exempt.  Annotations
+count as reads, including quoted ones.
 """
 import ast
 from pathlib import Path
@@ -66,3 +67,55 @@ def test_no_unused_imports(path):
     lines = imported_names(tree)
     assert not unused, ", ".join(f"{name} (line {lines[name]})"
                                  for name in sorted(unused))
+
+
+def private_definitions(tree):
+    """Top-level statement index -> private names (not dunders) that the
+    statement defines: functions, classes and assigned constants."""
+    out = {}
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        private = [n for n in names
+                   if n.startswith("_") and not n.startswith("__")]
+        if private:
+            out[i] = private
+    return out
+
+
+def package_reads(stmt):
+    """Names a statement reads, as a bare name, as an attribute or as an
+    imported name."""
+    names = read_names(stmt)
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+ALL_MODULES = sorted(SRC.rglob("*.py"))
+
+
+def test_private_names_are_read_in_the_package():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES}
+    reads = {(p, i): package_reads(stmt)
+             for p, tree in trees.items() for i, stmt in enumerate(tree.body)}
+    unread = []
+    for path, tree in trees.items():
+        for i, names in private_definitions(tree).items():
+            # a read inside the defining statement itself does not count
+            elsewhere = set().union(*(r for key, r in reads.items()
+                                      if key != (path, i)))
+            unread += [f"{path.relative_to(SRC)}: {name} "
+                       f"(line {tree.body[i].lineno})"
+                       for name in names if name not in elsewhere]
+    assert not unread, ", ".join(unread)
