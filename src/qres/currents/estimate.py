@@ -79,12 +79,16 @@ def _extrapolate(epsilons: Sequence[float], values: Sequence[Quat]) -> Quat:
 
 
 def finalize(epsilons: Sequence[float], values: Sequence[Quat],
-             part: str = "(1,0)",
-             notes: Sequence[str] = ()) -> CurrentEstimate:
+             part: str = "(1,0)", notes: Sequence[str] = (),
+             trusted: bool = True) -> CurrentEstimate:
     """Assemble the estimate: extrapolate and judge convergence.
 
     Converged means the last few successive differences decay with ratio
-    below 0.8, or have hit the zero floor relative to the value scale.
+    below 0.8, or have hit the zero floor relative to the value scale.  A
+    rung that is exactly zero after a rung above the zero floor is a lost
+    rung, not a converged one, and rules convergence out; so does
+    trusted=False, for a pairing that counted rays it cannot resolve (its
+    notes say which).
     """
     if len(epsilons) != len(values):
         raise ValueError("epsilons and values must align")
@@ -101,7 +105,8 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
         tail_ok = []
         for i in range(len(ratios) - window, len(ratios)):
             tail_ok.append(ratios[i] < 0.8 or diffs[i + 1] < floor)
-        converged = all(tail_ok)
+        lost = any(b == 0.0 and a > floor for a, b in zip(norms, norms[1:]))
+        converged = trusted and not lost and all(tail_ok)
     else:
         converged = False
     return CurrentEstimate(

@@ -7,9 +7,13 @@ extrapolated limit.
 
 The residue pairing integrates a 3-form density over the level set
 |f| = eps, realised as a radial graph lam = lam*(direction) over the chart
-sphere: per direction the radius is found by bisection and the graph slopes
+sphere: per direction the radius is the first real root of a polynomial in
+the radius (in closed form when f is homogeneous) and the graph slopes come
 by implicit differentiation, so the level geometry (round sphere, cylinder,
-or anything ray-monotone) is captured without special cases.  The
+or anything ray-monotone) is captured without special cases.  A ray on
+which the level set is not such a graph, because |f| dips below eps without
+starting below it or crosses eps more than once, is counted, and any such
+ray on the ladder leaves the estimate not converged, with a note.  The
 principal-value pairing integrates a 4-form density over the complement of
 the excluded region, which is the metric ball |q| < eps by default or the
 sublevel set |f| < eps with region="levelset".  Both regions reduce to a
@@ -30,10 +34,11 @@ rational a pairing reads (f1 and f2; the residue path's Wirtinger
 derivatives and test-form coefficients; the principal value's kernel
 products) is tabulated once per mesh as p(lam u) = sum_k c_k(u) lam^k for
 its numerator and denominator, the terms of total degree k summed at u.  The
-level-radius bisection, the level-set graph and the radial nodes then
-evaluate a Horner polynomial in the real radius; |f|^2 comes from the f1 and
-f2 tables, and a coefficient's bump is bump(lam r(u) / R) with r(u) its
-radius at u.
+level-set graph and the radial nodes then evaluate a Horner polynomial in
+the real radius; |f|^2 comes from the f1 and f2 tables, and a coefficient's
+bump is bump(lam r(u) / R) with r(u) its radius at u.  The level radii are
+real roots of D1^2 D2^2 (|f|^2 - eps^2), whose coefficient rows are
+convolutions of the same table rows (fi = Ni / Di).
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ from .quadrature import (QuadratureRule, build_quadrature, gauss_panels,
 # Wirtinger variable order, aligned with the chart coordinate rows
 _WIRT_VARS = ("z1", "z1b", "z2", "z2b")
 
-_BISECT_ITERS = 52
 _LAM_FLOOR_FACTOR = 1e-9
-# nodes per density evaluation on the principal-value path; bounds its memory
+# nodes per density evaluation on the principal-value path, and matrix
+# entries per batch of companion matrices in the level solve; bounds memory
 _NODE_BUDGET = 1 << 15
 # Gauss nodes per radial panel: metric shells, and per-ray log-spaced nodes
 # of the levelset region
@@ -148,6 +153,12 @@ class _RayPoly(NamedTuple):
     def take(self, sel) -> "_RayPoly":
         return _RayPoly(self.low, self.c.take(sel, axis=1))
 
+    def derivative(self) -> "_RayPoly":
+        """The derivative in the radius:
+        lam^(low - 1) sum_k (low + k) c[k] lam^k."""
+        return _RayPoly(self.low - 1,
+                        self.c * (self.low + np.arange(len(self.c)))[:, None])
+
 
 class _RayRational(NamedTuple):
     """A rational along chart rays: a complex numerator table over a real
@@ -160,6 +171,15 @@ class _RayRational(NamedTuple):
     def at(self, lam, lam2):
         v = self.num.at(lam2)
         return v if self.den is None else v / self.den.at(lam)
+
+    def slope_at(self, lam, lam2):
+        """The rational and its derivative in the radius, at lam."""
+        v, dv = self.num.at(lam2), self.num.derivative().at(lam2)
+        if self.den is None:
+            return v, dv
+        d = self.den.at(lam)
+        v = v / d
+        return v, (dv - v * self.den.derivative().at(lam)) / d
 
     def take(self, sel) -> "_RayRational":
         return _RayRational(self.num.take(sel),
@@ -183,12 +203,13 @@ class _RayProfile(NamedTuple):
         return _RayProfile(self.poly.take(sel), r, self.R)
 
 
-class _RayFunction(NamedTuple):
+class _RayFunction:
     """Ray tables of what a pairing reads, on one set of chart rays: f1, f2
-    and the other rationals it needs, then its test-form coefficients (None
-    for a zero coefficient)."""
+    and the other rationals it needs, then its test-form coefficients.  A
+    rational or coefficient that is identically zero has no table (None)."""
 
-    items: Tuple[object, ...]
+    def __init__(self, items: Tuple[object, ...]):
+        self.items = items
 
     @classmethod
     def build(cls, rationals: Sequence[ConjRational],
@@ -206,6 +227,7 @@ class _RayFunction(NamedTuple):
 
         radius = {"q": 1.0, "z1": np.abs(u1), "z2": np.abs(u2)}
         return cls(tuple(
+            None if r.is_zero else
             _RayRational(table(r.num),
                          None if r.den == ConjPoly.one() else real(r.den))
             for r in rationals) + tuple(
@@ -221,7 +243,7 @@ class _RayFunction(NamedTuple):
     @_quiet
     def values(self, lam) -> List[object]:
         """Every table at radius lam, of shape (n_rays,), (rows, 1) or
-        (rows, n_rays), in build order; 0 for a zero coefficient.  A pole
+        (rows, n_rays), in build order; 0j where there is no table.  A pole
         comes out as inf or nan."""
         lam2 = _paired(lam)
         return [0j if t is None else t.at(lam, lam2) for t in self.items]
@@ -229,12 +251,99 @@ class _RayFunction(NamedTuple):
     def modulus_sq(self, lam):
         """|f|^2 at radius lam on every ray."""
         lam2 = _paired(lam)
-        return _abs_sq(*(t.at(lam, lam2) for t in self.items[:2]))
+        g = _abs_sq(*(0j if t is None else t.at(lam, lam2)
+                      for t in self.items[:2]))
+        # f = 0 has no table to shape the result
+        return g if np.ndim(g) else np.zeros(np.shape(lam))
+
+    def modulus_sq_slope(self, lam):
+        """|f|^2 and its derivative in the radius, at radius lam on every
+        ray; f is not 0."""
+        lam2 = _paired(lam)
+        g = slope = 0.0
+        for t in self.items[:2]:
+            if t is not None:
+                F, dF = t.slope_at(lam, lam2)
+                g = g + (F.real ** 2 + F.imag ** 2)
+                slope = slope + 2.0 * (F.real * dF.real + F.imag * dF.imag)
+        return g, slope
+
+    @property
+    def degree(self) -> Optional[int]:
+        """The degree m of a homogeneous f: every table of f1 and f2 has one
+        row and both components the same degree, so that
+        |f(lam u)|^2 = lam^(2m) a(u) on every ray.  None for any other f;
+        0 for f = 0."""
+        degrees = set()
+        for t in self.items[:2]:
+            if t is None:
+                continue
+            if len(t.num.c) > 1 or (t.den is not None and len(t.den.c) > 1):
+                return None
+            degrees.add(t.num.low - (0 if t.den is None else t.den.low))
+        return None if len(degrees) > 1 else max(degrees, default=0)
+
+    @functools.cached_property
+    def level_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows (s, q), ascending powers of the radius by ray, of the two
+        polynomials free of eps with
+        D1^2 D2^2 (|f|^2 - eps^2) = lam^L (s - eps^2 q) along the rays, for
+        fi = Ni / Di: s = |N1|^2 D2^2 + |N2|^2 D1^2 and q = D1^2 D2^2, by
+        convolving the table rows.  A component with no table drops out.
+        Built once per mesh, on first use."""
+        squares = [(_square(t.num), _square(t.den))
+                   for t in self.items[:2] if t is not None]
+        if len(squares) == 1:
+            return tuple(_aligned(*squares[0]))
+        (n1, d1), (n2, d2) = squares
+        a, b, q = _aligned(_times(n1, d2), _times(n2, d1), _times(d1, d2))
+        return a + b, q
 
 
 def _abs_sq(F1, F2):
-    """|f|^2 = |F1|^2 + |F2|^2 from real and imaginary squares."""
-    return F1.real ** 2 + F1.imag ** 2 + (F2.real ** 2 + F2.imag ** 2)
+    """|f|^2 = |F1|^2 + |F2|^2 from real and imaginary squares; a component
+    with no table (the scalar 0j) adds nothing."""
+    squares = [F.real ** 2 + F.imag ** 2 for F in (F1, F2) if np.ndim(F)]
+    if len(squares) == 2:
+        return squares[0] + squares[1]
+    return squares[0] if squares else 0.0
+
+
+def _conv(a, b):
+    """Rows of the product of two ray polynomials given by their rows."""
+    out = np.zeros((len(a) + len(b) - 1,)
+                   + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for k, row in enumerate(a):
+        out[k:k + len(b)] += row * b
+    return out
+
+
+def _square(p: Optional[_RayPoly]) -> _RayPoly:
+    """|p|^2 along the rays as a real _RayPoly; None stands for 1."""
+    if p is None:
+        return _RayPoly(0, np.ones((1, 1)))
+    rows = _conv(p.c.real, p.c.real)
+    if np.iscomplexobj(p.c):
+        rows += _conv(p.c.imag, p.c.imag)
+    return _RayPoly(2 * p.low, rows)
+
+
+def _times(a: _RayPoly, b: _RayPoly) -> _RayPoly:
+    return _RayPoly(a.low + b.low, _conv(a.c, b.c))
+
+
+def _aligned(*polys: _RayPoly) -> List[np.ndarray]:
+    """The rows of each poly on one common range of powers, from the lowest
+    power of any of them (dropped as the common factor lam^L)."""
+    low = min(p.low for p in polys)
+    shape = ((max(p.low + len(p.c) for p in polys) - low,)
+             + np.broadcast_shapes(*(p.c.shape[1:] for p in polys)))
+    out = []
+    for p in polys:
+        rows = np.zeros(shape)
+        rows[p.low - low:p.low - low + len(p.c)] = p.c
+        out.append(rows)
+    return out
 
 
 def _ray_parts(f: QFunction):
@@ -244,32 +353,116 @@ def _ray_parts(f: QFunction):
                                 for v in _WIRT_VARS)
 
 
+class _LevelRadii(tuple):
+    """A level solve: the triple (lam_star, active, inside_at_floor), and
+    crossings, every crossing of |f| = eps above the floor per ray, sorted
+    along the ray and padded with inf (shape (n_rays, k), k >= 1)."""
+
+    crossings: np.ndarray
+
+    def __new__(cls, lam_star, active, inside_at_floor, crossings):
+        radii = super().__new__(cls, (lam_star, active, inside_at_floor))
+        radii.crossings = crossings
+        return radii
+
+    @property
+    def untrusted(self) -> np.ndarray:
+        """Counts of the rays on which the level set is not a radial graph:
+        (rays where |f| dips below eps without starting below it, rays that
+        cross |f| = eps more than once)."""
+        _, _, inside_at_floor = self
+        count = np.count_nonzero(self.crossings < np.inf, axis=1)
+        return np.array([np.count_nonzero(~inside_at_floor & (count > 0)),
+                         np.count_nonzero(count > 1)])
+
+
+def _untrusted_notes(untrusted) -> Tuple[str, ...]:
+    dips, multiple = untrusted
+    if not (dips or multiple):
+        return ()
+    return (f"level sets are not radial graphs: over the ladder, {dips} "
+            "rays dip below eps without starting below it and "
+            f"{multiple} rays cross |f| = eps more than once; the estimate "
+            "is not converged",)
+
+
+def _level_crossings(ray_fn: _RayFunction, target: float, floor, hi
+                     ) -> np.ndarray:
+    """Every crossing of |f|^2 = target in (floor, hi] per ray, sorted along
+    the ray and padded with inf to shape (n_rays, k), k >= 1.
+
+    The crossings are the real roots of s - target q (ray_fn.level_rows),
+    found as eigenvalues of companion matrices batched by degree under
+    _NODE_BUDGET entries, and each polished by one Newton step on |f|^2
+    from the ray tables.  Terms too small to matter on [0, hi] (below 2^-52
+    of the largest term there) are dropped from the top, so a leading
+    coefficient that vanishes on some rays lowers their degree."""
+    s, q = ray_fn.level_rows
+    rows = s - target * q
+    size = np.abs(rows) * hi ** np.arange(len(rows))[:, None]
+    kept = ((size > 2.0 ** -52 * size.max(axis=0))
+            & np.isfinite(size).all(axis=0))
+    degree = np.where(kept.any(axis=0),
+                      len(rows) - 1 - np.argmax(kept[::-1], axis=0), 0)
+    lam = np.full((rows.shape[1], max(1, len(rows) - 1)), np.inf)
+    for d in np.unique(degree[degree > 0]):
+        rays = np.flatnonzero(degree == d)
+        step = max(1, _NODE_BUDGET // (d * d))
+        for sel in (rays[i:i + step] for i in range(0, len(rays), step)):
+            c = rows[:d + 1, sel]
+            companion = np.zeros((len(sel), d, d))
+            companion[:, 0, :] = -(c[-2::-1] / c[-1]).T
+            companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            roots = np.linalg.eigvals(companion)
+            lam[sel, :d] = np.where(roots.imag == 0.0, roots.real, np.inf)
+    g, slope = ray_fn.modulus_sq_slope(lam.T)
+    polished = lam - ((g - target) / slope).T
+    lam = np.where(np.isfinite(polished), polished, lam)
+    lam[~((lam > floor[:, None]) & (lam <= hi[:, None]))] = np.inf
+    lam.sort(axis=1)
+    return lam[:, :max(1, np.count_nonzero(lam < np.inf, axis=1).max())]
+
+
 @_quiet
 def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Radius where |f| = eps along each chart ray, by bisection on
-    [0, lam_hi], with one entry of lam_hi per ray of ray_fn.
+                        ) -> _LevelRadii:
+    """Radius where |f| = eps along each chart ray, with one entry of lam_hi
+    per ray of ray_fn: the first crossing in (floor, lam_hi], where
+    floor = _LAM_FLOOR_FACTOR lam_hi, or inf on a ray with none.
 
-    Returns (lam_star, active, inside_at_floor).  A ray is active when
-    |f| < eps just above the origin and |f| >= eps at the ray's support end;
-    since lam_hi bounds the test-form support, inactive rays with |f| < eps
-    throughout carry no pairing mass.  Rays already at or above eps near the
-    origin are flagged separately (third array) for the principal-value
-    domain, where they are included in full.
+    The crossings are the real roots in (floor, lam_hi] of the ray
+    polynomial D1^2 D2^2 (|f|^2 - eps^2) = lam^L (s - eps^2 q), whose rows
+    ray_fn.level_rows builds once per mesh (_level_crossings).  A
+    homogeneous f of degree m needs no root solve: |f(lam u)|^2 is
+    lam^(2m) a(u), monotone along each ray, so it crosses eps exactly when
+    the two ends of (floor, lam_hi] lie on either side, at
+    lam_star = (eps^2 / a)^(1/2m) = lam_hi (eps^2 / |f(lam_hi u)|^2)^(1/2m).
+
+    Returns (lam_star, active, inside_at_floor), a _LevelRadii that also
+    holds every crossing.  A ray is active when |f| < eps at the floor and
+    |f| >= eps at the ray's support end; since lam_hi bounds the test-form
+    support, inactive rays with |f| < eps throughout carry no pairing mass.
+    Rays already at or above eps at the floor are flagged separately (third
+    array) for the principal-value domain, where they are included in full.
     """
     target = eps * eps
     hi = np.array(lam_hi, dtype=float)
-    lo = np.zeros(hi.shape)
-    g_lo = ray_fn.modulus_sq(_LAM_FLOOR_FACTOR * hi)
+    floor = _LAM_FLOOR_FACTOR * hi
     g_hi = ray_fn.modulus_sq(hi)
-    inside_at_floor = ~(g_lo >= target)
-    active = inside_at_floor & (g_hi >= target)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = ray_fn.modulus_sq(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi), active, inside_at_floor
+    inside_at_floor = ~(ray_fn.modulus_sq(floor) >= target)
+    below_hi = ~(g_hi >= target)
+    active = inside_at_floor & ~below_hi
+    m = ray_fn.degree
+    if m is None:
+        crossings = _level_crossings(ray_fn, target, floor, hi)
+    elif m:
+        lam = hi * (target / g_hi) ** (0.5 / m)
+        crossings = np.where(inside_at_floor != below_hi, lam,
+                             np.inf)[:, None]
+    else:
+        # |f| is constant along every ray
+        crossings = np.full((hi.size, 1), np.inf)
+    return _LevelRadii(crossings[:, 0], active, inside_at_floor, crossings)
 
 
 class _RayMesh(NamedTuple):
@@ -401,11 +594,14 @@ def residue_pair(f: QFunction, phi: TestForm2,
     eps_list = schedule.values()
     values: List[Quat] = []
     dropped_total = 0
+    untrusted = np.zeros(2, dtype=int)
     for eps in eps_list:
         mesh = _RayMesh.build(*graded_eta_panels(eps, support), rule)
-        lam, active, _ = _solve_level_radius(
+        radii = _solve_level_radius(
             _RayFunction.build(parts[:2], (), mesh.u1, mesh.u2),
             phi.support_lambda(mesh.eta), eps)
+        lam, active, _ = radii
+        untrusted += radii.untrusted
         if not active.any():
             values.append(Quat(0.0, 0.0))
             continue
@@ -418,12 +614,13 @@ def residue_pair(f: QFunction, phi: TestForm2,
         val, dropped = _residue_value(values_at, rays, lam, include_mirror)
         dropped_total += dropped
         values.append(val)
-    notes = []
+    notes = list(_untrusted_notes(untrusted))
     if dropped_total:
         notes.append(f"{dropped_total} level-set nodes were not transverse "
                      "to the radial rays and were dropped")
     part = "(1,0)+(0,1)" if include_mirror else "(1,0)"
-    return finalize(eps_list, values, part=part, notes=notes)
+    return finalize(eps_list, values, part=part, notes=notes,
+                    trusted=not untrusted.any())
 
 
 def _pv_kernels(f: QFunction):
@@ -482,7 +679,7 @@ class _PvDensity(NamedTuple):
         is a pole, whether or not any product survives the fold."""
         F1, F2, *products = self.ray_fn.values(lam)
         g = _abs_sq(F1, F2)
-        if not ((g > 0.0) & (g < np.inf)).all():
+        if not np.all((g > 0.0) & (g < np.inf)):
             raise PoleOnDomain(_SINGULAR)
         w = w / g
         scaled = {R: bump(lam / R) * w for _, R in self.slots}
@@ -519,14 +716,14 @@ def _pv_radial(density: _PvDensity, rays: _RayMesh, lam, w_lam) -> Quat:
 
 
 @_quiet
-def _levelset_nodes(density: _PvDensity, mesh: _RayMesh, eps: float,
-                    support: float):
+def _levelset_nodes(density: _PvDensity, mesh: _RayMesh,
+                    radii: _LevelRadii, support: float):
     """Rays that meet {|f| >= eps} within the support ball, with log-spaced
-    Gauss nodes on each from the level radius (or, for rays that start at or
-    above eps, from near the origin) out to the support.  Returns the kept
-    rays' density and mesh, lam and w_lam, as arguments of _pv_radial."""
-    hi = np.full(mesh.eta.shape, support)
-    lam_star, active, inside = _solve_level_radius(density.ray_fn, hi, eps)
+    Gauss nodes on each from the level radius of the rung's level solve
+    radii (or, for rays that start at or above eps, from near the origin)
+    out to the support.  Returns the kept rays' density and mesh, lam and
+    w_lam, as arguments of _pv_radial."""
+    lam_star, active, inside = radii
     start = np.where(inside, lam_star, _LAM_FLOOR_FACTOR * support)
     sel = np.flatnonzero(active | ~inside)
     start = np.minimum(start[sel], support)
@@ -571,7 +768,9 @@ def pv_pair(f: QFunction, psi: TestForm3,
                 for v in base.values]
         notes = base.notes + ("computed from the (1,0) pairing by formal "
                               "conjugation",)
-        return finalize(base.epsilons, vals, part="(0,1)", notes=notes)
+        # the (1,0) verdict carries over, untrusted level sets included
+        return finalize(base.epsilons, vals, part="(0,1)", notes=notes,
+                        trusted=base.converged)
     if part != "(1,0)":
         raise ValueError("part must be '(1,0)' or '(0,1)'")
     if rule is None:
@@ -587,6 +786,7 @@ def pv_pair(f: QFunction, psi: TestForm3,
     eps_list = schedule.values()
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule)
     density = _PvDensity.build(f, psi, mesh.u1, mesh.u2)
+    untrusted = np.zeros(2, dtype=int)
     if region == "metric":
         edges = [geometric_edges(eps_list[0], support, eps_list[0])]
         edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
@@ -596,8 +796,15 @@ def pv_pair(f: QFunction, psi: TestForm3,
             for lam, w in shells))
         notes = ()
     else:
-        # one rung's node table at a time: it is dropped before the next
-        values = [_pv_radial(*_levelset_nodes(density, mesh, eps, support))
-                  for eps in eps_list]
-        notes = ("excluded region follows the level sets of |f|",)
-    return finalize(eps_list, values, part="(1,0)", notes=notes)
+        hi = np.full(mesh.eta.shape, support)
+        values = []
+        for eps in eps_list:
+            radii = _solve_level_radius(density.ray_fn, hi, eps)
+            untrusted += radii.untrusted
+            # one rung's node table at a time: it is dropped before the next
+            values.append(_pv_radial(*_levelset_nodes(density, mesh, radii,
+                                                      support)))
+        notes = (("excluded region follows the level sets of |f|",)
+                 + _untrusted_notes(untrusted))
+    return finalize(eps_list, values, part="(1,0)", notes=notes,
+                    trusted=not untrusted.any())

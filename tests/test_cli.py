@@ -164,6 +164,22 @@ def test_strict_flag_exits_nonzero_when_unconverged():
     assert data["result"]["converged"] is False
 
 
+def test_lost_level_set_is_not_a_converged_zero():
+    # prop34(1/8, -1/8) vanishes on a real 2-plane off the origin: the rungs
+    # below |f(0)| = 0.177 lose the level set, and used to pass as a
+    # converged zero with exit 0
+    res = invoke(["residue", "-f", "prop34", "--params", "0.125,-0.125",
+                  "--phi22", "bump", "--schedule", "0.4,0.7,8",
+                  "--n-eta", "8", "--n-xi", "16", "--strict"])
+    assert res.exit_code == 4
+    assert len(res.stderr.splitlines()) == 1
+    data = json.loads(res.stdout)
+    jsonschema.validate(data, SCHEMA)
+    assert data["result"]["converged"] is False
+    assert any("not radial graphs" in note
+               for note in data["diagnostics"]["notes"])
+
+
 def test_no_mirror_is_recorded_in_the_report():
     data = report(CHEAP_RESIDUE + ["--no-mirror"])
     assert data["diagnostics"]["part"] == "(1,0)"

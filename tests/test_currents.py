@@ -241,8 +241,176 @@ def test_level_radius_lies_on_the_level_set(name):
         assert not active.any()
         return
     assert active.sum() > n // 2
-    g = mod_sq(lam)[active]
+    F1, F2 = f.eval_numeric(*sphere_to_complex(lam[active], eta[active],
+                                               xi1[active], xi2[active]))
+    g = np.abs(F1) ** 2 + np.abs(F2) ** 2
     assert np.abs(g / eps ** 2 - 1.0).max() < 1e-9
+
+
+def bisect_level_radius(ray_fn, lam_hi, eps):
+    """The level solve as it was before the root solve: 52 bisection steps
+    on [0, lam_hi] against |f|^2 from the ray tables, with the masks from
+    the same two evaluations as _solve_level_radius.  Kept as its
+    reference."""
+    target = eps * eps
+    hi = np.array(lam_hi, dtype=float)
+    lo = np.zeros(hi.shape)
+    g_lo = ray_fn.modulus_sq(pairings._LAM_FLOOR_FACTOR * hi)
+    g_hi = ray_fn.modulus_sq(hi)
+    inside_at_floor = ~(g_lo >= target)
+    active = inside_at_floor & (g_hi >= target)
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        below = ray_fn.modulus_sq(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi), active, inside_at_floor
+
+
+# z1 + (z1 - c1) z2 is not homogeneous, and the top row of its f1 table,
+# (u1 - conj(u1)) u2, is exactly zero on the rays with xi1 = 0
+LEADING_ZERO = "z1 + z1*z2 - c1*z2 ; 0"
+ORACLE_FUNCTIONS = {name: builtin(name).f for name in NAMES}
+ORACLE_FUNCTIONS.update({
+    "prop34(1,2)": builtin("prop34", (1, 2)).f,
+    "prop34(-1/2,3/4)": builtin("prop34", (Fraction(-1, 2),
+                                           Fraction(3, 4))).f,
+    "prop34(1/8,-1/8)": builtin("prop34", (Fraction(1, 8),
+                                           Fraction(-1, 8))).f,
+    LEADING_ZERO: parse_qfunction(LEADING_ZERO),
+})
+
+
+@pytest.fixture(scope="module")
+def pv_mesh():
+    rule = build_quadrature(16, 32)
+    return _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule)
+
+
+def mod_sq_on_rays(f, mesh, lam, rays):
+    """|f|^2 at radius lam on the given rays, through the chart map and the
+    symbolic evaluator."""
+    F1, F2 = f.eval_numeric(*sphere_to_complex(
+        lam, mesh.eta[rays], mesh.xi1[rays], mesh.xi2[rays]))
+    return np.abs(F1) ** 2 + np.abs(F2) ** 2
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FUNCTIONS))
+def test_level_solve_matches_the_bisection(name, pv_mesh):
+    f = ORACLE_FUNCTIONS[name]
+    mesh = pv_mesh
+    ray_fn = _RayFunction.build((f.f1, f.f2), (), mesh.u1, mesh.u2)
+    n = len(mesh.eta)
+    hi = np.ones(n)
+    floor = pairings._LAM_FLOOR_FACTOR * hi
+    if name == LEADING_ZERO:
+        assert ray_fn.degree is None and ray_fn.items[1] is None
+        assert (ray_fn.items[0].num.c[-1] == 0).any()
+    for eps in EpsilonSchedule.for_radius(1.0).values():
+        radii = _solve_level_radius(ray_fn, hi, eps)
+        lam, active, inside = radii
+        ref, ref_active, ref_inside = bisect_level_radius(ray_fn, hi, eps)
+        assert np.array_equal(active, ref_active)
+        assert np.array_equal(inside, ref_inside)
+        crossings = radii.crossings
+        count = np.count_nonzero(crossings < np.inf, axis=1)
+        assert np.array_equal(lam, crossings[:, 0])
+        assert np.all(count[active] >= 1)
+        # on active monotone rays, within the bisection's final bracket
+        mono = active & (count == 1)
+        tol = 2.0 ** -51 * hi
+        if name == LEADING_ZERO:
+            # here |f|^2 = eps^2 is resolved only to a few units in the
+            # last place of eps^2: near the root the computed |f|^2 flips
+            # sign over several ulps of the radius, for both solves alike
+            _, slope = ray_fn.modulus_sq_slope(np.where(mono, lam, 1.0)[None])
+            tol = tol + 4 * np.spacing(eps ** 2) / np.abs(slope[0])
+        assert np.all(np.abs(lam - ref)[mono] <= tol[mono])
+        # every crossing lies on the level set
+        rays, k = np.nonzero(crossings < np.inf)
+        g = mod_sq_on_rays(f, mesh, crossings[rays, k], rays)
+        assert np.abs(g / eps ** 2 - 1.0).max(initial=0.0) <= 1e-9
+        # |f|^2 - eps^2 changes sign at each crossing and nowhere else:
+        # sampled at the floor, between consecutive crossings and at lam_hi,
+        # it changes sign between every two neighbouring samples (a ray
+        # with no crossing has the floor and lam_hi on one side)
+        mids = 0.5 * (crossings[:, :-1] + crossings[:, 1:])
+        for c in np.unique(count):
+            sel = np.flatnonzero(count == c)
+            samples = np.concatenate(
+                [floor[sel, None], mids[sel, :max(c - 1, 0)], hi[sel, None]],
+                axis=1)
+            side = mod_sq_on_rays(f, mesh, samples,
+                                  np.broadcast_to(sel[:, None], samples.shape)
+                                  ) < eps ** 2
+            changes = np.count_nonzero(side[:, 1:] != side[:, :-1], axis=1)
+            assert np.all(changes == c)
+
+
+def test_closed_form_serves_the_homogeneous_functions():
+    u1, u2 = unit_rays(15)
+    degrees = {name: _RayFunction.build((f.f1, f.f2), (), u1, u2).degree
+               for name, f in ORACLE_FUNCTIONS.items()}
+    assert degrees == {"conj": 1, "cauchy_kernel": -3, "F": 1, "prop34": 1,
+                       "holo": 1, "q_conj": 1, "prop34(1,2)": None,
+                       "prop34(-1/2,3/4)": None, "prop34(1/8,-1/8)": None,
+                       LEADING_ZERO: None}
+
+
+def test_a_zero_component_has_no_table():
+    u1, u2 = unit_rays(15)
+    lam = np.linspace(0.1, 1.0, len(u1))
+    ray_fn = _RayFunction.build((Z1_FN.f1, Z1_FN.f2), (), u1, u2)
+    assert ray_fn.items[1] is None and ray_fn.degree == 1
+    F1, F2 = ray_fn.values(lam)
+    assert F2 == 0
+    assert np.array_equal(ray_fn.modulus_sq(lam), F1.real ** 2 + F1.imag ** 2)
+    # f = 0: no table at all, |f|^2 = 0 on every ray and no level crossing
+    zero = _RayFunction.build((ConjRational.zero(),) * 2, (), u1, u2)
+    assert zero.items == (None, None) and zero.degree == 0
+    assert np.array_equal(zero.modulus_sq(lam), np.zeros(len(u1)))
+    lam_star, active, inside = _solve_level_radius(zero, np.ones(len(u1)),
+                                                   0.3)
+    assert inside.all() and not active.any()
+    assert np.all(lam_star == np.inf)
+
+
+def test_level_sets_that_are_not_radial_graphs_are_not_converged():
+    # prop34(1/8, -1/8) vanishes on the real 2-plane Re z1 = -1/16,
+    # Re z2 = 0, off the origin, where |f| = 0.177: below that eps no ray
+    # starts below eps, and rays passing near the plane dip below eps and
+    # come back
+    f = builtin("prop34", (Fraction(1, 8), Fraction(-1, 8))).f
+    rule = build_quadrature(8, 16)
+    sched = EpsilonSchedule(0.4, 0.7, 8)
+    residue = residue_pair(f, TestForm2(phi22=Profile.bump_only(1.0)),
+                           rule=rule, schedule=sched)
+    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    levelset = pv_pair(f, psi, rule=rule, schedule=sched, region="levelset")
+    for est in (residue, levelset):
+        assert not est.converged
+        assert sum("not radial graphs" in note for note in est.notes) == 1
+    # the residue rungs that lost the level set altogether are exact zeros
+    assert residue.values[0].norm() > 1.0 and residue.values[-1].norm() == 0.0
+    # the metric region removes a ball and solves no level set
+    metric = pv_pair(f, psi, rule=rule, schedule=sched, region="metric")
+    assert not any("not radial graphs" in note for note in metric.notes)
+
+
+def test_level_sets_missed_by_every_ray_start_are_not_converged():
+    # |cauchy_kernel| = |q|^-3 falls along every ray: with the support at
+    # radius 2, the level sphere |q| = eps^(-1/3) lies inside it for every
+    # eps > 1/8, yet no ray starts below eps.  Every rung is an exact zero,
+    # which alone would pass as converged
+    est = residue_pair(builtin("cauchy_kernel").f,
+                       TestForm2(phi22=Profile.bump_only(2.0)),
+                       rule=build_quadrature(8, 16),
+                       schedule=EpsilonSchedule(1.0, 0.7, 6))
+    assert all(v.norm() == 0.0 for v in est.values)
+    assert not est.converged
+    note, = [n for n in est.notes if "not radial graphs" in n]
+    # each ray crosses the sphere once
+    assert "and 0 rays cross" in note
 
 
 def seeded_nodes(seed: int, n: int = 200):
@@ -322,8 +490,9 @@ def test_ray_tables_match_the_symbolic_evaluators(name, params):
         want += [0 if p is None else p.eval(Z1, Z2) for p in TABLE_PROFILES]
         assert len(got) == len(want) == 14
         for g, w in zip(got, want):
-            if np.ndim(w) == 0:
-                assert g == 0
+            if np.ndim(g) == 0:
+                # a zero rational or coefficient has no table
+                assert g == 0 and not np.any(w)
             else:
                 assert close(g, w)
         F1, F2 = want[:2]

@@ -155,6 +155,38 @@ def test_finalize_exact_zero_sequence_converges():
     assert est.extrapolated.norm() == 0.0
 
 
+# rungs of `qres residue -f prop34 --params 0.125,-0.125 --phi22 bump
+# --schedule 0.4,0.7,8 --n-eta 8 --n-xi 16` before its level sets were
+# checked: three real values, then exact zeros once no ray starts below eps
+LOST_RUNGS = tuple(Quat(complex(-v), complex(v)) for v in (
+    3.2762320893118355, 3.5678144709137047, 4.5818013904022665)) + (
+    Quat(0j, 0j),) * 5
+
+
+def test_finalize_zero_run_after_real_rungs_is_not_converged():
+    eps = tuple(0.4 * 0.7 ** k for k in range(8))
+    est = finalize(eps, LOST_RUNGS)
+    # the tail of difference ratios alone would pass
+    assert est.diff_ratios[2:] == (0.0,) * 4
+    assert not est.converged
+
+
+def test_finalize_zero_after_rounding_noise_still_converges():
+    # odd-symmetry zeros come out as ~1e-16 rounding noise, below the zero
+    # floor; an exact zero after such a rung is noise too
+    eps = tuple(0.4 * 0.7 ** k for k in range(8))
+    vals = tuple(Quat(complex(v), 0j)
+                 for v in (3e-16, -1e-16, 2e-16, 0.0, 1e-16, 0.0, 0.0, 0.0))
+    assert finalize(eps, vals).converged
+
+
+def test_finalize_untrusted_pairing_is_not_converged():
+    eps = tuple(0.4 * 0.7 ** k for k in range(8))
+    vals = tuple(Quat(3.0 - 2.0 * e * e + 0j, 0j) for e in eps)
+    assert finalize(eps, vals).converged
+    assert not finalize(eps, vals, trusted=False).converged
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         EpsilonSchedule(-0.1, 0.5, 8)
