@@ -111,7 +111,6 @@ def _parse_schedule(text: str, support: float) -> EpsilonSchedule:
 def _estimate_diagnostics(est, schedule: EpsilonSchedule) -> dict:
     return {
         "table": [list(r) for r in est.rows()],
-        "converged": est.converged,
         "diff_ratios": list(est.diff_ratios),
         "part": est.part,
         "notes": list(est.notes),

@@ -1,4 +1,4 @@
-"""Spherical chart on C^2 and pullback determinants for form integration.
+"""Spherical chart on C^2 for form integration.
 
 The chart used everywhere in this package is
 
@@ -6,15 +6,16 @@ The chart used everywhere in this package is
 
 with eta in (0, pi/2) and xi1, xi2 in [0, 2*pi).  For fixed lam it covers the
 round sphere of radius lam up to a measure-zero set; the induced area element
-is lam^3 * sin(eta)*cos(eta) d(eta) d(xi1) d(xi2).  Surfaces that are radial
-graphs lam = lam*(eta, xi1, xi2) are handled by the same chart with the graph
-slope folded into the tangent rows.
+is lam^3 * sin(eta)*cos(eta) d(eta) d(xi1) d(xi2).
 
-Pullbacks of 3-form monomials in (dz1, dz1bar, dz2, dz2bar) onto such graphs
-are computed as cofactor determinants of the tangent rows, never transcribed
-by hand.  The 4-form volume element needs no determinant at run time: the
-full Jacobian has determinant 4 * lam^3 * sin(eta)*cos(eta), and det4 is kept
-as the independent check of that closed form.  Coordinate index order is
+No determinant is computed at run time.  The volume form
+dz1^dz1bar^dz2^dz2bar pulls back to 4 * lam^3 * sin(eta)*cos(eta) times
+d(lam) d(eta) d(xi1) d(xi2), and a 3-form alpha on a level set g = const that
+is a radial graph lam = lam*(eta, xi1, xi2) pulls back to its Gelfand-Leray
+form, (dg^alpha / dz1^dz1bar^dz2^dz2bar) * 4 * lam^3 * sin(eta)*cos(eta)
+/ (dg/dlam) at lam* (Gelfand and Shilov, Generalized Functions, vol. 1,
+1964), with no graph slope.  chart_jacobian and its determinant det4 are
+kept as the independent check of the closed form.  Coordinate index order is
 fixed as (z1, z1bar, z2, z2bar) and parameter order as (lam, eta, xi1, xi2).
 """
 
@@ -28,15 +29,6 @@ import numpy as np
 # the 3-form factor makes the model one-variable residue come out as +2*pi*i.
 ORIENTATION_3FORM = -1.0
 ORIENTATION_4FORM = -1.0
-
-# index of each complex coordinate in tangent-row stacks
-IDX_Z1, IDX_Z1B, IDX_Z2, IDX_Z2B = 0, 1, 2, 3
-
-# row triples selecting the pullback of each 3-form monomial
-TRIPLE_PX = (IDX_Z1, IDX_Z1B, IDX_Z2)    # dz1 ^ dz1bar ^ dz2
-TRIPLE_PY = (IDX_Z1, IDX_Z2, IDX_Z2B)    # dz1 ^ dz2 ^ dz2bar
-TRIPLE_PXP = (IDX_Z1, IDX_Z1B, IDX_Z2B)  # dz1 ^ dz1bar ^ dz2bar
-TRIPLE_PYP = (IDX_Z1B, IDX_Z2, IDX_Z2B)  # dz1bar ^ dz2 ^ dz2bar
 
 
 def sphere_to_complex(lam, eta, xi1, xi2):
@@ -67,27 +59,10 @@ def chart_jacobian(lam, eta, xi1, xi2):
     return np.stack([row_z1, row_z1.conj(), row_z2, row_z2.conj()])
 
 
-def graph_rows(jac, dlam):
-    """Tangent rows of the radial graph lam = lam*(eta, xi1, xi2).
-
-    ``jac`` is the full (4, 4, ...) chart Jacobian evaluated at lam = lam*;
-    ``dlam`` is a (3, ...) array of graph slopes d(lam*)/d(eta, xi1, xi2).
-    Result has shape (4, 3, ...): one row per coordinate, one column per
-    surface parameter.
-    """
-    return jac[:, 1:] + jac[:, :1] * dlam[np.newaxis]
-
-
 def _det3(r0, r1, r2):
     return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
             - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
             + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
-
-
-def det3(rows, triple):
-    """Determinant of the 3x3 submatrix picking coordinate rows ``triple``."""
-    i, j, k = triple
-    return _det3(rows[i], rows[j], rows[k])
 
 
 def det4(jac):
@@ -103,12 +78,3 @@ def det4(jac):
         sign = -sign
     return total
 
-
-def pullback_3forms(rows):
-    """All four 3-form monomial pullbacks of a graph, keyed by short name."""
-    return {
-        "px": det3(rows, TRIPLE_PX),
-        "py": det3(rows, TRIPLE_PY),
-        "pxp": det3(rows, TRIPLE_PXP),
-        "pyp": det3(rows, TRIPLE_PYP),
-    }

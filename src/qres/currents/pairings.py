@@ -3,42 +3,49 @@
 Both pairings integrate a density built from the reciprocal of the function
 and its first Wirtinger derivatives against a compactly supported test form,
 on a family of domains indexed by a small radius eps, and report the
-extrapolated limit.
+extrapolated limit.  Both reduce to a table of radial nodes on the chart
+rays, summed by one integrator under a fixed node budget with the chart's
+closed-form volume element 4 lam^3 sin(eta) cos(eta).
 
-The residue pairing integrates a 3-form density over the level set
-|f| = eps, realised as a radial graph lam = lam*(direction) over the chart
-sphere: per direction the radius is the first real root of a polynomial in
-the radius (in closed form when f is homogeneous) and the graph slopes come
-by implicit differentiation, so the level geometry (round sphere, cylinder,
-or anything ray-monotone) is captured without special cases.  A ray on
-which the level set is not such a graph, because |f| dips below eps without
-starting below it or crosses eps more than once, is counted, and any such
-ray on the ladder leaves the estimate not converged, with a note.  The
-principal-value pairing integrates a 4-form density over the complement of
-the excluded region, which is the metric ball |q| < eps by default or the
-sublevel set |f| < eps with region="levelset".  Both regions reduce to a
-table of radial nodes on the chart rays, summed by one integrator under a
-fixed node budget.  Its volume element is the chart's closed form
-4 lam^3 sin(eta) cos(eta).
+The principal-value pairing integrates a 4-form density over the complement
+of the excluded region, which is the metric ball |q| < eps by default or the
+sublevel set |f| < eps with region="levelset".
 
-The principal-value density is folded once per call, in exact arithmetic:
-with the four kernels K11, K12, K21, K22 of f (products of conj(f1), f2 and
-first Wirtinger derivatives), it is
-(psi1 K11 + psi2 K12, conj(psi1) K21 + conj(psi2) K22) / |f|^2, and since
-each coefficient is a polynomial times bump(|q| / R), a node needs |f|^2,
-one bump per distinct R and the kernel products that are not identically
-zero.
+The residue pairing integrates a 3-form density alpha over the level set
+g = |f|^2 = eps^2.  Per chart ray the level radius lam* is the first real
+root of a polynomial in the radius (in closed form when f is homogeneous),
+and the pullback of alpha to the level set is its Gelfand-Leray form
+(Gelfand and Shilov, Generalized Functions, vol. 1, 1964): with
+V = dz1^dz1b^dz2^dz2b, it is
+(dg^alpha / V) 4 lam^3 sin(eta) cos(eta) / (dg/dlam) deta dxi1 dxi2 at lam*,
+since dg vanishes on the level set's tangents.  So a residue rung is one row
+of the radial table, the level radii with radial weight 1 / (dg/dlam), and
+no surface geometry is computed: dg^alpha / V turns the 3-form monomials
+dz1^dz1b^dz2, dz1^dz2^dz2b, dz1^dz1b^dz2b and dz1b^dz2^dz2b into -g_z2b,
+-g_z1b, g_z2 and g_z1.  A node where dg/dlam is not positive (the level set
+is not transverse to its ray) is dropped and counted.  A ray on which the
+level set is not a radial graph, because |f| dips below eps without
+starting below it, crosses eps more than once or crosses it below the
+radius floor, is counted, and any such ray on the ladder leaves the
+estimate not converged, with a note.
+
+Both densities are folded once per call, in exact arithmetic.  Each
+test-form coefficient pi bump(r / R), with r = |q|, |z1| or |z2|, has a
+kernel pair (K1, K2) of rationals in f and first Wirtinger derivatives (of
+f, and of g for the residue) such that the density is the sum over the
+coefficients of (pi K1 + conj(pi) K2 j) bump(r / R) / |f|^2.  The products
+pi K1 and conj(pi) K2 are summed per (R, r), and only those that are not
+identically zero are tabulated, so a node needs |f|^2, one bump per
+distinct (R, r) and one Horner evaluation per surviving product.
 
 Every node sits at lam * u on a chart ray with unit direction u, so each
-rational a pairing reads (f1 and f2; the residue path's Wirtinger
-derivatives and test-form coefficients; the principal value's kernel
-products) is tabulated once per mesh as p(lam u) = sum_k c_k(u) lam^k for
-its numerator and denominator, the terms of total degree k summed at u.  The
-level-set graph and the radial nodes then evaluate a Horner polynomial in
-the real radius; |f|^2 comes from the f1 and f2 tables, and a coefficient's
-bump is bump(lam r(u) / R) with r(u) its radius at u.  The level radii are
-real roots of D1^2 D2^2 (|f|^2 - eps^2), whose coefficient rows are
-convolutions of the same table rows (fi = Ni / Di).
+rational a pairing reads (f1, f2 and the folded products) is tabulated once
+per mesh as p(lam u) = sum_k c_k(u) lam^k for its numerator and
+denominator, the terms of total degree k summed at u, and a node evaluates
+a Horner polynomial in the real radius; a bump is bump(lam r(u) / R) with
+r(u) = 1, |u1| or |u2|.  The level radii are real roots of
+D1^2 D2^2 (|f|^2 - eps^2), whose coefficient rows are convolutions of the
+f1 and f2 table rows (fi = Ni / Di).
 """
 
 from __future__ import annotations
@@ -49,18 +56,15 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import PoleOnDomain, RuleTooLarge
+from ..errors import IdenticallyZero, PoleOnDomain, RuleTooLarge
+from ..operators import modulus_function
 from ..qcore import Quat
 from ..symfun import ConjPoly, ConjRational, QFunction
-from .chart import (ORIENTATION_3FORM, ORIENTATION_4FORM, chart_jacobian,
-                    graph_rows, pullback_3forms, sphere_to_complex)
+from .chart import ORIENTATION_3FORM, ORIENTATION_4FORM, sphere_to_complex
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import Profile, TestForm2, TestForm3, bump
 from .quadrature import (QuadratureRule, build_quadrature, gauss_panels,
                          geometric_edges, graded_eta_panels)
-
-# Wirtinger variable order, aligned with the chart coordinate rows
-_WIRT_VARS = ("z1", "z1b", "z2", "z2b")
 
 _LAM_FLOOR_FACTOR = 1e-9
 # nodes per density evaluation on the principal-value path, and matrix
@@ -186,34 +190,17 @@ class _RayRational(NamedTuple):
                             None if self.den is None else self.den.take(sel))
 
 
-class _RayProfile(NamedTuple):
-    """A test-form coefficient along chart rays: poly(lam u) times
-    bump(lam r / R), where r is the profile's radius at the unit direction
-    (1, |u1| or |u2| for radial q, z1, z2)."""
-
-    poly: _RayPoly
-    r: object
-    R: float
-
-    def at(self, lam, lam2):
-        return self.poly.at(lam2) * bump(lam * self.r / self.R)
-
-    def take(self, sel) -> "_RayProfile":
-        r = self.r[sel] if np.ndim(self.r) else self.r
-        return _RayProfile(self.poly.take(sel), r, self.R)
-
-
 class _RayFunction:
     """Ray tables of what a pairing reads, on one set of chart rays: f1, f2
-    and the other rationals it needs, then its test-form coefficients.  A
-    rational or coefficient that is identically zero has no table (None)."""
+    and the other rationals it needs.  A rational that is identically zero
+    has no table (None)."""
 
-    def __init__(self, items: Tuple[object, ...]):
+    def __init__(self, items: Tuple[Optional[_RayRational], ...]):
         self.items = items
 
     @classmethod
-    def build(cls, rationals: Sequence[ConjRational],
-              profiles: Sequence[Optional[Profile]], u1, u2) -> "_RayFunction":
+    def build(cls, rationals: Sequence[ConjRational], u1, u2
+              ) -> "_RayFunction":
         base = (u1, np.conj(u1), u2, np.conj(u2))
         power = functools.lru_cache(maxsize=None)(
             lambda var, e: base[var] ** e)
@@ -225,15 +212,11 @@ class _RayFunction:
             low, c = table(poly)
             return _RayPoly(low, np.ascontiguousarray(c.real))
 
-        radius = {"q": 1.0, "z1": np.abs(u1), "z2": np.abs(u2)}
         return cls(tuple(
             None if r.is_zero else
             _RayRational(table(r.num),
                          None if r.den == ConjPoly.one() else real(r.den))
-            for r in rationals) + tuple(
-            None if p is None else
-            _RayProfile(table(p.poly), radius[p.radial], p.R)
-            for p in profiles))
+            for r in rationals))
 
     def take(self, sel) -> "_RayFunction":
         """The same tables on the rays sel only."""
@@ -346,50 +329,56 @@ def _aligned(*polys: _RayPoly) -> List[np.ndarray]:
     return out
 
 
-def _ray_parts(f: QFunction):
-    """f1, f2, then the Wirtinger derivatives of f1 and of f2 in _WIRT_VARS
-    order."""
-    return (f.f1, f.f2) + tuple(g.wirtinger(v) for g in (f.f1, f.f2)
-                                for v in _WIRT_VARS)
-
-
 class _LevelRadii(tuple):
-    """A level solve: the triple (lam_star, active, inside_at_floor), and
+    """A level solve: the triple (lam_star, active, inside_at_floor);
     crossings, every crossing of |f| = eps above the floor per ray, sorted
-    along the ray and padded with inf (shape (n_rays, k), k >= 1)."""
+    along the ray and padded with inf (shape (n_rays, k), k >= 1); and
+    hidden, the rays with a crossing in (0, floor], which the solve cannot
+    see."""
 
     crossings: np.ndarray
+    hidden: np.ndarray
 
-    def __new__(cls, lam_star, active, inside_at_floor, crossings):
+    def __new__(cls, lam_star, active, inside_at_floor, crossings, hidden):
         radii = super().__new__(cls, (lam_star, active, inside_at_floor))
         radii.crossings = crossings
+        radii.hidden = hidden
         return radii
 
     @property
     def untrusted(self) -> np.ndarray:
-        """Counts of the rays on which the level set is not a radial graph:
-        (rays where |f| dips below eps without starting below it, rays that
-        cross |f| = eps more than once)."""
+        """Counts of the rays on which the level set is not a radial graph
+        above the floor: (rays where |f| dips below eps without starting
+        below it, rays that cross |f| = eps more than once, rays that cross
+        it below the floor)."""
         _, _, inside_at_floor = self
         count = np.count_nonzero(self.crossings < np.inf, axis=1)
         return np.array([np.count_nonzero(~inside_at_floor & (count > 0)),
-                         np.count_nonzero(count > 1)])
+                         np.count_nonzero(count > 1),
+                         np.count_nonzero(self.hidden)])
 
 
 def _untrusted_notes(untrusted) -> Tuple[str, ...]:
-    dips, multiple = untrusted
-    if not (dips or multiple):
-        return ()
-    return (f"level sets are not radial graphs: over the ladder, {dips} "
-            "rays dip below eps without starting below it and "
-            f"{multiple} rays cross |f| = eps more than once; the estimate "
-            "is not converged",)
+    dips, multiple, hidden = untrusted
+    notes = []
+    if dips or multiple:
+        notes.append(f"level sets are not radial graphs: over the ladder, "
+                     f"{dips} rays dip below eps without starting below it "
+                     f"and {multiple} rays cross |f| = eps more than once; "
+                     "the estimate is not converged")
+    if hidden:
+        notes.append(f"over the ladder, {hidden} rays cross |f| = eps below "
+                     f"the radius floor ({_LAM_FLOOR_FACTOR:g} of the "
+                     "support), where the level solve does not look; the "
+                     "estimate is not converged")
+    return tuple(notes)
 
 
 def _level_crossings(ray_fn: _RayFunction, target: float, floor, hi
-                     ) -> np.ndarray:
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Every crossing of |f|^2 = target in (floor, hi] per ray, sorted along
-    the ray and padded with inf to shape (n_rays, k), k >= 1.
+    the ray and padded with inf to shape (n_rays, k), k >= 1, and the mask
+    of the rays with a crossing in (0, floor].
 
     The crossings are the real roots of s - target q (ray_fn.level_rows),
     found as eigenvalues of companion matrices batched by degree under
@@ -418,9 +407,11 @@ def _level_crossings(ray_fn: _RayFunction, target: float, floor, hi
     g, slope = ray_fn.modulus_sq_slope(lam.T)
     polished = lam - ((g - target) / slope).T
     lam = np.where(np.isfinite(polished), polished, lam)
+    hidden = ((lam > 0.0) & (lam <= floor[:, None])).any(axis=1)
     lam[~((lam > floor[:, None]) & (lam <= hi[:, None]))] = np.inf
     lam.sort(axis=1)
-    return lam[:, :max(1, np.count_nonzero(lam < np.inf, axis=1).max())]
+    return (lam[:, :max(1, np.count_nonzero(lam < np.inf, axis=1).max())],
+            hidden)
 
 
 @_quiet
@@ -439,9 +430,11 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float
     lam_star = (eps^2 / a)^(1/2m) = lam_hi (eps^2 / |f(lam_hi u)|^2)^(1/2m).
 
     Returns (lam_star, active, inside_at_floor), a _LevelRadii that also
-    holds every crossing.  A ray is active when |f| < eps at the floor and
-    |f| >= eps at the ray's support end; since lam_hi bounds the test-form
-    support, inactive rays with |f| < eps throughout carry no pairing mass.
+    holds every crossing and the rays that cross below the floor (for a
+    homogeneous f, those whose lam_star lies in (0, floor]).  A ray is
+    active when |f| < eps at the floor and |f| >= eps at the ray's support
+    end; since lam_hi bounds the test-form support, inactive rays with
+    |f| < eps throughout carry no pairing mass.
     Rays already at or above eps at the floor are flagged separately (third
     array) for the principal-value domain, where they are included in full.
     """
@@ -454,15 +447,18 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float
     active = inside_at_floor & ~below_hi
     m = ray_fn.degree
     if m is None:
-        crossings = _level_crossings(ray_fn, target, floor, hi)
+        crossings, hidden = _level_crossings(ray_fn, target, floor, hi)
     elif m:
         lam = hi * (target / g_hi) ** (0.5 / m)
         crossings = np.where(inside_at_floor != below_hi, lam,
                              np.inf)[:, None]
+        hidden = (lam > 0.0) & (lam <= floor)
     else:
         # |f| is constant along every ray
         crossings = np.full((hi.size, 1), np.inf)
-    return _LevelRadii(crossings[:, 0], active, inside_at_floor, crossings)
+        hidden = np.zeros(hi.size, dtype=bool)
+    return _LevelRadii(crossings[:, 0], active, inside_at_floor, crossings,
+                       hidden)
 
 
 class _RayMesh(NamedTuple):
@@ -494,138 +490,56 @@ class _RayMesh(NamedTuple):
         return _RayMesh(*(a[sel] for a in self))
 
 
-def _level_slopes(jac, F1, F2, D1, D2):
-    """Graph slopes d(lam*)/d(eta, xi1, xi2) by implicit differentiation of
-    |f|^2 = eps^2.  Returns (slopes, transverse_mask)."""
-    dg = []
-    for a in range(4):
-        df1 = sum(D1[wi] * jac[wi, a] for wi in range(4))
-        df2 = sum(D2[wi] * jac[wi, a] for wi in range(4))
-        dg.append(2.0 * (np.conj(F1) * df1 + np.conj(F2) * df2).real)
-    g_lam = dg[0]
-    transverse = g_lam > 0.0
-    safe = np.where(transverse, g_lam, 1.0)
-    slopes = np.stack([-dg[1] / safe, -dg[2] / safe, -dg[3] / safe])
-    return slopes, transverse
+def _require_nonzero(f: QFunction) -> None:
+    if f.is_zero:
+        raise IdenticallyZero("f is identically zero, so 1/f has no "
+                              "currents to pair")
 
 
-def _inverse_times(F1, F2, a, b):
-    """Components of (1/f) * (a + b j) for f = F1 + F2 j, pointwise:
-    (conj(F1) a + F2 conj(b), conj(F1) b - F2 conj(a)) / |f|^2."""
-    r = 1.0 / _abs_sq(F1, F2)
-    c1 = np.conj(F1)
-    return (c1 * a + F2 * np.conj(b)) * r, (c1 * b - F2 * np.conj(a)) * r
+def _residue_kernels(f: QFunction, include_mirror: bool):
+    """Kernel pairs ((K1 per phi_ij), (K2 per phi_ij)) of the residue
+    density, exactly, for phi11, phi12, phi21, phi22 in that order.
 
-
-def _masked_sum(c1, c2, w, mask) -> Quat:
-    if not mask.any():
-        return Quat(0.0, 0.0)
-    bad = mask & ~(np.isfinite(c1) & np.isfinite(c2))
-    if bad.any():
-        raise PoleOnDomain(
-            "density is singular on the integration surface "
-            f"({int(bad.sum())} nodes)")
-    # zero the excluded values too: 0 * nan would poison the sum
-    wm = np.where(mask, w, 0.0)
-    s1 = (wm * np.where(mask, c1, 0.0)).sum()
-    s2 = (wm * np.where(mask, c2, 0.0)).sum()
-    return Quat(complex(s1), complex(s2))
-
-
-@_quiet
-def _residue_value(values, rays: _RayMesh, lam,
-                   include_mirror: bool) -> Tuple[Quat, int]:
-    """Oriented integral of the residue density over one level-set graph,
-    lam holding the level radius of each ray and values the ray tables of
-    f1, f2, their eight Wirtinger derivatives and the four test-form
-    coefficients at lam."""
-    jac = chart_jacobian(lam, rays.eta, rays.xi1, rays.xi2)
-    F1, F2, *rest = values
-    D1, D2, (ph11, ph12, ph21, ph22) = rest[:4], rest[4:8], rest[8:]
-    slopes, transverse = _level_slopes(jac, F1, F2, D1, D2)
-    rows = graph_rows(jac, slopes)
-    pb = pullback_3forms(rows)
-
-    f1_z1, f1_z1b, f1_z2, f1_z2b = D1
-    f2_z1, f2_z1b, f2_z2, f2_z2b = D2
-
-    a_co = -f1_z1 * ph21 + f1_z2 * ph11
-    b_co = f2_z1b * np.conj(ph21) - f2_z2b * np.conj(ph11)
-    c_co = f1_z1 * ph22 - f1_z2 * ph12
-    d_co = -f2_z1b * np.conj(ph22) - f2_z2b * np.conj(ph12)
-    alpha = a_co * pb["px"] + c_co * pb["py"]
-    beta = b_co * np.conj(pb["px"]) + d_co * np.conj(pb["py"])
+    The density is (1/f) (alpha + beta j) with
+    alpha = (-f1_z1 phi21 + f1_z2 phi11) X + (f1_z1 phi22 - f1_z2 phi12) Y,
+    beta = (f2_z1b conj(phi21) - f2_z2b conj(phi11)) conj(X)
+           - (f2_z1b conj(phi22) + f2_z2b conj(phi12)) conj(Y),
+    X = dz1^dz1b^dz2 and Y = dz1^dz2^dz2b; the mirror half adds
+    (f1_z2b phi11 - f1_z1b phi12) X' + (f1_z1b phi22 - f1_z2b phi21) Y' to
+    alpha and (f2_z1 conj(phi12) - f2_z2 conj(phi11)) X
+    + (f2_z2 conj(phi21) - f2_z1 conj(phi22)) Y to beta, with
+    X' = dz1^dz1b^dz2b = -conj(X) and Y' = dz1b^dz2^dz2b = -conj(Y).  On the
+    level set of g = |f|^2, X, Y, X' and Y' pull back to -g_z2b, -g_z1b,
+    g_z2 and g_z1 times the same real Leray factor, so
+    alpha = sum a_ij phi_ij and beta = sum b_ij conj(phi_ij) times that
+    factor, and (1/f) (alpha + beta j), which is
+    (conj(f1) alpha + f2 conj(beta), conj(f1) beta - f2 conj(alpha)) / g,
+    has K1_ij = conj(f1) a_ij + f2 conj(b_ij) and
+    K2_ij = conj(f1) b_ij - f2 conj(a_ij)."""
+    f1, f2 = f.f1, f.f2
+    f1_z1, f1_z1b, f1_z2, f1_z2b = (f1.wirtinger(v)
+                                    for v in ("z1", "z1b", "z2", "z2b"))
+    f2_z1, f2_z1b, f2_z2, f2_z2b = (f2.wirtinger(v)
+                                    for v in ("z1", "z1b", "z2", "z2b"))
+    g = modulus_function(f)
+    g_z1, g_z2 = g.wirtinger("z1"), g.wirtinger("z2")
+    # g is real, so its conjugate-variable derivatives are conjugates
+    g_z1b, g_z2b = g_z1.conjugate(), g_z2.conjugate()
+    a = [-(f1_z2 * g_z2b), f1_z2 * g_z1b, f1_z1 * g_z2b, -(f1_z1 * g_z1b)]
+    b = [f2_z2b * g_z2, f2_z2b * g_z1, -(f2_z1b * g_z2), f2_z1b * g_z1]
     if include_mirror:
-        alpha = alpha + ((f1_z2b * ph11 - f1_z1b * ph12) * pb["pxp"]
-                         + (f1_z1b * ph22 - f1_z2b * ph21) * pb["pyp"])
-        beta = beta + ((f2_z1 * np.conj(ph12) - f2_z2 * np.conj(ph11)) * pb["px"]
-                       + (-f2_z1 * np.conj(ph22) + f2_z2 * np.conj(ph21)) * pb["py"])
-
-    comp1, comp2 = _inverse_times(F1, F2, alpha, beta)
-    value = _masked_sum(comp1, comp2, rays.w, transverse)
-    dropped = int((~transverse).sum())
-    return Quat(ORIENTATION_3FORM * complex(value.z1),
-                ORIENTATION_3FORM * complex(value.z2)), dropped
-
-
-def residue_pair(f: QFunction, phi: TestForm2,
-                 rule: Optional[QuadratureRule] = None,
-                 schedule: Optional[EpsilonSchedule] = None,
-                 include_mirror: bool = True) -> CurrentEstimate:
-    """Pair the residue current of f against the 2-form phi.
-
-    For each eps on the schedule the density is integrated over the level
-    set |f| = eps (as a radial graph over the chart sphere, with eta panels
-    graded toward the poles so cylinder-like level sets stay resolved), and
-    the eps -> 0 limit is extrapolated.  The rule fixes the phase resolution;
-    include_mirror=False drops the conjugate-type half of the density.
-    """
-    if phi.is_zero:
-        raise ValueError("test form is identically zero")
-    if rule is None:
-        rule = build_quadrature(32, 32)
-    support = phi.support_radius
-    if schedule is None:
-        schedule = EpsilonSchedule.for_radius(support)
-    if not schedule.eps0 < support:
-        raise ValueError("schedule must start inside the test-form support")
-    require_rays(residue_rays(rule.n_xi, schedule, support))
-    parts = _ray_parts(f)
-    eps_list = schedule.values()
-    values: List[Quat] = []
-    dropped_total = 0
-    untrusted = np.zeros(2, dtype=int)
-    for eps in eps_list:
-        mesh = _RayMesh.build(*graded_eta_panels(eps, support), rule)
-        radii = _solve_level_radius(
-            _RayFunction.build(parts[:2], (), mesh.u1, mesh.u2),
-            phi.support_lambda(mesh.eta), eps)
-        lam, active, _ = radii
-        untrusted += radii.untrusted
-        if not active.any():
-            values.append(Quat(0.0, 0.0))
-            continue
-        # the density tables are built on the active rays only, and
-        # dropped once evaluated
-        rays = mesh.take(np.flatnonzero(active))
-        lam = lam[active]
-        values_at = _RayFunction.build(parts, phi.coefficients, rays.u1,
-                                       rays.u2).values(lam)
-        val, dropped = _residue_value(values_at, rays, lam, include_mirror)
-        dropped_total += dropped
-        values.append(val)
-    notes = list(_untrusted_notes(untrusted))
-    if dropped_total:
-        notes.append(f"{dropped_total} level-set nodes were not transverse "
-                     "to the radial rays and were dropped")
-    part = "(1,0)+(0,1)" if include_mirror else "(1,0)"
-    return finalize(eps_list, values, part=part, notes=notes,
-                    trusted=not untrusted.any())
+        a = [a[0] + f1_z2b * g_z2, a[1] - f1_z1b * g_z2,
+             a[2] - f1_z2b * g_z1, a[3] + f1_z1b * g_z1]
+        b = [b[0] + f2_z2 * g_z2b, b[1] - f2_z1 * g_z2b,
+             b[2] - f2_z2 * g_z1b, b[3] + f2_z1 * g_z1b]
+    c1 = f1.conjugate()
+    return ([c1 * x + f2 * y.conjugate() for x, y in zip(a, b)],
+            [c1 * y - f2 * x.conjugate() for x, y in zip(a, b)])
 
 
 def _pv_kernels(f: QFunction):
-    """Kernels ((K11, K12), (K21, K22)) of the principal-value density,
-    exactly: with a = f1_z1 psi1 + f1_z2 psi2 and
+    """Kernel pairs ((K11, K12), (K21, K22)) of the principal-value density
+    against psi1, psi2, exactly: with a = f1_z1 psi1 + f1_z2 psi2 and
     b = f2_z2b conj(psi2) - f2_z1b conj(psi1), the density
     (1/f) (a + b j), which is
     (conj(f1) a + f2 conj(b), conj(f1) b - f2 conj(a)) / |f|^2,
@@ -640,56 +554,72 @@ def _pv_kernels(f: QFunction):
              c1 * f2_z2b - f2 * f1_z2.conjugate()))
 
 
-class _PvDensity(NamedTuple):
-    """The principal-value density of f against psi, folded once per call.
+def _fold(kernels, coefficients: Sequence[Optional[Profile]]):
+    """The products of a density, exactly: for kernel pairs (K1s, K2s) and
+    coefficients pi bump(r / R), the sums of pi K1 (scalar part, 0) and
+    conj(pi) K2 (j part, 1) over the coefficients of each (R, radial), as
+    triples (part, (R, radial), product) for the sums that are not
+    identically zero."""
+    sums = {}
+    for p, k1, k2 in zip(coefficients, *kernels):
+        if p is not None:
+            acc = sums.setdefault((p.R, p.radial), [ConjRational.zero()] * 2)
+            acc[0] = acc[0] + k1 * p.poly
+            acc[1] = acc[1] + k2 * p.poly.conjugate()
+    return [(part, key, r) for key, acc in sums.items()
+            for part, r in enumerate(acc) if not r.is_zero]
 
-    A coefficient psi_i is pi_i bump(|q| / R_i), so the density times |f|^2
-    is a sum over the distinct radii R of bump(lam / R) times the products
-    sum_i pi_i K1i (scalar part) and sum_i conj(pi_i) K2i (j part) over the
-    coefficients of radius R.  ray_fn tabulates f1, f2, then each product
-    that is not identically zero; slots holds, per product, its part
-    (0 scalar, 1 j) and its R."""
+
+class _PvDensity(NamedTuple):
+    """A folded density (_fold) on one set of chart rays: the residue or the
+    principal-value density of f against a test form.
+
+    ray_fn tabulates f1, f2, then each product; slots holds, per product,
+    its part (0 scalar, 1 j) and the index of its bump in bumps, the pairs
+    (R, r) of the distinct (R, radial), where r is the radial modulus at
+    the unit direction (|u1| or |u2| per ray), or None for |q|."""
 
     ray_fn: _RayFunction
-    slots: Tuple[Tuple[int, float], ...]
+    slots: Tuple[Tuple[int, int], ...]
+    bumps: Tuple[Tuple[float, Optional[np.ndarray]], ...]
 
     @classmethod
-    def build(cls, f: QFunction, psi: TestForm3, u1, u2) -> "_PvDensity":
-        sums = {}
-        for p, k1, k2 in zip(psi.coefficients, *_pv_kernels(f)):
-            if p is not None:
-                acc = sums.setdefault(p.R, [ConjRational.zero()] * 2)
-                acc[0] = acc[0] + k1 * p.poly
-                acc[1] = acc[1] + k2 * p.poly.conjugate()
-        products = [(part, R, r) for R, acc in sums.items()
-                    for part, r in enumerate(acc) if not r.is_zero]
+    def build(cls, f: QFunction, products, u1, u2) -> "_PvDensity":
+        keys = list(dict.fromkeys(key for _, key, _ in products))
+        radius = {"q": None, "z1": np.abs(u1), "z2": np.abs(u2)}
         ray_fn = _RayFunction.build(
-            (f.f1, f.f2) + tuple(r for _, _, r in products), (), u1, u2)
-        return cls(ray_fn, tuple((part, R) for part, R, _ in products))
+            (f.f1, f.f2) + tuple(r for _, _, r in products), u1, u2)
+        return cls(ray_fn,
+                   tuple((part, keys.index(key)) for part, key, _ in products),
+                   tuple((R, radius[radial]) for R, radial in keys))
 
     def take(self, sel) -> "_PvDensity":
-        return _PvDensity(self.ray_fn.take(sel), self.slots)
+        return _PvDensity(self.ray_fn.take(sel), self.slots,
+                          tuple((R, None if r is None else r[sel])
+                                for R, r in self.bumps))
 
     @_quiet
     def terms(self, lam, w):
         """The density at radius lam, before the chart volume factor, times
         the real weight w, as one term per surviving product: pairs of its
-        part (0 scalar, 1 j) and w bump(lam / R) P / |f|^2.  lam is shaped
-        as in _RayFunction.values.  A node where |f|^2 is zero or not finite
-        is a pole, whether or not any product survives the fold."""
+        part (0 scalar, 1 j) and w bump(lam r / R) P / |f|^2.  lam is
+        shaped as in _RayFunction.values.  A node where |f|^2 is zero or not
+        finite is a pole, whether or not any product survives the fold."""
         F1, F2, *products = self.ray_fn.values(lam)
         g = _abs_sq(F1, F2)
         if not np.all((g > 0.0) & (g < np.inf)):
             raise PoleOnDomain(_SINGULAR)
         w = w / g
-        scaled = {R: bump(lam / R) * w for _, R in self.slots}
-        return [(part, P * scaled[R])
-                for (part, R), P in zip(self.slots, products)]
+        scaled = [bump(lam / R if r is None else lam * r / R) * w
+                  for R, r in self.bumps]
+        return [(part, P * scaled[k]) for (part, k), P in zip(self.slots,
+                                                               products)]
 
 
 @_quiet
-def _pv_radial(density: _PvDensity, rays: _RayMesh, lam, w_lam) -> Quat:
-    """Oriented integral of the pv density times the volume element
+def _pv_radial(density: _PvDensity, rays: _RayMesh, lam, w_lam,
+               orientation: float) -> Quat:
+    """Oriented integral of the density times the volume element
     4 lam^3 sin(eta) cos(eta) over a radial node table on the rays.
 
     Row k of the table holds radii lam[k] and radial weights w_lam[k], of
@@ -712,7 +642,82 @@ def _pv_radial(density: _PvDensity, rays: _RayMesh, lam, w_lam) -> Quat:
     if not np.isfinite(totals).all():
         # a product that is not finite where |f|^2 is
         raise PoleOnDomain(_SINGULAR)
-    return Quat(ORIENTATION_4FORM * totals[0], ORIENTATION_4FORM * totals[1])
+    return Quat(orientation * totals[0], orientation * totals[1])
+
+
+@_quiet
+def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
+                  ) -> Tuple[Quat, int]:
+    """Oriented integral of the residue density over one level set, lam
+    holding the level radius of each of the density's rays: one row of the
+    radial table with the Leray weight 1 / (d|f|^2/dlam).  A node where that
+    slope is not positive is not transverse to its ray and weighs 0.
+    Returns the value and the count of those nodes."""
+    _, slope = density.ray_fn.modulus_sq_slope(lam)
+    transverse = slope > 0.0
+    w_lam = np.where(transverse, 1.0 / slope, 0.0)
+    value = _pv_radial(density, rays, lam[None], w_lam[None],
+                       ORIENTATION_3FORM)
+    return value, int(np.count_nonzero(~transverse))
+
+
+def residue_pair(f: QFunction, phi: TestForm2,
+                 rule: Optional[QuadratureRule] = None,
+                 schedule: Optional[EpsilonSchedule] = None,
+                 include_mirror: bool = True) -> CurrentEstimate:
+    """Pair the residue current of f against the 2-form phi.
+
+    For each eps on the schedule the density is integrated over the level
+    set |f| = eps (as a radial graph over the chart sphere, with eta panels
+    graded toward the poles so cylinder-like level sets stay resolved), and
+    the eps -> 0 limit is extrapolated.  The rule fixes the phase resolution;
+    include_mirror=False drops the conjugate-type half of the density.
+
+    The density is folded once per call (_residue_kernels, _fold), on the
+    first rung with an active ray, and tabulated per rung on the active rays
+    only.
+    """
+    _require_nonzero(f)
+    if phi.is_zero:
+        raise ValueError("test form is identically zero")
+    if rule is None:
+        rule = build_quadrature(32, 32)
+    support = phi.support_radius
+    if schedule is None:
+        schedule = EpsilonSchedule.for_radius(support)
+    if not schedule.eps0 < support:
+        raise ValueError("schedule must start inside the test-form support")
+    require_rays(residue_rays(rule.n_xi, schedule, support))
+    eps_list = schedule.values()
+    products = None
+    values: List[Quat] = []
+    dropped_total = 0
+    untrusted = np.zeros(3, dtype=int)
+    for eps in eps_list:
+        mesh = _RayMesh.build(*graded_eta_panels(eps, support), rule)
+        radii = _solve_level_radius(
+            _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
+            phi.support_lambda(mesh.eta), eps)
+        lam, active, _ = radii
+        untrusted += radii.untrusted
+        if not active.any():
+            values.append(Quat(0.0, 0.0))
+            continue
+        if products is None:
+            products = _fold(_residue_kernels(f, include_mirror),
+                             phi.coefficients)
+        rays = mesh.take(np.flatnonzero(active))
+        density = _PvDensity.build(f, products, rays.u1, rays.u2)
+        val, dropped = _residue_rung(density, rays, lam[active])
+        dropped_total += dropped
+        values.append(val)
+    notes = list(_untrusted_notes(untrusted))
+    if dropped_total:
+        notes.append(f"{dropped_total} level-set nodes were not transverse "
+                     "to the radial rays and were dropped")
+    part = "(1,0)+(0,1)" if include_mirror else "(1,0)"
+    return finalize(eps_list, values, part=part, notes=notes,
+                    trusted=not untrusted.any())
 
 
 @_quiet
@@ -747,13 +752,14 @@ def pv_pair(f: QFunction, psi: TestForm3,
     solve per eps.  part="(0,1)" is served by the formal conjugation
     symmetry of the expansion and marked as such in the result.
 
-    The density is folded once per call (_PvDensity): the kernel products
-    pi_i K1i and conj(pi_i) K2i of the coefficients pi_i bump(|q| / R_i) are
-    summed exactly per distinct R, and only those that are not identically
-    zero are tabulated beside f1 and f2.  Each node then costs |f|^2 from
-    the f1 and f2 tables, one bump per distinct R and one Horner evaluation
-    per surviving product.
+    The density is folded once per call (_pv_kernels, _fold): the kernel
+    products pi_i K1i and conj(pi_i) K2i of the coefficients
+    pi_i bump(|q| / R_i) are summed exactly per distinct R, and only those
+    that are not identically zero are tabulated beside f1 and f2.  Each
+    node then costs |f|^2 from the f1 and f2 tables, one bump per distinct R
+    and one Horner evaluation per surviving product.
     """
+    _require_nonzero(f)
     if psi.is_zero:
         raise ValueError("test form is identically zero")
     for p in psi.coefficients:
@@ -785,14 +791,16 @@ def pv_pair(f: QFunction, psi: TestForm3,
     require_rays(pv_rays(rule.n_eta, rule.n_xi))
     eps_list = schedule.values()
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule)
-    density = _PvDensity.build(f, psi, mesh.u1, mesh.u2)
-    untrusted = np.zeros(2, dtype=int)
+    density = _PvDensity.build(f, _fold(_pv_kernels(f), psi.coefficients),
+                               mesh.u1, mesh.u2)
+    untrusted = np.zeros(3, dtype=int)
     if region == "metric":
         edges = [geometric_edges(eps_list[0], support, eps_list[0])]
         edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
         shells = (gauss_panels(e, _SHELL_ORDER) for e in edges)
         values = list(itertools.accumulate(
-            _pv_radial(density, mesh, lam[:, None], w[:, None])
+            _pv_radial(density, mesh, lam[:, None], w[:, None],
+                       ORIENTATION_4FORM)
             for lam, w in shells))
         notes = ()
     else:
@@ -803,7 +811,8 @@ def pv_pair(f: QFunction, psi: TestForm3,
             untrusted += radii.untrusted
             # one rung's node table at a time: it is dropped before the next
             values.append(_pv_radial(*_levelset_nodes(density, mesh, radii,
-                                                      support)))
+                                                      support),
+                                     ORIENTATION_4FORM))
         notes = (("excluded region follows the level sets of |f|",)
                  + _untrusted_notes(untrusted))
     return finalize(eps_list, values, part="(1,0)", notes=notes,

@@ -2,9 +2,9 @@
 
 Gauss-Legendre in the colatitude-like angle eta, uniform trapezoid in the two
 phases (spectrally accurate for periodic integrands).  Weights are stored raw,
-without the sin*cos chart density: surface integrals pick up that factor
-through the pullback determinants of the level-set graph, and volume
-integrals through the closed-form volume element 4*lam^3*sin*cos.
+without the sin*cos chart density: the pairings apply it through the
+closed-form volume element 4*lam^3*sin*cos, which both the volume integrals
+and, through their Gelfand-Leray form, the level-set integrals use.
 """
 
 from __future__ import annotations

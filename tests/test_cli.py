@@ -4,6 +4,7 @@ import importlib.resources
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 import qres
 from qres import cli
 from qres.cli import _fragment, main
+from qres.currents import pairings
 
 SCHEMA = json.loads(importlib.resources.files("qres")
                     .joinpath("report_schema.json").read_text())
@@ -155,6 +157,25 @@ def test_zero_function_inverse_is_a_domain_error():
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["residue", "-f", "0 ; 0", "--phi22", "bump"],
+    ["pv", "-f", "0 ; 0", "--psi1", "bump"],
+], ids=["residue", "pv"])
+def test_zero_function_pairing_is_a_domain_error(monkeypatch, args):
+    # no level set of f = 0 is ever crossed, so every residue rung was an
+    # exact zero that passed as converged; both pairings refuse f = 0
+    # before a mesh is built
+    def build(*a):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(pairings._RayMesh, "build", classmethod(build))
+    res = invoke(args + ["--n-eta", "4", "--n-xi", "8", "--strict"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == ("domain error: f is identically zero, so 1/f has "
+                          "no currents to pair\n")
+
+
 def test_strict_flag_exits_nonzero_when_unconverged():
     # three rungs can never satisfy the convergence window
     res = invoke(CHEAP_RESIDUE + ["--strict"])
@@ -217,6 +238,41 @@ def test_oracle_1d_overflowing_pole_exits_3_without_output(kind):
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("domain error: ")
+
+
+def readme_commands():
+    """Every qres command of the README's CLI block, continuation lines
+    joined, as argument lists without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("qres ")]
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_the_readme_cli_block_is_found():
+    assert {"catalogue", "residue", "pv", "oracle-1d"} <= {
+        args[0] for args in README_COMMANDS}
+    # the residue example's continuation line is joined to it
+    assert any(args[0] == "residue" and args[-2:] == ["--format", "csv"]
+               for args in README_COMMANDS)
+
+
+@pytest.mark.parametrize("args", README_COMMANDS,
+                         ids=[" ".join(a[:3]) for a in README_COMMANDS])
+def test_readme_commands_run_and_reproduce(args):
+    first, second = invoke(args), invoke(args)
+    assert first.exit_code == 0, first.output
+    assert first.stdout == second.stdout
+    if "--format" in args:
+        header, *rows = first.stdout.splitlines()
+        assert header == "epsilon,re1,im1,re_j,im_j"
+        assert rows and all(len(r.split(",")) == 5 for r in rows)
+    else:
+        jsonschema.validate(json.loads(first.stdout), SCHEMA)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

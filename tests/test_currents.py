@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from qres.catalogue import NAMES, builtin
-from qres.currents.chart import chart_jacobian, det4, sphere_to_complex
+from qres.currents.chart import (ORIENTATION_3FORM, ORIENTATION_4FORM,
+                                 chart_jacobian, det4, sphere_to_complex)
 from qres.currents.estimate import EpsilonSchedule
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
 from qres.currents import pairings
 from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _PvDensity,
-                                    _RayFunction, _RayMesh, _WIRT_VARS,
-                                    _inverse_times, _masked_sum, _pv_radial,
-                                    _ray_parts, _solve_level_radius, pv_pair,
-                                    pv_rays, require_rays, residue_pair,
-                                    residue_rays)
+                                    _RayFunction, _RayMesh, _fold,
+                                    _pv_kernels, _pv_radial, _residue_kernels,
+                                    _residue_rung, _solve_level_radius,
+                                    pv_pair, pv_rays, require_rays,
+                                    residue_pair, residue_rays)
 from qres.currents.quadrature import build_quadrature, graded_eta_panels
 from qres.errors import RuleTooLarge
 from qres.parsing import parse_poly, parse_qfunction
@@ -170,17 +171,6 @@ def test_pole_through_domain_is_reported():
     assert max(v.norm() for v in est.values) < 1e-20
 
 
-def test_masked_sum_flags_singular_nodes():
-    c1 = np.array([1.0, np.nan, 2.0], dtype=complex)
-    c2 = np.zeros(3, dtype=complex)
-    w = np.ones(3)
-    with pytest.raises(PoleOnDomain, match=r"1 nodes"):
-        _masked_sum(c1, c2, w, np.ones(3, dtype=bool))
-    # masked-out nodes may be singular without consequence
-    val = _masked_sum(c1, c2, w, np.array([True, False, True]))
-    assert complex(val.z1) == 3.0
-
-
 def test_chart_volume_element_has_closed_form():
     # the pv integrators use 4 lam^3 sin(eta) cos(eta); the cofactor
     # determinant of the full chart Jacobian is its independent oracle
@@ -224,7 +214,7 @@ def test_level_radius_lies_on_the_level_set(name):
     eta, xi1, xi2 = level_rays(kind)
     n = len(eta)
     eps = 0.3
-    ray_fn = _RayFunction.build((f.f1, f.f2), (),
+    ray_fn = _RayFunction.build((f.f1, f.f2),
                                 *sphere_to_complex(1.0, eta, xi1, xi2))
     lam, active, inside = _solve_level_radius(ray_fn, np.ones(n), eps)
 
@@ -299,7 +289,7 @@ def mod_sq_on_rays(f, mesh, lam, rays):
 def test_level_solve_matches_the_bisection(name, pv_mesh):
     f = ORACLE_FUNCTIONS[name]
     mesh = pv_mesh
-    ray_fn = _RayFunction.build((f.f1, f.f2), (), mesh.u1, mesh.u2)
+    ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2)
     n = len(mesh.eta)
     hi = np.ones(n)
     floor = pairings._LAM_FLOOR_FACTOR * hi
@@ -349,7 +339,7 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
 
 def test_closed_form_serves_the_homogeneous_functions():
     u1, u2 = unit_rays(15)
-    degrees = {name: _RayFunction.build((f.f1, f.f2), (), u1, u2).degree
+    degrees = {name: _RayFunction.build((f.f1, f.f2), u1, u2).degree
                for name, f in ORACLE_FUNCTIONS.items()}
     assert degrees == {"conj": 1, "cauchy_kernel": -3, "F": 1, "prop34": 1,
                        "holo": 1, "q_conj": 1, "prop34(1,2)": None,
@@ -360,13 +350,13 @@ def test_closed_form_serves_the_homogeneous_functions():
 def test_a_zero_component_has_no_table():
     u1, u2 = unit_rays(15)
     lam = np.linspace(0.1, 1.0, len(u1))
-    ray_fn = _RayFunction.build((Z1_FN.f1, Z1_FN.f2), (), u1, u2)
+    ray_fn = _RayFunction.build((Z1_FN.f1, Z1_FN.f2), u1, u2)
     assert ray_fn.items[1] is None and ray_fn.degree == 1
     F1, F2 = ray_fn.values(lam)
     assert F2 == 0
     assert np.array_equal(ray_fn.modulus_sq(lam), F1.real ** 2 + F1.imag ** 2)
     # f = 0: no table at all, |f|^2 = 0 on every ray and no level crossing
-    zero = _RayFunction.build((ConjRational.zero(),) * 2, (), u1, u2)
+    zero = _RayFunction.build((ConjRational.zero(),) * 2, u1, u2)
     assert zero.items == (None, None) and zero.degree == 0
     assert np.array_equal(zero.modulus_sq(lam), np.zeros(len(u1)))
     lam_star, active, inside = _solve_level_radius(zero, np.ones(len(u1)),
@@ -413,6 +403,52 @@ def test_level_sets_missed_by_every_ray_start_are_not_converged():
     assert "and 0 rays cross" in note
 
 
+@pytest.mark.parametrize("name", ["conj", LEADING_ZERO, "prop34(1/8,-1/8)"])
+def test_crossings_below_the_radius_floor_are_counted(name, pv_mesh):
+    # with lam_hi = 1e9 the floor is 1: every crossing the solve finds in
+    # (1e-9, 1] with lam_hi = 1 lies below it, in closed form (conj) or
+    # among the real roots (the others)
+    f = ORACLE_FUNCTIONS[name]
+    ray_fn = _RayFunction.build((f.f1, f.f2), pv_mesh.u1, pv_mesh.u2)
+    n = len(pv_mesh.eta)
+    near = _solve_level_radius(ray_fn, np.ones(n), 0.3)
+    far = _solve_level_radius(ray_fn, np.full(n, 1e9), 0.3)
+    want = (near.crossings < np.inf).any(axis=1)
+    assert want.sum() > n // 4
+    assert np.array_equal(far.hidden, want)
+    assert not near.hidden.any()
+    assert far.untrusted[2] == want.sum()
+
+
+@pytest.mark.parametrize("kind", ["residue", "levelset"])
+def test_level_sets_below_the_radius_floor_are_not_converged(kind):
+    # the floor is 1e-9 of the support: at support 1e9 (1e12) it lies
+    # above every level radius, so every ray seems to start at or above
+    # eps.  The residue rungs were all exact zeros and the levelset rungs
+    # all equal, either of which passed as converged
+    sched = EpsilonSchedule(0.4, 0.7, 8)
+    rule = build_quadrature(8, 8)
+    if kind == "residue":
+        est = residue_pair(builtin("conj").f,
+                           TestForm2(phi22=Profile.bump_only(1e9)),
+                           rule=rule, schedule=sched)
+        assert all(v.norm() == 0.0 for v in est.values)
+    else:
+        est = pv_pair(Z1_FN, TestForm3(psi1=Profile(ConjPoly.var("z1"), 1e12)),
+                      rule=rule, schedule=sched, region="levelset")
+        assert all(v == est.values[0] for v in est.values)
+    assert not est.converged
+    # every ray of every rung's mesh crosses below the floor
+    if kind == "residue":
+        rays = sum(len(graded_eta_panels(eps, 1e9)[0]) * 64
+                   for eps in sched.values())
+    else:
+        rays = 8 * pv_rays(8, 8)
+    note, = [n for n in est.notes if "below the radius floor" in n]
+    assert note.startswith(f"over the ladder, {rays} rays cross")
+    assert not any("not radial graphs" in n for n in est.notes)
+
+
 def seeded_nodes(seed: int, n: int = 200):
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(4, n))
@@ -454,10 +490,7 @@ def unit_rays(seed: int, n: int = 64):
     return sphere_to_complex(1.0, eta, xi1, xi2)
 
 
-TABLE_PROFILES = (Profile(parse_poly("1 + z1*c2 - 2*c1^2"), 0.9, "q"),
-                  Profile(parse_poly("3*z2 + c2*z1^2"), 1.3, "z1"),
-                  None,
-                  Profile(ConjPoly.one(), 0.7, "z2"))
+WIRT_VARS = ("z1", "z1b", "z2", "z2b")
 TABLE_CASES = [(name, ()) for name in NAMES if name != "prop34"] + [
     ("prop34", (1, 2)), ("prop34", (Fraction(-1, 2), Fraction(3, 4)))]
 
@@ -473,10 +506,10 @@ def close(got, want, rtol=1e-13):
 def test_ray_tables_match_the_symbolic_evaluators(name, params):
     f = builtin(name, params).f
     rationals = [f.f1, f.f2] + [g.wirtinger(v) for g in (f.f1, f.f2)
-                                for v in _WIRT_VARS]
+                                for v in WIRT_VARS]
     u1, u2 = unit_rays(15)
     n = len(u1)
-    ray_fn = _RayFunction.build(_ray_parts(f), TABLE_PROFILES, u1, u2)
+    ray_fn = _RayFunction.build(rationals, u1, u2)
     rng = np.random.default_rng(16)
     shared = rng.uniform(0.05, 1.2, (5, 1))
     per_ray = rng.uniform(0.05, 1.2, (5, n))
@@ -487,16 +520,23 @@ def test_ray_tables_match_the_symbolic_evaluators(name, params):
         Z1, Z2 = lam * u1[rays], lam * u2[rays]
         got = fn.values(lam)
         want = [r.eval_numeric(Z1, Z2) for r in rationals]
-        want += [0 if p is None else p.eval(Z1, Z2) for p in TABLE_PROFILES]
-        assert len(got) == len(want) == 14
+        assert len(got) == len(want) == 10
         for g, w in zip(got, want):
             if np.ndim(g) == 0:
-                # a zero rational or coefficient has no table
+                # a zero rational has no table
                 assert g == 0 and not np.any(w)
             else:
                 assert close(g, w)
         F1, F2 = want[:2]
         assert close(fn.modulus_sq(lam), np.abs(F1) ** 2 + np.abs(F2) ** 2)
+
+
+def inverse_times(F1, F2, a, b):
+    """Components of (1/f) * (a + b j) for f = F1 + F2 j, pointwise:
+    (conj(F1) a + F2 conj(b), conj(F1) b - F2 conj(a)) / |f|^2."""
+    r = 1.0 / (np.abs(F1) ** 2 + np.abs(F2) ** 2)
+    c1 = np.conj(F1)
+    return (c1 * a + F2 * np.conj(b)) * r, (c1 * b - F2 * np.conj(a)) * r
 
 
 def unfolded_pv_density(f, psi, Z1, Z2):
@@ -513,7 +553,7 @@ def unfolded_pv_density(f, psi, Z1, Z2):
     ps1, ps2 = (p.eval(Z1, Z2) for p in psi.coefficients)
     p_co = f1_z1 * ps1 + f1_z2 * ps2
     q_co = -(f2_z1b * np.conj(ps1) - f2_z2b * np.conj(ps2))
-    return _inverse_times(F1, F2, p_co, q_co)
+    return inverse_times(F1, F2, p_co, q_co)
 
 
 def folded_pv_density(density, lam):
@@ -534,7 +574,8 @@ def test_folded_pv_density_matches_the_unfolded_formula(name, params):
     f = builtin(name, params).f
     u1, u2 = unit_rays(15)
     n = len(u1)
-    density = _PvDensity.build(f, FOLD_PSI, u1, u2)
+    density = _PvDensity.build(f, _fold(_pv_kernels(f), FOLD_PSI.coefficients),
+                               u1, u2)
     rng = np.random.default_rng(17)
     shared = rng.uniform(0.05, 1.2, (5, 1))
     per_ray = rng.uniform(0.05, 1.2, (5, n))
@@ -554,20 +595,161 @@ def test_folded_pv_density_matches_the_unfolded_formula(name, params):
             assert density.slots == ()
 
 
-def test_pole_on_a_ray_node_is_reported():
+MIXED_PHI = TestForm2(Profile(parse_poly("1 + z1*c2 - 2*c1^2"), 0.9, "q"),
+                      Profile(parse_poly("3*z2 + c2*z1^2"), 1.3, "z1"),
+                      Profile(parse_poly("z1 - 2i"), 0.7, "z2"),
+                      Profile(parse_poly("c1*z2 - 1"), 1.1, "q"))
+
+
+def surface_residue_nodes(f, phi, rays, lam, include_mirror):
+    """The residue integrand at the level radii lam of the rays as the
+    surface route computed it, oriented and weighted, with no transversality
+    mask: graph slopes d(lam*)/d(eta, xi1, xi2) by implicit differentiation
+    of |f|^2 = eps^2 through the chart Jacobian, the four 3-form monomials
+    pulled back as 3x3 determinants of the graph's tangent rows, and the
+    density (1/f) (alpha + beta j) from separately evaluated factors.
+    Returns both components and d|f|^2/dlam."""
+    jac = chart_jacobian(lam, rays.eta, rays.xi1, rays.xi2)
+    Z1, Z2 = sphere_to_complex(lam, rays.eta, rays.xi1, rays.xi2)
+
+    def at(r):
+        return np.broadcast_to(r.eval_numeric(Z1, Z2), Z1.shape)
+
+    F1, F2 = at(f.f1), at(f.f2)
+    D1 = [at(f.f1.wirtinger(v)) for v in WIRT_VARS]
+    D2 = [at(f.f2.wirtinger(v)) for v in WIRT_VARS]
+    ph11, ph12, ph21, ph22 = (np.zeros(Z1.shape) if p is None
+                              else p.eval(Z1, Z2) for p in phi.coefficients)
+    dg = [2.0 * (np.conj(F1) * sum(d * jac[w, a] for w, d in enumerate(D1))
+                 + np.conj(F2) * sum(d * jac[w, a] for w, d in enumerate(D2))
+                 ).real for a in range(4)]
+    slopes = -np.stack(dg[1:]) / dg[0]
+    rows = jac[:, 1:] + jac[:, :1] * slopes
+
+    def pullback(*triple):
+        return np.linalg.det(np.moveaxis(rows[list(triple)], -1, 0))
+
+    px, py = pullback(0, 1, 2), pullback(0, 2, 3)
+    pxp, pyp = pullback(0, 1, 3), pullback(1, 2, 3)
+    f1_z1, f1_z1b, f1_z2, f1_z2b = D1
+    f2_z1, f2_z1b, f2_z2, f2_z2b = D2
+    alpha = ((-f1_z1 * ph21 + f1_z2 * ph11) * px
+             + (f1_z1 * ph22 - f1_z2 * ph12) * py)
+    beta = ((f2_z1b * np.conj(ph21) - f2_z2b * np.conj(ph11)) * np.conj(px)
+            + (-f2_z1b * np.conj(ph22) - f2_z2b * np.conj(ph12))
+            * np.conj(py))
+    if include_mirror:
+        alpha = alpha + ((f1_z2b * ph11 - f1_z1b * ph12) * pxp
+                         + (f1_z1b * ph22 - f1_z2b * ph21) * pyp)
+        beta = beta + ((f2_z1 * np.conj(ph12) - f2_z2 * np.conj(ph11)) * px
+                       + (-f2_z1 * np.conj(ph22) + f2_z2 * np.conj(ph21))
+                       * py)
+    c1, c2 = inverse_times(F1, F2, alpha, beta)
+    w = ORIENTATION_3FORM * rays.w
+    return w * c1, w * c2, dg[0]
+
+
+def leray_residue_nodes(density, rays, lam):
+    """The residue integrand of the folded density at the level radii lam,
+    per node, with the Leray weight 1 / (d|f|^2/dlam) and no mask."""
+    _, slope = density.ray_fn.modulus_sq_slope(lam)
+    w = 4.0 * lam ** 3 * rays.w * rays.sin_cos / slope
+    parts = [0.0, 0.0]
+    for part, term in density.terms(lam, w):
+        parts[part] = parts[part] + term
+    return [ORIENTATION_3FORM * p for p in parts]
+
+
+RESIDUE_ORACLE_PHI = {
+    "mixed": MIXED_PHI,
+    "z2-cylinder": TestForm2(
+        phi11=Profile(parse_poly("z1*c2 + 1"), 1.2, "z2"),
+        phi22=Profile(parse_poly("c2"), 0.8, "z2")),
+}
+ILL_CONDITIONED = ("prop34", (Fraction(1, 8), Fraction(-1, 8)))
+RESIDUE_CASES = [(name, ()) for name in NAMES] + [
+    case for case in FOLD_CASES if case[0] == "prop34"]
+
+
+@pytest.mark.parametrize("mirror", [True, False], ids=["mirror", "no-mirror"])
+@pytest.mark.parametrize("phi_name", list(RESIDUE_ORACLE_PHI))
+@pytest.mark.parametrize("name,params", RESIDUE_CASES,
+                         ids=[f"{n}{list(p) or ''}" for n, p in RESIDUE_CASES])
+def test_leray_residue_density_matches_the_surface_pullbacks(
+        name, params, phi_name, mirror):
+    # at the level-set nodes of a graded rung mesh, and summed over a rung
+    # with the non-transverse nodes dropped, as residue_pair sums it
+    f = builtin(name, params).f
+    phi = RESIDUE_ORACLE_PHI[phi_name]
+    eps = 0.3
+    support = phi.support_radius
+    if name == "cauchy_kernel":
+        # |f| = |q|^-3 falls along every ray: its level sphere |q| = 1.49
+        # lies inside a support of radius 2
+        phi = TestForm2(*(None if p is None
+                          else Profile(p.poly, 2.0 * p.R, p.radial)
+                          for p in phi.coefficients))
+        support = phi.support_radius
+    mesh = _RayMesh.build(*graded_eta_panels(eps, support),
+                          build_quadrature(6, 8))
+    radii = _solve_level_radius(_RayFunction.build((f.f1, f.f2), mesh.u1,
+                                                   mesh.u2),
+                                phi.support_lambda(mesh.eta), eps)
+    sel = np.flatnonzero(radii.crossings[:, 0] < np.inf)
+    assert len(sel) > 100
+    rays, lam = mesh.take(sel), radii.crossings[sel, 0]
+    density = _PvDensity.build(
+        f, _fold(_residue_kernels(f, mirror), phi.coefficients),
+        rays.u1, rays.u2)
+    old1, old2, g_lam = surface_residue_nodes(f, phi, rays, lam, mirror)
+    new1, new2 = leray_residue_nodes(density, rays, lam)
+    size = np.maximum(np.abs(old1), np.abs(old2))
+    # a folded product vanishes to second order on the zero set of f (f
+    # and the derivatives of g both vanish there), so its monomials lose
+    # (lam / eps)^2 units of roundoff at a node; the surface route's
+    # factors vanish to first order.  That term matters only where a level
+    # set runs far out inside a z1 or z2 cylinder (the prop34 planes)
+    tol = 1e-12 * size.max() + 16 * 2.0 ** -52 * (lam / eps) ** 2 * size
+    if (name, params) == ILL_CONDITIONED:
+        # near-tangent rays: the surface route's own change when every
+        # level radius moves by one ulp
+        moved = surface_residue_nodes(f, phi, rays,
+                                      np.nextafter(lam, np.inf), mirror)
+        tol = tol + np.maximum(np.abs(moved[0] - old1),
+                               np.abs(moved[1] - old2))
+    for new, old in ((new1, old1), (new2, old2)):
+        assert np.all(np.abs(np.broadcast_to(new, old.shape) - old) <= tol)
+    # the rung: transverse nodes only, summed
+    transverse = g_lam > 0.0
+    value, dropped = _residue_rung(density, rays, lam)
+    assert dropped == np.count_nonzero(~transverse)
+    for got, old in ((value.z1, old1), (value.z2, old2)):
+        want = old[transverse].sum()
+        assert abs(complex(got) - want) <= tol[transverse].sum()
+
+
+@pytest.mark.parametrize("kind", ["pv", "residue"])
+def test_pole_on_a_ray_node_is_reported(kind):
     # cauchy_kernel has its pole at the origin: a radial row at lam = 0
-    # evaluates to nan there and the principal-value sum refuses it
-    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    # evaluates to nan there and the radial sum refuses it, for either
+    # folded density
+    f = builtin("cauchy_kernel").f
+    if kind == "pv":
+        products = _fold(_pv_kernels(f), (Profile(ConjPoly.var("z1"), 1.0),
+                                          None))
+    else:
+        products = _fold(_residue_kernels(f, True), MIXED_PHI.coefficients)
     mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(4, 8))
-    density = _PvDensity.build(builtin("cauchy_kernel").f, psi,
-                               mesh.u1, mesh.u2)
+    density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
+    assert density.slots
     lam = np.array([[0.0], [0.5]])
     F1 = density.ray_fn.values(lam)[0]
     assert np.isnan(F1[0]).all() and np.isfinite(F1[1]).all()
     with pytest.raises(PoleOnDomain, match="singular inside"):
-        _pv_radial(density, mesh, lam, np.ones((2, 1)))
+        _pv_radial(density, mesh, lam, np.ones((2, 1)), ORIENTATION_4FORM)
     assert np.isfinite(complex(_pv_radial(density, mesh, lam[1:],
-                                          np.ones((1, 1))).z1))
+                                          np.ones((1, 1)),
+                                          ORIENTATION_4FORM).z1))
 
 
 def test_pole_is_reported_when_no_product_survives_the_fold():
@@ -578,21 +760,24 @@ def test_pole_is_reported_when_no_product_survives_the_fold():
                   ConjRational.zero())
     psi = TestForm3(psi2=Profile.bump_only(1.0))
     mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(4, 8))
-    density = _PvDensity.build(f, psi, mesh.u1, mesh.u2)
+    density = _PvDensity.build(f, _fold(_pv_kernels(f), psi.coefficients),
+                               mesh.u1, mesh.u2)
     assert density.slots == ()
     # at lam = 0, f = inf + nan j; at lam = 1e-100, f is finite but |f|^2
     # overflows to inf, where 1/|f|^2 = 0 would pass a finiteness check
     for pole in (0.0, 1e-100):
         lam = np.array([[pole], [0.5]])
         with pytest.raises(PoleOnDomain, match="singular inside"):
-            _pv_radial(density, mesh, lam, np.ones((2, 1)))
-    val = _pv_radial(density, mesh, np.array([[0.5]]), np.ones((1, 1)))
+            _pv_radial(density, mesh, lam, np.ones((2, 1)),
+                       ORIENTATION_4FORM)
+    val = _pv_radial(density, mesh, np.array([[0.5]]), np.ones((1, 1)),
+                     ORIENTATION_4FORM)
     assert val.norm() == 0.0
 
 
 def test_inverse_times_f_is_one():
     F1, F2 = builtin("cauchy_kernel").f.eval_numeric(*seeded_nodes(14))
-    c1, c2 = _inverse_times(F1, F2, F1, F2)
+    c1, c2 = inverse_times(F1, F2, F1, F2)
     assert np.abs(c1 - 1.0).max() < 1e-14
     assert np.abs(c2).max() < 1e-14
 
