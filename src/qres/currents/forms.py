@@ -24,12 +24,11 @@ def bump(t):
     """Standard smooth bump: exp(1 - 1/(1 - t^2)) for |t| < 1, else 0.
 
     Normalised so bump(0) == 1.  Vectorised; the argument may be any real
-    array."""
+    array.  No mask: t^2 is capped at 1, where 1 / 0 = inf gives exp(-inf)
+    = 0, and fmin maps nan to 1 as well."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
+    with np.errstate(divide="ignore"):
+        out = np.exp(1.0 - 1.0 / (1.0 - np.fmin(t * t, 1.0)))
     if out.ndim == 0:
         return float(out)
     return out

@@ -9,7 +9,13 @@ closed-form volume element 4 lam^3 sin(eta) cos(eta).
 
 The principal-value pairing integrates a 4-form density over the complement
 of the excluded region, which is the metric ball |q| < eps by default or the
-sublevel set |f| < eps with region="levelset".
+sublevel set |f| < eps with region="levelset".  Both regions accumulate
+shells down the ladder, so each radial interval of a ray is integrated
+once: rung k adds to rung k-1 the integral from the ray's start radius on
+rung k to its start on rung k-1.  The start is eps for the ball; for the
+sublevel set it is the level radius, the support on a ray below eps over
+all of it, or the radius floor on a ray that starts at or above eps, and
+it never moves out as eps falls, since |f| is continuous along the ray.
 
 The residue pairing integrates a 3-form density alpha over the level set
 g = |f|^2 = eps^2.  Per chart ray the level radius lam* is the first real
@@ -67,11 +73,12 @@ from .quadrature import (QuadratureRule, build_quadrature, gauss_panels,
                          geometric_edges, graded_eta_panels)
 
 _LAM_FLOOR_FACTOR = 1e-9
-# nodes per density evaluation on the principal-value path, and matrix
-# entries per batch of companion matrices in the level solve; bounds memory
+# nodes per density evaluation in both pairings, and matrix entries per
+# batch of companion matrices in the level solve; bounds memory
 _NODE_BUDGET = 1 << 15
-# Gauss nodes per radial panel: metric shells, and per-ray log-spaced nodes
-# of the levelset region
+# Gauss nodes per radial panel: shells in lam (both regions), and the
+# log-spaced shells of the levelset region that end at the support or start
+# at the radius floor
 _SHELL_ORDER = 12
 _LOG_ORDER = 24
 # chart rays per mesh above which a rule is refused before any mesh is built
@@ -155,7 +162,10 @@ class _RayPoly(NamedTuple):
         return out.view(self.c.dtype)
 
     def take(self, sel) -> "_RayPoly":
-        return _RayPoly(self.low, self.c.take(sel, axis=1))
+        """The table on the rays sel: a copy for an index array, a view for
+        a slice (its rows stay contiguous, as the real view needs)."""
+        return _RayPoly(self.low, self.c[:, sel] if isinstance(sel, slice)
+                        else self.c.take(sel, axis=1))
 
     def derivative(self) -> "_RayPoly":
         """The derivative in the radius:
@@ -617,28 +627,35 @@ class _PvDensity(NamedTuple):
 
 
 @_quiet
-def _pv_radial(density: _PvDensity, rays: _RayMesh, lam, w_lam,
+def _pv_radial(density: _PvDensity, w_rays, lam, w_lam,
                orientation: float) -> Quat:
     """Oriented integral of the density times the volume element
-    4 lam^3 sin(eta) cos(eta) over a radial node table on the rays.
+    4 lam^3 sin(eta) cos(eta) over a radial node table on the density's
+    rays (at least one), w_rays holding each ray's chart weight times
+    sin(eta) cos(eta).
 
     Row k of the table holds radii lam[k] and radial weights w_lam[k], of
     shape (1,) for one radius shared by every ray or (n_rays,) for one
     radius per ray; the node is lam * (u1, u2).  As many rows as fit
-    _NODE_BUDGET nodes go through one evaluation of the density.
+    _NODE_BUDGET nodes go through one evaluation of the density, and a row
+    wider than the budget goes through in blocks of rays.
     """
-    n_rays = len(rays.w)
-    if not n_rays:
-        # the levelset region keeps no ray when |f| < eps on all the support
-        return Quat(0.0, 0.0)
+    n_rays = len(w_rays)
     rows = max(1, _NODE_BUDGET // n_rays)
+    step = min(n_rays, _NODE_BUDGET)
     totals = [0.0 + 0.0j, 0.0 + 0.0j]
-    for start in range(0, len(lam), rows):
-        lam_c = lam[start:start + rows]
-        w = ((w_lam[start:start + rows] * 4.0 * lam_c ** 3)
-             * (rays.w * rays.sin_cos))
-        for part, term in density.terms(lam_c, w):
-            totals[part] += term.sum()
+    for first in range(0, n_rays, step):
+        block = slice(first, first + step)
+        sub = density.take(block)
+        # a shared radius (last axis 1) serves every block
+        lam_b, w_lam_b = (a if np.shape(a)[-1] == 1 else a[:, block]
+                          for a in (lam, w_lam))
+        for start in range(0, len(lam_b), rows):
+            lam_c = lam_b[start:start + rows]
+            w = ((w_lam_b[start:start + rows] * 4.0 * lam_c ** 3)
+                 * w_rays[block])
+            for part, term in sub.terms(lam_c, w):
+                totals[part] += term.sum()
     if not np.isfinite(totals).all():
         # a product that is not finite where |f|^2 is
         raise PoleOnDomain(_SINGULAR)
@@ -656,9 +673,29 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
     _, slope = density.ray_fn.modulus_sq_slope(lam)
     transverse = slope > 0.0
     w_lam = np.where(transverse, 1.0 / slope, 0.0)
-    value = _pv_radial(density, rays, lam[None], w_lam[None],
-                       ORIENTATION_3FORM)
+    value = _pv_radial(density, rays.w * rays.sin_cos, lam[None],
+                       w_lam[None], ORIENTATION_3FORM)
     return value, int(np.count_nonzero(~transverse))
+
+
+def _residue_level_set(f: QFunction, phi: TestForm2, rule: QuadratureRule,
+                       eps: float, support: float, products
+                       ) -> Tuple[Quat, int, np.ndarray]:
+    """One residue rung on its graded mesh: the value, the count of nodes
+    that are not transverse and the untrusted counts of the level solve.
+    products() gives the folded density; it is asked for only when some ray
+    is active.  The mesh and its tables die with the call, so no two rungs'
+    are held at once."""
+    mesh = _RayMesh.build(*graded_eta_panels(eps, support), rule)
+    radii = _solve_level_radius(
+        _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
+        phi.support_lambda(mesh.eta), eps)
+    lam, active, _ = radii
+    if not active.any():
+        return Quat(0.0, 0.0), 0, radii.untrusted
+    rays = mesh.take(np.flatnonzero(active))
+    density = _PvDensity.build(f, products(), rays.u1, rays.u2)
+    return _residue_rung(density, rays, lam[active]) + (radii.untrusted,)
 
 
 def residue_pair(f: QFunction, phi: TestForm2,
@@ -689,28 +726,17 @@ def residue_pair(f: QFunction, phi: TestForm2,
         raise ValueError("schedule must start inside the test-form support")
     require_rays(residue_rays(rule.n_xi, schedule, support))
     eps_list = schedule.values()
-    products = None
+    products = functools.cache(
+        lambda: _fold(_residue_kernels(f, include_mirror), phi.coefficients))
     values: List[Quat] = []
     dropped_total = 0
     untrusted = np.zeros(3, dtype=int)
     for eps in eps_list:
-        mesh = _RayMesh.build(*graded_eta_panels(eps, support), rule)
-        radii = _solve_level_radius(
-            _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
-            phi.support_lambda(mesh.eta), eps)
-        lam, active, _ = radii
-        untrusted += radii.untrusted
-        if not active.any():
-            values.append(Quat(0.0, 0.0))
-            continue
-        if products is None:
-            products = _fold(_residue_kernels(f, include_mirror),
-                             phi.coefficients)
-        rays = mesh.take(np.flatnonzero(active))
-        density = _PvDensity.build(f, products, rays.u1, rays.u2)
-        val, dropped = _residue_rung(density, rays, lam[active])
-        dropped_total += dropped
+        val, dropped, counts = _residue_level_set(f, phi, rule, eps, support,
+                                                  products)
         values.append(val)
+        dropped_total += dropped
+        untrusted += counts
     notes = list(_untrusted_notes(untrusted))
     if dropped_total:
         notes.append(f"{dropped_total} level-set nodes were not transverse "
@@ -720,23 +746,52 @@ def residue_pair(f: QFunction, phi: TestForm2,
                     trusted=not untrusted.any())
 
 
-@_quiet
-def _levelset_nodes(density: _PvDensity, mesh: _RayMesh,
-                    radii: _LevelRadii, support: float):
-    """Rays that meet {|f| >= eps} within the support ball, with log-spaced
-    Gauss nodes on each from the level radius of the rung's level solve
-    radii (or, for rays that start at or above eps, from near the origin)
-    out to the support.  Returns the kept rays' density and mesh, lam and
-    w_lam, as arguments of _pv_radial."""
+def _levelset_start(radii: _LevelRadii, end, support: float):
+    """Each ray's start radius on a rung of the levelset region, from the
+    rung's level solve radii: the level radius on active rays, the support
+    on rays below eps over all of it, the radius floor on rays that start
+    at or above eps.  end holds the starts on the rung before (the support
+    on the first).  As |f| is continuous along a ray and starts below the
+    smaller eps, a start never moves out; the clamp to end takes up
+    rounding."""
     lam_star, active, inside = radii
-    start = np.where(inside, lam_star, _LAM_FLOOR_FACTOR * support)
-    sel = np.flatnonzero(active | ~inside)
-    start = np.minimum(start[sel], support)
+    start = np.where(active, lam_star,
+                     np.where(inside, support, _LAM_FLOOR_FACTOR * support))
+    return np.minimum(start, end)
+
+
+def _log_nodes(a, b):
+    """_LOG_ORDER Gauss nodes per ray in log(lam) over [a, b], and their
+    weights in lam."""
     s_nodes, s_w = gauss_panels([0.0, 1.0], _LOG_ORDER)
-    stretch = np.log(np.maximum(support / start, 1.0))
-    lam = start * np.exp(s_nodes[:, None] * stretch)
-    return (density.take(sel), mesh.take(sel), lam,
-            s_w[:, None] * lam * stretch)
+    stretch = np.log(b / a)
+    lam = a * np.exp(s_nodes[:, None] * stretch)
+    return lam, s_w[:, None] * lam * stretch
+
+
+def _gauss_nodes(a, b):
+    """_SHELL_ORDER Gauss nodes per ray in lam over [a, b], and weights."""
+    return gauss_panels([a, b], _SHELL_ORDER)
+
+
+@_quiet
+def _levelset_shell(density: _PvDensity, w_rays, start, end,
+                    support: float) -> Quat:
+    """Integral over [start, end] on each ray where that shell is not
+    empty: log-spaced nodes on shells that end at the support (a ray's
+    first) or start at the radius floor, which may span decades, and Gauss
+    nodes in lam on the others, which need no exp."""
+    open_ = start < end
+    logged = open_ & ((end == support)
+                      | (start == _LAM_FLOOR_FACTOR * support))
+    parts = []
+    for rays, nodes in ((logged, _log_nodes), (open_ & ~logged, _gauss_nodes)):
+        sel = np.flatnonzero(rays)
+        if sel.size:
+            parts.append(_pv_radial(density.take(sel), w_rays[sel],
+                                    *nodes(start[sel], end[sel]),
+                                    ORIENTATION_4FORM))
+    return sum(parts[1:], parts[0]) if parts else Quat(0.0, 0.0)
 
 
 def pv_pair(f: QFunction, psi: TestForm3,
@@ -746,11 +801,14 @@ def pv_pair(f: QFunction, psi: TestForm3,
             part: str = "(1,0)") -> CurrentEstimate:
     """Principal-value pairing of 1/f against the 3-form psi.
 
-    region="metric" removes the round ball |q| < eps (radial shells are
-    accumulated once and reused across the ladder); region="levelset"
+    region="metric" removes the round ball |q| < eps; region="levelset"
     removes the sublevel set |f| < eps instead, which costs a level-radius
-    solve per eps.  part="(0,1)" is served by the formal conjugation
-    symmetry of the expansion and marked as such in the result.
+    solve per eps.  Both accumulate radial shells over the ladder, each
+    integrated once: [eps_k, eps_(k-1)] on every ray for the ball, and
+    between the ray's start radii on rungs k and k - 1 for the sublevel set
+    (_levelset_start, _levelset_shell).  part="(0,1)" is served by the
+    formal conjugation symmetry of the expansion and marked as such in the
+    result.
 
     The density is folded once per call (_pv_kernels, _fold): the kernel
     products pi_i K1i and conj(pi_i) K2i of the coefficients
@@ -793,26 +851,29 @@ def pv_pair(f: QFunction, psi: TestForm3,
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule)
     density = _PvDensity.build(f, _fold(_pv_kernels(f), psi.coefficients),
                                mesh.u1, mesh.u2)
+    w_rays = mesh.w * mesh.sin_cos
     untrusted = np.zeros(3, dtype=int)
     if region == "metric":
         edges = [geometric_edges(eps_list[0], support, eps_list[0])]
         edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
         shells = (gauss_panels(e, _SHELL_ORDER) for e in edges)
         values = list(itertools.accumulate(
-            _pv_radial(density, mesh, lam[:, None], w[:, None],
+            _pv_radial(density, w_rays, lam[:, None], w[:, None],
                        ORIENTATION_4FORM)
             for lam, w in shells))
         notes = ()
     else:
         hi = np.full(mesh.eta.shape, support)
-        values = []
+        shells = []
+        end = hi
         for eps in eps_list:
             radii = _solve_level_radius(density.ray_fn, hi, eps)
             untrusted += radii.untrusted
-            # one rung's node table at a time: it is dropped before the next
-            values.append(_pv_radial(*_levelset_nodes(density, mesh, radii,
-                                                      support),
-                                     ORIENTATION_4FORM))
+            start = _levelset_start(radii, end, support)
+            shells.append(_levelset_shell(density, w_rays, start, end,
+                                          support))
+            end = start
+        values = list(itertools.accumulate(shells))
         notes = (("excluded region follows the level sets of |f|",)
                  + _untrusted_notes(untrusted))
     return finalize(eps_list, values, part="(1,0)", notes=notes,

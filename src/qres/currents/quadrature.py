@@ -9,6 +9,7 @@ and, through their Gelfand-Leray form, the level-set integrals use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
@@ -36,7 +37,7 @@ def build_quadrature(n_eta: int = 32, n_xi: int = 64) -> QuadratureRule:
     if n_eta < 4 or n_xi < 8:
         raise TooCoarse(
             f"rule {n_eta}x{n_xi} is too coarse: need n_eta >= 4 and n_xi >= 8")
-    x, w = np.polynomial.legendre.leggauss(int(n_eta))
+    x, w = gauss_legendre(int(n_eta))
     eta = 0.5 * HALF_PI * (x + 1.0)
     eta_w = 0.5 * HALF_PI * w
     xi = np.arange(int(n_xi)) * (2.0 * math.pi / n_xi)
@@ -61,15 +62,32 @@ def sphere_integral(rule: QuadratureRule,
     return complex((vals * dens).sum() * rule.xi_weight ** 2)
 
 
-def gauss_panels(edges: Sequence[float], n_per: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights over consecutive panels."""
-    x, w = np.polynomial.legendre.leggauss(int(n_per))
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and shared as read-only arrays."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def gauss_panels(edges: Sequence, n_per: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights over consecutive panels.
+
+    The edges may be arrays of one shape, one interval per entry: nodes and
+    weights then have that shape after the leading node axis."""
+    x, w = gauss_legendre(int(n_per))
     nodes = []
     weights = []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * x)
-        weights.append(half * w)
+        axis = (-1,) + (1,) * np.ndim(half)
+        # the product first: numpy then adds the midpoints in place
+        nodes.append(half * x.reshape(axis) + 0.5 * (a + b))
+        weights.append(half * w.reshape(axis))
+    if len(nodes) == 1:
+        return nodes[0], weights[0]
     return np.concatenate(nodes), np.concatenate(weights)
 
 

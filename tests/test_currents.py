@@ -470,8 +470,9 @@ def test_levelset_region_with_no_ray_left_is_zero():
 def test_pv_rungs_do_not_depend_on_the_node_budget(monkeypatch, rows,
                                                    region):
     # the default budget takes every radial row of this small mesh in one
-    # evaluation; one row at a time, or seven (a partial last chunk of the
-    # 12 shell and 24 log-spaced rows), must give the same sums
+    # evaluation; one row at a time, or seven (a partial last chunk of a
+    # shell's 12 Gauss rows and of the 24 log-spaced rows of the levelset
+    # region's first and floor shells), must give the same sums
     psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
     rule = build_quadrature(6, 8)
     sched = EpsilonSchedule(0.4, 0.7, 4)
@@ -481,6 +482,76 @@ def test_pv_rungs_do_not_depend_on_the_node_budget(monkeypatch, rows,
     got = pv_pair(Z1_FN, psi, rule=rule, schedule=sched, region=region)
     for u, v in zip(got.values, ref.values):
         assert (u - v).norm() <= 1e-13 * v.norm()
+
+
+def counting_terms(monkeypatch):
+    """Record the node count of every evaluation of a folded density."""
+    sizes = []
+    terms = _PvDensity.terms
+
+    def counted(self, lam, w):
+        sizes.append(np.size(w))
+        return terms(self, lam, w)
+
+    monkeypatch.setattr(_PvDensity, "terms", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", ["residue", "metric", "levelset"])
+def test_rows_wider_than_the_node_budget_go_in_ray_blocks(monkeypatch, kind):
+    # a budget of 100 nodes is below one row of every mesh here (384 pv
+    # rays, and thousands of active rays on a graded residue mesh), so
+    # each row goes through in blocks of rays, the last one partial
+    rule = build_quadrature(6, 8)
+    sched = EpsilonSchedule(0.4, 0.7, 4)
+
+    def run():
+        if kind == "residue":
+            return residue_pair(Z1_FN, PHI_PLANE, rule=rule, schedule=sched)
+        psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+        return pv_pair(Z1_FN, psi, rule=rule, schedule=sched, region=kind)
+
+    ref = run()
+    sizes = counting_terms(monkeypatch)
+    monkeypatch.setattr(pairings, "_NODE_BUDGET", 100)
+    got = run()
+    assert max(sizes) == 100 and min(sizes) < 100
+    for u, v in zip(got.values, ref.values):
+        assert v.norm() > 0.0
+        assert (u - v).norm() <= 1e-13 * v.norm()
+
+
+def test_levelset_rungs_of_z1_match_the_excised_ball_integral():
+    # for f = (z1, 0) and psi1 = z1 bump(|q|) the density is bump(|q|),
+    # and |z1|^2 is uniform on the unit sphere, so the rung at eps is the
+    # bump integrated over {|z1| >= eps} in the unit ball:
+    # -8 pi^2 int_eps^1 (rho^3 - eps^2 rho) bump(rho) drho.  Each rung is
+    # a sum of radial shells; the shells' quadrature must not add error
+    # that grows down the ladder
+    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    est = pv_pair(Z1_FN, psi, rule=build_quadrature(64, 8), region="levelset")
+    assert len(est.values) == 12
+    for eps, v in zip(est.epsilons, est.values):
+        rho = np.linspace(eps, 1.0, 400_001)
+        want = -8 * math.pi ** 2 * float(np.trapezoid(
+            (rho ** 3 - eps ** 2 * rho) * bump(rho), rho))
+        assert abs(complex(v.z1) - want) <= 2e-5 * abs(want)
+
+
+def test_levelset_region_evaluates_no_more_nodes_than_the_metric_region(
+        monkeypatch):
+    # each radial interval of a ray is integrated once, on one rung: the
+    # level set costs no more density nodes than the metric shells
+    # (2,359,296 on this rule and ladder)
+    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    rule = build_quadrature(16, 32)
+    sizes = counting_terms(monkeypatch)
+    pv_pair(Z1_FN, psi, rule=rule, region="metric")
+    metric = sum(sizes)
+    sizes.clear()
+    pv_pair(Z1_FN, psi, rule=rule, region="levelset")
+    assert metric == 12 * 12 * pv_rays(16, 32)
+    assert sum(sizes) <= metric
 
 
 def unit_rays(seed: int, n: int = 64):
@@ -741,13 +812,14 @@ def test_pole_on_a_ray_node_is_reported(kind):
         products = _fold(_residue_kernels(f, True), MIXED_PHI.coefficients)
     mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(4, 8))
     density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
+    w_rays = mesh.w * mesh.sin_cos
     assert density.slots
     lam = np.array([[0.0], [0.5]])
     F1 = density.ray_fn.values(lam)[0]
     assert np.isnan(F1[0]).all() and np.isfinite(F1[1]).all()
     with pytest.raises(PoleOnDomain, match="singular inside"):
-        _pv_radial(density, mesh, lam, np.ones((2, 1)), ORIENTATION_4FORM)
-    assert np.isfinite(complex(_pv_radial(density, mesh, lam[1:],
+        _pv_radial(density, w_rays, lam, np.ones((2, 1)), ORIENTATION_4FORM)
+    assert np.isfinite(complex(_pv_radial(density, w_rays, lam[1:],
                                           np.ones((1, 1)),
                                           ORIENTATION_4FORM).z1))
 
@@ -762,15 +834,16 @@ def test_pole_is_reported_when_no_product_survives_the_fold():
     mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(4, 8))
     density = _PvDensity.build(f, _fold(_pv_kernels(f), psi.coefficients),
                                mesh.u1, mesh.u2)
+    w_rays = mesh.w * mesh.sin_cos
     assert density.slots == ()
     # at lam = 0, f = inf + nan j; at lam = 1e-100, f is finite but |f|^2
     # overflows to inf, where 1/|f|^2 = 0 would pass a finiteness check
     for pole in (0.0, 1e-100):
         lam = np.array([[pole], [0.5]])
         with pytest.raises(PoleOnDomain, match="singular inside"):
-            _pv_radial(density, mesh, lam, np.ones((2, 1)),
+            _pv_radial(density, w_rays, lam, np.ones((2, 1)),
                        ORIENTATION_4FORM)
-    val = _pv_radial(density, mesh, np.array([[0.5]]), np.ones((1, 1)),
+    val = _pv_radial(density, w_rays, np.array([[0.5]]), np.ones((1, 1)),
                      ORIENTATION_4FORM)
     assert val.norm() == 0.0
 

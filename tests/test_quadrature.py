@@ -1,13 +1,15 @@
 """Sphere quadrature: closed-form moments, Monte Carlo cross-check, panel
-helpers, and the resolution guard."""
+helpers, the shared Gauss-Legendre rules, the bump profile, and the
+resolution guard."""
 import math
 
 import numpy as np
 import pytest
 
-from qres.currents.quadrature import (build_quadrature, gauss_panels,
-                                      geometric_edges, graded_eta_panels,
-                                      sphere_integral)
+from qres.currents.forms import bump
+from qres.currents.quadrature import (build_quadrature, gauss_legendre,
+                                      gauss_panels, geometric_edges,
+                                      graded_eta_panels, sphere_integral)
 from qres.errors import TooCoarse
 
 AREA = 2 * math.pi ** 2  # unit 3-sphere
@@ -81,6 +83,59 @@ def test_gauss_panels_integrate_polynomials_exactly():
     assert got == pytest.approx(0.25, abs=1e-14)
     got2 = (weights * nodes ** 7).sum()
     assert got2 == pytest.approx(1 / 8, abs=1e-14)
+
+
+def test_gauss_panels_take_one_interval_per_entry():
+    # array edges: one panel per entry, nodes down the leading axis; the
+    # same nodes and weights as the panel of each entry alone
+    a = np.array([0.1, 0.25, 0.5])
+    b = np.array([0.2, 0.75, 0.5])
+    nodes, weights = gauss_panels([a, b], 12)
+    assert nodes.shape == weights.shape == (12, 3)
+    for k in range(3):
+        n_k, w_k = gauss_panels([a[k], b[k]], 12)
+        assert np.array_equal(nodes[:, k], n_k)
+        assert np.array_equal(weights[:, k], w_k)
+    assert np.allclose((weights * nodes ** 5).sum(axis=0),
+                       (b ** 6 - a ** 6) / 6, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [4, 12, 24, 32])
+def test_gauss_legendre_rule_is_shared_and_read_only(order):
+    x, w = gauss_legendre(order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+    again = gauss_legendre(order)
+    assert again[0] is x and again[1] is w
+    for a in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def masked_bump(t):
+    """The bump through a mask of |t| < 1, as it was first written."""
+    out = np.zeros(t.shape)
+    inside = np.abs(t) < 1.0
+    ti = t[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
+    return out
+
+
+def test_bump_is_bit_identical_to_the_masked_formula():
+    one = 1.0
+    edges = [0.0, one, np.nextafter(one, 0.0), np.nextafter(one, 2.0),
+             np.inf, np.nan]
+    special = np.array(edges + [-e for e in edges])
+    rng = np.random.default_rng(23)
+    t = np.concatenate([special, rng.normal(scale=0.7, size=20_000),
+                        rng.uniform(-1.0, 1.0, 20_000)])
+    got = bump(t)
+    assert got.tobytes() == masked_bump(t).tobytes()
+    # just inside 1 the exponent is about -2^52
+    assert got[:len(special)].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0] * 2
+    # a scalar in, a float out
+    assert isinstance(bump(0.5), float)
+    assert bump(0.5) == masked_bump(np.array([0.5]))[0]
 
 
 def test_geometric_edges_cover_interval():
