@@ -652,7 +652,8 @@ def _pv_radial(density: _PvDensity, w_rays, lam, w_lam,
                           for a in (lam, w_lam))
         for start in range(0, len(lam_b), rows):
             lam_c = lam_b[start:start + rows]
-            w = ((w_lam_b[start:start + rows] * 4.0 * lam_c ** 3)
+            # lam ** 3 would take pow per node when radii are per ray
+            w = ((w_lam_b[start:start + rows] * 4.0 * lam_c * lam_c * lam_c)
                  * w_rays[block])
             for part, term in sub.terms(lam_c, w):
                 totals[part] += term.sum()

@@ -16,11 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
+
+import numpy as np
 
 from .errors import IdenticallyZero, NotHyperholomorphic, NotHypermeromorphic
 from .qcore import CRat, Quat
-from .symfun import ConjRational, QFunction, numeric_jet
+from .symfun import ConjRational, PairEval, QFunction, numeric_jet
 
 HALF = CRat(Fraction(1, 2))
 
@@ -59,18 +61,28 @@ def _dhat(f: QFunction) -> QFunction:
     return apply_D(f).as_qfunction()
 
 
-PointEval = Callable[[complex, complex], Tuple[complex, complex]]
-
-
-def apply_D_at(f: Union[QFunction, PointEval], q: Quat,
-               h: float = 1e-4, richardson: bool = True) -> Quat:
-    """Pointwise D by central differences, for symbolic or black-box f."""
-    ev = f.as_callable() if isinstance(f, QFunction) else f
-    qn = q.to_numeric()
-    jet = numeric_jet(ev, qn.z1, qn.z2, h=h, richardson=richardson)
+def _apply_D_batch(f: Union[QFunction, PairEval], points: Sequence[Quat],
+                   h: float = 1e-4, richardson: bool = True
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """D by central differences at every point at once: the arrays (d1, d2)
+    of Df = d1 + d2*j, one entry per point.  A black-box f is called like
+    QFunction.eval_numeric, on arrays (see numeric_jet)."""
+    ev = f.eval_numeric if isinstance(f, QFunction) else f
+    qs = [q.to_numeric() for q in points]
+    jet = numeric_jet(ev, np.array([q.z1 for q in qs], dtype=complex),
+                      np.array([q.z2 for q in qs], dtype=complex),
+                      h=h, richardson=richardson)
     d1 = 0.5 * (jet.d1["z1b"] - jet.d2["z2b"].conjugate())
     d2 = 0.5 * (jet.d1["z2b"] + jet.d2["z1b"].conjugate())
-    return Quat(d1, d2)
+    return d1, d2
+
+
+def apply_D_at(f: Union[QFunction, PairEval], q: Quat,
+               h: float = 1e-4, richardson: bool = True) -> Quat:
+    """Pointwise D by central differences, for symbolic or black-box f; a
+    black-box f is called on arrays, like QFunction.eval_numeric."""
+    d1, d2 = _apply_D_batch(f, [q], h=h, richardson=richardson)
+    return Quat(complex(d1[0]), complex(d2[0]))
 
 
 def is_hyperholomorphic(f: QFunction) -> bool:
@@ -234,27 +246,38 @@ _SAMPLE_SEED = 20240811
 
 
 def _sample_points(f: QFunction, count: int, rng: random.Random):
-    """Float points where |f| is bounded away from 0 and nothing poles out."""
+    """Float points where |f| is bounded away from 0 and nothing poles out.
+
+    Each attempt draws four uniforms (Re z1, Im z1, Re z2, Im z2); attempts
+    are screened in blocks of doubling size, and the first count accepted
+    are kept in attempt order, so the points are those of screening one
+    attempt at a time (QFunction.eval's pole rule, then |f| >= 0.3).
+    """
+    limit = 200 * count
     pts = []
-    attempts = 0
-    while len(pts) < count and attempts < 200 * count:
-        attempts += 1
-        q = Quat(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
-                 complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
-        if not 0.25 <= q.norm() <= 2.0:
-            continue
-        try:
-            val = f.eval(q)
-        except Exception:
-            continue
-        if val.norm() < 0.3:
-            continue
-        pts.append(q)
-    return pts
+    drawn, block = 0, 4 * count
+    while len(pts) < count and drawn < limit:
+        n = min(block, limit - drawn)
+        drawn += n
+        block *= 2
+        u = np.array([rng.uniform(-1.5, 1.5) for _ in range(4 * n)])
+        z = u.view(complex).reshape(n, 2)
+        norm = _norms(z[:, 0], z[:, 1])
+        z = z[(0.25 <= norm) & (norm <= 2.0)]
+        v1, pole1 = f.f1.eval_screened(z[:, 0], z[:, 1])
+        v2, pole2 = f.f2.eval_screened(z[:, 0], z[:, 1])
+        keep = ~(pole1 | pole2 | (_norms(v1, v2) < 0.3))
+        pts += [Quat(complex(a), complex(b)) for a, b in z[keep]]
+    return pts[:count]
 
 
-def classify(f: QFunction, partners: Sequence[QFunction] = (),
-             numeric_check: bool = True) -> Classification:
+def _norms(z1, z2):
+    """|z1 + z2*j| over arrays of components, summed as Quat.norm sums."""
+    return np.sqrt(z1.real * z1.real + z1.imag * z1.imag
+                   + z2.real * z2.real + z2.imag * z2.imag)
+
+
+def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification:
     """Exact flags plus closure report against optional partner functions.
 
     The numeric cross-check differentiates 1/f at sampled points and compares
@@ -270,12 +293,12 @@ def classify(f: QFunction, partners: Sequence[QFunction] = (),
     if (f.f1.is_zero or f.f2.is_zero) and not f.is_zero:
         notes.append("a component vanishes identically; the inversion-"
                      "compatibility system assumes both are nonzero")
-    if numeric_check and not f.is_zero:
+    if not f.is_zero:
         g = inverse_function(f)
         rng = random.Random(_SAMPLE_SEED)
         pts = _sample_points(f, 8, rng)
         if pts:
-            worst = max(apply_D_at(g, q).norm() for q in pts)
+            worst = max(_norms(*_apply_D_batch(g, pts)).tolist())
             numeric_inverse_hyperholo = worst < 1e-6
             if numeric_inverse_hyperholo != residuals_zero:
                 notes.append(

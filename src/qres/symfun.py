@@ -419,11 +419,20 @@ class ConjRational:
         return self.num.eval_exact(z1, z2) / d
 
     def eval_point(self, z1: complex, z2: complex) -> complex:
-        d = complex(self.den.eval_numeric(z1, z2))
-        scale = float(self.den._abs_scale(z1, z2))
-        if abs(d) <= POLE_RTOL * max(scale, 1e-300):
+        value, pole = self.eval_screened(z1, z2)
+        if pole:
             raise PoleError(f"denominator vanishes near ({z1}, {z2})")
-        return complex(self.num.eval_numeric(z1, z2)) / d
+        return complex(value)
+
+    def eval_screened(self, Z1, Z2):
+        """Array evaluation plus the float path's pole rule: a point is a
+        pole where |den| <= POLE_RTOL times the sum of den's term sizes.
+        Returns (values, pole mask); values at poles are not meaningful."""
+        d = self.den.eval_numeric(Z1, Z2)
+        scale = self.den._abs_scale(Z1, Z2)
+        pole = np.abs(d) <= POLE_RTOL * np.maximum(scale, 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.num.eval_numeric(Z1, Z2) / d, pole
 
     def eval_numeric(self, Z1, Z2):
         """Array evaluation; poles come out as inf/nan for the caller to notice."""
@@ -544,12 +553,6 @@ class QFunction:
     def eval_numeric(self, Z1, Z2):
         return self.f1.eval_numeric(Z1, Z2), self.f2.eval_numeric(Z1, Z2)
 
-    def as_callable(self) -> Callable[[complex, complex], Tuple[complex, complex]]:
-        def ev(z1: complex, z2: complex):
-            return (complex(self.f1.eval_numeric(z1, z2)),
-                    complex(self.f2.eval_numeric(z1, z2)))
-        return ev
-
     def __str__(self) -> str:
         return f"{self.f1} ; {self.f2}"
 
@@ -591,23 +594,25 @@ def vanishing_order_pair(f: QFunction, point: Quat):
 
 # -- numeric jets ----------------------------------------------------------
 
-PairEval = Callable[[complex, complex], Tuple[complex, complex]]
+PairEval = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
 class WirtingerJet:
-    """Values and first Wirtinger partials of both components at one point.
+    """Values and first Wirtinger partials of both components.
 
     d1 and d2 map each of "z1", "z1b", "z2", "z2b" to the corresponding
-    partial of f1 and f2 respectively.
+    partial of f1 and f2 respectively.  Every field is a complex number for
+    a jet at one point and an array of the points' shape for a jet at an
+    array of points.
     """
 
-    f1: complex
-    f2: complex
-    d1: Dict[str, complex]
-    d2: Dict[str, complex]
+    f1: complex | np.ndarray
+    f2: complex | np.ndarray
+    d1: Dict[str, complex | np.ndarray]
+    d2: Dict[str, complex | np.ndarray]
 
-    def partial(self, component: int, var: str) -> complex:
+    def partial(self, component: int, var: str) -> complex | np.ndarray:
         table = self.d1 if component == 1 else self.d2
         return table[_canon_var(var)]
 
@@ -617,15 +622,23 @@ def _canon_var(var: str) -> str:
     return ("z1", "z1b", "z2", "z2b")[idx]
 
 
-def _jet_differences(ev: PairEval, z1: complex, z2: complex, h: float):
-    def v(a, b):
-        w1, w2 = ev(a, b)
-        return np.array([w1, w2], dtype=complex)
+def _stencil_offsets(steps):
+    """Offsets (dz1, dz2) of the jet stencil: the centre, then for each step
+    s the eight points +s, -s, +is, -is in z1 and then the same in z2."""
+    dz1, dz2 = [0j], [0j]
+    for s in steps:
+        moves = [s, -s, 1j * s, -1j * s]
+        dz1 += moves + [0j] * 4
+        dz2 += [0j] * 4 + moves
+    return np.array(dz1), np.array(dz2)
 
-    dx1 = (v(z1 + h, z2) - v(z1 - h, z2)) / (2 * h)
-    dy1 = (v(z1 + 1j * h, z2) - v(z1 - 1j * h, z2)) / (2 * h)
-    dx2 = (v(z1, z2 + h) - v(z1, z2 - h)) / (2 * h)
-    dy2 = (v(z1, z2 + 1j * h) - v(z1, z2 - 1j * h)) / (2 * h)
+
+def _jet_differences(w: np.ndarray, s: float):
+    """Wirtinger partials from the eight stencil rows w at step s."""
+    dx1 = (w[0] - w[1]) / (2 * s)
+    dy1 = (w[2] - w[3]) / (2 * s)
+    dx2 = (w[4] - w[5]) / (2 * s)
+    dy2 = (w[6] - w[7]) / (2 * s)
     # Wirtinger combinations of the two real directions per complex coordinate
     return {
         "z1": (dx1 - 1j * dy1) / 2,
@@ -635,19 +648,31 @@ def _jet_differences(ev: PairEval, z1: complex, z2: complex, h: float):
     }
 
 
-def numeric_jet(ev: PairEval, z1: complex, z2: complex,
+def numeric_jet(ev: PairEval, z1, z2,
                 h: float = 1e-4, richardson: bool = True) -> WirtingerJet:
-    """First-order jet by central differences.
+    """First-order jet by central differences at a point or an array of them.
 
-    With richardson=True a second pass at h/2 cancels the leading O(h^2)
-    error term, which is what pushes plain differences past the 1e-8 mark
-    on smooth rational inputs.
+    The whole stencil goes through one call ev(Z1, Z2), on complex arrays of
+    shape (stencil size,) + the points' shape; a black-box ev must accept
+    such arrays and return the pair of component values in that shape
+    (QFunction.eval_numeric does).  With richardson=True a second pass at
+    h/2 cancels the leading O(h^2) error term, which is what pushes plain
+    differences past the 1e-8 mark on smooth rational inputs.
     """
-    g = _jet_differences(ev, z1, z2, h)
+    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex),
+                                 np.asarray(z2, dtype=complex))
+    steps = (h, h / 2) if richardson else (h,)
+    dz1, dz2 = _stencil_offsets(steps)
+    axes = (slice(None),) + (None,) * z1.ndim
+    w1, w2 = ev(z1 + dz1[axes], z2 + dz2[axes])
+    w = np.empty((len(dz1), 2) + z1.shape, dtype=complex)
+    w[:, 0] = w1
+    w[:, 1] = w2
+    g = _jet_differences(w[1:9], h)
     if richardson:
-        g2 = _jet_differences(ev, z1, z2, h / 2)
+        g2 = _jet_differences(w[9:17], h / 2)
         g = {k: (4 * g2[k] - g[k]) / 3 for k in g}
-    w1, w2 = ev(z1, z2)
-    d1 = {k: complex(v[0]) for k, v in g.items()}
-    d2 = {k: complex(v[1]) for k, v in g.items()}
-    return WirtingerJet(f1=complex(w1), f2=complex(w2), d1=d1, d2=d2)
+    out = complex if z1.ndim == 0 else np.asarray
+    d1 = {k: out(v[0]) for k, v in g.items()}
+    d2 = {k: out(v[1]) for k, v in g.items()}
+    return WirtingerJet(f1=out(w[0, 0]), f2=out(w[0, 1]), d1=d1, d2=d2)

@@ -1,13 +1,16 @@
 """The first-order operator, inversion, products, and the PDE classifiers."""
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (hyperholomorphic_sample, rand_point, rand_quat,
                      real_hyperholomorphic_sample, seeded)
-from qres.catalogue import builtin
-from qres.errors import IdenticallyZero, NotHyperholomorphic
-from qres.operators import (apply_D, apply_D_at, check_product_rule, classify,
+from qres.catalogue import NAMES, builtin
+from qres.errors import IdenticallyZero, NotHyperholomorphic, PoleError
+from qres.operators import (_SAMPLE_SEED, _apply_D_batch, _sample_points,
+                            apply_D, apply_D_at, check_product_rule, classify,
                             corollary_product_rule_residual,
                             hypermero_residuals, inverse_function,
                             is_hyperholomorphic, is_hypermeromorphic,
@@ -290,3 +293,85 @@ def test_classification_residuals_exposed():
     c = classify(builtin("conj").f)
     assert (c.eq3_residual - parse_rational("z1 - c1")).is_zero
     assert c.eq4_residual.is_zero
+
+
+# -- the numeric D(1/f) cross-check of classify ----------------------------
+
+CROSS_CHECK_INPUTS = {name: builtin(name).f for name in NAMES}
+CROSS_CHECK_INPUTS["prop34(1,2)"] = builtin("prop34", (1, 2)).f
+CROSS_CHECK_INPUTS["prop34(1/8,-1/8)"] = builtin(
+    "prop34", (Fraction(1, 8), Fraction(-1, 8))).f
+
+
+def _sequential_sample_points(f, count, rng):
+    """The one-attempt-at-a-time screen: window, QFunction.eval, |f| >= 0.3."""
+    pts = []
+    attempts = 0
+    while len(pts) < count and attempts < 200 * count:
+        attempts += 1
+        q = Quat(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
+                 complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
+        if not 0.25 <= q.norm() <= 2.0:
+            continue
+        try:
+            val = f.eval(q)
+        except PoleError:
+            continue
+        if val.norm() < 0.3:
+            continue
+        pts.append(q)
+    return pts
+
+
+def _pointwise_D(g, q, h=1e-4):
+    """D of g at q by the one-point stencil: each of the 17 stencil points
+    evaluated on its own, Richardson-combined at h and h/2."""
+    z1, z2 = q.z1, q.z2
+
+    def v(a, b):
+        w1, w2 = g.eval_numeric(np.array([a]), np.array([b]))
+        return np.array([w1[0], w2[0]])
+
+    def partials(s):
+        dx1 = (v(z1 + s, z2) - v(z1 - s, z2)) / (2 * s)
+        dy1 = (v(z1 + 1j * s, z2) - v(z1 - 1j * s, z2)) / (2 * s)
+        dx2 = (v(z1, z2 + s) - v(z1, z2 - s)) / (2 * s)
+        dy2 = (v(z1, z2 + 1j * s) - v(z1, z2 - 1j * s)) / (2 * s)
+        return {"z1b": (dx1 + 1j * dy1) / 2, "z2b": (dx2 + 1j * dy2) / 2}
+
+    coarse, fine = partials(h), partials(h / 2)
+    d = {k: (4 * fine[k] - coarse[k]) / 3 for k in coarse}
+    return (0.5 * (d["z1b"][0] - d["z2b"][1].conjugate()),
+            0.5 * (d["z2b"][0] + d["z1b"][1].conjugate()))
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_INPUTS)
+def test_batched_cross_check_matches_pointwise_path(name):
+    f = CROSS_CHECK_INPUTS[name]
+    pts = _sample_points(f, 8, random.Random(_SAMPLE_SEED))
+    assert len(pts) == 8
+    assert pts == _sequential_sample_points(f, 8, random.Random(_SAMPLE_SEED))
+    g = inverse_function(f)
+    d1, d2 = _apply_D_batch(g, pts)
+    for i, q in enumerate(pts):
+        want1, want2 = _pointwise_D(g, q)
+        assert abs(d1[i] - want1) <= 1e-12
+        assert abs(d2[i] - want2) <= 1e-12
+        assert apply_D_at(g, q) == Quat(complex(d1[i]), complex(d2[i]))
+
+
+def test_classify_evaluates_polynomials_a_bounded_number_of_times(monkeypatch):
+    # one block screen and one stencil evaluation each touch the four
+    # polynomials of f or 1/f once; a per-point loop would make hundreds
+    calls = [0]
+    original = ConjPoly.eval_numeric
+
+    def counted(self, Z1, Z2):
+        calls[0] += 1
+        return original(self, Z1, Z2)
+
+    monkeypatch.setattr(ConjPoly, "eval_numeric", counted)
+    for name in NAMES:
+        calls[0] = 0
+        classify(builtin(name).f)
+        assert calls[0] <= 12, (name, calls[0])
