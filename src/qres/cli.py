@@ -10,6 +10,7 @@ hypotheses not met), 4 not-converged under --strict.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -88,10 +89,16 @@ def _quat_floats(q: Quat):
 # ---------------------------------------------------------------- helpers
 
 def _resolve_function(spec: str, params: str):
-    values: Tuple = ()
-    if params:
-        values = tuple(Fraction(tok.strip()) for tok in params.split(","))
-    return resolve(spec, values)
+    values = []
+    pos = 0
+    for tok in params.split(",") if params else ():
+        try:
+            values.append(Fraction(tok.strip()))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad parameter {tok.strip()!r}", pos,
+                             "a rational or decimal number")
+        pos += len(tok) + 1
+    return resolve(spec, tuple(values))
 
 
 def _parse_schedule(text: str, support: float) -> EpsilonSchedule:
@@ -130,20 +137,23 @@ def _finish_estimate(command, inputs, est, diagnostics, fmt, strict):
         raise NotConverged("estimate did not converge on this schedule")
 
 
-def _guarded(body):
-    try:
-        body()
-    except click.ClickException:
-        raise
-    except _USAGE_ERRORS as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(2)
-    except NotConverged as exc:
-        click.echo(f"not converged: {exc}", err=True)
-        sys.exit(4)
-    except (QresError, ZeroDivisionError, ValueError) as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(3)
+def _guarded(command):
+    """Run a command, reporting a package error as one line on stderr and
+    exiting with its code; click's own usage errors pass through."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except _USAGE_ERRORS as exc:
+            click.echo(f"usage error: {exc}", err=True)
+            sys.exit(2)
+        except NotConverged as exc:
+            click.echo(f"not converged: {exc}", err=True)
+            sys.exit(4)
+        except (QresError, ZeroDivisionError, ValueError) as exc:
+            click.echo(f"domain error: {exc}", err=True)
+            sys.exit(3)
+    return run
 
 
 # ---------------------------------------------------------------- commands
@@ -165,6 +175,7 @@ _format_opt = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 _strict_opt = click.option(
     "--strict", is_flag=True, help="Exit 4 if the estimate is not converged.")
+_radius_type = click.FloatRange(min=0.0, min_open=True)
 _rule_opts = [
     click.option("--n-eta", default=32, show_default=True),
     click.option("--n-xi", default=64, show_default=True),
@@ -182,27 +193,26 @@ def _with_rule(fn):
 @_params_opt
 @click.option("--partner", "partners", multiple=True,
               help="Partner function for closure checks (repeatable).")
+@_guarded
 def classify_cmd(spec, params, partners):
     """Classify a function: hyperholomorphic / hypermeromorphic flags,
     residuals, and closure against partners."""
-    def body():
-        f, label, _ = _resolve_function(spec, params)
-        partner_fns = [_resolve_function(p, "")[0] for p in partners]
-        c = classify(f, partners=partner_fns)
-        result = {
-            "hyperholomorphic": c.hyperholomorphic,
-            "hypermeromorphic": c.hypermeromorphic,
-            "eq3": str(c.eq3_residual),
-            "eq4": str(c.eq4_residual),
-            "closure": [dict(d) for d in c.closure],
-        }
-        _emit_report("classify",
-                     {"function": label, "params": params,
-                      "partners": list(partners)},
-                     result,
-                     {"notes": list(c.notes)},
-                     exact=True)
-    _guarded(body)
+    f, label, _ = _resolve_function(spec, params)
+    partner_fns = [_resolve_function(p, "")[0] for p in partners]
+    c = classify(f, partners=partner_fns)
+    result = {
+        "hyperholomorphic": c.hyperholomorphic,
+        "hypermeromorphic": c.hypermeromorphic,
+        "eq3": str(c.eq3_residual),
+        "eq4": str(c.eq4_residual),
+        "closure": [dict(d) for d in c.closure],
+    }
+    _emit_report("classify",
+                 {"function": label, "params": params,
+                  "partners": list(partners)},
+                 result,
+                 {"notes": list(c.notes)},
+                 exact=True)
 
 
 @main.command("apply-d")
@@ -210,22 +220,21 @@ def classify_cmd(spec, params, partners):
 @_params_opt
 @click.option("--at", "at_point", default=None,
               help="Evaluate the derivative at a point x1,y1,x2,y2.")
+@_guarded
 def apply_d_cmd(spec, params, at_point):
     """Apply the Cauchy-Riemann-type operator symbolically."""
-    def body():
-        f, label, _ = _resolve_function(spec, params)
-        d = apply_D(f)
-        result = {"d1": str(d.d1), "d2": str(d.d2), "is_zero": d.is_zero}
-        if at_point is not None:
-            q = parse_point(at_point)
-            v1 = d.d1.eval_exact(q.z1, q.z2)
-            v2 = d.d2.eval_exact(q.z1, q.z2)
-            result["value"] = _quat_floats(Quat(v1, v2))
-        _emit_report("apply-d",
-                     {"function": label, "params": params,
-                      "at": at_point},
-                     result, {}, exact=True)
-    _guarded(body)
+    f, label, _ = _resolve_function(spec, params)
+    d = apply_D(f)
+    result = {"d1": str(d.d1), "d2": str(d.d2), "is_zero": d.is_zero}
+    if at_point is not None:
+        q = parse_point(at_point)
+        v1 = d.d1.eval_exact(q.z1, q.z2)
+        v2 = d.d2.eval_exact(q.z1, q.z2)
+        result["value"] = _quat_floats(Quat(v1, v2))
+    _emit_report("apply-d",
+                 {"function": label, "params": params,
+                  "at": at_point},
+                 result, {}, exact=True)
 
 
 @main.command("inverse")
@@ -233,19 +242,18 @@ def apply_d_cmd(spec, params, at_point):
 @_params_opt
 @click.option("--at", "at_point", default=None,
               help="Evaluate the inverse at a point x1,y1,x2,y2.")
+@_guarded
 def inverse_cmd(spec, params, at_point):
     """Pointwise quaternionic reciprocal 1/f as a symbolic function."""
-    def body():
-        f, label, _ = _resolve_function(spec, params)
-        inv = inverse_function(f)
-        result = {"f1": str(inv.f1), "f2": str(inv.f2)}
-        if at_point is not None:
-            q = parse_point(at_point)
-            result["value"] = _quat_floats(inv.eval(q))
-        _emit_report("inverse",
-                     {"function": label, "params": params, "at": at_point},
-                     result, {}, exact=True)
-    _guarded(body)
+    f, label, _ = _resolve_function(spec, params)
+    inv = inverse_function(f)
+    result = {"f1": str(inv.f1), "f2": str(inv.f2)}
+    if at_point is not None:
+        q = parse_point(at_point)
+        result["value"] = _quat_floats(inv.eval(q))
+    _emit_report("inverse",
+                 {"function": label, "params": params, "at": at_point},
+                 result, {}, exact=True)
 
 
 @main.command("product-rule")
@@ -253,35 +261,33 @@ def inverse_cmd(spec, params, at_point):
 @click.option("--g", "spec_g", required=True)
 @click.option("--params-f", default="")
 @click.option("--params-g", default="")
+@_guarded
 def product_rule_cmd(spec_f, spec_g, params_f, params_g):
     """Residual of the product rule for two hyperholomorphic functions."""
-    def body():
-        f, label_f, _ = _resolve_function(spec_f, params_f)
-        g, label_g, _ = _resolve_function(spec_g, params_g)
-        res = check_product_rule(f, g)
-        _emit_report("product-rule",
-                     {"f": label_f, "g": label_g,
-                      "params_f": params_f, "params_g": params_g},
-                     {"residual_d1": str(res.d1), "residual_d2": str(res.d2),
-                      "is_zero": res.is_zero},
-                     {}, exact=True)
-    _guarded(body)
+    f, label_f, _ = _resolve_function(spec_f, params_f)
+    g, label_g, _ = _resolve_function(spec_g, params_g)
+    res = check_product_rule(f, g)
+    _emit_report("product-rule",
+                 {"f": label_f, "g": label_g,
+                  "params_f": params_f, "params_g": params_g},
+                 {"residual_d1": str(res.d1), "residual_d2": str(res.d2),
+                  "is_zero": res.is_zero},
+                 {}, exact=True)
 
 
 @main.command("hypermero")
 @_function_opt
 @_params_opt
+@_guarded
 def hypermero_cmd(spec, params):
     """Residual system deciding whether 1/f stays hyperholomorphic."""
-    def body():
-        f, label, _ = _resolve_function(spec, params)
-        eq3, eq4 = hypermero_residuals(f)
-        _emit_report("hypermero",
-                     {"function": label, "params": params},
-                     {"eq3": str(eq3), "eq4": str(eq4),
-                      "hypermeromorphic": is_hypermeromorphic(f)},
-                     {}, exact=True)
-    _guarded(body)
+    f, label, _ = _resolve_function(spec, params)
+    eq3, eq4 = hypermero_residuals(f)
+    _emit_report("hypermero",
+                 {"function": label, "params": params},
+                 {"eq3": str(eq3), "eq4": str(eq4),
+                  "hypermeromorphic": is_hypermeromorphic(f)},
+                 {}, exact=True)
 
 
 @main.command("product-compat")
@@ -291,22 +297,21 @@ def hypermero_cmd(spec, params):
 @click.option("--params-g", default="")
 @click.option("--real", "real_form", is_flag=True,
               help="Use the real-component specialization.")
+@_guarded
 def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
     """Residual system for hypermeromorphy of a product."""
-    def body():
-        f, label_f, _ = _resolve_function(spec_f, params_f)
-        g, label_g, _ = _resolve_function(spec_g, params_g)
-        if real_form:
-            r1, r2 = real_product_compat_residuals(f, g)
-        else:
-            r1, r2 = product_compat_residuals(f, g)
-        _emit_report("product-compat",
-                     {"f": label_f, "g": label_g, "params_f": params_f,
-                      "params_g": params_g, "real": real_form},
-                     {"residual1": str(r1), "residual2": str(r2),
-                      "is_zero": r1.is_zero and r2.is_zero},
-                     {}, exact=True)
-    _guarded(body)
+    f, label_f, _ = _resolve_function(spec_f, params_f)
+    g, label_g, _ = _resolve_function(spec_g, params_g)
+    if real_form:
+        r1, r2 = real_product_compat_residuals(f, g)
+    else:
+        r1, r2 = product_compat_residuals(f, g)
+    _emit_report("product-compat",
+                 {"f": label_f, "g": label_g, "params_f": params_f,
+                  "params_g": params_g, "real": real_form},
+                 {"residual1": str(r1), "residual2": str(r2),
+                  "is_zero": r1.is_zero and r2.is_zero},
+                 {}, exact=True)
 
 
 @main.command("residue")
@@ -317,6 +322,7 @@ def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
 @click.option("--phi21", default="0")
 @click.option("--phi22", default="0")
 @click.option("--R", "radius", default=1.0, show_default=True,
+              type=_radius_type,
               help="Support radius of the test-form coefficients.")
 @click.option("--radial", type=click.Choice(["q", "z1", "z2"]), default="q",
               help="Which modulus the bump cutoff uses.")
@@ -326,29 +332,28 @@ def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
 @_with_rule
 @_format_opt
 @_strict_opt
+@_guarded
 def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
                 schedule, no_mirror, n_eta, n_xi, fmt, strict):
     """Residue pairing of f against a 2-form test datum."""
-    def body():
-        f, label, _ = _resolve_function(spec, params)
-        phi = TestForm2(*(parse_profile(t, radius, radial)
-                          for t in (phi11, phi12, phi21, phi22)))
-        if phi.is_zero:
-            raise click.UsageError("all test-form coefficients are zero")
-        sched = _parse_schedule(schedule, phi.support_radius)
-        require_rays(residue_rays(n_xi, sched, phi.support_radius))
-        rule = build_quadrature(n_eta, n_xi)
-        est = residue_pair(f, phi, rule=rule, schedule=sched,
-                           include_mirror=not no_mirror)
-        inputs = {"function": label, "params": params, "phi11": phi11,
-                  "phi12": phi12, "phi21": phi21, "phi22": phi22,
-                  "R": radius, "radial": radial, "schedule": schedule,
-                  "mirror": not no_mirror}
-        _finish_estimate("residue", inputs, est,
-                         {**_estimate_diagnostics(est, sched),
-                          "rule": {"n_eta": n_eta, "n_xi": n_xi}},
-                         fmt, strict)
-    _guarded(body)
+    f, label, _ = _resolve_function(spec, params)
+    phi = TestForm2(*(parse_profile(t, radius, radial)
+                      for t in (phi11, phi12, phi21, phi22)))
+    if phi.is_zero:
+        raise click.UsageError("all test-form coefficients are zero")
+    sched = _parse_schedule(schedule, phi.support_radius)
+    require_rays(residue_rays(n_xi, sched, phi.support_radius))
+    rule = build_quadrature(n_eta, n_xi)
+    est = residue_pair(f, phi, rule=rule, schedule=sched,
+                       include_mirror=not no_mirror)
+    inputs = {"function": label, "params": params, "phi11": phi11,
+              "phi12": phi12, "phi21": phi21, "phi22": phi22,
+              "R": radius, "radial": radial, "schedule": schedule,
+              "mirror": not no_mirror}
+    _finish_estimate("residue", inputs, est,
+                     {**_estimate_diagnostics(est, sched),
+                      "rule": {"n_eta": n_eta, "n_xi": n_xi}},
+                     fmt, strict)
 
 
 @main.command("pv")
@@ -356,7 +361,8 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
 @_params_opt
 @click.option("--psi1", default="0")
 @click.option("--psi2", default="0")
-@click.option("--R", "radius", default=1.0, show_default=True)
+@click.option("--R", "radius", default=1.0, show_default=True,
+              type=_radius_type)
 @click.option("--schedule", default="default")
 @click.option("--region", type=click.Choice(["metric", "levelset"]),
               default="metric", show_default=True)
@@ -365,28 +371,27 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
 @_with_rule
 @_format_opt
 @_strict_opt
+@_guarded
 def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
            n_xi, fmt, strict):
     """Principal-value pairing of 1/f against a 3-form test datum."""
-    def body():
-        f, label, _ = _resolve_function(spec, params)
-        psi = TestForm3(*(parse_profile(t, radius, "q")
-                          for t in (psi1, psi2)))
-        if psi.is_zero:
-            raise click.UsageError("all test-form coefficients are zero")
-        sched = _parse_schedule(schedule, psi.support_radius)
-        require_rays(pv_rays(n_eta, n_xi))
-        rule = build_quadrature(n_eta, n_xi)
-        est = pv_pair(f, psi, rule=rule, schedule=sched, region=region,
-                      part=part)
-        inputs = {"function": label, "params": params, "psi1": psi1,
-                  "psi2": psi2, "R": radius, "schedule": schedule,
-                  "region": region, "part": part}
-        _finish_estimate("pv", inputs, est,
-                         {**_estimate_diagnostics(est, sched),
-                          "rule": {"n_eta": n_eta, "n_xi": n_xi}},
-                         fmt, strict)
-    _guarded(body)
+    f, label, _ = _resolve_function(spec, params)
+    psi = TestForm3(*(parse_profile(t, radius, "q")
+                      for t in (psi1, psi2)))
+    if psi.is_zero:
+        raise click.UsageError("all test-form coefficients are zero")
+    sched = _parse_schedule(schedule, psi.support_radius)
+    require_rays(pv_rays(n_eta, n_xi))
+    rule = build_quadrature(n_eta, n_xi)
+    est = pv_pair(f, psi, rule=rule, schedule=sched, region=region,
+                  part=part)
+    inputs = {"function": label, "params": params, "psi1": psi1,
+              "psi2": psi2, "R": radius, "schedule": schedule,
+              "region": region, "part": part}
+    _finish_estimate("pv", inputs, est,
+                     {**_estimate_diagnostics(est, sched),
+                      "rule": {"n_eta": n_eta, "n_xi": n_xi}},
+                     fmt, strict)
 
 
 def _parse_complex_list(text: str) -> Tuple[complex, ...]:
@@ -409,61 +414,61 @@ def _parse_complex_list(text: str) -> Tuple[complex, ...]:
               default="residue", show_default=True)
 @click.option("--power", default=0, show_default=True,
               help="Test against z^power * bump.")
-@click.option("--R", "radius", default=1.0, show_default=True)
+@click.option("--R", "radius", default=1.0, show_default=True,
+              type=_radius_type)
 @click.option("--schedule", default="default")
-@click.option("--n-theta", default=256, show_default=True)
+@click.option("--n-theta", default=256, show_default=True,
+              type=click.IntRange(min=1))
 @_format_opt
 @_strict_opt
+@_guarded
 def oracle_1d_cmd(principal, tail, kind, power, radius, schedule, n_theta,
                   fmt, strict):
     """One-complex-variable reference pairings for a Laurent function."""
-    def body():
-        import numpy as np
-        g = Laurent1D(_parse_complex_list(principal),
-                      _parse_complex_list(tail))
-        if power < 0:
-            raise click.UsageError("--power must be nonnegative")
+    import numpy as np
+    g = Laurent1D(_parse_complex_list(principal),
+                  _parse_complex_list(tail))
+    if power < 0:
+        raise click.UsageError("--power must be nonnegative")
 
-        def phi(z):
-            return z ** power * bump(np.abs(z) / radius)
+    def phi(z):
+        return z ** power * bump(np.abs(z) / radius)
 
-        if schedule == "default":
-            sched = EpsilonSchedule(0.25 * radius, 0.55, 14)
-        else:
-            sched = _parse_schedule(schedule, radius)
-        if kind == "residue":
-            est = res_limit_1d(g, phi, sched, n_theta)
-        else:
-            est = pv_1d(g, phi, radius, sched, n_theta)
-        inputs = {"principal": principal, "tail": tail, "kind": kind,
-                  "power": power, "R": radius, "schedule": schedule,
-                  "n_theta": n_theta}
-        _finish_estimate("oracle-1d", inputs, est,
-                         _estimate_diagnostics(est, sched), fmt, strict)
-    _guarded(body)
+    if schedule == "default":
+        sched = EpsilonSchedule.for_disc(radius)
+    else:
+        sched = _parse_schedule(schedule, radius)
+    if kind == "residue":
+        est = res_limit_1d(g, phi, sched, n_theta)
+    else:
+        est = pv_1d(g, phi, radius, sched, n_theta)
+    inputs = {"principal": principal, "tail": tail, "kind": kind,
+              "power": power, "R": radius, "schedule": schedule,
+              "n_theta": n_theta}
+    _finish_estimate("oracle-1d", inputs, est,
+                     _estimate_diagnostics(est, sched), fmt, strict)
 
 
 @main.command("catalogue")
 @click.option("--name", default=None, help="Show a single entry.")
+@_guarded
 def catalogue_cmd(name):
     """List the built-in model functions."""
-    def body():
-        names = [name] if name else list(NAMES)
-        rows = []
-        for n in names:
-            e = builtin(n)
-            rows.append({
-                "name": e.name,
-                "f1": str(e.f.f1),
-                "f2": str(e.f.f2),
-                "hyperholomorphic": e.known_flags.hyperholomorphic,
-                "hypermeromorphic": e.known_flags.hypermeromorphic,
-                "zero_set_kind": e.zero_set_kind,
-                "zero_set": e.zero_set,
-            })
-        _emit_report("catalogue", {"name": name or ""}, rows,
-                     {}, exact=True)
-    _guarded(body)
+    names = [name] if name else list(NAMES)
+    rows = []
+    for n in names:
+        e = builtin(n)
+        rows.append({
+            "name": e.name,
+            "f1": str(e.f.f1),
+            "f2": str(e.f.f2),
+            "hyperholomorphic": e.known_flags.hyperholomorphic,
+            "hypermeromorphic": e.known_flags.hypermeromorphic,
+            "zero_set_kind": e.zero_set_kind,
+            "zero_set": e.zero_set,
+        })
+    _emit_report("catalogue", {"name": name or ""}, rows,
+                 {}, exact=True)
 
 
 if __name__ == "__main__":

@@ -34,12 +34,22 @@ class EpsilonSchedule:
             raise ValueError("ratio must lie in (0, 1)")
         if self.count < 3:
             raise ValueError("need at least 3 rungs")
+        # the last rung is the smallest; a ladder reaching 0 has no limit
+        # left to extrapolate and hands the integrators a zero radius
+        if not self.eps0 * self.ratio ** (self.count - 1) > 0:
+            raise ValueError("the ladder underflows: its last rung rounds "
+                             "to 0")
 
     @classmethod
-    def for_radius(cls, R: float, ratio: float = 0.7,
-                   count: int = 12) -> "EpsilonSchedule":
+    def for_radius(cls, R: float) -> "EpsilonSchedule":
         """Default ladder for a test form supported in radius R."""
-        return cls(0.5 * float(R), ratio, count)
+        return cls(0.5 * float(R))
+
+    @classmethod
+    def for_disc(cls, R: float) -> "EpsilonSchedule":
+        """Default ladder of the one-variable pairings, for a test function
+        supported in the disc of radius R."""
+        return cls(0.25 * R, 0.55, 14)
 
     def values(self) -> Tuple[float, ...]:
         return tuple(self.eps0 * self.ratio ** k for k in range(self.count))

@@ -77,27 +77,37 @@ class Profile:
         return self.R / np.maximum(np.sin(eta), 1e-12)
 
 
-def _support_union(profiles, eta):
-    out = np.zeros(np.asarray(eta, dtype=float).shape)
-    for p in profiles:
-        if p is not None:
-            out = np.maximum(out, p.support_lambda(eta))
-    return out
+class _TestForm:
+    """Support queries shared by the test forms, over their coefficients;
+    None means the coefficient is zero."""
 
+    __test__ = False  # pytest: data class, not a test case
 
-def _support_radius(profiles) -> float:
-    rs = [p.R for p in profiles if p is not None]
-    if not rs:
-        raise ValueError("test form has no nonzero coefficient")
-    return max(rs)
+    @property
+    def is_zero(self) -> bool:
+        return all(p is None for p in self.coefficients)
+
+    @property
+    def support_radius(self) -> float:
+        rs = [p.R for p in self.coefficients if p is not None]
+        if not rs:
+            raise ValueError("test form has no nonzero coefficient")
+        return max(rs)
+
+    def support_lambda(self, eta):
+        """Radial extent of the union of the supports along the chart ray
+        at angle eta."""
+        out = np.zeros(np.asarray(eta, dtype=float).shape)
+        for p in self.coefficients:
+            if p is not None:
+                out = np.maximum(out, p.support_lambda(eta))
+        return out
 
 
 @dataclass(frozen=True)
-class TestForm2:
+class TestForm2(_TestForm):
     """2-form test data: coefficients of dz1^dz1bar, dz1^dz2bar, dz2^dz1bar,
     dz2^dz2bar in that order.  None means the coefficient is zero."""
-
-    __test__ = False  # pytest: data class, not a test case
 
     phi11: Optional[Profile] = None
     phi12: Optional[Profile] = None
@@ -108,24 +118,11 @@ class TestForm2:
     def coefficients(self):
         return (self.phi11, self.phi12, self.phi21, self.phi22)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(p is None for p in self.coefficients)
-
-    @property
-    def support_radius(self) -> float:
-        return _support_radius(self.coefficients)
-
-    def support_lambda(self, eta):
-        return _support_union(self.coefficients, eta)
-
 
 @dataclass(frozen=True)
-class TestForm3:
+class TestForm3(_TestForm):
     """3-form test data: psi1 rides dz1bar^dz2^dz2bar, psi2 rides
     dz1^dz1bar^dz2bar."""
-
-    __test__ = False  # pytest: data class, not a test case
 
     psi1: Optional[Profile] = None
     psi2: Optional[Profile] = None
@@ -133,17 +130,6 @@ class TestForm3:
     @property
     def coefficients(self):
         return (self.psi1, self.psi2)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(p is None for p in self.coefficients)
-
-    @property
-    def support_radius(self) -> float:
-        return _support_radius(self.coefficients)
-
-    def support_lambda(self, eta):
-        return _support_union(self.coefficients, eta)
 
 
 def parse_profile(text: str, R: float, radial: str = "q") -> Optional[Profile]:

@@ -109,7 +109,7 @@ def pv_1d(g, psi0: Callable[[np.ndarray], np.ndarray], R: float,
     psi0 must vanish at |z| = R so the outer edge carries nothing."""
     gf = _as_callable_1d(g)
     if schedule is None:
-        schedule = EpsilonSchedule(0.25 * R, 0.55, 14)
+        schedule = EpsilonSchedule.for_disc(R)
     if not schedule.eps0 < R:
         raise ValueError("schedule starts outside the support radius")
     theta = np.arange(n_theta) * (TWO_PI / n_theta)
@@ -128,19 +128,18 @@ def pv_1d(g, psi0: Callable[[np.ndarray], np.ndarray], R: float,
     return finalize(eps_list, values, part="1d-annulus")
 
 
-def recover_principal_coefficients(g, count: int, R: float,
-                                   schedule: Optional[EpsilonSchedule] = None,
-                                   n_theta: int = 256) -> Tuple[complex, ...]:
-    """Recover (a_{-1}, ..., a_{-count}) of g from circle pairings.
+def recover_principal_coefficients(g, count: int, R: float
+                                   ) -> Tuple[complex, ...]:
+    """Recover (a_{-1}, ..., a_{-count}) of g from circle pairings on the
+    default ladder.
 
     Pairing against z^j * bump(|z|/R) isolates a_{-(j+1)} times 2*pi*i; every
     other Laurent term integrates to zero on each circle."""
-    if schedule is None:
-        schedule = EpsilonSchedule(0.25 * R, 0.55, 14)
+    schedule = EpsilonSchedule.for_disc(R)
     out = []
     for j in range(count):
         def phi(z, _j=j):
             return z ** _j * bump(np.abs(z) / R)
-        est = res_limit_1d(g, phi, schedule, n_theta)
+        est = res_limit_1d(g, phi, schedule)
         out.append(complex(est.extrapolated.z1) / (2j * math.pi))
     return tuple(out)

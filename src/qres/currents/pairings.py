@@ -506,6 +506,18 @@ def _require_nonzero(f: QFunction) -> None:
                               "currents to pair")
 
 
+def _right_inverse_kernels(f: QFunction, a, b):
+    """Kernel pairs (K1s, K2s) of (1/f) (alpha + beta j) times |f|^2, for
+    alpha = sum a_i pi_i and beta = sum b_i conj(pi_i): the right inverse
+    (conj(f1) - f2 j) / |f|^2 gives
+    (conj(f1) alpha + f2 conj(beta), conj(f1) beta - f2 conj(alpha)) / |f|^2,
+    so K1_i = conj(f1) a_i + f2 conj(b_i) and
+    K2_i = conj(f1) b_i - f2 conj(a_i)."""
+    c1, f2 = f.f1.conjugate(), f.f2
+    return ([c1 * x + f2 * y.conjugate() for x, y in zip(a, b)],
+            [c1 * y - f2 * x.conjugate() for x, y in zip(a, b)])
+
+
 def _residue_kernels(f: QFunction, include_mirror: bool):
     """Kernel pairs ((K1 per phi_ij), (K2 per phi_ij)) of the residue
     density, exactly, for phi11, phi12, phi21, phi22 in that order.
@@ -522,10 +534,7 @@ def _residue_kernels(f: QFunction, include_mirror: bool):
     level set of g = |f|^2, X, Y, X' and Y' pull back to -g_z2b, -g_z1b,
     g_z2 and g_z1 times the same real Leray factor, so
     alpha = sum a_ij phi_ij and beta = sum b_ij conj(phi_ij) times that
-    factor, and (1/f) (alpha + beta j), which is
-    (conj(f1) alpha + f2 conj(beta), conj(f1) beta - f2 conj(alpha)) / g,
-    has K1_ij = conj(f1) a_ij + f2 conj(b_ij) and
-    K2_ij = conj(f1) b_ij - f2 conj(a_ij)."""
+    factor, and _right_inverse_kernels turns a_ij, b_ij into K1_ij, K2_ij."""
     f1, f2 = f.f1, f.f2
     f1_z1, f1_z1b, f1_z2, f1_z2b = (f1.wirtinger(v)
                                     for v in ("z1", "z1b", "z2", "z2b"))
@@ -542,26 +551,18 @@ def _residue_kernels(f: QFunction, include_mirror: bool):
              a[2] - f1_z2b * g_z1, a[3] + f1_z1b * g_z1]
         b = [b[0] + f2_z2 * g_z2b, b[1] - f2_z1 * g_z2b,
              b[2] - f2_z2 * g_z1b, b[3] + f2_z1 * g_z1b]
-    c1 = f1.conjugate()
-    return ([c1 * x + f2 * y.conjugate() for x, y in zip(a, b)],
-            [c1 * y - f2 * x.conjugate() for x, y in zip(a, b)])
+    return _right_inverse_kernels(f, a, b)
 
 
 def _pv_kernels(f: QFunction):
     """Kernel pairs ((K11, K12), (K21, K22)) of the principal-value density
-    against psi1, psi2, exactly: with a = f1_z1 psi1 + f1_z2 psi2 and
-    b = f2_z2b conj(psi2) - f2_z1b conj(psi1), the density
-    (1/f) (a + b j), which is
-    (conj(f1) a + f2 conj(b), conj(f1) b - f2 conj(a)) / |f|^2,
-    equals (psi1 K11 + psi2 K12, conj(psi1) K21 + conj(psi2) K22) / |f|^2."""
-    f1, f2 = f.f1, f.f2
-    f1_z1, f1_z2 = f1.wirtinger("z1"), f1.wirtinger("z2")
-    f2_z1b, f2_z2b = f2.wirtinger("z1b"), f2.wirtinger("z2b")
-    c1 = f1.conjugate()
-    return ((c1 * f1_z1 - f2 * f2_z1b.conjugate(),
-             c1 * f1_z2 + f2 * f2_z2b.conjugate()),
-            (-(c1 * f2_z1b) - f2 * f1_z1.conjugate(),
-             c1 * f2_z2b - f2 * f1_z2.conjugate()))
+    against psi1, psi2, exactly: the density is (1/f) (alpha + beta j) with
+    alpha = f1_z1 psi1 + f1_z2 psi2 and
+    beta = -f2_z1b conj(psi1) + f2_z2b conj(psi2), so the kernels are
+    _right_inverse_kernels of a = (f1_z1, f1_z2) and b = (-f2_z1b, f2_z2b)."""
+    a = (f.f1.wirtinger("z1"), f.f1.wirtinger("z2"))
+    b = (-f.f2.wirtinger("z1b"), f.f2.wirtinger("z2b"))
+    return _right_inverse_kernels(f, a, b)
 
 
 def _fold(kernels, coefficients: Sequence[Optional[Profile]]):

@@ -91,30 +91,36 @@ def gauss_panels(edges: Sequence, n_per: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def geometric_edges(lo: float, hi: float, first: float, ratio: float = 2.0) -> list:
+def geometric_edges(lo: float, hi: float, first: float) -> list:
     """Panel edges from lo to hi whose first panel has width ``first`` and
-    whose widths grow geometrically.  Used to resolve integrands that vary on
-    a scale much smaller than the interval."""
+    whose widths double.  Used to resolve integrands that vary on a scale
+    much smaller than the interval."""
     if not lo < hi:
         raise ValueError("empty interval")
+    if not first > 0:
+        raise ValueError(f"first panel width {first!r} is not positive")
     edges = [lo]
     width = first
     while edges[-1] + width < hi:
         edges.append(edges[-1] + width)
-        width *= ratio
+        width *= 2.0
     edges.append(hi)
     return edges
 
 
-def graded_eta_panels(eps: float, support: float,
-                      n_per: int = 14) -> Tuple[np.ndarray, np.ndarray]:
-    """Eta nodes and weights refined geometrically toward both chart poles.
+def graded_eta_panels(eps: float, support: float
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Eta nodes and weights on 14-node Gauss panels refined geometrically
+    toward both chart poles.
 
     Level sets of functions vanishing on a coordinate plane hug eta = 0 or
     eta = pi/2 at scale eps/support, so a fixed grid cannot resolve them; the
     first panel width tracks that scale.
     """
     delta = HALF_PI * min(0.05, 0.2 * eps / support)
+    if not delta > 0:
+        raise ValueError(f"the first eta panel at eps = {eps:g} and "
+                         f"support {support:g} is not positive")
     mid = HALF_PI / 2.0
     left = [0.0]
     e = delta
@@ -122,4 +128,4 @@ def graded_eta_panels(eps: float, support: float,
         left.append(e)
         e *= 2.0
     edges = sorted(set(left + [mid] + [HALF_PI - t for t in left]))
-    return gauss_panels(edges, n_per)
+    return gauss_panels(edges, 14)

@@ -61,8 +61,7 @@ def _dhat(f: QFunction) -> QFunction:
     return apply_D(f).as_qfunction()
 
 
-def _apply_D_batch(f: Union[QFunction, PairEval], points: Sequence[Quat],
-                   h: float = 1e-4, richardson: bool = True
+def _apply_D_batch(f: Union[QFunction, PairEval], points: Sequence[Quat]
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """D by central differences at every point at once: the arrays (d1, d2)
     of Df = d1 + d2*j, one entry per point.  A black-box f is called like
@@ -70,18 +69,16 @@ def _apply_D_batch(f: Union[QFunction, PairEval], points: Sequence[Quat],
     ev = f.eval_numeric if isinstance(f, QFunction) else f
     qs = [q.to_numeric() for q in points]
     jet = numeric_jet(ev, np.array([q.z1 for q in qs], dtype=complex),
-                      np.array([q.z2 for q in qs], dtype=complex),
-                      h=h, richardson=richardson)
+                      np.array([q.z2 for q in qs], dtype=complex))
     d1 = 0.5 * (jet.d1["z1b"] - jet.d2["z2b"].conjugate())
     d2 = 0.5 * (jet.d1["z2b"] + jet.d2["z1b"].conjugate())
     return d1, d2
 
 
-def apply_D_at(f: Union[QFunction, PairEval], q: Quat,
-               h: float = 1e-4, richardson: bool = True) -> Quat:
+def apply_D_at(f: Union[QFunction, PairEval], q: Quat) -> Quat:
     """Pointwise D by central differences, for symbolic or black-box f; a
     black-box f is called on arrays, like QFunction.eval_numeric."""
-    d1, d2 = _apply_D_batch(f, [q], h=h, richardson=richardson)
+    d1, d2 = _apply_D_batch(f, [q])
     return Quat(complex(d1[0]), complex(d2[0]))
 
 

@@ -5,8 +5,13 @@ quaternion arithmetic is checked against the classical 4x4 real matrix
 representation, derivatives against central finite differences, and sphere
 integrals against closed forms or seeded Monte Carlo.
 """
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -131,3 +136,20 @@ def real_hyperholomorphic_sample(rng) -> QFunction:
 
 def seeded(n: int) -> random.Random:
     return random.Random(n)
+
+
+# bounded runs --------------------------------------------------------------
+
+def run_bounded(args, seconds: float = 30):
+    """Run a fresh interpreter on args (``-m qres.cli ...`` or ``-c ...``)
+    with src/ on the path, killed after ``seconds`` and capped at 1 GiB of
+    address space, so an input that loops while it allocates fails the
+    test instead of exhausting the host."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=seconds,
+                          preexec_fn=cap)

@@ -1,5 +1,6 @@
 """Every name a package module imports is read somewhere in that module,
-and every module-level private name is read somewhere in the package.
+every module-level private name is read somewhere in the package, and every
+defaulted parameter is passed by some caller.
 
 An AST scan of src/qres/**/*.py: for imports, package __init__ files
 (re-exports) and names listed in a module's __all__ are exempt.  Annotations
@@ -119,3 +120,69 @@ def test_private_names_are_read_in_the_package():
                        f"(line {tree.body[i].lineno})"
                        for name in names if name not in elsewhere]
     assert not unread, ", ".join(unread)
+
+
+CALLERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
+                 for p in (SRC.parents[1] / d).rglob("*.py"))
+
+
+def defaulted_parameters(tree):
+    """(name, parameter, positional index) of each defaulted parameter of a
+    module-level function or a method; the index excludes a method's self
+    or cls, and is None for a keyword-only parameter."""
+    defs = [(node, False) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    defs += [(item, True) for node in tree.body
+             if isinstance(node, ast.ClassDef) for item in node.body
+             if isinstance(item, ast.FunctionDef)]
+    for fn, is_method in defs:
+        if fn.name.startswith("__"):
+            continue
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        positional = fn.args.posonlyargs + fn.args.args
+        if is_method and not static:
+            positional = positional[1:]
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield fn.name, arg.arg, i
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None
+
+
+def call_sites(tree):
+    """Callee name -> (positional count, keyword names) per call; a
+    starred argument counts as every position, ** as every keyword."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        out.setdefault(name, []).append(
+            (float("inf") if starred else len(node.args), keywords))
+    return out
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """A default that no call site in the package, its tests, scripts or
+    benchmark overrides is a constant, not an option."""
+    calls = {}
+    for path in CALLERS:
+        for name, sites in call_sites(ast.parse(path.read_text())).items():
+            calls.setdefault(name, []).extend(sites)
+    unset = []
+    for path in ALL_MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, param, index in defaulted_parameters(tree):
+            if not any(param in kw or None in kw
+                       or (index is not None and n > index)
+                       for n, kw in calls.get(name, ())):
+                unset.append(f"{path.relative_to(SRC)}: {name}({param})")
+    assert not unset, ", ".join(unset)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import run_bounded
 from qres.currents.forms import bump
 from qres.currents.quadrature import (build_quadrature, gauss_legendre,
                                       gauss_panels, geometric_edges,
@@ -162,3 +163,18 @@ def test_graded_eta_panels_integrate_area_exactly():
     nodes, weights = graded_eta_panels(0.1, 1.0)
     got = (weights * np.sin(nodes) * np.cos(nodes)).sum() * (2 * math.pi) ** 2
     assert got == pytest.approx(AREA, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    "geometric_edges(1.0, 2.0, 0.0)",
+    "graded_eta_panels(0.0, 1.0)",
+    # positive eps, but 0.2 * eps / support underflows
+    "graded_eta_panels(1e-310, 1e15)",
+])
+def test_panel_helpers_refuse_a_first_width_that_is_not_positive(call):
+    # a zero first width never grows: the helpers once doubled it forever,
+    # appending an edge per step
+    res = run_bounded(["-c", "from qres.currents.quadrature import *; "
+                       + call])
+    assert res.returncode == 1
+    assert res.stderr.splitlines()[-1].endswith("is not positive")
