@@ -175,7 +175,15 @@ _format_opt = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 _strict_opt = click.option(
     "--strict", is_flag=True, help="Exit 4 if the estimate is not converged.")
-_radius_type = click.FloatRange(min=0.0, min_open=True)
+
+
+def _check_radius(ctx, param, value):
+    # click.FloatRange would let nan and inf through
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value} is not a positive finite number")
+    return value
+
+
 _rule_opts = [
     click.option("--n-eta", default=32, show_default=True),
     click.option("--n-xi", default=64, show_default=True),
@@ -322,7 +330,7 @@ def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
 @click.option("--phi21", default="0")
 @click.option("--phi22", default="0")
 @click.option("--R", "radius", default=1.0, show_default=True,
-              type=_radius_type,
+              callback=_check_radius,
               help="Support radius of the test-form coefficients.")
 @click.option("--radial", type=click.Choice(["q", "z1", "z2"]), default="q",
               help="Which modulus the bump cutoff uses.")
@@ -362,7 +370,7 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
 @click.option("--psi1", default="0")
 @click.option("--psi2", default="0")
 @click.option("--R", "radius", default=1.0, show_default=True,
-              type=_radius_type)
+              callback=_check_radius)
 @click.option("--schedule", default="default")
 @click.option("--region", type=click.Choice(["metric", "levelset"]),
               default="metric", show_default=True)
@@ -415,7 +423,7 @@ def _parse_complex_list(text: str) -> Tuple[complex, ...]:
 @click.option("--power", default=0, show_default=True,
               help="Test against z^power * bump.")
 @click.option("--R", "radius", default=1.0, show_default=True,
-              type=_radius_type)
+              callback=_check_radius)
 @click.option("--schedule", default="default")
 @click.option("--n-theta", default=256, show_default=True,
               type=click.IntRange(min=1))

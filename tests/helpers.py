@@ -140,9 +140,12 @@ def seeded(n: int) -> random.Random:
 
 # bounded runs --------------------------------------------------------------
 
-def run_bounded(args, seconds: float = 30):
+RUN_SECONDS = 30
+
+
+def run_bounded(args):
     """Run a fresh interpreter on args (``-m qres.cli ...`` or ``-c ...``)
-    with src/ on the path, killed after ``seconds`` and capped at 1 GiB of
+    with src/ on the path, killed after RUN_SECONDS and capped at 1 GiB of
     address space, so an input that loops while it allocates fails the
     test instead of exhausting the host."""
     def cap():
@@ -151,5 +154,5 @@ def run_bounded(args, seconds: float = 30):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=seconds,
+                          text=True, env=env, timeout=RUN_SECONDS,
                           preexec_fn=cap)

@@ -265,6 +265,10 @@ def test_underflowing_ladders_are_refused_at_once(args, code):
     ["pv", "-f", "conj", "--psi1", "bump", "--R", "-1"],
     ["oracle-1d", "--R", "0"],
     ["oracle-1d", "--R", "-1"],
+    ["residue", "-f", "conj", "--phi22", "bump", "--R", "nan"],
+    ["pv", "-f", "conj", "--psi1", "bump", "--R", "inf"],
+    ["oracle-1d", "--R", "nan"],
+    ["oracle-1d", "--R", "inf"],
     ["oracle-1d", "--n-theta", "0"],
 ], ids=lambda args: " ".join(args[:1] + args[-2:]))
 def test_malformed_numbers_are_usage_errors(args):

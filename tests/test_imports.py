@@ -127,9 +127,9 @@ CALLERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
 
 
 def defaulted_parameters(tree):
-    """(name, parameter, positional index) of each defaulted parameter of a
-    module-level function or a method; the index excludes a method's self
-    or cls, and is None for a keyword-only parameter."""
+    """(name, is method, parameter, positional index) of each defaulted
+    parameter of a module-level function or a method; the index excludes a
+    method's self or cls, and is None for a keyword-only parameter."""
     defs = [(node, False) for node in tree.body
             if isinstance(node, ast.FunctionDef)]
     defs += [(item, True) for node in tree.body
@@ -145,15 +145,16 @@ def defaulted_parameters(tree):
             positional = positional[1:]
         first = len(positional) - len(fn.args.defaults)
         for i, arg in enumerate(positional[first:], start=first):
-            yield fn.name, arg.arg, i
+            yield fn.name, is_method, arg.arg, i
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
             if default is not None:
-                yield fn.name, arg.arg, None
+                yield fn.name, is_method, arg.arg, None
 
 
 def call_sites(tree):
-    """Callee name -> (positional count, keyword names) per call; a
-    starred argument counts as every position, ** as every keyword."""
+    """Callee name -> (attribute call, positional count, keyword names) per
+    call; a starred argument counts as every position, ** as every
+    keyword."""
     out = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -166,13 +167,19 @@ def call_sites(tree):
         starred = any(isinstance(a, ast.Starred) for a in node.args)
         keywords = {k.arg for k in node.keywords}
         out.setdefault(name, []).append(
-            (float("inf") if starred else len(node.args), keywords))
+            (isinstance(func, ast.Attribute),
+             float("inf") if starred else len(node.args), keywords))
     return out
 
 
 def test_every_defaulted_parameter_has_a_caller():
     """A default that no call site in the package, its tests, scripts or
-    benchmark overrides is a constant, not an option."""
+    benchmark overrides is a constant, not an option.
+
+    Call sites are matched by the callee's name only, not by what it
+    resolves to: a method counts only ``obj.name(...)`` or
+    ``Class.name(...)``, never a bare ``name(...)``, but a same-named
+    method or function elsewhere still counts as a caller."""
     calls = {}
     for path in CALLERS:
         for name, sites in call_sites(ast.parse(path.read_text())).items():
@@ -180,9 +187,10 @@ def test_every_defaulted_parameter_has_a_caller():
     unset = []
     for path in ALL_MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        for name, param, index in defaulted_parameters(tree):
-            if not any(param in kw or None in kw
-                       or (index is not None and n > index)
-                       for n, kw in calls.get(name, ())):
+        for name, is_method, param, index in defaulted_parameters(tree):
+            if not any((attr or not is_method)
+                       and (param in kw or None in kw
+                            or (index is not None and n > index))
+                       for attr, n, kw in calls.get(name, ())):
                 unset.append(f"{path.relative_to(SRC)}: {name}({param})")
     assert not unset, ", ".join(unset)
