@@ -139,7 +139,7 @@ def _finish_estimate(command, inputs, est, diagnostics, fmt, strict):
 
 def _guarded(command):
     """Run a command, reporting a package error as one line on stderr and
-    exiting with its code; click's own usage errors pass through."""
+    exiting with its code; click's own usage errors are left to _Main."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
@@ -156,9 +156,34 @@ def _guarded(command):
     return run
 
 
+def _one_line_usage(call, *args, **kwargs):
+    """Run a click step, reporting a click usage error as _guarded reports
+    the package's."""
+    try:
+        return call(*args, **kwargs)
+    except click.exceptions.NoArgsIsHelpError:
+        # qres with no arguments prints its help
+        raise
+    except click.UsageError as exc:
+        click.echo(f"usage error: {exc.format_message()}", err=True)
+        sys.exit(2)
+
+
+class _Main(click.Group):
+    """The qres group.  click's usage errors (bad or missing options and
+    values, and those the commands raise) print as one line "usage error:
+    ...", exit 2, not as usage text, a hint and the error."""
+
+    def make_context(self, *args, **kwargs):
+        return _one_line_usage(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _one_line_usage(super().invoke, ctx)
+
+
 # ---------------------------------------------------------------- commands
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(package_name="qres", prog_name="qres")
 def main():
     """Quaternionic function analysis: classification, derivatives, and

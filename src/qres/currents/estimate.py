@@ -17,6 +17,8 @@ from ..qcore import Quat
 
 # a difference below this times the value scale counts as converged noise
 ZERO_FLOOR = 1e-12
+# rungs per ladder above which a schedule is refused before any is built
+MAX_RUNGS = 100
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,9 @@ class EpsilonSchedule:
             raise ValueError("ratio must lie in (0, 1)")
         if self.count < 3:
             raise ValueError("need at least 3 rungs")
+        if self.count > MAX_RUNGS:
+            raise ValueError(f"the ladder has {self.count} rungs; at most "
+                             f"{MAX_RUNGS} are allowed")
         # the last rung is the smallest; a ladder reaching 0 has no limit
         # left to extrapolate and hands the integrators a zero radius
         if not self.eps0 * self.ratio ** (self.count - 1) > 0:

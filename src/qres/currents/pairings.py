@@ -44,6 +44,17 @@ pi K1 and conj(pi) K2 are summed per (R, r), and only those that are not
 identically zero are tabulated, so a node needs |f|^2, one bump per
 distinct (R, r) and one Horner evaluation per surviving product.
 
+The principal-value density of a homogeneous f, |f(lam u)|^2 =
+lam^(2m) |f(u)|^2, whose products each have a denominator of one row, is
+split instead (_RaySplit): on each ray it is sum_k alpha_k(u) lam^p_k
+bump(lam / R), with per-ray angular rows alpha_k built once per call.  A
+node then costs one bump per distinct R and its powers of lam, by
+multiplication, and no table is evaluated.  The metric region sums alpha
+over the rays once and integrates the radial profiles lam^p bump(lam / R)
+once per rung; the levelset region integrates them per ray on each shell
+and dots them with alpha.  Any other f is evaluated node by node
+(_NodeSum).
+
 Every node sits at lam * u on a chart ray with unit direction u, so each
 rational a pairing reads (f1, f2 and the folded products) is tabulated once
 per mesh as p(lam u) = sum_k c_k(u) lam^k for its numerator and
@@ -664,6 +675,124 @@ def _pv_radial(density: _PvDensity, w_rays, lam, w_lam,
     return Quat(orientation * totals[0], orientation * totals[1])
 
 
+def _power(lam, p: int):
+    """lam^p by multiplication: pow per node, as lam ** p takes on per-ray
+    radii, costs several times more."""
+    if p < 0:
+        return 1.0 / _power(lam, -p)
+    out = np.ones(np.shape(lam)) if p == 0 else lam
+    for _ in range(p - 1):
+        out = out * lam
+    return out
+
+
+class _NodeSum(NamedTuple):
+    """The principal-value integrand of any f: the folded density at every
+    node of a radial table (_pv_radial), on the rays of density, w_rays
+    holding each one's chart weight times sin(eta) cos(eta)."""
+
+    density: _PvDensity
+    w_rays: np.ndarray
+
+    def take(self, sel) -> "_NodeSum":
+        return _NodeSum(self.density.take(sel), self.w_rays[sel])
+
+    def radial(self, lam, w_lam) -> Quat:
+        return _pv_radial(self.density, self.w_rays, lam, w_lam,
+                          ORIENTATION_4FORM)
+
+
+class _RaySplit:
+    """The principal-value integrand of a homogeneous f whose folded
+    products each have a denominator of one row, split on each ray into
+    angular rows and powers of the radius.
+
+    With |f(lam u)|^2 = lam^(2m) |f(u)|^2 and a product
+    lam^(low - low_den) sum_k c_k(u) lam^k / d(u), the integrand of row k
+    at radius lam is alpha_k(u) 4 lam^p_k bump(lam / R), with
+    alpha_k = w_ray c_k / (d |f(u)|^2) and p_k = 3 + low + k - low_den - 2m.
+    bumps holds, per distinct R, the triple (R, p_lo, alpha): alpha[i] is
+    the pair (scalar part, j part) of the rows of exponent p_lo + i, summed,
+    per ray.  ok marks the rays where |f(u)|^2 is positive and finite."""
+
+    def __init__(self, ok: np.ndarray, bumps):
+        self.ok = ok
+        self.bumps = bumps
+
+    def take(self, sel) -> "_RaySplit":
+        """The split on the rays sel, an index array; the rows stay
+        contiguous, so that their sums over the rays are pairwise."""
+        return _RaySplit(self.ok[sel],
+                         tuple((R, p_lo, alpha.take(sel, axis=-1))
+                               for R, p_lo, alpha in self.bumps))
+
+    @functools.cached_property
+    def _ray_sums(self):
+        """alpha summed over the rays, for radii shared by every ray."""
+        return tuple(alpha.sum(axis=-1, keepdims=True)
+                     for _, _, alpha in self.bumps)
+
+    @_quiet
+    def radial(self, lam, w_lam) -> Quat:
+        """As _NodeSum.radial: the profile integrals
+        sum_j w_lam[j] 4 lam[j]^p bump(lam[j] / R) per ray, or once for a
+        radius shared by every ray, dotted with alpha, in blocks of rays of
+        at most _NODE_BUDGET nodes.  A ray where |f(u)|^2 is zero or not
+        finite is a pole."""
+        if not self.ok.all():
+            raise PoleOnDomain(_SINGULAR)
+        shared = np.shape(lam)[-1] == 1
+        rows = (self._ray_sums if shared
+                else tuple(alpha for _, _, alpha in self.bumps))
+        step = max(1, _NODE_BUDGET // len(lam))
+        totals = np.zeros(2, dtype=complex)
+        for first in range(0, np.shape(lam)[-1], step):
+            block = slice(first, first + step)
+            lam_b = lam[:, block]
+            for (R, p_lo, _), alpha in zip(self.bumps, rows):
+                profile = bump(lam_b / R) * w_lam[:, block]
+                power = _power(lam_b, p_lo)
+                for pair in alpha[..., block]:
+                    moment = 4.0 * np.einsum("ij,ij->j", profile, power)
+                    totals += (pair * moment).sum(axis=-1)
+                    power = power * lam_b
+        if not np.isfinite(totals).all():
+            # a product denominator that is zero on an evaluated ray
+            raise PoleOnDomain(_SINGULAR)
+        return Quat(ORIENTATION_4FORM * totals[0],
+                    ORIENTATION_4FORM * totals[1])
+
+
+@_quiet
+def _pv_integrand(density: _PvDensity, w_rays):
+    """The _RaySplit of the density when f is homogeneous and every
+    product's denominator has at most one row, else its _NodeSum."""
+    ray_fn = density.ray_fn
+    m = ray_fn.degree
+    products = ray_fn.items[2:]
+    if m is None or any(t.den is not None and len(t.den.c) > 1
+                        for t in products):
+        return _NodeSum(density, w_rays)
+    a = ray_fn.modulus_sq(np.ones(len(w_rays)))
+    scale = w_rays / a
+    rows = {}
+    for (part, k), t in zip(density.slots, products):
+        low_den, s = ((0, scale) if t.den is None
+                      else (t.den.low, scale / t.den.c[0]))
+        for i, c in enumerate(t.num.c):
+            p = 3 + t.num.low + i - low_den - 2 * m
+            pair = rows.setdefault((k, p), np.zeros((2, len(a)), complex))
+            pair[part] += c * s
+    bumps = []
+    for k, (R, _) in enumerate(density.bumps):
+        powers = sorted(p for key, p in rows if key == k)
+        alpha = np.zeros((powers[-1] - powers[0] + 1, 2, len(a)), complex)
+        for p in powers:
+            alpha[p - powers[0]] = rows[k, p]
+        bumps.append((R, powers[0], alpha))
+    return _RaySplit((a > 0.0) & (a < np.inf), tuple(bumps))
+
+
 @_quiet
 def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
                   ) -> Tuple[Quat, int]:
@@ -777,12 +906,12 @@ def _gauss_nodes(a, b):
 
 
 @_quiet
-def _levelset_shell(density: _PvDensity, w_rays, start, end,
-                    support: float) -> Quat:
-    """Integral over [start, end] on each ray where that shell is not
-    empty: log-spaced nodes on shells that end at the support (a ray's
-    first) or start at the radius floor, which may span decades, and Gauss
-    nodes in lam on the others, which need no exp."""
+def _levelset_shell(integrand, start, end, support: float) -> Quat:
+    """Integral of the integrand (_pv_integrand) over [start, end] on each
+    ray where that shell is not empty: log-spaced nodes on shells that end
+    at the support (a ray's first) or start at the radius floor, which may
+    span decades, and Gauss nodes in lam on the others, which need no
+    exp."""
     open_ = start < end
     logged = open_ & ((end == support)
                       | (start == _LAM_FLOOR_FACTOR * support))
@@ -790,9 +919,8 @@ def _levelset_shell(density: _PvDensity, w_rays, start, end,
     for rays, nodes in ((logged, _log_nodes), (open_ & ~logged, _gauss_nodes)):
         sel = np.flatnonzero(rays)
         if sel.size:
-            parts.append(_pv_radial(density.take(sel), w_rays[sel],
-                                    *nodes(start[sel], end[sel]),
-                                    ORIENTATION_4FORM))
+            parts.append(integrand.take(sel).radial(
+                *nodes(start[sel], end[sel])))
     return sum(parts[1:], parts[0]) if parts else Quat(0.0, 0.0)
 
 
@@ -815,9 +943,15 @@ def pv_pair(f: QFunction, psi: TestForm3,
     The density is folded once per call (_pv_kernels, _fold): the kernel
     products pi_i K1i and conj(pi_i) K2i of the coefficients
     pi_i bump(|q| / R_i) are summed exactly per distinct R, and only those
-    that are not identically zero are tabulated beside f1 and f2.  Each
-    node then costs |f|^2 from the f1 and f2 tables, one bump per distinct R
-    and one Horner evaluation per surviving product.
+    that are not identically zero are tabulated beside f1 and f2.  When f
+    is homogeneous and every product's denominator has one row, each
+    product splits on a ray into angular rows times powers of the radius
+    (_pv_integrand, _RaySplit): a node costs one bump per distinct R and
+    its powers, and the ball's rungs need the angular rows only summed over
+    the rays.  Any other f costs, per node, |f|^2 from the f1 and f2
+    tables, one bump per distinct R and one Horner evaluation per surviving
+    product (_NodeSum).  Either way |f|^2 must be positive and finite on
+    every ray, or node, that is integrated.
     """
     _require_nonzero(f)
     if psi.is_zero:
@@ -853,16 +987,14 @@ def pv_pair(f: QFunction, psi: TestForm3,
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule)
     density = _PvDensity.build(f, _fold(_pv_kernels(f), psi.coefficients),
                                mesh.u1, mesh.u2)
-    w_rays = mesh.w * mesh.sin_cos
+    integrand = _pv_integrand(density, mesh.w * mesh.sin_cos)
     untrusted = np.zeros(3, dtype=int)
     if region == "metric":
         edges = [geometric_edges(eps_list[0], support, eps_list[0])]
         edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
         shells = (gauss_panels(e, _SHELL_ORDER) for e in edges)
         values = list(itertools.accumulate(
-            _pv_radial(density, w_rays, lam[:, None], w[:, None],
-                       ORIENTATION_4FORM)
-            for lam, w in shells))
+            integrand.radial(lam[:, None], w[:, None]) for lam, w in shells))
         notes = ()
     else:
         hi = np.full(mesh.eta.shape, support)
@@ -872,8 +1004,7 @@ def pv_pair(f: QFunction, psi: TestForm3,
             radii = _solve_level_radius(density.ray_fn, hi, eps)
             untrusted += radii.untrusted
             start = _levelset_start(radii, end, support)
-            shells.append(_levelset_shell(density, w_rays, start, end,
-                                          support))
+            shells.append(_levelset_shell(integrand, start, end, support))
             end = start
         values = list(itertools.accumulate(shells))
         notes = (("excluded region follows the level sets of |f|",)

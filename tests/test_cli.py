@@ -104,6 +104,18 @@ def test_reports_are_byte_reproducible():
     jsonschema.validate(json.loads(first.output), SCHEMA)
 
 
+@pytest.mark.parametrize("region", ["metric", "levelset"])
+def test_pv_reports_are_byte_reproducible(region):
+    # the README's pv example, on the per-ray split of a homogeneous f
+    args = ["pv", "-f", "z1 ; 0", "--psi1", "z1*bump", "--n-eta", "16",
+            "--n-xi", "32", "--region", region]
+    first = invoke(args)
+    second = invoke(args)
+    assert first.exit_code == 0 and second.exit_code == 0
+    assert first.output == second.output
+    jsonschema.validate(json.loads(first.output), SCHEMA)
+
+
 def test_csv_table_shape():
     res = invoke(CHEAP_RESIDUE + ["--format", "csv"])
     assert res.exit_code == 0
@@ -301,9 +313,8 @@ ERROR_CASES = [
      "usage error: "),
     (["pv", "-f", "0 ; 0", "--psi1", "bump", "--n-eta", "4",
       "--n-xi", "8"], 3, "domain error: "),
-    # oracle-1d takes no package input that can be malformed; a usage
-    # error raised by click inside the command passes through the guard
-    (["oracle-1d", "--power", "-1"], 2, "Usage: "),
+    # a usage error raised by click inside the command takes one line too
+    (["oracle-1d", "--power", "-1"], 2, "usage error: "),
     (["oracle-1d", "--principal", OVERFLOWING_PRINCIPAL], 3,
      "domain error: "),
     (["catalogue", "--name", "nosuch"], 2, "usage error: "),
@@ -317,8 +328,42 @@ def test_every_subcommand_maps_errors_to_exit_codes(args, code, prefix):
     assert res.exit_code == code
     assert res.stdout == ""
     assert res.stderr.startswith(prefix)
-    if prefix != "Usage: ":
-        assert len(res.stderr.splitlines()) == 1
+    assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["residue", "-f", "conj", "--phi22", "bump",
+      "--schedule", "0.3,1e-200,3"],
+     "bad schedule: the ladder underflows: its last rung rounds to 0"),
+    (["pv", "-f", "conj", "--psi1", "bump", "--schedule", "0.3,0.5"],
+     "--schedule must be 'default' or 'eps0,ratio,count'"),
+    (["pv", "-f", "conj", "--psi1", "bump", "--R", "nan"],
+     "Invalid value for '--R': nan is not a positive finite number"),
+    (["pv", "--psi1", "bump"], "Missing option '--function' / '-f'."),
+    (["residue", "-f", "conj", "--n-eta", "x"],
+     "Invalid value for '--n-eta': 'x' is not a valid integer."),
+    (["nosuch"], "No such command 'nosuch'."),
+], ids=["schedule-value", "schedule-shape", "R-nan", "missing", "type",
+        "command"])
+def test_click_usage_errors_take_one_line(args, message):
+    # click printed "Usage: ...", "Try ...", a blank line and "Error: ..."
+    res = invoke(args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle-1d"],
+    ["pv", "-f", "z1 ; 0", "--psi1", "bump", "--n-eta", "4", "--n-xi", "8"],
+], ids=["oracle-1d", "pv"])
+def test_long_ladders_are_usage_errors(args):
+    # the ladder is refused as it is parsed, before any rung exists
+    res = invoke(args + ["--schedule", "0.2,0.9999999,100000000"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == ("usage error: bad schedule: the ladder has "
+                          "100000000 rungs; at most 100 are allowed\n")
 
 
 def readme_commands():

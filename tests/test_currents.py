@@ -13,12 +13,13 @@ from qres.currents.chart import (ORIENTATION_3FORM, ORIENTATION_4FORM,
 from qres.currents.estimate import EpsilonSchedule
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
 from qres.currents import pairings
-from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _PvDensity,
-                                    _RayFunction, _RayMesh, _fold,
-                                    _pv_kernels, _pv_radial, _residue_kernels,
-                                    _residue_rung, _solve_level_radius,
-                                    pv_pair, pv_rays, require_rays,
-                                    residue_pair, residue_rays)
+from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _NodeSum,
+                                    _PvDensity, _RayFunction, _RayMesh,
+                                    _RaySplit, _fold, _pv_integrand,
+                                    _pv_kernels, _pv_radial,
+                                    _residue_kernels, _residue_rung,
+                                    _solve_level_radius, pv_pair, pv_rays,
+                                    require_rays, residue_pair, residue_rays)
 from qres.currents.quadrature import build_quadrature, graded_eta_panels
 from qres.errors import RuleTooLarge
 from qres.parsing import parse_poly, parse_qfunction
@@ -26,6 +27,9 @@ from qres.qcore import Quat
 from qres.symfun import ConjPoly, ConjRational, QFunction
 
 Z1_FN = parse_qfunction("z1 ; 0")
+# not homogeneous, so principal values of it evaluate the folded density at
+# every node (_NodeSum); z1 ; 0 takes the per-ray split (_RaySplit)
+NODE_SUM_FN = parse_qfunction("z1 + z1*z2 ; 0")
 PHI_PLANE = TestForm2(phi22=Profile(ConjPoly.one(), 1.0, radial="z2"))
 
 
@@ -476,10 +480,10 @@ def test_pv_rungs_do_not_depend_on_the_node_budget(monkeypatch, rows,
     psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
     rule = build_quadrature(6, 8)
     sched = EpsilonSchedule(0.4, 0.7, 4)
-    ref = pv_pair(Z1_FN, psi, rule=rule, schedule=sched, region=region)
+    ref = pv_pair(NODE_SUM_FN, psi, rule=rule, schedule=sched, region=region)
     n_rays = len(rule.eta_nodes) * len(rule.xi_nodes) ** 2
     monkeypatch.setattr(pairings, "_NODE_BUDGET", rows * n_rays)
-    got = pv_pair(Z1_FN, psi, rule=rule, schedule=sched, region=region)
+    got = pv_pair(NODE_SUM_FN, psi, rule=rule, schedule=sched, region=region)
     for u, v in zip(got.values, ref.values):
         assert (u - v).norm() <= 1e-13 * v.norm()
 
@@ -509,7 +513,8 @@ def test_rows_wider_than_the_node_budget_go_in_ray_blocks(monkeypatch, kind):
         if kind == "residue":
             return residue_pair(Z1_FN, PHI_PLANE, rule=rule, schedule=sched)
         psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
-        return pv_pair(Z1_FN, psi, rule=rule, schedule=sched, region=kind)
+        return pv_pair(NODE_SUM_FN, psi, rule=rule, schedule=sched,
+                       region=kind)
 
     ref = run()
     sizes = counting_terms(monkeypatch)
@@ -546,10 +551,10 @@ def test_levelset_region_evaluates_no_more_nodes_than_the_metric_region(
     psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
     rule = build_quadrature(16, 32)
     sizes = counting_terms(monkeypatch)
-    pv_pair(Z1_FN, psi, rule=rule, region="metric")
+    pv_pair(NODE_SUM_FN, psi, rule=rule, region="metric")
     metric = sum(sizes)
     sizes.clear()
-    pv_pair(Z1_FN, psi, rule=rule, region="levelset")
+    pv_pair(NODE_SUM_FN, psi, rule=rule, region="levelset")
     assert metric == 12 * 12 * pv_rays(16, 32)
     assert sum(sizes) <= metric
 
@@ -664,6 +669,90 @@ def test_folded_pv_density_matches_the_unfolded_formula(name, params):
             assert np.ndim(g) == 0 or np.shape(g) == np.shape(w)
         if not scale:
             assert density.slots == ()
+
+
+def node_sum_only(monkeypatch):
+    """Make pv_pair evaluate the folded density at every node, whatever f."""
+    monkeypatch.setattr(pairings, "_pv_integrand", _NodeSum)
+
+
+def refused_terms(monkeypatch):
+    """Make any evaluation of a folded density at the nodes fail."""
+    def refuse(self, lam, w):
+        raise AssertionError("the density was evaluated at the nodes")
+
+    monkeypatch.setattr(_PvDensity, "terms", refuse)
+
+
+SPLIT_CASES = {name: builtin(name).f for name in NAMES}
+SPLIT_CASES["z1 ; 0"] = Z1_FN
+
+
+@pytest.mark.parametrize("region", ["metric", "levelset"])
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_ray_split_matches_the_node_sum(monkeypatch, name, region):
+    # every catalogue entry at its default parameters is homogeneous, with
+    # product denominators of one row, so pv_pair takes the split; the
+    # node sum is its reference.  The rungs of z1 ; 0 and holo vanish by
+    # symmetry and are rounding noise on both sides, so the scale is at
+    # least 1, as in the estimate's own zero floor
+    f = SPLIT_CASES[name]
+    rule = build_quadrature(8, 16)
+    with monkeypatch.context() as patch:
+        refused_terms(patch)
+        got = pv_pair(f, FOLD_PSI, rule=rule, region=region)
+    node_sum_only(monkeypatch)
+    want = pv_pair(f, FOLD_PSI, rule=rule, region=region)
+    scale = max(1.0, max(v.norm() for v in want.values))
+    for u, v in zip(got.values, want.values):
+        assert (u - v).norm() <= 1e-13 * scale
+    assert got.converged == want.converged
+    assert got.notes == want.notes
+
+
+@pytest.mark.parametrize("region", ["metric", "levelset"])
+@pytest.mark.parametrize("name,psi", [
+    ("z1 ; 0", TestForm3(psi1=Profile(ConjPoly.var("z1") * 3, 1.0))),
+    ("conj", TestForm3(psi2=Profile(ConjPoly.const(5), 1.0))),
+], ids=["z1", "conj"])
+def test_homogeneous_principal_values_never_evaluate_nodes(monkeypatch, name,
+                                                           psi, region):
+    # the functions and forms of the pv benchmark
+    f = Z1_FN if name == "z1 ; 0" else builtin(name).f
+    refused_terms(monkeypatch)
+    est = pv_pair(f, psi, rule=build_quadrature(8, 16), region=region)
+    assert all(np.isfinite(v.norm()) for v in est.values)
+
+
+def test_a_product_denominator_of_several_rows_is_not_split():
+    # f is homogeneous, but 1 / (1 + |z1|^2) is no single power of the
+    # radius on a ray, so only the node sum can integrate that product
+    u1, u2 = unit_rays(15)
+    w = np.ones(len(u1))
+    wide = parse_qfunction("(1) / (1 + z1*c1) ; 0").f1
+    narrow = parse_qfunction("(1) / (z1*c1) ; 0").f1
+    for product, kind in ((wide, _NodeSum), (narrow, _RaySplit)):
+        density = _PvDensity.build(Z1_FN, [(0, (1.0, "q"), product)], u1, u2)
+        assert density.ray_fn.degree == 1
+        assert isinstance(_pv_integrand(density, w), kind)
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "node-sum"])
+def test_a_zero_on_the_mesh_rays_is_a_pole_only_where_it_is_integrated(
+        monkeypatch, split):
+    # z1 - c1 = 2i Im z1 vanishes exactly on the rays xi1 = 0.  The ball
+    # leaves them inside the metric region; the sublevel set |f| < eps
+    # swallows them whole, so no levelset shell lies on them
+    f = parse_qfunction("z1 - c1 ; 0")
+    if not split:
+        node_sum_only(monkeypatch)
+    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    rule = build_quadrature(4, 8)
+    with pytest.raises(PoleOnDomain, match="singular inside"):
+        pv_pair(f, psi, rule=rule, region="metric")
+    est = pv_pair(f, psi, rule=rule, region="levelset")
+    assert all(np.isfinite(v.norm()) for v in est.values)
+    assert max(v.norm() for v in est.values) > 0.0
 
 
 MIXED_PHI = TestForm2(Profile(parse_poly("1 + z1*c2 - 2*c1^2"), 0.9, "q"),

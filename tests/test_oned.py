@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qres.currents.estimate import EpsilonSchedule, finalize
+from qres.currents.estimate import MAX_RUNGS, EpsilonSchedule, finalize
 from qres.currents.forms import bump
 from qres.currents.oned import (Laurent1D, pv_1d, residue_1d,
                                 recover_principal_coefficients, res_limit_1d)
@@ -202,6 +202,21 @@ def test_schedule_validation():
     assert s.eps0 == pytest.approx(1.0)
     assert s.values()[0] == pytest.approx(1.0)
     assert len(s.values()) == s.count
+
+
+@pytest.mark.parametrize("count", [MAX_RUNGS + 1, 10 ** 8])
+def test_long_ladders_are_refused_before_any_rung_is_built(monkeypatch,
+                                                           count):
+    # the constructor builds no rung; values() would build all of them
+    def values(self):
+        raise AssertionError("a rung was built")
+
+    monkeypatch.setattr(EpsilonSchedule, "values", values)
+    with pytest.raises(ValueError, match=f"at most {MAX_RUNGS} "):
+        EpsilonSchedule(0.2, 0.9999999, count)
+    assert EpsilonSchedule(0.2, 0.9999999, MAX_RUNGS).count == MAX_RUNGS
+    # well above the longest default ladder
+    assert EpsilonSchedule.for_disc(1.0).count < MAX_RUNGS // 4
 
 
 def test_estimate_rows_shape():
