@@ -19,6 +19,7 @@ from typing import Tuple
 
 import click
 
+from . import __version__
 from .catalogue import NAMES, builtin, resolve
 from .currents import (EpsilonSchedule, Laurent1D, TestForm2, TestForm3,
                        build_quadrature, bump, parse_profile, pv_1d, pv_pair,
@@ -184,7 +185,7 @@ class _Main(click.Group):
 # ---------------------------------------------------------------- commands
 
 @click.group(cls=_Main)
-@click.version_option(package_name="qres", prog_name="qres")
+@click.version_option(version=__version__, prog_name="qres")
 def main():
     """Quaternionic function analysis: classification, derivatives, and
     residue / principal-value pairings."""

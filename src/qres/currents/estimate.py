@@ -8,6 +8,7 @@ verdict based on the decay of successive differences.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -41,9 +42,16 @@ class EpsilonSchedule:
                              f"{MAX_RUNGS} are allowed")
         # the last rung is the smallest; a ladder reaching 0 has no limit
         # left to extrapolate and hands the integrators a zero radius
-        if not self.eps0 * self.ratio ** (self.count - 1) > 0:
+        last = self.eps0 * self.ratio ** (self.count - 1)
+        if not last > 0:
             raise ValueError("the ladder underflows: its last rung rounds "
                              "to 0")
+        # both 4-D pairings compare |f|^2 with eps^2; a square below the
+        # smallest normal float loses its digits or rounds to 0, and then
+        # no ray crosses the level set
+        if last * last < sys.float_info.min:
+            raise ValueError(f"the ladder underflows: its last rung {last:g} "
+                             "squared is below the smallest normal float")
 
     @classmethod
     def for_radius(cls, R: float) -> "EpsilonSchedule":

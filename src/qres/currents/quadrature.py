@@ -16,7 +16,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import TooCoarse
+from ..errors import RuleTooLarge, TooCoarse
 
 HALF_PI = math.pi / 2.0
 
@@ -115,12 +115,14 @@ def graded_eta_panels(eps: float, support: float
 
     Level sets of functions vanishing on a coordinate plane hug eta = 0 or
     eta = pi/2 at scale eps/support, so a fixed grid cannot resolve them; the
-    first panel width tracks that scale.
+    first panel width tracks that scale.  Panels double from that width, so
+    a width that underflows to 0 would need unboundedly many: it raises
+    RuleTooLarge before anything is allocated.
     """
     delta = HALF_PI * min(0.05, 0.2 * eps / support)
     if not delta > 0:
-        raise ValueError(f"the first eta panel at eps = {eps:g} and "
-                         f"support {support:g} is not positive")
+        raise RuleTooLarge(f"the first eta panel at eps = {eps:g} and "
+                           f"support {support:g} is not positive")
     mid = HALF_PI / 2.0
     left = [0.0]
     e = delta

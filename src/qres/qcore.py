@@ -110,8 +110,9 @@ class CRat:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __complex__(self) -> complex:

@@ -2,14 +2,18 @@
 
 The variable q = z1 + z2*j is split into the four commuting complex
 coordinates z1, conj(z1), z2, conj(z2).  A :class:`ConjPoly` is a polynomial
-in those four with exact complex-rational coefficients; a
-:class:`ConjRational` is a quotient whose denominator is real-valued, which
-is the shape quaternionic inversion produces and keeps every later quotient
-well defined without commutativity worries.  A :class:`QFunction` pairs two
-rationals into the component form f = f1 + f2*j.
+in those four with exact complex-rational coefficients, stored as
+Gaussian-integer numerators over one positive common denominator in lowest
+terms, so its arithmetic is int arithmetic and equality is a plain
+comparison.  A :class:`ConjRational` is a quotient whose denominator is
+real-valued, which is the shape quaternionic inversion produces and keeps
+every later quotient well defined without commutativity worries.  A
+:class:`QFunction` pairs two rationals into the component form
+f = f1 + f2*j.
 
 Numeric evaluation compiles terms to numpy expressions; exact evaluation
-stays in CRat arithmetic end to end.
+stays exact end to end, in int arithmetic inside a polynomial and in CRat
+arithmetic at a point.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -46,24 +51,73 @@ def _as_crat(x) -> CRat:
 
 
 class ConjPoly:
-    """Sparse polynomial over (z1, conj z1, z2, conj z2) with CRat coefficients."""
+    """Sparse polynomial over (z1, conj z1, z2, conj z2) with exact
+    complex-rational coefficients.
 
-    __slots__ = ("_terms",)
+    A polynomial is stored as Gaussian-integer numerators over one common
+    denominator: ``_num`` maps each exponent key to a pair of ints (re, im),
+    never both 0, and ``_den`` is a positive int.  The pair is kept in lowest
+    terms, gcd(den, every re, every im) = 1, and the zero polynomial has
+    den = 1, so two polynomials are equal exactly when their denominators
+    and numerator dicts are.  Arithmetic runs on ints with at most one gcd
+    pass per result.  ``terms`` is the read-only view key -> CRat, built on
+    first read and cached, since a polynomial never changes.
+
+    Key order is part of the contract: it sets the float summation order of
+    every evaluation.  A sum or product appends keys in the order its
+    running sum first meets them, and drops a key whose running sum cancels
+    (a later term appends it again).
+    """
+
+    __slots__ = ("_num", "_den", "_terms")
 
     def __init__(self, terms: Dict[ExpKey, CRat] | None = None):
-        clean: Dict[ExpKey, CRat] = {}
+        parts = []
+        den = 1
         if terms:
             for key, coeff in terms.items():
                 c = _as_crat(coeff)
                 if not c.is_zero:
-                    clean[tuple(key)] = c
-        self._terms = clean
+                    parts.append((tuple(key), c.re, c.im))
+                    den = math.lcm(den, c.re.denominator, c.im.denominator)
+        # den is the lcm of the denominators of fractions in lowest terms,
+        # so the scaled numerators share no factor with it
+        self._num = {key: (re.numerator * (den // re.denominator),
+                           im.numerator * (den // im.denominator))
+                     for key, re, im in parts}
+        self._den = den
+        self._terms = None
+
+    @classmethod
+    def _from_parts(cls, num: Dict[ExpKey, Tuple[int, int]],
+                    den: int) -> "ConjPoly":
+        """Wrap num / den, already in lowest terms."""
+        p = cls.__new__(cls)
+        p._num = num
+        p._den = den
+        p._terms = None
+        return p
+
+    @classmethod
+    def _reduced(cls, num: Dict[ExpKey, Tuple[int, int]],
+                 den: int) -> "ConjPoly":
+        """num / den put in lowest terms (den = 1 when num is empty)."""
+        if den != 1:
+            g = den
+            for re, im in num.values():
+                g = math.gcd(g, re, im)
+                if g == 1:
+                    break
+            if g != 1:
+                num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+                den //= g
+        return cls._from_parts(num, den)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ConjPoly":
-        return cls()
+        return cls._from_parts({}, 1)
 
     @classmethod
     def const(cls, c) -> "ConjPoly":
@@ -71,97 +125,130 @@ class ConjPoly:
 
     @classmethod
     def one(cls) -> "ConjPoly":
-        return cls.const(1)
+        return cls._from_parts({_ZKEY: (1, 0)}, 1)
 
     @classmethod
     def var(cls, name: str) -> "ConjPoly":
         idx = VAR_INDEX[name]
         key = [0, 0, 0, 0]
         key[idx] = 1
-        return cls({tuple(key): CRAT_ONE})
+        return cls._from_parts({tuple(key): (1, 0)}, 1)
 
     # -- structure --------------------------------------------------------
 
     @property
     def terms(self) -> Dict[ExpKey, CRat]:
-        return self._terms
+        """Exponent key -> CRat coefficient, in key order; shared, not to be
+        mutated."""
+        t = self._terms
+        if t is None:
+            den = self._den
+            t = self._terms = {
+                k: CRat(Fraction(re, den), Fraction(im, den))
+                for k, (re, im) in self._num.items()}
+        return t
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and _ZKEY in self._terms)
+        return not self._num or (len(self._num) == 1 and _ZKEY in self._num)
 
     @property
     def is_real(self) -> bool:
-        return self == self.conjugate()
+        # the coefficient at (b, a, d, c) must be the conjugate of the one
+        # at (a, b, c, d)
+        num = self._num
+        for (a, b, c, d), (re, im) in num.items():
+            mirror = num.get((b, a, d, c))
+            if mirror is None or mirror[0] != re or mirror[1] != -im:
+                return False
+        return True
 
     def min_total_degree(self):
-        if not self._terms:
+        if not self._num:
             return math.inf
-        return min(sum(k) for k in self._terms)
+        return min(sum(k) for k in self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConjPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     __hash__ = None
 
     # -- arithmetic -------------------------------------------------------
 
+    def _plus(self, other: "ConjPoly", sign: int) -> "ConjPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        m1, m2 = d2 // g, sign * (d1 // g)
+        if m1 == 1:
+            out = dict(self._num)
+        else:
+            out = {k: (re * m1, im * m1) for k, (re, im) in self._num.items()}
+        get = out.get
+        for key, (re, im) in other._num.items():
+            re *= m2
+            im *= m2
+            s = get(key)
+            if s is not None:
+                re += s[0]
+                im += s[1]
+                if not re and not im:
+                    del out[key]
+                    continue
+            out[key] = (re, im)
+        return ConjPoly._reduced(out, d1 * m1)
+
     def __add__(self, other):
         o = _poly_coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in o._terms.items():
-            s = out.get(key, CRAT_ZERO) + coeff
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        p = ConjPoly.__new__(ConjPoly)
-        p._terms = out
-        return p
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ConjPoly":
-        p = ConjPoly.__new__(ConjPoly)
-        p._terms = {k: -c for k, c in self._terms.items()}
-        return p
+        return ConjPoly._from_parts(
+            {k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     def __sub__(self, other):
         o = _poly_coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = _poly_coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self, -1)
 
     def __mul__(self, other):
         o = _poly_coerce(other)
         if o is None:
             return NotImplemented
-        out: Dict[ExpKey, CRat] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in o._terms.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                s = out.get(key, CRAT_ZERO) + c1 * c2
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        p = ConjPoly.__new__(ConjPoly)
-        p._terms = out
-        return p
+        out: Dict[ExpKey, Tuple[int, int]] = {}
+        get = out.get
+        right = list(o._num.items())
+        for (a1, b1, c1, d1), (x1, y1) in self._num.items():
+            for (a2, b2, c2, d2), (x2, y2) in right:
+                key = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+                re = x1 * x2 - y1 * y2
+                im = x1 * y2 + y1 * x2
+                s = get(key)
+                if s is not None:
+                    re += s[0]
+                    im += s[1]
+                    if not re and not im:
+                        del out[key]
+                        continue
+                out[key] = (re, im)
+        return ConjPoly._reduced(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -173,39 +260,35 @@ class ConjPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def conjugate(self) -> "ConjPoly":
-        out = {}
-        for (a, b, c, d), coeff in self._terms.items():
-            out[(b, a, d, c)] = coeff.conjugate()
-        p = ConjPoly.__new__(ConjPoly)
-        p._terms = out
-        return p
+        return ConjPoly._from_parts(
+            {(b, a, d, c): (re, -im)
+             for (a, b, c, d), (re, im) in self._num.items()}, self._den)
 
     def wirtinger(self, var: str) -> "ConjPoly":
         """Partial derivative treating the four coordinates as independent."""
         idx = VAR_INDEX[var]
-        out: Dict[ExpKey, CRat] = {}
-        for key, coeff in self._terms.items():
+        out: Dict[ExpKey, Tuple[int, int]] = {}
+        for key, (re, im) in self._num.items():
             e = key[idx]
             if e == 0:
                 continue
             nk = list(key)
             nk[idx] = e - 1
-            out[tuple(nk)] = coeff * e
-        p = ConjPoly.__new__(ConjPoly)
-        p._terms = out
-        return p
+            out[tuple(nk)] = (re * e, im * e)
+        return ConjPoly._reduced(out, self._den)
 
     def shifted(self, p1: CRat, p2: CRat) -> "ConjPoly":
         """Recenter at (p1, p2): substitute z1 -> z1 + p1 and so on."""
         moved = [ConjPoly.var(v) + off for v, off in
                  zip(VAR_NAMES, (p1, p1.conjugate(), p2, p2.conjugate()))]
         out = ConjPoly.zero()
-        for (a, b, c, d), coeff in self._terms.items():
+        for (a, b, c, d), coeff in self.terms.items():
             out = out + (ConjPoly.const(coeff) * moved[0] ** a * moved[1] ** b
                          * moved[2] ** c * moved[3] ** d)
         return out
@@ -215,7 +298,7 @@ class ConjPoly:
     def eval_exact(self, z1: CRat, z2: CRat) -> CRat:
         vals = (z1, z1.conjugate(), z2, z2.conjugate())
         total = CRAT_ZERO
-        for (a, b, c, d), coeff in self._terms.items():
+        for (a, b, c, d), coeff in self.terms.items():
             total = total + coeff * vals[0] ** a * vals[1] ** b * vals[2] ** c * vals[3] ** d
         return total
 
@@ -224,7 +307,7 @@ class ConjPoly:
         Z2 = np.asarray(Z2, dtype=complex)
         out = np.zeros(np.broadcast(Z1, Z2).shape, dtype=complex)
         vals = (Z1, np.conj(Z1), Z2, np.conj(Z2))
-        for (a, b, c, d), coeff in self._terms.items():
+        for (a, b, c, d), coeff in self.terms.items():
             term = complex(coeff)
             if a:
                 term = term * vals[0] ** a
@@ -241,16 +324,17 @@ class ConjPoly:
         """Sum of term magnitudes, the natural yardstick for pole detection."""
         a1, a2 = np.abs(np.asarray(Z1, complex)), np.abs(np.asarray(Z2, complex))
         out = np.zeros(np.broadcast(a1, a2).shape, dtype=float)
-        for (a, b, c, d), coeff in self._terms.items():
+        for (a, b, c, d), coeff in self.terms.items():
             out += abs(complex(coeff)) * a1 ** (a + b) * a2 ** (c + d)
         return out
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         out = []
-        for key in sorted(self._terms, reverse=True):
-            coeff = self._terms[key]
+        terms = self.terms
+        for key in sorted(terms, reverse=True):
+            coeff = terms[key]
             # pull an overall minus out of the coefficient so the printed
             # form stays inside the input grammar (no unary minus there)
             negative = coeff.re < 0 or (coeff.re == 0 and coeff.im < 0)
@@ -310,6 +394,15 @@ class ConjRational:
         self.den = den
 
     @classmethod
+    def _from_parts(cls, num: ConjPoly, den: ConjPoly) -> "ConjRational":
+        """Wrap num / den that already keep the invariants: den real, and no
+        shared real monomial left to cancel."""
+        r = cls.__new__(cls)
+        r.num = num
+        r.den = den
+        return r
+
+    @classmethod
     def from_poly(cls, p: ConjPoly) -> "ConjRational":
         return cls(p)
 
@@ -342,7 +435,7 @@ class ConjRational:
     __hash__ = None
 
     def __neg__(self) -> "ConjRational":
-        return ConjRational(-self.num, self.den)
+        return ConjRational._from_parts(-self.num, self.den)
 
     def __add__(self, other):
         o = _rat_coerce(other)
@@ -389,7 +482,9 @@ class ConjRational:
         return ConjRational(self.num * other.den, self.den * other.num)
 
     def conjugate(self) -> "ConjRational":
-        return ConjRational(self.num.conjugate(), self.den)
+        # swapping z with conj z keeps min(a, b) and min(c, d) of every key,
+        # so nothing new can be cancelled
+        return ConjRational._from_parts(self.num.conjugate(), self.den)
 
     def wirtinger(self, var: str) -> "ConjRational":
         if self.is_polynomial:
@@ -434,21 +529,19 @@ class ConjRational:
 
 def _strip_content(num: ConjPoly, den: ConjPoly) -> Tuple[ConjPoly, ConjPoly]:
     """Cancel a shared monomial factor, but only a real one (|z1|^2a |z2|^2b)
-    so the denominator stays real-valued."""
-    mins = [min(min(k[i] for k in p.terms) for p in (num, den)) for i in range(4)]
-    s1 = min(mins[0], mins[1])
-    s2 = min(mins[2], mins[3])
-    if s1 == 0 and s2 == 0:
-        return num, den
-    shift = (s1, s1, s2, s2)
+    so the denominator stays real-valued.  Reads the exponent keys only; den
+    comes first, since a constant den settles it at its first key."""
+    s1 = s2 = math.inf
+    for a, b, c, d in chain(den._num, num._num):
+        s1 = min(s1, a, b)
+        s2 = min(s2, c, d)
+        if not s1 and not s2:
+            return num, den
 
     def drop(p: ConjPoly) -> ConjPoly:
-        q = ConjPoly.__new__(ConjPoly)
-        q._terms = {
-            (k[0] - shift[0], k[1] - shift[1], k[2] - shift[2], k[3] - shift[3]): c
-            for k, c in p.terms.items()
-        }
-        return q
+        return ConjPoly._from_parts(
+            {(k[0] - s1, k[1] - s1, k[2] - s2, k[3] - s2): c
+             for k, c in p._num.items()}, p._den)
 
     return drop(num), drop(den)
 

@@ -2,8 +2,10 @@
 
 The oracles here are deliberately independent of the package internals:
 quaternion arithmetic is checked against the classical 4x4 real matrix
-representation, derivatives against central finite differences, and sphere
-integrals against closed forms or seeded Monte Carlo.
+representation, derivatives against central finite differences, sphere
+integrals against closed forms or seeded Monte Carlo, the closed-form chart
+volume against the determinant of the full chart Jacobian, and the int
+polynomial kernel against the CRat-dict arithmetic it replaced.
 """
 import os
 import random
@@ -44,6 +46,47 @@ def quat_mul_basis(x, y):
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
 
+# chart oracles -----------------------------------------------------------
+
+def chart_jacobian(lam, eta, xi1, xi2):
+    """Full Jacobian J[w, a] = d(coordinate w)/d(parameter a).
+
+    Returns a complex array of shape (4, 4) + node-shape, coordinates ordered
+    (z1, z1bar, z2, z2bar) and parameters (lam, eta, xi1, xi2).
+    """
+    lam, eta, xi1, xi2 = np.broadcast_arrays(
+        np.asarray(lam, dtype=float), np.asarray(eta, dtype=float),
+        np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float))
+    e1 = np.exp(1j * xi1)
+    e2 = np.exp(1j * xi2)
+    c = np.cos(eta)
+    s = np.sin(eta)
+    zeros = np.zeros(lam.shape, dtype=complex)
+    row_z1 = np.stack([c * e1, -lam * s * e1, 1j * lam * c * e1, zeros])
+    row_z2 = np.stack([s * e2, lam * c * e2, zeros, 1j * lam * s * e2])
+    return np.stack([row_z1, row_z1.conj(), row_z2, row_z2.conj()])
+
+
+def _det3(r0, r1, r2):
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
+
+def det4(jac):
+    """Determinant of the (4, 4, ...) Jacobian by cofactor expansion; on the
+    chart Jacobian it equals 4 * lam^3 * sin(eta)*cos(eta)."""
+    total = np.zeros(jac.shape[2:], dtype=complex)
+    sign = 1.0
+    lower = jac[1:]
+    for col in range(4):
+        rest = [c for c in range(4) if c != col]
+        minor = lower[:, rest]
+        total = total + sign * jac[0, col] * _det3(minor[0], minor[1], minor[2])
+        sign = -sign
+    return total
+
+
 # random exact values -----------------------------------------------------
 
 def rand_fraction(rng, span=6, den=4):
@@ -74,6 +117,117 @@ def rand_poly(rng, deg=2, n_terms=3) -> ConjPoly:
             t = t * rng.choice(VARS)
         p = p + t
     return p
+
+
+# reference polynomial kernel ---------------------------------------------
+
+class RefPoly:
+    """ConjPoly's arithmetic on a plain dict of CRat coefficients, kept as the
+    oracle for its int kernel.  Every operation builds its result term by
+    term in the same loop order, so results must agree in key order too: a
+    sum or product appends a key when its running sum first meets it and
+    pops one whose running sum cancels."""
+
+    def __init__(self, terms):
+        self.terms = {tuple(k): c for k, c in terms.items() if not c.is_zero}
+
+    @classmethod
+    def var(cls, idx):
+        key = [0, 0, 0, 0]
+        key[idx] = 1
+        return cls({tuple(key): CRat(1)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            s = out.get(key, CRat(0)) + coeff
+            if s.is_zero:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                s = out.get(key, CRat(0)) + c1 * c2
+                if s.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return RefPoly(out)
+
+    def __pow__(self, n):
+        out = RefPoly({(0, 0, 0, 0): CRat(1)})
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def conjugate(self):
+        return RefPoly({(b, a, d, c): coeff.conjugate()
+                        for (a, b, c, d), coeff in self.terms.items()})
+
+    def wirtinger(self, idx):
+        out = {}
+        for key, coeff in self.terms.items():
+            e = key[idx]
+            if e:
+                nk = list(key)
+                nk[idx] = e - 1
+                out[tuple(nk)] = coeff * e
+        return RefPoly(out)
+
+    def shifted(self, p1, p2):
+        moved = [RefPoly.var(i) + RefPoly({(0, 0, 0, 0): off})
+                 for i, off in enumerate((p1, p1.conjugate(), p2,
+                                          p2.conjugate()))]
+        out = RefPoly({})
+        for (a, b, c, d), coeff in self.terms.items():
+            out = out + (RefPoly({(0, 0, 0, 0): coeff}) * moved[0] ** a
+                         * moved[1] ** b * moved[2] ** c * moved[3] ** d)
+        return out
+
+
+def ref_strip_content(num: RefPoly, den: RefPoly):
+    """Cancel the shared real monomial |z1|^2a |z2|^2b of num and den."""
+    mins = [min(min(k[i] for k in p.terms) for p in (num, den))
+            for i in range(4)]
+    s1, s2 = min(mins[0], mins[1]), min(mins[2], mins[3])
+    shift = (s1, s1, s2, s2)
+
+    def drop(p):
+        return RefPoly({tuple(e - s for e, s in zip(k, shift)): c
+                        for k, c in p.terms.items()})
+
+    return drop(num), drop(den)
+
+
+TERM_DENOMINATORS = (1, 2, 3, 4, 6, 9, 10)
+
+
+def rand_terms(rng, n_terms=5, max_exp=2):
+    """Exact coefficients over several distinct denominators on a small
+    exponent box, so sums and products collide and cancel often."""
+    terms = {}
+    for _ in range(n_terms):
+        key = tuple(rng.randrange(max_exp + 1) for _ in range(4))
+        re, im = (Fraction(rng.randrange(-4, 5), rng.choice(TERM_DENOMINATORS))
+                  for _ in range(2))
+        terms[key] = CRat(re, im)
+    return terms
 
 
 # hyperholomorphic sample families ----------------------------------------

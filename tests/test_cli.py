@@ -247,23 +247,39 @@ def test_oracle_1d_overflowing_pole_exits_3_without_output(kind):
     assert res.stderr.startswith("domain error: ")
 
 
+def test_version_prints_one_line_from_a_source_tree():
+    # click looked the version up in the installed package metadata and
+    # ended in a traceback when qres ran from src/ without being installed
+    res = run_bounded(["-m", "qres.cli", "--version"])
+    assert res.returncode == 0
+    assert res.stdout == "qres, version 0.1.0\n"
+    assert res.stderr == ""
+
+
 @pytest.mark.parametrize("args, code", [
     (["residue", "-f", "conj", "--phi22", "bump",
       "--schedule", "0.3,1e-200,3"], 2),
     (["oracle-1d", "--kind", "pv", "--schedule", "0.2,1e-200,3"], 2),
-    # the rungs are positive, but the first eta panel, 0.2 eps / R, is not
-    (["residue", "-f", "conj", "--phi22", "bump", "--R", "1e15",
-      "--schedule", "1e-310,0.5,3"], 3),
+    # the rungs and their squares are positive, but the first eta panel,
+    # 0.2 eps / R, is not
+    (["residue", "-f", "conj", "--phi22", "bump", "--R", "1e300",
+      "--schedule", "1e-150,0.5,3"], 2),
+    # the rungs are positive, but the last one squared underflows
+    (["residue", "-f", "conj", "--phi22", "bump", "--n-eta", "8",
+      "--n-xi", "8", "--schedule", "1e-300,0.7,3"], 2),
     (["pv", "-f", "conj", "--psi1", "bump", "--schedule", "0.3,1e-200,3",
       "--n-eta", "4", "--n-xi", "8", "--region", "levelset"], 2),
-], ids=["residue", "oracle-1d", "residue-panel", "pv-levelset"])
+], ids=["residue", "oracle-1d", "residue-panel", "residue-square",
+        "pv-levelset"])
 def test_underflowing_ladders_are_refused_at_once(args, code):
     # a ladder whose rungs round to 0 once hung the residue and the 1-D
     # principal value while they grew a list of panel edges, and gave a pv
-    # rung at eps = 0 with exit 0
+    # rung at eps = 0 with exit 0; one whose eps^2 rounds to 0 gave rungs
+    # that were all exactly 0, with exit 0
     res = run_bounded(["-m", "qres.cli", *args])
     assert res.returncode == code
     assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
     assert "underflows" in res.stderr or "not positive" in res.stderr
 
 

@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import chart_jacobian, det4
 from qres.catalogue import NAMES, builtin
 from qres.currents.chart import (ORIENTATION_3FORM, ORIENTATION_4FORM,
-                                 chart_jacobian, det4, sphere_to_complex)
+                                 sphere_to_complex)
 from qres.currents.estimate import EpsilonSchedule
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
 from qres.currents import pairings

@@ -196,8 +196,11 @@ def test_schedule_validation():
         EpsilonSchedule(0.1, 0.5, 2)
     with pytest.raises(ValueError, match="underflows"):
         EpsilonSchedule(0.3, 1e-200, 3)
-    # subnormal rungs are still rungs
-    assert EpsilonSchedule(1e-300, 1e-8, 3).values()[-1] > 0
+    # both 4-D pairings compare |f|^2 with eps^2, so a rung whose square
+    # is not a normal float is refused too
+    with pytest.raises(ValueError, match="underflows"):
+        EpsilonSchedule(1e-300, 1e-8, 3)
+    assert EpsilonSchedule(1e-150, 0.5, 3).values()[-1] ** 2 > 0
     s = EpsilonSchedule.for_radius(2.0)
     assert s.eps0 == pytest.approx(1.0)
     assert s.values()[0] == pytest.approx(1.0)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_crat, rand_point, rand_poly, rand_quat, seeded
+from helpers import (RefPoly, rand_crat, rand_point, rand_poly, rand_quat,
+                     rand_terms, ref_strip_content, seeded)
 from qres.errors import PoleError
 from qres.qcore import CRat, Quat
 from qres.symfun import (ConjPoly, ConjRational, QFunction, numeric_jet,
@@ -232,3 +233,107 @@ def test_str_round_trip_through_parser():
                 t = t * rng.choice((Z1, C1, Z2, C2))
             p = p + t
         assert parse_poly(str(p)) == p
+
+
+# the int kernel against the CRat-dict reference ----------------------------
+
+def assert_same_terms(p: ConjPoly, ref: RefPoly):
+    """Equal coefficients in the same key order, and bit-equal floats."""
+    assert list(p.terms.items()) == list(ref.terms.items())
+    for c, r in zip(p.terms.values(), ref.terms.values()):
+        assert complex(c) == complex(r)
+
+
+def test_kernel_matches_the_reference_on_random_polynomials():
+    rng = seeded(40)
+    for _ in range(60):
+        ta, tb, tc = (rand_terms(rng, rng.randrange(1, 7)) for _ in range(3))
+        a, b, c = ConjPoly(ta), ConjPoly(tb), ConjPoly(tc)
+        ra, rb, rc = RefPoly(ta), RefPoly(tb), RefPoly(tc)
+        assert_same_terms(a, ra)
+        assert_same_terms(a + b, ra + rb)
+        assert_same_terms(a - b, ra - rb)
+        assert_same_terms(-a, -ra)
+        assert_same_terms(a * b, ra * rb)
+        assert_same_terms(a.conjugate(), ra.conjugate())
+        for idx, var in enumerate(("z1", "c1", "z2", "c2")):
+            assert_same_terms(a.wirtinger(var), ra.wirtinger(idx))
+        # a chain of operations on smaller polynomials, so the reference
+        # stays quick
+        ts = [rand_terms(rng, 3, max_exp=1) for _ in range(3)]
+        (x, y, z), (rx, ry, rz) = map(ConjPoly, ts), map(RefPoly, ts)
+        got = ((x * y + z) ** 2 - x).wirtinger("z2").conjugate() * z
+        want = ((rx * ry + rz) ** 2 - rx).wirtinger(2).conjugate() * rz
+        assert_same_terms(got, want)
+        p1, p2 = rand_crat(rng, 3), rand_crat(rng, 3)
+        assert_same_terms(a.shifted(p1, p2), ra.shifted(p1, p2))
+
+
+def test_kernel_matches_the_reference_where_sums_cancel():
+    # (1 + z1 - z1^2)^2: the z1^2 sum cancels at z1*z1 and is appended again
+    # after z1^3, so the order is 1, z1, z1^3, z1^2, z1^4
+    p = ConjPoly.one() + Z1 - Z1 ** 2
+    ref = RefPoly({(0, 0, 0, 0): CRat(1), (1, 0, 0, 0): CRat(1),
+                   (2, 0, 0, 0): CRat(-1)})
+    assert_same_terms(p * p, ref * ref)
+    assert_same_terms(p ** 2, ref ** 2)
+    assert [k[0] for k in (p * p).terms] == [0, 1, 3, 2, 4]
+    # a sum that cancels every term is the zero polynomial
+    rng = seeded(41)
+    for _ in range(20):
+        t = rand_terms(rng)
+        a, ra = ConjPoly(t), RefPoly(t)
+        assert_same_terms(a - a, ra - ra)
+        assert (a - a).is_zero and (a - a) == ConjPoly.zero()
+        assert_same_terms(a * ConjPoly.zero(), ra * RefPoly({}))
+        assert_same_terms(ConjPoly.zero() + a, RefPoly({}) + ra)
+        assert_same_terms(a ** 0, ra ** 0)
+
+
+def test_rational_construction_matches_the_reference():
+    rng = seeded(42)
+    for _ in range(40):
+        tn, td = rand_terms(rng), rand_terms(rng, 3)
+        shift = ConjPoly({(rng.randrange(3), 0, rng.randrange(3), 0):
+                          CRat(1)})
+        num, d = ConjPoly(tn) * shift * shift.conjugate(), ConjPoly(td)
+        den = d * d.conjugate() * shift * shift.conjugate()
+        if num.is_zero:
+            continue
+        r = ConjRational(num, den)
+        want_num, want_den = ref_strip_content(RefPoly(num.terms),
+                                               RefPoly(den.terms))
+        assert_same_terms(r.num, want_num)
+        assert_same_terms(r.den, want_den)
+        assert den.is_real and r.den.is_real
+
+
+def test_equal_polynomials_share_one_canonical_form():
+    half = CRat(Fraction(1, 2))
+    third = CRat(Fraction(0), Fraction(1, 3))
+    routes = [
+        (Z1 * half + Z1 * half, Z1),
+        ((Z1 * half + Z2 * third) * (Z1 * half - Z2 * third),
+         Z1 ** 2 * CRat(Fraction(1, 4)) + Z2 ** 2 * CRat(Fraction(1, 9))),
+        ((Z1 * CRat(Fraction(3, 4))).wirtinger("z1") * 4, ConjPoly.const(3)),
+        (Z1 * half - Z1 * half, ConjPoly.zero()),
+        (ConjPoly({(1, 0, 0, 0): CRat(Fraction(2, 6), Fraction(1, 4))}),
+         Z1 * CRat(Fraction(1, 3), Fraction(1, 4))),
+    ]
+    for built, direct in routes:
+        assert built == direct
+        assert built._den == direct._den
+        assert built._num == direct._num
+    assert ConjPoly.zero()._den == 1
+
+
+def test_is_real_checks_each_mirrored_term():
+    rng = seeded(43)
+    for _ in range(30):
+        a = ConjPoly(rand_terms(rng))
+        assert (a * a.conjugate()).is_real
+        assert (a + a.conjugate()).is_real
+        assert a.is_real == (a == a.conjugate())
+    assert not (Z1 * C1 + Z1).is_real
+    assert not (Z1 * CRat(0, 1) + C1 * CRat(0, 1)).is_real
+    assert (Z1 * CRat(0, 1) - C1 * CRat(0, 1)).is_real
