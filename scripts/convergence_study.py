@@ -5,7 +5,8 @@ Sweeps the quadrature rule and the epsilon ladder for two reference
 computations whose limits are known through radial oracles:
 
   * residue of (z1, 0) against a bump in |z2|   -> plane mass
-  * principal value of 1/(z1, 0) against z1*bump -> ball moment
+  * principal value of 1/(z1, 0) against z1*bump -> ball moment, with the
+    metric ball and with the sublevel set |f| < eps excluded
 
 Run from the repository root:
 
@@ -50,18 +51,20 @@ def run(cfg: StudyConfig) -> None:
     psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
 
     print(f"{'rule':>10} {'residue rel err':>16} {'pv rel err':>12} "
-          f"{'conv':>5} {'secs':>6}")
+          f"{'levelset rel err':>17} {'conv':>5} {'secs':>6}")
     for n_eta, n_xi in cfg.rules:
         rule = build_quadrature(n_eta, n_xi)
         t0 = time.perf_counter()
         res = residue_pair(f, phi, rule=rule, schedule=cfg.schedule)
-        pv = pv_pair(f, psi, rule=rule, schedule=cfg.schedule)
+        pvs = [pv_pair(f, psi, rule=rule, schedule=cfg.schedule,
+                       region=region) for region in ("metric", "levelset")]
         secs = time.perf_counter() - t0
         res_err = abs(complex(res.extrapolated.z1) - plane) / plane
-        pv_err = abs(complex(pv.extrapolated.z1) - ball) / abs(ball)
-        conv = res.converged and pv.converged
+        pv_err, set_err = (abs(complex(pv.extrapolated.z1) - ball) / abs(ball)
+                           for pv in pvs)
+        conv = res.converged and all(pv.converged for pv in pvs)
         print(f"{n_eta:>4}x{n_xi:<5} {res_err:>16.3e} {pv_err:>12.3e} "
-              f"{str(conv):>5} {secs:>6.2f}")
+              f"{set_err:>17.3e} {str(conv):>5} {secs:>6.2f}")
 
     print()
     print("per-rung table for the largest rule (residue):")

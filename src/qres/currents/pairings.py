@@ -55,6 +55,25 @@ once per rung; the levelset region integrates them per ray on each shell
 and dots them with alpha.  Any other f is evaluated node by node
 (_NodeSum).
 
+When |f|^2 is exactly a function of |z1|^2 and |z2|^2 (_torus_invariant:
+every catalogue entry but prop34 at its default parameters), its level sets
+are invariant under the phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2),
+so a level radius depends on eta alone.  The mesh is eta-major, n_xi^2 rays
+per eta node, so both pairings then solve the level set on the first ray of
+each eta node only, and repeat its radius, and its untrusted counts, over
+the node's rays.  The levelset region integrates a split's shells on alpha
+summed over each eta node (the metric region's sum over all rays is the
+one-block case); a node sum takes the repeated start radii on every ray.
+
+A node, or for a split a ray, is a pole when |f| <= POLE_RTOL times the
+term size of f there, the sum over f1 and f2 of the term sizes of the
+numerator over |den| (_PvDensity.off_zero_set), the rule
+ConjRational.eval_screened applies to denominators: such a node lies on the
+zero set of f up to rounding, where 1/f is rounding noise times 1e16, and
+the pairing raises PoleOnDomain rather than sum it.  A residue rung
+integrates only the rays that cross |f| = eps, so chart rays inside the
+zero set are never tested there.
+
 Every node sits at lam * u on a chart ray with unit direction u, so each
 rational a pairing reads (f1, f2 and the folded products) is tabulated once
 per mesh as p(lam u) = sum_k c_k(u) lam^k for its numerator and
@@ -76,7 +95,7 @@ import numpy as np
 from ..errors import IdenticallyZero, PoleOnDomain, RuleTooLarge
 from ..operators import modulus_function
 from ..qcore import Quat
-from ..symfun import ConjPoly, ConjRational, QFunction
+from ..symfun import POLE_RTOL, ConjPoly, ConjRational, QFunction
 from .chart import ORIENTATION_3FORM, ORIENTATION_4FORM, sphere_to_complex
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import Profile, TestForm2, TestForm3, bump
@@ -136,21 +155,22 @@ def _paired(lam):
 class _RayPoly(NamedTuple):
     """One polynomial along chart rays: p(lam u) = lam^low sum_k c[k] lam^k,
     row k of c holding, per ray, the terms of total degree low + k at the
-    unit direction u.  Numerator tables are complex, denominator tables
-    (real-valued polynomials) real."""
+    unit direction u.  Numerator tables are complex; denominator tables
+    (real-valued polynomials) and term-size tables are real."""
 
     low: int
     c: np.ndarray
 
     @classmethod
-    def build(cls, poly: ConjPoly, power, n_rays: int) -> "_RayPoly":
-        """Tabulate poly; power(var, e) is the e-th power of the ray
-        coordinate var in (u1, conj u1, u2, conj u2)."""
-        degrees = [sum(key) for key in poly.terms] or [0]
+    def build(cls, terms, power, n_rays: int, dtype) -> "_RayPoly":
+        """Tabulate the terms, pairs (exponent key, coefficient as a Python
+        number), of a polynomial in a table of dtype; power(var, e) is the
+        e-th power of the ray coordinate var, in the order of the key."""
+        terms = list(terms)
+        degrees = [sum(key) for key, _ in terms] or [0]
         low = min(degrees)
-        c = np.zeros((max(degrees) - low + 1, n_rays), dtype=complex)
-        for (key, coeff), deg in zip(poly.terms.items(), degrees):
-            term = complex(coeff)
+        c = np.zeros((max(degrees) - low + 1, n_rays), dtype=dtype)
+        for (key, term), deg in zip(terms, degrees):
             for var, e in enumerate(key):
                 if e:
                     term = term * power(var, e)
@@ -222,12 +242,12 @@ class _RayFunction:
     @classmethod
     def build(cls, rationals: Sequence[ConjRational], u1, u2
               ) -> "_RayFunction":
-        base = (u1, np.conj(u1), u2, np.conj(u2))
-        power = functools.lru_cache(maxsize=None)(
-            lambda var, e: base[var] ** e)
+        power = _powers((u1, np.conj(u1), u2, np.conj(u2)))
 
         def table(poly):
-            return _RayPoly.build(poly, power, len(u1))
+            return _RayPoly.build(((key, complex(coeff))
+                                   for key, coeff in poly.terms.items()),
+                                  power, len(u1), complex)
 
         def real(poly):
             low, c = table(poly)
@@ -302,6 +322,11 @@ class _RayFunction:
         (n1, d1), (n2, d2) = squares
         a, b, q = _aligned(_times(n1, d2), _times(n2, d1), _times(d1, d2))
         return a + b, q
+
+
+def _powers(base):
+    """power(var, e) = base[var] ** e, each computed once."""
+    return functools.lru_cache(maxsize=None)(lambda var, e: base[var] ** e)
 
 
 def _abs_sq(F1, F2):
@@ -498,14 +523,22 @@ class _RayMesh(NamedTuple):
 
     @classmethod
     def build(cls, eta_nodes, eta_weights, rule: QuadratureRule) -> "_RayMesh":
-        """Product grid of the eta nodes with the rule's two phase grids."""
+        """Product grid of the eta nodes with the rule's two phase grids,
+        eta-major: the n_xi^2 rays of eta node i are rays i n_xi^2 onwards.
+        cos, sin and the phases are taken on the axes and broadcast, which
+        gives the same values, bit for bit, as taking them per ray."""
         ne, nx = len(eta_nodes), len(rule.xi_nodes)
-        e = np.repeat(eta_nodes, nx * nx)
+        eta = np.asarray(eta_nodes, dtype=float)
+        xi = rule.xi_nodes
+        e = np.repeat(eta, nx * nx)
         w = np.repeat(eta_weights, nx * nx) * rule.xi_weight ** 2
-        x1 = np.tile(np.repeat(rule.xi_nodes, nx), ne)
-        x2 = np.tile(rule.xi_nodes, ne * nx)
-        u1, u2 = sphere_to_complex(1.0, e, x1, x2)
-        return cls(e, x1, x2, w, u1, u2, np.sin(e) * np.cos(e))
+        x1 = np.tile(np.repeat(xi, nx), ne)
+        x2 = np.tile(xi, ne * nx)
+        u1, u2 = sphere_to_complex(1.0, eta[:, None, None], xi[:, None], xi)
+        shape = (ne, nx, nx)
+        return cls(e, x1, x2, w, np.broadcast_to(u1, shape).ravel(),
+                   np.broadcast_to(u2, shape).ravel(),
+                   np.repeat(np.sin(eta) * np.cos(eta), nx * nx))
 
     def take(self, sel) -> "_RayMesh":
         return _RayMesh(*(a[sel] for a in self))
@@ -515,6 +548,18 @@ def _require_nonzero(f: QFunction) -> None:
     if f.is_zero:
         raise IdenticallyZero("f is identically zero, so 1/f has no "
                               "currents to pair")
+
+
+def _torus_invariant(f: QFunction) -> bool:
+    """Whether |f|^2 is exactly a function of |z1|^2 and |z2|^2: every
+    exponent key (a, b, c, d) of its numerator and denominator has a == b
+    and c == d.  Sufficient, not necessary.  The level sets of such an f are
+    invariant under the phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2),
+    so a level radius on a chart ray depends on eta alone, and one ray per
+    eta node of a _RayMesh stands for all n_xi^2 of them."""
+    g = modulus_function(f)
+    return all(a == b and c == d
+               for p in (g.num, g.den) for a, b, c, d in p.terms)
 
 
 def _right_inverse_kernels(f: QFunction, a, b):
@@ -596,40 +641,67 @@ class _PvDensity(NamedTuple):
     """A folded density (_fold) on one set of chart rays: the residue or the
     principal-value density of f against a test form.
 
-    ray_fn tabulates f1, f2, then each product; slots holds, per product,
-    its part (0 scalar, 1 j) and the index of its bump in bumps, the pairs
-    (R, r) of the distinct (R, radial), where r is the radial modulus at
-    the unit direction (|u1| or |u2| per ray), or None for |q|."""
+    ray_fn tabulates f1, f2, then each product; sizes holds, for f1 and
+    f2, the real table of the term sizes of its numerator (None for 0):
+    the sum of |c| |u1|^(a+b) |u2|^(c+d) over its terms c z1^a conj(z1)^b
+    z2^c conj(z2)^d of each degree.  slots holds, per product, its part
+    (0 scalar, 1 j) and the index of its bump in bumps, the pairs (R, r) of
+    the distinct (R, radial), where r is the radial modulus at the unit
+    direction (|u1| or |u2| per ray), or None for |q|."""
 
     ray_fn: _RayFunction
+    sizes: Tuple[Optional[_RayPoly], ...]
     slots: Tuple[Tuple[int, int], ...]
     bumps: Tuple[Tuple[float, Optional[np.ndarray]], ...]
 
     @classmethod
     def build(cls, f: QFunction, products, u1, u2) -> "_PvDensity":
         keys = list(dict.fromkeys(key for _, key, _ in products))
-        radius = {"q": None, "z1": np.abs(u1), "z2": np.abs(u2)}
+        a1, a2 = np.abs(u1), np.abs(u2)
+        radius = {"q": None, "z1": a1, "z2": a2}
         ray_fn = _RayFunction.build(
             (f.f1, f.f2) + tuple(r for _, _, r in products), u1, u2)
-        return cls(ray_fn,
+        power = _powers((a1, a1, a2, a2))
+        sizes = tuple(None if r.is_zero else _RayPoly.build(
+            ((key, abs(complex(coeff))) for key, coeff in r.num.terms.items()),
+            power, len(u1), float) for r in (f.f1, f.f2))
+        return cls(ray_fn, sizes,
                    tuple((part, keys.index(key)) for part, key, _ in products),
                    tuple((R, radius[radial]) for R, radial in keys))
 
     def take(self, sel) -> "_PvDensity":
-        return _PvDensity(self.ray_fn.take(sel), self.slots,
+        return _PvDensity(self.ray_fn.take(sel),
+                          tuple(None if t is None else t.take(sel)
+                                for t in self.sizes),
+                          self.slots,
                           tuple((R, None if r is None else r[sel])
                                 for R, r in self.bumps))
+
+    def off_zero_set(self, lam, g):
+        """Where f, with |f|^2 = g at radius lam, is off its zero set and
+        its poles: g is finite and |f| exceeds POLE_RTOL times the term size
+        of f there, the sum over f1 and f2 of the term sizes of the
+        numerator over |den|.  ConjRational.eval_screened applies the same
+        rule to a denominator.  lam is shaped as in _RayFunction.values."""
+        size = 0.0
+        for table, t in zip(self.sizes, self.ray_fn.items):
+            if table is not None:
+                s = table.at(lam)
+                if t.den is not None:
+                    s = s / np.abs(t.den.at(lam))
+                size = size + s
+        return (g < np.inf) & (g > (POLE_RTOL * size) ** 2)
 
     @_quiet
     def terms(self, lam, w):
         """The density at radius lam, before the chart volume factor, times
         the real weight w, as one term per surviving product: pairs of its
         part (0 scalar, 1 j) and w bump(lam r / R) P / |f|^2.  lam is
-        shaped as in _RayFunction.values.  A node where |f|^2 is zero or not
-        finite is a pole, whether or not any product survives the fold."""
+        shaped as in _RayFunction.values.  A node that is not off_zero_set
+        is a pole, whether or not any product survives the fold."""
         F1, F2, *products = self.ray_fn.values(lam)
         g = _abs_sq(F1, F2)
-        if not np.all((g > 0.0) & (g < np.inf)):
+        if not np.all(self.off_zero_set(lam, g)):
             raise PoleOnDomain(_SINGULAR)
         w = w / g
         scaled = [bump(lam / R if r is None else lam * r / R) * w
@@ -713,7 +785,8 @@ class _RaySplit:
     alpha_k = w_ray c_k / (d |f(u)|^2) and p_k = 3 + low + k - low_den - 2m.
     bumps holds, per distinct R, the triple (R, p_lo, alpha): alpha[i] is
     the pair (scalar part, j part) of the rows of exponent p_lo + i, summed,
-    per ray.  ok marks the rays where |f(u)|^2 is positive and finite."""
+    per ray.  ok marks the rays that are off the zero set and the poles of
+    f (_PvDensity.off_zero_set)."""
 
     def __init__(self, ok: np.ndarray, bumps):
         self.ok = ok
@@ -726,30 +799,38 @@ class _RaySplit:
                          tuple((R, p_lo, alpha.take(sel, axis=-1))
                                for R, p_lo, alpha in self.bumps))
 
+    def summed(self, block: int) -> "_RaySplit":
+        """The split on one ray per block of `block` consecutive rays, for
+        radii shared by the rays of a block: alpha summed and ok ANDed over
+        each block."""
+        return _RaySplit(
+            self.ok.reshape(-1, block).all(axis=1),
+            tuple((R, p_lo,
+                   alpha.reshape(alpha.shape[:-1] + (-1, block)).sum(axis=-1))
+                  for R, p_lo, alpha in self.bumps))
+
     @functools.cached_property
-    def _ray_sums(self):
-        """alpha summed over the rays, for radii shared by every ray."""
-        return tuple(alpha.sum(axis=-1, keepdims=True)
-                     for _, _, alpha in self.bumps)
+    def _ray_sums(self) -> "_RaySplit":
+        """The split summed over all its rays, for radii shared by every
+        ray."""
+        return self.summed(len(self.ok))
 
     @_quiet
     def radial(self, lam, w_lam) -> Quat:
         """As _NodeSum.radial: the profile integrals
         sum_j w_lam[j] 4 lam[j]^p bump(lam[j] / R) per ray, or once for a
         radius shared by every ray, dotted with alpha, in blocks of rays of
-        at most _NODE_BUDGET nodes.  A ray where |f(u)|^2 is zero or not
-        finite is a pole."""
+        at most _NODE_BUDGET nodes.  A ray that is not ok is a pole."""
+        if np.shape(lam)[-1] == 1 and len(self.ok) > 1:
+            return self._ray_sums.radial(lam, w_lam)
         if not self.ok.all():
             raise PoleOnDomain(_SINGULAR)
-        shared = np.shape(lam)[-1] == 1
-        rows = (self._ray_sums if shared
-                else tuple(alpha for _, _, alpha in self.bumps))
         step = max(1, _NODE_BUDGET // len(lam))
         totals = np.zeros(2, dtype=complex)
         for first in range(0, np.shape(lam)[-1], step):
             block = slice(first, first + step)
             lam_b = lam[:, block]
-            for (R, p_lo, _), alpha in zip(self.bumps, rows):
+            for R, p_lo, alpha in self.bumps:
                 profile = bump(lam_b / R) * w_lam[:, block]
                 power = _power(lam_b, p_lo)
                 for pair in alpha[..., block]:
@@ -773,7 +854,8 @@ def _pv_integrand(density: _PvDensity, w_rays):
     if m is None or any(t.den is not None and len(t.den.c) > 1
                         for t in products):
         return _NodeSum(density, w_rays)
-    a = ray_fn.modulus_sq(np.ones(len(w_rays)))
+    one = np.ones(len(w_rays))
+    a = ray_fn.modulus_sq(one)
     scale = w_rays / a
     rows = {}
     for (part, k), t in zip(density.slots, products):
@@ -790,7 +872,7 @@ def _pv_integrand(density: _PvDensity, w_rays):
         for p in powers:
             alpha[p - powers[0]] = rows[k, p]
         bumps.append((R, powers[0], alpha))
-    return _RaySplit((a > 0.0) & (a < np.inf), tuple(bumps))
+    return _RaySplit(density.off_zero_set(one, a), tuple(bumps))
 
 
 @_quiet
@@ -810,23 +892,27 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
 
 
 def _residue_level_set(f: QFunction, phi: TestForm2, rule: QuadratureRule,
-                       eps: float, support: float, products
+                       eps: float, support: float, products, block: int
                        ) -> Tuple[Quat, int, np.ndarray]:
     """One residue rung on its graded mesh: the value, the count of nodes
     that are not transverse and the untrusted counts of the level solve.
     products() gives the folded density; it is asked for only when some ray
-    is active.  The mesh and its tables die with the call, so no two rungs'
-    are held at once."""
+    is active.  The level solve runs on the first ray of each block of
+    `block` consecutive rays, which stands for the block (n_xi^2 rays, one
+    eta node, for a _torus_invariant f; else 1).  The mesh and its tables
+    die with the call, so no two rungs' are held at once."""
     mesh = _RayMesh.build(*graded_eta_panels(eps, support), rule)
+    reps = mesh if block == 1 else mesh.take(slice(None, None, block))
     radii = _solve_level_radius(
-        _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
-        phi.support_lambda(mesh.eta), eps)
-    lam, active, _ = radii
+        _RayFunction.build((f.f1, f.f2), reps.u1, reps.u2),
+        phi.support_lambda(reps.eta), eps)
+    lam, active = (np.repeat(a, block) for a in radii[:2])
+    untrusted = radii.untrusted * block
     if not active.any():
-        return Quat(0.0, 0.0), 0, radii.untrusted
+        return Quat(0.0, 0.0), 0, untrusted
     rays = mesh.take(np.flatnonzero(active))
     density = _PvDensity.build(f, products(), rays.u1, rays.u2)
-    return _residue_rung(density, rays, lam[active]) + (radii.untrusted,)
+    return _residue_rung(density, rays, lam[active]) + (untrusted,)
 
 
 def residue_pair(f: QFunction, phi: TestForm2,
@@ -843,7 +929,10 @@ def residue_pair(f: QFunction, phi: TestForm2,
 
     The density is folded once per call (_residue_kernels, _fold), on the
     first rung with an active ray, and tabulated per rung on the active rays
-    only.
+    only.  For a _torus_invariant f the level set is solved on one ray per
+    eta node, whose radius serves the node's n_xi^2 rays.  A node on the
+    zero set of f, to within POLE_RTOL of its term size, raises
+    PoleOnDomain.
     """
     _require_nonzero(f)
     if phi.is_zero:
@@ -859,12 +948,13 @@ def residue_pair(f: QFunction, phi: TestForm2,
     eps_list = schedule.values()
     products = functools.cache(
         lambda: _fold(_residue_kernels(f, include_mirror), phi.coefficients))
+    block = rule.n_xi ** 2 if _torus_invariant(f) else 1
     values: List[Quat] = []
     dropped_total = 0
     untrusted = np.zeros(3, dtype=int)
     for eps in eps_list:
         val, dropped, counts = _residue_level_set(f, phi, rule, eps, support,
-                                                  products)
+                                                  products, block)
         values.append(val)
         dropped_total += dropped
         untrusted += counts
@@ -950,8 +1040,15 @@ def pv_pair(f: QFunction, psi: TestForm3,
     its powers, and the ball's rungs need the angular rows only summed over
     the rays.  Any other f costs, per node, |f|^2 from the f1 and f2
     tables, one bump per distinct R and one Horner evaluation per surviving
-    product (_NodeSum).  Either way |f|^2 must be positive and finite on
-    every ray, or node, that is integrated.
+    product (_NodeSum).  Either way every ray, or node, that is integrated
+    must lie off the zero set and the poles of f: |f|^2 finite, and |f|
+    above POLE_RTOL times the term size of f (_PvDensity.off_zero_set), or
+    PoleOnDomain is raised.
+
+    For a _torus_invariant f the levelset region solves the level set on
+    one ray per eta node and repeats its radius over the node's n_xi^2
+    rays; a split then integrates each shell once per eta node, on its
+    angular rows summed over the node.
     """
     _require_nonzero(f)
     if psi.is_zero:
@@ -997,14 +1094,25 @@ def pv_pair(f: QFunction, psi: TestForm3,
             integrand.radial(lam[:, None], w[:, None]) for lam, w in shells))
         notes = ()
     else:
-        hi = np.full(mesh.eta.shape, support)
+        # one level solve per block of `block` consecutive rays, on its
+        # first (_torus_invariant); a split integrates its shells on the
+        # block sums, a node sum on every ray of the block
+        block = rule.n_xi ** 2 if _torus_invariant(f) else 1
+        level_fn, spread = density.ray_fn, block
+        if block > 1:
+            level_fn = level_fn.take(np.arange(0, len(mesh.eta), block))
+            if isinstance(integrand, _RaySplit):
+                integrand, spread = integrand.summed(block), 1
+        hi = np.full(len(mesh.eta) // block, support)
         shells = []
         end = hi
         for eps in eps_list:
-            radii = _solve_level_radius(density.ray_fn, hi, eps)
-            untrusted += radii.untrusted
+            radii = _solve_level_radius(level_fn, hi, eps)
+            untrusted += radii.untrusted * block
             start = _levelset_start(radii, end, support)
-            shells.append(_levelset_shell(integrand, start, end, support))
+            shells.append(_levelset_shell(
+                integrand, *(np.repeat(a, spread) for a in (start, end)),
+                support))
             end = start
         values = list(itertools.accumulate(shells))
         notes = (("excluded region follows the level sets of |f|",)

@@ -247,6 +247,17 @@ def test_oracle_1d_overflowing_pole_exits_3_without_output(kind):
     assert res.stderr.startswith("domain error: ")
 
 
+def test_chart_rays_in_the_zero_set_are_a_domain_error():
+    # n_xi = 32 puts chart rays in the zero plane of prop34, where 1/f is
+    # rounding noise times 1e16; this once exited 0, converged, at -1.4e13
+    res = run_bounded(["-m", "qres.cli", "pv", "-f", "prop34", "--psi1",
+                       "bump", "--n-eta", "16", "--n-xi", "32", "--strict"])
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "domain error: density is singular inside the integration region"]
+
+
 def test_version_prints_one_line_from_a_source_tree():
     # click looked the version up in the installed package metadata and
     # ended in a traceback when qres ran from src/ without being installed

@@ -189,6 +189,26 @@ def test_chart_volume_element_has_closed_form():
     assert np.abs(det - closed).max() < 1e-15
 
 
+@pytest.mark.parametrize("n_eta,n_xi,graded", [
+    (16, 32, False), (32, 64, False), (8, 16, True), (32, 64, True)])
+def test_chart_mesh_from_its_axes_matches_the_flat_construction(n_eta, n_xi,
+                                                               graded):
+    # _RayMesh takes cos, sin and the phases on the axes and broadcasts
+    # them; per ray, the same products give the same bits
+    rule = build_quadrature(n_eta, n_xi)
+    eta_nodes, eta_weights = (graded_eta_panels(0.01, 1.0) if graded
+                              else (rule.eta_nodes, rule.eta_weights))
+    mesh = _RayMesh.build(eta_nodes, eta_weights, rule)
+    eta = np.repeat(eta_nodes, n_xi * n_xi)
+    xi1 = np.tile(np.repeat(rule.xi_nodes, n_xi), len(eta_nodes))
+    xi2 = np.tile(rule.xi_nodes, len(eta_nodes) * n_xi)
+    u1, u2 = sphere_to_complex(1.0, eta, xi1, xi2)
+    for got, want in ((mesh.u1, u1), (mesh.u2, u2),
+                      (mesh.sin_cos, np.sin(eta) * np.cos(eta)),
+                      (mesh.eta, eta), (mesh.xi1, xi1), (mesh.xi2, xi2)):
+        assert got.tobytes() == want.tobytes()
+
+
 def level_rays(kind: str):
     """(eta, xi1, xi2) of seeded random rays, or of a residue rung mesh
     with eta panels graded toward the chart poles."""
@@ -672,6 +692,14 @@ def test_folded_pv_density_matches_the_unfolded_formula(name, params):
             assert density.slots == ()
 
 
+def pv_outcome(f, psi, rule, region):
+    """pv_pair's estimate, or None where it refuses a pole on the domain."""
+    try:
+        return pv_pair(f, psi, rule=rule, region=region)
+    except PoleOnDomain:
+        return None
+
+
 def node_sum_only(monkeypatch):
     """Make pv_pair evaluate the folded density at every node, whatever f."""
     monkeypatch.setattr(pairings, "_pv_integrand", _NodeSum)
@@ -696,14 +724,19 @@ def test_ray_split_matches_the_node_sum(monkeypatch, name, region):
     # product denominators of one row, so pv_pair takes the split; the
     # node sum is its reference.  The rungs of z1 ; 0 and holo vanish by
     # symmetry and are rounding noise on both sides, so the scale is at
-    # least 1, as in the estimate's own zero floor
+    # least 1, as in the estimate's own zero floor.  The ball keeps chart
+    # rays of the zero plane of prop34 inside the metric region, and both
+    # refuse them
     f = SPLIT_CASES[name]
     rule = build_quadrature(8, 16)
     with monkeypatch.context() as patch:
         refused_terms(patch)
-        got = pv_pair(f, FOLD_PSI, rule=rule, region=region)
+        got = pv_outcome(f, FOLD_PSI, rule, region)
     node_sum_only(monkeypatch)
-    want = pv_pair(f, FOLD_PSI, rule=rule, region=region)
+    want = pv_outcome(f, FOLD_PSI, rule, region)
+    if name == "prop34" and region == "metric":
+        assert got is None and want is None
+        return
     scale = max(1.0, max(v.norm() for v in want.values))
     for u, v in zip(got.values, want.values):
         assert (u - v).norm() <= 1e-13 * scale
@@ -754,6 +787,37 @@ def test_a_zero_on_the_mesh_rays_is_a_pole_only_where_it_is_integrated(
     est = pv_pair(f, psi, rule=rule, region="levelset")
     assert all(np.isfinite(v.norm()) for v in est.values)
     assert max(v.norm() for v in est.values) > 0.0
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "node-sum"])
+def test_rays_in_the_zero_set_are_refused_or_carry_no_mass(monkeypatch,
+                                                           split):
+    # the phase grid holds pi/2 and 3 pi/2 when 4 divides n_xi, and so chart
+    # rays in the zero plane {Re z1 = Re z2 = 0} of prop34, where |f| is
+    # about 1e-16 of its term size and 1/f rounding noise times 1e16: the
+    # metric region once summed it into a converged -1.4e13 at n_xi = 32.
+    # The pairing vanishes by symmetry; no other rule may give a value
+    f = builtin("prop34").f
+    if not split:
+        node_sum_only(monkeypatch)
+    psi = TestForm3(psi1=Profile.bump_only(1.0))
+    outcomes = {n_xi: pv_outcome(f, psi, build_quadrature(16, n_xi), "metric")
+                for n_xi in (16, 30, 32, 62, 64)}
+    assert [n for n, est in outcomes.items() if est is None] == [16, 32, 64]
+    for est in outcomes.values():
+        if est is not None:
+            assert est.converged
+            assert max(v.norm() for v in est.values) < 1e-12
+
+
+def test_residue_rays_in_the_zero_set_are_inactive():
+    # the same rays lie below eps over their whole support, so no residue
+    # rung integrates them and the pole test does not see them
+    est = residue_pair(builtin("prop34").f, PHI_PLANE,
+                       rule=build_quadrature(8, 16),
+                       schedule=EpsilonSchedule(0.4, 0.7, 4))
+    assert all(np.isfinite(v.norm()) and 1.0 < v.norm() < 10.0
+               for v in est.values)
 
 
 MIXED_PHI = TestForm2(Profile(parse_poly("1 + z1*c2 - 2*c1^2"), 0.9, "q"),
@@ -887,6 +951,85 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
     for got, old in ((value.z1, old1), (value.z2, old2)):
         want = old[transverse].sum()
         assert abs(complex(got) - want) <= tol[transverse].sum()
+
+
+TORUS_CASES = {name: builtin(name).f for name in NAMES if name != "prop34"}
+TORUS_CASES["z1 ; 0"] = Z1_FN
+# torus-invariant but not homogeneous: the level solve takes the roots of
+# a polynomial, and principal values take the node sum
+TORUS_CASES["|z1|^2 - 1/4 + |z2|^4"] = parse_qfunction(
+    "z1*c1 - 1/4 + z2*c2*z2*c2 ; 0")
+PER_RAY_CASES = {"prop34": builtin("prop34").f,
+                 "holo:z1+z2": builtin("holo", expr="z1+z2").f}
+COLLAPSE_RULE = build_quadrature(8, 16)
+COLLAPSE_LADDER = EpsilonSchedule(0.4, 0.7, 8)
+
+
+def collapse_call(kind, f):
+    if kind == "residue":
+        return residue_pair(f, MIXED_PHI, rule=COLLAPSE_RULE,
+                            schedule=COLLAPSE_LADDER)
+    return pv_pair(f, FOLD_PSI, rule=COLLAPSE_RULE, region=kind)
+
+
+def eta_nodes_per_rung(kind):
+    """Eta nodes of each rung's mesh of collapse_call."""
+    if kind == "residue":
+        return [len(graded_eta_panels(eps, MIXED_PHI.support_radius)[0])
+                for eps in COLLAPSE_LADDER.values()]
+    if kind == "levelset":
+        ladder = EpsilonSchedule.for_radius(FOLD_PSI.support_radius)
+        return [COLLAPSE_RULE.n_eta] * ladder.count
+    return []
+
+
+def spied_call(monkeypatch, kind, f, per_ray):
+    """collapse_call, with the collapse off when per_ray; also returns the
+    rays of every level solve and the untrusted counts behind the notes."""
+    rays, counts = [], []
+    solve, notes = pairings._solve_level_radius, pairings._untrusted_notes
+
+    def spy_solve(ray_fn, lam_hi, eps):
+        rays.append(np.size(lam_hi))
+        return solve(ray_fn, lam_hi, eps)
+
+    def spy_notes(untrusted):
+        counts.append(tuple(untrusted))
+        return notes(untrusted)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pairings, "_solve_level_radius", spy_solve)
+        patch.setattr(pairings, "_untrusted_notes", spy_notes)
+        if per_ray:
+            patch.setattr(pairings, "_torus_invariant", lambda f: False)
+        return collapse_call(kind, f), rays, counts
+
+
+@pytest.mark.parametrize("kind", ["metric", "levelset", "residue"])
+@pytest.mark.parametrize("name", list(TORUS_CASES))
+def test_torus_invariant_level_sets_are_solved_once_per_eta_node(
+        monkeypatch, kind, name):
+    # |f| of these depends on |z1| and |z2| only, so one ray per eta node
+    # stands for its n_xi^2 rays; the per-ray path is the reference
+    f = TORUS_CASES[name]
+    got, rays, counts = spied_call(monkeypatch, kind, f, False)
+    want, all_rays, all_counts = spied_call(monkeypatch, kind, f, True)
+    for u, v in zip(got.values, want.values):
+        assert (u - v).norm() <= 1e-13 * max(1.0, v.norm())
+    assert got.converged == want.converged
+    assert got.notes == want.notes
+    assert counts == all_counts
+    etas = eta_nodes_per_rung(kind)
+    assert rays == etas
+    assert all_rays == [n * COLLAPSE_RULE.n_xi ** 2 for n in etas]
+
+
+@pytest.mark.parametrize("kind", ["levelset", "residue"])
+@pytest.mark.parametrize("name", list(PER_RAY_CASES))
+def test_other_level_sets_are_solved_on_every_ray(monkeypatch, kind, name):
+    _, rays, _ = spied_call(monkeypatch, kind, PER_RAY_CASES[name], False)
+    assert rays == [n * COLLAPSE_RULE.n_xi ** 2
+                    for n in eta_nodes_per_rung(kind)]
 
 
 @pytest.mark.parametrize("kind", ["pv", "residue"])

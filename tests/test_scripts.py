@@ -18,13 +18,18 @@ def test_quick_convergence_study_runs_and_stays_accurate():
     proc = run_script("scripts/convergence_study.py", "--quick")
     assert proc.returncode == 0, proc.stderr
     # the table runs to the first blank line: rule, residue rel err,
-    # pv rel err, conv, secs
+    # pv rel err, levelset rel err, conv, secs
     header, *rows = proc.stdout.split("\n\n")[0].splitlines()
-    assert "pv rel err" in header
+    assert "pv rel err" in header and "levelset rel err" in header
     assert len(rows) == 2
     for row in rows:
-        rule, _, pv_err, _, _ = row.split()
+        rule, _, pv_err, set_err, _, _ = row.split()
         assert float(pv_err) < 1e-3, rule
+        # the sublevel set |z1| < eps is a cylinder whose level radius
+        # eps / cos(eta) meets the support at a kink in eta, which the
+        # coarse eta rules here resolve to about 1e-2 (the bound of
+        # test_levelset_region_agrees_with_metric_region)
+        assert float(set_err) < 1e-2, rule
 
 
 def test_catalogue_classification_script_runs():
