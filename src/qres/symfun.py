@@ -11,9 +11,10 @@ every later quotient well defined without commutativity worries.  A
 :class:`QFunction` pairs two rationals into the component form
 f = f1 + f2*j.
 
-Numeric evaluation compiles terms to numpy expressions; exact evaluation
-stays exact end to end, in int arithmetic inside a polynomial and in CRat
-arithmetic at a point.
+Numeric evaluation sums the terms in key order over numpy arrays, each
+coefficient read as the float quotient of its int numerator and the common
+denominator; exact evaluation stays exact end to end, in int arithmetic
+inside a polynomial and in CRat arithmetic at a point.
 """
 
 from __future__ import annotations
@@ -121,7 +122,14 @@ class ConjPoly:
 
     @classmethod
     def const(cls, c) -> "ConjPoly":
-        return cls({_ZKEY: _as_crat(c)})
+        c = _as_crat(c)
+        re, im = c.re, c.im
+        if not re and not im:
+            return cls.zero()
+        den = math.lcm(re.denominator, im.denominator)
+        return cls._from_parts(
+            {_ZKEY: (re.numerator * (den // re.denominator),
+                     im.numerator * (den // im.denominator))}, den)
 
     @classmethod
     def one(cls) -> "ConjPoly":
@@ -307,8 +315,10 @@ class ConjPoly:
         Z2 = np.asarray(Z2, dtype=complex)
         out = np.zeros(np.broadcast(Z1, Z2).shape, dtype=complex)
         vals = (Z1, np.conj(Z1), Z2, np.conj(Z2))
-        for (a, b, c, d), coeff in self.terms.items():
-            term = complex(coeff)
+        den = self._den
+        for (a, b, c, d), (re, im) in self._num.items():
+            # re / den is correctly rounded, as float(Fraction(re, den)) is
+            term = complex(re / den, im / den)
             if a:
                 term = term * vals[0] ** a
             if b:
@@ -324,8 +334,9 @@ class ConjPoly:
         """Sum of term magnitudes, the natural yardstick for pole detection."""
         a1, a2 = np.abs(np.asarray(Z1, complex)), np.abs(np.asarray(Z2, complex))
         out = np.zeros(np.broadcast(a1, a2).shape, dtype=float)
-        for (a, b, c, d), coeff in self.terms.items():
-            out += abs(complex(coeff)) * a1 ** (a + b) * a2 ** (c + d)
+        den = self._den
+        for (a, b, c, d), (re, im) in self._num.items():
+            out += abs(complex(re / den, im / den)) * a1 ** (a + b) * a2 ** (c + d)
         return out
 
     def __str__(self) -> str:
@@ -361,6 +372,9 @@ class ConjPoly:
         return "".join(out)
 
 
+_ONE = ConjPoly.one()
+
+
 def _poly_coerce(x):
     if isinstance(x, ConjPoly):
         return x
@@ -375,28 +389,39 @@ class ConjRational:
     The real-denominator invariant is enforced at construction and preserved
     by every operation here; it is what lets a component quotient stand in
     for left and right quaternionic division at once.
+
+    A denominator equal to 1 is always the one shared polynomial ``_ONE``,
+    so ``den is _ONE`` tells a polynomial apart at the cost of an identity
+    test.  Products, sums, differences, derivatives and comparisons of two
+    such operands work on the numerators alone: the general path would
+    multiply 1 by 1, find 1 real and find no content to strip, which leaves
+    the same numerator over the same 1.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: ConjPoly, den: ConjPoly | None = None):
         if den is None:
-            den = ConjPoly.one()
+            self.num = num
+            self.den = _ONE
+            return
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if not den.is_real:
             raise ValueError("denominator must be real-valued")
         if num.is_zero:
-            den = ConjPoly.one()
+            den = _ONE
         else:
             num, den = _strip_content(num, den)
+            if den == _ONE:
+                den = _ONE
         self.num = num
         self.den = den
 
     @classmethod
     def _from_parts(cls, num: ConjPoly, den: ConjPoly) -> "ConjRational":
-        """Wrap num / den that already keep the invariants: den real, and no
-        shared real monomial left to cancel."""
+        """Wrap num / den that already keep the invariants: den real, no
+        shared real monomial left to cancel, and den is _ONE if it is 1."""
         r = cls.__new__(cls)
         r.num = num
         r.den = den
@@ -408,11 +433,11 @@ class ConjRational:
 
     @classmethod
     def const(cls, c) -> "ConjRational":
-        return cls(ConjPoly.const(c))
+        return cls._from_parts(ConjPoly.const(c), _ONE)
 
     @classmethod
     def zero(cls) -> "ConjRational":
-        return cls(ConjPoly.zero())
+        return cls._from_parts(ConjPoly.zero(), _ONE)
 
     @property
     def is_zero(self) -> bool:
@@ -430,6 +455,8 @@ class ConjRational:
         o = _rat_coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return self.num == o.num
         return self.num * o.den == o.num * self.den
 
     __hash__ = None
@@ -441,6 +468,8 @@ class ConjRational:
         o = _rat_coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return ConjRational._from_parts(self.num + o.num, _ONE)
         if self.den == o.den:
             return ConjRational(self.num + o.num, self.den)
         return ConjRational(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -451,18 +480,22 @@ class ConjRational:
         o = _rat_coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return ConjRational._from_parts(self.num - o.num, _ONE)
         return self + (-o)
 
     def __rsub__(self, other):
         o = _rat_coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = _rat_coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return ConjRational._from_parts(self.num * o.num, _ONE)
         return ConjRational(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -487,6 +520,8 @@ class ConjRational:
         return ConjRational._from_parts(self.num.conjugate(), self.den)
 
     def wirtinger(self, var: str) -> "ConjRational":
+        if self.den is _ONE:
+            return ConjRational._from_parts(self.num.wirtinger(var), _ONE)
         if self.is_polynomial:
             return ConjRational(self.num.wirtinger(var), self.den)
         n = self.num.wirtinger(var) * self.den - self.num * self.den.wirtinger(var)
@@ -522,7 +557,7 @@ class ConjRational:
             return n / d
 
     def __str__(self) -> str:
-        if self.is_polynomial and self.den == ConjPoly.one():
+        if self.den is _ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -709,21 +744,10 @@ _STENCIL_DZ1 = np.array([0j] + [m * s for s in _JET_STEPS
                                 for m in (1, -1, 1j, -1j, 0, 0, 0, 0)])
 _STENCIL_DZ2 = np.array([0j] + [m * s for s in _JET_STEPS
                                 for m in (0, 0, 0, 0, 1, -1, 1j, -1j)])
-
-
-def _jet_differences(w: np.ndarray, s: float):
-    """Wirtinger partials from the eight stencil rows w at step s."""
-    dx1 = (w[0] - w[1]) / (2 * s)
-    dy1 = (w[2] - w[3]) / (2 * s)
-    dx2 = (w[4] - w[5]) / (2 * s)
-    dy2 = (w[6] - w[7]) / (2 * s)
-    # Wirtinger combinations of the two real directions per complex coordinate
-    return {
-        "z1": (dx1 - 1j * dy1) / 2,
-        "z1b": (dx1 + 1j * dy1) / 2,
-        "z2": (dx2 - 1j * dy2) / 2,
-        "z2b": (dx2 + 1j * dy2) / 2,
-    }
+# The central-difference divisor 2s of each step.
+_JET_DIV = np.array([2 * s for s in _JET_STEPS])
+# Partial name -> (Wirtinger kind: 0 for d/dz, 1 for d/dz-bar; coordinate).
+_JET_PARTIALS = {"z1": (0, 0), "z1b": (1, 0), "z2": (0, 1), "z2b": (1, 1)}
 
 
 def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
@@ -738,6 +762,9 @@ def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
     checks hold to, and a smaller h trades it for rounding error of order
     1e-16 / h.  Richardson extrapolation of the two passes cancels the h^2
     term and leaves the error near 1e-12.
+
+    Both steps, all four real directions and both components are differenced
+    together, each element by the same scalar operations at any batch shape.
     """
     z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex),
                                  np.asarray(z2, dtype=complex))
@@ -746,10 +773,16 @@ def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
     w = np.empty((len(_STENCIL_DZ1), 2) + z1.shape, dtype=complex)
     w[:, 0] = w1
     w[:, 1] = w2
-    g = _jet_differences(w[1:9], _JET_STEP)
-    g2 = _jet_differences(w[9:17], _JET_STEP / 2)
-    g = {k: (4 * g2[k] - g[k]) / 3 for k in g}
+    # stencil rows as (step, direction x1 y1 x2 y2, sign + -, component)
+    rows = w[1:].reshape((2, 4, 2, 2) + z1.shape)
+    div = _JET_DIV.reshape((2, 1, 1) + (1,) * z1.ndim)
+    diff = (rows[:, :, 0] - rows[:, :, 1]) / div
+    # Wirtinger combinations of the two real directions per complex
+    # coordinate, as (kind, step, coordinate, component)
+    dx, jdy = diff[:, 0::2], 1j * diff[:, 1::2]
+    wirt = np.stack([dx - jdy, dx + jdy]) / 2
+    g = (4 * wirt[:, 1] - wirt[:, 0]) / 3
     out = complex if z1.ndim == 0 else np.asarray
-    d1 = {k: out(v[0]) for k, v in g.items()}
-    d2 = {k: out(v[1]) for k, v in g.items()}
+    d1 = {k: out(g[kind, coord, 0]) for k, (kind, coord) in _JET_PARTIALS.items()}
+    d2 = {k: out(g[kind, coord, 1]) for k, (kind, coord) in _JET_PARTIALS.items()}
     return WirtingerJet(f1=out(w[0, 0]), f2=out(w[0, 1]), d1=d1, d2=d2)

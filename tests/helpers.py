@@ -310,3 +310,62 @@ def run_bounded(args):
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=RUN_SECONDS,
                           preexec_fn=cap)
+
+
+# reference numeric evaluation --------------------------------------------
+
+def ref_eval_numeric(p: ConjPoly, Z1, Z2):
+    """A polynomial summed term by term in key order, each coefficient read
+    as complex(CRat) and each power taken afresh."""
+    Z1 = np.asarray(Z1, dtype=complex)
+    Z2 = np.asarray(Z2, dtype=complex)
+    out = np.zeros(np.broadcast(Z1, Z2).shape, dtype=complex)
+    vals = (Z1, np.conj(Z1), Z2, np.conj(Z2))
+    for (a, b, c, d), coeff in p.terms.items():
+        term = complex(coeff)
+        if a:
+            term = term * vals[0] ** a
+        if b:
+            term = term * vals[1] ** b
+        if c:
+            term = term * vals[2] ** c
+        if d:
+            term = term * vals[3] ** d
+        out += term
+    return out
+
+
+def _ref_jet_differences(w, s):
+    dx1 = (w[0] - w[1]) / (2 * s)
+    dy1 = (w[2] - w[3]) / (2 * s)
+    dx2 = (w[4] - w[5]) / (2 * s)
+    dy2 = (w[6] - w[7]) / (2 * s)
+    return {
+        "z1": (dx1 - 1j * dy1) / 2,
+        "z1b": (dx1 + 1j * dy1) / 2,
+        "z2": (dx2 - 1j * dy2) / 2,
+        "z2b": (dx2 + 1j * dy2) / 2,
+    }
+
+
+def ref_numeric_jet(ev, z1, z2):
+    """The jet differenced one real direction at a time: the same 17-point
+    stencil and Richardson step, as (f1, f2, d1, d2)."""
+    h = 1e-4
+    steps = (h, h / 2)
+    dz1 = np.array([0j] + [m * s for s in steps
+                           for m in (1, -1, 1j, -1j, 0, 0, 0, 0)])
+    dz2 = np.array([0j] + [m * s for s in steps
+                           for m in (0, 0, 0, 0, 1, -1, 1j, -1j)])
+    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex),
+                                 np.asarray(z2, dtype=complex))
+    axes = (slice(None),) + (None,) * z1.ndim
+    w1, w2 = ev(z1 + dz1[axes], z2 + dz2[axes])
+    w = np.empty((len(dz1), 2) + z1.shape, dtype=complex)
+    w[:, 0] = w1
+    w[:, 1] = w2
+    g = _ref_jet_differences(w[1:9], h)
+    g2 = _ref_jet_differences(w[9:17], h / 2)
+    g = {k: (4 * g2[k] - g[k]) / 3 for k in g}
+    return (w[0, 0], w[0, 1], {k: v[0] for k, v in g.items()},
+            {k: v[1] for k, v in g.items()})

@@ -258,6 +258,17 @@ def test_chart_rays_in_the_zero_set_are_a_domain_error():
         "domain error: density is singular inside the integration region"]
 
 
+@pytest.mark.parametrize("spec", ["z1^100000 ; 0", "z1^2000 ; c2^3"])
+def test_classify_of_an_overflowing_function_stays_quiet(spec):
+    # |f| overflows on part of the sample window; the cross-check once let
+    # those samples through, printed numpy warnings and a note with "nan"
+    res = run_bounded(["-m", "qres.cli", "classify", "-f", spec])
+    assert res.returncode == 0
+    assert res.stderr == ""
+    assert "nan" not in res.stdout
+    json.loads(res.stdout)
+
+
 def test_version_prints_one_line_from_a_source_tree():
     # click looked the version up in the installed package metadata and
     # ended in a traceback when qres ran from src/ without being installed

@@ -1,4 +1,5 @@
 """The first-order operator, inversion, products, and the PDE classifiers."""
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import (hyperholomorphic_sample, rand_point, rand_quat,
                      real_hyperholomorphic_sample, seeded)
+from qres import operators
 from qres.catalogue import NAMES, builtin
 from qres.errors import IdenticallyZero, NotHyperholomorphic, PoleError
 from qres.operators import (_SAMPLE_SEED, _apply_D_batch, _sample_points,
@@ -304,7 +306,8 @@ CROSS_CHECK_INPUTS["prop34(1/8,-1/8)"] = builtin(
 
 
 def _sequential_sample_points(f, count, rng):
-    """The one-attempt-at-a-time screen: window, QFunction.eval, |f| >= 0.3."""
+    """The one-attempt-at-a-time screen: window, QFunction.eval, |f| finite
+    and >= 0.3."""
     pts = []
     attempts = 0
     while len(pts) < count and attempts < 200 * count:
@@ -317,7 +320,7 @@ def _sequential_sample_points(f, count, rng):
             val = f.eval(q)
         except PoleError:
             continue
-        if val.norm() < 0.3:
+        if not (math.isfinite(val.norm()) and val.norm() >= 0.3):
             continue
         pts.append(q)
     return pts
@@ -349,11 +352,14 @@ def _pointwise_D(g, q, h=1e-4):
 def test_batched_cross_check_matches_pointwise_path(name):
     f = CROSS_CHECK_INPUTS[name]
     pts = _sample_points(f, 8, random.Random(_SAMPLE_SEED))
-    assert len(pts) == 8
-    assert pts == _sequential_sample_points(f, 8, random.Random(_SAMPLE_SEED))
+    assert pts.shape == (8, 2) and pts.dtype == complex
+    sequential = _sequential_sample_points(f, 8, random.Random(_SAMPLE_SEED))
+    assert len(sequential) == 8
+    for (a, b), q in zip(pts, sequential):
+        assert (a, b) == (q.z1, q.z2)
     g = inverse_function(f)
     d1, d2 = _apply_D_batch(g, pts)
-    for i, q in enumerate(pts):
+    for i, q in enumerate(sequential):
         want1, want2 = _pointwise_D(g, q)
         assert abs(d1[i] - want1) <= 1e-12
         assert abs(d2[i] - want2) <= 1e-12
@@ -375,3 +381,55 @@ def test_classify_evaluates_polynomials_a_bounded_number_of_times(monkeypatch):
         calls[0] = 0
         classify(builtin(name).f)
         assert calls[0] <= 12, (name, calls[0])
+
+
+@pytest.mark.parametrize("spec", ["z1^100000 ; 0", "z1^2000 ; c2^3"])
+def test_cross_check_refuses_samples_where_f_overflows(spec):
+    # |f| overflows on part of the window; such samples are refused like
+    # poles, and the rest are those of the sequential screen
+    f = parse_qfunction(spec)
+    pts = _sample_points(f, 8, random.Random(_SAMPLE_SEED))
+    with np.errstate(all="ignore"):
+        sequential = _sequential_sample_points(
+            f, 8, random.Random(_SAMPLE_SEED))
+        norms = [f.eval(Quat(complex(a), complex(b))).norm() for a, b in pts]
+    assert 1 <= len(pts) == len(sequential)
+    for (a, b), q in zip(pts, sequential):
+        assert (a, b) == (q.z1, q.z2)
+    assert all(math.isfinite(n) and n >= 0.3 for n in norms)
+
+
+def test_a_non_finite_cross_check_is_stated_in_words(monkeypatch):
+    def undefined(g, points):
+        nan = np.full(len(points), complex("nan+nanj"))
+        return nan, nan
+
+    monkeypatch.setattr(operators, "_apply_D_batch", undefined)
+    notes = classify(builtin("conj").f).notes
+    assert notes == ("numeric D(1/f) check is inconclusive: D(1/f) "
+                     "overflows or is undefined at some of 8 samples",)
+    assert not any("nan" in n or "inf" in n for n in notes)
+
+
+def test_classify_multiplies_no_two_unit_denominators(monkeypatch):
+    # a polynomial ConjRational keeps its denominator 1 without the
+    # product 1*1 and the checks that follow it
+    rng = seeded(14)
+    pairs = [(hyperholomorphic_sample(rng), hyperholomorphic_sample(rng))
+             for _ in range(10)]
+    one = ConjPoly.one()
+    both_one = []
+    original = ConjPoly.__mul__
+
+    def spy(self, other):
+        if self == one and other == one:
+            both_one.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(ConjPoly, "__mul__", spy)
+    monkeypatch.setattr(ConjPoly, "__rmul__", spy)
+    for f, g in pairs:
+        assert check_product_rule(f, g).is_zero
+    for name in ("conj", "F", "prop34", "holo", "q_conj"):
+        classify(builtin(name).f)
+    assert both_one == []

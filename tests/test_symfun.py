@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (RefPoly, rand_crat, rand_point, rand_poly, rand_quat,
-                     rand_terms, ref_strip_content, seeded)
+                     rand_terms, ref_eval_numeric, ref_numeric_jet,
+                     ref_strip_content, seeded)
 from qres.errors import PoleError
+from qres.catalogue import NAMES, builtin
+from qres.operators import inverse_function
 from qres.qcore import CRat, Quat
+from qres import symfun
 from qres.symfun import (ConjPoly, ConjRational, QFunction, numeric_jet,
                          poly_vanishing_order, vanishing_order,
                          vanishing_order_pair)
@@ -337,3 +341,121 @@ def test_is_real_checks_each_mirrored_term():
     assert not (Z1 * C1 + Z1).is_real
     assert not (Z1 * CRat(0, 1) + C1 * CRat(0, 1)).is_real
     assert (Z1 * CRat(0, 1) - C1 * CRat(0, 1)).is_real
+
+
+# polynomial rationals skip the denominator algebra -------------------------
+
+ONE = RefPoly({(0, 0, 0, 0): CRat(1)})
+
+
+def ref_rational(num: RefPoly, den: RefPoly):
+    """What ConjRational(num, den) stores: den 1 for the zero function,
+    else num and den without their shared real monomial."""
+    if not num.terms:
+        return num, ONE
+    return ref_strip_content(num, den)
+
+
+def as_ref(r: ConjRational):
+    """A rational built by the general constructor, as reference parts."""
+    return RefPoly(r.num.terms), RefPoly(r.den.terms)
+
+
+def assert_same_rational(r: ConjRational, want):
+    assert_same_terms(r.num, want[0])
+    assert_same_terms(r.den, want[1])
+    assert r.num._den == ConjPoly(want[0].terms)._den
+    assert r.den._den == ConjPoly(want[1].terms)._den
+    # a denominator equal to 1 is the shared one, so the fast paths see it
+    assert (r.den is symfun._ONE) == (r.den == ConjPoly.one())
+
+
+def rand_rationals(rng):
+    """Operands with denominator 1, a constant denominator and a real
+    polynomial denominator, with their reference numerator and
+    denominator."""
+    out = []
+    for kind in ("one", "one", "const", "poly"):
+        num = ConjPoly(rand_terms(rng, rng.randrange(0, 5), max_exp=1))
+        if kind == "one":
+            den = ConjPoly.one()
+        elif kind == "const":
+            den = ConjPoly.const(rng.choice((2, 3, Fraction(1, 6))))
+        else:
+            d = ConjPoly(rand_terms(rng, 2, max_exp=1)) + 1
+            den = d * d.conjugate()
+        r = ConjRational(num) if kind == "one" else ConjRational(num, den)
+        out.append((r, RefPoly(r.num.terms), RefPoly(r.den.terms)))
+    return out
+
+
+def test_polynomial_rational_arithmetic_matches_the_general_path():
+    rng = seeded(44)
+    for _ in range(25):
+        ops = rand_rationals(rng)
+        for a, ra_n, ra_d in ops:
+            for b, rb_n, rb_d in ops:
+                same_den = ra_d.terms == rb_d.terms
+                # the general constructor on the formula of each operation
+                assert_same_rational(
+                    a * b, ref_rational(ra_n * rb_n, ra_d * rb_d))
+                assert_same_rational(
+                    a * b, as_ref(ConjRational(a.num * b.num, a.den * b.den)))
+                want_sum = (ref_rational(ra_n + rb_n, ra_d) if same_den else
+                            ref_rational(ra_n * rb_d + rb_n * ra_d, ra_d * rb_d))
+                assert_same_rational(a + b, want_sum)
+                want_diff = (ref_rational(ra_n - rb_n, ra_d) if same_den else
+                             ref_rational(ra_n * rb_d - rb_n * ra_d,
+                                          ra_d * rb_d))
+                assert_same_rational(a - b, want_diff)
+                assert (a == b) == ((ra_n * rb_d).terms == (rb_n * ra_d).terms)
+            for idx, var in enumerate(("z1", "c1", "z2", "c2")):
+                if a.is_polynomial:
+                    want = ref_rational(ra_n.wirtinger(idx), ra_d)
+                else:
+                    want = ref_rational(
+                        ra_n.wirtinger(idx) * ra_d - ra_n * ra_d.wirtinger(idx),
+                        ra_d * ra_d)
+                assert_same_rational(a.wirtinger(var), want)
+                if a.is_polynomial:
+                    assert_same_rational(a.wirtinger(var), as_ref(
+                        ConjRational(a.num.wirtinger(var), a.den)))
+        c = rand_crat(rng)
+        for x in (c, c.re, int(c.re.numerator), CRat(0)):
+            coeff = CRat(0) + x
+            want = RefPoly({(0, 0, 0, 0): coeff})
+            assert_same_rational(ConjRational.const(x), (want, ONE))
+            assert ConjPoly.const(x) == ConjPoly({(0, 0, 0, 0): coeff})
+
+
+def test_eval_numeric_is_bit_identical_to_the_reference():
+    rng = seeded(45)
+    nrng = np.random.default_rng(45)
+    for _ in range(40):
+        p = ConjPoly(rand_terms(rng, rng.randrange(1, 7), max_exp=4))
+        for shape in ((), (1,), (8,), (17, 8)):
+            z1, z2 = (nrng.normal(size=shape) + 1j * nrng.normal(size=shape)
+                      for _ in range(2))
+            got = p.eval_numeric(z1, z2)
+            want = ref_eval_numeric(p, z1, z2)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_numeric_jet_is_bit_identical_to_the_reference(name):
+    g = inverse_function(builtin(name).f)
+    nrng = np.random.default_rng(46)
+    for shape in ((), (1,), (8,), (3, 4)):
+        z1, z2 = (nrng.normal(size=shape) + 1j * nrng.normal(size=shape)
+                  for _ in range(2))
+        jet = numeric_jet(g.eval_numeric, z1, z2)
+        f1, f2, d1, d2 = ref_numeric_jet(g.eval_numeric, z1, z2)
+        pairs = [(jet.f1, f1), (jet.f2, f2)]
+        pairs += [(jet.d1[k], d1[k]) for k in d1]
+        pairs += [(jet.d2[k], d2[k]) for k in d2]
+        assert list(jet.d1) == list(d1) and list(jet.d2) == list(d2)
+        for got, want in pairs:
+            if shape == ():
+                assert type(got) is complex
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
