@@ -10,7 +10,6 @@ hypotheses not met), 4 not-converged under --strict.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -23,8 +22,7 @@ from . import __version__
 from .catalogue import NAMES, builtin, resolve
 from .currents import (EpsilonSchedule, Laurent1D, TestForm2, TestForm3,
                        build_quadrature, bump, parse_profile, pv_1d, pv_pair,
-                       pv_rays, require_rays, res_limit_1d, residue_pair,
-                       residue_rays)
+                       pv_rays, require_rays, res_limit_1d, residue_pair)
 from .errors import (NotConverged, ParseError, QresError, RuleTooLarge,
                      TooCoarse, UnknownName)
 from .operators import (apply_D, classify, hypermero_residuals,
@@ -138,28 +136,10 @@ def _finish_estimate(command, inputs, est, diagnostics, fmt, strict):
         raise NotConverged("estimate did not converge on this schedule")
 
 
-def _guarded(command):
-    """Run a command, reporting a package error as one line on stderr and
-    exiting with its code; click's own usage errors are left to _Main."""
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        try:
-            command(*args, **kwargs)
-        except _USAGE_ERRORS as exc:
-            click.echo(f"usage error: {exc}", err=True)
-            sys.exit(2)
-        except NotConverged as exc:
-            click.echo(f"not converged: {exc}", err=True)
-            sys.exit(4)
-        except (QresError, ZeroDivisionError, ValueError) as exc:
-            click.echo(f"domain error: {exc}", err=True)
-            sys.exit(3)
-    return run
-
-
 def _one_line_usage(call, *args, **kwargs):
-    """Run a click step, reporting a click usage error as _guarded reports
-    the package's."""
+    """Run a click step, reporting a usage error (click's or the package's),
+    a domain error or a missed convergence as one line on stderr and
+    exiting with its code."""
     try:
         return call(*args, **kwargs)
     except click.exceptions.NoArgsIsHelpError:
@@ -168,12 +148,22 @@ def _one_line_usage(call, *args, **kwargs):
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         sys.exit(2)
+    except _USAGE_ERRORS as exc:
+        click.echo(f"usage error: {exc}", err=True)
+        sys.exit(2)
+    except NotConverged as exc:
+        click.echo(f"not converged: {exc}", err=True)
+        sys.exit(4)
+    except (QresError, ZeroDivisionError, ValueError) as exc:
+        click.echo(f"domain error: {exc}", err=True)
+        sys.exit(3)
 
 
 class _Main(click.Group):
     """The qres group.  click's usage errors (bad or missing options and
     values, and those the commands raise) print as one line "usage error:
-    ...", exit 2, not as usage text, a hint and the error."""
+    ...", exit 2, not as usage text, a hint and the error; so do the
+    package's errors, with their own exit codes (_one_line_usage)."""
 
     def make_context(self, *args, **kwargs):
         return _one_line_usage(super().make_context, *args, **kwargs)
@@ -210,24 +200,11 @@ def _check_radius(ctx, param, value):
     return value
 
 
-_rule_opts = [
-    click.option("--n-eta", default=32, show_default=True),
-    click.option("--n-xi", default=64, show_default=True),
-]
-
-
-def _with_rule(fn):
-    for opt in reversed(_rule_opts):
-        fn = opt(fn)
-    return fn
-
-
 @main.command("classify")
 @_function_opt
 @_params_opt
 @click.option("--partner", "partners", multiple=True,
               help="Partner function for closure checks (repeatable).")
-@_guarded
 def classify_cmd(spec, params, partners):
     """Classify a function: hyperholomorphic / hypermeromorphic flags,
     residuals, and closure against partners."""
@@ -254,7 +231,6 @@ def classify_cmd(spec, params, partners):
 @_params_opt
 @click.option("--at", "at_point", default=None,
               help="Evaluate the derivative at a point x1,y1,x2,y2.")
-@_guarded
 def apply_d_cmd(spec, params, at_point):
     """Apply the Cauchy-Riemann-type operator symbolically."""
     f, label, _ = _resolve_function(spec, params)
@@ -276,7 +252,6 @@ def apply_d_cmd(spec, params, at_point):
 @_params_opt
 @click.option("--at", "at_point", default=None,
               help="Evaluate the inverse at a point x1,y1,x2,y2.")
-@_guarded
 def inverse_cmd(spec, params, at_point):
     """Pointwise quaternionic reciprocal 1/f as a symbolic function."""
     f, label, _ = _resolve_function(spec, params)
@@ -295,7 +270,6 @@ def inverse_cmd(spec, params, at_point):
 @click.option("--g", "spec_g", required=True)
 @click.option("--params-f", default="")
 @click.option("--params-g", default="")
-@_guarded
 def product_rule_cmd(spec_f, spec_g, params_f, params_g):
     """Residual of the product rule for two hyperholomorphic functions."""
     f, label_f, _ = _resolve_function(spec_f, params_f)
@@ -312,7 +286,6 @@ def product_rule_cmd(spec_f, spec_g, params_f, params_g):
 @main.command("hypermero")
 @_function_opt
 @_params_opt
-@_guarded
 def hypermero_cmd(spec, params):
     """Residual system deciding whether 1/f stays hyperholomorphic."""
     f, label, _ = _resolve_function(spec, params)
@@ -331,7 +304,6 @@ def hypermero_cmd(spec, params):
 @click.option("--params-g", default="")
 @click.option("--real", "real_form", is_flag=True,
               help="Use the real-component specialization.")
-@_guarded
 def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
     """Residual system for hypermeromorphy of a product."""
     f, label_f, _ = _resolve_function(spec_f, params_f)
@@ -363,12 +335,11 @@ def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
 @click.option("--schedule", default="default")
 @click.option("--no-mirror", is_flag=True,
               help="Drop the conjugate-type half of the density.")
-@_with_rule
+@click.option("--n-xi", default=64, show_default=True)
 @_format_opt
 @_strict_opt
-@_guarded
 def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
-                schedule, no_mirror, n_eta, n_xi, fmt, strict):
+                schedule, no_mirror, n_xi, fmt, strict):
     """Residue pairing of f against a 2-form test datum."""
     f, label, _ = _resolve_function(spec, params)
     phi = TestForm2(*(parse_profile(t, radius, radial)
@@ -376,9 +347,7 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
     if phi.is_zero:
         raise click.UsageError("all test-form coefficients are zero")
     sched = _parse_schedule(schedule, phi.support_radius)
-    require_rays(residue_rays(n_xi, sched, phi.support_radius))
-    rule = build_quadrature(n_eta, n_xi)
-    est = residue_pair(f, phi, rule=rule, schedule=sched,
+    est = residue_pair(f, phi, n_xi=n_xi, schedule=sched,
                        include_mirror=not no_mirror)
     inputs = {"function": label, "params": params, "phi11": phi11,
               "phi12": phi12, "phi21": phi21, "phi22": phi22,
@@ -386,7 +355,7 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
               "mirror": not no_mirror}
     _finish_estimate("residue", inputs, est,
                      {**_estimate_diagnostics(est, sched),
-                      "rule": {"n_eta": n_eta, "n_xi": n_xi}},
+                      "rule": {"n_xi": n_xi}},
                      fmt, strict)
 
 
@@ -402,10 +371,10 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
               default="metric", show_default=True)
 @click.option("--part", type=click.Choice(["(1,0)", "(0,1)"]),
               default="(1,0)")
-@_with_rule
+@click.option("--n-eta", default=32, show_default=True)
+@click.option("--n-xi", default=64, show_default=True)
 @_format_opt
 @_strict_opt
-@_guarded
 def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
            n_xi, fmt, strict):
     """Principal-value pairing of 1/f against a 3-form test datum."""
@@ -455,7 +424,6 @@ def _parse_complex_list(text: str) -> Tuple[complex, ...]:
               type=click.IntRange(min=1))
 @_format_opt
 @_strict_opt
-@_guarded
 def oracle_1d_cmd(principal, tail, kind, power, radius, schedule, n_theta,
                   fmt, strict):
     """One-complex-variable reference pairings for a Laurent function."""
@@ -485,7 +453,6 @@ def oracle_1d_cmd(principal, tail, kind, power, radius, schedule, n_theta,
 
 @main.command("catalogue")
 @click.option("--name", default=None, help="Show a single entry.")
-@_guarded
 def catalogue_cmd(name):
     """List the built-in model functions."""
     names = [name] if name else list(NAMES)

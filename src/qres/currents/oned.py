@@ -69,8 +69,6 @@ def _finite(value: complex, where: str, eps: float) -> complex:
 
 
 def _as_callable_1d(g) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(g, Laurent1D):
-        return g
     if callable(g):
         return g
     raise TypeError("expected a Laurent1D or a callable of z")

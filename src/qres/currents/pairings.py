@@ -92,7 +92,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import IdenticallyZero, PoleOnDomain, RuleTooLarge
+from ..errors import IdenticallyZero, PoleOnDomain, RuleTooLarge, TooCoarse
 from ..operators import modulus_function
 from ..qcore import Quat
 from ..symfun import POLE_RTOL, ConjPoly, ConjRational, QFunction
@@ -100,7 +100,7 @@ from .chart import ORIENTATION_3FORM, ORIENTATION_4FORM, sphere_to_complex
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import Profile, TestForm2, TestForm3, bump
 from .quadrature import (QuadratureRule, build_quadrature, gauss_panels,
-                         geometric_edges, graded_eta_panels)
+                         geometric_edges, graded_eta_panels, phase_grid)
 
 _LAM_FLOOR_FACTOR = 1e-9
 # nodes per density evaluation in both pairings, and matrix entries per
@@ -111,7 +111,7 @@ _NODE_BUDGET = 1 << 15
 # at the radius floor
 _SHELL_ORDER = 12
 _LOG_ORDER = 24
-# chart rays per mesh above which a rule is refused before any mesh is built
+# chart rays per mesh above which a mesh is refused before it is built
 MAX_RAYS = 1 << 20
 _SINGULAR = "density is singular inside the integration region"
 
@@ -508,37 +508,32 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float
 
 
 class _RayMesh(NamedTuple):
-    """Flattened chart mesh: ray parameters (eta, xi1, xi2), raw weights,
-    unit ray directions (u1, u2) and the volume factor sin(eta)*cos(eta).
-    The node at radius lam on a ray is lam * (u1, u2); the ray tables of a
-    _RayFunction are built on (u1, u2)."""
+    """Flattened chart mesh: the eta of each ray, its weight (the eta weight
+    times both phase weights times the volume factor sin(eta)*cos(eta)) and
+    its unit direction (u1, u2).  The node at radius lam on a ray is
+    lam * (u1, u2); the ray tables of a _RayFunction are built on (u1, u2)."""
 
     eta: np.ndarray
-    xi1: np.ndarray
-    xi2: np.ndarray
     w: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    sin_cos: np.ndarray
 
     @classmethod
-    def build(cls, eta_nodes, eta_weights, rule: QuadratureRule) -> "_RayMesh":
-        """Product grid of the eta nodes with the rule's two phase grids,
+    def build(cls, eta_nodes, eta_weights, n_xi: int) -> "_RayMesh":
+        """Product grid of the eta nodes with two phase_grid(n_xi) grids,
         eta-major: the n_xi^2 rays of eta node i are rays i n_xi^2 onwards.
-        cos, sin and the phases are taken on the axes and broadcast, which
-        gives the same values, bit for bit, as taking them per ray."""
-        ne, nx = len(eta_nodes), len(rule.xi_nodes)
+        The weights, cos, sin and the phases are taken on the axes and
+        broadcast, which gives the same values, bit for bit, as taking them
+        per ray."""
+        xi, xi_w = phase_grid(n_xi)
+        ne, nx = len(eta_nodes), len(xi)
         eta = np.asarray(eta_nodes, dtype=float)
-        xi = rule.xi_nodes
-        e = np.repeat(eta, nx * nx)
-        w = np.repeat(eta_weights, nx * nx) * rule.xi_weight ** 2
-        x1 = np.tile(np.repeat(xi, nx), ne)
-        x2 = np.tile(xi, ne * nx)
+        w = eta_weights * xi_w ** 2 * (np.sin(eta) * np.cos(eta))
         u1, u2 = sphere_to_complex(1.0, eta[:, None, None], xi[:, None], xi)
         shape = (ne, nx, nx)
-        return cls(e, x1, x2, w, np.broadcast_to(u1, shape).ravel(),
-                   np.broadcast_to(u2, shape).ravel(),
-                   np.repeat(np.sin(eta) * np.cos(eta), nx * nx))
+        return cls(np.repeat(eta, nx * nx), np.repeat(w, nx * nx),
+                   np.broadcast_to(u1, shape).ravel(),
+                   np.broadcast_to(u2, shape).ravel())
 
     def take(self, sel) -> "_RayMesh":
         return _RayMesh(*(a[sel] for a in self))
@@ -886,13 +881,13 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
     _, slope = density.ray_fn.modulus_sq_slope(lam)
     transverse = slope > 0.0
     w_lam = np.where(transverse, 1.0 / slope, 0.0)
-    value = _pv_radial(density, rays.w * rays.sin_cos, lam[None],
-                       w_lam[None], ORIENTATION_3FORM)
+    value = _pv_radial(density, rays.w, lam[None], w_lam[None],
+                       ORIENTATION_3FORM)
     return value, int(np.count_nonzero(~transverse))
 
 
-def _residue_level_set(f: QFunction, phi: TestForm2, rule: QuadratureRule,
-                       eps: float, support: float, products, block: int
+def _residue_level_set(f: QFunction, phi: TestForm2, n_xi: int, eps: float,
+                       support: float, products, block: int
                        ) -> Tuple[Quat, int, np.ndarray]:
     """One residue rung on its graded mesh: the value, the count of nodes
     that are not transverse and the untrusted counts of the level solve.
@@ -901,7 +896,7 @@ def _residue_level_set(f: QFunction, phi: TestForm2, rule: QuadratureRule,
     `block` consecutive rays, which stands for the block (n_xi^2 rays, one
     eta node, for a _torus_invariant f; else 1).  The mesh and its tables
     die with the call, so no two rungs' are held at once."""
-    mesh = _RayMesh.build(*graded_eta_panels(eps, support), rule)
+    mesh = _RayMesh.build(*graded_eta_panels(eps, support), n_xi)
     reps = mesh if block == 1 else mesh.take(slice(None, None, block))
     radii = _solve_level_radius(
         _RayFunction.build((f.f1, f.f2), reps.u1, reps.u2),
@@ -915,8 +910,7 @@ def _residue_level_set(f: QFunction, phi: TestForm2, rule: QuadratureRule,
     return _residue_rung(density, rays, lam[active]) + (untrusted,)
 
 
-def residue_pair(f: QFunction, phi: TestForm2,
-                 rule: Optional[QuadratureRule] = None,
+def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
                  schedule: Optional[EpsilonSchedule] = None,
                  include_mirror: bool = True) -> CurrentEstimate:
     """Pair the residue current of f against the 2-form phi.
@@ -924,8 +918,10 @@ def residue_pair(f: QFunction, phi: TestForm2,
     For each eps on the schedule the density is integrated over the level
     set |f| = eps (as a radial graph over the chart sphere, with eta panels
     graded toward the poles so cylinder-like level sets stay resolved), and
-    the eps -> 0 limit is extrapolated.  The rule fixes the phase resolution;
-    include_mirror=False drops the conjugate-type half of the density.
+    the eps -> 0 limit is extrapolated.  n_xi trapezoid nodes per phase
+    fix the phase resolution; include_mirror=False drops the
+    conjugate-type half of the density.  A mesh coarser than 8 phase nodes
+    or larger than MAX_RAYS rays is refused before any is built.
 
     The density is folded once per call (_residue_kernels, _fold), on the
     first rung with an active ray, and tabulated per rung on the active rays
@@ -934,26 +930,27 @@ def residue_pair(f: QFunction, phi: TestForm2,
     zero set of f, to within POLE_RTOL of its term size, raises
     PoleOnDomain.
     """
-    _require_nonzero(f)
+    if n_xi < 8:
+        raise TooCoarse(f"phase rule n_xi = {n_xi} is too coarse: need "
+                        "n_xi >= 8")
     if phi.is_zero:
         raise ValueError("test form is identically zero")
-    if rule is None:
-        rule = build_quadrature(32, 32)
     support = phi.support_radius
     if schedule is None:
         schedule = EpsilonSchedule.for_radius(support)
+    require_rays(residue_rays(n_xi, schedule, support))
+    _require_nonzero(f)
     if not schedule.eps0 < support:
         raise ValueError("schedule must start inside the test-form support")
-    require_rays(residue_rays(rule.n_xi, schedule, support))
     eps_list = schedule.values()
     products = functools.cache(
         lambda: _fold(_residue_kernels(f, include_mirror), phi.coefficients))
-    block = rule.n_xi ** 2 if _torus_invariant(f) else 1
+    block = n_xi ** 2 if _torus_invariant(f) else 1
     values: List[Quat] = []
     dropped_total = 0
     untrusted = np.zeros(3, dtype=int)
     for eps in eps_list:
-        val, dropped, counts = _residue_level_set(f, phi, rule, eps, support,
+        val, dropped, counts = _residue_level_set(f, phi, n_xi, eps, support,
                                                   products, block)
         values.append(val)
         dropped_total += dropped
@@ -1081,10 +1078,10 @@ def pv_pair(f: QFunction, psi: TestForm3,
         raise ValueError("region must be 'metric' or 'levelset'")
     require_rays(pv_rays(rule.n_eta, rule.n_xi))
     eps_list = schedule.values()
-    mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule)
+    mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule.n_xi)
     density = _PvDensity.build(f, _fold(_pv_kernels(f), psi.coefficients),
                                mesh.u1, mesh.u2)
-    integrand = _pv_integrand(density, mesh.w * mesh.sin_cos)
+    integrand = _pv_integrand(density, mesh.w)
     untrusted = np.zeros(3, dtype=int)
     if region == "metric":
         edges = [geometric_edges(eps_list[0], support, eps_list[0])]

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import IdenticallyZero, NotHyperholomorphic, NotHypermeromorphic
 from .qcore import CRat, Quat
-from .symfun import ConjRational, PairEval, QFunction, numeric_jet
+from .symfun import (ConjRational, PairEval, QFunction, WirtingerJet,
+                     numeric_jet)
 
 HALF = CRat(Fraction(1, 2))
 
@@ -61,6 +62,12 @@ def _dhat(f: QFunction) -> QFunction:
     return apply_D(f).as_qfunction()
 
 
+def _jet_D(jet: WirtingerJet) -> Tuple[np.ndarray, np.ndarray]:
+    """The pair (d1, d2) of Df = d1 + d2*j from a numeric_jet of f."""
+    return (0.5 * (jet.d1["z1b"] - jet.d2["z2b"].conjugate()),
+            0.5 * (jet.d1["z2b"] + jet.d2["z1b"].conjugate()))
+
+
 def _apply_D_batch(f: Union[QFunction, PairEval], points: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """D by central differences at every row (z1, z2) of the complex (n, 2)
@@ -70,10 +77,7 @@ def _apply_D_batch(f: Union[QFunction, PairEval], points: np.ndarray
     non-finite entry."""
     ev = f.eval_numeric if isinstance(f, QFunction) else f
     with np.errstate(all="ignore"):
-        jet = numeric_jet(ev, points[:, 0], points[:, 1])
-        d1 = 0.5 * (jet.d1["z1b"] - jet.d2["z2b"].conjugate())
-        d2 = 0.5 * (jet.d1["z2b"] + jet.d2["z1b"].conjugate())
-    return d1, d2
+        return _jet_D(numeric_jet(ev, points[:, 0], points[:, 1]))
 
 
 def apply_D_at(f: Union[QFunction, PairEval], q: Quat) -> Quat:
@@ -289,7 +293,9 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
     The numeric cross-check differentiates 1/f at sampled points and compares
     with what the residual system predicts; the two can in principle part
     ways when a component of f vanishes identically, which the derivation of
-    the system assumes away, so any disagreement is surfaced in notes.
+    the system assumes away, so any disagreement is surfaced in notes.  The
+    check is |D(1/f)| < 1e-6 |1/f| at every sample: both scale as 1/c
+    under f -> c f, so the verdict does not depend on the scale of f.
     """
     hyperholo = is_hyperholomorphic(f)
     eq3, eq4 = hypermero_residuals(f)
@@ -304,8 +310,12 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
         rng = random.Random(_SAMPLE_SEED)
         pts = _sample_points(f, 8, rng)
         if len(pts):
-            # max propagates nan, so one undefined sample shows
-            worst = _norms(*_apply_D_batch(g, pts)).max()
+            with np.errstate(all="ignore"):
+                jet = numeric_jet(g.eval_numeric, pts[:, 0], pts[:, 1])
+                # |1/f| from the jet's centre values; max propagates nan,
+                # so one undefined sample shows
+                worst = (_norms(*_jet_D(jet))
+                         / _norms(jet.f1, jet.f2)).max()
             if not np.isfinite(worst):
                 notes.append(
                     "numeric D(1/f) check is inconclusive: D(1/f) overflows "
@@ -313,7 +323,8 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
             elif (worst < 1e-6) != residuals_zero:
                 notes.append(
                     "numeric D(1/f) status disagrees with the residual system "
-                    f"(max |D(1/f)| = {worst:.3e} over {len(pts)} samples)")
+                    f"(max |D(1/f)|/|1/f| = {worst:.3e} over {len(pts)} "
+                    "samples)")
     closure = []
     for g in partners:
         closure.append({

@@ -428,10 +428,6 @@ class ConjRational:
         return r
 
     @classmethod
-    def from_poly(cls, p: ConjPoly) -> "ConjRational":
-        return cls(p)
-
-    @classmethod
     def const(cls, c) -> "ConjRational":
         return cls._from_parts(ConjPoly.const(c), _ONE)
 

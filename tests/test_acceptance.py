@@ -140,7 +140,7 @@ def test_criterion_07_residue_reduction():
     t0 = time.perf_counter()
     f = parse_qfunction("z1 ; 0")
     phi = TestForm2(phi22=Profile(ConjPoly.one(), 1.0, radial="z2"))
-    est = residue_pair(f, phi, rule=build_quadrature(16, 16),
+    est = residue_pair(f, phi, n_xi=16,
                        schedule=EpsilonSchedule(0.4, 0.7, 12))
     elapsed = time.perf_counter() - t0
     r = np.linspace(0.0, 1.0, 400_001)
@@ -155,11 +155,10 @@ def test_criterion_07_residue_reduction():
 @criterion(8, "point-supported residue: locality and vanishing forms")
 def test_criterion_08_dirac_locality():
     conj = builtin("conj").f
-    rule = build_quadrature(12, 16)
     sched = EpsilonSchedule(0.5, 0.7, 10)
 
     def limit(phi):
-        est = residue_pair(conj, phi, rule=rule, schedule=sched)
+        est = residue_pair(conj, phi, n_xi=16, schedule=sched)
         assert est.converged
         return est.extrapolated
 

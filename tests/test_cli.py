@@ -13,14 +13,13 @@ from click.testing import CliRunner
 from helpers import run_bounded
 from qres import cli
 from qres.cli import _fragment, main
-from qres.currents import pairings
+from qres.currents import pairings, quadrature
 
 SCHEMA = json.loads(importlib.resources.files("qres")
                     .joinpath("report_schema.json").read_text())
 
 CHEAP_RESIDUE = ["residue", "-f", "z1 ; 0", "--phi22", "bump",
-                 "--radial", "z2", "--schedule", "0.4,0.7,3",
-                 "--n-eta", "8", "--n-xi", "8"]
+                 "--radial", "z2", "--schedule", "0.4,0.7,3", "--n-xi", "8"]
 
 
 def invoke(args, env=None):
@@ -137,21 +136,78 @@ def test_parse_error_is_a_usage_error():
 
 
 @pytest.mark.parametrize("args", [
-    ["pv", "-f", "z1 ; 0", "--psi1", "z1*bump"],
+    ["pv", "-f", "z1 ; 0", "--psi1", "z1*bump", "--n-eta", "4096"],
     ["residue", "-f", "conj", "--phi22", "bump"],
 ], ids=["pv", "residue"])
 def test_oversized_rule_is_refused_before_it_is_built(monkeypatch, args):
-    # 4096 x 4096^2 chart rays: the count is checked before the quadrature
-    # rule (let alone a mesh) exists
+    # 4096^2 phase rays per eta node: the count is checked before the
+    # quadrature rule or a mesh exists
     def build(*a):
         raise AssertionError("the rule was built")
 
     monkeypatch.setattr(cli, "build_quadrature", build)
-    res = invoke(args + ["--n-eta", "4096", "--n-xi", "4096"])
+    monkeypatch.setattr(pairings._RayMesh, "build", classmethod(build))
+    res = invoke(args + ["--n-xi", "4096"])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("usage error: the rule needs ")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n-eta", "16384", "--n-xi", "8"], "the rule needs 16384 "
+     "Gauss-Legendre nodes in eta; at most 2048 are allowed"),
+    # a rule that also breaks the ray cap is refused for its rays
+    (["--n-eta", "16384", "--n-xi", "16"], "the rule needs 4194304 chart "
+     "rays per mesh; at most 1048576 are allowed"),
+], ids=["order", "rays"])
+def test_high_eta_orders_are_refused_before_their_nodes(monkeypatch, args,
+                                                         message):
+    # 16384 x 8^2 rays is exactly the ray cap; numpy's leggauss would take
+    # minutes and gigabytes for the eta nodes
+    def nodes(order):
+        raise AssertionError("Gauss-Legendre nodes were computed")
+
+    monkeypatch.setattr(quadrature, "gauss_legendre", nodes)
+    res = invoke(["pv", "-f", "conj", "--psi1", "bump", *args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n-xi", "4"], "phase rule n_xi = 4 is too coarse: need n_xi >= 8"),
+    (["--n-eta", "8"], "No such option '--n-eta'"),
+], ids=["n-xi", "n-eta"])
+def test_residue_takes_a_phase_rule_only(args, message):
+    # every residue rung grades its own eta panels, so an eta order would
+    # change nothing
+    res = invoke(["residue", "-f", "conj", "--phi22", "bump", *args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith(f"usage error: {message}")
+
+
+RULE_OPTIONS = [
+    (["pv", "-f", "z1 + z2^2 ; 0", "--psi1", "z1*bump", "--n-xi", "8"],
+     "--n-eta", ("4", "6")),
+    (["pv", "-f", "z1 + z2^2 ; 0", "--psi1", "z1*bump", "--n-eta", "4"],
+     "--n-xi", ("8", "10")),
+    (["residue", "-f", "z1 + z2 ; 0", "--phi22", "bump"],
+     "--n-xi", ("8", "10")),
+    (["oracle-1d", "--power", "3"], "--n-theta", ("2", "3")),
+]
+
+
+@pytest.mark.parametrize("args, option, values", RULE_OPTIONS,
+                         ids=[f"{a[0]} {o}" for a, o, _ in RULE_OPTIONS])
+def test_every_rule_option_changes_the_result(args, option, values):
+    # a rule option that leaves every rung as it was is a knob that does
+    # nothing; residue --n-eta was one
+    tables = [report(args + ["--schedule", "0.4,0.7,3", option, v])
+              ["diagnostics"]["table"] for v in values]
+    assert tables[0] != tables[1]
 
 
 def test_usage_errors_take_one_line():
@@ -168,7 +224,7 @@ def test_zero_function_inverse_is_a_domain_error():
 
 @pytest.mark.parametrize("args", [
     ["residue", "-f", "0 ; 0", "--phi22", "bump"],
-    ["pv", "-f", "0 ; 0", "--psi1", "bump"],
+    ["pv", "-f", "0 ; 0", "--psi1", "bump", "--n-eta", "4"],
 ], ids=["residue", "pv"])
 def test_zero_function_pairing_is_a_domain_error(monkeypatch, args):
     # no level set of f = 0 is ever crossed, so every residue rung was an
@@ -178,7 +234,7 @@ def test_zero_function_pairing_is_a_domain_error(monkeypatch, args):
         raise AssertionError("a mesh was built")
 
     monkeypatch.setattr(pairings._RayMesh, "build", classmethod(build))
-    res = invoke(args + ["--n-eta", "4", "--n-xi", "8", "--strict"])
+    res = invoke(args + ["--n-xi", "8", "--strict"])
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr == ("domain error: f is identically zero, so 1/f has "
@@ -200,7 +256,7 @@ def test_lost_level_set_is_not_a_converged_zero():
     # converged zero with exit 0
     res = invoke(["residue", "-f", "prop34", "--params", "0.125,-0.125",
                   "--phi22", "bump", "--schedule", "0.4,0.7,8",
-                  "--n-eta", "8", "--n-xi", "16", "--strict"])
+                  "--n-xi", "16", "--strict"])
     assert res.exit_code == 4
     assert len(res.stderr.splitlines()) == 1
     data = json.loads(res.stdout)
@@ -287,8 +343,8 @@ def test_version_prints_one_line_from_a_source_tree():
     (["residue", "-f", "conj", "--phi22", "bump", "--R", "1e300",
       "--schedule", "1e-150,0.5,3"], 2),
     # the rungs are positive, but the last one squared underflows
-    (["residue", "-f", "conj", "--phi22", "bump", "--n-eta", "8",
-      "--n-xi", "8", "--schedule", "1e-300,0.7,3"], 2),
+    (["residue", "-f", "conj", "--phi22", "bump", "--n-xi", "8",
+      "--schedule", "1e-300,0.7,3"], 2),
     (["pv", "-f", "conj", "--psi1", "bump", "--schedule", "0.3,1e-200,3",
       "--n-eta", "4", "--n-xi", "8", "--region", "levelset"], 2),
 ], ids=["residue", "oracle-1d", "residue-panel", "residue-square",
@@ -343,10 +399,10 @@ ERROR_CASES = [
     (["hypermero", "-f", "(z1) / (0)"], 2, "usage error: "),
     (["product-compat", "--f", "conj", "--g", "nosuch"], 2, "usage error: "),
     (["product-compat", "--f", "conj", "--g", "conj"], 3, "domain error: "),
-    (["residue", "-f", "conj", "--phi22", "bump", "--n-eta", "2"], 2,
+    (["residue", "-f", "conj", "--phi22", "bump", "--n-xi", "4"], 2,
      "usage error: "),
-    (["residue", "-f", "0 ; 0", "--phi22", "bump", "--n-eta", "4",
-      "--n-xi", "8"], 3, "domain error: "),
+    (["residue", "-f", "0 ; 0", "--phi22", "bump", "--n-xi", "8"], 3,
+     "domain error: "),
     (["pv", "-f", "conj", "--psi1", "bump", "--n-xi", "4"], 2,
      "usage error: "),
     (["pv", "-f", "0 ; 0", "--psi1", "bump", "--n-eta", "4",
@@ -378,8 +434,8 @@ def test_every_subcommand_maps_errors_to_exit_codes(args, code, prefix):
     (["pv", "-f", "conj", "--psi1", "bump", "--R", "nan"],
      "Invalid value for '--R': nan is not a positive finite number"),
     (["pv", "--psi1", "bump"], "Missing option '--function' / '-f'."),
-    (["residue", "-f", "conj", "--n-eta", "x"],
-     "Invalid value for '--n-eta': 'x' is not a valid integer."),
+    (["residue", "-f", "conj", "--n-xi", "x"],
+     "Invalid value for '--n-xi': 'x' is not a valid integer."),
     (["nosuch"], "No such command 'nosuch'."),
 ], ids=["schedule-value", "schedule-shape", "R-nan", "missing", "type",
         "command"])

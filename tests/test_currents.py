@@ -3,6 +3,7 @@ residues over shrinking level sets, principal values over shrinking
 excluded regions.  Reference masses come from radial quadrature."""
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _NodeSum,
                                     _residue_kernels, _residue_rung,
                                     _solve_level_radius, pv_pair, pv_rays,
                                     require_rays, residue_pair, residue_rays)
+from qres.currents import quadrature
 from qres.currents.quadrature import build_quadrature, graded_eta_panels
-from qres.errors import RuleTooLarge
+from qres.errors import RuleTooLarge, TooCoarse
 from qres.parsing import parse_poly, parse_qfunction
 from qres.qcore import Quat
 from qres.symfun import ConjPoly, ConjRational, QFunction
@@ -48,7 +50,7 @@ def ball_moment_oracle() -> float:
 
 
 def test_residue_of_z1_matches_plane_mass():
-    est = residue_pair(Z1_FN, PHI_PLANE, rule=build_quadrature(16, 16),
+    est = residue_pair(Z1_FN, PHI_PLANE, n_xi=16,
                        schedule=EpsilonSchedule(0.4, 0.7, 12))
     assert est.converged
     assert est.part == "(1,0)+(0,1)"
@@ -63,19 +65,18 @@ def test_residue_of_conjugation_is_numerically_zero():
     # the zero set is a single point; the level spheres carry mass that
     # cancels in the limit
     conj = builtin("conj").f
-    est = residue_pair(conj, PHI_PLANE, rule=build_quadrature(16, 16),
+    est = residue_pair(conj, PHI_PLANE, n_xi=16,
                        schedule=EpsilonSchedule(0.5, 0.7, 10))
     assert est.converged
     assert est.extrapolated.norm() < 1e-3
 
 
 def test_residue_is_linear_in_the_test_form():
-    rule = build_quadrature(8, 16)
     sched = EpsilonSchedule(0.4, 0.7, 3)
 
     def pair(poly):
         phi = TestForm2(phi22=Profile(poly, 1.0, radial="z2"))
-        return residue_pair(Z1_FN, phi, rule=rule, schedule=sched)
+        return residue_pair(Z1_FN, phi, n_xi=16, schedule=sched)
 
     est_a = pair(ConjPoly.one())
     est_b = pair(parse_poly("z2*c2"))
@@ -88,7 +89,7 @@ def test_residue_against_coefficient_vanishing_on_zero_set():
     # coefficient proportional to |z1|^2 dies quadratically on the level
     # sets, so the limit is zero even though each rung is positive
     phi = TestForm2(phi22=Profile(parse_poly("z1*c1"), 1.0, radial="z2"))
-    est = residue_pair(Z1_FN, phi, rule=build_quadrature(8, 16),
+    est = residue_pair(Z1_FN, phi, n_xi=16,
                        schedule=EpsilonSchedule(0.4, 0.7, 10))
     assert est.converged
     assert est.extrapolated.norm() < 1e-3
@@ -96,10 +97,9 @@ def test_residue_against_coefficient_vanishing_on_zero_set():
 
 
 def test_mirror_half_is_inert_for_holomorphic_zero_sets():
-    rule = build_quadrature(8, 16)
     sched = EpsilonSchedule(0.4, 0.7, 4)
-    est_on = residue_pair(Z1_FN, PHI_PLANE, rule=rule, schedule=sched)
-    est_off = residue_pair(Z1_FN, PHI_PLANE, rule=rule, schedule=sched,
+    est_on = residue_pair(Z1_FN, PHI_PLANE, n_xi=16, schedule=sched)
+    est_off = residue_pair(Z1_FN, PHI_PLANE, n_xi=16, schedule=sched,
                            include_mirror=False)
     # both conjugate-type derivatives of (z1, 0) vanish identically, so the
     # mirror terms contribute exactly nothing
@@ -189,23 +189,43 @@ def test_chart_volume_element_has_closed_form():
     assert np.abs(det - closed).max() < 1e-15
 
 
+class RayParams(NamedTuple):
+    """Per-ray chart parameters and raw weight (without sin*cos) of
+    _RayMesh.build(eta_nodes, eta_weights, rule.n_xi), in its eta-major
+    order, built from the rule ray by ray."""
+
+    eta: np.ndarray
+    xi1: np.ndarray
+    xi2: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, eta_nodes, eta_weights, rule) -> "RayParams":
+        n, k = rule.n_xi, len(eta_nodes)
+        return cls(np.repeat(eta_nodes, n * n),
+                   np.tile(np.repeat(rule.xi_nodes, n), k),
+                   np.tile(rule.xi_nodes, k * n),
+                   np.repeat(eta_weights, n * n) * rule.xi_weight ** 2)
+
+    def take(self, sel) -> "RayParams":
+        return RayParams(*(a[sel] for a in self))
+
+
 @pytest.mark.parametrize("n_eta,n_xi,graded", [
     (16, 32, False), (32, 64, False), (8, 16, True), (32, 64, True)])
 def test_chart_mesh_from_its_axes_matches_the_flat_construction(n_eta, n_xi,
                                                                graded):
-    # _RayMesh takes cos, sin and the phases on the axes and broadcasts
-    # them; per ray, the same products give the same bits
+    # _RayMesh takes the weights, cos, sin and the phases on the axes and
+    # broadcasts them; per ray, the same products give the same bits
     rule = build_quadrature(n_eta, n_xi)
     eta_nodes, eta_weights = (graded_eta_panels(0.01, 1.0) if graded
                               else (rule.eta_nodes, rule.eta_weights))
-    mesh = _RayMesh.build(eta_nodes, eta_weights, rule)
-    eta = np.repeat(eta_nodes, n_xi * n_xi)
-    xi1 = np.tile(np.repeat(rule.xi_nodes, n_xi), len(eta_nodes))
-    xi2 = np.tile(rule.xi_nodes, len(eta_nodes) * n_xi)
-    u1, u2 = sphere_to_complex(1.0, eta, xi1, xi2)
-    for got, want in ((mesh.u1, u1), (mesh.u2, u2),
-                      (mesh.sin_cos, np.sin(eta) * np.cos(eta)),
-                      (mesh.eta, eta), (mesh.xi1, xi1), (mesh.xi2, xi2)):
+    mesh = _RayMesh.build(eta_nodes, eta_weights, n_xi)
+    ref = RayParams.of(eta_nodes, eta_weights, rule)
+    u1, u2 = sphere_to_complex(1.0, ref.eta, ref.xi1, ref.xi2)
+    w = ref.w * (np.sin(ref.eta) * np.cos(ref.eta))
+    for got, want in ((mesh.u1, u1), (mesh.u2, u2), (mesh.w, w),
+                      (mesh.eta, ref.eta)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -218,8 +238,8 @@ def level_rays(kind: str):
         eta = rng.uniform(0.05, math.pi / 2 - 0.05, n)
         xi1, xi2 = rng.uniform(0.0, 2 * math.pi, (2, n))
         return eta, xi1, xi2
-    mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(8, 16))
-    return mesh.eta, mesh.xi1, mesh.xi2
+    rays = RayParams.of(*graded_eta_panels(0.3, 1.0), build_quadrature(8, 16))
+    return rays.eta, rays.xi1, rays.xi2
 
 
 LEVEL_CASES = {
@@ -296,17 +316,21 @@ ORACLE_FUNCTIONS.update({
 })
 
 
+PV_RULE = build_quadrature(16, 32)
+PV_RAYS = RayParams.of(PV_RULE.eta_nodes, PV_RULE.eta_weights, PV_RULE)
+
+
 @pytest.fixture(scope="module")
 def pv_mesh():
-    rule = build_quadrature(16, 32)
-    return _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule)
+    return _RayMesh.build(PV_RULE.eta_nodes, PV_RULE.eta_weights,
+                          PV_RULE.n_xi)
 
 
-def mod_sq_on_rays(f, mesh, lam, rays):
-    """|f|^2 at radius lam on the given rays, through the chart map and the
-    symbolic evaluator."""
+def mod_sq_on_rays(f, lam, rays):
+    """|f|^2 at radius lam on the given rays of pv_mesh, through the chart
+    map and the symbolic evaluator."""
     F1, F2 = f.eval_numeric(*sphere_to_complex(
-        lam, mesh.eta[rays], mesh.xi1[rays], mesh.xi2[rays]))
+        lam, PV_RAYS.eta[rays], PV_RAYS.xi1[rays], PV_RAYS.xi2[rays]))
     return np.abs(F1) ** 2 + np.abs(F2) ** 2
 
 
@@ -343,7 +367,7 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
         assert np.all(np.abs(lam - ref)[mono] <= tol[mono])
         # every crossing lies on the level set
         rays, k = np.nonzero(crossings < np.inf)
-        g = mod_sq_on_rays(f, mesh, crossings[rays, k], rays)
+        g = mod_sq_on_rays(f, crossings[rays, k], rays)
         assert np.abs(g / eps ** 2 - 1.0).max(initial=0.0) <= 1e-9
         # |f|^2 - eps^2 changes sign at each crossing and nowhere else:
         # sampled at the floor, between consecutive crossings and at lam_hi,
@@ -355,7 +379,7 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
             samples = np.concatenate(
                 [floor[sel, None], mids[sel, :max(c - 1, 0)], hi[sel, None]],
                 axis=1)
-            side = mod_sq_on_rays(f, mesh, samples,
+            side = mod_sq_on_rays(f, samples,
                                   np.broadcast_to(sel[:, None], samples.shape)
                                   ) < eps ** 2
             changes = np.count_nonzero(side[:, 1:] != side[:, :-1], axis=1)
@@ -399,7 +423,7 @@ def test_level_sets_that_are_not_radial_graphs_are_not_converged():
     rule = build_quadrature(8, 16)
     sched = EpsilonSchedule(0.4, 0.7, 8)
     residue = residue_pair(f, TestForm2(phi22=Profile.bump_only(1.0)),
-                           rule=rule, schedule=sched)
+                           n_xi=rule.n_xi, schedule=sched)
     psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
     levelset = pv_pair(f, psi, rule=rule, schedule=sched, region="levelset")
     for est in (residue, levelset):
@@ -418,8 +442,7 @@ def test_level_sets_missed_by_every_ray_start_are_not_converged():
     # eps > 1/8, yet no ray starts below eps.  Every rung is an exact zero,
     # which alone would pass as converged
     est = residue_pair(builtin("cauchy_kernel").f,
-                       TestForm2(phi22=Profile.bump_only(2.0)),
-                       rule=build_quadrature(8, 16),
+                       TestForm2(phi22=Profile.bump_only(2.0)), n_xi=16,
                        schedule=EpsilonSchedule(1.0, 0.7, 6))
     assert all(v.norm() == 0.0 for v in est.values)
     assert not est.converged
@@ -456,7 +479,7 @@ def test_level_sets_below_the_radius_floor_are_not_converged(kind):
     if kind == "residue":
         est = residue_pair(builtin("conj").f,
                            TestForm2(phi22=Profile.bump_only(1e9)),
-                           rule=rule, schedule=sched)
+                           n_xi=rule.n_xi, schedule=sched)
         assert all(v.norm() == 0.0 for v in est.values)
     else:
         est = pv_pair(Z1_FN, TestForm3(psi1=Profile(ConjPoly.var("z1"), 1e12)),
@@ -532,7 +555,8 @@ def test_rows_wider_than_the_node_budget_go_in_ray_blocks(monkeypatch, kind):
 
     def run():
         if kind == "residue":
-            return residue_pair(Z1_FN, PHI_PLANE, rule=rule, schedule=sched)
+            return residue_pair(Z1_FN, PHI_PLANE, n_xi=rule.n_xi,
+                                schedule=sched)
         psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
         return pv_pair(NODE_SUM_FN, psi, rule=rule, schedule=sched,
                        region=kind)
@@ -810,11 +834,32 @@ def test_rays_in_the_zero_set_are_refused_or_carry_no_mass(monkeypatch,
             assert max(v.norm() for v in est.values) < 1e-12
 
 
+def test_residue_builds_no_eta_rule(monkeypatch):
+    # each rung grades its own eta panels of 14-node Gauss-Legendre rules
+    # (graded_eta_panels); no QuadratureRule is built, and no other order
+    # of nodes is computed
+    def build(*args):
+        raise AssertionError("a quadrature rule or a mesh was built")
+
+    orders = []
+    real = quadrature.gauss_legendre
+    monkeypatch.setattr(quadrature, "gauss_legendre",
+                        lambda n: orders.append(n) or real(n))
+    monkeypatch.setattr(quadrature, "build_quadrature", build)
+    monkeypatch.setattr(pairings, "build_quadrature", build)
+    est = residue_pair(Z1_FN, PHI_PLANE, n_xi=8,
+                       schedule=EpsilonSchedule(0.4, 0.7, 3))
+    assert len(est.values) == 3 and set(orders) == {14}
+    # too coarse a phase rule is refused before any mesh
+    monkeypatch.setattr(pairings._RayMesh, "build", classmethod(build))
+    with pytest.raises(TooCoarse, match="need n_xi >= 8"):
+        residue_pair(Z1_FN, PHI_PLANE, n_xi=4)
+
+
 def test_residue_rays_in_the_zero_set_are_inactive():
     # the same rays lie below eps over their whole support, so no residue
     # rung integrates them and the pole test does not see them
-    est = residue_pair(builtin("prop34").f, PHI_PLANE,
-                       rule=build_quadrature(8, 16),
+    est = residue_pair(builtin("prop34").f, PHI_PLANE, n_xi=16,
                        schedule=EpsilonSchedule(0.4, 0.7, 4))
     assert all(np.isfinite(v.norm()) and 1.0 < v.norm() < 10.0
                for v in est.values)
@@ -878,7 +923,7 @@ def leray_residue_nodes(density, rays, lam):
     """The residue integrand of the folded density at the level radii lam,
     per node, with the Leray weight 1 / (d|f|^2/dlam) and no mask."""
     _, slope = density.ray_fn.modulus_sq_slope(lam)
-    w = 4.0 * lam ** 3 * rays.w * rays.sin_cos / slope
+    w = 4.0 * lam ** 3 * rays.w / slope
     parts = [0.0, 0.0]
     for part, term in density.terms(lam, w):
         parts[part] = parts[part] + term
@@ -915,18 +960,20 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
                           else Profile(p.poly, 2.0 * p.R, p.radial)
                           for p in phi.coefficients))
         support = phi.support_radius
-    mesh = _RayMesh.build(*graded_eta_panels(eps, support),
-                          build_quadrature(6, 8))
+    eta_nodes, eta_weights = graded_eta_panels(eps, support)
+    rule = build_quadrature(6, 8)
+    mesh = _RayMesh.build(eta_nodes, eta_weights, rule.n_xi)
     radii = _solve_level_radius(_RayFunction.build((f.f1, f.f2), mesh.u1,
                                                    mesh.u2),
                                 phi.support_lambda(mesh.eta), eps)
     sel = np.flatnonzero(radii.crossings[:, 0] < np.inf)
     assert len(sel) > 100
     rays, lam = mesh.take(sel), radii.crossings[sel, 0]
+    ref = RayParams.of(eta_nodes, eta_weights, rule).take(sel)
     density = _PvDensity.build(
         f, _fold(_residue_kernels(f, mirror), phi.coefficients),
         rays.u1, rays.u2)
-    old1, old2, g_lam = surface_residue_nodes(f, phi, rays, lam, mirror)
+    old1, old2, g_lam = surface_residue_nodes(f, phi, ref, lam, mirror)
     new1, new2 = leray_residue_nodes(density, rays, lam)
     size = np.maximum(np.abs(old1), np.abs(old2))
     # a folded product vanishes to second order on the zero set of f (f
@@ -938,7 +985,7 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
     if (name, params) == ILL_CONDITIONED:
         # near-tangent rays: the surface route's own change when every
         # level radius moves by one ulp
-        moved = surface_residue_nodes(f, phi, rays,
+        moved = surface_residue_nodes(f, phi, ref,
                                       np.nextafter(lam, np.inf), mirror)
         tol = tol + np.maximum(np.abs(moved[0] - old1),
                                np.abs(moved[1] - old2))
@@ -967,7 +1014,7 @@ COLLAPSE_LADDER = EpsilonSchedule(0.4, 0.7, 8)
 
 def collapse_call(kind, f):
     if kind == "residue":
-        return residue_pair(f, MIXED_PHI, rule=COLLAPSE_RULE,
+        return residue_pair(f, MIXED_PHI, n_xi=COLLAPSE_RULE.n_xi,
                             schedule=COLLAPSE_LADDER)
     return pv_pair(f, FOLD_PSI, rule=COLLAPSE_RULE, region=kind)
 
@@ -1043,9 +1090,9 @@ def test_pole_on_a_ray_node_is_reported(kind):
                                           None))
     else:
         products = _fold(_residue_kernels(f, True), MIXED_PHI.coefficients)
-    mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(4, 8))
+    mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), 8)
     density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
-    w_rays = mesh.w * mesh.sin_cos
+    w_rays = mesh.w
     assert density.slots
     lam = np.array([[0.0], [0.5]])
     F1 = density.ray_fn.values(lam)[0]
@@ -1064,10 +1111,10 @@ def test_pole_is_reported_when_no_product_survives_the_fold():
     f = QFunction(ConjRational(ConjPoly.one(), parse_poly("z1*c1")),
                   ConjRational.zero())
     psi = TestForm3(psi2=Profile.bump_only(1.0))
-    mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), build_quadrature(4, 8))
+    mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), 8)
     density = _PvDensity.build(f, _fold(_pv_kernels(f), psi.coefficients),
                                mesh.u1, mesh.u2)
-    w_rays = mesh.w * mesh.sin_cos
+    w_rays = mesh.w
     assert density.slots == ()
     # at lam = 0, f = inf + nan j; at lam = 1e-100, f is finite but |f|^2
     # overflows to inf, where 1/|f|^2 = 0 would pass a finiteness check
@@ -1097,7 +1144,7 @@ def test_zero_test_forms_are_rejected():
 
 def test_schedule_must_start_inside_support():
     with pytest.raises(ValueError, match="inside the test-form support"):
-        residue_pair(Z1_FN, PHI_PLANE, rule=build_quadrature(8, 16),
+        residue_pair(Z1_FN, PHI_PLANE, n_xi=16,
                      schedule=EpsilonSchedule(2.0, 0.7, 3))
     psi = TestForm3(psi1=Profile.bump_only(1.0))
     with pytest.raises(ValueError, match="inside the test-form support"):

@@ -156,7 +156,7 @@ def test_finalize_exact_zero_sequence_converges():
 
 
 # rungs of `qres residue -f prop34 --params 0.125,-0.125 --phi22 bump
-# --schedule 0.4,0.7,8 --n-eta 8 --n-xi 16` before its level sets were
+# --schedule 0.4,0.7,8 --n-xi 16` before its level sets were
 # checked: three real values, then exact zeros once no ray starts below eps
 LOST_RUNGS = tuple(Quat(complex(-v), complex(v)) for v in (
     3.2762320893118355, 3.5678144709137047, 4.5818013904022665)) + (

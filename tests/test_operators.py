@@ -400,15 +400,24 @@ def test_cross_check_refuses_samples_where_f_overflows(spec):
 
 
 def test_a_non_finite_cross_check_is_stated_in_words(monkeypatch):
-    def undefined(g, points):
-        nan = np.full(len(points), complex("nan+nanj"))
+    def undefined(jet):
+        nan = np.full(jet.f1.shape, complex("nan+nanj"))
         return nan, nan
 
-    monkeypatch.setattr(operators, "_apply_D_batch", undefined)
+    monkeypatch.setattr(operators, "_jet_D", undefined)
     notes = classify(builtin("conj").f).notes
     assert notes == ("numeric D(1/f) check is inconclusive: D(1/f) "
                      "overflows or is undefined at some of 8 samples",)
     assert not any("nan" in n or "inf" in n for n in notes)
+
+
+@pytest.mark.parametrize("name, scale", [
+    ("F", 10 ** 8), ("q_conj", 10 ** 8), ("prop34", Fraction(1, 10 ** 8))])
+def test_cross_check_does_not_depend_on_the_scale_of_f(name, scale):
+    # D(1/f) and 1/f both scale as 1/c under f -> c f; a bound on |D(1/f)|
+    # alone noted a disagreement for 1e8 F and 1e8 q_conj
+    f = builtin(name).f
+    assert classify(scale_real(f, scale)).notes == classify(f).notes == ()
 
 
 def test_classify_multiplies_no_two_unit_denominators(monkeypatch):

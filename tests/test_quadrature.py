@@ -8,10 +8,12 @@ import pytest
 
 from helpers import run_bounded
 from qres.currents.forms import bump
-from qres.currents.quadrature import (build_quadrature, gauss_legendre,
-                                      gauss_panels, geometric_edges,
-                                      graded_eta_panels, sphere_integral)
-from qres.errors import TooCoarse
+from qres.currents import quadrature
+from qres.currents.quadrature import (MAX_ETA_ORDER, build_quadrature,
+                                      gauss_legendre, gauss_panels,
+                                      geometric_edges, graded_eta_panels,
+                                      sphere_integral)
+from qres.errors import RuleTooLarge, TooCoarse
 
 AREA = 2 * math.pi ** 2  # unit 3-sphere
 
@@ -68,6 +70,23 @@ def test_too_coarse_guard():
         build_quadrature(3, 64)
     with pytest.raises(TooCoarse):
         build_quadrature(32, 4)
+
+
+def test_eta_orders_beyond_the_bound_are_refused_before_their_nodes(
+        monkeypatch):
+    # numpy's leggauss costs O(n^3) time and O(n^2) memory: order 16384
+    # fits the ray cap at n_xi = 8, so the order bound alone must stop it,
+    # and before any node is computed
+    orders = []
+    real = quadrature.gauss_legendre
+    monkeypatch.setattr(quadrature, "gauss_legendre",
+                        lambda n: orders.append(n) or real(n))
+    for n_eta in (16384, MAX_ETA_ORDER + 1):
+        with pytest.raises(RuleTooLarge, match=f"at most {MAX_ETA_ORDER}"):
+            build_quadrature(n_eta, 8)
+    assert orders == []
+    build_quadrature(64, 8)
+    assert orders == [64]
 
 
 def test_rule_shape():
