@@ -11,6 +11,9 @@ computations whose limits are known through radial oracles:
 The principal values sweep the n_eta x n_xi rule.  The residue grades its
 own eta panels on each rung and sweeps n_xi only: it is computed once per
 distinct n_xi, and rules that share n_xi share its error and its time.
+|z1| depends on neither phase, so every pairing here is averaged over the
+phases exactly (CurrentEstimate.phases_averaged) and n_xi moves none of
+the errors.
 
 Run from the repository root:
 

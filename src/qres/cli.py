@@ -114,6 +114,13 @@ def _parse_schedule(text: str, support: float) -> EpsilonSchedule:
         raise click.UsageError(f"bad schedule: {exc}")
 
 
+def _rule(est, **sizes) -> dict:
+    """diagnostics.rule of a 4-D pairing: the rule's sizes, and whether the
+    phases were averaged exactly, in which case n_xi changed no value."""
+    return {**sizes,
+            "phases": "averaged" if est.phases_averaged else "trapezoid"}
+
+
 def _estimate_diagnostics(est, schedule: EpsilonSchedule) -> dict:
     return {
         "table": [list(r) for r in est.rows()],
@@ -355,7 +362,7 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
               "mirror": not no_mirror}
     _finish_estimate("residue", inputs, est,
                      {**_estimate_diagnostics(est, sched),
-                      "rule": {"n_xi": n_xi}},
+                      "rule": _rule(est, n_xi=n_xi)},
                      fmt, strict)
 
 
@@ -393,7 +400,7 @@ def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
               "region": region, "part": part}
     _finish_estimate("pv", inputs, est,
                      {**_estimate_diagnostics(est, sched),
-                      "rule": {"n_eta": n_eta, "n_xi": n_xi}},
+                      "rule": _rule(est, n_eta=n_eta, n_xi=n_xi)},
                      fmt, strict)
 
 

@@ -79,6 +79,9 @@ class CurrentEstimate:
     diff_ratios: Tuple[float, ...]
     part: str = "(1,0)"
     notes: Tuple[str, ...] = ()
+    # the 4-D pairings: whether the phases were averaged exactly, so that
+    # the phase rule changed no value
+    phases_averaged: bool = False
 
     def rows(self):
         """(epsilon, re1, im1, re_j, im_j) per rung, for tabular export."""
@@ -103,7 +106,8 @@ def _extrapolate(epsilons: Sequence[float], values: Sequence[Quat]) -> Quat:
 
 def finalize(epsilons: Sequence[float], values: Sequence[Quat],
              part: str = "(1,0)", notes: Sequence[str] = (),
-             trusted: bool = True) -> CurrentEstimate:
+             trusted: bool = True,
+             phases_averaged: bool = False) -> CurrentEstimate:
     """Assemble the estimate: extrapolate and judge convergence.
 
     Converged means the last few successive differences decay with ratio
@@ -111,7 +115,7 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
     rung that is exactly zero after a rung above the zero floor is a lost
     rung, not a converged one, and rules convergence out; so does
     trusted=False, for a pairing that counted rays it cannot resolve (its
-    notes say which).
+    notes say which).  phases_averaged is carried to the estimate.
     """
     if len(epsilons) != len(values):
         raise ValueError("epsilons and values must align")
@@ -140,4 +144,5 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
         diff_ratios=ratios,
         part=part,
         notes=tuple(notes),
+        phases_averaged=phases_averaged,
     )

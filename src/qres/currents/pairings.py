@@ -56,14 +56,21 @@ and dots them with alpha.  Any other f is evaluated node by node
 (_NodeSum).
 
 When |f|^2 is exactly a function of |z1|^2 and |z2|^2 (_torus_invariant:
-every catalogue entry but prop34 at its default parameters), its level sets
-are invariant under the phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2),
-so a level radius depends on eta alone.  The mesh is eta-major, n_xi^2 rays
-per eta node, so both pairings then solve the level set on the first ray of
-each eta node only, and repeat its radius, and its untrusted counts, over
-the node's rays.  The levelset region integrates a split's shells on alpha
-summed over each eta node (the metric region's sum over all rays is the
-one-block case); a node sum takes the repeated start radii on every ray.
+every catalogue entry but prop34 at its default parameters) and every
+denominator a pairing reads is one too, the pairing is averaged over the
+phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2) (_averaged).  On a chart
+ray the monomial z1^a conj(z1)^b z2^c conj(z2)^d carries the phase
+e^(i (a - b) xi1 + i (c - d) xi2), while |f|, the term sizes of f, every
+denominator, every bump and so every level radius depend on (lam, eta)
+alone.  So the integral over both phases keeps exactly the monomials with
+a = b and c = d of each folded product's numerator (_phase_average), times
+(2 pi)^2, and the pairing runs on one ray per eta node, at
+xi1 = xi2 = 0 (_RayMesh.averaged), through the same tables, integrands and
+level solve as the n_xi^2 rays per eta node of any other f.  The n_xi-point
+trapezoid rule in each phase is exact below phase degree n_xi, so the two
+agree to rounding once n_xi exceeds the density's phase degree, and an
+averaged pairing does not read n_xi except to count its untrusted and
+dropped rays in rays of the n_xi rule, n_xi^2 per averaged ray.
 
 A node, or for a split a ray, is a pole when |f| <= POLE_RTOL times the
 term size of f there, the sum over f1 and f2 of the term sizes of the
@@ -88,6 +95,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -461,11 +469,21 @@ def _level_crossings(ray_fn: _RayFunction, target: float, floor, hi
 
 
 @_quiet
-def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float
-                        ) -> _LevelRadii:
+def _level_ends(ray_fn: _RayFunction, lam_hi) -> Tuple[np.ndarray, np.ndarray]:
+    """|f|^2 at both ends of the interval (floor, lam_hi] that
+    _solve_level_radius searches on each ray, as (at the floor, at lam_hi).
+    They do not depend on eps, so a ladder on one mesh takes them once."""
+    hi = np.array(lam_hi, dtype=float)
+    return (ray_fn.modulus_sq(_LAM_FLOOR_FACTOR * hi), ray_fn.modulus_sq(hi))
+
+
+@_quiet
+def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float,
+                        ends=None) -> _LevelRadii:
     """Radius where |f| = eps along each chart ray, with one entry of lam_hi
     per ray of ray_fn: the first crossing in (floor, lam_hi], where
-    floor = _LAM_FLOOR_FACTOR lam_hi, or inf on a ray with none.
+    floor = _LAM_FLOOR_FACTOR lam_hi, or inf on a ray with none.  ends is
+    _level_ends(ray_fn, lam_hi), computed here when not given.
 
     The crossings are the real roots in (floor, lam_hi] of the ray
     polynomial D1^2 D2^2 (|f|^2 - eps^2) = lam^L (s - eps^2 q), whose rows
@@ -487,8 +505,8 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float
     target = eps * eps
     hi = np.array(lam_hi, dtype=float)
     floor = _LAM_FLOOR_FACTOR * hi
-    g_hi = ray_fn.modulus_sq(hi)
-    inside_at_floor = ~(ray_fn.modulus_sq(floor) >= target)
+    g_floor, g_hi = _level_ends(ray_fn, hi) if ends is None else ends
+    inside_at_floor = ~(g_floor >= target)
     below_hi = ~(g_hi >= target)
     active = inside_at_floor & ~below_hi
     m = ray_fn.degree
@@ -535,8 +553,27 @@ class _RayMesh(NamedTuple):
                    np.broadcast_to(u1, shape).ravel(),
                    np.broadcast_to(u2, shape).ravel())
 
+    @classmethod
+    def averaged(cls, eta_nodes, eta_weights) -> "_RayMesh":
+        """One ray per eta node, at xi1 = xi2 = 0, weighted by the eta weight
+        times (2 pi)^2, the measure of the phase torus, times
+        sin(eta)*cos(eta): the mesh of a pairing averaged over the phases
+        (_averaged)."""
+        eta = np.asarray(eta_nodes, dtype=float)
+        w = eta_weights * (2.0 * math.pi) ** 2 * (np.sin(eta) * np.cos(eta))
+        u1, u2 = sphere_to_complex(1.0, eta, 0.0, 0.0)
+        return cls(eta, w, u1, u2)
+
     def take(self, sel) -> "_RayMesh":
         return _RayMesh(*(a[sel] for a in self))
+
+
+def _mesh(eta_nodes, eta_weights, n_xi: int, averaged: bool) -> _RayMesh:
+    """The chart mesh of a pairing: one ray per eta node when it is
+    averaged over the phases, else n_xi^2 rays per eta node."""
+    if averaged:
+        return _RayMesh.averaged(eta_nodes, eta_weights)
+    return _RayMesh.build(eta_nodes, eta_weights, n_xi)
 
 
 def _require_nonzero(f: QFunction) -> None:
@@ -545,16 +582,45 @@ def _require_nonzero(f: QFunction) -> None:
                               "currents to pair")
 
 
+def _diagonal(p: ConjPoly) -> bool:
+    """Whether every exponent key (a, b, c, d) of p has a == b and c == d:
+    p is a polynomial in |z1|^2 and |z2|^2, its own phase average."""
+    return p.phase_average() == p
+
+
 def _torus_invariant(f: QFunction) -> bool:
-    """Whether |f|^2 is exactly a function of |z1|^2 and |z2|^2: every
-    exponent key (a, b, c, d) of its numerator and denominator has a == b
-    and c == d.  Sufficient, not necessary.  The level sets of such an f are
-    invariant under the phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2),
-    so a level radius on a chart ray depends on eta alone, and one ray per
-    eta node of a _RayMesh stands for all n_xi^2 of them."""
+    """Whether |f|^2 is exactly a function of |z1|^2 and |z2|^2: its
+    numerator and denominator are _diagonal.  Sufficient, not necessary.
+    The level sets of such an f are invariant under the phase torus
+    (z1, z2) -> (e^(i t1) z1, e^(i t2) z2), so a level radius on a chart ray
+    depends on eta alone."""
     g = modulus_function(f)
-    return all(a == b and c == d
-               for p in (g.num, g.den) for a, b, c, d in p.terms)
+    return _diagonal(g.num) and _diagonal(g.den)
+
+
+def _averaged(f: QFunction, products) -> bool:
+    """Whether a pairing of f is averaged over the phase torus: f is
+    _torus_invariant and every denominator it reads is _diagonal, f1's,
+    f2's and that of each folded product of products(), which is called
+    only for a _torus_invariant f.  Then |f|^2, the term sizes of f, every
+    denominator and every bump depend on (lam, eta) alone, so integrating
+    over both phases keeps exactly the _diagonal monomials of each product's
+    numerator (_phase_average) and multiplies them by (2 pi)^2."""
+    return _torus_invariant(f) and all(
+        _diagonal(r.den)
+        for r in itertools.chain((f.f1, f.f2), (r for _, _, r in products())))
+
+
+def _phase_average(products):
+    """The folded products averaged over the phase torus, exactly: each
+    keeps the _diagonal monomials of its numerator, and a product with none
+    averages to 0 and is dropped."""
+    out = []
+    for part, key, r in products:
+        num = r.num.phase_average()
+        if not num.is_zero:
+            out.append((part, key, ConjRational(num, r.den)))
+    return out
 
 
 def _right_inverse_kernels(f: QFunction, a, b):
@@ -794,21 +860,13 @@ class _RaySplit:
                          tuple((R, p_lo, alpha.take(sel, axis=-1))
                                for R, p_lo, alpha in self.bumps))
 
-    def summed(self, block: int) -> "_RaySplit":
-        """The split on one ray per block of `block` consecutive rays, for
-        radii shared by the rays of a block: alpha summed and ok ANDed over
-        each block."""
-        return _RaySplit(
-            self.ok.reshape(-1, block).all(axis=1),
-            tuple((R, p_lo,
-                   alpha.reshape(alpha.shape[:-1] + (-1, block)).sum(axis=-1))
-                  for R, p_lo, alpha in self.bumps))
-
     @functools.cached_property
     def _ray_sums(self) -> "_RaySplit":
         """The split summed over all its rays, for radii shared by every
-        ray."""
-        return self.summed(len(self.ok))
+        ray: alpha summed and ok ANDed over the rays."""
+        return _RaySplit(np.all(self.ok, keepdims=True),
+                         tuple((R, p_lo, alpha.sum(axis=-1, keepdims=True))
+                               for R, p_lo, alpha in self.bumps))
 
     @_quiet
     def radial(self, lam, w_lam) -> Quat:
@@ -887,27 +945,27 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
 
 
 def _residue_level_set(f: QFunction, phi: TestForm2, n_xi: int, eps: float,
-                       support: float, products, block: int
+                       support: float, products, averaged: bool
                        ) -> Tuple[Quat, int, np.ndarray]:
-    """One residue rung on its graded mesh: the value, the count of nodes
-    that are not transverse and the untrusted counts of the level solve.
-    products() gives the folded density; it is asked for only when some ray
-    is active.  The level solve runs on the first ray of each block of
-    `block` consecutive rays, which stands for the block (n_xi^2 rays, one
-    eta node, for a _torus_invariant f; else 1).  The mesh and its tables
+    """One residue rung on its graded mesh (_mesh): the value, the count of
+    nodes that are not transverse and the untrusted counts of the level
+    solve, both counted in rays of the n_xi rule, so that a ray of an
+    averaged mesh counts n_xi^2 times.  products() gives the folded density;
+    it is asked for only when some ray is active.  The mesh and its tables
     die with the call, so no two rungs' are held at once."""
-    mesh = _RayMesh.build(*graded_eta_panels(eps, support), n_xi)
-    reps = mesh if block == 1 else mesh.take(slice(None, None, block))
+    mesh = _mesh(*graded_eta_panels(eps, support), n_xi, averaged)
     radii = _solve_level_radius(
-        _RayFunction.build((f.f1, f.f2), reps.u1, reps.u2),
-        phi.support_lambda(reps.eta), eps)
-    lam, active = (np.repeat(a, block) for a in radii[:2])
-    untrusted = radii.untrusted * block
+        _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
+        phi.support_lambda(mesh.eta), eps)
+    lam, active = radii[:2]
+    weight = n_xi ** 2 if averaged else 1
+    untrusted = radii.untrusted * weight
     if not active.any():
         return Quat(0.0, 0.0), 0, untrusted
     rays = mesh.take(np.flatnonzero(active))
     density = _PvDensity.build(f, products(), rays.u1, rays.u2)
-    return _residue_rung(density, rays, lam[active]) + (untrusted,)
+    value, dropped = _residue_rung(density, rays, lam[active])
+    return value, dropped * weight, untrusted
 
 
 def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
@@ -924,11 +982,12 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     or larger than MAX_RAYS rays is refused before any is built.
 
     The density is folded once per call (_residue_kernels, _fold), on the
-    first rung with an active ray, and tabulated per rung on the active rays
-    only.  For a _torus_invariant f the level set is solved on one ray per
-    eta node, whose radius serves the node's n_xi^2 rays.  A node on the
-    zero set of f, to within POLE_RTOL of its term size, raises
-    PoleOnDomain.
+    first rung with an active ray, or up front for a _torus_invariant f,
+    whose products decide whether the pairing is averaged, and tabulated per
+    rung on the active rays only.  A pairing that is _averaged over the
+    phases runs on one ray per eta node with the phase averages of the
+    products, so n_xi changes none of its values.  A node on the zero set of
+    f, to within POLE_RTOL of its term size, raises PoleOnDomain.
     """
     if n_xi < 8:
         raise TooCoarse(f"phase rule n_xi = {n_xi} is too coarse: need "
@@ -943,15 +1002,17 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     if not schedule.eps0 < support:
         raise ValueError("schedule must start inside the test-form support")
     eps_list = schedule.values()
-    products = functools.cache(
+    fold = functools.cache(
         lambda: _fold(_residue_kernels(f, include_mirror), phi.coefficients))
-    block = n_xi ** 2 if _torus_invariant(f) else 1
+    averaged = _averaged(f, fold)
+    products = (functools.cache(lambda: _phase_average(fold())) if averaged
+                else fold)
     values: List[Quat] = []
     dropped_total = 0
     untrusted = np.zeros(3, dtype=int)
     for eps in eps_list:
         val, dropped, counts = _residue_level_set(f, phi, n_xi, eps, support,
-                                                  products, block)
+                                                  products, averaged)
         values.append(val)
         dropped_total += dropped
         untrusted += counts
@@ -961,7 +1022,7 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
                      "to the radial rays and were dropped")
     part = "(1,0)+(0,1)" if include_mirror else "(1,0)"
     return finalize(eps_list, values, part=part, notes=notes,
-                    trusted=not untrusted.any())
+                    trusted=not untrusted.any(), phases_averaged=averaged)
 
 
 def _levelset_start(radii: _LevelRadii, end, support: float):
@@ -1042,10 +1103,10 @@ def pv_pair(f: QFunction, psi: TestForm3,
     above POLE_RTOL times the term size of f (_PvDensity.off_zero_set), or
     PoleOnDomain is raised.
 
-    For a _torus_invariant f the levelset region solves the level set on
-    one ray per eta node and repeats its radius over the node's n_xi^2
-    rays; a split then integrates each shell once per eta node, on its
-    angular rows summed over the node.
+    A pairing that is _averaged over the phases runs both regions on one
+    ray per eta node with the phase averages of the products, so
+    rule.n_xi changes none of its values.  The levelset region takes |f|^2
+    at both ends of each ray's solve interval once per call (_level_ends).
     """
     _require_nonzero(f)
     if psi.is_zero:
@@ -1064,7 +1125,8 @@ def pv_pair(f: QFunction, psi: TestForm3,
                               "conjugation",)
         # the (1,0) verdict carries over, untrusted level sets included
         return finalize(base.epsilons, vals, part="(0,1)", notes=notes,
-                        trusted=base.converged)
+                        trusted=base.converged,
+                        phases_averaged=base.phases_averaged)
     if part != "(1,0)":
         raise ValueError("part must be '(1,0)' or '(0,1)'")
     if rule is None:
@@ -1078,9 +1140,12 @@ def pv_pair(f: QFunction, psi: TestForm3,
         raise ValueError("region must be 'metric' or 'levelset'")
     require_rays(pv_rays(rule.n_eta, rule.n_xi))
     eps_list = schedule.values()
-    mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule.n_xi)
-    density = _PvDensity.build(f, _fold(_pv_kernels(f), psi.coefficients),
-                               mesh.u1, mesh.u2)
+    products = _fold(_pv_kernels(f), psi.coefficients)
+    averaged = _averaged(f, lambda: products)
+    if averaged:
+        products = _phase_average(products)
+    mesh = _mesh(rule.eta_nodes, rule.eta_weights, rule.n_xi, averaged)
+    density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
     integrand = _pv_integrand(density, mesh.w)
     untrusted = np.zeros(3, dtype=int)
     if region == "metric":
@@ -1091,28 +1156,20 @@ def pv_pair(f: QFunction, psi: TestForm3,
             integrand.radial(lam[:, None], w[:, None]) for lam, w in shells))
         notes = ()
     else:
-        # one level solve per block of `block` consecutive rays, on its
-        # first (_torus_invariant); a split integrates its shells on the
-        # block sums, a node sum on every ray of the block
-        block = rule.n_xi ** 2 if _torus_invariant(f) else 1
-        level_fn, spread = density.ray_fn, block
-        if block > 1:
-            level_fn = level_fn.take(np.arange(0, len(mesh.eta), block))
-            if isinstance(integrand, _RaySplit):
-                integrand, spread = integrand.summed(block), 1
-        hi = np.full(len(mesh.eta) // block, support)
+        # untrusted rays are counted in rays of the n_xi rule
+        weight = rule.n_xi ** 2 if averaged else 1
+        hi = np.full(len(mesh.eta), support)
+        ends = _level_ends(density.ray_fn, hi)
         shells = []
         end = hi
         for eps in eps_list:
-            radii = _solve_level_radius(level_fn, hi, eps)
-            untrusted += radii.untrusted * block
+            radii = _solve_level_radius(density.ray_fn, hi, eps, ends)
+            untrusted += radii.untrusted * weight
             start = _levelset_start(radii, end, support)
-            shells.append(_levelset_shell(
-                integrand, *(np.repeat(a, spread) for a in (start, end)),
-                support))
+            shells.append(_levelset_shell(integrand, start, end, support))
             end = start
         values = list(itertools.accumulate(shells))
         notes = (("excluded region follows the level sets of |f|",)
                  + _untrusted_notes(untrusted))
     return finalize(eps_list, values, part="(1,0)", notes=notes,
-                    trusted=not untrusted.any())
+                    trusted=not untrusted.any(), phases_averaged=averaged)

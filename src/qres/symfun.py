@@ -291,6 +291,14 @@ class ConjPoly:
             out[tuple(nk)] = (re * e, im * e)
         return ConjPoly._reduced(out, self._den)
 
+    def phase_average(self) -> "ConjPoly":
+        """The mean over the phase torus (z1, z2) -> (e^(i t1) z1,
+        e^(i t2) z2): the terms |z1|^2a |z2|^2c, in key order, since every
+        other monomial carries a phase that averages to 0."""
+        return ConjPoly._reduced({(a, b, c, d): coeff for (a, b, c, d), coeff
+                                  in self._num.items() if a == b and c == d},
+                                 self._den)
+
     def shifted(self, p1: CRat, p2: CRat) -> "ConjPoly":
         """Recenter at (p1, p2): substitute z1 -> z1 + p1 and so on."""
         moved = [ConjPoly.var(v) + off for v, off in
@@ -508,7 +516,10 @@ class ConjRational:
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
         # other = N/D with N, D real, so 1/other = D/N keeps the invariant.
-        return ConjRational(self.num * other.den, self.den * other.num)
+        # A factor 1 is skipped: p * 1 is p in the same key order.
+        num = self.num if other.den is _ONE else self.num * other.den
+        den = other.num if self.den is _ONE else self.den * other.num
+        return ConjRational(num, den)
 
     def conjugate(self) -> "ConjRational":
         # swapping z with conj z keeps min(a, b) and min(c, d) of every key,

@@ -210,6 +210,32 @@ def test_every_rule_option_changes_the_result(args, option, values):
     assert tables[0] != tables[1]
 
 
+AVERAGED_COMMANDS = {
+    "residue": ["residue", "-f", "conj", "--phi22", "bump",
+                "--schedule", "0.4,0.7,8"],
+    "pv": ["pv", "-f", "z1 ; 0", "--psi1", "z1*bump", "--n-eta", "8"],
+}
+
+
+@pytest.mark.parametrize("command", list(AVERAGED_COMMANDS))
+def test_the_phase_rule_moves_no_averaged_result(command):
+    # |f| of these depends on |z1| and |z2| only, so both phases are
+    # integrated exactly and --n-xi changes no value; the report says so
+    runs = [report(AVERAGED_COMMANDS[command] + ["--n-xi", n])
+            for n in ("16", "32")]
+    for data in runs:
+        assert data["diagnostics"]["rule"]["phases"] == "averaged"
+    assert runs[0]["result"] == runs[1]["result"]
+    assert runs[0]["diagnostics"]["table"] == runs[1]["diagnostics"]["table"]
+    # prop34 is not torus-invariant: its trapezoid rule reads --n-xi
+    per_ray = [report(["residue", "-f", "prop34", "--phi22", "bump",
+                       "--schedule", "0.4,0.7,3", "--n-xi", n])
+               for n in ("16", "32")]
+    for data in per_ray:
+        assert data["diagnostics"]["rule"]["phases"] == "trapezoid"
+    assert per_ray[0]["result"] != per_ray[1]["result"]
+
+
 def test_usage_errors_take_one_line():
     res = invoke(["pv", "-f", "z1 ; 0", "--psi1", "bump", "--n-eta", "2"])
     assert res.exit_code == 2

@@ -1031,14 +1031,15 @@ def eta_nodes_per_rung(kind):
 
 
 def spied_call(monkeypatch, kind, f, per_ray):
-    """collapse_call, with the collapse off when per_ray; also returns the
-    rays of every level solve and the untrusted counts behind the notes."""
+    """collapse_call, with the phase average off when per_ray; also returns
+    the rays of every level solve and the untrusted counts behind the
+    notes."""
     rays, counts = [], []
     solve, notes = pairings._solve_level_radius, pairings._untrusted_notes
 
-    def spy_solve(ray_fn, lam_hi, eps):
+    def spy_solve(ray_fn, lam_hi, eps, *ends):
         rays.append(np.size(lam_hi))
-        return solve(ray_fn, lam_hi, eps)
+        return solve(ray_fn, lam_hi, eps, *ends)
 
     def spy_notes(untrusted):
         counts.append(tuple(untrusted))
@@ -1048,7 +1049,7 @@ def spied_call(monkeypatch, kind, f, per_ray):
         patch.setattr(pairings, "_solve_level_radius", spy_solve)
         patch.setattr(pairings, "_untrusted_notes", spy_notes)
         if per_ray:
-            patch.setattr(pairings, "_torus_invariant", lambda f: False)
+            patch.setattr(pairings, "_averaged", lambda f, products: False)
         return collapse_call(kind, f), rays, counts
 
 
@@ -1077,6 +1078,111 @@ def test_other_level_sets_are_solved_on_every_ray(monkeypatch, kind, name):
     _, rays, _ = spied_call(monkeypatch, kind, PER_RAY_CASES[name], False)
     assert rays == [n * COLLAPSE_RULE.n_xi ** 2
                     for n in eta_nodes_per_rung(kind)]
+
+
+AVERAGE_LADDER = EpsilonSchedule(0.4, 0.7, 5)
+
+
+def phase_degree(products):
+    """The largest phase frequency |a - b| or |c - d| of a folded product's
+    numerator monomial z1^a conj(z1)^b z2^c conj(z2)^d."""
+    return max((max(abs(a - b), abs(c - d)) for _, _, r in products
+                for a, b, c, d in r.num.terms), default=0)
+
+
+@pytest.mark.parametrize("n_xi", [8, 12])
+@pytest.mark.parametrize("kind", ["metric", "levelset", "residue"])
+@pytest.mark.parametrize("name", list(TORUS_CASES))
+def test_averaged_rungs_match_the_per_ray_path(monkeypatch, kind, name, n_xi):
+    # the trapezoid rule of n_xi nodes per phase is exact below phase degree
+    # n_xi, so above the density's degree it gives the exact phase average
+    # too, up to rounding
+    f = TORUS_CASES[name]
+    if kind == "residue":
+        products = _fold(_residue_kernels(f, True), MIXED_PHI.coefficients)
+
+        def call():
+            return residue_pair(f, MIXED_PHI, n_xi=n_xi,
+                                schedule=AVERAGE_LADDER)
+    else:
+        products = _fold(_pv_kernels(f), FOLD_PSI.coefficients)
+
+        def call():
+            return pv_pair(f, FOLD_PSI, rule=build_quadrature(8, n_xi),
+                           region=kind)
+    assert phase_degree(products) < n_xi
+    got = call()
+    monkeypatch.setattr(pairings, "_averaged", lambda f, products: False)
+    want = call()
+    assert got.phases_averaged and not want.phases_averaged
+    scale = max(1.0, max(v.norm() for v in want.values))
+    for u, v in zip(got.values, want.values):
+        assert (u - v).norm() <= 1e-14 * scale
+    assert got.converged == want.converged
+    assert got.notes == want.notes
+
+
+def spied_meshes(monkeypatch, kind, f):
+    """The ray count of every chart mesh collapse_call builds."""
+    sizes = []
+    mesh = pairings._mesh
+
+    def spy(*args):
+        out = mesh(*args)
+        sizes.append(len(out.eta))
+        return out
+
+    monkeypatch.setattr(pairings, "_mesh", spy)
+    try:
+        collapse_call(kind, f)
+    except PoleOnDomain:
+        # prop34 keeps chart rays of its zero plane inside the ball
+        assert kind == "metric"
+    return sizes
+
+
+@pytest.mark.parametrize("kind", ["metric", "levelset", "residue"])
+def test_averaged_meshes_take_one_ray_per_eta_node(monkeypatch, kind):
+    # one mesh per principal value, one per residue rung
+    etas = (eta_nodes_per_rung(kind) if kind == "residue"
+            else [COLLAPSE_RULE.n_eta])
+    for f in TORUS_CASES.values():
+        assert spied_meshes(monkeypatch, kind, f) == etas
+    for f in PER_RAY_CASES.values():
+        assert spied_meshes(monkeypatch, kind, f) == [
+            n * COLLAPSE_RULE.n_xi ** 2 for n in etas]
+
+
+def test_a_product_denominator_off_the_diagonal_turns_averaging_off():
+    # 1 / (1 + |z1|^2) depends on |z1| alone; 1 / (1 + z1 + c1) on the phase
+    # of z1 as well, so its average is no product of phase-free factors
+    diagonal = parse_qfunction("(1) / (1 + z1*c1) ; 0").f1
+    off = parse_qfunction("(1) / (1 + z1 + c1) ; 0").f1
+    assert pairings._averaged(Z1_FN, lambda: [(0, (1.0, "q"), diagonal)])
+    assert not pairings._averaged(Z1_FN, lambda: [(0, (1.0, "q"), diagonal),
+                                                  (1, (1.0, "q"), off)])
+    # products are not asked for when f is not torus-invariant
+    assert not pairings._averaged(builtin("prop34").f, None)
+
+
+@pytest.mark.parametrize("region", ["metric", "levelset"])
+def test_odd_pairings_average_to_exact_zeros(monkeypatch, region):
+    # every folded product of conj against psi2 = bump carries a phase, so
+    # none survives the average, and the rungs are exact zeros rather than
+    # rounding noise; the pole test still runs on the rays
+    f = builtin("conj").f
+    psi = TestForm3(psi2=Profile.bump_only(1.0))
+    products = _fold(_pv_kernels(f), psi.coefficients)
+    assert products and pairings._phase_average(products) == []
+    tested = []
+    off_zero_set = _PvDensity.off_zero_set
+    monkeypatch.setattr(_PvDensity, "off_zero_set", lambda self, lam, g: (
+        tested.append(np.size(g)) or off_zero_set(self, lam, g)))
+    est = pv_pair(f, psi, rule=build_quadrature(16, 32), region=region)
+    assert tested == [16]
+    assert est.phases_averaged
+    assert all(complex(v.z1) == 0j and complex(v.z2) == 0j
+               for v in est.values)
 
 
 @pytest.mark.parametrize("kind", ["pv", "residue"])

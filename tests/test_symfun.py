@@ -12,7 +12,7 @@ from helpers import (RefPoly, rand_crat, rand_point, rand_poly, rand_quat,
                      ref_strip_content, seeded)
 from qres.errors import PoleError
 from qres.catalogue import NAMES, builtin
-from qres.operators import inverse_function
+from qres.operators import inverse_function, modulus_function
 from qres.qcore import CRat, Quat
 from qres import symfun
 from qres.symfun import (ConjPoly, ConjRational, QFunction, numeric_jet,
@@ -459,3 +459,33 @@ def test_numeric_jet_is_bit_identical_to_the_reference(name):
             if shape == ():
                 assert type(got) is complex
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_dividing_by_a_polynomial_multiplies_by_no_constant_one(monkeypatch,
+                                                                name):
+    # the reference is the quotient N D' / (D N') of N/D by N'/D' with every
+    # factor multiplied out, 1 included; p * 1 keeps p and its key order
+    f = builtin(name).f
+    m = modulus_function(f)
+
+    def divided(r):
+        return ConjRational(r.num * m.den, r.den * m.num)
+
+    want = [divided(f.f1.conjugate()), -divided(f.f2)]
+    ones = []
+    mul = ConjPoly.__mul__
+
+    def spy(self, other):
+        if ConjPoly.one() in (self, other):
+            ones.append((str(self), str(other)))
+        return mul(self, other)
+
+    monkeypatch.setattr(ConjPoly, "__mul__", spy)
+    g = inverse_function(f)
+    monkeypatch.undo()
+    for got, ref in zip((g.f1, g.f2), want):
+        for a, b in ((got.num, ref.num), (got.den, ref.den)):
+            assert a == b and list(a.terms) == list(b.terms)
+    if f.is_polynomial:
+        assert ones == []
