@@ -56,21 +56,22 @@ and dots them with alpha.  Any other f is evaluated node by node
 (_NodeSum).
 
 When |f|^2 is exactly a function of |z1|^2 and |z2|^2 (_torus_invariant:
-every catalogue entry but prop34 at its default parameters) and every
-denominator a pairing reads is one too, the pairing is averaged over the
-phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2) (_averaged).  On a chart
-ray the monomial z1^a conj(z1)^b z2^c conj(z2)^d carries the phase
+every catalogue entry but prop34 at its default parameters), so is every
+denominator a pairing of f reads, and the pairing is averaged over the
+phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2).  On a chart ray the
+monomial z1^a conj(z1)^b z2^c conj(z2)^d carries the phase
 e^(i (a - b) xi1 + i (c - d) xi2), while |f|, the term sizes of f, every
 denominator, every bump and so every level radius depend on (lam, eta)
 alone.  So the integral over both phases keeps exactly the monomials with
 a = b and c = d of each folded product's numerator (_phase_average), times
-(2 pi)^2, and the pairing runs on one ray per eta node, at
-xi1 = xi2 = 0 (_RayMesh.averaged), through the same tables, integrands and
-level solve as the n_xi^2 rays per eta node of any other f.  The n_xi-point
-trapezoid rule in each phase is exact below phase degree n_xi, so the two
-agree to rounding once n_xi exceeds the density's phase degree, and an
-averaged pairing does not read n_xi except to count its untrusted and
-dropped rays in rays of the n_xi rule, n_xi^2 per averaged ray.
+(2 pi)^2, and the pairing runs on the one-phase mesh _RayMesh.build(...,
+n_xi=1): one ray per eta node, at xi1 = xi2 = 0, of weight (2 pi)^2 times
+the eta weight, through the same tables, integrands and level solve as the
+n_xi^2 rays per eta node of any other f.  The n_xi-point trapezoid rule in
+each phase is exact below phase degree n_xi, so the two agree to rounding
+once n_xi exceeds the density's phase degree, and an averaged pairing does
+not read n_xi except to count its untrusted and dropped rays in rays of
+the n_xi rule, n_xi^2 per averaged ray.
 
 A node, or for a split a ray, is a pole when |f| <= POLE_RTOL times the
 term size of f there, the sum over f1 and f2 of the term sizes of the
@@ -95,7 +96,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -479,11 +479,11 @@ def _level_ends(ray_fn: _RayFunction, lam_hi) -> Tuple[np.ndarray, np.ndarray]:
 
 @_quiet
 def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float,
-                        ends=None) -> _LevelRadii:
+                        ends) -> _LevelRadii:
     """Radius where |f| = eps along each chart ray, with one entry of lam_hi
     per ray of ray_fn: the first crossing in (floor, lam_hi], where
     floor = _LAM_FLOOR_FACTOR lam_hi, or inf on a ray with none.  ends is
-    _level_ends(ray_fn, lam_hi), computed here when not given.
+    _level_ends(ray_fn, lam_hi).
 
     The crossings are the real roots in (floor, lam_hi] of the ray
     polynomial D1^2 D2^2 (|f|^2 - eps^2) = lam^L (s - eps^2 q), whose rows
@@ -505,7 +505,7 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float,
     target = eps * eps
     hi = np.array(lam_hi, dtype=float)
     floor = _LAM_FLOOR_FACTOR * hi
-    g_floor, g_hi = _level_ends(ray_fn, hi) if ends is None else ends
+    g_floor, g_hi = ends
     inside_at_floor = ~(g_floor >= target)
     below_hi = ~(g_hi >= target)
     active = inside_at_floor & ~below_hi
@@ -542,7 +542,9 @@ class _RayMesh(NamedTuple):
         eta-major: the n_xi^2 rays of eta node i are rays i n_xi^2 onwards.
         The weights, cos, sin and the phases are taken on the axes and
         broadcast, which gives the same values, bit for bit, as taking them
-        per ray."""
+        per ray.  n_xi = 1 is the mesh of a pairing averaged over the
+        phases: one ray per eta node, at xi1 = xi2 = 0, of phase weight
+        2 pi in each phase."""
         xi, xi_w = phase_grid(n_xi)
         ne, nx = len(eta_nodes), len(xi)
         eta = np.asarray(eta_nodes, dtype=float)
@@ -553,27 +555,8 @@ class _RayMesh(NamedTuple):
                    np.broadcast_to(u1, shape).ravel(),
                    np.broadcast_to(u2, shape).ravel())
 
-    @classmethod
-    def averaged(cls, eta_nodes, eta_weights) -> "_RayMesh":
-        """One ray per eta node, at xi1 = xi2 = 0, weighted by the eta weight
-        times (2 pi)^2, the measure of the phase torus, times
-        sin(eta)*cos(eta): the mesh of a pairing averaged over the phases
-        (_averaged)."""
-        eta = np.asarray(eta_nodes, dtype=float)
-        w = eta_weights * (2.0 * math.pi) ** 2 * (np.sin(eta) * np.cos(eta))
-        u1, u2 = sphere_to_complex(1.0, eta, 0.0, 0.0)
-        return cls(eta, w, u1, u2)
-
     def take(self, sel) -> "_RayMesh":
         return _RayMesh(*(a[sel] for a in self))
-
-
-def _mesh(eta_nodes, eta_weights, n_xi: int, averaged: bool) -> _RayMesh:
-    """The chart mesh of a pairing: one ray per eta node when it is
-    averaged over the phases, else n_xi^2 rays per eta node."""
-    if averaged:
-        return _RayMesh.averaged(eta_nodes, eta_weights)
-    return _RayMesh.build(eta_nodes, eta_weights, n_xi)
 
 
 def _require_nonzero(f: QFunction) -> None:
@@ -582,39 +565,30 @@ def _require_nonzero(f: QFunction) -> None:
                               "currents to pair")
 
 
-def _diagonal(p: ConjPoly) -> bool:
-    """Whether every exponent key (a, b, c, d) of p has a == b and c == d:
-    p is a polynomial in |z1|^2 and |z2|^2, its own phase average."""
-    return p.phase_average() == p
-
-
 def _torus_invariant(f: QFunction) -> bool:
-    """Whether |f|^2 is exactly a function of |z1|^2 and |z2|^2: its
-    numerator and denominator are _diagonal.  Sufficient, not necessary.
-    The level sets of such an f are invariant under the phase torus
-    (z1, z2) -> (e^(i t1) z1, e^(i t2) z2), so a level radius on a chart ray
-    depends on eta alone."""
+    """Whether |f|^2 is exactly a function of |z1|^2 and |z2|^2: every
+    exponent key (a, b, c, d) of its numerator and denominator has a == b
+    and c == d (it is its own phase average).  Sufficient, not necessary.
+    A pairing of such an f is averaged over the phase torus
+    (z1, z2) -> (e^(i t1) z1, e^(i t2) z2) (_phase_average).
+
+    Every denominator the pairing reads is then a polynomial in |z1|^2 and
+    |z2|^2 as well.  Grade polynomials by the phase character (a - b, c - d)
+    of their monomials: a product has a single character only if each
+    factor has one, and a real factor's character is its own negative, so
+    0.  The denominator of |f|^2 is D1^2 D2^2 over such a monomial, so the
+    real denominators D1 of f1 and D2 of f2 have character 0, and every
+    product denominator is made from D1, D2 and that of |f|^2 by products,
+    conjugation and the cancelling of monomials |z1|^2a |z2|^2c, which keep
+    character 0."""
     g = modulus_function(f)
-    return _diagonal(g.num) and _diagonal(g.den)
-
-
-def _averaged(f: QFunction, products) -> bool:
-    """Whether a pairing of f is averaged over the phase torus: f is
-    _torus_invariant and every denominator it reads is _diagonal, f1's,
-    f2's and that of each folded product of products(), which is called
-    only for a _torus_invariant f.  Then |f|^2, the term sizes of f, every
-    denominator and every bump depend on (lam, eta) alone, so integrating
-    over both phases keeps exactly the _diagonal monomials of each product's
-    numerator (_phase_average) and multiplies them by (2 pi)^2."""
-    return _torus_invariant(f) and all(
-        _diagonal(r.den)
-        for r in itertools.chain((f.f1, f.f2), (r for _, _, r in products())))
+    return all(p.phase_average() == p for p in (g.num, g.den))
 
 
 def _phase_average(products):
     """The folded products averaged over the phase torus, exactly: each
-    keeps the _diagonal monomials of its numerator, and a product with none
-    averages to 0 and is dropped."""
+    keeps the monomials z1^a conj(z1)^a z2^c conj(z2)^c of its numerator,
+    and a product with none averages to 0 and is dropped."""
     out = []
     for part, key, r in products:
         num = r.num.phase_average()
@@ -947,16 +921,17 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
 def _residue_level_set(f: QFunction, phi: TestForm2, n_xi: int, eps: float,
                        support: float, products, averaged: bool
                        ) -> Tuple[Quat, int, np.ndarray]:
-    """One residue rung on its graded mesh (_mesh): the value, the count of
-    nodes that are not transverse and the untrusted counts of the level
-    solve, both counted in rays of the n_xi rule, so that a ray of an
-    averaged mesh counts n_xi^2 times.  products() gives the folded density;
+    """One residue rung on its graded mesh: the value, the count of nodes
+    that are not transverse and the untrusted counts of the level solve,
+    both counted in rays of the n_xi rule, so that a ray of an averaged
+    (one-phase) mesh counts n_xi^2 times.  products() gives the folded density;
     it is asked for only when some ray is active.  The mesh and its tables
     die with the call, so no two rungs' are held at once."""
-    mesh = _mesh(*graded_eta_panels(eps, support), n_xi, averaged)
-    radii = _solve_level_radius(
-        _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
-        phi.support_lambda(mesh.eta), eps)
+    mesh = _RayMesh.build(*graded_eta_panels(eps, support),
+                          1 if averaged else n_xi)
+    level_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2)
+    hi = phi.support_lambda(mesh.eta)
+    radii = _solve_level_radius(level_fn, hi, eps, _level_ends(level_fn, hi))
     lam, active = radii[:2]
     weight = n_xi ** 2 if averaged else 1
     untrusted = radii.untrusted * weight
@@ -982,10 +957,9 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     or larger than MAX_RAYS rays is refused before any is built.
 
     The density is folded once per call (_residue_kernels, _fold), on the
-    first rung with an active ray, or up front for a _torus_invariant f,
-    whose products decide whether the pairing is averaged, and tabulated per
-    rung on the active rays only.  A pairing that is _averaged over the
-    phases runs on one ray per eta node with the phase averages of the
+    first rung with an active ray, and tabulated per rung on the active
+    rays only.  A pairing of a _torus_invariant f is averaged over the
+    phases: it runs on one ray per eta node with the phase averages of the
     products, so n_xi changes none of its values.  A node on the zero set of
     f, to within POLE_RTOL of its term size, raises PoleOnDomain.
     """
@@ -1002,11 +976,13 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     if not schedule.eps0 < support:
         raise ValueError("schedule must start inside the test-form support")
     eps_list = schedule.values()
-    fold = functools.cache(
-        lambda: _fold(_residue_kernels(f, include_mirror), phi.coefficients))
-    averaged = _averaged(f, fold)
-    products = (functools.cache(lambda: _phase_average(fold())) if averaged
-                else fold)
+    averaged = _torus_invariant(f)
+
+    @functools.cache
+    def products():
+        out = _fold(_residue_kernels(f, include_mirror), phi.coefficients)
+        return _phase_average(out) if averaged else out
+
     values: List[Quat] = []
     dropped_total = 0
     untrusted = np.zeros(3, dtype=int)
@@ -1103,9 +1079,9 @@ def pv_pair(f: QFunction, psi: TestForm3,
     above POLE_RTOL times the term size of f (_PvDensity.off_zero_set), or
     PoleOnDomain is raised.
 
-    A pairing that is _averaged over the phases runs both regions on one
-    ray per eta node with the phase averages of the products, so
-    rule.n_xi changes none of its values.  The levelset region takes |f|^2
+    A pairing of a _torus_invariant f is averaged over the phases: both
+    regions run on one ray per eta node with the phase averages of the
+    products, so rule.n_xi changes none of its values.  The levelset region takes |f|^2
     at both ends of each ray's solve interval once per call (_level_ends).
     """
     _require_nonzero(f)
@@ -1141,10 +1117,11 @@ def pv_pair(f: QFunction, psi: TestForm3,
     require_rays(pv_rays(rule.n_eta, rule.n_xi))
     eps_list = schedule.values()
     products = _fold(_pv_kernels(f), psi.coefficients)
-    averaged = _averaged(f, lambda: products)
+    averaged = _torus_invariant(f)
     if averaged:
         products = _phase_average(products)
-    mesh = _mesh(rule.eta_nodes, rule.eta_weights, rule.n_xi, averaged)
+    mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights,
+                          1 if averaged else rule.n_xi)
     density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
     integrand = _pv_integrand(density, mesh.w)
     untrusted = np.zeros(3, dtype=int)

@@ -19,8 +19,9 @@ from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _NodeSum,
                                     _PvDensity, _RayFunction, _RayMesh,
                                     _RaySplit, _fold, _pv_integrand,
                                     _pv_kernels, _pv_radial,
-                                    _residue_kernels, _residue_rung,
-                                    _solve_level_radius, pv_pair, pv_rays,
+                                    _level_ends, _residue_kernels,
+                                    _residue_rung, _solve_level_radius,
+                                    pv_pair, pv_rays,
                                     require_rays, residue_pair, residue_rays)
 from qres.currents import quadrature
 from qres.currents.quadrature import build_quadrature, graded_eta_panels
@@ -229,6 +230,12 @@ def test_chart_mesh_from_its_axes_matches_the_flat_construction(n_eta, n_xi,
         assert got.tobytes() == want.tobytes()
 
 
+def solve_level(ray_fn, lam_hi, eps):
+    """_solve_level_radius with its ends taken on the spot."""
+    return _solve_level_radius(ray_fn, lam_hi, eps,
+                               _level_ends(ray_fn, lam_hi))
+
+
 def level_rays(kind: str):
     """(eta, xi1, xi2) of seeded random rays, or of a residue rung mesh
     with eta panels graded toward the chart poles."""
@@ -261,7 +268,7 @@ def test_level_radius_lies_on_the_level_set(name):
     eps = 0.3
     ray_fn = _RayFunction.build((f.f1, f.f2),
                                 *sphere_to_complex(1.0, eta, xi1, xi2))
-    lam, active, inside = _solve_level_radius(ray_fn, np.ones(n), eps)
+    lam, active, inside = solve_level(ray_fn, np.ones(n), eps)
 
     def mod_sq(radius):
         F1, F2 = f.eval_numeric(*sphere_to_complex(radius, eta, xi1, xi2))
@@ -346,7 +353,7 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
         assert ray_fn.degree is None and ray_fn.items[1] is None
         assert (ray_fn.items[0].num.c[-1] == 0).any()
     for eps in EpsilonSchedule.for_radius(1.0).values():
-        radii = _solve_level_radius(ray_fn, hi, eps)
+        radii = solve_level(ray_fn, hi, eps)
         lam, active, inside = radii
         ref, ref_active, ref_inside = bisect_level_radius(ray_fn, hi, eps)
         assert np.array_equal(active, ref_active)
@@ -408,8 +415,7 @@ def test_a_zero_component_has_no_table():
     zero = _RayFunction.build((ConjRational.zero(),) * 2, u1, u2)
     assert zero.items == (None, None) and zero.degree == 0
     assert np.array_equal(zero.modulus_sq(lam), np.zeros(len(u1)))
-    lam_star, active, inside = _solve_level_radius(zero, np.ones(len(u1)),
-                                                   0.3)
+    lam_star, active, inside = solve_level(zero, np.ones(len(u1)), 0.3)
     assert inside.all() and not active.any()
     assert np.all(lam_star == np.inf)
 
@@ -459,8 +465,8 @@ def test_crossings_below_the_radius_floor_are_counted(name, pv_mesh):
     f = ORACLE_FUNCTIONS[name]
     ray_fn = _RayFunction.build((f.f1, f.f2), pv_mesh.u1, pv_mesh.u2)
     n = len(pv_mesh.eta)
-    near = _solve_level_radius(ray_fn, np.ones(n), 0.3)
-    far = _solve_level_radius(ray_fn, np.full(n, 1e9), 0.3)
+    near = solve_level(ray_fn, np.ones(n), 0.3)
+    far = solve_level(ray_fn, np.full(n, 1e9), 0.3)
     want = (near.crossings < np.inf).any(axis=1)
     assert want.sum() > n // 4
     assert np.array_equal(far.hidden, want)
@@ -963,9 +969,8 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
     eta_nodes, eta_weights = graded_eta_panels(eps, support)
     rule = build_quadrature(6, 8)
     mesh = _RayMesh.build(eta_nodes, eta_weights, rule.n_xi)
-    radii = _solve_level_radius(_RayFunction.build((f.f1, f.f2), mesh.u1,
-                                                   mesh.u2),
-                                phi.support_lambda(mesh.eta), eps)
+    radii = solve_level(_RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
+                        phi.support_lambda(mesh.eta), eps)
     sel = np.flatnonzero(radii.crossings[:, 0] < np.inf)
     assert len(sel) > 100
     rays, lam = mesh.take(sel), radii.crossings[sel, 0]
@@ -1008,79 +1013,23 @@ TORUS_CASES["|z1|^2 - 1/4 + |z2|^4"] = parse_qfunction(
     "z1*c1 - 1/4 + z2*c2*z2*c2 ; 0")
 PER_RAY_CASES = {"prop34": builtin("prop34").f,
                  "holo:z1+z2": builtin("holo", expr="z1+z2").f}
-COLLAPSE_RULE = build_quadrature(8, 16)
+COLLAPSE_N_ETA = 8
+COLLAPSE_N_XI = 16
 COLLAPSE_LADDER = EpsilonSchedule(0.4, 0.7, 8)
 
 
-def collapse_call(kind, f):
+def collapse_call(kind, f, n_xi):
     if kind == "residue":
-        return residue_pair(f, MIXED_PHI, n_xi=COLLAPSE_RULE.n_xi,
-                            schedule=COLLAPSE_LADDER)
-    return pv_pair(f, FOLD_PSI, rule=COLLAPSE_RULE, region=kind)
+        return residue_pair(f, MIXED_PHI, n_xi=n_xi, schedule=COLLAPSE_LADDER)
+    return pv_pair(f, FOLD_PSI, rule=build_quadrature(COLLAPSE_N_ETA, n_xi),
+                   region=kind)
 
 
-def eta_nodes_per_rung(kind):
-    """Eta nodes of each rung's mesh of collapse_call."""
+def collapse_products(kind, f):
+    """The folded density of collapse_call."""
     if kind == "residue":
-        return [len(graded_eta_panels(eps, MIXED_PHI.support_radius)[0])
-                for eps in COLLAPSE_LADDER.values()]
-    if kind == "levelset":
-        ladder = EpsilonSchedule.for_radius(FOLD_PSI.support_radius)
-        return [COLLAPSE_RULE.n_eta] * ladder.count
-    return []
-
-
-def spied_call(monkeypatch, kind, f, per_ray):
-    """collapse_call, with the phase average off when per_ray; also returns
-    the rays of every level solve and the untrusted counts behind the
-    notes."""
-    rays, counts = [], []
-    solve, notes = pairings._solve_level_radius, pairings._untrusted_notes
-
-    def spy_solve(ray_fn, lam_hi, eps, *ends):
-        rays.append(np.size(lam_hi))
-        return solve(ray_fn, lam_hi, eps, *ends)
-
-    def spy_notes(untrusted):
-        counts.append(tuple(untrusted))
-        return notes(untrusted)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(pairings, "_solve_level_radius", spy_solve)
-        patch.setattr(pairings, "_untrusted_notes", spy_notes)
-        if per_ray:
-            patch.setattr(pairings, "_averaged", lambda f, products: False)
-        return collapse_call(kind, f), rays, counts
-
-
-@pytest.mark.parametrize("kind", ["metric", "levelset", "residue"])
-@pytest.mark.parametrize("name", list(TORUS_CASES))
-def test_torus_invariant_level_sets_are_solved_once_per_eta_node(
-        monkeypatch, kind, name):
-    # |f| of these depends on |z1| and |z2| only, so one ray per eta node
-    # stands for its n_xi^2 rays; the per-ray path is the reference
-    f = TORUS_CASES[name]
-    got, rays, counts = spied_call(monkeypatch, kind, f, False)
-    want, all_rays, all_counts = spied_call(monkeypatch, kind, f, True)
-    for u, v in zip(got.values, want.values):
-        assert (u - v).norm() <= 1e-13 * max(1.0, v.norm())
-    assert got.converged == want.converged
-    assert got.notes == want.notes
-    assert counts == all_counts
-    etas = eta_nodes_per_rung(kind)
-    assert rays == etas
-    assert all_rays == [n * COLLAPSE_RULE.n_xi ** 2 for n in etas]
-
-
-@pytest.mark.parametrize("kind", ["levelset", "residue"])
-@pytest.mark.parametrize("name", list(PER_RAY_CASES))
-def test_other_level_sets_are_solved_on_every_ray(monkeypatch, kind, name):
-    _, rays, _ = spied_call(monkeypatch, kind, PER_RAY_CASES[name], False)
-    assert rays == [n * COLLAPSE_RULE.n_xi ** 2
-                    for n in eta_nodes_per_rung(kind)]
-
-
-AVERAGE_LADDER = EpsilonSchedule(0.4, 0.7, 5)
+        return _fold(_residue_kernels(f, True), MIXED_PHI.coefficients)
+    return _fold(_pv_kernels(f), FOLD_PSI.coefficients)
 
 
 def phase_degree(products):
@@ -1090,79 +1039,120 @@ def phase_degree(products):
                 for a, b, c, d in r.num.terms), default=0)
 
 
-@pytest.mark.parametrize("n_xi", [8, 12])
-@pytest.mark.parametrize("kind", ["metric", "levelset", "residue"])
-@pytest.mark.parametrize("name", list(TORUS_CASES))
-def test_averaged_rungs_match_the_per_ray_path(monkeypatch, kind, name, n_xi):
-    # the trapezoid rule of n_xi nodes per phase is exact below phase degree
-    # n_xi, so above the density's degree it gives the exact phase average
-    # too, up to rounding
-    f = TORUS_CASES[name]
+def eta_nodes_per_rung(kind):
+    """Eta nodes of each rung's mesh of collapse_call."""
     if kind == "residue":
-        products = _fold(_residue_kernels(f, True), MIXED_PHI.coefficients)
+        return [len(graded_eta_panels(eps, MIXED_PHI.support_radius)[0])
+                for eps in COLLAPSE_LADDER.values()]
+    if kind == "levelset":
+        ladder = EpsilonSchedule.for_radius(FOLD_PSI.support_radius)
+        return [COLLAPSE_N_ETA] * ladder.count
+    return []
 
-        def call():
-            return residue_pair(f, MIXED_PHI, n_xi=n_xi,
-                                schedule=AVERAGE_LADDER)
-    else:
-        products = _fold(_pv_kernels(f), FOLD_PSI.coefficients)
 
-        def call():
-            return pv_pair(f, FOLD_PSI, rule=build_quadrature(8, n_xi),
-                           region=kind)
-    assert phase_degree(products) < n_xi
-    got = call()
-    monkeypatch.setattr(pairings, "_averaged", lambda f, products: False)
-    want = call()
+def spied_call(monkeypatch, kind, f, per_ray, n_xi=COLLAPSE_N_XI):
+    """collapse_call, with the phase average off when per_ray; also returns
+    the rays of every level solve and the untrusted counts behind the
+    notes."""
+    rays, counts = [], []
+    solve, notes = pairings._solve_level_radius, pairings._untrusted_notes
+
+    def spy_solve(ray_fn, lam_hi, eps, ends):
+        rays.append(np.size(lam_hi))
+        return solve(ray_fn, lam_hi, eps, ends)
+
+    def spy_notes(untrusted):
+        counts.append(tuple(untrusted))
+        return notes(untrusted)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pairings, "_solve_level_radius", spy_solve)
+        patch.setattr(pairings, "_untrusted_notes", spy_notes)
+        if per_ray:
+            patch.setattr(pairings, "_torus_invariant", lambda f: False)
+        return collapse_call(kind, f, n_xi), rays, counts
+
+
+# each case at COLLAPSE_N_XI keeps its plain id, name-kind
+TORUS_CALLS = [pytest.param(name, kind, n_xi, id=f"{name}-{kind}" + (
+                   "" if n_xi == COLLAPSE_N_XI else f"-n_xi{n_xi}"))
+               for name in TORUS_CASES
+               for kind in ("metric", "levelset", "residue")
+               for n_xi in (COLLAPSE_N_XI, 8)]
+
+
+@pytest.mark.parametrize("name,kind,n_xi", TORUS_CALLS)
+def test_torus_invariant_level_sets_are_solved_once_per_eta_node(
+        monkeypatch, name, kind, n_xi):
+    # |f| of these depends on |z1| and |z2| only, so the pairing is averaged
+    # over the phases on one ray per eta node; the per-ray path is the
+    # reference, and its n_xi-node trapezoid rule per phase is exact below
+    # phase degree n_xi, so above the density's degree the two agree to
+    # rounding
+    f = TORUS_CASES[name]
+    assert phase_degree(collapse_products(kind, f)) < n_xi
+    got, rays, counts = spied_call(monkeypatch, kind, f, False, n_xi)
+    want, all_rays, all_counts = spied_call(monkeypatch, kind, f, True, n_xi)
     assert got.phases_averaged and not want.phases_averaged
+    assert len(got.values) == len(want.values)
     scale = max(1.0, max(v.norm() for v in want.values))
     for u, v in zip(got.values, want.values):
+        assert (u - v).norm() <= 1e-13 * max(1.0, v.norm())
         assert (u - v).norm() <= 1e-14 * scale
     assert got.converged == want.converged
     assert got.notes == want.notes
+    assert counts == all_counts
+    etas = eta_nodes_per_rung(kind)
+    assert rays == etas
+    assert all_rays == [n * n_xi ** 2 for n in etas]
 
 
-def spied_meshes(monkeypatch, kind, f):
-    """The ray count of every chart mesh collapse_call builds."""
+@pytest.mark.parametrize("kind", ["levelset", "residue"])
+@pytest.mark.parametrize("name", list(PER_RAY_CASES))
+def test_other_level_sets_are_solved_on_every_ray(monkeypatch, kind, name):
+    _, rays, _ = spied_call(monkeypatch, kind, PER_RAY_CASES[name], False)
+    assert rays == [n * COLLAPSE_N_XI ** 2 for n in eta_nodes_per_rung(kind)]
+
+
+def test_metric_meshes_take_one_ray_per_eta_node_when_averaged(monkeypatch):
+    # the metric region solves no level set, so count its chart mesh
     sizes = []
-    mesh = pairings._mesh
+    build = _RayMesh.build
 
-    def spy(*args):
-        out = mesh(*args)
-        sizes.append(len(out.eta))
-        return out
+    def spy(eta_nodes, eta_weights, n_xi):
+        mesh = build(eta_nodes, eta_weights, n_xi)
+        sizes.append(len(mesh.eta))
+        return mesh
 
-    monkeypatch.setattr(pairings, "_mesh", spy)
-    try:
-        collapse_call(kind, f)
-    except PoleOnDomain:
-        # prop34 keeps chart rays of its zero plane inside the ball
-        assert kind == "metric"
-    return sizes
-
-
-@pytest.mark.parametrize("kind", ["metric", "levelset", "residue"])
-def test_averaged_meshes_take_one_ray_per_eta_node(monkeypatch, kind):
-    # one mesh per principal value, one per residue rung
-    etas = (eta_nodes_per_rung(kind) if kind == "residue"
-            else [COLLAPSE_RULE.n_eta])
+    monkeypatch.setattr(_RayMesh, "build", spy)
     for f in TORUS_CASES.values():
-        assert spied_meshes(monkeypatch, kind, f) == etas
-    for f in PER_RAY_CASES.values():
-        assert spied_meshes(monkeypatch, kind, f) == [
-            n * COLLAPSE_RULE.n_xi ** 2 for n in etas]
+        collapse_call("metric", f, COLLAPSE_N_XI)
+    assert sizes == [COLLAPSE_N_ETA] * len(TORUS_CASES)
+    sizes.clear()
+    for name, f in PER_RAY_CASES.items():
+        try:
+            collapse_call("metric", f, COLLAPSE_N_XI)
+        except PoleOnDomain:
+            # prop34 keeps chart rays of its zero plane inside the ball
+            assert name == "prop34"
+    assert sizes == [COLLAPSE_N_ETA * COLLAPSE_N_XI ** 2] * len(PER_RAY_CASES)
 
 
-def test_a_product_denominator_off_the_diagonal_turns_averaging_off():
-    # 1 / (1 + |z1|^2) depends on |z1| alone; 1 / (1 + z1 + c1) on the phase
-    # of z1 as well, so its average is no product of phase-free factors
-    diagonal = parse_qfunction("(1) / (1 + z1*c1) ; 0").f1
-    off = parse_qfunction("(1) / (1 + z1 + c1) ; 0").f1
-    assert pairings._averaged(Z1_FN, lambda: [(0, (1.0, "q"), diagonal)])
-    assert not pairings._averaged(Z1_FN, lambda: [(0, (1.0, "q"), diagonal),
-                                                  (1, (1.0, "q"), off)])
-    # products are not asked for when f is not torus-invariant
-    assert not pairings._averaged(builtin("prop34").f, None)
+@pytest.mark.parametrize("kind", ["pv", "residue"])
+def test_torus_invariant_densities_have_phase_free_denominators(kind):
+    # a real denominator with a phase cannot cancel out of |f|^2, so a
+    # torus-invariant f reads only denominators in |z1|^2 and |z2|^2, and
+    # the phase average of a product is that of its numerator
+    cases = dict(TORUS_CASES)
+    cases["|z1|^2 / (1 + |z1|^2)^2"] = parse_qfunction(
+        "(z1) / (1 + z1*c1) ; 0")
+    for f in cases.values():
+        assert pairings._torus_invariant(f)
+        for r in (f.f1, f.f2) + tuple(
+                r for _, _, r in collapse_products(kind, f)):
+            assert r.den.phase_average() == r.den
+    assert not pairings._torus_invariant(
+        parse_qfunction("(1) / (1 + z1 + c1) ; 0"))
 
 
 @pytest.mark.parametrize("region", ["metric", "levelset"])
