@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Convergence study for the epsilon-limit pairings.
 
-Sweeps the quadrature rule and the epsilon ladder for two reference
+Sweeps the eta rule of the principal values for two reference
 computations whose limits are known through radial oracles:
 
   * residue of (z1, 0) against a bump in |z2|   -> plane mass
   * principal value of 1/(z1, 0) against z1*bump -> ball moment, with the
     metric ball and with the sublevel set |f| < eps excluded
 
-The principal values sweep the n_eta x n_xi rule.  The residue grades its
-own eta panels on each rung and sweeps n_xi only: it is computed once per
-distinct n_xi, and rules that share n_xi share its error and its time.
 |z1| depends on neither phase, so every pairing here is averaged over the
-phases exactly (CurrentEstimate.phases_averaged) and n_xi moves none of
-the errors.
+phases exactly (CurrentEstimate.phases_averaged) and the phase rule n_xi
+moves none of the errors: rules that differ in n_xi alone give identical
+rows.  So the study sweeps the eta rule n_eta of the principal values at
+one n_xi, up to 256 nodes, where the levelset error keeps falling (1.1e-3
+at 16 nodes, 1.7e-6 at 256): the sublevel set |z1| < eps meets the
+support at a kink in eta.  The residue grades its own eta panels on each
+rung and reads no eta rule, so it is computed once, and its error is the
+same in every row.
 
 Run from the repository root:
 
@@ -37,8 +40,8 @@ from qres.symfun import ConjPoly
 
 @dataclass
 class StudyConfig:
-    rules: List[Tuple[int, int]] = field(
-        default_factory=lambda: [(8, 16), (12, 16), (16, 16), (16, 32)])
+    n_etas: List[int] = field(default_factory=lambda: [8, 12, 16, 64, 256])
+    n_xi: int = 16
     schedule: EpsilonSchedule = field(
         default_factory=lambda: EpsilonSchedule(0.4, 0.7, 12))
     radial_nodes: int = 400_001
@@ -59,31 +62,26 @@ def run(cfg: StudyConfig) -> None:
 
     print(f"{'rule':>10} {'residue rel err':>16} {'pv rel err':>12} "
           f"{'levelset rel err':>17} {'conv':>5} {'secs':>6}")
-    residues = {}
-    for n_eta, n_xi in cfg.rules:
-        rule = build_quadrature(n_eta, n_xi)
+    res = residue_pair(f, phi, n_xi=cfg.n_xi, schedule=cfg.schedule)
+    res_err = abs(complex(res.extrapolated.z1) - plane) / plane
+    for n_eta in cfg.n_etas:
+        rule = build_quadrature(n_eta, cfg.n_xi)
         t0 = time.perf_counter()
-        if n_xi not in residues:
-            residues[n_xi] = residue_pair(f, phi, n_xi=n_xi,
-                                          schedule=cfg.schedule)
-        res = residues[n_xi]
         pvs = [pv_pair(f, psi, rule=rule, schedule=cfg.schedule,
                        region=region) for region in ("metric", "levelset")]
         secs = time.perf_counter() - t0
-        res_err = abs(complex(res.extrapolated.z1) - plane) / plane
         pv_err, set_err = (abs(complex(pv.extrapolated.z1) - ball) / abs(ball)
                            for pv in pvs)
         conv = res.converged and all(pv.converged for pv in pvs)
-        print(f"{n_eta:>4}x{n_xi:<5} {res_err:>16.3e} {pv_err:>12.3e} "
+        print(f"{n_eta:>4}x{cfg.n_xi:<5} {res_err:>16.3e} {pv_err:>12.3e} "
               f"{set_err:>17.3e} {str(conv):>5} {secs:>6.2f}")
 
     print()
-    print("per-rung table for the largest rule (residue):")
-    est = residues[cfg.rules[-1][1]]
-    for eps, re1, im1, re_j, im_j in est.rows():
+    print("per-rung table of the residue:")
+    for eps, re1, im1, re_j, im_j in res.rows():
         print(f"  eps={eps:9.5f}  value={re1:+.8f} {im1:+.1e}i "
               f"{re_j:+.1e}j {im_j:+.1e}k")
-    print(f"  extrapolated: {complex(est.extrapolated.z1).real:+.8f} "
+    print(f"  extrapolated: {complex(res.extrapolated.z1).real:+.8f} "
           f"(oracle {plane:+.8f})")
 
 
@@ -94,7 +92,7 @@ def main() -> None:
     args = ap.parse_args()
     cfg = StudyConfig()
     if args.quick:
-        cfg.rules = [(8, 16), (12, 16)]
+        cfg.n_etas = [8, 12]
         cfg.schedule = EpsilonSchedule(0.4, 0.7, 8)
     run(cfg)
 

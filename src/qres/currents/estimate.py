@@ -92,16 +92,22 @@ class CurrentEstimate:
         return out
 
 
-def _extrapolate(epsilons: Sequence[float], values: Sequence[Quat]) -> Quat:
+def _extrapolate(epsilons: Sequence[float], values: Sequence[Quat],
+                 z: np.ndarray) -> Quat:
     m = min(5, len(values))
     if m < 3:
         return values[-1]
     eps = np.array(epsilons[-m:], dtype=float)
     a = np.stack([np.ones(m), eps, eps * eps], axis=1).astype(complex)
-    b = np.array([[complex(v.z1), complex(v.z2)] for v in values[-m:]],
-                 dtype=complex)
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+    coef, *_ = np.linalg.lstsq(a, z[-m:], rcond=None)
     return Quat(complex(coef[0, 0]), complex(coef[0, 1]))
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """|q| of each row (z1, z2) of z, summed in the order of Quat.norm."""
+    re, im = z.real, z.imag
+    return np.sqrt(re[:, 0] * re[:, 0] + im[:, 0] * im[:, 0]
+                   + re[:, 1] * re[:, 1] + im[:, 1] * im[:, 1])
 
 
 def finalize(epsilons: Sequence[float], values: Sequence[Quat],
@@ -115,18 +121,21 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
     rung that is exactly zero after a rung above the zero floor is a lost
     rung, not a converged one, and rules convergence out; so does
     trusted=False, for a pairing that counted rays it cannot resolve (its
-    notes say which).  phases_averaged is carried to the estimate.
+    notes say which).  phases_averaged is carried to the estimate.  The
+    norms and differences are taken on one complex array of the rungs'
+    (z1, z2), with the arithmetic of Quat subtraction and Quat.norm.
     """
     if len(epsilons) != len(values):
         raise ValueError("epsilons and values must align")
     if not values:
         raise ValueError("no values to finalize")
-    norms = [v.norm() for v in values]
+    z = np.array([(complex(v.z1), complex(v.z2)) for v in values])
+    norms = _norms(z).tolist()
     scale = max(1.0, max(norms))
     floor = ZERO_FLOOR * scale
-    diffs = [(values[i + 1] - values[i]).norm() for i in range(len(values) - 1)]
-    ratios = tuple(diffs[i + 1] / max(diffs[i], 1e-300)
-                   for i in range(len(diffs) - 1))
+    diffs = _norms(z[1:] - z[:-1])
+    ratios = tuple((diffs[1:] / np.maximum(diffs[:-1], 1e-300)).tolist())
+    diffs = diffs.tolist()
     window = min(4, len(ratios))
     if len(values) >= 5 and window > 0:
         tail_ok = []
@@ -139,7 +148,7 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
     return CurrentEstimate(
         epsilons=tuple(float(e) for e in epsilons),
         values=tuple(values),
-        extrapolated=_extrapolate(epsilons, values),
+        extrapolated=_extrapolate(epsilons, values, z),
         converged=converged,
         diff_ratios=ratios,
         part=part,

@@ -16,6 +16,17 @@ rung k to its start on rung k-1.  The start is eps for the ball; for the
 sublevel set it is the level radius, the support on a ray below eps over
 all of it, or the radius floor on a ray that starts at or above eps, and
 it never moves out as eps falls, since |f| is continuous along the ray.
+The whole ladder goes through the integrator in one pass: a node table
+holds the shells of every rung, the integrator returns one sum per segment
+of the table, the shells of one rung, and the rungs are the running sums
+of the segments down the ladder.  The ball's table is one column of radii
+shared by every ray, the first shell's geometric panels and then
+[eps_k, eps_(k-1)] for every k, segmented by row.  The sublevel set's open
+shells, one per rung and ray, are the columns of at most two tables, one
+of log-spaced and one of Gauss nodes (_levelset_shells): virtual rays, each
+an index into the chart rays, segmented by rung.  An integrator builds a
+table one block of columns at a time (_Nodes) and takes the density on
+one block's rays at a time, both under the node budget.
 
 The residue pairing integrates a 3-form density alpha over the level set
 g = |f|^2 = eps^2.  Per chart ray the level radius lam* is the first real
@@ -50,10 +61,10 @@ split instead (_RaySplit): on each ray it is sum_k alpha_k(u) lam^p_k
 bump(lam / R), with per-ray angular rows alpha_k built once per call.  A
 node then costs one bump per distinct R and its powers of lam, by
 multiplication, and no table is evaluated.  The metric region sums alpha
-over the rays once and integrates the radial profiles lam^p bump(lam / R)
-once per rung; the levelset region integrates them per ray on each shell
-and dots them with alpha.  Any other f is evaluated node by node
-(_NodeSum).
+over the rays once and weighs the radial profiles lam^p bump(lam / R) at
+each node of its shared column; the levelset region integrates them over
+each virtual ray's shell and dots them with alpha on its chart ray.  Any
+other f is evaluated node by node (_NodeSum).
 
 When |f|^2 is exactly a function of |z1|^2 and |z2|^2 (_torus_invariant:
 every catalogue entry but prop34 at its default parameters), so is every
@@ -95,8 +106,7 @@ f1 and f2 table rows (fi = Ni / Di).
 from __future__ import annotations
 
 import functools
-import itertools
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -745,41 +755,95 @@ class _PvDensity(NamedTuple):
                                                                products)]
 
 
-@_quiet
-def _pv_radial(density: _PvDensity, w_rays, lam, w_lam,
-               orientation: float) -> Quat:
-    """Oriented integral of the density times the volume element
-    4 lam^3 sin(eta) cos(eta) over a radial node table on the density's
-    rays (at least one), w_rays holding each ray's chart weight times
-    sin(eta) cos(eta).
+class _Nodes(NamedTuple):
+    """A radial node table of rows by columns, built one block of columns
+    at a time, so that an integrator holds no more of it than one block:
+    at(sel) gives the radii and radial weights of the columns sel.  Column
+    c lies on ray c of the integrand, or on ray rays[c] where an integrator
+    is given the virtual rays rays; a table of one column holds radii
+    shared by every ray, and at ignores sel."""
 
-    Row k of the table holds radii lam[k] and radial weights w_lam[k], of
-    shape (1,) for one radius shared by every ray or (n_rays,) for one
-    radius per ray; the node is lam * (u1, u2).  As many rows as fit
-    _NODE_BUDGET nodes go through one evaluation of the density, and a row
-    wider than the budget goes through in blocks of rays.
+    at: Callable
+    rows: int
+    width: int
+
+    @classmethod
+    def table(cls, lam, w_lam) -> "_Nodes":
+        """The table of radii lam and weights w_lam, of shape (rows, 1) or
+        (rows, columns)."""
+        shared = np.shape(lam)[-1] == 1
+        return cls(lambda sel: ((lam, w_lam) if shared
+                                else (lam[:, sel], w_lam[:, sel])),
+                   len(lam), np.shape(lam)[-1])
+
+    @classmethod
+    def shells(cls, rule, order: int, start, end, rung, ray) -> "_Nodes":
+        """The order nodes of rule (_log_nodes, _gauss_nodes) on the shell
+        [start[rung[c], ray[c]], end[rung[c], ray[c]]] of each column c."""
+        def at(sel):
+            cell = rung[sel], ray[sel]
+            return rule(start[cell], end[cell])
+        return cls(at, order, len(rung))
+
+
+def _segment_sums(values, seg, n_seg: int) -> np.ndarray:
+    """Sums of values along its last axis over each run of equal entries of
+    seg, which ascend, as n_seg entries along that axis: 0 for a segment
+    with no entry."""
+    starts = np.flatnonzero(np.diff(seg, prepend=-1))
+    out = np.zeros(np.shape(values)[:-1] + (n_seg,), dtype=values.dtype)
+    out[..., seg[starts]] = np.add.reduceat(values, starts, axis=-1)
+    return out
+
+
+@_quiet
+def _pv_radial(density: _PvDensity, w_rays, nodes: _Nodes, seg, n_seg: int,
+               orientation: float, rays=None) -> np.ndarray:
+    """Oriented integrals of the density times the volume element
+    4 lam^3 sin(eta) cos(eta) over the segments of a radial node table, as
+    an array (2, n_seg) of the scalar and j parts of each; w_rays holds the
+    chart weight times sin(eta) cos(eta) of each of the density's rays.
+
+    The node at radius lam on a ray is lam * (u1, u2).  seg gives the
+    segment of each row of nodes (shape (rows, 1)) or of each column
+    (shape (columns,)), ascending, and the columns are virtual rays when
+    rays is given (_Nodes).  As many rows as fit _NODE_BUDGET nodes go
+    through one evaluation of the density, and a row wider than the budget
+    goes through in blocks of columns; the density is taken on one block's
+    rays at a time.
     """
-    n_rays = len(w_rays)
-    rows = max(1, _NODE_BUDGET // n_rays)
-    step = min(n_rays, _NODE_BUDGET)
-    totals = [0.0 + 0.0j, 0.0 + 0.0j]
-    for first in range(0, n_rays, step):
+    by_row = np.ndim(seg) == 2
+    n = len(w_rays) if nodes.width == 1 and rays is None else nodes.width
+    rows = max(1, _NODE_BUDGET // n)
+    step = min(n, _NODE_BUDGET)
+    totals = np.zeros((2, n_seg), dtype=complex)
+    # the sums of each row over every block, or of each column of a block
+    sums = np.zeros((2, nodes.rows), dtype=complex)
+    for first in range(0, n, step):
         block = slice(first, first + step)
-        sub = density.take(block)
-        # a shared radius (last axis 1) serves every block
-        lam_b, w_lam_b = (a if np.shape(a)[-1] == 1 else a[:, block]
-                          for a in (lam, w_lam))
+        sel = block if rays is None else rays[block]
+        sub = density.take(sel)
+        lam_b, w_lam_b = nodes.at(block)
+        if not by_row:
+            sums = np.zeros((2, lam_b.shape[1]), dtype=complex)
         for start in range(0, len(lam_b), rows):
-            lam_c = lam_b[start:start + rows]
+            chunk = slice(start, start + rows)
+            lam_c = lam_b[chunk]
             # lam ** 3 would take pow per node when radii are per ray
-            w = ((w_lam_b[start:start + rows] * 4.0 * lam_c * lam_c * lam_c)
-                 * w_rays[block])
+            w = (w_lam_b[chunk] * 4.0 * lam_c * lam_c * lam_c) * w_rays[sel]
             for part, term in sub.terms(lam_c, w):
-                totals[part] += term.sum()
+                if by_row:
+                    sums[part, chunk] += term.sum(axis=1)
+                else:
+                    sums[part] += term.sum(axis=0)
+        if not by_row:
+            totals += _segment_sums(sums, seg[block], n_seg)
+    if by_row:
+        totals = _segment_sums(sums, seg[:, 0], n_seg)
     if not np.isfinite(totals).all():
         # a product that is not finite where |f|^2 is
         raise PoleOnDomain(_SINGULAR)
-    return Quat(orientation * totals[0], orientation * totals[1])
+    return orientation * totals
 
 
 def _power(lam, p: int):
@@ -801,12 +865,10 @@ class _NodeSum(NamedTuple):
     density: _PvDensity
     w_rays: np.ndarray
 
-    def take(self, sel) -> "_NodeSum":
-        return _NodeSum(self.density.take(sel), self.w_rays[sel])
-
-    def radial(self, lam, w_lam) -> Quat:
-        return _pv_radial(self.density, self.w_rays, lam, w_lam,
-                          ORIENTATION_4FORM)
+    def radial(self, nodes: _Nodes, seg, n_seg: int,
+               rays=None) -> np.ndarray:
+        return _pv_radial(self.density, self.w_rays, nodes, seg, n_seg,
+                          ORIENTATION_4FORM, rays)
 
 
 class _RaySplit:
@@ -827,13 +889,6 @@ class _RaySplit:
         self.ok = ok
         self.bumps = bumps
 
-    def take(self, sel) -> "_RaySplit":
-        """The split on the rays sel, an index array; the rows stay
-        contiguous, so that their sums over the rays are pairwise."""
-        return _RaySplit(self.ok[sel],
-                         tuple((R, p_lo, alpha.take(sel, axis=-1))
-                               for R, p_lo, alpha in self.bumps))
-
     @functools.cached_property
     def _ray_sums(self) -> "_RaySplit":
         """The split summed over all its rays, for radii shared by every
@@ -843,32 +898,39 @@ class _RaySplit:
                                for R, p_lo, alpha in self.bumps))
 
     @_quiet
-    def radial(self, lam, w_lam) -> Quat:
-        """As _NodeSum.radial: the profile integrals
-        sum_j w_lam[j] 4 lam[j]^p bump(lam[j] / R) per ray, or once for a
-        radius shared by every ray, dotted with alpha, in blocks of rays of
-        at most _NODE_BUDGET nodes.  A ray that is not ok is a pole."""
-        if np.shape(lam)[-1] == 1 and len(self.ok) > 1:
-            return self._ray_sums.radial(lam, w_lam)
-        if not self.ok.all():
+    def radial(self, nodes: _Nodes, seg, n_seg: int,
+               rays=None) -> np.ndarray:
+        """As _NodeSum.radial: the profile terms
+        w_lam 4 lam^p bump(lam / R) of each node, summed over the rows of
+        each column and dotted with alpha on its ray, or dotted with alpha
+        summed over the rays once for radii shared by every ray, then summed
+        per segment, in blocks of columns of at most _NODE_BUDGET nodes.  A
+        ray that is not ok is a pole."""
+        if nodes.width == 1 and rays is None and len(self.ok) > 1:
+            return self._ray_sums.radial(nodes, seg, n_seg)
+        if not self.ok[slice(None) if rays is None else rays].all():
             raise PoleOnDomain(_SINGULAR)
-        step = max(1, _NODE_BUDGET // len(lam))
-        totals = np.zeros(2, dtype=complex)
-        for first in range(0, np.shape(lam)[-1], step):
+        by_row = np.ndim(seg) == 2
+        step = max(1, _NODE_BUDGET // nodes.rows)
+        totals = np.zeros((2, n_seg), dtype=complex)
+        for first in range(0, nodes.width, step):
             block = slice(first, first + step)
-            lam_b = lam[:, block]
+            lam_b, w_lam_b = nodes.at(block)
+            # per row of a shared column, or per column
+            sums = np.zeros((2, lam_b.shape[0 if by_row else 1]), complex)
             for R, p_lo, alpha in self.bumps:
-                profile = bump(lam_b / R) * w_lam[:, block]
+                profile = bump(lam_b / R) * w_lam_b
                 power = _power(lam_b, p_lo)
-                for pair in alpha[..., block]:
-                    moment = 4.0 * np.einsum("ij,ij->j", profile, power)
-                    totals += (pair * moment).sum(axis=-1)
+                for pair in alpha[..., block if rays is None else rays[block]]:
+                    sums += pair * np.einsum("ij,ij->i" if by_row
+                                             else "ij,ij->j", profile, power)
                     power = power * lam_b
+            totals += _segment_sums(4.0 * sums,
+                                    seg[:, 0] if by_row else seg[block], n_seg)
         if not np.isfinite(totals).all():
             # a product denominator that is zero on an evaluated ray
             raise PoleOnDomain(_SINGULAR)
-        return Quat(ORIENTATION_4FORM * totals[0],
-                    ORIENTATION_4FORM * totals[1])
+        return ORIENTATION_4FORM * totals
 
 
 @_quiet
@@ -913,9 +975,11 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
     _, slope = density.ray_fn.modulus_sq_slope(lam)
     transverse = slope > 0.0
     w_lam = np.where(transverse, 1.0 / slope, 0.0)
-    value = _pv_radial(density, rays.w, lam[None], w_lam[None],
-                       ORIENTATION_3FORM)
-    return value, int(np.count_nonzero(~transverse))
+    (z1,), (z2,) = _pv_radial(density, rays.w,
+                              _Nodes.table(lam[None], w_lam[None]),
+                              np.zeros((1, 1), dtype=int), 1,
+                              ORIENTATION_3FORM)
+    return Quat(z1, z2), int(np.count_nonzero(~transverse))
 
 
 def _residue_level_set(f: QFunction, phi: TestForm2, n_xi: int, eps: float,
@@ -1029,23 +1093,31 @@ def _gauss_nodes(a, b):
     return gauss_panels([a, b], _SHELL_ORDER)
 
 
-@_quiet
-def _levelset_shell(integrand, start, end, support: float) -> Quat:
-    """Integral of the integrand (_pv_integrand) over [start, end] on each
-    ray where that shell is not empty: log-spaced nodes on shells that end
-    at the support (a ray's first) or start at the radius floor, which may
-    span decades, and Gauss nodes in lam on the others, which need no
-    exp."""
+def _levelset_shells(integrand, start, end, support: float) -> np.ndarray:
+    """Integrals of the integrand (_pv_integrand) over the shells
+    [start, end] of every rung, start and end holding one row of radii per
+    rung and one column per ray, as an array (2, rungs).  The open shells
+    of all rungs are the virtual rays of at most two integrator calls:
+    log-spaced nodes on shells that end at the support (a ray's first) or
+    start at the radius floor, which may span decades, and Gauss nodes in
+    lam on the others, which need no exp."""
     open_ = start < end
     logged = open_ & ((end == support)
                       | (start == _LAM_FLOOR_FACTOR * support))
+    n_rungs = len(start)
     parts = []
-    for rays, nodes in ((logged, _log_nodes), (open_ & ~logged, _gauss_nodes)):
-        sel = np.flatnonzero(rays)
-        if sel.size:
-            parts.append(integrand.take(sel).radial(
-                *nodes(start[sel], end[sel])))
-    return sum(parts[1:], parts[0]) if parts else Quat(0.0, 0.0)
+    for shells, rule, order in ((logged, _log_nodes, _LOG_ORDER),
+                                (open_ & ~logged, _gauss_nodes, _SHELL_ORDER)):
+        # rung-major, so the rungs ascend along the virtual rays
+        rung, ray = np.nonzero(shells)
+        if rung.size:
+            nodes = _Nodes.shells(rule, order, start, end, rung, ray)
+            parts.append(integrand.radial(nodes, rung, n_rungs, ray))
+    totals = (sum(parts[1:], parts[0]) if parts
+              else np.zeros((2, n_rungs), dtype=complex))
+    # a rung with no open shell is 0, not the integrator's oriented -0
+    totals[:, ~open_.any(axis=1)] = 0.0
+    return totals
 
 
 def pv_pair(f: QFunction, psi: TestForm3,
@@ -1060,9 +1132,12 @@ def pv_pair(f: QFunction, psi: TestForm3,
     solve per eps.  Both accumulate radial shells over the ladder, each
     integrated once: [eps_k, eps_(k-1)] on every ray for the ball, and
     between the ray's start radii on rungs k and k - 1 for the sublevel set
-    (_levelset_start, _levelset_shell).  part="(0,1)" is served by the
-    formal conjugation symmetry of the expansion and marked as such in the
-    result.
+    (_levelset_start).  The shells of every rung go through the integrator
+    in one call, one node table for the ball and one per node kind for the
+    sublevel set (_levelset_shells), which returns the sum of each rung's
+    shells; a rung is their running sum down the ladder.  part="(0,1)" is
+    served by the formal conjugation symmetry of the expansion and marked as
+    such in the result.
 
     The density is folded once per call (_pv_kernels, _fold): the kernel
     products pi_i K1i and conj(pi_i) K2i of the coefficients
@@ -1081,8 +1156,9 @@ def pv_pair(f: QFunction, psi: TestForm3,
 
     A pairing of a _torus_invariant f is averaged over the phases: both
     regions run on one ray per eta node with the phase averages of the
-    products, so rule.n_xi changes none of its values.  The levelset region takes |f|^2
-    at both ends of each ray's solve interval once per call (_level_ends).
+    products, so rule.n_xi changes none of its values.  The levelset region
+    takes |f|^2 at both ends of each ray's solve interval once per call
+    (_level_ends).
     """
     _require_nonzero(f)
     if psi.is_zero:
@@ -1125,28 +1201,36 @@ def pv_pair(f: QFunction, psi: TestForm3,
     density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
     integrand = _pv_integrand(density, mesh.w)
     untrusted = np.zeros(3, dtype=int)
+    n_rungs = len(eps_list)
     if region == "metric":
-        edges = [geometric_edges(eps_list[0], support, eps_list[0])]
-        edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
-        shells = (gauss_panels(e, _SHELL_ORDER) for e in edges)
-        values = list(itertools.accumulate(
-            integrand.radial(lam[:, None], w[:, None]) for lam, w in shells))
+        # the first shell's panels, then [eps_k, eps_(k-1)] for every k > 0
+        eps = np.array(eps_list)
+        lam0, w0 = gauss_panels(geometric_edges(eps[0], support, eps[0]),
+                                _SHELL_ORDER)
+        lam, w = gauss_panels([eps[1:], eps[:-1]], _SHELL_ORDER)
+        nodes = _Nodes.table(np.concatenate([lam0, lam.T.ravel()])[:, None],
+                             np.concatenate([w0, w.T.ravel()])[:, None])
+        seg = np.repeat(np.arange(n_rungs),
+                        [len(lam0)] + [_SHELL_ORDER] * (n_rungs - 1))
+        shells = integrand.radial(nodes, seg[:, None], n_rungs)
         notes = ()
     else:
         # untrusted rays are counted in rays of the n_xi rule
         weight = rule.n_xi ** 2 if averaged else 1
         hi = np.full(len(mesh.eta), support)
         ends = _level_ends(density.ray_fn, hi)
-        shells = []
-        end = hi
+        starts = []
+        start = hi
         for eps in eps_list:
             radii = _solve_level_radius(density.ray_fn, hi, eps, ends)
             untrusted += radii.untrusted * weight
-            start = _levelset_start(radii, end, support)
-            shells.append(_levelset_shell(integrand, start, end, support))
-            end = start
-        values = list(itertools.accumulate(shells))
+            start = _levelset_start(radii, start, support)
+            starts.append(start)
+        starts = np.array(starts)
+        shells = _levelset_shells(integrand, starts,
+                                  np.vstack([hi, starts[:-1]]), support)
         notes = (("excluded region follows the level sets of |f|",)
                  + _untrusted_notes(untrusted))
+    values = [Quat(z1, z2) for z1, z2 in np.cumsum(shells, axis=1).T]
     return finalize(eps_list, values, part="(1,0)", notes=notes,
                     trusted=not untrusted.any(), phases_averaged=averaged)

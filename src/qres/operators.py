@@ -247,6 +247,8 @@ class Classification:
 
 
 _SAMPLE_SEED = 20240811
+# the cross-check's bound on |D(1/f)| / |1/f| at a sample
+_CROSS_CHECK_RTOL = 1e-6
 
 
 def _sample_points(f: QFunction, count: int, rng: random.Random
@@ -295,7 +297,11 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
     ways when a component of f vanishes identically, which the derivation of
     the system assumes away, so any disagreement is surfaced in notes.  The
     check is |D(1/f)| < 1e-6 |1/f| at every sample: both scale as 1/c
-    under f -> c f, so the verdict does not depend on the scale of f.
+    under f -> c f, so the verdict does not depend on the scale of f.  A
+    disagreement is reported only where the jet's two central-difference
+    passes, at steps h and h/2, give D(1/f) within 1e-6 |1/f| of each other
+    at every sample; where they do not, the step does not resolve f, and
+    the note says the check is inconclusive.
     """
     hyperholo = is_hyperholomorphic(f)
     eq3, eq4 = hypermero_residuals(f)
@@ -320,11 +326,21 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
                 notes.append(
                     "numeric D(1/f) check is inconclusive: D(1/f) overflows "
                     f"or is undefined at some of {len(pts)} samples")
-            elif (worst < 1e-6) != residuals_zero:
-                notes.append(
-                    "numeric D(1/f) status disagrees with the residual system "
-                    f"(max |D(1/f)|/|1/f| = {worst:.3e} over {len(pts)} "
-                    "samples)")
+            elif (worst < _CROSS_CHECK_RTOL) != residuals_zero:
+                with np.errstate(all="ignore"):
+                    coarse, fine = (_jet_D(jet.single_pass(k)) for k in (0, 1))
+                    gap = (_norms(coarse[0] - fine[0], coarse[1] - fine[1])
+                           / _norms(jet.f1, jet.f2)).max()
+                if not gap <= _CROSS_CHECK_RTOL:
+                    notes.append(
+                        "numeric D(1/f) check is inconclusive: the jet step "
+                        "does not resolve f (max |D(1/f) at h - D(1/f) at "
+                        f"h/2|/|1/f| = {gap:.3e} over {len(pts)} samples)")
+                else:
+                    notes.append(
+                        "numeric D(1/f) status disagrees with the residual "
+                        f"system (max |D(1/f)|/|1/f| = {worst:.3e} over "
+                        f"{len(pts)} samples)")
     closure = []
     for g in partners:
         closure.append({

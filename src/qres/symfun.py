@@ -20,10 +20,10 @@ inside a polynomial and in CRat arithmetic at a point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -724,13 +724,25 @@ class WirtingerJet:
     d1 and d2 map each of "z1", "z1b", "z2", "z2b" to the corresponding
     partial of f1 and f2 respectively.  Every field is a complex number for
     a jet at one point and an array of the points' shape for a jet at an
-    array of points.
+    array of points.  A jet from numeric_jet keeps in passes the partials
+    of each central-difference pass alone, indexed (d/dz or d/dz-bar, pass
+    at step h or h/2, coordinate, component) before the points' axes; d1
+    and d2 are their Richardson extrapolation.
     """
 
     f1: complex | np.ndarray
     f2: complex | np.ndarray
     d1: Dict[str, complex | np.ndarray]
     d2: Dict[str, complex | np.ndarray]
+    passes: Optional[np.ndarray] = field(default=None, repr=False,
+                                         compare=False)
+
+    def single_pass(self, k: int) -> "WirtingerJet":
+        """The jet of numeric_jet's pass k alone: 0 at step h, 1 at h/2."""
+        out = complex if np.ndim(self.f1) == 0 else np.asarray
+        g = self.passes[:, k]
+        return WirtingerJet(self.f1, self.f2, _jet_partials(g, 0, out),
+                            _jet_partials(g, 1, out))
 
     def partial(self, component: int, var: str) -> complex | np.ndarray:
         table = self.d1 if component == 1 else self.d2
@@ -790,6 +802,13 @@ def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
     wirt = np.stack([dx - jdy, dx + jdy]) / 2
     g = (4 * wirt[:, 1] - wirt[:, 0]) / 3
     out = complex if z1.ndim == 0 else np.asarray
-    d1 = {k: out(g[kind, coord, 0]) for k, (kind, coord) in _JET_PARTIALS.items()}
-    d2 = {k: out(g[kind, coord, 1]) for k, (kind, coord) in _JET_PARTIALS.items()}
-    return WirtingerJet(f1=out(w[0, 0]), f2=out(w[0, 1]), d1=d1, d2=d2)
+    return WirtingerJet(f1=out(w[0, 0]), f2=out(w[0, 1]),
+                        d1=_jet_partials(g, 0, out),
+                        d2=_jet_partials(g, 1, out), passes=wirt)
+
+
+def _jet_partials(g, component: int, out) -> Dict[str, complex | np.ndarray]:
+    """The partials of one component from an array indexed (Wirtinger
+    kind, coordinate, component), each passed through out."""
+    return {k: out(g[kind, coord, component])
+            for k, (kind, coord) in _JET_PARTIALS.items()}

@@ -1,6 +1,7 @@
 """Epsilon-limit pairings against the currents attached to a reciprocal:
 residues over shrinking level sets, principal values over shrinking
 excluded regions.  Reference masses come from radial quadrature."""
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -12,12 +13,12 @@ from helpers import chart_jacobian, det4
 from qres.catalogue import NAMES, builtin
 from qres.currents.chart import (ORIENTATION_3FORM, ORIENTATION_4FORM,
                                  sphere_to_complex)
-from qres.currents.estimate import EpsilonSchedule
+from qres.currents.estimate import ZERO_FLOOR, EpsilonSchedule, finalize
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
 from qres.currents import pairings
-from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _NodeSum,
-                                    _PvDensity, _RayFunction, _RayMesh,
-                                    _RaySplit, _fold, _pv_integrand,
+from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _Nodes,
+                                    _NodeSum, _PvDensity, _RayFunction,
+                                    _RayMesh, _RaySplit, _fold, _pv_integrand,
                                     _pv_kernels, _pv_radial,
                                     _level_ends, _residue_kernels,
                                     _residue_rung, _solve_level_radius,
@@ -519,6 +520,19 @@ def test_levelset_region_with_no_ray_left_is_zero():
     assert all(v.norm() == 0.0 for v in est.values)
 
 
+def test_levelset_rungs_before_any_open_shell_are_positive_zeros():
+    # |f| = 1/100 + |z1|^2 / 10 lies below the first five eps on the whole
+    # support, so no shell opens on those rungs: each is the sum of no
+    # shell, 0, and prints as 0, not as the integrator's oriented -0
+    f = parse_qfunction("0.01 + 0.1*z1*c1 ; 0")
+    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    est = pv_pair(f, psi, rule=build_quadrature(8, 8), region="levelset")
+    zeros = [x for v in est.values[:5] for z in (v.z1, v.z2)
+             for x in (z.real, z.imag)]
+    assert all(math.copysign(1.0, x) == 1.0 and x == 0.0 for x in zeros)
+    assert est.values[5].norm() > 0.0
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 @pytest.mark.parametrize("region", ["metric", "levelset"])
 def test_pv_rungs_do_not_depend_on_the_node_budget(monkeypatch, rows,
@@ -786,6 +800,201 @@ def test_homogeneous_principal_values_never_evaluate_nodes(monkeypatch, name,
     refused_terms(monkeypatch)
     est = pv_pair(f, psi, rule=build_quadrature(8, 16), region=region)
     assert all(np.isfinite(v.norm()) for v in est.values)
+
+
+def one_segment(integrand, nodes, rays=None) -> Quat:
+    """The integrand over a whole node table, as one segment."""
+    seg = (np.zeros(nodes.width, dtype=int) if rays is not None
+           else np.zeros((nodes.rows, 1), dtype=int))
+    (z1,), (z2,) = integrand.radial(nodes, seg, 1, rays)
+    return Quat(z1, z2)
+
+
+def per_rung_levelset_shell(integrand, start, end, support):
+    """One rung's levelset shells [start, end], one integrator call per
+    node kind, as _levelset_shell summed them."""
+    open_ = start < end
+    logged = open_ & ((end == support)
+                      | (start == pairings._LAM_FLOOR_FACTOR * support))
+    parts = []
+    for rays, rule, order in (
+            (logged, pairings._log_nodes, pairings._LOG_ORDER),
+            (open_ & ~logged, pairings._gauss_nodes, pairings._SHELL_ORDER)):
+        sel = np.flatnonzero(rays)
+        if sel.size:
+            nodes = _Nodes.shells(rule, order, start[None], end[None],
+                                  np.zeros_like(sel), sel)
+            parts.append(one_segment(integrand, nodes, sel))
+    return sum(parts[1:], parts[0]) if parts else Quat(0.0, 0.0)
+
+
+def per_rung_pv_pair(f, psi, rule, region):
+    """pv_pair on the default ladder as it was before the ladder went
+    through the integrator in one pass: one integrator call per metric
+    shell, one per node kind on each rung's levelset shells, and the rungs
+    summed down the ladder as Quats.  Kept as its reference."""
+    support = psi.support_radius
+    eps_list = EpsilonSchedule.for_radius(support).values()
+    products = _fold(_pv_kernels(f), psi.coefficients)
+    averaged = pairings._torus_invariant(f)
+    if averaged:
+        products = pairings._phase_average(products)
+    mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights,
+                          1 if averaged else rule.n_xi)
+    density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
+    integrand = pairings._pv_integrand(density, mesh.w)
+    untrusted = np.zeros(3, dtype=int)
+    if region == "metric":
+        edges = [quadrature.geometric_edges(eps_list[0], support,
+                                            eps_list[0])]
+        edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
+        shells = [one_segment(integrand, _Nodes.table(lam[:, None],
+                                                      w[:, None]))
+                  for lam, w in (quadrature.gauss_panels(e, 12)
+                                 for e in edges)]
+        notes = ()
+    else:
+        weight = rule.n_xi ** 2 if averaged else 1
+        hi = np.full(len(mesh.eta), support)
+        ends = _level_ends(density.ray_fn, hi)
+        shells = []
+        end = hi
+        for eps in eps_list:
+            radii = _solve_level_radius(density.ray_fn, hi, eps, ends)
+            untrusted += radii.untrusted * weight
+            start = pairings._levelset_start(radii, end, support)
+            shells.append(per_rung_levelset_shell(integrand, start, end,
+                                                  support))
+            end = start
+        notes = (("excluded region follows the level sets of |f|",)
+                 + pairings._untrusted_notes(untrusted))
+    return finalize(eps_list, list(itertools.accumulate(shells)),
+                    notes=notes, trusted=not untrusted.any(),
+                    phases_averaged=averaged)
+
+
+LADDER_CASES = {
+    # averaged over the phases
+    "z1 ; 0": Z1_FN, "conj": builtin("conj").f,
+    "cauchy_kernel": builtin("cauchy_kernel").f,
+    # per ray: level sets that are not radial graphs, and chart rays in the
+    # zero plane, which the ball refuses
+    "prop34(1/8,-1/8)": builtin("prop34", (Fraction(1, 8),
+                                           Fraction(-1, 8))).f,
+    "prop34": builtin("prop34").f,
+}
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "node-sum"])
+@pytest.mark.parametrize("region", ["metric", "levelset"])
+@pytest.mark.parametrize("name", list(LADDER_CASES))
+def test_one_pass_ladder_matches_the_per_rung_loop(monkeypatch, name, region,
+                                                   split):
+    # each shell lands on its own rung: every rung, note, verdict and
+    # refusal as the per-rung loop gives them, up to the order of the sums
+    f = LADDER_CASES[name]
+    rule = build_quadrature(8, 16)
+    if not split:
+        node_sum_only(monkeypatch)
+    got = pv_outcome(f, FOLD_PSI, rule, region)
+    try:
+        want = per_rung_pv_pair(f, FOLD_PSI, rule, region)
+    except PoleOnDomain:
+        want = None
+    if name == "prop34" and region == "metric":
+        assert got is None and want is None
+        return
+    # the rungs of z1 ; 0 vanish by symmetry, as in the estimate's zero floor
+    scale = max(1.0, max(v.norm() for v in want.values))
+    for u, v in zip(got.values, want.values, strict=True):
+        assert (u - v).norm() <= 1e-14 * scale
+    assert got.notes == want.notes
+    assert got.converged == want.converged
+    assert got.phases_averaged == want.phases_averaged
+    if name == "prop34(1/8,-1/8)" and region == "levelset":
+        assert any("not radial graphs" in n for n in got.notes)
+
+
+class CountedIntegrand:
+    """An integrand that records each of its radial calls."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls = inner, calls
+
+    def radial(self, *args):
+        self.calls.append(type(self.inner))
+        return self.inner.radial(*args)
+
+
+@pytest.mark.parametrize("count", [3, 24])
+@pytest.mark.parametrize("split", [True, False], ids=["split", "node-sum"])
+@pytest.mark.parametrize("region", ["metric", "levelset"])
+def test_a_ladder_is_integrated_in_one_pass(monkeypatch, region, split,
+                                            count):
+    # one integrator call for the ball's shells, and one per node kind (log
+    # and Gauss) for the sublevel set's, however long the ladder
+    calls = []
+    make = pairings._pv_integrand if split else _NodeSum
+    monkeypatch.setattr(pairings, "_pv_integrand", lambda density, w_rays:
+                        CountedIntegrand(make(density, w_rays), calls))
+    psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+    est = pv_pair(Z1_FN, psi, rule=build_quadrature(8, 16),
+                  schedule=EpsilonSchedule(0.5, 0.7, count), region=region)
+    assert len(est.values) == count
+    assert calls == [_RaySplit if split else _NodeSum] * (
+        1 if region == "metric" else 2)
+
+
+def quat_finalize(epsilons, values):
+    """diff_ratios, converged and extrapolated of finalize(epsilons,
+    values) through Quat subtraction and Quat.norm, as finalize took them
+    before it went to arrays.  Kept as its reference."""
+    norms = [v.norm() for v in values]
+    floor = ZERO_FLOOR * max(1.0, max(norms))
+    diffs = [(values[i + 1] - values[i]).norm()
+             for i in range(len(values) - 1)]
+    ratios = tuple(diffs[i + 1] / max(diffs[i], 1e-300)
+                   for i in range(len(diffs) - 1))
+    window = min(4, len(ratios))
+    tail_ok = [ratios[i] < 0.8 or diffs[i + 1] < floor
+               for i in range(len(ratios) - window, len(ratios))]
+    lost = any(b == 0.0 and a > floor for a, b in zip(norms, norms[1:]))
+    converged = len(values) >= 5 and not lost and all(tail_ok)
+    m = min(5, len(values))
+    eps = np.array(epsilons[-m:], dtype=float)
+    a = np.stack([np.ones(m), eps, eps * eps], axis=1).astype(complex)
+    b = np.array([[complex(v.z1), complex(v.z2)] for v in values[-m:]],
+                 dtype=complex)
+    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return ratios, converged, (complex(coef[0, 0]), complex(coef[0, 1]))
+
+
+@pytest.mark.parametrize("kind", ["residue", "metric", "levelset",
+                                  "prop34", "seeded"])
+def test_finalize_on_arrays_is_bit_identical_to_the_quat_formulas(kind):
+    # the README's residue and pv ladders, whose j parts are 0, one with
+    # both parts, and seeded rungs, where the order in which a norm sums its
+    # four squares shows
+    if kind == "seeded":
+        z = np.random.default_rng(5).normal(size=(12, 4))
+        values = [Quat(complex(a, b), complex(c, d)) for a, b, c, d in z]
+        est = finalize(EpsilonSchedule(0.4, 0.7, 12).values(), values)
+    elif kind == "residue":
+        est = residue_pair(Z1_FN, PHI_PLANE, n_xi=16,
+                           schedule=EpsilonSchedule(0.4, 0.7, 12))
+    elif kind == "prop34":
+        est = pv_pair(LADDER_CASES["prop34(1/8,-1/8)"], FOLD_PSI,
+                      rule=build_quadrature(8, 16))
+        assert all(complex(v.z2) != 0j for v in est.values)
+    else:
+        psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
+        est = pv_pair(Z1_FN, psi, rule=build_quadrature(16, 32),
+                      region=kind)
+    ratios, converged, extrapolated = quat_finalize(est.epsilons, est.values)
+    assert [r.hex() for r in est.diff_ratios] == [r.hex() for r in ratios]
+    assert est.converged == converged
+    assert (complex(est.extrapolated.z1),
+            complex(est.extrapolated.z2)) == extrapolated
 
 
 def test_a_product_denominator_of_several_rows_is_not_split():
@@ -1175,6 +1384,16 @@ def test_odd_pairings_average_to_exact_zeros(monkeypatch, region):
                for v in est.values)
 
 
+def shared_radial(density, w_rays, lam):
+    """_pv_radial over rows lam of radii shared by every ray, of weight 1,
+    as one segment."""
+    (z1,), (z2,) = _pv_radial(density, w_rays,
+                              _Nodes.table(lam, np.ones(np.shape(lam))),
+                              np.zeros(np.shape(lam), dtype=int), 1,
+                              ORIENTATION_4FORM)
+    return Quat(z1, z2)
+
+
 @pytest.mark.parametrize("kind", ["pv", "residue"])
 def test_pole_on_a_ray_node_is_reported(kind):
     # cauchy_kernel has its pole at the origin: a radial row at lam = 0
@@ -1194,10 +1413,8 @@ def test_pole_on_a_ray_node_is_reported(kind):
     F1 = density.ray_fn.values(lam)[0]
     assert np.isnan(F1[0]).all() and np.isfinite(F1[1]).all()
     with pytest.raises(PoleOnDomain, match="singular inside"):
-        _pv_radial(density, w_rays, lam, np.ones((2, 1)), ORIENTATION_4FORM)
-    assert np.isfinite(complex(_pv_radial(density, w_rays, lam[1:],
-                                          np.ones((1, 1)),
-                                          ORIENTATION_4FORM).z1))
+        shared_radial(density, w_rays, lam)
+    assert np.isfinite(complex(shared_radial(density, w_rays, lam[1:]).z1))
 
 
 def test_pole_is_reported_when_no_product_survives_the_fold():
@@ -1217,10 +1434,8 @@ def test_pole_is_reported_when_no_product_survives_the_fold():
     for pole in (0.0, 1e-100):
         lam = np.array([[pole], [0.5]])
         with pytest.raises(PoleOnDomain, match="singular inside"):
-            _pv_radial(density, w_rays, lam, np.ones((2, 1)),
-                       ORIENTATION_4FORM)
-    val = _pv_radial(density, w_rays, np.array([[0.5]]), np.ones((1, 1)),
-                     ORIENTATION_4FORM)
+            shared_radial(density, w_rays, lam)
+    val = shared_radial(density, w_rays, np.array([[0.5]]))
     assert val.norm() == 0.0
 
 

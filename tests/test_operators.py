@@ -21,7 +21,7 @@ from qres.operators import (_SAMPLE_SEED, _apply_D_batch, _sample_points,
                             real_product_compat_residuals, scale_real)
 from qres.parsing import parse_poly, parse_qfunction, parse_rational
 from qres.qcore import CRat, Quat
-from qres.symfun import ConjPoly, QFunction
+from qres.symfun import ConjPoly, QFunction, numeric_jet
 
 
 def test_operator_annihilates_the_conjugate_pair():
@@ -418,6 +418,37 @@ def test_cross_check_does_not_depend_on_the_scale_of_f(name, scale):
     # alone noted a disagreement for 1e8 F and 1e8 q_conj
     f = builtin(name).f
     assert classify(scale_real(f, scale)).notes == classify(f).notes == ()
+
+
+def test_a_step_that_does_not_resolve_f_is_inconclusive():
+    # z1^100000 is hypermeromorphic, but it changes by e^10 over one jet
+    # step: D(1/f) at h and h/2 part by 1.8e7 |1/f|, and the 6.0e6 |1/f|
+    # the jet reads is no disagreement.  At z1^2000 ; c2^3 the two steps
+    # agree to 4e-8 |1/f|, so its D(1/f) of 3e-12 |1/f| against a nonzero
+    # eq4 is reported as before
+    unresolved = classify(parse_qfunction("z1^100000 ; 0")).notes
+    assert unresolved[1:] == (
+        "numeric D(1/f) check is inconclusive: the jet step does not "
+        "resolve f (max |D(1/f) at h - D(1/f) at h/2|/|1/f| = 1.819e+07 "
+        "over 1 samples)",)
+    assert classify(parse_qfunction("z1^2000 ; c2^3")).notes == (
+        "numeric D(1/f) status disagrees with the residual system "
+        "(max |D(1/f)|/|1/f| = 3.083e-12 over 8 samples)",)
+
+
+def test_single_passes_extrapolate_to_the_jet():
+    # d1 and d2 are the Richardson step (4 D(h/2) - D(h)) / 3 of the passes
+    f = builtin("F").f
+    pts = _sample_points(f, 8, random.Random(_SAMPLE_SEED))
+    jet = numeric_jet(f.eval_numeric, pts[:, 0], pts[:, 1])
+    coarse, fine = jet.single_pass(0), jet.single_pass(1)
+    for var in ("z1", "z1b", "z2", "z2b"):
+        for c in (1, 2):
+            assert np.array_equal(
+                jet.partial(c, var),
+                (4 * fine.partial(c, var) - coarse.partial(c, var)) / 3)
+            assert np.abs(fine.partial(c, var)
+                          - coarse.partial(c, var)).max() < 1e-6
 
 
 def test_classify_multiplies_no_two_unit_denominators(monkeypatch):
