@@ -21,12 +21,17 @@ holds the shells of every rung, the integrator returns one sum per segment
 of the table, the shells of one rung, and the rungs are the running sums
 of the segments down the ladder.  The ball's table is one column of radii
 shared by every ray, the first shell's geometric panels and then
-[eps_k, eps_(k-1)] for every k, segmented by row.  The sublevel set's open
-shells, one per rung and ray, are the columns of at most two tables, one
-of log-spaced and one of Gauss nodes (_levelset_shells): virtual rays, each
-an index into the chart rays, segmented by rung.  An integrator builds a
-table one block of columns at a time (_Nodes) and takes the density on
-one block's rays at a time, both under the node budget.
+[eps_k, eps_(k-1)] for every k, segmented by row.  The sublevel set's
+start radii on every rung come from one level solve of the whole ladder
+(_levelset_bounds): one broadcast over every rung and ray for a
+homogeneous f, while for any other f the root solve still runs rung by
+rung inside that call.  Its open shells, one per rung and ray, are the
+columns of at most two tables, one of log-spaced and one of Gauss nodes
+(_levelset_shells): virtual rays, each a flat index into the (rung, ray)
+grid, split into its rung, the segment, and its chart ray one block at a
+time.  An integrator builds a table one block of columns at a time
+(_Nodes) and takes the density on one block's rays at a time, both under
+the node budget.
 
 The residue pairing integrates a 3-form density alpha over the level set
 g = |f|^2 = eps^2.  Per chart ray the level radius lam* is the first real
@@ -394,32 +399,39 @@ def _aligned(*polys: _RayPoly) -> List[np.ndarray]:
 
 
 class _LevelRadii(tuple):
-    """A level solve: the triple (lam_star, active, inside_at_floor);
-    crossings, every crossing of |f| = eps above the floor per ray, sorted
-    along the ray and padded with inf (shape (n_rays, k), k >= 1); and
-    hidden, the rays with a crossing in (0, floor], which the solve cannot
-    see."""
+    """A level solve at one eps or on a ladder of them: the triple
+    (lam_star, active, inside_at_floor), of shape (n_rays,) at one eps and
+    (rungs, n_rays) on a ladder; untrusted, the counts of the rays on which
+    the level set is not a radial graph above the floor, summed over the
+    ladder (_untrusted_counts).  At one eps it also holds crossings, every
+    crossing of |f| = eps above the floor per ray, sorted along the ray and
+    padded with inf (shape (n_rays, k), k >= 1), and hidden, the rays with
+    a crossing in (0, floor], which the solve cannot see; a ladder keeps
+    neither past its counts (None)."""
 
-    crossings: np.ndarray
-    hidden: np.ndarray
+    untrusted: np.ndarray
+    crossings: Optional[np.ndarray]
+    hidden: Optional[np.ndarray]
 
-    def __new__(cls, lam_star, active, inside_at_floor, crossings, hidden):
+    def __new__(cls, lam_star, active, inside_at_floor, untrusted,
+                crossings=None, hidden=None):
         radii = super().__new__(cls, (lam_star, active, inside_at_floor))
+        radii.untrusted = untrusted
         radii.crossings = crossings
         radii.hidden = hidden
         return radii
 
-    @property
-    def untrusted(self) -> np.ndarray:
-        """Counts of the rays on which the level set is not a radial graph
-        above the floor: (rays where |f| dips below eps without starting
-        below it, rays that cross |f| = eps more than once, rays that cross
-        it below the floor)."""
-        _, _, inside_at_floor = self
-        count = np.count_nonzero(self.crossings < np.inf, axis=1)
-        return np.array([np.count_nonzero(~inside_at_floor & (count > 0)),
-                         np.count_nonzero(count > 1),
-                         np.count_nonzero(self.hidden)])
+
+def _untrusted_counts(inside_at_floor, crossings, hidden) -> np.ndarray:
+    """Counts, over every ray and rung given, of the rays on which the level
+    set is not a radial graph above the floor: (rays where |f| dips below
+    eps without starting below it, rays that cross |f| = eps more than
+    once, rays that cross it below the floor); crossings has one more axis,
+    the crossings of each ray, than the masks."""
+    count = np.count_nonzero(crossings < np.inf, axis=-1)
+    return np.array([np.count_nonzero(~inside_at_floor & (count > 0)),
+                     np.count_nonzero(count > 1),
+                     np.count_nonzero(hidden)])
 
 
 def _untrusted_notes(untrusted) -> Tuple[str, ...]:
@@ -488,51 +500,69 @@ def _level_ends(ray_fn: _RayFunction, lam_hi) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @_quiet
-def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps: float,
+def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps,
                         ends) -> _LevelRadii:
     """Radius where |f| = eps along each chart ray, with one entry of lam_hi
     per ray of ray_fn: the first crossing in (floor, lam_hi], where
-    floor = _LAM_FLOOR_FACTOR lam_hi, or inf on a ray with none.  ends is
-    _level_ends(ray_fn, lam_hi).
+    floor = _LAM_FLOOR_FACTOR lam_hi, or inf on a ray with none.  eps is
+    one radius or a ladder of them (a 1-D array), solved in one call, whose
+    rungs lead every result's axes.  ends is _level_ends(ray_fn, lam_hi).
 
     The crossings are the real roots in (floor, lam_hi] of the ray
     polynomial D1^2 D2^2 (|f|^2 - eps^2) = lam^L (s - eps^2 q), whose rows
-    ray_fn.level_rows builds once per mesh (_level_crossings).  A
-    homogeneous f of degree m needs no root solve: |f(lam u)|^2 is
-    lam^(2m) a(u), monotone along each ray, so it crosses eps exactly when
-    the two ends of (floor, lam_hi] lie on either side, at
-    lam_star = (eps^2 / a)^(1/2m) = lam_hi (eps^2 / |f(lam_hi u)|^2)^(1/2m).
+    ray_fn.level_rows builds once per mesh (_level_crossings), one rung at
+    a time.  A homogeneous f of degree m needs no root solve: |f(lam u)|^2
+    is lam^(2m) a(u), monotone along each ray, so it crosses eps exactly
+    when the two ends of (floor, lam_hi] lie on either side, at
+    lam_star = (eps^2 / a)^(1/2m) = lam_hi (eps^2 / |f(lam_hi u)|^2)^(1/2m),
+    one broadcast over every rung and ray.
 
     Returns (lam_star, active, inside_at_floor), a _LevelRadii that also
-    holds every crossing and the rays that cross below the floor (for a
-    homogeneous f, those whose lam_star lies in (0, floor]).  A ray is
-    active when |f| < eps at the floor and |f| >= eps at the ray's support
-    end; since lam_hi bounds the test-form support, inactive rays with
-    |f| < eps throughout carry no pairing mass.
+    holds the untrusted counts over the ladder and, at one eps, every
+    crossing and the rays that cross below the floor (for a homogeneous f,
+    those whose lam_star lies in (0, floor]).  A ray is active when
+    |f| < eps at the floor and |f| >= eps at the ray's support end; since
+    lam_hi bounds the test-form support, inactive rays with |f| < eps
+    throughout carry no pairing mass.
     Rays already at or above eps at the floor are flagged separately (third
     array) for the principal-value domain, where they are included in full.
     """
-    target = eps * eps
+    eps = np.asarray(eps, dtype=float)
+    # one row per rung, (1,) at one eps
+    target = (eps * eps)[..., None]
     hi = np.array(lam_hi, dtype=float)
     floor = _LAM_FLOOR_FACTOR * hi
     g_floor, g_hi = ends
     inside_at_floor = ~(g_floor >= target)
-    below_hi = ~(g_hi >= target)
-    active = inside_at_floor & ~below_hi
+    active = inside_at_floor & (g_hi >= target)
     m = ray_fn.degree
     if m is None:
-        crossings, hidden = _level_crossings(ray_fn, target, floor, hi)
-    elif m:
-        lam = hi * (target / g_hi) ** (0.5 / m)
-        crossings = np.where(inside_at_floor != below_hi, lam,
-                             np.inf)[:, None]
-        hidden = (lam > 0.0) & (lam <= floor)
+        lam_star = np.empty(active.shape)
+        untrusted = 0
+        for k in np.ndindex(target.shape[:-1]):
+            # the rung before's crossings die before this rung's are found
+            crossings = hidden = None
+            crossings, hidden = _level_crossings(ray_fn, target[k][0], floor,
+                                                 hi)
+            lam_star[k] = crossings[:, 0]
+            untrusted = untrusted + _untrusted_counts(inside_at_floor[k],
+                                                      crossings, hidden)
     else:
-        # |f| is constant along every ray
-        crossings = np.full((hi.size, 1), np.inf)
-        hidden = np.zeros(hi.size, dtype=bool)
-    return _LevelRadii(crossings[:, 0], active, inside_at_floor, crossings,
-                       hidden)
+        if m:
+            lam = hi * (target / g_hi) ** (0.5 / m)
+            crossings = np.where(inside_at_floor != ~(g_hi >= target), lam,
+                                 np.inf)[..., None]
+            hidden = (lam > 0.0) & (lam <= floor)
+        else:
+            # |f| is constant along every ray
+            crossings = np.full(active.shape + (1,), np.inf)
+            hidden = np.zeros(active.shape, dtype=bool)
+        lam_star = crossings[..., 0]
+        untrusted = _untrusted_counts(inside_at_floor, crossings, hidden)
+    if eps.ndim:
+        crossings = hidden = None
+    return _LevelRadii(lam_star, active, inside_at_floor, untrusted,
+                       crossings, hidden)
 
 
 class _RayMesh(NamedTuple):
@@ -758,32 +788,44 @@ class _PvDensity(NamedTuple):
 class _Nodes(NamedTuple):
     """A radial node table of rows by columns, built one block of columns
     at a time, so that an integrator holds no more of it than one block:
-    at(sel) gives the radii and radial weights of the columns sel.  Column
-    c lies on ray c of the integrand, or on ray rays[c] where an integrator
-    is given the virtual rays rays; a table of one column holds radii
-    shared by every ray, and at ignores sel."""
+    at(block), for a slice block of columns, gives their radii and radial
+    weights, their segments and their rays.  A table segmented by row (seg,
+    one per row, ascending) gives None for the segments and block for the
+    rays, column c lying on ray c of the integrand; such a table of one
+    column holds radii shared by every ray.  A table of shells (seg None)
+    gives one segment per column, ascending, and virtual rays, an index
+    into the integrand's rays per column."""
 
     at: Callable
     rows: int
     width: int
+    seg: Optional[np.ndarray] = None
 
     @classmethod
-    def table(cls, lam, w_lam) -> "_Nodes":
+    def table(cls, lam, w_lam, seg) -> "_Nodes":
         """The table of radii lam and weights w_lam, of shape (rows, 1) or
-        (rows, columns)."""
+        (rows, columns), with the segment seg[r] of row r."""
         shared = np.shape(lam)[-1] == 1
-        return cls(lambda sel: ((lam, w_lam) if shared
-                                else (lam[:, sel], w_lam[:, sel])),
-                   len(lam), np.shape(lam)[-1])
+        return cls(lambda block: ((lam, w_lam) if shared
+                                  else (lam[:, block], w_lam[:, block]))
+                   + (None, block),
+                   len(lam), np.shape(lam)[-1], seg)
 
     @classmethod
-    def shells(cls, rule, order: int, start, end, rung, ray) -> "_Nodes":
-        """The order nodes of rule (_log_nodes, _gauss_nodes) on the shell
-        [start[rung[c], ray[c]], end[rung[c], ray[c]]] of each column c."""
-        def at(sel):
-            cell = rung[sel], ray[sel]
-            return rule(start[cell], end[cell])
-        return cls(at, order, len(rung))
+    def shells(cls, rule, order: int, start, end, flat) -> "_Nodes":
+        """The order nodes of rule (_log_nodes, _gauss_nodes) on the shells
+        [start, end] of the arrays start and end, (rung, ray), at the flat
+        indices flat into them, ascending: column c is the shell at flat[c],
+        of segment its rung on its ray.  The flat index is split into
+        (rung, ray) one block at a time."""
+        n_rays = np.shape(start)[1]
+        start, end = np.ravel(start), np.ravel(end)
+
+        def at(block):
+            cell = flat[block]
+            rung, ray = np.divmod(cell, n_rays)
+            return rule(start[cell], end[cell]) + (rung, ray)
+        return cls(at, order, len(flat))
 
 
 def _segment_sums(values, seg, n_seg: int) -> np.ndarray:
@@ -797,33 +839,29 @@ def _segment_sums(values, seg, n_seg: int) -> np.ndarray:
 
 
 @_quiet
-def _pv_radial(density: _PvDensity, w_rays, nodes: _Nodes, seg, n_seg: int,
-               orientation: float, rays=None) -> np.ndarray:
+def _pv_radial(density: _PvDensity, w_rays, nodes: _Nodes, n_seg: int,
+               orientation: float) -> np.ndarray:
     """Oriented integrals of the density times the volume element
-    4 lam^3 sin(eta) cos(eta) over the segments of a radial node table, as
-    an array (2, n_seg) of the scalar and j parts of each; w_rays holds the
-    chart weight times sin(eta) cos(eta) of each of the density's rays.
+    4 lam^3 sin(eta) cos(eta) over the segments of a radial node table
+    (_Nodes), as an array (2, n_seg) of the scalar and j parts of each;
+    w_rays holds the chart weight times sin(eta) cos(eta) of each of the
+    density's rays.
 
-    The node at radius lam on a ray is lam * (u1, u2).  seg gives the
-    segment of each row of nodes (shape (rows, 1)) or of each column
-    (shape (columns,)), ascending, and the columns are virtual rays when
-    rays is given (_Nodes).  As many rows as fit _NODE_BUDGET nodes go
-    through one evaluation of the density, and a row wider than the budget
-    goes through in blocks of columns; the density is taken on one block's
-    rays at a time.
+    The node at radius lam on a ray is lam * (u1, u2).  As many rows as fit
+    _NODE_BUDGET nodes go through one evaluation of the density, and a row
+    wider than the budget goes through in blocks of columns; the density is
+    taken on one block's rays at a time.
     """
-    by_row = np.ndim(seg) == 2
-    n = len(w_rays) if nodes.width == 1 and rays is None else nodes.width
+    by_row = nodes.seg is not None
+    n = len(w_rays) if by_row and nodes.width == 1 else nodes.width
     rows = max(1, _NODE_BUDGET // n)
     step = min(n, _NODE_BUDGET)
     totals = np.zeros((2, n_seg), dtype=complex)
     # the sums of each row over every block, or of each column of a block
     sums = np.zeros((2, nodes.rows), dtype=complex)
     for first in range(0, n, step):
-        block = slice(first, first + step)
-        sel = block if rays is None else rays[block]
+        lam_b, w_lam_b, seg, sel = nodes.at(slice(first, first + step))
         sub = density.take(sel)
-        lam_b, w_lam_b = nodes.at(block)
         if not by_row:
             sums = np.zeros((2, lam_b.shape[1]), dtype=complex)
         for start in range(0, len(lam_b), rows):
@@ -837,9 +875,9 @@ def _pv_radial(density: _PvDensity, w_rays, nodes: _Nodes, seg, n_seg: int,
                 else:
                     sums[part] += term.sum(axis=0)
         if not by_row:
-            totals += _segment_sums(sums, seg[block], n_seg)
+            totals += _segment_sums(sums, seg, n_seg)
     if by_row:
-        totals = _segment_sums(sums, seg[:, 0], n_seg)
+        totals = _segment_sums(sums, nodes.seg, n_seg)
     if not np.isfinite(totals).all():
         # a product that is not finite where |f|^2 is
         raise PoleOnDomain(_SINGULAR)
@@ -865,10 +903,9 @@ class _NodeSum(NamedTuple):
     density: _PvDensity
     w_rays: np.ndarray
 
-    def radial(self, nodes: _Nodes, seg, n_seg: int,
-               rays=None) -> np.ndarray:
-        return _pv_radial(self.density, self.w_rays, nodes, seg, n_seg,
-                          ORIENTATION_4FORM, rays)
+    def radial(self, nodes: _Nodes, n_seg: int) -> np.ndarray:
+        return _pv_radial(self.density, self.w_rays, nodes, n_seg,
+                          ORIENTATION_4FORM)
 
 
 class _RaySplit:
@@ -898,35 +935,33 @@ class _RaySplit:
                                for R, p_lo, alpha in self.bumps))
 
     @_quiet
-    def radial(self, nodes: _Nodes, seg, n_seg: int,
-               rays=None) -> np.ndarray:
+    def radial(self, nodes: _Nodes, n_seg: int) -> np.ndarray:
         """As _NodeSum.radial: the profile terms
         w_lam 4 lam^p bump(lam / R) of each node, summed over the rows of
         each column and dotted with alpha on its ray, or dotted with alpha
         summed over the rays once for radii shared by every ray, then summed
         per segment, in blocks of columns of at most _NODE_BUDGET nodes.  A
         ray that is not ok is a pole."""
-        if nodes.width == 1 and rays is None and len(self.ok) > 1:
-            return self._ray_sums.radial(nodes, seg, n_seg)
-        if not self.ok[slice(None) if rays is None else rays].all():
-            raise PoleOnDomain(_SINGULAR)
-        by_row = np.ndim(seg) == 2
+        by_row = nodes.seg is not None
+        if by_row and nodes.width == 1 and len(self.ok) > 1:
+            return self._ray_sums.radial(nodes, n_seg)
         step = max(1, _NODE_BUDGET // nodes.rows)
         totals = np.zeros((2, n_seg), dtype=complex)
         for first in range(0, nodes.width, step):
-            block = slice(first, first + step)
-            lam_b, w_lam_b = nodes.at(block)
+            lam_b, w_lam_b, seg, rays = nodes.at(slice(first, first + step))
+            if not self.ok[rays].all():
+                raise PoleOnDomain(_SINGULAR)
             # per row of a shared column, or per column
             sums = np.zeros((2, lam_b.shape[0 if by_row else 1]), complex)
             for R, p_lo, alpha in self.bumps:
                 profile = bump(lam_b / R) * w_lam_b
                 power = _power(lam_b, p_lo)
-                for pair in alpha[..., block if rays is None else rays[block]]:
+                for pair in alpha[..., rays]:
                     sums += pair * np.einsum("ij,ij->i" if by_row
                                              else "ij,ij->j", profile, power)
                     power = power * lam_b
             totals += _segment_sums(4.0 * sums,
-                                    seg[:, 0] if by_row else seg[block], n_seg)
+                                    nodes.seg if by_row else seg, n_seg)
         if not np.isfinite(totals).all():
             # a product denominator that is zero on an evaluated ray
             raise PoleOnDomain(_SINGULAR)
@@ -976,10 +1011,10 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
     transverse = slope > 0.0
     w_lam = np.where(transverse, 1.0 / slope, 0.0)
     (z1,), (z2,) = _pv_radial(density, rays.w,
-                              _Nodes.table(lam[None], w_lam[None]),
-                              np.zeros((1, 1), dtype=int), 1,
-                              ORIENTATION_3FORM)
-    return Quat(z1, z2), int(np.count_nonzero(~transverse))
+                              _Nodes.table(lam[None], w_lam[None],
+                                           np.zeros(1, dtype=int)),
+                              1, ORIENTATION_3FORM)
+    return Quat(complex(z1), complex(z2)), int(np.count_nonzero(~transverse))
 
 
 def _residue_level_set(f: QFunction, phi: TestForm2, n_xi: int, eps: float,
@@ -1065,18 +1100,25 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
                     trusted=not untrusted.any(), phases_averaged=averaged)
 
 
-def _levelset_start(radii: _LevelRadii, end, support: float):
-    """Each ray's start radius on a rung of the levelset region, from the
-    rung's level solve radii: the level radius on active rays, the support
-    on rays below eps over all of it, the radius floor on rays that start
-    at or above eps.  end holds the starts on the rung before (the support
-    on the first).  As |f| is continuous along a ray and starts below the
-    smaller eps, a start never moves out; the clamp to end takes up
-    rounding."""
+def _levelset_bounds(ray_fn: _RayFunction, n_rays: int, eps_list,
+                     support: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The start radius of every ray on every rung of the levelset region,
+    below a first row of the support, as one array (rungs + 1, n_rays), and
+    the untrusted counts of the ladder's level solve, one call for every
+    rung.  A start is the level radius on active rays,
+    the support on rays below eps over all of it, the radius floor on rays
+    that start at or above eps.  As |f| is continuous along a ray and
+    starts below the smaller eps, a start never moves out; the running
+    minimum down the rungs takes up rounding.  The raw radii die with the
+    call."""
+    hi = np.full(n_rays, support)
+    radii = _solve_level_radius(ray_fn, hi, np.array(eps_list),
+                                _level_ends(ray_fn, hi))
     lam_star, active, inside = radii
-    start = np.where(active, lam_star,
-                     np.where(inside, support, _LAM_FLOOR_FACTOR * support))
-    return np.minimum(start, end)
+    bounds = np.vstack([hi, np.where(active, lam_star,
+                                     np.where(inside, support,
+                                              _LAM_FLOOR_FACTOR * support))])
+    return np.minimum.accumulate(bounds, axis=0, out=bounds), radii.untrusted
 
 
 def _log_nodes(a, b):
@@ -1093,14 +1135,16 @@ def _gauss_nodes(a, b):
     return gauss_panels([a, b], _SHELL_ORDER)
 
 
-def _levelset_shells(integrand, start, end, support: float) -> np.ndarray:
-    """Integrals of the integrand (_pv_integrand) over the shells
-    [start, end] of every rung, start and end holding one row of radii per
-    rung and one column per ray, as an array (2, rungs).  The open shells
-    of all rungs are the virtual rays of at most two integrator calls:
-    log-spaced nodes on shells that end at the support (a ray's first) or
-    start at the radius floor, which may span decades, and Gauss nodes in
-    lam on the others, which need no exp."""
+def _levelset_shells(integrand, bounds, support: float) -> np.ndarray:
+    """Integrals of the integrand (_pv_integrand) over the shells of every
+    rung, as an array (2, rungs): bounds holds one row of radii per rung
+    below a first row, one column per ray (_levelset_bounds), and rung k's
+    shell on a ray is [bounds[k + 1], bounds[k]].  The open shells of all
+    rungs are the virtual rays of at most two integrator calls: log-spaced
+    nodes on shells that end at the support (a ray's first) or start at the
+    radius floor, which may span decades, and Gauss nodes in lam on the
+    others, which need no exp."""
+    start, end = bounds[1:], bounds[:-1]
     open_ = start < end
     logged = open_ & ((end == support)
                       | (start == _LAM_FLOOR_FACTOR * support))
@@ -1109,10 +1153,10 @@ def _levelset_shells(integrand, start, end, support: float) -> np.ndarray:
     for shells, rule, order in ((logged, _log_nodes, _LOG_ORDER),
                                 (open_ & ~logged, _gauss_nodes, _SHELL_ORDER)):
         # rung-major, so the rungs ascend along the virtual rays
-        rung, ray = np.nonzero(shells)
-        if rung.size:
-            nodes = _Nodes.shells(rule, order, start, end, rung, ray)
-            parts.append(integrand.radial(nodes, rung, n_rungs, ray))
+        flat = np.flatnonzero(shells)
+        if flat.size:
+            parts.append(integrand.radial(
+                _Nodes.shells(rule, order, start, end, flat), n_rungs))
     totals = (sum(parts[1:], parts[0]) if parts
               else np.zeros((2, n_rungs), dtype=complex))
     # a rung with no open shell is 0, not the integrator's oriented -0
@@ -1129,10 +1173,12 @@ def pv_pair(f: QFunction, psi: TestForm3,
 
     region="metric" removes the round ball |q| < eps; region="levelset"
     removes the sublevel set |f| < eps instead, which costs a level-radius
-    solve per eps.  Both accumulate radial shells over the ladder, each
-    integrated once: [eps_k, eps_(k-1)] on every ray for the ball, and
-    between the ray's start radii on rungs k and k - 1 for the sublevel set
-    (_levelset_start).  The shells of every rung go through the integrator
+    solve, one call for every eps of the ladder (the root solve of an f
+    that is not homogeneous still runs rung by rung inside it).  Both
+    accumulate radial shells over the ladder, each integrated once:
+    [eps_k, eps_(k-1)] on every ray for the ball, and between the ray's
+    start radii on rungs k and k - 1 for the sublevel set
+    (_levelset_bounds).  The shells of every rung go through the integrator
     in one call, one node table for the ball and one per node kind for the
     sublevel set (_levelset_shells), which returns the sum of each rung's
     shells; a rung is their running sum down the ladder.  part="(0,1)" is
@@ -1208,29 +1254,22 @@ def pv_pair(f: QFunction, psi: TestForm3,
         lam0, w0 = gauss_panels(geometric_edges(eps[0], support, eps[0]),
                                 _SHELL_ORDER)
         lam, w = gauss_panels([eps[1:], eps[:-1]], _SHELL_ORDER)
-        nodes = _Nodes.table(np.concatenate([lam0, lam.T.ravel()])[:, None],
-                             np.concatenate([w0, w.T.ravel()])[:, None])
         seg = np.repeat(np.arange(n_rungs),
                         [len(lam0)] + [_SHELL_ORDER] * (n_rungs - 1))
-        shells = integrand.radial(nodes, seg[:, None], n_rungs)
+        nodes = _Nodes.table(np.concatenate([lam0, lam.T.ravel()])[:, None],
+                             np.concatenate([w0, w.T.ravel()])[:, None], seg)
+        shells = integrand.radial(nodes, n_rungs)
         notes = ()
     else:
         # untrusted rays are counted in rays of the n_xi rule
         weight = rule.n_xi ** 2 if averaged else 1
-        hi = np.full(len(mesh.eta), support)
-        ends = _level_ends(density.ray_fn, hi)
-        starts = []
-        start = hi
-        for eps in eps_list:
-            radii = _solve_level_radius(density.ray_fn, hi, eps, ends)
-            untrusted += radii.untrusted * weight
-            start = _levelset_start(radii, start, support)
-            starts.append(start)
-        starts = np.array(starts)
-        shells = _levelset_shells(integrand, starts,
-                                  np.vstack([hi, starts[:-1]]), support)
+        bounds, untrusted = _levelset_bounds(density.ray_fn, len(mesh.eta),
+                                             eps_list, support)
+        untrusted = untrusted * weight
+        shells = _levelset_shells(integrand, bounds, support)
         notes = (("excluded region follows the level sets of |f|",)
                  + _untrusted_notes(untrusted))
-    values = [Quat(z1, z2) for z1, z2 in np.cumsum(shells, axis=1).T]
+    # Python complexes, which Quat takes as they are
+    values = [Quat(z1, z2) for z1, z2 in np.cumsum(shells, axis=1).T.tolist()]
     return finalize(eps_list, values, part="(1,0)", notes=notes,
                     trusted=not untrusted.any(), phases_averaged=averaged)

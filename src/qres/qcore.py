@@ -162,6 +162,9 @@ class Quat:
     z2: Component
 
     def __post_init__(self):
+        # two Python complexes are already float components
+        if type(self.z1) is complex and type(self.z2) is complex:
+            return
         a = _as_component(self.z1)
         b = _as_component(self.z2)
         # One exact and one float component: demote to the float path.

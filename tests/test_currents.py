@@ -458,6 +458,49 @@ def test_level_sets_missed_by_every_ray_start_are_not_converged():
     assert "and 0 rays cross" in note
 
 
+LADDER_SOLVE_CASES = {
+    "z1 ; 0": Z1_FN, "conj": builtin("conj").f,
+    # degree 0: |f| is constant along every ray
+    "1/100 ; 0": parse_qfunction("1/100 ; 0"),
+    # not homogeneous: a root solve per rung
+    "z1 + z1*z2 ; 0": parse_qfunction("z1 + z1*z2 ; 0"),
+    "prop34(1/8,-1/8)": ORACLE_FUNCTIONS["prop34(1/8,-1/8)"],
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER_SOLVE_CASES))
+def test_ladder_level_solve_matches_the_solve_at_each_eps(name):
+    # one call for the whole ladder gives each rung's radii and masks bit
+    # for bit as a call at that eps alone, and the untrusted counts summed
+    # over the rungs.  On every third ray lam_hi = 1e9 puts the floor at 1,
+    # so crossings there lie below it (hidden)
+    f = LADDER_SOLVE_CASES[name]
+    rule = build_quadrature(8, 16)
+    mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule.n_xi)
+    ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2)
+    n = len(mesh.eta)
+    hi = np.where(np.arange(n) % 3 == 0, 1e9, 1.0)
+    ends = _level_ends(ray_fn, hi)
+    eps_list = EpsilonSchedule.for_radius(1.0).values()
+    ladder = _solve_level_radius(ray_fn, hi, np.array(eps_list), ends)
+    assert ladder.crossings is None and ladder.hidden is None
+    assert all(a.shape == (len(eps_list), n) for a in ladder)
+    untrusted = np.zeros(3, dtype=int)
+    for k, eps in enumerate(eps_list):
+        rung = _solve_level_radius(ray_fn, hi, eps, ends)
+        for got, want in zip(ladder, rung, strict=True):
+            assert got[k].dtype == want.dtype
+            assert got[k].tobytes() == want.tobytes()
+        untrusted += rung.untrusted
+    assert np.array_equal(ladder.untrusted, untrusted)
+    if name == "1/100 ; 0":
+        assert not untrusted.any() and not ladder[1].any()
+    else:
+        assert untrusted[2] > 0 and ladder[1].any()
+    if name == "prop34(1/8,-1/8)":
+        assert untrusted[1] > 0
+
+
 @pytest.mark.parametrize("name", ["conj", LEADING_ZERO, "prop34(1/8,-1/8)"])
 def test_crossings_below_the_radius_floor_are_counted(name, pv_mesh):
     # with lam_hi = 1e9 the floor is 1: every crossing the solve finds in
@@ -802,12 +845,21 @@ def test_homogeneous_principal_values_never_evaluate_nodes(monkeypatch, name,
     assert all(np.isfinite(v.norm()) for v in est.values)
 
 
-def one_segment(integrand, nodes, rays=None) -> Quat:
+def one_segment(integrand, nodes) -> Quat:
     """The integrand over a whole node table, as one segment."""
-    seg = (np.zeros(nodes.width, dtype=int) if rays is not None
-           else np.zeros((nodes.rows, 1), dtype=int))
-    (z1,), (z2,) = integrand.radial(nodes, seg, 1, rays)
+    (z1,), (z2,) = integrand.radial(nodes, 1)
     return Quat(z1, z2)
+
+
+def levelset_start(radii, end, support):
+    """Each ray's start radius on one rung of the levelset region from the
+    rung's level solve, clamped to the starts end of the rung before, as
+    _levelset_start gave it before one level solve served the ladder."""
+    lam_star, active, inside = radii
+    start = np.where(active, lam_star,
+                     np.where(inside, support,
+                              pairings._LAM_FLOOR_FACTOR * support))
+    return np.minimum(start, end)
 
 
 def per_rung_levelset_shell(integrand, start, end, support):
@@ -822,9 +874,8 @@ def per_rung_levelset_shell(integrand, start, end, support):
             (open_ & ~logged, pairings._gauss_nodes, pairings._SHELL_ORDER)):
         sel = np.flatnonzero(rays)
         if sel.size:
-            nodes = _Nodes.shells(rule, order, start[None], end[None],
-                                  np.zeros_like(sel), sel)
-            parts.append(one_segment(integrand, nodes, sel))
+            nodes = _Nodes.shells(rule, order, start[None], end[None], sel)
+            parts.append(one_segment(integrand, nodes))
     return sum(parts[1:], parts[0]) if parts else Quat(0.0, 0.0)
 
 
@@ -848,8 +899,8 @@ def per_rung_pv_pair(f, psi, rule, region):
         edges = [quadrature.geometric_edges(eps_list[0], support,
                                             eps_list[0])]
         edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
-        shells = [one_segment(integrand, _Nodes.table(lam[:, None],
-                                                      w[:, None]))
+        shells = [one_segment(integrand, _Nodes.table(
+                      lam[:, None], w[:, None], np.zeros(len(lam), int)))
                   for lam, w in (quadrature.gauss_panels(e, 12)
                                  for e in edges)]
         notes = ()
@@ -862,7 +913,7 @@ def per_rung_pv_pair(f, psi, rule, region):
         for eps in eps_list:
             radii = _solve_level_radius(density.ray_fn, hi, eps, ends)
             untrusted += radii.untrusted * weight
-            start = pairings._levelset_start(radii, end, support)
+            start = levelset_start(radii, end, support)
             shells.append(per_rung_levelset_shell(integrand, start, end,
                                                   support))
             end = start
@@ -1259,15 +1310,23 @@ def eta_nodes_per_rung(kind):
     return []
 
 
+def rungs_per_solve(kind):
+    """Rungs of each level solve call of collapse_call: the whole ladder in
+    one call for the levelset region, one rung per call for the residue."""
+    etas = eta_nodes_per_rung(kind)
+    return [len(etas)] if kind == "levelset" else [1] * len(etas)
+
+
 def spied_call(monkeypatch, kind, f, per_ray, n_xi=COLLAPSE_N_XI):
     """collapse_call, with the phase average off when per_ray; also returns
-    the rays of every level solve and the untrusted counts behind the
-    notes."""
-    rays, counts = [], []
+    the rays that each rung's level solve takes, the untrusted counts behind
+    the notes and the rungs of each level solve call."""
+    rays, counts, solves = [], [], []
     solve, notes = pairings._solve_level_radius, pairings._untrusted_notes
 
     def spy_solve(ray_fn, lam_hi, eps, ends):
-        rays.append(np.size(lam_hi))
+        solves.append(np.size(eps))
+        rays.extend([np.size(lam_hi)] * np.size(eps))
         return solve(ray_fn, lam_hi, eps, ends)
 
     def spy_notes(untrusted):
@@ -1279,7 +1338,7 @@ def spied_call(monkeypatch, kind, f, per_ray, n_xi=COLLAPSE_N_XI):
         patch.setattr(pairings, "_untrusted_notes", spy_notes)
         if per_ray:
             patch.setattr(pairings, "_torus_invariant", lambda f: False)
-        return collapse_call(kind, f, n_xi), rays, counts
+        return collapse_call(kind, f, n_xi), rays, counts, solves
 
 
 # each case at COLLAPSE_N_XI keeps its plain id, name-kind
@@ -1300,8 +1359,9 @@ def test_torus_invariant_level_sets_are_solved_once_per_eta_node(
     # rounding
     f = TORUS_CASES[name]
     assert phase_degree(collapse_products(kind, f)) < n_xi
-    got, rays, counts = spied_call(monkeypatch, kind, f, False, n_xi)
-    want, all_rays, all_counts = spied_call(monkeypatch, kind, f, True, n_xi)
+    got, rays, counts, solves = spied_call(monkeypatch, kind, f, False, n_xi)
+    want, all_rays, all_counts, all_solves = spied_call(monkeypatch, kind, f,
+                                                        True, n_xi)
     assert got.phases_averaged and not want.phases_averaged
     assert len(got.values) == len(want.values)
     scale = max(1.0, max(v.norm() for v in want.values))
@@ -1314,13 +1374,16 @@ def test_torus_invariant_level_sets_are_solved_once_per_eta_node(
     etas = eta_nodes_per_rung(kind)
     assert rays == etas
     assert all_rays == [n * n_xi ** 2 for n in etas]
+    assert solves == all_solves == rungs_per_solve(kind)
 
 
 @pytest.mark.parametrize("kind", ["levelset", "residue"])
 @pytest.mark.parametrize("name", list(PER_RAY_CASES))
 def test_other_level_sets_are_solved_on_every_ray(monkeypatch, kind, name):
-    _, rays, _ = spied_call(monkeypatch, kind, PER_RAY_CASES[name], False)
+    _, rays, _, solves = spied_call(monkeypatch, kind, PER_RAY_CASES[name],
+                                    False)
     assert rays == [n * COLLAPSE_N_XI ** 2 for n in eta_nodes_per_rung(kind)]
+    assert solves == rungs_per_solve(kind)
 
 
 def test_metric_meshes_take_one_ray_per_eta_node_when_averaged(monkeypatch):
@@ -1388,9 +1451,9 @@ def shared_radial(density, w_rays, lam):
     """_pv_radial over rows lam of radii shared by every ray, of weight 1,
     as one segment."""
     (z1,), (z2,) = _pv_radial(density, w_rays,
-                              _Nodes.table(lam, np.ones(np.shape(lam))),
-                              np.zeros(np.shape(lam), dtype=int), 1,
-                              ORIENTATION_4FORM)
+                              _Nodes.table(lam, np.ones(np.shape(lam)),
+                                           np.zeros(len(lam), dtype=int)),
+                              1, ORIENTATION_4FORM)
     return Quat(z1, z2)
 
 
