@@ -8,6 +8,7 @@ verdict based on the decay of successive differences.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -40,6 +41,12 @@ class EpsilonSchedule:
         if self.count > MAX_RUNGS:
             raise ValueError(f"the ladder has {self.count} rungs; at most "
                              f"{MAX_RUNGS} are allowed")
+        # the first rung is the largest: both 4-D pairings compare |f|^2
+        # with eps^2 and the fit squares the rungs, so its square must be
+        # finite
+        if not self.eps0 * self.eps0 < math.inf:
+            raise ValueError(f"the ladder overflows: its first rung "
+                             f"{self.eps0:g} squared is not finite")
         # the last rung is the smallest; a ladder reaching 0 has no limit
         # left to extrapolate and hands the integrators a zero radius
         last = self.eps0 * self.ratio ** (self.count - 1)
@@ -130,11 +137,14 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
     if not values:
         raise ValueError("no values to finalize")
     z = np.array([(complex(v.z1), complex(v.z2)) for v in values])
-    norms = _norms(z).tolist()
+    # rungs that overflow here come out as inf or nan, which the report
+    # writer refuses; numpy need not warn on the way there
+    with np.errstate(all="ignore"):
+        norms = _norms(z).tolist()
+        diffs = _norms(z[1:] - z[:-1])
+        ratios = tuple((diffs[1:] / np.maximum(diffs[:-1], 1e-300)).tolist())
     scale = max(1.0, max(norms))
     floor = ZERO_FLOOR * scale
-    diffs = _norms(z[1:] - z[:-1])
-    ratios = tuple((diffs[1:] / np.maximum(diffs[:-1], 1e-300)).tolist())
     diffs = diffs.tolist()
     window = min(4, len(ratios))
     if len(values) >= 5 and window > 0:

@@ -40,14 +40,6 @@ class Laurent1D:
                            tuple(complex(a) for a in self.principal))
         object.__setattr__(self, "tail", tuple(complex(a) for a in self.tail))
 
-    @property
-    def pole_order(self) -> int:
-        order = 0
-        for k, a in enumerate(self.principal, start=1):
-            if a != 0:
-                order = k
-        return order
-
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape, dtype=complex)

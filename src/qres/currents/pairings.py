@@ -23,20 +23,21 @@ of the segments down the ladder.  The ball's table is one column of radii
 shared by every ray, the first shell's geometric panels and then
 [eps_k, eps_(k-1)] for every k, segmented by row.  The sublevel set's
 start radii on every rung come from one level solve of the whole ladder
-(_levelset_bounds): one broadcast over every rung and ray for a
-homogeneous f, while for any other f the root solve still runs rung by
-rung inside that call.  Its open shells, one per rung and ray, are the
-columns of at most two tables, one of log-spaced and one of Gauss nodes
-(_levelset_shells): virtual rays, each a flat index into the (rung, ray)
-grid, split into its rung, the segment, and its chart ray one block at a
-time.  An integrator builds a table one block of columns at a time
-(_Nodes) and takes the density on one block's rays at a time, both under
-the node budget.
+(_solve_level_radius, called by _levelset_bounds): one broadcast over
+every rung and ray for a homogeneous f, while for any other f the root
+solve still runs rung by rung inside that call.  Its open shells, one per
+rung and ray, are the columns of at most two tables, one of log-spaced and
+one of Gauss nodes (_levelset_shells): virtual rays, each a flat index into
+the (rung, ray) grid, split into its rung, the segment, and its chart ray
+one block at a time.  An integrator builds a table one block of columns at
+a time (_Nodes) and takes the density on one block's rays at a time, both
+under the node budget.
 
 The residue pairing integrates a 3-form density alpha over the level set
 g = |f|^2 = eps^2.  Per chart ray the level radius lam* is the first real
 root of a polynomial in the radius (in closed form when f is homogeneous),
-and the pullback of alpha to the level set is its Gelfand-Leray form
+from the same level solve on a one-rung ladder, as every rung grades its
+own mesh.  The pullback of alpha to the level set is its Gelfand-Leray form
 (Gelfand and Shilov, Generalized Functions, vol. 1, 1964): with
 V = dz1^dz1b^dz2^dz2b, it is
 (dg^alpha / V) 4 lam^3 sin(eta) cos(eta) / (dg/dlam) deta dxi1 dxi2 at lam*,
@@ -296,12 +297,10 @@ class _RayFunction:
         return [0j if t is None else t.at(lam, lam2) for t in self.items]
 
     def modulus_sq(self, lam):
-        """|f|^2 at radius lam on every ray."""
+        """|f|^2 at radius lam on every ray; f is not 0."""
         lam2 = _paired(lam)
-        g = _abs_sq(*(0j if t is None else t.at(lam, lam2)
-                      for t in self.items[:2]))
-        # f = 0 has no table to shape the result
-        return g if np.ndim(g) else np.zeros(np.shape(lam))
+        return _abs_sq(*(0j if t is None else t.at(lam, lam2)
+                         for t in self.items[:2]))
 
     def modulus_sq_slope(self, lam):
         """|f|^2 and its derivative in the radius, at radius lam on every
@@ -320,7 +319,7 @@ class _RayFunction:
         """The degree m of a homogeneous f: every table of f1 and f2 has one
         row and both components the same degree, so that
         |f(lam u)|^2 = lam^(2m) a(u) on every ray.  None for any other f;
-        0 for f = 0."""
+        f is not 0."""
         degrees = set()
         for t in self.items[:2]:
             if t is None:
@@ -328,7 +327,7 @@ class _RayFunction:
             if len(t.num.c) > 1 or (t.den is not None and len(t.den.c) > 1):
                 return None
             degrees.add(t.num.low - (0 if t.den is None else t.den.low))
-        return None if len(degrees) > 1 else max(degrees, default=0)
+        return None if len(degrees) > 1 else degrees.pop()
 
     @functools.cached_property
     def level_rows(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -354,11 +353,9 @@ def _powers(base):
 
 def _abs_sq(F1, F2):
     """|f|^2 = |F1|^2 + |F2|^2 from real and imaginary squares; a component
-    with no table (the scalar 0j) adds nothing."""
+    with no table (the scalar 0j) adds nothing, and f is not 0."""
     squares = [F.real ** 2 + F.imag ** 2 for F in (F1, F2) if np.ndim(F)]
-    if len(squares) == 2:
-        return squares[0] + squares[1]
-    return squares[0] if squares else 0.0
+    return squares[0] if len(squares) == 1 else squares[0] + squares[1]
 
 
 def _conv(a, b):
@@ -398,28 +395,16 @@ def _aligned(*polys: _RayPoly) -> List[np.ndarray]:
     return out
 
 
-class _LevelRadii(tuple):
-    """A level solve at one eps or on a ladder of them: the triple
-    (lam_star, active, inside_at_floor), of shape (n_rays,) at one eps and
-    (rungs, n_rays) on a ladder; untrusted, the counts of the rays on which
-    the level set is not a radial graph above the floor, summed over the
-    ladder (_untrusted_counts).  At one eps it also holds crossings, every
-    crossing of |f| = eps above the floor per ray, sorted along the ray and
-    padded with inf (shape (n_rays, k), k >= 1), and hidden, the rays with
-    a crossing in (0, floor], which the solve cannot see; a ladder keeps
-    neither past its counts (None)."""
+class _LevelRadii(NamedTuple):
+    """A level solve on a ladder of eps: lam_star, active and
+    inside_at_floor of shape (rungs, n_rays), and untrusted, the counts of
+    the rays on which the level set is not a radial graph above the floor,
+    summed over the ladder (_untrusted_counts)."""
 
+    lam_star: np.ndarray
+    active: np.ndarray
+    inside_at_floor: np.ndarray
     untrusted: np.ndarray
-    crossings: Optional[np.ndarray]
-    hidden: Optional[np.ndarray]
-
-    def __new__(cls, lam_star, active, inside_at_floor, untrusted,
-                crossings=None, hidden=None):
-        radii = super().__new__(cls, (lam_star, active, inside_at_floor))
-        radii.untrusted = untrusted
-        radii.crossings = crossings
-        radii.hidden = hidden
-        return radii
 
 
 def _untrusted_counts(inside_at_floor, crossings, hidden) -> np.ndarray:
@@ -491,22 +476,12 @@ def _level_crossings(ray_fn: _RayFunction, target: float, floor, hi
 
 
 @_quiet
-def _level_ends(ray_fn: _RayFunction, lam_hi) -> Tuple[np.ndarray, np.ndarray]:
-    """|f|^2 at both ends of the interval (floor, lam_hi] that
-    _solve_level_radius searches on each ray, as (at the floor, at lam_hi).
-    They do not depend on eps, so a ladder on one mesh takes them once."""
-    hi = np.array(lam_hi, dtype=float)
-    return (ray_fn.modulus_sq(_LAM_FLOOR_FACTOR * hi), ray_fn.modulus_sq(hi))
-
-
-@_quiet
-def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps,
-                        ends) -> _LevelRadii:
-    """Radius where |f| = eps along each chart ray, with one entry of lam_hi
-    per ray of ray_fn: the first crossing in (floor, lam_hi], where
-    floor = _LAM_FLOOR_FACTOR lam_hi, or inf on a ray with none.  eps is
-    one radius or a ladder of them (a 1-D array), solved in one call, whose
-    rungs lead every result's axes.  ends is _level_ends(ray_fn, lam_hi).
+def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
+    """Radius where |f| = eps along each chart ray, for every rung of the
+    ladder eps (a 1-D array), with one entry of lam_hi per ray of ray_fn:
+    the first crossing in (floor, lam_hi], where
+    floor = _LAM_FLOOR_FACTOR lam_hi, or inf on a ray with none.  The rungs
+    lead every result's axes; a single eps is the ladder (eps,).
 
     The crossings are the real roots in (floor, lam_hi] of the ray
     polynomial D1^2 D2^2 (|f|^2 - eps^2) = lam^L (s - eps^2 q), whose rows
@@ -515,54 +490,44 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps,
     is lam^(2m) a(u), monotone along each ray, so it crosses eps exactly
     when the two ends of (floor, lam_hi] lie on either side, at
     lam_star = (eps^2 / a)^(1/2m) = lam_hi (eps^2 / |f(lam_hi u)|^2)^(1/2m),
-    one broadcast over every rung and ray.
+    one broadcast over every rung and ray.  |f|^2 at both ends is taken
+    once per call, for every rung.
 
-    Returns (lam_star, active, inside_at_floor), a _LevelRadii that also
-    holds the untrusted counts over the ladder and, at one eps, every
-    crossing and the rays that cross below the floor (for a homogeneous f,
-    those whose lam_star lies in (0, floor]).  A ray is active when
-    |f| < eps at the floor and |f| >= eps at the ray's support end; since
-    lam_hi bounds the test-form support, inactive rays with |f| < eps
-    throughout carry no pairing mass.
+    Returns (lam_star, active, inside_at_floor) and the untrusted counts
+    over the ladder, as a _LevelRadii; a ray that crosses below the floor
+    (for a homogeneous f, one whose closed-form radius lies in (0, floor])
+    is counted there.  A ray is active when |f| < eps at the floor and |f| >= eps at
+    the ray's support end; since lam_hi bounds the test-form support,
+    inactive rays with |f| < eps throughout carry no pairing mass.
     Rays already at or above eps at the floor are flagged separately (third
     array) for the principal-value domain, where they are included in full.
     """
-    eps = np.asarray(eps, dtype=float)
-    # one row per rung, (1,) at one eps
-    target = (eps * eps)[..., None]
+    target = np.square(np.asarray(eps, dtype=float))[:, None]
     hi = np.array(lam_hi, dtype=float)
     floor = _LAM_FLOOR_FACTOR * hi
-    g_floor, g_hi = ends
-    inside_at_floor = ~(g_floor >= target)
+    g_hi = ray_fn.modulus_sq(hi)
+    inside_at_floor = ~(ray_fn.modulus_sq(floor) >= target)
     active = inside_at_floor & (g_hi >= target)
     m = ray_fn.degree
+    untrusted = np.zeros(3, dtype=int)
     if m is None:
         lam_star = np.empty(active.shape)
-        untrusted = 0
-        for k in np.ndindex(target.shape[:-1]):
+        for k, row in enumerate(target):
             # the rung before's crossings die before this rung's are found
             crossings = hidden = None
-            crossings, hidden = _level_crossings(ray_fn, target[k][0], floor,
-                                                 hi)
+            crossings, hidden = _level_crossings(ray_fn, row[0], floor, hi)
             lam_star[k] = crossings[:, 0]
-            untrusted = untrusted + _untrusted_counts(inside_at_floor[k],
-                                                      crossings, hidden)
+            untrusted += _untrusted_counts(inside_at_floor[k], crossings,
+                                           hidden)
+    elif m:
+        lam = hi * (target / g_hi) ** (0.5 / m)
+        lam_star = np.where(inside_at_floor != ~(g_hi >= target), lam, np.inf)
+        untrusted = _untrusted_counts(inside_at_floor, lam_star[..., None],
+                                      (lam > 0.0) & (lam <= floor))
     else:
-        if m:
-            lam = hi * (target / g_hi) ** (0.5 / m)
-            crossings = np.where(inside_at_floor != ~(g_hi >= target), lam,
-                                 np.inf)[..., None]
-            hidden = (lam > 0.0) & (lam <= floor)
-        else:
-            # |f| is constant along every ray
-            crossings = np.full(active.shape + (1,), np.inf)
-            hidden = np.zeros(active.shape, dtype=bool)
-        lam_star = crossings[..., 0]
-        untrusted = _untrusted_counts(inside_at_floor, crossings, hidden)
-    if eps.ndim:
-        crossings = hidden = None
-    return _LevelRadii(lam_star, active, inside_at_floor, untrusted,
-                       crossings, hidden)
+        # |f| is constant along every ray
+        lam_star = np.full(active.shape, np.inf)
+    return _LevelRadii(lam_star, active, inside_at_floor, untrusted)
 
 
 class _RayMesh(NamedTuple):
@@ -1030,8 +995,8 @@ def _residue_level_set(f: QFunction, phi: TestForm2, n_xi: int, eps: float,
                           1 if averaged else n_xi)
     level_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2)
     hi = phi.support_lambda(mesh.eta)
-    radii = _solve_level_radius(level_fn, hi, eps, _level_ends(level_fn, hi))
-    lam, active = radii[:2]
+    radii = _solve_level_radius(level_fn, hi, (eps,))
+    lam, active = radii.lam_star[0], radii.active[0]
     weight = n_xi ** 2 if averaged else 1
     untrusted = radii.untrusted * weight
     if not active.any():
@@ -1112,13 +1077,12 @@ def _levelset_bounds(ray_fn: _RayFunction, n_rays: int, eps_list,
     minimum down the rungs takes up rounding.  The raw radii die with the
     call."""
     hi = np.full(n_rays, support)
-    radii = _solve_level_radius(ray_fn, hi, np.array(eps_list),
-                                _level_ends(ray_fn, hi))
-    lam_star, active, inside = radii
+    lam_star, active, inside, untrusted = _solve_level_radius(ray_fn, hi,
+                                                              eps_list)
     bounds = np.vstack([hi, np.where(active, lam_star,
                                      np.where(inside, support,
                                               _LAM_FLOOR_FACTOR * support))])
-    return np.minimum.accumulate(bounds, axis=0, out=bounds), radii.untrusted
+    return np.minimum.accumulate(bounds, axis=0, out=bounds), untrusted
 
 
 def _log_nodes(a, b):
@@ -1202,9 +1166,7 @@ def pv_pair(f: QFunction, psi: TestForm3,
 
     A pairing of a _torus_invariant f is averaged over the phases: both
     regions run on one ray per eta node with the phase averages of the
-    products, so rule.n_xi changes none of its values.  The levelset region
-    takes |f|^2 at both ends of each ray's solve interval once per call
-    (_level_ends).
+    products, so rule.n_xi changes none of its values.
     """
     _require_nonzero(f)
     if psi.is_zero:

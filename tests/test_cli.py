@@ -387,6 +387,45 @@ def test_underflowing_ladders_are_refused_at_once(args, code):
     assert "underflows" in res.stderr or "not positive" in res.stderr
 
 
+@pytest.mark.parametrize("args, code", [
+    (["pv", "-f", "conj", "--psi1", "bump", "--n-eta", "4", "--n-xi", "8",
+      "--R", "1e300"], 3),
+    (["residue", "-f", "conj", "--phi22", "bump", "--n-xi", "8",
+      "--R", "1e300"], 3),
+    (["oracle-1d", "--R", "1e300"], 3),
+    (["oracle-1d", "--R", "1e160"], 3),
+    (["pv", "-f", "conj", "--psi1", "bump", "--n-eta", "4", "--n-xi", "8",
+      "--schedule", "1e300,0.7,12"], 2),
+], ids=["pv", "residue", "oracle-1d", "oracle-1d-1e160", "pv-schedule"])
+def test_overflowing_ladders_are_refused_at_once(args, code):
+    # rungs whose squares overflow made the fit's least-squares solve fail:
+    # LAPACK wrote two lines to stdout and numpy a warning to stderr before
+    # the domain error.  A ladder derived from --R is a domain error, as an
+    # underflowing one is
+    res = run_bounded(["-m", "qres.cli", *args])
+    assert res.returncode == code
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert "the ladder overflows" in res.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_overflowing_rungs_leave_one_error_line(fmt):
+    # the rungs are finite but their norms are not: the JSON report is
+    # refused in one line, with no numpy warning before it, and the CSV
+    # table of the finite rungs is printed
+    res = run_bounded(["-m", "qres.cli", "oracle-1d", "--principal",
+                       "1e300,1e300", "--format", fmt])
+    if fmt == "json":
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr == "domain error: non-finite value nan in the report\n"
+    else:
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert res.stdout.startswith("epsilon,re1,im1,re_j,im_j\n")
+
+
 @pytest.mark.parametrize("args", [
     ["classify", "-f", "prop34", "--params", "1,x"],
     ["classify", "-f", "prop34", "--params", "1/0,1"],

@@ -20,7 +20,7 @@ from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _Nodes,
                                     _NodeSum, _PvDensity, _RayFunction,
                                     _RayMesh, _RaySplit, _fold, _pv_integrand,
                                     _pv_kernels, _pv_radial,
-                                    _level_ends, _residue_kernels,
+                                    _level_crossings, _residue_kernels,
                                     _residue_rung, _solve_level_radius,
                                     pv_pair, pv_rays,
                                     require_rays, residue_pair, residue_rays)
@@ -231,12 +231,6 @@ def test_chart_mesh_from_its_axes_matches_the_flat_construction(n_eta, n_xi,
         assert got.tobytes() == want.tobytes()
 
 
-def solve_level(ray_fn, lam_hi, eps):
-    """_solve_level_radius with its ends taken on the spot."""
-    return _solve_level_radius(ray_fn, lam_hi, eps,
-                               _level_ends(ray_fn, lam_hi))
-
-
 def level_rays(kind: str):
     """(eta, xi1, xi2) of seeded random rays, or of a residue rung mesh
     with eta panels graded toward the chart poles."""
@@ -269,7 +263,8 @@ def test_level_radius_lies_on_the_level_set(name):
     eps = 0.3
     ray_fn = _RayFunction.build((f.f1, f.f2),
                                 *sphere_to_complex(1.0, eta, xi1, xi2))
-    lam, active, inside = solve_level(ray_fn, np.ones(n), eps)
+    radii = _solve_level_radius(ray_fn, np.ones(n), (eps,))
+    lam, active, inside = (a[0] for a in radii[:3])
 
     def mod_sq(radius):
         F1, F2 = f.eval_numeric(*sphere_to_complex(radius, eta, xi1, xi2))
@@ -354,14 +349,22 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
         assert ray_fn.degree is None and ray_fn.items[1] is None
         assert (ray_fn.items[0].num.c[-1] == 0).any()
     for eps in EpsilonSchedule.for_radius(1.0).values():
-        radii = solve_level(ray_fn, hi, eps)
-        lam, active, inside = radii
+        radii = _solve_level_radius(ray_fn, hi, (eps,))
+        lam, active, inside = (a[0] for a in radii[:3])
         ref, ref_active, ref_inside = bisect_level_radius(ray_fn, hi, eps)
         assert np.array_equal(active, ref_active)
         assert np.array_equal(inside, ref_inside)
-        crossings = radii.crossings
+        if ray_fn.degree is None:
+            # every crossing, from the root solve at this eps; its polish
+            # runs on the inf padding, as inside the solve
+            with np.errstate(all="ignore"):
+                crossings, _ = _level_crossings(ray_fn, eps * eps, floor, hi)
+            assert np.array_equal(lam, crossings[:, 0])
+        else:
+            # the closed form: a monotone |f| crosses eps at most once
+            crossings = lam[:, None]
+            assert radii.untrusted[1] == 0
         count = np.count_nonzero(crossings < np.inf, axis=1)
-        assert np.array_equal(lam, crossings[:, 0])
         assert np.all(count[active] >= 1)
         # on active monotone rays, within the bisection's final bracket
         mono = active & (count == 1)
@@ -412,13 +415,6 @@ def test_a_zero_component_has_no_table():
     F1, F2 = ray_fn.values(lam)
     assert F2 == 0
     assert np.array_equal(ray_fn.modulus_sq(lam), F1.real ** 2 + F1.imag ** 2)
-    # f = 0: no table at all, |f|^2 = 0 on every ray and no level crossing
-    zero = _RayFunction.build((ConjRational.zero(),) * 2, u1, u2)
-    assert zero.items == (None, None) and zero.degree == 0
-    assert np.array_equal(zero.modulus_sq(lam), np.zeros(len(u1)))
-    lam_star, active, inside = solve_level(zero, np.ones(len(u1)), 0.3)
-    assert inside.all() and not active.any()
-    assert np.all(lam_star == np.inf)
 
 
 def test_level_sets_that_are_not_radial_graphs_are_not_converged():
@@ -471,26 +467,24 @@ LADDER_SOLVE_CASES = {
 @pytest.mark.parametrize("name", list(LADDER_SOLVE_CASES))
 def test_ladder_level_solve_matches_the_solve_at_each_eps(name):
     # one call for the whole ladder gives each rung's radii and masks bit
-    # for bit as a call at that eps alone, and the untrusted counts summed
-    # over the rungs.  On every third ray lam_hi = 1e9 puts the floor at 1,
-    # so crossings there lie below it (hidden)
+    # for bit as a one-rung ladder at that eps, and the untrusted counts
+    # summed over the rungs.  On every third ray lam_hi = 1e9 puts the
+    # floor at 1, so crossings there lie below it (hidden)
     f = LADDER_SOLVE_CASES[name]
     rule = build_quadrature(8, 16)
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule.n_xi)
     ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2)
     n = len(mesh.eta)
     hi = np.where(np.arange(n) % 3 == 0, 1e9, 1.0)
-    ends = _level_ends(ray_fn, hi)
     eps_list = EpsilonSchedule.for_radius(1.0).values()
-    ladder = _solve_level_radius(ray_fn, hi, np.array(eps_list), ends)
-    assert ladder.crossings is None and ladder.hidden is None
-    assert all(a.shape == (len(eps_list), n) for a in ladder)
+    ladder = _solve_level_radius(ray_fn, hi, eps_list)
+    assert all(a.shape == (len(eps_list), n) for a in ladder[:3])
     untrusted = np.zeros(3, dtype=int)
     for k, eps in enumerate(eps_list):
-        rung = _solve_level_radius(ray_fn, hi, eps, ends)
-        for got, want in zip(ladder, rung, strict=True):
-            assert got[k].dtype == want.dtype
-            assert got[k].tobytes() == want.tobytes()
+        rung = _solve_level_radius(ray_fn, hi, (eps,))
+        for got, want in zip(ladder[:3], rung[:3], strict=True):
+            assert want.shape == (1, n) and got.dtype == want.dtype
+            assert got[k].tobytes() == want[0].tobytes()
         untrusted += rung.untrusted
     assert np.array_equal(ladder.untrusted, untrusted)
     if name == "1/100 ; 0":
@@ -509,12 +503,26 @@ def test_crossings_below_the_radius_floor_are_counted(name, pv_mesh):
     f = ORACLE_FUNCTIONS[name]
     ray_fn = _RayFunction.build((f.f1, f.f2), pv_mesh.u1, pv_mesh.u2)
     n = len(pv_mesh.eta)
-    near = solve_level(ray_fn, np.ones(n), 0.3)
-    far = solve_level(ray_fn, np.full(n, 1e9), 0.3)
-    want = (near.crossings < np.inf).any(axis=1)
+    eps = 0.3
+    near_hi, far_hi = np.ones(n), np.full(n, 1e9)
+    near = _solve_level_radius(ray_fn, near_hi, (eps,))
+    far = _solve_level_radius(ray_fn, far_hi, (eps,))
+    if ray_fn.degree is None:
+        # the crossing tables of the root solve at this eps
+        def tables(hi):
+            with np.errstate(all="ignore"):
+                return _level_crossings(ray_fn, eps * eps,
+                                        pairings._LAM_FLOOR_FACTOR * hi, hi)
+        crossings, near_hidden = tables(near_hi)
+        _, far_hidden = tables(far_hi)
+        want = (crossings < np.inf).any(axis=1)
+        assert np.array_equal(far_hidden, want)
+        assert not near_hidden.any()
+    else:
+        # the closed form crosses at lam_star, or nowhere
+        want = near.lam_star[0] < np.inf
     assert want.sum() > n // 4
-    assert np.array_equal(far.hidden, want)
-    assert not near.hidden.any()
+    assert near.untrusted[2] == 0
     assert far.untrusted[2] == want.sum()
 
 
@@ -853,9 +861,10 @@ def one_segment(integrand, nodes) -> Quat:
 
 def levelset_start(radii, end, support):
     """Each ray's start radius on one rung of the levelset region from the
-    rung's level solve, clamped to the starts end of the rung before, as
-    _levelset_start gave it before one level solve served the ladder."""
-    lam_star, active, inside = radii
+    rung's level solve (a one-rung ladder), clamped to the starts end of
+    the rung before, as _levelset_start gave it before one level solve
+    served the ladder."""
+    lam_star, active, inside = (a[0] for a in radii[:3])
     start = np.where(active, lam_star,
                      np.where(inside, support,
                               pairings._LAM_FLOOR_FACTOR * support))
@@ -907,11 +916,10 @@ def per_rung_pv_pair(f, psi, rule, region):
     else:
         weight = rule.n_xi ** 2 if averaged else 1
         hi = np.full(len(mesh.eta), support)
-        ends = _level_ends(density.ray_fn, hi)
         shells = []
         end = hi
         for eps in eps_list:
-            radii = _solve_level_radius(density.ray_fn, hi, eps, ends)
+            radii = _solve_level_radius(density.ray_fn, hi, (eps,))
             untrusted += radii.untrusted * weight
             start = levelset_start(radii, end, support)
             shells.append(per_rung_levelset_shell(integrand, start, end,
@@ -1229,11 +1237,12 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
     eta_nodes, eta_weights = graded_eta_panels(eps, support)
     rule = build_quadrature(6, 8)
     mesh = _RayMesh.build(eta_nodes, eta_weights, rule.n_xi)
-    radii = solve_level(_RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
-                        phi.support_lambda(mesh.eta), eps)
-    sel = np.flatnonzero(radii.crossings[:, 0] < np.inf)
+    lam_star = _solve_level_radius(
+        _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
+        phi.support_lambda(mesh.eta), (eps,)).lam_star[0]
+    sel = np.flatnonzero(lam_star < np.inf)
     assert len(sel) > 100
-    rays, lam = mesh.take(sel), radii.crossings[sel, 0]
+    rays, lam = mesh.take(sel), lam_star[sel]
     ref = RayParams.of(eta_nodes, eta_weights, rule).take(sel)
     density = _PvDensity.build(
         f, _fold(_residue_kernels(f, mirror), phi.coefficients),
@@ -1324,10 +1333,10 @@ def spied_call(monkeypatch, kind, f, per_ray, n_xi=COLLAPSE_N_XI):
     rays, counts, solves = [], [], []
     solve, notes = pairings._solve_level_radius, pairings._untrusted_notes
 
-    def spy_solve(ray_fn, lam_hi, eps, ends):
-        solves.append(np.size(eps))
-        rays.extend([np.size(lam_hi)] * np.size(eps))
-        return solve(ray_fn, lam_hi, eps, ends)
+    def spy_solve(ray_fn, lam_hi, eps):
+        solves.append(len(eps))
+        rays.extend([np.size(lam_hi)] * len(eps))
+        return solve(ray_fn, lam_hi, eps)
 
     def spy_notes(untrusted):
         counts.append(tuple(untrusted))
