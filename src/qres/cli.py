@@ -81,7 +81,10 @@ def _emit_csv(estimate) -> None:
 
 
 def _quat_floats(q: Quat):
-    z1, z2 = complex(q.z1), complex(q.z2)
+    try:
+        z1, z2 = complex(q.z1), complex(q.z2)
+    except OverflowError:
+        raise ValueError("the value lies beyond the float range") from None
     return [z1.real, z1.imag, z2.real, z2.imag]
 
 

@@ -104,8 +104,9 @@ def _extrapolate(epsilons: Sequence[float], values: Sequence[Quat],
     m = min(5, len(values))
     if m < 3:
         return values[-1]
-    eps = np.array(epsilons[-m:], dtype=float)
-    a = np.stack([np.ones(m), eps, eps * eps], axis=1).astype(complex)
+    # in units of the last rung, so lstsq's cutoff keeps the constant column
+    t = np.array(epsilons[-m:], dtype=float) / epsilons[-1]
+    a = np.stack([np.ones(m), t, t * t], axis=1).astype(complex)
     coef, *_ = np.linalg.lstsq(a, z[-m:], rcond=None)
     return Quat(complex(coef[0, 0]), complex(coef[0, 1]))
 

@@ -50,7 +50,8 @@ is not transverse to its ray) is dropped and counted.  A ray on which the
 level set is not a radial graph, because |f| dips below eps without
 starting below it, crosses eps more than once or crosses it below the
 radius floor, is counted, and any such ray on the ladder leaves the
-estimate not converged, with a note.
+estimate not converged, with a note, as does a rung of an f of degree 0
+whose level set is a cone of whole rays, which no ray crosses.
 
 Both densities are folded once per call, in exact arithmetic.  Each
 test-form coefficient pi bump(r / R), with r = |q|, |z1| or |z2|, has a
@@ -104,9 +105,10 @@ rational a pairing reads (f1, f2 and the folded products) is tabulated once
 per mesh as p(lam u) = sum_k c_k(u) lam^k for its numerator and
 denominator, the terms of total degree k summed at u, and a node evaluates
 a Horner polynomial in the real radius; a bump is bump(lam r(u) / R) with
-r(u) = 1, |u1| or |u2|.  The level radii are real roots of
-D1^2 D2^2 (|f|^2 - eps^2), whose coefficient rows are convolutions of the
-f1 and f2 table rows (fi = Ni / Di).
+r(u) = 1, |u1| or |u2|.  |f|^2 = N / D is computed once per call, exactly
+and in lowest terms (modulus_function), and the level radii of an f that
+is not homogeneous are real roots of N - eps^2 D, whose coefficient rows
+are the ray tables of N and D, built as those of any other rational.
 """
 
 from __future__ import annotations
@@ -255,38 +257,32 @@ class _RayRational(NamedTuple):
                             None if self.den is None else self.den.take(sel))
 
 
-class _RayFunction:
+class _RayFunction(NamedTuple):
     """Ray tables of what a pairing reads, on one set of chart rays: f1, f2
     and the other rationals it needs.  A rational that is identically zero
-    has no table (None)."""
+    has no table (None).  modulus is |f|^2 (modulus_function), which
+    level_rows tabulates on the unit directions u = (u1, u2) of the rays."""
 
-    def __init__(self, items: Tuple[Optional[_RayRational], ...]):
-        self.items = items
+    items: Tuple[Optional[_RayRational], ...]
+    modulus: ConjRational
+    u: Tuple[np.ndarray, np.ndarray]
 
     @classmethod
-    def build(cls, rationals: Sequence[ConjRational], u1, u2
-              ) -> "_RayFunction":
-        power = _powers((u1, np.conj(u1), u2, np.conj(u2)))
-
-        def table(poly):
-            return _RayPoly.build(((key, complex(coeff))
-                                   for key, coeff in poly.terms.items()),
-                                  power, len(u1), complex)
-
-        def real(poly):
-            low, c = table(poly)
-            return _RayPoly(low, np.ascontiguousarray(c.real))
-
+    def build(cls, rationals: Sequence[ConjRational], u1, u2,
+              modulus: ConjRational) -> "_RayFunction":
+        table = _tables(u1, u2)
         return cls(tuple(
             None if r.is_zero else
             _RayRational(table(r.num),
-                         None if r.den == ConjPoly.one() else real(r.den))
-            for r in rationals))
+                         None if r.den == ConjPoly.one() else
+                         _real(table(r.den)))
+            for r in rationals), modulus, (u1, u2))
 
     def take(self, sel) -> "_RayFunction":
         """The same tables on the rays sel only."""
         return _RayFunction(tuple(None if t is None else t.take(sel)
-                                  for t in self.items))
+                                  for t in self.items),
+                            self.modulus, tuple(u[sel] for u in self.u))
 
     @_quiet
     def values(self, lam) -> List[object]:
@@ -329,21 +325,34 @@ class _RayFunction:
             degrees.add(t.num.low - (0 if t.den is None else t.den.low))
         return None if len(degrees) > 1 else degrees.pop()
 
-    @functools.cached_property
-    def level_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows (s, q), ascending powers of the radius by ray, of the two
-        polynomials free of eps with
-        D1^2 D2^2 (|f|^2 - eps^2) = lam^L (s - eps^2 q) along the rays, for
-        fi = Ni / Di: s = |N1|^2 D2^2 + |N2|^2 D1^2 and q = D1^2 D2^2, by
-        convolving the table rows.  A component with no table drops out.
-        Built once per mesh, on first use."""
-        squares = [(_square(t.num), _square(t.den))
-                   for t in self.items[:2] if t is not None]
-        if len(squares) == 1:
-            return tuple(_aligned(*squares[0]))
-        (n1, d1), (n2, d2) = squares
-        a, b, q = _aligned(_times(n1, d2), _times(n2, d1), _times(d1, d2))
-        return a + b, q
+    def level_rows(self) -> np.ndarray:
+        """Rows (s, q), ascending powers of the radius by ray, of the real
+        numerator N and denominator D of |f|^2 = N / D in lowest terms
+        (modulus), tabulated as any other rational, so that
+        D (|f|^2 - eps^2) = lam^L (s - eps^2 q) along the rays."""
+        table = _tables(*self.u)
+        num, den = (_real(table(p))
+                    for p in (self.modulus.num, self.modulus.den))
+        low = min(num.low, den.low)
+        rows = np.zeros((2, max(num.low + len(num.c), den.low + len(den.c))
+                         - low, len(self.u[0])))
+        for row, p in zip(rows, (num, den)):
+            row[p.low - low:p.low - low + len(p.c)] = p.c
+        return rows
+
+
+def _tables(u1, u2):
+    """table(poly): the complex _RayPoly of a polynomial on the rays of unit
+    directions (u1, u2)."""
+    power = _powers((u1, np.conj(u1), u2, np.conj(u2)))
+    return lambda poly: _RayPoly.build(((key, complex(coeff))
+                                        for key, coeff in poly.terms.items()),
+                                       power, len(u1), complex)
+
+
+def _real(p: _RayPoly) -> _RayPoly:
+    """The real part of a table of a real-valued polynomial."""
+    return _RayPoly(p.low, np.ascontiguousarray(p.c.real))
 
 
 def _powers(base):
@@ -356,43 +365,6 @@ def _abs_sq(F1, F2):
     with no table (the scalar 0j) adds nothing, and f is not 0."""
     squares = [F.real ** 2 + F.imag ** 2 for F in (F1, F2) if np.ndim(F)]
     return squares[0] if len(squares) == 1 else squares[0] + squares[1]
-
-
-def _conv(a, b):
-    """Rows of the product of two ray polynomials given by their rows."""
-    out = np.zeros((len(a) + len(b) - 1,)
-                   + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    for k, row in enumerate(a):
-        out[k:k + len(b)] += row * b
-    return out
-
-
-def _square(p: Optional[_RayPoly]) -> _RayPoly:
-    """|p|^2 along the rays as a real _RayPoly; None stands for 1."""
-    if p is None:
-        return _RayPoly(0, np.ones((1, 1)))
-    rows = _conv(p.c.real, p.c.real)
-    if np.iscomplexobj(p.c):
-        rows += _conv(p.c.imag, p.c.imag)
-    return _RayPoly(2 * p.low, rows)
-
-
-def _times(a: _RayPoly, b: _RayPoly) -> _RayPoly:
-    return _RayPoly(a.low + b.low, _conv(a.c, b.c))
-
-
-def _aligned(*polys: _RayPoly) -> List[np.ndarray]:
-    """The rows of each poly on one common range of powers, from the lowest
-    power of any of them (dropped as the common factor lam^L)."""
-    low = min(p.low for p in polys)
-    shape = ((max(p.low + len(p.c) for p in polys) - low,)
-             + np.broadcast_shapes(*(p.c.shape[1:] for p in polys)))
-    out = []
-    for p in polys:
-        rows = np.zeros(shape)
-        rows[p.low - low:p.low - low + len(p.c)] = p.c
-        out.append(rows)
-    return out
 
 
 class _LevelRadii(NamedTuple):
@@ -435,19 +407,19 @@ def _untrusted_notes(untrusted) -> Tuple[str, ...]:
     return tuple(notes)
 
 
-def _level_crossings(ray_fn: _RayFunction, target: float, floor, hi
-                     ) -> Tuple[np.ndarray, np.ndarray]:
+def _level_crossings(ray_fn: _RayFunction, level_rows, target: float,
+                     floor, hi) -> Tuple[np.ndarray, np.ndarray]:
     """Every crossing of |f|^2 = target in (floor, hi] per ray, sorted along
     the ray and padded with inf to shape (n_rays, k), k >= 1, and the mask
     of the rays with a crossing in (0, floor].
 
-    The crossings are the real roots of s - target q (ray_fn.level_rows),
+    The crossings are the real roots of s - target q (ray_fn.level_rows()),
     found as eigenvalues of companion matrices batched by degree under
     _NODE_BUDGET entries, and each polished by one Newton step on |f|^2
-    from the ray tables.  Terms too small to matter on [0, hi] (below 2^-52
-    of the largest term there) are dropped from the top, so a leading
+    from the f1 and f2 tables.  Terms too small to matter on [0, hi] (below
+    2^-52 of the largest term there) are dropped from the top, so a leading
     coefficient that vanishes on some rays lowers their degree."""
-    s, q = ray_fn.level_rows
+    s, q = level_rows
     rows = s - target * q
     size = np.abs(rows) * hi ** np.arange(len(rows))[:, None]
     kept = ((size > 2.0 ** -52 * size.max(axis=0))
@@ -484,9 +456,10 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     lead every result's axes; a single eps is the ladder (eps,).
 
     The crossings are the real roots in (floor, lam_hi] of the ray
-    polynomial D1^2 D2^2 (|f|^2 - eps^2) = lam^L (s - eps^2 q), whose rows
-    ray_fn.level_rows builds once per mesh (_level_crossings), one rung at
-    a time.  A homogeneous f of degree m needs no root solve: |f(lam u)|^2
+    polynomial D (|f|^2 - eps^2) = lam^L (s - eps^2 q) of the exact
+    |f|^2 = N / D, whose rows ray_fn.level_rows() builds once per call
+    (_level_crossings), one rung at a time.  A homogeneous f of degree m
+    needs no root solve: |f(lam u)|^2
     is lam^(2m) a(u), monotone along each ray, so it crosses eps exactly
     when the two ends of (floor, lam_hi] lie on either side, at
     lam_star = (eps^2 / a)^(1/2m) = lam_hi (eps^2 / |f(lam_hi u)|^2)^(1/2m),
@@ -496,9 +469,9 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     Returns (lam_star, active, inside_at_floor) and the untrusted counts
     over the ladder, as a _LevelRadii; a ray that crosses below the floor
     (for a homogeneous f, one whose closed-form radius lies in (0, floor])
-    is counted there.  A ray is active when |f| < eps at the floor and |f| >= eps at
-    the ray's support end; since lam_hi bounds the test-form support,
-    inactive rays with |f| < eps throughout carry no pairing mass.
+    is counted there.  A ray is active when |f| < eps at the floor and
+    |f| >= eps at the ray's support end; since lam_hi bounds the test-form
+    support, inactive rays with |f| < eps throughout carry no pairing mass.
     Rays already at or above eps at the floor are flagged separately (third
     array) for the principal-value domain, where they are included in full.
     """
@@ -512,10 +485,12 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     untrusted = np.zeros(3, dtype=int)
     if m is None:
         lam_star = np.empty(active.shape)
+        rows = ray_fn.level_rows()
         for k, row in enumerate(target):
             # the rung before's crossings die before this rung's are found
             crossings = hidden = None
-            crossings, hidden = _level_crossings(ray_fn, row[0], floor, hi)
+            crossings, hidden = _level_crossings(ray_fn, rows, row[0], floor,
+                                                 hi)
             lam_star[k] = crossings[:, 0]
             untrusted += _untrusted_counts(inside_at_floor[k], crossings,
                                            hidden)
@@ -570,23 +545,23 @@ def _require_nonzero(f: QFunction) -> None:
                               "currents to pair")
 
 
-def _torus_invariant(f: QFunction) -> bool:
-    """Whether |f|^2 is exactly a function of |z1|^2 and |z2|^2: every
-    exponent key (a, b, c, d) of its numerator and denominator has a == b
-    and c == d (it is its own phase average).  Sufficient, not necessary.
-    A pairing of such an f is averaged over the phase torus
-    (z1, z2) -> (e^(i t1) z1, e^(i t2) z2) (_phase_average).
+def _torus_invariant(g: ConjRational) -> bool:
+    """Whether g = |f|^2 (modulus_function) is exactly a function of
+    |z1|^2 and |z2|^2: every exponent key (a, b, c, d) of its numerator and
+    denominator has a == b and c == d (it is its own phase average).
+    Sufficient, not necessary.  A pairing of such an f is averaged over the
+    phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2) (_phase_average).
 
     Every denominator the pairing reads is then a polynomial in |z1|^2 and
     |z2|^2 as well.  Grade polynomials by the phase character (a - b, c - d)
     of their monomials: a product has a single character only if each
     factor has one, and a real factor's character is its own negative, so
-    0.  The denominator of |f|^2 is D1^2 D2^2 over such a monomial, so the
-    real denominators D1 of f1 and D2 of f2 have character 0, and every
+    0.  The denominator of |f|^2 is D1^2 D2^2 (D^2 for a shared D) over
+    such a monomial, so the real denominators D1 of f1 and D2 of f2 have
+    character 0, and every
     product denominator is made from D1, D2 and that of |f|^2 by products,
     conjugation and the cancelling of monomials |z1|^2a |z2|^2c, which keep
     character 0."""
-    g = modulus_function(f)
     return all(p.phase_average() == p for p in (g.num, g.den))
 
 
@@ -614,9 +589,10 @@ def _right_inverse_kernels(f: QFunction, a, b):
             [c1 * y - f2 * x.conjugate() for x, y in zip(a, b)])
 
 
-def _residue_kernels(f: QFunction, include_mirror: bool):
+def _residue_kernels(f: QFunction, g: ConjRational, include_mirror: bool):
     """Kernel pairs ((K1 per phi_ij), (K2 per phi_ij)) of the residue
-    density, exactly, for phi11, phi12, phi21, phi22 in that order.
+    density, exactly, for phi11, phi12, phi21, phi22 in that order; g is
+    |f|^2 (modulus_function).
 
     The density is (1/f) (alpha + beta j) with
     alpha = (-f1_z1 phi21 + f1_z2 phi11) X + (f1_z1 phi22 - f1_z2 phi12) Y,
@@ -636,7 +612,6 @@ def _residue_kernels(f: QFunction, include_mirror: bool):
                                     for v in ("z1", "z1b", "z2", "z2b"))
     f2_z1, f2_z1b, f2_z2, f2_z2b = (f2.wirtinger(v)
                                     for v in ("z1", "z1b", "z2", "z2b"))
-    g = modulus_function(f)
     g_z1, g_z2 = g.wirtinger("z1"), g.wirtinger("z2")
     # g is real, so its conjugate-variable derivatives are conjugates
     g_z1b, g_z2b = g_z1.conjugate(), g_z2.conjugate()
@@ -681,7 +656,8 @@ class _PvDensity(NamedTuple):
     """A folded density (_fold) on one set of chart rays: the residue or the
     principal-value density of f against a test form.
 
-    ray_fn tabulates f1, f2, then each product; sizes holds, for f1 and
+    ray_fn tabulates f1, f2, then each product, and carries g = |f|^2
+    (modulus_function) for the level solve; sizes holds, for f1 and
     f2, the real table of the term sizes of its numerator (None for 0):
     the sum of |c| |u1|^(a+b) |u2|^(c+d) over its terms c z1^a conj(z1)^b
     z2^c conj(z2)^d of each degree.  slots holds, per product, its part
@@ -695,12 +671,13 @@ class _PvDensity(NamedTuple):
     bumps: Tuple[Tuple[float, Optional[np.ndarray]], ...]
 
     @classmethod
-    def build(cls, f: QFunction, products, u1, u2) -> "_PvDensity":
+    def build(cls, f: QFunction, g: ConjRational, products, u1, u2
+              ) -> "_PvDensity":
         keys = list(dict.fromkeys(key for _, key, _ in products))
         a1, a2 = np.abs(u1), np.abs(u2)
         radius = {"q": None, "z1": a1, "z2": a2}
         ray_fn = _RayFunction.build(
-            (f.f1, f.f2) + tuple(r for _, _, r in products), u1, u2)
+            (f.f1, f.f2) + tuple(r for _, _, r in products), u1, u2, g)
         power = _powers((a1, a1, a2, a2))
         sizes = tuple(None if r.is_zero else _RayPoly.build(
             ((key, abs(complex(coeff))) for key, coeff in r.num.terms.items()),
@@ -982,29 +959,32 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
     return Quat(complex(z1), complex(z2)), int(np.count_nonzero(~transverse))
 
 
-def _residue_level_set(f: QFunction, phi: TestForm2, n_xi: int, eps: float,
-                       support: float, products, averaged: bool
-                       ) -> Tuple[Quat, int, np.ndarray]:
+def _residue_level_set(f: QFunction, g: ConjRational, phi: TestForm2,
+                       n_xi: int, eps: float, support: float, products,
+                       averaged: bool) -> Tuple[Quat, int, np.ndarray, bool]:
     """One residue rung on its graded mesh: the value, the count of nodes
     that are not transverse and the untrusted counts of the level solve,
     both counted in rays of the n_xi rule, so that a ray of an averaged
-    (one-phase) mesh counts n_xi^2 times.  products() gives the folded density;
-    it is asked for only when some ray is active.  The mesh and its tables
-    die with the call, so no two rungs' are held at once."""
+    (one-phase) mesh counts n_xi^2 times, and whether the level set is a
+    cone of whole rays, which no ray crosses: f has degree 0 and |f| < eps
+    on some rays but not all.  products() gives the folded density; it is
+    asked for only when some ray is active.  The mesh and its tables die
+    with the call, so no two rungs' are held at once."""
     mesh = _RayMesh.build(*graded_eta_panels(eps, support),
                           1 if averaged else n_xi)
-    level_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2)
+    level_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2, g)
     hi = phi.support_lambda(mesh.eta)
     radii = _solve_level_radius(level_fn, hi, (eps,))
-    lam, active = radii.lam_star[0], radii.active[0]
+    lam, active, inside = (a[0] for a in radii[:3])
     weight = n_xi ** 2 if averaged else 1
     untrusted = radii.untrusted * weight
+    cone = level_fn.degree == 0 and inside.any() and not inside.all()
     if not active.any():
-        return Quat(0.0, 0.0), 0, untrusted
+        return Quat(0.0, 0.0), 0, untrusted, cone
     rays = mesh.take(np.flatnonzero(active))
-    density = _PvDensity.build(f, products(), rays.u1, rays.u2)
+    density = _PvDensity.build(f, g, products(), rays.u1, rays.u2)
     value, dropped = _residue_rung(density, rays, lam[active])
-    return value, dropped * weight, untrusted
+    return value, dropped * weight, untrusted, cone
 
 
 def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
@@ -1025,7 +1005,9 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     rays only.  A pairing of a _torus_invariant f is averaged over the
     phases: it runs on one ray per eta node with the phase averages of the
     products, so n_xi changes none of its values.  A node on the zero set of
-    f, to within POLE_RTOL of its term size, raises PoleOnDomain.
+    f, to within POLE_RTOL of its term size, raises PoleOnDomain.  A rung
+    whose level set is a cone of whole rays (_residue_level_set) reads 0
+    and leaves the estimate not converged, with a note.
     """
     if n_xi < 8:
         raise TooCoarse(f"phase rule n_xi = {n_xi} is too coarse: need "
@@ -1040,29 +1022,36 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     if not schedule.eps0 < support:
         raise ValueError("schedule must start inside the test-form support")
     eps_list = schedule.values()
-    averaged = _torus_invariant(f)
+    g = modulus_function(f)
+    averaged = _torus_invariant(g)
 
     @functools.cache
     def products():
-        out = _fold(_residue_kernels(f, include_mirror), phi.coefficients)
+        out = _fold(_residue_kernels(f, g, include_mirror), phi.coefficients)
         return _phase_average(out) if averaged else out
 
     values: List[Quat] = []
-    dropped_total = 0
+    dropped_total = cones = 0
     untrusted = np.zeros(3, dtype=int)
     for eps in eps_list:
-        val, dropped, counts = _residue_level_set(f, phi, n_xi, eps, support,
-                                                  products, averaged)
+        val, dropped, counts, cone = _residue_level_set(
+            f, g, phi, n_xi, eps, support, products, averaged)
         values.append(val)
         dropped_total += dropped
         untrusted += counts
+        cones += cone
     notes = list(_untrusted_notes(untrusted))
+    if cones:
+        notes.append(f"on {cones} rungs the level set is a cone of whole "
+                     "rays, which no ray crosses (|f| is constant on rays); "
+                     "the estimate is not converged")
     if dropped_total:
         notes.append(f"{dropped_total} level-set nodes were not transverse "
                      "to the radial rays and were dropped")
     part = "(1,0)+(0,1)" if include_mirror else "(1,0)"
     return finalize(eps_list, values, part=part, notes=notes,
-                    trusted=not untrusted.any(), phases_averaged=averaged)
+                    trusted=not (untrusted.any() or cones),
+                    phases_averaged=averaged)
 
 
 def _levelset_bounds(ray_fn: _RayFunction, n_rays: int, eps_list,
@@ -1201,12 +1190,13 @@ def pv_pair(f: QFunction, psi: TestForm3,
     require_rays(pv_rays(rule.n_eta, rule.n_xi))
     eps_list = schedule.values()
     products = _fold(_pv_kernels(f), psi.coefficients)
-    averaged = _torus_invariant(f)
+    g = modulus_function(f)
+    averaged = _torus_invariant(g)
     if averaged:
         products = _phase_average(products)
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights,
                           1 if averaged else rule.n_xi)
-    density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
+    density = _PvDensity.build(f, g, products, mesh.u1, mesh.u2)
     integrand = _pv_integrand(density, mesh.w)
     untrusted = np.zeros(3, dtype=int)
     n_rungs = len(eps_list)

@@ -426,6 +426,49 @@ def test_overflowing_rungs_leave_one_error_line(fmt):
         assert res.stdout.startswith("epsilon,re1,im1,re_j,im_j\n")
 
 
+def limit_of(args):
+    """The extrapolated limit of a pairing command, run in a fresh
+    interpreter; its rungs must have converged, with exit 0."""
+    res = run_bounded(["-m", "qres.cli", *args])
+    assert res.returncode == 0 and res.stderr == ""
+    data = json.loads(res.stdout)
+    assert data["result"]["converged"]
+    return complex(*data["result"]["value"][:2])
+
+
+@pytest.mark.parametrize("args, R, power", [
+    (["oracle-1d"], 1e20, 0),
+    (["oracle-1d"], 1e100, 0),
+    (["pv", "-f", "z1 ; 0", "--psi1", "z1*bump", "--n-eta", "8", "--n-xi",
+      "8"], 1e20, 4),
+    (["residue", "-f", "z1 ; 0", "--phi22", "bump", "--radial", "z2",
+      "--n-xi", "8"], 1e20, 2),
+], ids=["oracle-1d", "oracle-1d-1e100", "pv", "residue"])
+def test_limits_at_large_radius_scale_with_the_radius(args, R, power):
+    # the fit once took columns {1, eps, eps^2} unscaled: at large R the
+    # least-squares cutoff dropped the constant column and each of these
+    # reported a converged limit unrelated to its rungs (6.0e-68 i against
+    # rungs of 2 pi i for oracle-1d).  Each limit is R^power times the one
+    # at R = 1
+    want = limit_of(args) * R ** power
+    got = limit_of([*args, "--R", f"{R:g}"])
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("args", [
+    ["inverse", "-f", "conj", "--at", "1e-400,0,0,0"],
+    ["apply-d", "-f", "c1^2 ; 0", "--at", "1e400,0,0,0"],
+], ids=["inverse", "apply-d"])
+def test_exact_values_beyond_the_float_range_are_domain_errors(args):
+    # both exact values exceed the largest float: their conversion ended in
+    # an OverflowError traceback with exit 1
+    res = run_bounded(["-m", "qres.cli", *args])
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == ("domain error: the value lies beyond the float "
+                          "range\n")
+
+
 @pytest.mark.parametrize("args", [
     ["classify", "-f", "prop34", "--params", "1,x"],
     ["classify", "-f", "prop34", "--params", "1/0,1"],

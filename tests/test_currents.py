@@ -27,6 +27,7 @@ from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _Nodes,
 from qres.currents import quadrature
 from qres.currents.quadrature import build_quadrature, graded_eta_panels
 from qres.errors import RuleTooLarge, TooCoarse
+from qres.operators import modulus_function
 from qres.parsing import parse_poly, parse_qfunction
 from qres.qcore import Quat
 from qres.symfun import ConjPoly, ConjRational, QFunction
@@ -262,7 +263,8 @@ def test_level_radius_lies_on_the_level_set(name):
     n = len(eta)
     eps = 0.3
     ray_fn = _RayFunction.build((f.f1, f.f2),
-                                *sphere_to_complex(1.0, eta, xi1, xi2))
+                                *sphere_to_complex(1.0, eta, xi1, xi2),
+                                modulus_function(f))
     radii = _solve_level_radius(ray_fn, np.ones(n), (eps,))
     lam, active, inside = (a[0] for a in radii[:3])
 
@@ -317,6 +319,12 @@ ORACLE_FUNCTIONS.update({
                                            Fraction(-1, 8))).f,
     LEADING_ZERO: parse_qfunction(LEADING_ZERO),
 })
+# components over one shared denominator: |f|^2 in lowest terms is
+# (|z1 + 1|^2 + |z2|^2) / (1 + |z1|^2)^2, so its level polynomial has
+# degree 4 where D1^2 D2^2 (|f|^2 - eps^2) has degree 8
+SHARED_DEN = "(z1 + 1) / (1 + z1*c1) ; (z2) / (1 + z1*c1)"
+LEVEL_SOLVE_CASES = {**ORACLE_FUNCTIONS,
+                     SHARED_DEN: parse_qfunction(SHARED_DEN)}
 
 
 PV_RULE = build_quadrature(16, 32)
@@ -337,11 +345,12 @@ def mod_sq_on_rays(f, lam, rays):
     return np.abs(F1) ** 2 + np.abs(F2) ** 2
 
 
-@pytest.mark.parametrize("name", list(ORACLE_FUNCTIONS))
+@pytest.mark.parametrize("name", list(LEVEL_SOLVE_CASES))
 def test_level_solve_matches_the_bisection(name, pv_mesh):
-    f = ORACLE_FUNCTIONS[name]
+    f = LEVEL_SOLVE_CASES[name]
     mesh = pv_mesh
-    ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2)
+    ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2,
+                                modulus_function(f))
     n = len(mesh.eta)
     hi = np.ones(n)
     floor = pairings._LAM_FLOOR_FACTOR * hi
@@ -358,7 +367,8 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
             # every crossing, from the root solve at this eps; its polish
             # runs on the inf padding, as inside the solve
             with np.errstate(all="ignore"):
-                crossings, _ = _level_crossings(ray_fn, eps * eps, floor, hi)
+                crossings, _ = _level_crossings(
+                    ray_fn, ray_fn.level_rows(), eps * eps, floor, hi)
             assert np.array_equal(lam, crossings[:, 0])
         else:
             # the closed form: a monotone |f| crosses eps at most once
@@ -397,9 +407,29 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
             assert np.all(changes == c)
 
 
+def test_level_rows_are_those_of_the_exact_modulus(pv_mesh):
+    # the rows (s, q) of the root solve are the ray tables of the numerator
+    # and denominator of |f|^2 in lowest terms: for SHARED_DEN,
+    # |lam u1 + 1|^2 + lam^2 |u2|^2 and (1 + lam^2 |u1|^2)^2, of degree 4
+    f = LEVEL_SOLVE_CASES[SHARED_DEN]
+    u1, u2 = pv_mesh.u1, pv_mesh.u2
+    ray_fn = _RayFunction.build((f.f1, f.f2), u1, u2, modulus_function(f))
+    assert ray_fn.degree is None
+    s, q = ray_fn.level_rows()
+    assert s.shape == q.shape == (5, len(u1))
+    lam = np.linspace(0.1, 2.0, 7)[:, None]
+    s_at, q_at = (sum(row * lam ** k for k, row in enumerate(rows))
+                  for rows in (s, q))
+    want_s = np.abs(lam * u1 + 1) ** 2 + lam ** 2 * np.abs(u2) ** 2
+    want_q = (1 + lam ** 2 * np.abs(u1) ** 2) ** 2
+    assert np.allclose(s_at, want_s, rtol=1e-13, atol=0.0)
+    assert np.allclose(q_at, want_q, rtol=1e-13, atol=0.0)
+
+
 def test_closed_form_serves_the_homogeneous_functions():
     u1, u2 = unit_rays(15)
-    degrees = {name: _RayFunction.build((f.f1, f.f2), u1, u2).degree
+    degrees = {name: _RayFunction.build((f.f1, f.f2), u1, u2,
+                                        modulus_function(f)).degree
                for name, f in ORACLE_FUNCTIONS.items()}
     assert degrees == {"conj": 1, "cauchy_kernel": -3, "F": 1, "prop34": 1,
                        "holo": 1, "q_conj": 1, "prop34(1,2)": None,
@@ -410,7 +440,8 @@ def test_closed_form_serves_the_homogeneous_functions():
 def test_a_zero_component_has_no_table():
     u1, u2 = unit_rays(15)
     lam = np.linspace(0.1, 1.0, len(u1))
-    ray_fn = _RayFunction.build((Z1_FN.f1, Z1_FN.f2), u1, u2)
+    ray_fn = _RayFunction.build((Z1_FN.f1, Z1_FN.f2), u1, u2,
+                                modulus_function(Z1_FN))
     assert ray_fn.items[1] is None and ray_fn.degree == 1
     F1, F2 = ray_fn.values(lam)
     assert F2 == 0
@@ -454,6 +485,33 @@ def test_level_sets_missed_by_every_ray_start_are_not_converged():
     assert "and 0 rays cross" in note
 
 
+def test_level_sets_of_whole_rays_are_not_converged():
+    # f of degree 0 is constant along every ray: here |f| = cos^2(eta), so
+    # the level set cos^2(eta) = eps is a cone of whole rays, which no ray
+    # crosses.  Every rung is an exact zero, which alone would pass as
+    # converged
+    phi = TestForm2(phi22=Profile.bump_only(1.0))
+    cone = parse_qfunction("(z1*c1) / (z1*c1 + z2*c2) ; 0")
+    est = residue_pair(cone, phi, n_xi=8)
+    assert all(v.norm() == 0.0 for v in est.values)
+    assert not est.converged
+    note, = [n for n in est.notes if "cone of whole rays" in n]
+    assert f"on {len(est.values)} rungs" in note
+    # no level set inside the support, or |f| >= 0.707 above every eps of
+    # the ladder: converged zeros
+    for text in ("1/100 ; 0", "(z1*c1) / (z1*c1 + z2*c2) ; "
+                 "(z2*c2) / (z1*c1 + z2*c2)"):
+        est = residue_pair(parse_qfunction(text), phi, n_xi=8)
+        assert all(v.norm() == 0.0 for v in est.values)
+        assert est.converged and est.notes == ()
+    # the sublevel set of the principal value is whole rays, which it
+    # integrates
+    levelset = pv_pair(cone, TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0)),
+                       rule=build_quadrature(8, 8), region="levelset")
+    assert levelset.notes == ("excluded region follows the level sets of "
+                              "|f|",)
+
+
 LADDER_SOLVE_CASES = {
     "z1 ; 0": Z1_FN, "conj": builtin("conj").f,
     # degree 0: |f| is constant along every ray
@@ -473,7 +531,8 @@ def test_ladder_level_solve_matches_the_solve_at_each_eps(name):
     f = LADDER_SOLVE_CASES[name]
     rule = build_quadrature(8, 16)
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule.n_xi)
-    ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2)
+    ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2,
+                                modulus_function(f))
     n = len(mesh.eta)
     hi = np.where(np.arange(n) % 3 == 0, 1e9, 1.0)
     eps_list = EpsilonSchedule.for_radius(1.0).values()
@@ -501,7 +560,8 @@ def test_crossings_below_the_radius_floor_are_counted(name, pv_mesh):
     # (1e-9, 1] with lam_hi = 1 lies below it, in closed form (conj) or
     # among the real roots (the others)
     f = ORACLE_FUNCTIONS[name]
-    ray_fn = _RayFunction.build((f.f1, f.f2), pv_mesh.u1, pv_mesh.u2)
+    ray_fn = _RayFunction.build((f.f1, f.f2), pv_mesh.u1, pv_mesh.u2,
+                                modulus_function(f))
     n = len(pv_mesh.eta)
     eps = 0.3
     near_hi, far_hi = np.ones(n), np.full(n, 1e9)
@@ -511,7 +571,8 @@ def test_crossings_below_the_radius_floor_are_counted(name, pv_mesh):
         # the crossing tables of the root solve at this eps
         def tables(hi):
             with np.errstate(all="ignore"):
-                return _level_crossings(ray_fn, eps * eps,
+                return _level_crossings(ray_fn, ray_fn.level_rows(),
+                                        eps * eps,
                                         pairings._LAM_FLOOR_FACTOR * hi, hi)
         crossings, near_hidden = tables(near_hi)
         _, far_hidden = tables(far_hi)
@@ -701,7 +762,7 @@ def test_ray_tables_match_the_symbolic_evaluators(name, params):
                                 for v in WIRT_VARS]
     u1, u2 = unit_rays(15)
     n = len(u1)
-    ray_fn = _RayFunction.build(rationals, u1, u2)
+    ray_fn = _RayFunction.build(rationals, u1, u2, modulus_function(f))
     rng = np.random.default_rng(16)
     shared = rng.uniform(0.05, 1.2, (5, 1))
     per_ray = rng.uniform(0.05, 1.2, (5, n))
@@ -766,7 +827,8 @@ def test_folded_pv_density_matches_the_unfolded_formula(name, params):
     f = builtin(name, params).f
     u1, u2 = unit_rays(15)
     n = len(u1)
-    density = _PvDensity.build(f, _fold(_pv_kernels(f), FOLD_PSI.coefficients),
+    density = _PvDensity.build(f, modulus_function(f),
+                               _fold(_pv_kernels(f), FOLD_PSI.coefficients),
                                u1, u2)
     rng = np.random.default_rng(17)
     shared = rng.uniform(0.05, 1.2, (5, 1))
@@ -896,12 +958,13 @@ def per_rung_pv_pair(f, psi, rule, region):
     support = psi.support_radius
     eps_list = EpsilonSchedule.for_radius(support).values()
     products = _fold(_pv_kernels(f), psi.coefficients)
-    averaged = pairings._torus_invariant(f)
+    averaged = pairings._torus_invariant(modulus_function(f))
     if averaged:
         products = pairings._phase_average(products)
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights,
                           1 if averaged else rule.n_xi)
-    density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
+    density = _PvDensity.build(f, modulus_function(f), products,
+                               mesh.u1, mesh.u2)
     integrand = pairings._pv_integrand(density, mesh.w)
     untrusted = np.zeros(3, dtype=int)
     if region == "metric":
@@ -1020,8 +1083,8 @@ def quat_finalize(epsilons, values):
     lost = any(b == 0.0 and a > floor for a, b in zip(norms, norms[1:]))
     converged = len(values) >= 5 and not lost and all(tail_ok)
     m = min(5, len(values))
-    eps = np.array(epsilons[-m:], dtype=float)
-    a = np.stack([np.ones(m), eps, eps * eps], axis=1).astype(complex)
+    t = np.array(epsilons[-m:], dtype=float) / epsilons[-1]
+    a = np.stack([np.ones(m), t, t * t], axis=1).astype(complex)
     b = np.array([[complex(v.z1), complex(v.z2)] for v in values[-m:]],
                  dtype=complex)
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -1064,7 +1127,8 @@ def test_a_product_denominator_of_several_rows_is_not_split():
     wide = parse_qfunction("(1) / (1 + z1*c1) ; 0").f1
     narrow = parse_qfunction("(1) / (z1*c1) ; 0").f1
     for product, kind in ((wide, _NodeSum), (narrow, _RaySplit)):
-        density = _PvDensity.build(Z1_FN, [(0, (1.0, "q"), product)], u1, u2)
+        density = _PvDensity.build(Z1_FN, modulus_function(Z1_FN),
+                                   [(0, (1.0, "q"), product)], u1, u2)
         assert density.ray_fn.degree == 1
         assert isinstance(_pv_integrand(density, w), kind)
 
@@ -1238,14 +1302,17 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
     rule = build_quadrature(6, 8)
     mesh = _RayMesh.build(eta_nodes, eta_weights, rule.n_xi)
     lam_star = _solve_level_radius(
-        _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2),
+        _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2,
+                                modulus_function(f)),
         phi.support_lambda(mesh.eta), (eps,)).lam_star[0]
     sel = np.flatnonzero(lam_star < np.inf)
     assert len(sel) > 100
     rays, lam = mesh.take(sel), lam_star[sel]
     ref = RayParams.of(eta_nodes, eta_weights, rule).take(sel)
     density = _PvDensity.build(
-        f, _fold(_residue_kernels(f, mirror), phi.coefficients),
+        f, modulus_function(f),
+        _fold(_residue_kernels(f, modulus_function(f), mirror),
+              phi.coefficients),
         rays.u1, rays.u2)
     old1, old2, g_lam = surface_residue_nodes(f, phi, ref, lam, mirror)
     new1, new2 = leray_residue_nodes(density, rays, lam)
@@ -1297,7 +1364,8 @@ def collapse_call(kind, f, n_xi):
 def collapse_products(kind, f):
     """The folded density of collapse_call."""
     if kind == "residue":
-        return _fold(_residue_kernels(f, True), MIXED_PHI.coefficients)
+        return _fold(_residue_kernels(f, modulus_function(f), True),
+                     MIXED_PHI.coefficients)
     return _fold(_pv_kernels(f), FOLD_PSI.coefficients)
 
 
@@ -1346,7 +1414,7 @@ def spied_call(monkeypatch, kind, f, per_ray, n_xi=COLLAPSE_N_XI):
         patch.setattr(pairings, "_solve_level_radius", spy_solve)
         patch.setattr(pairings, "_untrusted_notes", spy_notes)
         if per_ray:
-            patch.setattr(pairings, "_torus_invariant", lambda f: False)
+            patch.setattr(pairings, "_torus_invariant", lambda g: False)
         return collapse_call(kind, f, n_xi), rays, counts, solves
 
 
@@ -1428,12 +1496,36 @@ def test_torus_invariant_densities_have_phase_free_denominators(kind):
     cases["|z1|^2 / (1 + |z1|^2)^2"] = parse_qfunction(
         "(z1) / (1 + z1*c1) ; 0")
     for f in cases.values():
-        assert pairings._torus_invariant(f)
+        assert pairings._torus_invariant(modulus_function(f))
         for r in (f.f1, f.f2) + tuple(
                 r for _, _, r in collapse_products(kind, f)):
             assert r.den.phase_average() == r.den
-    assert not pairings._torus_invariant(
-        parse_qfunction("(1) / (1 + z1 + c1) ; 0"))
+    assert not pairings._torus_invariant(modulus_function(
+        parse_qfunction("(1) / (1 + z1 + c1) ; 0")))
+
+
+@pytest.mark.parametrize("kind", ["residue", "metric", "levelset", "(0,1)"])
+def test_modulus_is_computed_once_per_pairing(kind, monkeypatch):
+    # |f|^2 is folded into the kernels, decides the phase average and gives
+    # the rows of the root solve (NODE_SUM_FN is not homogeneous), from one
+    # exact computation per call
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return modulus_function(f)
+
+    monkeypatch.setattr(pairings, "modulus_function", spy)
+    schedule = EpsilonSchedule(0.5, 0.7, 4)
+    if kind == "residue":
+        est = residue_pair(NODE_SUM_FN, MIXED_PHI, n_xi=8, schedule=schedule)
+    else:
+        est = pv_pair(NODE_SUM_FN, FOLD_PSI, rule=build_quadrature(4, 8),
+                      schedule=schedule,
+                      region="metric" if kind == "metric" else "levelset",
+                      part="(0,1)" if kind == "(0,1)" else "(1,0)")
+    assert any(v.norm() > 0.0 for v in est.values)
+    assert calls == [NODE_SUM_FN]
 
 
 @pytest.mark.parametrize("region", ["metric", "levelset"])
@@ -1476,9 +1568,11 @@ def test_pole_on_a_ray_node_is_reported(kind):
         products = _fold(_pv_kernels(f), (Profile(ConjPoly.var("z1"), 1.0),
                                           None))
     else:
-        products = _fold(_residue_kernels(f, True), MIXED_PHI.coefficients)
+        products = _fold(_residue_kernels(f, modulus_function(f), True),
+                         MIXED_PHI.coefficients)
     mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), 8)
-    density = _PvDensity.build(f, products, mesh.u1, mesh.u2)
+    density = _PvDensity.build(f, modulus_function(f), products,
+                               mesh.u1, mesh.u2)
     w_rays = mesh.w
     assert density.slots
     lam = np.array([[0.0], [0.5]])
@@ -1497,7 +1591,8 @@ def test_pole_is_reported_when_no_product_survives_the_fold():
                   ConjRational.zero())
     psi = TestForm3(psi2=Profile.bump_only(1.0))
     mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), 8)
-    density = _PvDensity.build(f, _fold(_pv_kernels(f), psi.coefficients),
+    density = _PvDensity.build(f, modulus_function(f),
+                               _fold(_pv_kernels(f), psi.coefficients),
                                mesh.u1, mesh.u2)
     w_rays = mesh.w
     assert density.slots == ()
