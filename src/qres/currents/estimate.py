@@ -15,6 +15,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..operators import _norms
 from ..qcore import Quat
 
 # a difference below this times the value scale counts as converged noise
@@ -111,13 +112,6 @@ def _extrapolate(epsilons: Sequence[float], values: Sequence[Quat],
     return Quat(complex(coef[0, 0]), complex(coef[0, 1]))
 
 
-def _norms(z: np.ndarray) -> np.ndarray:
-    """|q| of each row (z1, z2) of z, summed in the order of Quat.norm."""
-    re, im = z.real, z.imag
-    return np.sqrt(re[:, 0] * re[:, 0] + im[:, 0] * im[:, 0]
-                   + re[:, 1] * re[:, 1] + im[:, 1] * im[:, 1])
-
-
 def finalize(epsilons: Sequence[float], values: Sequence[Quat],
              part: str = "(1,0)", notes: Sequence[str] = (),
              trusted: bool = True,
@@ -141,8 +135,8 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
     # rungs that overflow here come out as inf or nan, which the report
     # writer refuses; numpy need not warn on the way there
     with np.errstate(all="ignore"):
-        norms = _norms(z).tolist()
-        diffs = _norms(z[1:] - z[:-1])
+        norms = _norms(*z.T).tolist()
+        diffs = _norms(*(z[1:] - z[:-1]).T)
         ratios = tuple((diffs[1:] / np.maximum(diffs[:-1], 1e-300)).tolist())
     scale = max(1.0, max(norms))
     floor = ZERO_FLOOR * scale

@@ -51,7 +51,8 @@ level set is not a radial graph, because |f| dips below eps without
 starting below it, crosses eps more than once or crosses it below the
 radius floor, is counted, and any such ray on the ladder leaves the
 estimate not converged, with a note, as does a rung of an f of degree 0
-whose level set is a cone of whole rays, which no ray crosses.
+whose level set is a cone of whole rays, which no ray crosses; the same
+rung leaves the levelset principal value not converged.
 
 Both densities are folded once per call, in exact arithmetic.  Each
 test-form coefficient pi bump(r / R), with r = |q|, |z1| or |z2|, has a
@@ -178,6 +179,21 @@ def _paired(lam):
     return lam if np.shape(lam)[-1] == 1 else np.repeat(lam, 2, axis=-1)
 
 
+def _take_rays(tree, sel):
+    """A tree of tuples and NamedTuples of per-ray arrays (_RayMesh,
+    _RayFunction, _PvDensity ...) on the rays sel only.  Every array has its
+    rays on the last axis: a slice gives a view, whose rows stay contiguous
+    as a real view needs, and an index array gives a copy.  Anything else
+    (ints, floats, ConjRationals, None) passes through unchanged."""
+    if isinstance(tree, np.ndarray):
+        return (tree[..., sel] if isinstance(sel, slice)
+                else tree.take(sel, axis=-1))
+    if isinstance(tree, tuple):
+        items = [_take_rays(t, sel) for t in tree]
+        return type(tree)(*items) if hasattr(tree, "_fields") else tuple(items)
+    return tree
+
+
 class _RayPoly(NamedTuple):
     """One polynomial along chart rays: p(lam u) = lam^low sum_k c[k] lam^k,
     row k of c holding, per ray, the terms of total degree low + k at the
@@ -218,12 +234,6 @@ class _RayPoly(NamedTuple):
                 out, np.broadcast_shapes(np.shape(lam), out.shape))
         return out.view(self.c.dtype)
 
-    def take(self, sel) -> "_RayPoly":
-        """The table on the rays sel: a copy for an index array, a view for
-        a slice (its rows stay contiguous, as the real view needs)."""
-        return _RayPoly(self.low, self.c[:, sel] if isinstance(sel, slice)
-                        else self.c.take(sel, axis=1))
-
     def derivative(self) -> "_RayPoly":
         """The derivative in the radius:
         lam^(low - 1) sum_k (low + k) c[k] lam^k."""
@@ -252,10 +262,6 @@ class _RayRational(NamedTuple):
         v = v / d
         return v, (dv - v * self.den.derivative().at(lam)) / d
 
-    def take(self, sel) -> "_RayRational":
-        return _RayRational(self.num.take(sel),
-                            None if self.den is None else self.den.take(sel))
-
 
 class _RayFunction(NamedTuple):
     """Ray tables of what a pairing reads, on one set of chart rays: f1, f2
@@ -277,12 +283,6 @@ class _RayFunction(NamedTuple):
                          None if r.den == ConjPoly.one() else
                          _real(table(r.den)))
             for r in rationals), modulus, (u1, u2))
-
-    def take(self, sel) -> "_RayFunction":
-        """The same tables on the rays sel only."""
-        return _RayFunction(tuple(None if t is None else t.take(sel)
-                                  for t in self.items),
-                            self.modulus, tuple(u[sel] for u in self.u))
 
     @_quiet
     def values(self, lam) -> List[object]:
@@ -369,14 +369,17 @@ def _abs_sq(F1, F2):
 
 class _LevelRadii(NamedTuple):
     """A level solve on a ladder of eps: lam_star, active and
-    inside_at_floor of shape (rungs, n_rays), and untrusted, the counts of
+    inside_at_floor of shape (rungs, n_rays), untrusted, the counts of
     the rays on which the level set is not a radial graph above the floor,
-    summed over the ladder (_untrusted_counts)."""
+    summed over the ladder (_untrusted_counts), and cones, the count of
+    rungs whose level set is a cone of whole rays, which no ray crosses:
+    f has degree 0 and |f| < eps on some rays but not all."""
 
     lam_star: np.ndarray
     active: np.ndarray
     inside_at_floor: np.ndarray
     untrusted: np.ndarray
+    cones: int
 
 
 def _untrusted_counts(inside_at_floor, crossings, hidden) -> np.ndarray:
@@ -405,6 +408,12 @@ def _untrusted_notes(untrusted) -> Tuple[str, ...]:
                      "support), where the level solve does not look; the "
                      "estimate is not converged")
     return tuple(notes)
+
+
+def _cone_notes(cones: int) -> Tuple[str, ...]:
+    return ((f"on {cones} rungs the level set is a cone of whole rays, which "
+             "no ray crosses (|f| is constant on rays); the estimate is not "
+             "converged",) if cones else ())
 
 
 def _level_crossings(ray_fn: _RayFunction, level_rows, target: float,
@@ -466,12 +475,13 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     one broadcast over every rung and ray.  |f|^2 at both ends is taken
     once per call, for every rung.
 
-    Returns (lam_star, active, inside_at_floor) and the untrusted counts
-    over the ladder, as a _LevelRadii; a ray that crosses below the floor
-    (for a homogeneous f, one whose closed-form radius lies in (0, floor])
-    is counted there.  A ray is active when |f| < eps at the floor and
-    |f| >= eps at the ray's support end; since lam_hi bounds the test-form
-    support, inactive rays with |f| < eps throughout carry no pairing mass.
+    Returns (lam_star, active, inside_at_floor), the untrusted counts over
+    the ladder and the cone rungs of an f of degree 0, as a _LevelRadii; a
+    ray that crosses below the floor (for a homogeneous f, one whose
+    closed-form radius lies in (0, floor]) is counted there.  A ray is
+    active when |f| < eps at the floor and |f| >= eps at the ray's support
+    end; since lam_hi bounds the test-form support, inactive rays with
+    |f| < eps throughout carry no pairing mass.
     Rays already at or above eps at the floor are flagged separately (third
     array) for the principal-value domain, where they are included in full.
     """
@@ -482,7 +492,7 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     inside_at_floor = ~(ray_fn.modulus_sq(floor) >= target)
     active = inside_at_floor & (g_hi >= target)
     m = ray_fn.degree
-    untrusted = np.zeros(3, dtype=int)
+    untrusted, cones = np.zeros(3, dtype=int), 0
     if m is None:
         lam_star = np.empty(active.shape)
         rows = ray_fn.level_rows()
@@ -502,7 +512,9 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     else:
         # |f| is constant along every ray
         lam_star = np.full(active.shape, np.inf)
-    return _LevelRadii(lam_star, active, inside_at_floor, untrusted)
+        cones = np.count_nonzero(inside_at_floor.any(axis=1)
+                                 & ~inside_at_floor.all(axis=1))
+    return _LevelRadii(lam_star, active, inside_at_floor, untrusted, cones)
 
 
 class _RayMesh(NamedTuple):
@@ -534,9 +546,6 @@ class _RayMesh(NamedTuple):
         return cls(np.repeat(eta, nx * nx), np.repeat(w, nx * nx),
                    np.broadcast_to(u1, shape).ravel(),
                    np.broadcast_to(u2, shape).ravel())
-
-    def take(self, sel) -> "_RayMesh":
-        return _RayMesh(*(a[sel] for a in self))
 
 
 def _require_nonzero(f: QFunction) -> None:
@@ -686,14 +695,6 @@ class _PvDensity(NamedTuple):
                    tuple((part, keys.index(key)) for part, key, _ in products),
                    tuple((R, radius[radial]) for R, radial in keys))
 
-    def take(self, sel) -> "_PvDensity":
-        return _PvDensity(self.ray_fn.take(sel),
-                          tuple(None if t is None else t.take(sel)
-                                for t in self.sizes),
-                          self.slots,
-                          tuple((R, None if r is None else r[sel])
-                                for R, r in self.bumps))
-
     def off_zero_set(self, lam, g):
         """Where f, with |f|^2 = g at radius lam, is off its zero set and
         its poles: g is finite and |f| exceeds POLE_RTOL times the term size
@@ -803,7 +804,7 @@ def _pv_radial(density: _PvDensity, w_rays, nodes: _Nodes, n_seg: int,
     sums = np.zeros((2, nodes.rows), dtype=complex)
     for first in range(0, n, step):
         lam_b, w_lam_b, seg, sel = nodes.at(slice(first, first + step))
-        sub = density.take(sel)
+        sub = _take_rays(density, sel)
         if not by_row:
             sums = np.zeros((2, lam_b.shape[1]), dtype=complex)
         for start in range(0, len(lam_b), rows):
@@ -961,30 +962,29 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
 
 def _residue_level_set(f: QFunction, g: ConjRational, phi: TestForm2,
                        n_xi: int, eps: float, support: float, products,
-                       averaged: bool) -> Tuple[Quat, int, np.ndarray, bool]:
+                       averaged: bool) -> Tuple[Quat, int, np.ndarray, int]:
     """One residue rung on its graded mesh: the value, the count of nodes
     that are not transverse and the untrusted counts of the level solve,
     both counted in rays of the n_xi rule, so that a ray of an averaged
-    (one-phase) mesh counts n_xi^2 times, and whether the level set is a
-    cone of whole rays, which no ray crosses: f has degree 0 and |f| < eps
-    on some rays but not all.  products() gives the folded density; it is
-    asked for only when some ray is active.  The mesh and its tables die
+    (one-phase) mesh counts n_xi^2 times, and the solve's cone count, 1
+    when the level set is a cone of whole rays (_LevelRadii), else 0.
+    products() gives the folded density; it is asked for only when some ray
+    is active.  The mesh and its tables die
     with the call, so no two rungs' are held at once."""
     mesh = _RayMesh.build(*graded_eta_panels(eps, support),
                           1 if averaged else n_xi)
     level_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2, g)
     hi = phi.support_lambda(mesh.eta)
     radii = _solve_level_radius(level_fn, hi, (eps,))
-    lam, active, inside = (a[0] for a in radii[:3])
+    lam, active = radii.lam_star[0], radii.active[0]
     weight = n_xi ** 2 if averaged else 1
     untrusted = radii.untrusted * weight
-    cone = level_fn.degree == 0 and inside.any() and not inside.all()
     if not active.any():
-        return Quat(0.0, 0.0), 0, untrusted, cone
-    rays = mesh.take(np.flatnonzero(active))
+        return Quat(0.0, 0.0), 0, untrusted, radii.cones
+    rays = _take_rays(mesh, np.flatnonzero(active))
     density = _PvDensity.build(f, g, products(), rays.u1, rays.u2)
     value, dropped = _residue_rung(density, rays, lam[active])
-    return value, dropped * weight, untrusted, cone
+    return value, dropped * weight, untrusted, radii.cones
 
 
 def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
@@ -1006,8 +1006,8 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     phases: it runs on one ray per eta node with the phase averages of the
     products, so n_xi changes none of its values.  A node on the zero set of
     f, to within POLE_RTOL of its term size, raises PoleOnDomain.  A rung
-    whose level set is a cone of whole rays (_residue_level_set) reads 0
-    and leaves the estimate not converged, with a note.
+    whose level set is a cone of whole rays (_LevelRadii) reads 0 and
+    leaves the estimate not converged, with a note (_cone_notes).
     """
     if n_xi < 8:
         raise TooCoarse(f"phase rule n_xi = {n_xi} is too coarse: need "
@@ -1040,11 +1040,7 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
         dropped_total += dropped
         untrusted += counts
         cones += cone
-    notes = list(_untrusted_notes(untrusted))
-    if cones:
-        notes.append(f"on {cones} rungs the level set is a cone of whole "
-                     "rays, which no ray crosses (|f| is constant on rays); "
-                     "the estimate is not converged")
+    notes = list(_untrusted_notes(untrusted) + _cone_notes(cones))
     if dropped_total:
         notes.append(f"{dropped_total} level-set nodes were not transverse "
                      "to the radial rays and were dropped")
@@ -1055,23 +1051,24 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
 
 
 def _levelset_bounds(ray_fn: _RayFunction, n_rays: int, eps_list,
-                     support: float) -> Tuple[np.ndarray, np.ndarray]:
+                     support: float) -> Tuple[np.ndarray, np.ndarray, int]:
     """The start radius of every ray on every rung of the levelset region,
     below a first row of the support, as one array (rungs + 1, n_rays), and
-    the untrusted counts of the ladder's level solve, one call for every
-    rung.  A start is the level radius on active rays,
+    the untrusted counts and cone rungs of the ladder's level solve, one
+    call for every rung.  A start is the level radius on active rays,
     the support on rays below eps over all of it, the radius floor on rays
     that start at or above eps.  As |f| is continuous along a ray and
     starts below the smaller eps, a start never moves out; the running
     minimum down the rungs takes up rounding.  The raw radii die with the
     call."""
     hi = np.full(n_rays, support)
-    lam_star, active, inside, untrusted = _solve_level_radius(ray_fn, hi,
-                                                              eps_list)
+    lam_star, active, inside, untrusted, cones = _solve_level_radius(
+        ray_fn, hi, eps_list)
     bounds = np.vstack([hi, np.where(active, lam_star,
                                      np.where(inside, support,
                                               _LAM_FLOOR_FACTOR * support))])
-    return np.minimum.accumulate(bounds, axis=0, out=bounds), untrusted
+    np.minimum.accumulate(bounds, axis=0, out=bounds)
+    return bounds, untrusted, cones
 
 
 def _log_nodes(a, b):
@@ -1134,9 +1131,12 @@ def pv_pair(f: QFunction, psi: TestForm3,
     (_levelset_bounds).  The shells of every rung go through the integrator
     in one call, one node table for the ball and one per node kind for the
     sublevel set (_levelset_shells), which returns the sum of each rung's
-    shells; a rung is their running sum down the ladder.  part="(0,1)" is
-    served by the formal conjugation symmetry of the expansion and marked as
-    such in the result.
+    shells; a rung is their running sum down the ladder.
+
+    part="(0,1)" is served by formal conjugation in the same pass: the
+    (1,0) pairing against the conjugated test form, its rungs conjugated
+    and a note added.  Conjugation keeps every norm and difference of the
+    rungs, so the verdict is that of the (1,0) pairing.
 
     The density is folded once per call (_pv_kernels, _fold): the kernel
     products pi_i K1i and conj(pi_i) K2i of the coefficients
@@ -1155,7 +1155,9 @@ def pv_pair(f: QFunction, psi: TestForm3,
 
     A pairing of a _torus_invariant f is averaged over the phases: both
     regions run on one ray per eta node with the phase averages of the
-    products, so rule.n_xi changes none of its values.
+    products, so rule.n_xi changes none of its values.  A rung whose
+    sublevel set is a cone of whole rays (_LevelRadii) leaves the estimate
+    not converged, with the residue's note (_cone_notes).
     """
     _require_nonzero(f)
     if psi.is_zero:
@@ -1164,20 +1166,11 @@ def pv_pair(f: QFunction, psi: TestForm3,
         if p is not None and p.radial != "q":
             raise ValueError("principal-value pairing needs coefficients "
                              "supported in the full modulus |q|")
-    if part == "(0,1)":
-        flipped = TestForm3(*(None if p is None else p.conjugated()
-                              for p in psi.coefficients))
-        base = pv_pair(f, flipped, rule, schedule, region, part="(1,0)")
-        vals = [Quat(complex(v.z1).conjugate(), complex(v.z2).conjugate())
-                for v in base.values]
-        notes = base.notes + ("computed from the (1,0) pairing by formal "
-                              "conjugation",)
-        # the (1,0) verdict carries over, untrusted level sets included
-        return finalize(base.epsilons, vals, part="(0,1)", notes=notes,
-                        trusted=base.converged,
-                        phases_averaged=base.phases_averaged)
-    if part != "(1,0)":
+    if part not in ("(1,0)", "(0,1)"):
         raise ValueError("part must be '(1,0)' or '(0,1)'")
+    if part == "(0,1)":
+        psi = TestForm3(*(None if p is None else p.conjugated()
+                          for p in psi.coefficients))
     if rule is None:
         rule = build_quadrature(32, 64)
     support = psi.support_radius
@@ -1198,7 +1191,7 @@ def pv_pair(f: QFunction, psi: TestForm3,
                           1 if averaged else rule.n_xi)
     density = _PvDensity.build(f, g, products, mesh.u1, mesh.u2)
     integrand = _pv_integrand(density, mesh.w)
-    untrusted = np.zeros(3, dtype=int)
+    untrusted, cones = np.zeros(3, dtype=int), 0
     n_rungs = len(eps_list)
     if region == "metric":
         # the first shell's panels, then [eps_k, eps_(k-1)] for every k > 0
@@ -1215,13 +1208,18 @@ def pv_pair(f: QFunction, psi: TestForm3,
     else:
         # untrusted rays are counted in rays of the n_xi rule
         weight = rule.n_xi ** 2 if averaged else 1
-        bounds, untrusted = _levelset_bounds(density.ray_fn, len(mesh.eta),
-                                             eps_list, support)
+        bounds, untrusted, cones = _levelset_bounds(
+            density.ray_fn, len(mesh.eta), eps_list, support)
         untrusted = untrusted * weight
         shells = _levelset_shells(integrand, bounds, support)
         notes = (("excluded region follows the level sets of |f|",)
-                 + _untrusted_notes(untrusted))
+                 + _untrusted_notes(untrusted) + _cone_notes(cones))
+    rungs = np.cumsum(shells, axis=1)
+    if part == "(0,1)":
+        rungs = rungs.conj()
+        notes += ("computed from the (1,0) pairing by formal conjugation",)
     # Python complexes, which Quat takes as they are
-    values = [Quat(z1, z2) for z1, z2 in np.cumsum(shells, axis=1).T.tolist()]
-    return finalize(eps_list, values, part="(1,0)", notes=notes,
-                    trusted=not untrusted.any(), phases_averaged=averaged)
+    values = [Quat(z1, z2) for z1, z2 in rungs.T.tolist()]
+    return finalize(eps_list, values, part=part, notes=notes,
+                    trusted=not (untrusted.any() or cones),
+                    phases_averaged=averaged)

@@ -22,7 +22,7 @@ from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _Nodes,
                                     _pv_kernels, _pv_radial,
                                     _level_crossings, _residue_kernels,
                                     _residue_rung, _solve_level_radius,
-                                    pv_pair, pv_rays,
+                                    _take_rays, pv_pair, pv_rays,
                                     require_rays, residue_pair, residue_rays)
 from qres.currents import quadrature
 from qres.currents.quadrature import build_quadrature, graded_eta_panels
@@ -162,6 +162,17 @@ def test_conjugate_part_is_served_by_formal_conjugation():
     for u, v in zip(got.values, base.values):
         mirrored = Quat(complex(v.z1).conjugate(), complex(v.z2).conjugate())
         assert (u - mirrored).norm() == 0.0
+    # an untrusted level set: the (1,0) verdict and notes carry over
+    f = builtin("prop34", (Fraction(1, 8), Fraction(-1, 8))).f
+    base = pv_pair(f, flipped, rule=rule, region="levelset")
+    got = pv_pair(f, psi, rule=rule, region="levelset", part="(0,1)")
+    assert [(complex(u.z1), complex(u.z2)) for u in got.values] == [
+        (complex(v.z1).conjugate(), complex(v.z2).conjugate())
+        for v in base.values]
+    assert any("not radial graphs" in note for note in base.notes)
+    assert got.converged == base.converged
+    assert got.notes == base.notes + ("computed from the (1,0) pairing by "
+                                      "formal conjugation",)
 
 
 def test_pole_through_domain_is_reported():
@@ -505,11 +516,13 @@ def test_level_sets_of_whole_rays_are_not_converged():
         assert all(v.norm() == 0.0 for v in est.values)
         assert est.converged and est.notes == ()
     # the sublevel set of the principal value is whole rays, which it
-    # integrates
+    # integrates: its rungs step as eps passes the |f| of each ray, and the
+    # same note leaves it not converged
     levelset = pv_pair(cone, TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0)),
                        rule=build_quadrature(8, 8), region="levelset")
+    assert not levelset.converged
     assert levelset.notes == ("excluded region follows the level sets of "
-                              "|f|",)
+                              "|f|", note)
 
 
 LADDER_SOLVE_CASES = {
@@ -769,7 +782,7 @@ def test_ray_tables_match_the_symbolic_evaluators(name, params):
     sel = np.sort(rng.choice(n, 23, replace=False))
     for fn, lam, rays in ((ray_fn, shared, slice(None)),
                           (ray_fn, per_ray, slice(None)),
-                          (ray_fn.take(sel), per_ray[:, sel], sel)):
+                          (_take_rays(ray_fn, sel), per_ray[:, sel], sel)):
         Z1, Z2 = lam * u1[rays], lam * u2[rays]
         got = fn.values(lam)
         want = [r.eval_numeric(Z1, Z2) for r in rationals]
@@ -836,7 +849,8 @@ def test_folded_pv_density_matches_the_unfolded_formula(name, params):
     sel = np.sort(rng.choice(n, 23, replace=False))
     for dens, lam, rays in ((density, shared, slice(None)),
                             (density, per_ray, slice(None)),
-                            (density.take(sel), per_ray[:, sel], sel)):
+                            (_take_rays(density, sel), per_ray[:, sel],
+                             sel)):
         want = unfolded_pv_density(f, FOLD_PSI, lam * u1[rays],
                                    lam * u2[rays])
         got = folded_pv_density(dens, lam)
@@ -847,6 +861,42 @@ def test_folded_pv_density_matches_the_unfolded_formula(name, params):
             assert np.ndim(g) == 0 or np.shape(g) == np.shape(w)
         if not scale:
             assert density.slots == ()
+
+
+def test_ray_subsets_are_views_for_slices_and_copies_for_index_arrays():
+    # _take_rays on a density with denominator tables and a bump of radial
+    # z2, whose r is per ray: every per-ray array keeps its rays on the
+    # last axis, and what is not per ray comes back unchanged
+    f = parse_qfunction("(z1) / (1 + z1*c1) ; z2")
+    g = modulus_function(f)
+    u1, u2 = unit_rays(18)
+    density = _PvDensity.build(
+        f, g, _fold(_residue_kernels(f, g, True), PHI_PLANE.coefficients),
+        u1, u2)
+
+    def polys(d):
+        return ([p for t in d.ray_fn.items if t is not None
+                 for p in (t.num, t.den) if p is not None]
+                + [p for p in d.sizes if p is not None])
+
+    def arrays(d):
+        return ([p.c for p in polys(d)] + list(d.ray_fn.u)
+                + [r for _, r in d.bumps if r is not None])
+
+    assert any(t.den is not None for t in density.ray_fn.items)
+    assert any(r is not None for _, r in density.bumps)
+    for sel in (slice(5, 40), np.array([3, 3, 0, 50, 17])):
+        sub = _take_rays(density, sel)
+        for got, orig in zip(arrays(sub), arrays(density), strict=True):
+            assert np.array_equal(got, orig[..., sel])
+            assert np.shares_memory(got, orig) == isinstance(sel, slice)
+        for p in polys(sub):
+            assert all(row.flags.c_contiguous for row in p.c)
+        assert [p.low for p in polys(sub)] == [p.low for p in polys(density)]
+        assert sub.ray_fn.modulus is density.ray_fn.modulus
+        assert sub.slots == density.slots
+        assert all(a is b for (a, _), (b, _) in zip(sub.bumps,
+                                                     density.bumps))
 
 
 def pv_outcome(f, psi, rule, region):
@@ -1307,7 +1357,7 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
         phi.support_lambda(mesh.eta), (eps,)).lam_star[0]
     sel = np.flatnonzero(lam_star < np.inf)
     assert len(sel) > 100
-    rays, lam = mesh.take(sel), lam_star[sel]
+    rays, lam = _take_rays(mesh, sel), lam_star[sel]
     ref = RayParams.of(eta_nodes, eta_weights, rule).take(sel)
     density = _PvDensity.build(
         f, modulus_function(f),

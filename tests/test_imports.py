@@ -1,5 +1,6 @@
 """Every name a package module imports is read somewhere in that module,
-every module-level private name is read somewhere in the package, and every
+every module-level private name is read somewhere in the package, no
+top-level function or class name is defined in two modules, and every
 defaulted parameter is passed by some caller.
 
 An AST scan of src/qres/**/*.py: for imports, package __init__ files
@@ -120,6 +121,20 @@ def test_private_names_are_read_in_the_package():
                        f"(line {tree.body[i].lineno})"
                        for name in names if name not in elsewhere]
     assert not unread, ", ".join(unread)
+
+
+def test_no_function_or_class_is_defined_in_two_modules():
+    """Each top-level function or class is written once in the package; a
+    second module that needs it imports it, so the copies cannot drift."""
+    where = {}
+    for path in ALL_MODULES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where.setdefault(node.name, []).append(
+                    str(path.relative_to(SRC)))
+    twice = [f"{name} ({', '.join(paths)})"
+             for name, paths in sorted(where.items()) if len(paths) > 1]
+    assert not twice, ", ".join(twice)
 
 
 CALLERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
