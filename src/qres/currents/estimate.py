@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,7 +84,8 @@ class CurrentEstimate:
     values: Tuple[Quat, ...]
     extrapolated: Quat
     converged: bool
-    diff_ratios: Tuple[float, ...]
+    # None where the difference before is exactly 0 and this one is not
+    diff_ratios: Tuple[Optional[float], ...]
     part: str = "(1,0)"
     notes: Tuple[str, ...] = ()
     # the 4-D pairings: whether the phases were averaged exactly, so that
@@ -123,9 +124,11 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
     rung that is exactly zero after a rung above the zero floor is a lost
     rung, not a converged one, and rules convergence out; so does
     trusted=False, for a pairing that counted rays it cannot resolve (its
-    notes say which).  phases_averaged is carried to the estimate.  The
-    norms and differences are taken on one complex array of the rungs'
-    (z1, z2), with the arithmetic of Quat subtraction and Quat.norm.
+    notes say which).  A ratio is None where the difference before it is
+    exactly 0 and its own is not, and None is not below 0.8.
+    phases_averaged is carried to the estimate.  The norms and differences
+    are taken on one complex array of the rungs' (z1, z2), with the
+    arithmetic of Quat subtraction and Quat.norm.
     """
     if len(epsilons) != len(values):
         raise ValueError("epsilons and values must align")
@@ -137,15 +140,20 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
     with np.errstate(all="ignore"):
         norms = _norms(*z.T).tolist()
         diffs = _norms(*(z[1:] - z[:-1]).T)
-        ratios = tuple((diffs[1:] / np.maximum(diffs[:-1], 1e-300)).tolist())
+        ratios = (diffs[1:] / np.maximum(diffs[:-1], 1e-300)).tolist()
     scale = max(1.0, max(norms))
     floor = ZERO_FLOOR * scale
     diffs = diffs.tolist()
+    # a nonzero difference after an exactly zero one has no ratio (over the
+    # 1e-300 floor it would read near 1e300); a 0 / 0 ratio stays 0.0
+    ratios = tuple(None if a == 0.0 and b != 0.0 else r
+                   for a, b, r in zip(diffs, diffs[1:], ratios))
     window = min(4, len(ratios))
     if len(values) >= 5 and window > 0:
         tail_ok = []
         for i in range(len(ratios) - window, len(ratios)):
-            tail_ok.append(ratios[i] < 0.8 or diffs[i + 1] < floor)
+            r = ratios[i]
+            tail_ok.append((r is not None and r < 0.8) or diffs[i + 1] < floor)
         lost = any(b == 0.0 and a > floor for a, b in zip(norms, norms[1:]))
         converged = trusted and not lost and all(tail_ok)
     else:

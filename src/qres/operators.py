@@ -13,6 +13,7 @@ identity here; it is only used for the documented cross-checks.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,10 +23,10 @@ import numpy as np
 
 from .errors import IdenticallyZero, NotHyperholomorphic, NotHypermeromorphic
 from .qcore import CRat, Quat
-from .symfun import (ConjRational, PairEval, QFunction, WirtingerJet,
+from .symfun import (_ONE, ConjRational, PairEval, QFunction, WirtingerJet,
                      numeric_jet)
 
-HALF = CRat(Fraction(1, 2))
+HALF = ConjRational.const(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,9 @@ def check_product_rule(f: QFunction, g: QFunction, strict: bool = True) -> DResu
     collects the g-derivative terms of the expansion.  For hyperholomorphic
     f the residual is the zero function for every g, because the first RHS
     term carries the factor Df.  With strict=True non-hyperholomorphic
-    inputs are rejected; soft mode computes the (generally nonzero)
-    residual anyway.
+    inputs are rejected, so Df is 0 and the first term is skipped, as it
+    adds nothing; soft mode computes the (generally nonzero) residual
+    anyway.
     """
     df = apply_D(f)
     if strict:
@@ -149,9 +151,10 @@ def check_product_rule(f: QFunction, g: QFunction, strict: bool = True) -> DResu
             raise NotHyperholomorphic("first factor is not hyperholomorphic")
         if not is_hyperholomorphic(g):
             raise NotHyperholomorphic("second factor is not hyperholomorphic")
-    lhs = _dhat(f * g)
-    rhs = df.as_qfunction() * _j_times(g) + _leibniz_remainder(f, g)
-    res = lhs - rhs
+    rhs = _leibniz_remainder(f, g)
+    if not strict:
+        rhs = df.as_qfunction() * _j_times(g) + rhs
+    res = _dhat(f * g) - rhs
     return DResult(res.f1, res.f2.conjugate())
 
 
@@ -251,34 +254,64 @@ _SAMPLE_SEED = 20240811
 _CROSS_CHECK_RTOL = 1e-6
 
 
-def _sample_points(f: QFunction, count: int, rng: random.Random
-                   ) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _candidates(limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first limit attempts of the cross-check's sample stream that land
+    in the shell 0.25 <= |q| <= 2: their rows (z1, z2) as a complex array,
+    and their attempt indices, both read-only.
+
+    An attempt is four uniforms on [-1.5, 1.5] (Re z1, Im z1, Re z2, Im z2)
+    from random.Random(_SAMPLE_SEED).  The stream never depends on f, so it
+    is drawn once per process for each limit; classify uses one.
+    """
+    rng = random.Random(_SAMPLE_SEED)
+    u = np.array([rng.uniform(-1.5, 1.5) for _ in range(4 * limit)])
+    z = u.view(complex).reshape(limit, 2)
+    norm = _norms(z[:, 0], z[:, 1])
+    attempts = np.flatnonzero((0.25 <= norm) & (norm <= 2.0))
+    points = z[attempts]
+    points.flags.writeable = attempts.flags.writeable = False
+    return points, attempts
+
+
+def _sample_points(f: QFunction, count: int) -> np.ndarray:
     """Float points where |f| is bounded away from 0 and nothing poles out,
     as the rows (z1, z2) of a complex (n, 2) array, n <= count.
 
-    Each attempt draws four uniforms (Re z1, Im z1, Re z2, Im z2); attempts
-    are screened in blocks of doubling size, and the first count accepted
-    are kept in attempt order, so the points are those of screening one
-    attempt at a time: QFunction.eval's pole rule, then f1, f2 and |f|
-    finite, then |f| >= 0.3.  Where f overflows, the point is refused like
-    a pole.
+    The candidates are the _candidates of the first 200 * count attempts,
+    the same for every f.  They are screened in blocks of 4 * count,
+    8 * count, ... attempts, and the first count accepted are kept in
+    attempt order, so the points are those of screening one attempt at a
+    time: QFunction.eval's pole rule, then f1, f2 and |f| finite, then
+    |f| >= 0.3.  Where f overflows, the point is refused like a pole.  A
+    denominator both components share is evaluated and sized once per
+    block.
     """
     limit = 200 * count
+    candidates, attempts = _candidates(limit)
+    f1, f2 = f.f1, f.f2
+    shared = f1.den is not _ONE and f1.den == f2.den
     pts = np.empty((0, 2), dtype=complex)
-    drawn, block = 0, 4 * count
+    start = drawn = 0
+    block = 4 * count
     while len(pts) < count and drawn < limit:
-        n = min(block, limit - drawn)
-        drawn += n
+        drawn = min(drawn + block, limit)
         block *= 2
-        u = np.array([rng.uniform(-1.5, 1.5) for _ in range(4 * n)])
-        z = u.view(complex).reshape(n, 2)
-        norm = _norms(z[:, 0], z[:, 1])
-        z = z[(0.25 <= norm) & (norm <= 2.0)]
+        stop = np.searchsorted(attempts, drawn)
+        z = candidates[start:stop]
+        start = stop
+        z1, z2 = z[:, 0], z[:, 1]
         with np.errstate(all="ignore"):
-            v1, pole1 = f.f1.eval_screened(z[:, 0], z[:, 1])
-            v2, pole2 = f.f2.eval_screened(z[:, 0], z[:, 1])
+            if shared:
+                d, pole = f1.den._screened(z1, z2)
+                v1 = f1.num.eval_numeric(z1, z2) / d
+                v2 = f2.num.eval_numeric(z1, z2) / d
+            else:
+                v1, pole1 = f1.eval_screened(z1, z2)
+                v2, pole2 = f2.eval_screened(z1, z2)
+                pole = pole1 | pole2
             norm = _norms(v1, v2)
-        keep = ~(pole1 | pole2) & np.isfinite(norm) & (norm >= 0.3)
+        keep = ~pole & np.isfinite(norm) & (norm >= 0.3)
         pts = np.concatenate([pts, z[keep]])
     return pts[:count]
 
@@ -292,7 +325,8 @@ def _norms(z1, z2):
 def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification:
     """Exact flags plus closure report against optional partner functions.
 
-    The numeric cross-check differentiates 1/f at sampled points and compares
+    The numeric cross-check differentiates 1/f at up to 8 points of
+    _sample_points (the same candidates for every f) and compares
     with what the residual system predicts; the two can in principle part
     ways when a component of f vanishes identically, which the derivation of
     the system assumes away, so any disagreement is surfaced in notes.  The
@@ -313,8 +347,7 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
                      "compatibility system assumes both are nonzero")
     if not f.is_zero:
         g = inverse_function(f)
-        rng = random.Random(_SAMPLE_SEED)
-        pts = _sample_points(f, 8, rng)
+        pts = _sample_points(f, 8)
         if len(pts):
             with np.errstate(all="ignore"):
                 jet = numeric_jet(g.eval_numeric, pts[:, 0], pts[:, 1])

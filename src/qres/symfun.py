@@ -323,29 +323,36 @@ class ConjPoly:
         Z2 = np.asarray(Z2, dtype=complex)
         out = np.zeros(np.broadcast(Z1, Z2).shape, dtype=complex)
         vals = (Z1, np.conj(Z1), Z2, np.conj(Z2))
+        # on arrays x ** 1 is a copy of x, so a first power multiplies by x
+        # itself; a 0-d x ** 1 is a numpy scalar, whose product with term
+        # rounds otherwise than the 0-d product, so 0-d inputs keep it
+        arrays = out.ndim > 0
         den = self._den
         for (a, b, c, d), (re, im) in self._num.items():
             # re / den is correctly rounded, as float(Fraction(re, den)) is
             term = complex(re / den, im / den)
             if a:
-                term = term * vals[0] ** a
+                term = term * (vals[0] if a == 1 and arrays else vals[0] ** a)
             if b:
-                term = term * vals[1] ** b
+                term = term * (vals[1] if b == 1 and arrays else vals[1] ** b)
             if c:
-                term = term * vals[2] ** c
+                term = term * (vals[2] if c == 1 and arrays else vals[2] ** c)
             if d:
-                term = term * vals[3] ** d
+                term = term * (vals[3] if d == 1 and arrays else vals[3] ** d)
             out += term
         return out
 
-    def _abs_scale(self, Z1, Z2):
-        """Sum of term magnitudes, the natural yardstick for pole detection."""
+    def _screened(self, Z1, Z2):
+        """Array values plus the float path's pole rule for self as a
+        denominator: a point is a pole where |value| <= POLE_RTOL times the
+        sum of the term sizes.  Returns (values, pole mask)."""
         a1, a2 = np.abs(np.asarray(Z1, complex)), np.abs(np.asarray(Z2, complex))
-        out = np.zeros(np.broadcast(a1, a2).shape, dtype=float)
+        scale = np.zeros(np.broadcast(a1, a2).shape, dtype=float)
         den = self._den
         for (a, b, c, d), (re, im) in self._num.items():
-            out += abs(complex(re / den, im / den)) * a1 ** (a + b) * a2 ** (c + d)
-        return out
+            scale += abs(complex(re / den, im / den)) * a1 ** (a + b) * a2 ** (c + d)
+        values = self.eval_numeric(Z1, Z2)
+        return values, np.abs(values) <= POLE_RTOL * np.maximum(scale, 1e-300)
 
     def __str__(self) -> str:
         if not self._num:
@@ -396,7 +403,11 @@ class ConjRational:
 
     The real-denominator invariant is enforced at construction and preserved
     by every operation here; it is what lets a component quotient stand in
-    for left and right quaternionic division at once.
+    for left and right quaternionic division at once.  Products, sums,
+    quotient derivatives and divide_by_real form their denominator as a
+    product of real ones (or a real numerator divide_by_real has checked),
+    so they build the result through ``_over_real``, which keeps the public
+    constructor's reduction but does not prove den real and nonzero again.
 
     A denominator equal to 1 is always the one shared polynomial ``_ONE``,
     so ``den is _ONE`` tells a polynomial apart at the cost of an identity
@@ -417,14 +428,13 @@ class ConjRational:
             raise ZeroDivisionError("rational function with zero denominator")
         if not den.is_real:
             raise ValueError("denominator must be real-valued")
-        if num.is_zero:
-            den = _ONE
-        else:
-            num, den = _strip_content(num, den)
-            if den == _ONE:
-                den = _ONE
-        self.num = num
-        self.den = den
+        self.num, self.den = _lowest_terms(num, den)
+
+    @classmethod
+    def _over_real(cls, num: ConjPoly, den: ConjPoly) -> "ConjRational":
+        """num / den for a den known to be real and nonzero: the public
+        constructor without its two checks."""
+        return cls._from_parts(*_lowest_terms(num, den))
 
     @classmethod
     def _from_parts(cls, num: ConjPoly, den: ConjPoly) -> "ConjRational":
@@ -475,8 +485,10 @@ class ConjRational:
         if self.den is _ONE and o.den is _ONE:
             return ConjRational._from_parts(self.num + o.num, _ONE)
         if self.den == o.den:
-            return ConjRational(self.num + o.num, self.den)
-        return ConjRational(self.num * o.den + o.num * self.den, self.den * o.den)
+            return ConjRational._over_real(self.num + o.num, self.den)
+        return ConjRational._over_real(
+            _times(self.num, o.den) + _times(o.num, self.den),
+            _times(self.den, o.den))
 
     __radd__ = __add__
 
@@ -500,7 +512,8 @@ class ConjRational:
             return NotImplemented
         if self.den is _ONE and o.den is _ONE:
             return ConjRational._from_parts(self.num * o.num, _ONE)
-        return ConjRational(self.num * o.num, self.den * o.den)
+        return ConjRational._over_real(self.num * o.num,
+                                       _times(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -515,11 +528,9 @@ class ConjRational:
             raise ValueError("can only divide by a real-valued function")
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        # other = N/D with N, D real, so 1/other = D/N keeps the invariant.
-        # A factor 1 is skipped: p * 1 is p in the same key order.
-        num = self.num if other.den is _ONE else self.num * other.den
-        den = other.num if self.den is _ONE else self.den * other.num
-        return ConjRational(num, den)
+        # other = N/D with N, D real, so 1/other = D/N keeps the invariant
+        return ConjRational._over_real(_times(self.num, other.den),
+                                       _times(self.den, other.num))
 
     def conjugate(self) -> "ConjRational":
         # swapping z with conj z keeps min(a, b) and min(c, d) of every key,
@@ -530,9 +541,9 @@ class ConjRational:
         if self.den is _ONE:
             return ConjRational._from_parts(self.num.wirtinger(var), _ONE)
         if self.is_polynomial:
-            return ConjRational(self.num.wirtinger(var), self.den)
+            return ConjRational._over_real(self.num.wirtinger(var), self.den)
         n = self.num.wirtinger(var) * self.den - self.num * self.den.wirtinger(var)
-        return ConjRational(n, self.den * self.den)
+        return ConjRational._over_real(n, self.den * self.den)
 
     def eval_exact(self, z1: CRat, z2: CRat) -> CRat:
         d = self.den.eval_exact(z1, z2)
@@ -549,12 +560,17 @@ class ConjRational:
     def eval_screened(self, Z1, Z2):
         """Array evaluation plus the float path's pole rule: a point is a
         pole where |den| <= POLE_RTOL times the sum of den's term sizes.
-        Returns (values, pole mask); values at poles are not meaningful."""
-        d = self.den.eval_numeric(Z1, Z2)
-        scale = self.den._abs_scale(Z1, Z2)
-        pole = np.abs(d) <= POLE_RTOL * np.maximum(scale, 1e-300)
+        Returns (values, pole mask); values at poles are not meaningful.
+        A polynomial has no pole, so its denominator 1 is neither evaluated
+        nor sized; the division by 1 stays, since it turns the other part
+        of an infinite value into nan and -0 into 0, as num / den does."""
+        n = self.num.eval_numeric(Z1, Z2)
+        if self.den is _ONE:
+            with np.errstate(invalid="ignore"):
+                return n / 1, np.zeros(n.shape, dtype=bool)
+        d, pole = self.den._screened(Z1, Z2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.num.eval_numeric(Z1, Z2) / d, pole
+            return n / d, pole
 
     def eval_numeric(self, Z1, Z2):
         """Array evaluation; poles come out as inf/nan for the caller to notice."""
@@ -567,6 +583,22 @@ class ConjRational:
         if self.den is _ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+def _times(p: ConjPoly, q: ConjPoly) -> ConjPoly:
+    """p * q with a factor 1 skipped: p * 1 is p in the same key order."""
+    if q is _ONE:
+        return p
+    return q if p is _ONE else p * q
+
+
+def _lowest_terms(num: ConjPoly, den: ConjPoly) -> Tuple[ConjPoly, ConjPoly]:
+    """num / den with a shared real monomial cancelled; den is _ONE if it
+    is 1, as it is when num is 0."""
+    if num.is_zero:
+        return num, _ONE
+    num, den = _strip_content(num, den)
+    return num, _ONE if den == _ONE else den
 
 
 def _strip_content(num: ConjPoly, den: ConjPoly) -> Tuple[ConjPoly, ConjPoly]:
@@ -671,7 +703,16 @@ class QFunction:
                     self.f2.eval_point(q.z1, q.z2))
 
     def eval_numeric(self, Z1, Z2):
-        return self.f1.eval_numeric(Z1, Z2), self.f2.eval_numeric(Z1, Z2)
+        """Array evaluation of both components, as ConjRational.eval_numeric
+        gives each.  A denominator the two share, as the inverse_function of
+        an f with two nonzero components has, is evaluated once."""
+        f1, f2 = self.f1, self.f2
+        if f1.den != f2.den:
+            return f1.eval_numeric(Z1, Z2), f2.eval_numeric(Z1, Z2)
+        d = f1.den.eval_numeric(Z1, Z2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (f1.num.eval_numeric(Z1, Z2) / d,
+                    f2.num.eval_numeric(Z1, Z2) / d)
 
     def __str__(self) -> str:
         return f"{self.f1} ; {self.f2}"

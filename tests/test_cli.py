@@ -306,6 +306,23 @@ def test_pv_conjugate_part_is_marked():
     assert any("conjugation" in n for n in data["diagnostics"]["notes"])
 
 
+def test_a_step_after_flat_rungs_has_no_difference_ratio():
+    # the levelset rungs of this degree-0 f step as eps passes the |f| of
+    # each ray (see test_level_sets_of_whole_rays_are_not_converged); a
+    # nonzero difference after an exactly zero one reported x / 1e-300,
+    # 6.2e299 and 2.3e299 here, and now reports null
+    data = report(["pv", "-f", "(z1*c1) / (z1*c1 + z2*c2) ; 0",
+                   "--psi1", "z1*bump", "--n-eta", "8", "--n-xi", "8",
+                   "--region", "levelset"])
+    rungs = [row[1] for row in data["diagnostics"]["table"]]
+    diffs = [abs(b - a) for a, b in zip(rungs, rungs[1:])]
+    assert data["diagnostics"]["diff_ratios"] == [0, 0, None, 0, 0, 0, 0,
+                                                  None, 0, 0]
+    assert [i for i, (a, b) in enumerate(zip(diffs, diffs[1:]))
+            if a == 0 and b != 0] == [2, 7]
+    assert data["result"]["converged"] is False
+
+
 def test_oracle_1d_residue_recovers_two_pi_i():
     data = report(["oracle-1d", "--principal", "1",
                    "--schedule", "0.25,0.55,8", "--n-theta", "128"])

@@ -1125,10 +1125,12 @@ def quat_finalize(epsilons, values):
     floor = ZERO_FLOOR * max(1.0, max(norms))
     diffs = [(values[i + 1] - values[i]).norm()
              for i in range(len(values) - 1)]
-    ratios = tuple(diffs[i + 1] / max(diffs[i], 1e-300)
+    ratios = tuple(None if diffs[i] == 0.0 and diffs[i + 1] != 0.0
+                   else diffs[i + 1] / max(diffs[i], 1e-300)
                    for i in range(len(diffs) - 1))
     window = min(4, len(ratios))
-    tail_ok = [ratios[i] < 0.8 or diffs[i + 1] < floor
+    tail_ok = [(ratios[i] is not None and ratios[i] < 0.8)
+               or diffs[i + 1] < floor
                for i in range(len(ratios) - window, len(ratios))]
     lost = any(b == 0.0 and a > floor for a, b in zip(norms, norms[1:]))
     converged = len(values) >= 5 and not lost and all(tail_ok)
@@ -1142,11 +1144,12 @@ def quat_finalize(epsilons, values):
 
 
 @pytest.mark.parametrize("kind", ["residue", "metric", "levelset",
-                                  "prop34", "seeded"])
+                                  "prop34", "seeded", "cone"])
 def test_finalize_on_arrays_is_bit_identical_to_the_quat_formulas(kind):
     # the README's residue and pv ladders, whose j parts are 0, one with
-    # both parts, and seeded rungs, where the order in which a norm sums its
-    # four squares shows
+    # both parts, seeded rungs, where the order in which a norm sums its
+    # four squares shows, and rungs that step after flat stretches, whose
+    # ratio there is None
     if kind == "seeded":
         z = np.random.default_rng(5).normal(size=(12, 4))
         values = [Quat(complex(a, b), complex(c, d)) for a, b, c, d in z]
@@ -1158,12 +1161,18 @@ def test_finalize_on_arrays_is_bit_identical_to_the_quat_formulas(kind):
         est = pv_pair(LADDER_CASES["prop34(1/8,-1/8)"], FOLD_PSI,
                       rule=build_quadrature(8, 16))
         assert all(complex(v.z2) != 0j for v in est.values)
+    elif kind == "cone":
+        est = pv_pair(parse_qfunction("(z1*c1) / (z1*c1 + z2*c2) ; 0"),
+                      TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0)),
+                      rule=build_quadrature(8, 8), region="levelset")
+        assert None in est.diff_ratios
     else:
         psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
         est = pv_pair(Z1_FN, psi, rule=build_quadrature(16, 32),
                       region=kind)
     ratios, converged, extrapolated = quat_finalize(est.epsilons, est.values)
-    assert [r.hex() for r in est.diff_ratios] == [r.hex() for r in ratios]
+    assert ([None if r is None else r.hex() for r in est.diff_ratios]
+            == [None if r is None else r.hex() for r in ratios])
     assert est.converged == converged
     assert (complex(est.extrapolated.z1),
             complex(est.extrapolated.z2)) == extrapolated

@@ -489,3 +489,84 @@ def test_dividing_by_a_polynomial_multiplies_by_no_constant_one(monkeypatch,
             assert a == b and list(a.terms) == list(b.terms)
     if f.is_polynomial:
         assert ones == []
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_shared_denominator_evaluates_as_each_component_does(name):
+    # an inverse has one denominator |f|^2 in both components, unless one
+    # is 0; QFunction.eval_numeric evaluates it once
+    g = inverse_function(builtin(name).f)
+    assert (g.f1.den == g.f2.den) == (name != "holo")
+    nrng = np.random.default_rng(47)
+    for shape in ((), (1,), (8,), (17, 8)):
+        z1, z2 = (nrng.normal(size=shape) + 1j * nrng.normal(size=shape)
+                  for _ in range(2))
+        got = g.eval_numeric(z1, z2)
+        want = (g.f1.eval_numeric(z1, z2), g.f2.eval_numeric(z1, z2))
+        for a, b in zip(got, want):
+            assert type(a) is type(b) and np.shape(a) == np.shape(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def ref_eval_screened(r: ConjRational, z1, z2):
+    """num / den with den evaluated in full, 1 included, and the pole rule
+    |den| <= POLE_RTOL * max(sum of den's term sizes, 1e-300)."""
+    a1, a2 = np.abs(np.asarray(z1, complex)), np.abs(np.asarray(z2, complex))
+    scale = sum(abs(complex(c)) * a1 ** (a + b) * a2 ** (c_ + d)
+                for (a, b, c_, d), c in r.den.terms.items())
+    with np.errstate(all="ignore"):
+        d = r.den.eval_numeric(z1, z2)
+        values = r.num.eval_numeric(z1, z2) / d
+    return values, np.abs(d) <= symfun.POLE_RTOL * np.maximum(scale, 1e-300)
+
+
+def test_a_polynomial_screens_as_its_quotient_by_one():
+    # a polynomial skips evaluating and sizing its denominator 1, but not
+    # the division by it, which turns inf + 1j into inf + nanj; 1e308 z1
+    # overflows in one part and not the other
+    rng = seeded(48)
+    nrng = np.random.default_rng(48)
+    polys = [ConjPoly(rand_terms(rng, rng.randrange(0, 6), max_exp=3))
+             for _ in range(20)]
+    big = ConjPoly.const(10 ** 308) * Z1
+    polys += [Z1 ** 2000, Z1 ** 2000 * CRat(0, 1) + C2 ** 3, big,
+              ConjPoly.zero()]
+    for p in polys:
+        r = ConjRational(p)
+        for shape in ((), (1,), (8,), (17, 8)):
+            z1, z2 = (1.5 * (nrng.normal(size=shape)
+                             + 1j * nrng.normal(size=shape))
+                      for _ in range(2))
+            with np.errstate(all="ignore"):
+                got = r.eval_screened(z1, z2)
+            want = ref_eval_screened(r, z1, z2)
+            for a, b in zip(got, want):
+                assert np.shape(a) == np.shape(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    with np.errstate(all="ignore"):
+        values, pole = ConjRational(big).eval_screened(np.array([2 + 0.5j]),
+                                                      np.array([0j]))
+    assert np.isinf(values.real).all() and np.isnan(values.imag).all()
+    assert not pole.any()
+
+
+def test_rational_results_prove_no_product_denominator_real(monkeypatch):
+    # a product of real denominators is real; only the public constructor
+    # and divide_by_real's check on the divisor read is_real
+    d = (Z1 + 1) * (C1 + 1)
+    a = ConjRational(Z1 * C2 + 1, d)
+    b = ConjRational(Z2 - C1, d * d + 1)
+    checked = []
+    is_real = ConjPoly.is_real
+
+    monkeypatch.setattr(ConjPoly, "is_real", property(
+        lambda self: checked.append(str(self)) or is_real.fget(self)))
+    for r in (a * b, a + b, a - a * a, a.wirtinger("z1"),
+              b.wirtinger("c2")):
+        assert r.den.is_real is True
+    assert len(checked) == 5
+    checked.clear()
+    a.divide_by_real(b * b.conjugate())
+    assert checked == [str((b * b.conjugate()).num)]
+    with pytest.raises(ValueError):
+        ConjRational(Z1, Z1 + 1)
