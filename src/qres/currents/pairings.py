@@ -72,7 +72,7 @@ multiplication, and no table is evaluated.  The metric region sums alpha
 over the rays once and weighs the radial profiles lam^p bump(lam / R) at
 each node of its shared column; the levelset region integrates them over
 each virtual ray's shell and dots them with alpha on its chart ray.  Any
-other f is evaluated node by node (_NodeSum).
+other f is evaluated node by node (_PvDensity.radial).
 
 When |f|^2 is exactly a function of |z1|^2 and |z2|^2 (_torus_invariant:
 every catalogue entry but prop34 at its default parameters), so is every
@@ -180,11 +180,11 @@ def _paired(lam):
 
 
 def _take_rays(tree, sel):
-    """A tree of tuples and NamedTuples of per-ray arrays (_RayMesh,
-    _RayFunction, _PvDensity ...) on the rays sel only.  Every array has its
-    rays on the last axis: a slice gives a view, whose rows stay contiguous
-    as a real view needs, and an index array gives a copy.  Anything else
-    (ints, floats, ConjRationals, None) passes through unchanged."""
+    """A tree of tuples and NamedTuples of per-ray arrays (_RayFunction,
+    _PvDensity ...) on the rays sel only.  Every array has its rays on the
+    last axis: a slice gives a view, whose rows stay contiguous as a real
+    view needs, and an index array gives a copy.  Anything else (ints,
+    floats, ConjRationals, None) passes through unchanged."""
     if isinstance(tree, np.ndarray):
         return (tree[..., sel] if isinstance(sel, slice)
                 else tree.take(sel, axis=-1))
@@ -672,28 +672,32 @@ class _PvDensity(NamedTuple):
     z2^c conj(z2)^d of each degree.  slots holds, per product, its part
     (0 scalar, 1 j) and the index of its bump in bumps, the pairs (R, r) of
     the distinct (R, radial), where r is the radial modulus at the unit
-    direction (|u1| or |u2| per ray), or None for |q|."""
+    direction (|u1| or |u2| per ray), or None for |q|.  w holds each ray's
+    chart weight times sin(eta) cos(eta) (_RayMesh)."""
 
     ray_fn: _RayFunction
     sizes: Tuple[Optional[_RayPoly], ...]
     slots: Tuple[Tuple[int, int], ...]
     bumps: Tuple[Tuple[float, Optional[np.ndarray]], ...]
+    w: np.ndarray
 
     @classmethod
-    def build(cls, f: QFunction, g: ConjRational, products, u1, u2
+    def build(cls, f: QFunction, ray_fn: _RayFunction, products, w
               ) -> "_PvDensity":
+        """The density on the rays of ray_fn, a _RayFunction of f1, f2."""
         keys = list(dict.fromkeys(key for _, key, _ in products))
+        u1, u2 = ray_fn.u
         a1, a2 = np.abs(u1), np.abs(u2)
         radius = {"q": None, "z1": a1, "z2": a2}
-        ray_fn = _RayFunction.build(
-            (f.f1, f.f2) + tuple(r for _, _, r in products), u1, u2, g)
         power = _powers((a1, a1, a2, a2))
         sizes = tuple(None if r.is_zero else _RayPoly.build(
             ((key, abs(complex(coeff))) for key, coeff in r.num.terms.items()),
             power, len(u1), float) for r in (f.f1, f.f2))
+        ray_fn = ray_fn._replace(items=ray_fn.items + _RayFunction.build(
+            [r for _, _, r in products], u1, u2, ray_fn.modulus).items)
         return cls(ray_fn, sizes,
                    tuple((part, keys.index(key)) for part, key, _ in products),
-                   tuple((R, radius[radial]) for R, radial in keys))
+                   tuple((R, radius[radial]) for R, radial in keys), w)
 
     def off_zero_set(self, lam, g):
         """Where f, with |f|^2 = g at radius lam, is off its zero set and
@@ -726,6 +730,10 @@ class _PvDensity(NamedTuple):
                   for R, r in self.bumps]
         return [(part, P * scaled[k]) for (part, k), P in zip(self.slots,
                                                                products)]
+
+    def radial(self, nodes: _Nodes, n_seg: int) -> np.ndarray:
+        """The principal-value integrand of any f: _pv_radial."""
+        return _pv_radial(self, nodes, n_seg, ORIENTATION_4FORM)
 
 
 class _Nodes(NamedTuple):
@@ -782,13 +790,11 @@ def _segment_sums(values, seg, n_seg: int) -> np.ndarray:
 
 
 @_quiet
-def _pv_radial(density: _PvDensity, w_rays, nodes: _Nodes, n_seg: int,
+def _pv_radial(density: _PvDensity, nodes: _Nodes, n_seg: int,
                orientation: float) -> np.ndarray:
     """Oriented integrals of the density times the volume element
     4 lam^3 sin(eta) cos(eta) over the segments of a radial node table
-    (_Nodes), as an array (2, n_seg) of the scalar and j parts of each;
-    w_rays holds the chart weight times sin(eta) cos(eta) of each of the
-    density's rays.
+    (_Nodes), as an array (2, n_seg) of the scalar and j parts of each.
 
     The node at radius lam on a ray is lam * (u1, u2).  As many rows as fit
     _NODE_BUDGET nodes go through one evaluation of the density, and a row
@@ -796,7 +802,7 @@ def _pv_radial(density: _PvDensity, w_rays, nodes: _Nodes, n_seg: int,
     taken on one block's rays at a time.
     """
     by_row = nodes.seg is not None
-    n = len(w_rays) if by_row and nodes.width == 1 else nodes.width
+    n = len(density.w) if by_row and nodes.width == 1 else nodes.width
     rows = max(1, _NODE_BUDGET // n)
     step = min(n, _NODE_BUDGET)
     totals = np.zeros((2, n_seg), dtype=complex)
@@ -811,7 +817,7 @@ def _pv_radial(density: _PvDensity, w_rays, nodes: _Nodes, n_seg: int,
             chunk = slice(start, start + rows)
             lam_c = lam_b[chunk]
             # lam ** 3 would take pow per node when radii are per ray
-            w = (w_lam_b[chunk] * 4.0 * lam_c * lam_c * lam_c) * w_rays[sel]
+            w = (w_lam_b[chunk] * 4.0 * lam_c * lam_c * lam_c) * sub.w
             for part, term in sub.terms(lam_c, w):
                 if by_row:
                     sums[part, chunk] += term.sum(axis=1)
@@ -836,19 +842,6 @@ def _power(lam, p: int):
     for _ in range(p - 1):
         out = out * lam
     return out
-
-
-class _NodeSum(NamedTuple):
-    """The principal-value integrand of any f: the folded density at every
-    node of a radial table (_pv_radial), on the rays of density, w_rays
-    holding each one's chart weight times sin(eta) cos(eta)."""
-
-    density: _PvDensity
-    w_rays: np.ndarray
-
-    def radial(self, nodes: _Nodes, n_seg: int) -> np.ndarray:
-        return _pv_radial(self.density, self.w_rays, nodes, n_seg,
-                          ORIENTATION_4FORM)
 
 
 class _RaySplit:
@@ -879,7 +872,7 @@ class _RaySplit:
 
     @_quiet
     def radial(self, nodes: _Nodes, n_seg: int) -> np.ndarray:
-        """As _NodeSum.radial: the profile terms
+        """As _PvDensity.radial: the profile terms
         w_lam 4 lam^p bump(lam / R) of each node, summed over the rows of
         each column and dotted with alpha on its ray, or dotted with alpha
         summed over the rays once for radii shared by every ray, then summed
@@ -912,18 +905,18 @@ class _RaySplit:
 
 
 @_quiet
-def _pv_integrand(density: _PvDensity, w_rays):
+def _pv_integrand(density: _PvDensity):
     """The _RaySplit of the density when f is homogeneous and every
-    product's denominator has at most one row, else its _NodeSum."""
+    product's denominator has at most one row, else the density itself."""
     ray_fn = density.ray_fn
     m = ray_fn.degree
     products = ray_fn.items[2:]
     if m is None or any(t.den is not None and len(t.den.c) > 1
                         for t in products):
-        return _NodeSum(density, w_rays)
-    one = np.ones(len(w_rays))
+        return density
+    one = np.ones(len(density.w))
     a = ray_fn.modulus_sq(one)
-    scale = w_rays / a
+    scale = density.w / a
     rows = {}
     for (part, k), t in zip(density.slots, products):
         low_den, s = ((0, scale) if t.den is None
@@ -943,8 +936,7 @@ def _pv_integrand(density: _PvDensity, w_rays):
 
 
 @_quiet
-def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
-                  ) -> Tuple[Quat, int]:
+def _residue_rung(density: _PvDensity, lam) -> Tuple[Quat, int]:
     """Oriented integral of the residue density over one level set, lam
     holding the level radius of each of the density's rays: one row of the
     radial table with the Leray weight 1 / (d|f|^2/dlam).  A node where that
@@ -953,10 +945,8 @@ def _residue_rung(density: _PvDensity, rays: _RayMesh, lam
     _, slope = density.ray_fn.modulus_sq_slope(lam)
     transverse = slope > 0.0
     w_lam = np.where(transverse, 1.0 / slope, 0.0)
-    (z1,), (z2,) = _pv_radial(density, rays.w,
-                              _Nodes.table(lam[None], w_lam[None],
-                                           np.zeros(1, dtype=int)),
-                              1, ORIENTATION_3FORM)
+    (z1,), (z2,) = _pv_radial(density, _Nodes.table(
+        lam[None], w_lam[None], np.zeros(1, dtype=int)), 1, ORIENTATION_3FORM)
     return Quat(complex(z1), complex(z2)), int(np.count_nonzero(~transverse))
 
 
@@ -969,8 +959,9 @@ def _residue_level_set(f: QFunction, g: ConjRational, phi: TestForm2,
     (one-phase) mesh counts n_xi^2 times, and the solve's cone count, 1
     when the level set is a cone of whole rays (_LevelRadii), else 0.
     products() gives the folded density; it is asked for only when some ray
-    is active.  The mesh and its tables die
-    with the call, so no two rungs' are held at once."""
+    is active, and tabulated on the active rays, where it takes the level
+    solve's tables of f1 and f2.  The mesh and its tables die with the
+    call, so no two rungs' are held at once."""
     mesh = _RayMesh.build(*graded_eta_panels(eps, support),
                           1 if averaged else n_xi)
     level_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2, g)
@@ -981,9 +972,10 @@ def _residue_level_set(f: QFunction, g: ConjRational, phi: TestForm2,
     untrusted = radii.untrusted * weight
     if not active.any():
         return Quat(0.0, 0.0), 0, untrusted, radii.cones
-    rays = _take_rays(mesh, np.flatnonzero(active))
-    density = _PvDensity.build(f, g, products(), rays.u1, rays.u2)
-    value, dropped = _residue_rung(density, rays, lam[active])
+    rays = np.flatnonzero(active)
+    density = _PvDensity.build(f, _take_rays(level_fn, rays), products(),
+                               mesh.w[rays])
+    value, dropped = _residue_rung(density, lam[rays])
     return value, dropped * weight, untrusted, radii.cones
 
 
@@ -1001,11 +993,12 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     or larger than MAX_RAYS rays is refused before any is built.
 
     The density is folded once per call (_residue_kernels, _fold), on the
-    first rung with an active ray, and tabulated per rung on the active
-    rays only.  A pairing of a _torus_invariant f is averaged over the
-    phases: it runs on one ray per eta node with the phase averages of the
-    products, so n_xi changes none of its values.  A node on the zero set of
-    f, to within POLE_RTOL of its term size, raises PoleOnDomain.  A rung
+    first rung with an active ray, and its products are tabulated per rung
+    on the active rays only, beside the level solve's f1 and f2 tables.  A
+    pairing of a _torus_invariant f is averaged over the phases: it runs on
+    one ray per eta node with the phase averages of the products, so n_xi
+    changes none of its values.  A node on the zero set of f, to within
+    POLE_RTOL of its term size, raises PoleOnDomain.  A rung
     whose level set is a cone of whole rays (_LevelRadii) reads 0 and
     leaves the estimate not converged, with a note (_cone_notes).
     """
@@ -1148,10 +1141,10 @@ def pv_pair(f: QFunction, psi: TestForm3,
     its powers, and the ball's rungs need the angular rows only summed over
     the rays.  Any other f costs, per node, |f|^2 from the f1 and f2
     tables, one bump per distinct R and one Horner evaluation per surviving
-    product (_NodeSum).  Either way every ray, or node, that is integrated
-    must lie off the zero set and the poles of f: |f|^2 finite, and |f|
-    above POLE_RTOL times the term size of f (_PvDensity.off_zero_set), or
-    PoleOnDomain is raised.
+    product (_PvDensity.radial).  Either way every ray, or node, that is
+    integrated must lie off the zero set and the poles of f: |f|^2 finite,
+    and |f| above POLE_RTOL times the term size of f
+    (_PvDensity.off_zero_set), or PoleOnDomain is raised.
 
     A pairing of a _torus_invariant f is averaged over the phases: both
     regions run on one ray per eta node with the phase averages of the
@@ -1189,8 +1182,9 @@ def pv_pair(f: QFunction, psi: TestForm3,
         products = _phase_average(products)
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights,
                           1 if averaged else rule.n_xi)
-    density = _PvDensity.build(f, g, products, mesh.u1, mesh.u2)
-    integrand = _pv_integrand(density, mesh.w)
+    density = _PvDensity.build(f, _RayFunction.build(
+        (f.f1, f.f2), mesh.u1, mesh.u2, g), products, mesh.w)
+    integrand = _pv_integrand(density)
     untrusted, cones = np.zeros(3, dtype=int), 0
     n_rungs = len(eps_list)
     if region == "metric":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import IdenticallyZero, NotHyperholomorphic, NotHypermeromorphic
 from .qcore import CRat, Quat
-from .symfun import (_ONE, ConjRational, PairEval, QFunction, WirtingerJet,
+from .symfun import (ConjRational, PairEval, QFunction, WirtingerJet,
                      numeric_jet)
 
 HALF = ConjRational.const(Fraction(1, 2))
@@ -255,10 +255,10 @@ _CROSS_CHECK_RTOL = 1e-6
 
 
 @functools.lru_cache(maxsize=None)
-def _candidates(limit: int) -> Tuple[np.ndarray, np.ndarray]:
+def _candidates(limit: int) -> np.ndarray:
     """The first limit attempts of the cross-check's sample stream that land
-    in the shell 0.25 <= |q| <= 2: their rows (z1, z2) as a complex array,
-    and their attempt indices, both read-only.
+    in the shell 0.25 <= |q| <= 2, as the read-only rows (z1, z2) of a
+    complex array.
 
     An attempt is four uniforms on [-1.5, 1.5] (Re z1, Im z1, Re z2, Im z2)
     from random.Random(_SAMPLE_SEED).  The stream never depends on f, so it
@@ -268,52 +268,45 @@ def _candidates(limit: int) -> Tuple[np.ndarray, np.ndarray]:
     u = np.array([rng.uniform(-1.5, 1.5) for _ in range(4 * limit)])
     z = u.view(complex).reshape(limit, 2)
     norm = _norms(z[:, 0], z[:, 1])
-    attempts = np.flatnonzero((0.25 <= norm) & (norm <= 2.0))
-    points = z[attempts]
-    points.flags.writeable = attempts.flags.writeable = False
-    return points, attempts
+    points = z[(0.25 <= norm) & (norm <= 2.0)]
+    points.flags.writeable = False
+    return points
 
 
 def _sample_points(f: QFunction, count: int) -> np.ndarray:
     """Float points where |f| is bounded away from 0 and nothing poles out,
     as the rows (z1, z2) of a complex (n, 2) array, n <= count.
 
-    The candidates are the _candidates of the first 200 * count attempts,
-    the same for every f.  They are screened in blocks of 4 * count,
-    8 * count, ... attempts, and the first count accepted are kept in
-    attempt order, so the points are those of screening one attempt at a
-    time: QFunction.eval's pole rule, then f1, f2 and |f| finite, then
-    |f| >= 0.3.  Where f overflows, the point is refused like a pole.  A
-    denominator both components share is evaluated and sized once per
-    block.
+    The _candidates of 200 * count attempts, the same for every f, are
+    screened in blocks of 4 * count, 8 * count, ... (QFunction.eval_screened)
+    and the first count accepted kept, as when QFunction.eval screens one
+    attempt at a time: off the poles, f1, f2 and |f| finite (an overflow is
+    refused like a pole), and |f| >= 0.3.  If none passes, the points are
+    those of 2^k f, whose largest finite |f| off the poles is in [1, 2); the
+    cross-check is scale-invariant.  If there is no such |f|, there are none.
     """
-    limit = 200 * count
-    candidates, attempts = _candidates(limit)
-    f1, f2 = f.f1, f.f2
-    shared = f1.den is not _ONE and f1.den == f2.den
+    candidates = _candidates(200 * count)
     pts = np.empty((0, 2), dtype=complex)
-    start = drawn = 0
-    block = 4 * count
-    while len(pts) < count and drawn < limit:
-        drawn = min(drawn + block, limit)
+    start, block = 0, 4 * count
+    while len(pts) < count and start < len(candidates):
+        z = candidates[start:start + block]
+        start += block
         block *= 2
-        stop = np.searchsorted(attempts, drawn)
-        z = candidates[start:stop]
-        start = stop
-        z1, z2 = z[:, 0], z[:, 1]
         with np.errstate(all="ignore"):
-            if shared:
-                d, pole = f1.den._screened(z1, z2)
-                v1 = f1.num.eval_numeric(z1, z2) / d
-                v2 = f2.num.eval_numeric(z1, z2) / d
-            else:
-                v1, pole1 = f1.eval_screened(z1, z2)
-                v2, pole2 = f2.eval_screened(z1, z2)
-                pole = pole1 | pole2
+            v1, v2, pole = f.eval_screened(z[:, 0], z[:, 1])
             norm = _norms(v1, v2)
-        keep = ~pole & np.isfinite(norm) & (norm >= 0.3)
-        pts = np.concatenate([pts, z[keep]])
-    return pts[:count]
+        pts = np.concatenate([pts, z[~pole & np.isfinite(norm)
+                                     & (norm >= 0.3)]])
+    if len(pts):
+        return pts[:count]
+    with np.errstate(all="ignore"):
+        v1, v2, pole = f.eval_screened(candidates[:, 0], candidates[:, 1])
+        size = np.hypot(np.abs(v1), np.abs(v2))[~pole]
+    largest = size[np.isfinite(size)].max(initial=0.0)
+    if not largest > 0.0:
+        return pts
+    k = 1 - int(np.frexp(largest)[1])
+    return _sample_points(scale_real(f, Fraction(2) ** k), count)
 
 
 def _norms(z1, z2):
@@ -326,7 +319,8 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
     """Exact flags plus closure report against optional partner functions.
 
     The numeric cross-check differentiates 1/f at up to 8 points of
-    _sample_points (the same candidates for every f) and compares
+    _sample_points (the same candidates for every f; a note says where
+    there are none) and compares
     with what the residual system predicts; the two can in principle part
     ways when a component of f vanishes identically, which the derivation of
     the system assumes away, so any disagreement is surfaced in notes.  The
@@ -348,7 +342,10 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
     if not f.is_zero:
         g = inverse_function(f)
         pts = _sample_points(f, 8)
-        if len(pts):
+        if not len(pts):
+            notes.append("numeric D(1/f) check was not run: no candidate "
+                         "sample has a finite, nonzero |f| off the poles")
+        else:
             with np.errstate(all="ignore"):
                 jet = numeric_jet(g.eval_numeric, pts[:, 0], pts[:, 1])
                 # |1/f| from the jet's centre values; max propagates nan,

@@ -323,22 +323,18 @@ class ConjPoly:
         Z2 = np.asarray(Z2, dtype=complex)
         out = np.zeros(np.broadcast(Z1, Z2).shape, dtype=complex)
         vals = (Z1, np.conj(Z1), Z2, np.conj(Z2))
-        # on arrays x ** 1 is a copy of x, so a first power multiplies by x
-        # itself; a 0-d x ** 1 is a numpy scalar, whose product with term
-        # rounds otherwise than the 0-d product, so 0-d inputs keep it
-        arrays = out.ndim > 0
         den = self._den
         for (a, b, c, d), (re, im) in self._num.items():
             # re / den is correctly rounded, as float(Fraction(re, den)) is
             term = complex(re / den, im / den)
             if a:
-                term = term * (vals[0] if a == 1 and arrays else vals[0] ** a)
+                term = term * vals[0] ** a
             if b:
-                term = term * (vals[1] if b == 1 and arrays else vals[1] ** b)
+                term = term * vals[1] ** b
             if c:
-                term = term * (vals[2] if c == 1 and arrays else vals[2] ** c)
+                term = term * vals[2] ** c
             if d:
-                term = term * (vals[3] if d == 1 and arrays else vals[3] ** d)
+                term = term * vals[3] ** d
             out += term
         return out
 
@@ -551,12 +547,6 @@ class ConjRational:
             raise PoleError(f"denominator vanishes at ({z1}, {z2})")
         return self.num.eval_exact(z1, z2) / d
 
-    def eval_point(self, z1: complex, z2: complex) -> complex:
-        value, pole = self.eval_screened(z1, z2)
-        if pole:
-            raise PoleError(f"denominator vanishes near ({z1}, {z2})")
-        return complex(value)
-
     def eval_screened(self, Z1, Z2):
         """Array evaluation plus the float path's pole rule: a point is a
         pole where |den| <= POLE_RTOL times the sum of den's term sizes.
@@ -632,7 +622,8 @@ def _rat_coerce(x):
 
 @dataclass(frozen=True)
 class QFunction:
-    """Quaternion-valued function in component form f = f1 + f2*j."""
+    """Quaternion-valued function in component form f = f1 + f2*j; on
+    floats, eval and eval_screened screen for poles, eval_numeric does not."""
 
     f1: ConjRational
     f2: ConjRational
@@ -699,8 +690,24 @@ class QFunction:
         if q.is_exact:
             return Quat(self.f1.eval_exact(q.z1, q.z2),
                         self.f2.eval_exact(q.z1, q.z2))
-        return Quat(self.f1.eval_point(q.z1, q.z2),
-                    self.f2.eval_point(q.z1, q.z2))
+        v1, v2, pole = self.eval_screened(q.z1, q.z2)
+        if pole:
+            raise PoleError(f"denominator vanishes near ({q.z1}, {q.z2})")
+        return Quat(complex(v1), complex(v2))
+
+    def eval_screened(self, Z1, Z2):
+        """(v1, v2, pole): both components and the OR of their pole masks,
+        as ConjRational.eval_screened gives them.  A denominator other than
+        1 that the two share is evaluated and sized once."""
+        f1, f2 = self.f1, self.f2
+        if f1.den is _ONE or f1.den != f2.den:
+            (v1, pole1), (v2, pole2) = (r.eval_screened(Z1, Z2)
+                                        for r in (f1, f2))
+            return v1, v2, pole1 | pole2
+        d, pole = f1.den._screened(Z1, Z2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (f1.num.eval_numeric(Z1, Z2) / d,
+                    f2.num.eval_numeric(Z1, Z2) / d, pole)
 
     def eval_numeric(self, Z1, Z2):
         """Array evaluation of both components, as ConjRational.eval_numeric

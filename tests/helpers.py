@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from qres.errors import PoleError
 from qres.qcore import CRat, Quat
-from qres.symfun import ConjPoly, QFunction
+from qres.symfun import ConjPoly, ConjRational, QFunction
 
 VARS = tuple(ConjPoly.var(v) for v in ("z1", "c1", "z2", "c2"))
 
@@ -369,3 +370,19 @@ def ref_numeric_jet(ev, z1, z2):
     g = {k: (4 * g2[k] - g[k]) / 3 for k in g}
     return (w[0, 0], w[0, 1], {k: v[0] for k, v in g.items()},
             {k: v[1] for k, v in g.items()})
+
+
+def ref_eval_point(r: ConjRational, z1: complex, z2: complex) -> complex:
+    """One component at a float point, screened on its own: its
+    eval_screened value, or PoleError at a pole."""
+    value, pole = r.eval_screened(z1, z2)
+    if pole:
+        raise PoleError(f"denominator vanishes near ({z1}, {z2})")
+    return complex(value)
+
+
+def ref_eval_float(f: QFunction, q: Quat) -> Quat:
+    """QFunction.eval at a float point as each component screened on its
+    own, f1 first.  Kept as its reference."""
+    return Quat(ref_eval_point(f.f1, q.z1, q.z2),
+                ref_eval_point(f.f2, q.z1, q.z2))

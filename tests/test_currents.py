@@ -1,9 +1,12 @@
 """Epsilon-limit pairings against the currents attached to a reciprocal:
 residues over shrinking level sets, principal values over shrinking
 excluded regions.  Reference masses come from radial quadrature."""
+import functools
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +20,7 @@ from qres.currents.estimate import ZERO_FLOOR, EpsilonSchedule, finalize
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
 from qres.currents import pairings
 from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _Nodes,
-                                    _NodeSum, _PvDensity, _RayFunction,
+                                    _PvDensity, _RayFunction,
                                     _RayMesh, _RaySplit, _fold, _pv_integrand,
                                     _pv_kernels, _pv_radial,
                                     _level_crossings, _residue_kernels,
@@ -34,9 +37,18 @@ from qres.symfun import ConjPoly, ConjRational, QFunction
 
 Z1_FN = parse_qfunction("z1 ; 0")
 # not homogeneous, so principal values of it evaluate the folded density at
-# every node (_NodeSum); z1 ; 0 takes the per-ray split (_RaySplit)
+# every node (_PvDensity.radial); z1 ; 0 takes the per-ray split (_RaySplit)
 NODE_SUM_FN = parse_qfunction("z1 + z1*z2 ; 0")
 PHI_PLANE = TestForm2(phi22=Profile(ConjPoly.one(), 1.0, radial="z2"))
+
+
+def pv_density(f, products, u1, u2, w=None):
+    """The _PvDensity of the products on the rays (u1, u2), on the table of
+    f1 and f2 that a pairing builds there, with the ray weights w (1 by
+    default)."""
+    ray_fn = _RayFunction.build((f.f1, f.f2), u1, u2, modulus_function(f))
+    return _PvDensity.build(f, ray_fn, products,
+                            np.ones(len(u1)) if w is None else w)
 
 
 def plane_mass_oracle() -> float:
@@ -840,9 +852,8 @@ def test_folded_pv_density_matches_the_unfolded_formula(name, params):
     f = builtin(name, params).f
     u1, u2 = unit_rays(15)
     n = len(u1)
-    density = _PvDensity.build(f, modulus_function(f),
-                               _fold(_pv_kernels(f), FOLD_PSI.coefficients),
-                               u1, u2)
+    density = pv_density(f, _fold(_pv_kernels(f), FOLD_PSI.coefficients),
+                         u1, u2)
     rng = np.random.default_rng(17)
     shared = rng.uniform(0.05, 1.2, (5, 1))
     per_ray = rng.uniform(0.05, 1.2, (5, n))
@@ -870,9 +881,9 @@ def test_ray_subsets_are_views_for_slices_and_copies_for_index_arrays():
     f = parse_qfunction("(z1) / (1 + z1*c1) ; z2")
     g = modulus_function(f)
     u1, u2 = unit_rays(18)
-    density = _PvDensity.build(
-        f, g, _fold(_residue_kernels(f, g, True), PHI_PLANE.coefficients),
-        u1, u2)
+    density = pv_density(
+        f, _fold(_residue_kernels(f, g, True), PHI_PLANE.coefficients),
+        u1, u2, np.linspace(0.5, 1.5, len(u1)))
 
     def polys(d):
         return ([p for t in d.ray_fn.items if t is not None
@@ -881,7 +892,7 @@ def test_ray_subsets_are_views_for_slices_and_copies_for_index_arrays():
 
     def arrays(d):
         return ([p.c for p in polys(d)] + list(d.ray_fn.u)
-                + [r for _, r in d.bumps if r is not None])
+                + [r for _, r in d.bumps if r is not None] + [d.w])
 
     assert any(t.den is not None for t in density.ray_fn.items)
     assert any(r is not None for _, r in density.bumps)
@@ -909,7 +920,7 @@ def pv_outcome(f, psi, rule, region):
 
 def node_sum_only(monkeypatch):
     """Make pv_pair evaluate the folded density at every node, whatever f."""
-    monkeypatch.setattr(pairings, "_pv_integrand", _NodeSum)
+    monkeypatch.setattr(pairings, "_pv_integrand", lambda density: density)
 
 
 def refused_terms(monkeypatch):
@@ -1013,9 +1024,8 @@ def per_rung_pv_pair(f, psi, rule, region):
         products = pairings._phase_average(products)
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights,
                           1 if averaged else rule.n_xi)
-    density = _PvDensity.build(f, modulus_function(f), products,
-                               mesh.u1, mesh.u2)
-    integrand = pairings._pv_integrand(density, mesh.w)
+    density = pv_density(f, products, mesh.u1, mesh.u2, mesh.w)
+    integrand = pairings._pv_integrand(density)
     untrusted = np.zeros(3, dtype=int)
     if region == "metric":
         edges = [quadrature.geometric_edges(eps_list[0], support,
@@ -1106,14 +1116,14 @@ def test_a_ladder_is_integrated_in_one_pass(monkeypatch, region, split,
     # one integrator call for the ball's shells, and one per node kind (log
     # and Gauss) for the sublevel set's, however long the ladder
     calls = []
-    make = pairings._pv_integrand if split else _NodeSum
-    monkeypatch.setattr(pairings, "_pv_integrand", lambda density, w_rays:
-                        CountedIntegrand(make(density, w_rays), calls))
+    make = pairings._pv_integrand if split else (lambda density: density)
+    monkeypatch.setattr(pairings, "_pv_integrand", lambda density:
+                        CountedIntegrand(make(density), calls))
     psi = TestForm3(psi1=Profile(ConjPoly.var("z1"), 1.0))
     est = pv_pair(Z1_FN, psi, rule=build_quadrature(8, 16),
                   schedule=EpsilonSchedule(0.5, 0.7, count), region=region)
     assert len(est.values) == count
-    assert calls == [_RaySplit if split else _NodeSum] * (
+    assert calls == [_RaySplit if split else _PvDensity] * (
         1 if region == "metric" else 2)
 
 
@@ -1182,14 +1192,12 @@ def test_a_product_denominator_of_several_rows_is_not_split():
     # f is homogeneous, but 1 / (1 + |z1|^2) is no single power of the
     # radius on a ray, so only the node sum can integrate that product
     u1, u2 = unit_rays(15)
-    w = np.ones(len(u1))
     wide = parse_qfunction("(1) / (1 + z1*c1) ; 0").f1
     narrow = parse_qfunction("(1) / (z1*c1) ; 0").f1
-    for product, kind in ((wide, _NodeSum), (narrow, _RaySplit)):
-        density = _PvDensity.build(Z1_FN, modulus_function(Z1_FN),
-                                   [(0, (1.0, "q"), product)], u1, u2)
+    for product, kind in ((wide, _PvDensity), (narrow, _RaySplit)):
+        density = pv_density(Z1_FN, [(0, (1.0, "q"), product)], u1, u2)
         assert density.ray_fn.degree == 1
-        assert isinstance(_pv_integrand(density, w), kind)
+        assert isinstance(_pv_integrand(density), kind)
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["split", "node-sum"])
@@ -1251,6 +1259,31 @@ def test_residue_builds_no_eta_rule(monkeypatch):
     monkeypatch.setattr(pairings._RayMesh, "build", classmethod(build))
     with pytest.raises(TooCoarse, match="need n_xi >= 8"):
         residue_pair(Z1_FN, PHI_PLANE, n_xi=4)
+
+
+def test_a_residue_rung_tabulates_f_once(monkeypatch):
+    # the level solve's tables of f1 and f2 serve the density on the active
+    # rays: one _RayFunction.build of them per rung, and no mesh is copied
+    built, taken = [], []
+    build = _RayFunction.__dict__["build"].__func__
+    take = pairings._take_rays
+
+    def spy_build(cls, rationals, *args):
+        built.append(tuple(rationals))
+        return build(cls, rationals, *args)
+
+    def spy_take(tree, sel):
+        taken.append(type(tree))
+        return take(tree, sel)
+
+    monkeypatch.setattr(_RayFunction, "build", classmethod(spy_build))
+    monkeypatch.setattr(pairings, "_take_rays", spy_take)
+    residue_pair(NODE_SUM_FN, MIXED_PHI, n_xi=8,
+                 schedule=EpsilonSchedule(0.4, 0.7, 4))
+    # the other builds tabulate the products alone
+    f12 = (NODE_SUM_FN.f1, NODE_SUM_FN.f2)
+    assert [r[:2] == f12 for r in built].count(True) == 4
+    assert _RayFunction in taken and _RayMesh not in taken
 
 
 def test_residue_rays_in_the_zero_set_are_inactive():
@@ -1316,11 +1349,11 @@ def surface_residue_nodes(f, phi, rays, lam, include_mirror):
     return w * c1, w * c2, dg[0]
 
 
-def leray_residue_nodes(density, rays, lam):
+def leray_residue_nodes(density, lam):
     """The residue integrand of the folded density at the level radii lam,
     per node, with the Leray weight 1 / (d|f|^2/dlam) and no mask."""
     _, slope = density.ray_fn.modulus_sq_slope(lam)
-    w = 4.0 * lam ** 3 * rays.w / slope
+    w = 4.0 * lam ** 3 * density.w / slope
     parts = [0.0, 0.0]
     for part, term in density.terms(lam, w):
         parts[part] = parts[part] + term
@@ -1368,13 +1401,12 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
     assert len(sel) > 100
     rays, lam = _take_rays(mesh, sel), lam_star[sel]
     ref = RayParams.of(eta_nodes, eta_weights, rule).take(sel)
-    density = _PvDensity.build(
-        f, modulus_function(f),
-        _fold(_residue_kernels(f, modulus_function(f), mirror),
-              phi.coefficients),
-        rays.u1, rays.u2)
+    density = pv_density(
+        f, _fold(_residue_kernels(f, modulus_function(f), mirror),
+                 phi.coefficients),
+        rays.u1, rays.u2, rays.w)
     old1, old2, g_lam = surface_residue_nodes(f, phi, ref, lam, mirror)
-    new1, new2 = leray_residue_nodes(density, rays, lam)
+    new1, new2 = leray_residue_nodes(density, lam)
     size = np.maximum(np.abs(old1), np.abs(old2))
     # a folded product vanishes to second order on the zero set of f (f
     # and the derivatives of g both vanish there), so its monomials lose
@@ -1393,7 +1425,7 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
         assert np.all(np.abs(np.broadcast_to(new, old.shape) - old) <= tol)
     # the rung: transverse nodes only, summed
     transverse = g_lam > 0.0
-    value, dropped = _residue_rung(density, rays, lam)
+    value, dropped = _residue_rung(density, lam)
     assert dropped == np.count_nonzero(~transverse)
     for got, old in ((value.z1, old1), (value.z2, old2)):
         want = old[transverse].sum()
@@ -1607,10 +1639,10 @@ def test_odd_pairings_average_to_exact_zeros(monkeypatch, region):
                for v in est.values)
 
 
-def shared_radial(density, w_rays, lam):
+def shared_radial(density, lam):
     """_pv_radial over rows lam of radii shared by every ray, of weight 1,
     as one segment."""
-    (z1,), (z2,) = _pv_radial(density, w_rays,
+    (z1,), (z2,) = _pv_radial(density,
                               _Nodes.table(lam, np.ones(np.shape(lam)),
                                            np.zeros(len(lam), dtype=int)),
                               1, ORIENTATION_4FORM)
@@ -1630,16 +1662,14 @@ def test_pole_on_a_ray_node_is_reported(kind):
         products = _fold(_residue_kernels(f, modulus_function(f), True),
                          MIXED_PHI.coefficients)
     mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), 8)
-    density = _PvDensity.build(f, modulus_function(f), products,
-                               mesh.u1, mesh.u2)
-    w_rays = mesh.w
+    density = pv_density(f, products, mesh.u1, mesh.u2, mesh.w)
     assert density.slots
     lam = np.array([[0.0], [0.5]])
     F1 = density.ray_fn.values(lam)[0]
     assert np.isnan(F1[0]).all() and np.isfinite(F1[1]).all()
     with pytest.raises(PoleOnDomain, match="singular inside"):
-        shared_radial(density, w_rays, lam)
-    assert np.isfinite(complex(shared_radial(density, w_rays, lam[1:]).z1))
+        shared_radial(density, lam)
+    assert np.isfinite(complex(shared_radial(density, lam[1:]).z1))
 
 
 def test_pole_is_reported_when_no_product_survives_the_fold():
@@ -1650,18 +1680,16 @@ def test_pole_is_reported_when_no_product_survives_the_fold():
                   ConjRational.zero())
     psi = TestForm3(psi2=Profile.bump_only(1.0))
     mesh = _RayMesh.build(*graded_eta_panels(0.3, 1.0), 8)
-    density = _PvDensity.build(f, modulus_function(f),
-                               _fold(_pv_kernels(f), psi.coefficients),
-                               mesh.u1, mesh.u2)
-    w_rays = mesh.w
+    density = pv_density(f, _fold(_pv_kernels(f), psi.coefficients),
+                         mesh.u1, mesh.u2, mesh.w)
     assert density.slots == ()
     # at lam = 0, f = inf + nan j; at lam = 1e-100, f is finite but |f|^2
     # overflows to inf, where 1/|f|^2 = 0 would pass a finiteness check
     for pole in (0.0, 1e-100):
         lam = np.array([[pole], [0.5]])
         with pytest.raises(PoleOnDomain, match="singular inside"):
-            shared_radial(density, w_rays, lam)
-    val = shared_radial(density, w_rays, np.array([[0.5]]))
+            shared_radial(density, lam)
+    val = shared_radial(density, np.array([[0.5]]))
     assert val.norm() == 0.0
 
 
@@ -1725,3 +1753,72 @@ def test_ray_cap_admits_the_rules_in_use():
                  residue_rays(32, default, 1.0), residue_rays(64, default, 1.0),
                  residue_rays(16, readme, 1.0)):
         require_rays(rays)
+
+
+# as recorded in pairings_golden.json at commit 80c625a, before f was
+# screened once per QFunction and tabulated once per residue rung; every
+# rung, ratio and note must stay bit for bit
+PAIRINGS_GOLDEN_PATH = Path(__file__).with_name("pairings_golden.json")
+GOLDEN_PSI = TestForm3(psi1=Profile(ConjPoly.var("z1") * 3, 1.0),
+                       psi2=Profile(ConjPoly.var("c2"), 0.8))
+GOLDEN_LADDER = EpsilonSchedule(0.4, 0.7, 6)
+GOLDEN_FUNCTIONS = {
+    "z1 ; 0": Z1_FN,
+    "conj": builtin("conj").f,
+    "prop34(1/8,-1/8)": builtin("prop34", (Fraction(1, 8),
+                                           Fraction(-1, 8))).f,
+    "z1 + z1*z2 ; 0": NODE_SUM_FN,
+    "shared-den": parse_qfunction(SHARED_DEN),
+}
+
+
+def golden_pairings():
+    """name -> thunk of each recorded pairing."""
+    rule = build_quadrature(8, 16)
+    cases = {}
+    for name, f in GOLDEN_FUNCTIONS.items():
+        for region in ("metric", "levelset"):
+            cases[f"pv {name} {region}"] = functools.partial(
+                pv_pair, f, GOLDEN_PSI, rule=rule, region=region)
+    cases["pv prop34(1/8,-1/8) levelset (0,1)"] = functools.partial(
+        pv_pair, GOLDEN_FUNCTIONS["prop34(1/8,-1/8)"], GOLDEN_PSI, rule=rule,
+        region="levelset", part="(0,1)")
+    ball, plane = (TestForm2(phi22=Profile.bump_only(1.0, radial))
+                   for radial in ("q", "z2"))
+    for name, phi, mirror in (("z1 ; 0", plane, True),
+                              ("z1 ; 0", plane, False),
+                              ("conj", ball, True),
+                              ("prop34(1/8,-1/8)", ball, True),
+                              ("z1 + z1*z2 ; 0", MIXED_PHI, True)):
+        cases[f"residue {name}" + ("" if mirror else " no-mirror")] = (
+            functools.partial(residue_pair, GOLDEN_FUNCTIONS[name], phi,
+                              n_xi=8, schedule=GOLDEN_LADDER,
+                              include_mirror=mirror))
+    return cases
+
+
+def golden_record(run):
+    """The rungs and extrapolated value as float.hex, with the verdict, the
+    ratios and the notes, or the class of the error raised."""
+    def hexes(q):
+        return [x.hex() for z in (complex(q.z1), complex(q.z2))
+                for x in (z.real, z.imag)]
+
+    try:
+        est = run()
+    except Exception as exc:  # the recorded outcome is the class
+        return {"error": type(exc).__name__}
+    return {"rungs": [hexes(v) for v in est.values],
+            "extrapolated": hexes(est.extrapolated),
+            "converged": est.converged,
+            "diff_ratios": [None if r is None else float(r).hex()
+                            for r in est.diff_ratios],
+            "notes": list(est.notes)}
+
+
+def test_pairings_match_their_recorded_output():
+    recorded = json.loads(PAIRINGS_GOLDEN_PATH.read_text())
+    cases = golden_pairings()
+    assert sorted(cases) == sorted(recorded)
+    for name, run in cases.items():
+        assert golden_record(run) == recorded[name], name

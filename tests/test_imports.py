@@ -209,3 +209,15 @@ def test_every_defaulted_parameter_has_a_caller():
                        for attr, n, kw in calls.get(name, ())):
                 unset.append(f"{path.relative_to(SRC)}: {name}({param})")
     assert not unset, ", ".join(unset)
+
+
+def test_the_library_import_loads_no_cli():
+    """import qres stays free of the command line: neither click nor
+    qres.cli is loaded, so library users and the benchmark's set-up do not
+    pay for them."""
+    from helpers import run_bounded
+
+    run = run_bounded(["-c", "import sys, qres; print(sorted(m for m in "
+                             "sys.modules if m in ('click', 'qres.cli')))"])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

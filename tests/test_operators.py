@@ -13,8 +13,9 @@ from helpers import (hyperholomorphic_sample, rand_point, rand_quat,
 from qres import operators
 from qres.catalogue import NAMES, builtin
 from qres.errors import IdenticallyZero, NotHyperholomorphic, PoleError
-from qres.operators import (_SAMPLE_SEED, _apply_D_batch, _sample_points,
-                            apply_D, apply_D_at, check_product_rule, classify,
+from qres.operators import (_SAMPLE_SEED, _apply_D_batch, _norms,
+                            _sample_points, apply_D, apply_D_at,
+                            check_product_rule, classify,
                             corollary_product_rule_residual,
                             hypermero_residuals, inverse_function,
                             is_hyperholomorphic, is_hypermeromorphic,
@@ -519,6 +520,44 @@ def test_cross_check_does_not_depend_on_the_scale_of_f(name, scale):
     # alone noted a disagreement for 1e8 F and 1e8 q_conj
     f = builtin(name).f
     assert classify(scale_real(f, scale)).notes == classify(f).notes == ()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_small_f_is_screened_as_a_power_of_two_times_f(monkeypatch, name):
+    # at 1e-8 no candidate has |f| >= 0.3.  The screen is then that of 2^k f,
+    # the largest |f| off the poles brought into [1, 2), and the jet runs on
+    # f itself at its points
+    small = scale_real(builtin(name).f, Fraction(1, 10 ** 8))
+    z = operators._candidates(200 * 8)
+    with np.errstate(all="ignore"):
+        v1, v2, pole = small.eval_screened(z[:, 0], z[:, 1])
+    assert not (_norms(v1, v2)[~pole] >= 0.3).any()
+    size = np.hypot(np.abs(v1), np.abs(v2))[~pole]
+    k = 1 - math.frexp(size[np.isfinite(size)].max())[1]
+    pts = _sample_points(small, 8)
+    assert len(pts) and np.array_equal(
+        pts, _sample_points(scale_real(small, Fraction(2) ** k), 8))
+    runs = []
+    jet = operators.numeric_jet
+
+    def spy(ev, z1, z2):
+        runs.append((ev, z1, z2))
+        return jet(ev, z1, z2)
+
+    monkeypatch.setattr(operators, "numeric_jet", spy)
+    classify(small)
+    [(ev, z1, z2)] = runs
+    assert np.array_equal(z1, pts[:, 0]) and np.array_equal(z2, pts[:, 1])
+    assert ev.__self__ == inverse_function(small)
+
+
+def test_an_f_with_no_usable_sample_says_the_check_was_not_run():
+    # at 10^-400 every float value of f underflows to 0
+    f = scale_real(builtin("prop34").f, Fraction(1, 10 ** 400))
+    assert len(_sample_points(f, 8)) == 0
+    assert classify(f).notes == (
+        "numeric D(1/f) check was not run: no candidate sample has a "
+        "finite, nonzero |f| off the poles",)
 
 
 def test_a_step_that_does_not_resolve_f_is_inconclusive():

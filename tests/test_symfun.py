@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (RefPoly, rand_crat, rand_point, rand_poly, rand_quat,
-                     rand_terms, ref_eval_numeric, ref_numeric_jet,
-                     ref_strip_content, seeded)
+                     rand_terms, ref_eval_float, ref_eval_numeric,
+                     ref_numeric_jet, ref_strip_content, seeded)
 from qres.errors import PoleError
 from qres.catalogue import NAMES, builtin
 from qres.operators import inverse_function, modulus_function
+from qres.parsing import parse_qfunction
 from qres.qcore import CRat, Quat
 from qres import symfun
 from qres.symfun import (ConjPoly, ConjRational, QFunction, numeric_jet,
@@ -548,6 +549,79 @@ def test_a_polynomial_screens_as_its_quotient_by_one():
                                                       np.array([0j]))
     assert np.isinf(values.real).all() and np.isnan(values.imag).all()
     assert not pole.any()
+
+
+# every catalogue f and its inverse, an f that overflows, and a shared
+# denominator |z1|^2 - 1 with a zero set off the origin
+SCREENED = {name: builtin(name).f for name in NAMES}
+SCREENED.update({f"1/{name}": inverse_function(f)
+                 for name, f in list(SCREENED.items())})
+SCREENED["z1^2000 ; 0"] = parse_qfunction("z1^2000 ; 0")
+SCREENED["unit circle"] = parse_qfunction(
+    "(z1) / (z1*c1 - 1) ; (z2 + 1) / (z1*c1 - 1)")
+# the names whose points below include a pole: the origin for cauchy_kernel,
+# for the inverses of the entries that vanish there and for 1/cauchy_kernel,
+# whose denominator keeps a power of |q|^2 that its numerator shares,
+# Re z1 = Re z2 = 0 for 1/prop34, |z1| = 1 for the unit circle
+SCREEN_POLES = {"cauchy_kernel", "1/conj", "1/cauchy_kernel", "1/F",
+                "1/prop34", "1/holo", "1/q_conj", "unit circle"}
+
+
+def screened_points(nrng, shape):
+    """Gaussian points of shape, scaled by 1.5, with the origin, an
+    imaginary pair and a point of |z1| = 1 in front where they fit."""
+    z1, z2 = (1.5 * (nrng.normal(size=shape) + 1j * nrng.normal(size=shape))
+              for _ in range(2))
+    special = [(0j, 0j), (0.3j, -1.1j), (np.exp(0.7j), 0.4 + 0.2j)]
+    for i, (a, b) in enumerate(special[:z1.size]):
+        z1.flat[i], z2.flat[i] = a, b
+    return z1, z2
+
+
+@pytest.mark.parametrize("name", SCREENED)
+def test_a_function_screens_as_its_components_do(name):
+    # one pole mask, the OR of the components', and each component's values
+    # byte for byte, with a shared denominator evaluated and sized once
+    f = SCREENED[name]
+    nrng = np.random.default_rng(49)
+    poles = False
+    for shape in ((), (1,), (8,), (17, 8)):
+        z1, z2 = screened_points(nrng, shape)
+        with np.errstate(all="ignore"):
+            v1, v2, pole = f.eval_screened(z1, z2)
+            w1, p1 = f.f1.eval_screened(z1, z2)
+            w2, p2 = f.f2.eval_screened(z1, z2)
+        for got, want in ((v1, w1), (v2, w2), (pole, p1 | p2)):
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        poles = poles or pole.any()
+    assert poles == (name in SCREEN_POLES)
+
+
+@pytest.mark.parametrize("name", SCREENED)
+def test_float_eval_is_each_component_screened_on_its_own(name):
+    # the same bytes as f1 and f2 evaluated one after the other, and the
+    # same PoleError where either has a pole
+    f = SCREENED[name]
+    z1, z2 = screened_points(np.random.default_rng(50), (12,))
+    raised = 0
+    for q in (Quat(complex(a), complex(b)) for a, b in zip(z1, z2)):
+        try:
+            with np.errstate(all="ignore"):
+                want = ref_eval_float(f, q)
+        except PoleError as exc:
+            with pytest.raises(PoleError) as got:
+                f.eval(q)
+            assert str(got.value) == str(exc)
+            raised += 1
+            continue
+        with np.errstate(all="ignore"):
+            got = f.eval(q)
+        for a, b in ((got.z1, want.z1), (got.z2, want.z2)):
+            assert type(a) is type(b) is complex
+            assert (a.real.hex(), a.imag.hex()) == (b.real.hex(),
+                                                    b.imag.hex())
+    assert bool(raised) == (name in SCREEN_POLES)
 
 
 def test_rational_results_prove_no_product_denominator_real(monkeypatch):
