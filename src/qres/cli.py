@@ -22,7 +22,7 @@ from . import __version__
 from .catalogue import NAMES, builtin, resolve
 from .currents import (EpsilonSchedule, Laurent1D, TestForm2, TestForm3,
                        build_quadrature, bump, parse_profile, pv_1d, pv_pair,
-                       pv_rays, require_rays, res_limit_1d, residue_pair)
+                       res_limit_1d, residue_pair)
 from .errors import (NotConverged, ParseError, QresError, RuleTooLarge,
                      TooCoarse, UnknownName)
 from .operators import (apply_D, classify, hypermero_residuals,
@@ -394,10 +394,8 @@ def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
     if psi.is_zero:
         raise click.UsageError("all test-form coefficients are zero")
     sched = _parse_schedule(schedule, psi.support_radius)
-    require_rays(pv_rays(n_eta, n_xi))
-    rule = build_quadrature(n_eta, n_xi)
-    est = pv_pair(f, psi, rule=rule, schedule=sched, region=region,
-                  part=part)
+    est = pv_pair(f, psi, rule=build_quadrature(n_eta, n_xi), schedule=sched,
+                  region=region, part=part)
     inputs = {"function": label, "params": params, "psi1": psi1,
               "psi2": psi2, "R": radius, "schedule": schedule,
               "region": region, "part": part}

@@ -16,11 +16,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..errors import PoleOnDomain
+from ..errors import PoleOnDomain, RuleTooLarge
 from ..qcore import Quat
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import bump
-from .quadrature import gauss_panels, geometric_edges
+from .quadrature import MAX_RAYS, gauss_panels, geometric_edges
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,10 +60,14 @@ def _finite(value: complex, where: str, eps: float) -> complex:
     return value
 
 
-def _as_callable_1d(g) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(g):
-        return g
-    raise TypeError("expected a Laurent1D or a callable of z")
+def _unit_circle(n_theta: int, nodes: int) -> np.ndarray:
+    """The n_theta trapezoid nodes e^(i theta) of a rule with the given
+    nodes per rung; more than MAX_RAYS, the cap on the chart meshes, are
+    refused before any is allocated."""
+    if nodes > MAX_RAYS:
+        raise RuleTooLarge(f"the rule needs {nodes} nodes per rung; "
+                           f"at most {MAX_RAYS} are allowed")
+    return np.exp(1j * (np.arange(n_theta) * (TWO_PI / n_theta)))
 
 
 def residue_1d(g, phi: Callable[[np.ndarray], np.ndarray], eps: float,
@@ -71,12 +75,11 @@ def residue_1d(g, phi: Callable[[np.ndarray], np.ndarray], eps: float,
     """Circle pairing at one radius: integral over |z| = eps of g * phi dz.
 
     The trapezoid rule in the angle is exact for any integrand band-limited
-    below n_theta harmonics, which covers Laurent data of moderate order."""
-    gf = _as_callable_1d(g)
-    theta = np.arange(n_theta) * (TWO_PI / n_theta)
-    z = eps * np.exp(1j * theta)
+    below n_theta harmonics, which covers Laurent data of moderate order.
+    More than MAX_RAYS angle nodes are refused (RuleTooLarge)."""
+    z = eps * _unit_circle(n_theta, n_theta)
     with np.errstate(all="ignore"):
-        vals = gf(z) * np.asarray(phi(z), dtype=complex) * (1j * z)
+        vals = g(z) * np.asarray(phi(z), dtype=complex) * (1j * z)
         value = complex(vals.sum() * (TWO_PI / n_theta))
     return _finite(value, "circle", eps)
 
@@ -96,22 +99,22 @@ def pv_1d(g, psi0: Callable[[np.ndarray], np.ndarray], R: float,
     """Principal value over the annulus eps <= |z| <= R, eps -> 0.
 
     Pairs g against psi0 dz ^ dzbar; the area element is -2i r dr dtheta.
-    psi0 must vanish at |z| = R so the outer edge carries nothing."""
-    gf = _as_callable_1d(g)
+    psi0 must vanish at |z| = R so the outer edge carries nothing.  More
+    than MAX_RAYS nodes on the last, finest rung are refused (RuleTooLarge)."""
     if schedule is None:
         schedule = EpsilonSchedule.for_disc(R)
     if not schedule.eps0 < R:
         raise ValueError("schedule starts outside the support radius")
-    theta = np.arange(n_theta) * (TWO_PI / n_theta)
-    phase = np.exp(1j * theta)
     eps_list = schedule.values()
+    panels = len(geometric_edges(eps_list[-1], R, eps_list[-1])) - 1
+    phase = _unit_circle(n_theta, n_theta * panels * n_r)
     values = []
     for eps in eps_list:
         edges = geometric_edges(eps, R, eps)
         r, wr = gauss_panels(edges, n_r)
         z = r[:, None] * phase[None, :]
         with np.errstate(all="ignore"):
-            vals = gf(z) * np.asarray(psi0(z), dtype=complex)
+            vals = g(z) * np.asarray(psi0(z), dtype=complex)
             radial = (vals * r[:, None]).sum(axis=1) * (TWO_PI / n_theta)
             value = complex(-2j * (radial * wr).sum())
         values.append(Quat(_finite(value, "annulus", eps), 0.0))

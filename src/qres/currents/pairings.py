@@ -119,7 +119,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import IdenticallyZero, PoleOnDomain, RuleTooLarge, TooCoarse
+from ..errors import IdenticallyZero, PoleOnDomain, TooCoarse
 from ..operators import modulus_function
 from ..qcore import Quat
 from ..symfun import POLE_RTOL, ConjPoly, ConjRational, QFunction
@@ -127,7 +127,8 @@ from .chart import ORIENTATION_3FORM, ORIENTATION_4FORM, sphere_to_complex
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import Profile, TestForm2, TestForm3, bump
 from .quadrature import (QuadratureRule, build_quadrature, gauss_panels,
-                         geometric_edges, graded_eta_panels, phase_grid)
+                         geometric_edges, graded_eta_panels, phase_grid,
+                         pv_rays, require_rays)
 
 _LAM_FLOOR_FACTOR = 1e-9
 # nodes per density evaluation in both pairings, and matrix entries per
@@ -138,8 +139,6 @@ _NODE_BUDGET = 1 << 15
 # at the radius floor
 _SHELL_ORDER = 12
 _LOG_ORDER = 24
-# chart rays per mesh above which a mesh is refused before it is built
-MAX_RAYS = 1 << 20
 _SINGULAR = "density is singular inside the integration region"
 
 
@@ -153,23 +152,11 @@ def _quiet(fn):
     return run
 
 
-def pv_rays(n_eta: int, n_xi: int) -> int:
-    """Chart rays of the principal-value mesh of an n_eta x n_xi rule."""
-    return n_eta * n_xi * n_xi
-
-
 def residue_rays(n_xi: int, schedule: EpsilonSchedule, support: float) -> int:
     """Chart rays of the largest graded residue mesh on the ladder."""
     n_eta = max(len(graded_eta_panels(eps, support)[0])
                 for eps in schedule.values())
     return n_eta * n_xi * n_xi
-
-
-def require_rays(rays: int) -> None:
-    """Refuse a mesh of more than MAX_RAYS chart rays."""
-    if rays > MAX_RAYS:
-        raise RuleTooLarge(f"the rule needs {rays} chart rays per mesh; "
-                           f"at most {MAX_RAYS} are allowed")
 
 
 def _paired(lam):
@@ -548,10 +535,24 @@ class _RayMesh(NamedTuple):
                    np.broadcast_to(u2, shape).ravel())
 
 
-def _require_nonzero(f: QFunction) -> None:
+def _ladder(f: QFunction, form, schedule, rays
+            ) -> Tuple[EpsilonSchedule, float]:
+    """The ladder of a pairing of 1/f against the form (by default
+    EpsilonSchedule.for_radius of its support) and that support, once the
+    form is not zero, the ladder starts inside the support, the
+    rays(ladder, support) chart rays fit require_rays and f is not zero."""
+    if form.is_zero:
+        raise ValueError("test form is identically zero")
+    support = form.support_radius
+    if schedule is None:
+        schedule = EpsilonSchedule.for_radius(support)
+    if not schedule.eps0 < support:
+        raise ValueError("schedule must start inside the test-form support")
+    require_rays(rays(schedule, support))
     if f.is_zero:
         raise IdenticallyZero("f is identically zero, so 1/f has no "
                               "currents to pair")
+    return schedule, support
 
 
 def _torus_invariant(g: ConjRational) -> bool:
@@ -990,7 +991,8 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     the eps -> 0 limit is extrapolated.  n_xi trapezoid nodes per phase
     fix the phase resolution; include_mirror=False drops the
     conjugate-type half of the density.  A mesh coarser than 8 phase nodes
-    or larger than MAX_RAYS rays is refused before any is built.
+    is refused first; then the inputs are checked as pv_pair's are
+    (_ladder), a mesh larger than MAX_RAYS rays before any is built.
 
     The density is folded once per call (_residue_kernels, _fold), on the
     first rung with an active ray, and its products are tabulated per rung
@@ -1005,15 +1007,8 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     if n_xi < 8:
         raise TooCoarse(f"phase rule n_xi = {n_xi} is too coarse: need "
                         "n_xi >= 8")
-    if phi.is_zero:
-        raise ValueError("test form is identically zero")
-    support = phi.support_radius
-    if schedule is None:
-        schedule = EpsilonSchedule.for_radius(support)
-    require_rays(residue_rays(n_xi, schedule, support))
-    _require_nonzero(f)
-    if not schedule.eps0 < support:
-        raise ValueError("schedule must start inside the test-form support")
+    schedule, support = _ladder(f, phi, schedule,
+                                functools.partial(residue_rays, n_xi))
     eps_list = schedule.values()
     g = modulus_function(f)
     averaged = _torus_invariant(g)
@@ -1114,6 +1109,9 @@ def pv_pair(f: QFunction, psi: TestForm3,
             part: str = "(1,0)") -> CurrentEstimate:
     """Principal-value pairing of 1/f against the 3-form psi.
 
+    The inputs are checked as residue_pair's are (_ladder), a rule of more
+    than MAX_RAYS rays before any is built; rule defaults to 32 x 64.
+
     region="metric" removes the round ball |q| < eps; region="levelset"
     removes the sublevel set |f| < eps instead, which costs a level-radius
     solve, one call for every eps of the ladder (the root solve of an f
@@ -1152,9 +1150,10 @@ def pv_pair(f: QFunction, psi: TestForm3,
     sublevel set is a cone of whole rays (_LevelRadii) leaves the estimate
     not converged, with the residue's note (_cone_notes).
     """
-    _require_nonzero(f)
-    if psi.is_zero:
-        raise ValueError("test form is identically zero")
+    if rule is None:
+        rule = build_quadrature(32, 64)
+    schedule, support = _ladder(
+        f, psi, schedule, lambda *_: pv_rays(rule.n_eta, rule.n_xi))
     for p in psi.coefficients:
         if p is not None and p.radial != "q":
             raise ValueError("principal-value pairing needs coefficients "
@@ -1164,16 +1163,8 @@ def pv_pair(f: QFunction, psi: TestForm3,
     if part == "(0,1)":
         psi = TestForm3(*(None if p is None else p.conjugated()
                           for p in psi.coefficients))
-    if rule is None:
-        rule = build_quadrature(32, 64)
-    support = psi.support_radius
-    if schedule is None:
-        schedule = EpsilonSchedule.for_radius(support)
-    if not schedule.eps0 < support:
-        raise ValueError("schedule must start inside the test-form support")
     if region not in ("metric", "levelset"):
         raise ValueError("region must be 'metric' or 'levelset'")
-    require_rays(pv_rays(rule.n_eta, rule.n_xi))
     eps_list = schedule.values()
     products = _fold(_pv_kernels(f), psi.coefficients)
     g = modulus_function(f)

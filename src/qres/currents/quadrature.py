@@ -23,18 +23,31 @@ HALF_PI = math.pi / 2.0
 # costs O(n^3) time and O(n^2) memory (order 2048: 1.1 s and 33 MB traced on
 # a 2-core x86_64 host; 4096: 5.4 s and 129 MB)
 MAX_ETA_ORDER = 2048
+# chart rays per mesh above which a mesh is refused before it is built
+MAX_RAYS = 1 << 20
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Product rule: GL nodes in eta on [0, pi/2], trapezoid in xi1 and xi2."""
+    """Product rule: GL nodes in eta on [0, pi/2], and in xi1 and xi2 the
+    n_xi-point trapezoid, phase_grid(n_xi), built by whoever reads it."""
 
     n_eta: int
     n_xi: int
     eta_nodes: np.ndarray
     eta_weights: np.ndarray
-    xi_nodes: np.ndarray
-    xi_weight: float
+
+
+def pv_rays(n_eta: int, n_xi: int) -> int:
+    """Chart rays of the principal-value mesh of an n_eta x n_xi rule."""
+    return n_eta * n_xi * n_xi
+
+
+def require_rays(rays: int) -> None:
+    """Refuse a mesh of more than MAX_RAYS chart rays."""
+    if rays > MAX_RAYS:
+        raise RuleTooLarge(f"the rule needs {rays} chart rays per mesh; "
+                           f"at most {MAX_RAYS} are allowed")
 
 
 def phase_grid(n_xi: int) -> Tuple[np.ndarray, float]:
@@ -44,6 +57,10 @@ def phase_grid(n_xi: int) -> Tuple[np.ndarray, float]:
 
 
 def build_quadrature(n_eta: int = 32, n_xi: int = 64) -> QuadratureRule:
+    """The n_eta x n_xi rule.  A mesh of more than MAX_RAYS rays, a coarse
+    rule and more than MAX_ETA_ORDER eta nodes are refused, in that order,
+    before any node is computed."""
+    require_rays(pv_rays(n_eta, n_xi))
     if n_eta < 4 or n_xi < 8:
         raise TooCoarse(
             f"rule {n_eta}x{n_xi} is too coarse: need n_eta >= 4 and n_xi >= 8")
@@ -53,8 +70,7 @@ def build_quadrature(n_eta: int = 32, n_xi: int = 64) -> QuadratureRule:
     x, w = gauss_legendre(int(n_eta))
     eta = 0.5 * HALF_PI * (x + 1.0)
     eta_w = 0.5 * HALF_PI * w
-    xi, xi_w = phase_grid(n_xi)
-    return QuadratureRule(int(n_eta), int(n_xi), eta, eta_w, xi, xi_w)
+    return QuadratureRule(int(n_eta), int(n_xi), eta, eta_w)
 
 
 def sphere_integral(rule: QuadratureRule,
@@ -62,16 +78,17 @@ def sphere_integral(rule: QuadratureRule,
     """Integrate fn(eta, xi1, xi2) over the unit sphere.
 
     The sin(eta)*cos(eta) chart density is applied here; fn receives
-    broadcast-ready mesh axes (eta varies along axis 0, xi1 axis 1, xi2 axis 2).
-    """
+    broadcast-ready mesh axes: eta nodes along axis 0, phase_grid nodes in
+    xi1 along axis 1 and in xi2 along axis 2."""
+    xi, xi_w = phase_grid(rule.n_xi)
     eta = rule.eta_nodes[:, None, None]
-    xi1 = rule.xi_nodes[None, :, None]
-    xi2 = rule.xi_nodes[None, None, :]
+    xi1 = xi[None, :, None]
+    xi2 = xi[None, None, :]
     full = (rule.n_eta, rule.n_xi, rule.n_xi)
     vals = np.broadcast_to(np.asarray(fn(eta, xi1, xi2)), full)
     dens = (rule.eta_weights * np.sin(rule.eta_nodes)
             * np.cos(rule.eta_nodes))[:, None, None]
-    return complex((vals * dens).sum() * rule.xi_weight ** 2)
+    return complex((vals * dens).sum() * xi_w ** 2)
 
 
 @functools.lru_cache(maxsize=None)

@@ -69,23 +69,16 @@ def _jet_D(jet: WirtingerJet) -> Tuple[np.ndarray, np.ndarray]:
             0.5 * (jet.d1["z2b"] + jet.d2["z1b"].conjugate()))
 
 
-def _apply_D_batch(f: Union[QFunction, PairEval], points: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """D by central differences at every row (z1, z2) of the complex (n, 2)
-    array points at once: the arrays (d1, d2) of Df = d1 + d2*j, one entry
-    per point.  A black-box f is called like QFunction.eval_numeric, on
-    arrays (see numeric_jet).  Overflow inside f is left to show as a
-    non-finite entry."""
+def apply_D_at(f: Union[QFunction, PairEval], q: Quat) -> Quat:
+    """Pointwise D by central differences (numeric_jet, _jet_D), for
+    symbolic or black-box f; a black-box f is called on arrays, like
+    QFunction.eval_numeric, here of shape (1,).  Overflow inside f is left
+    to show as a non-finite component."""
+    q = q.to_numeric()
     ev = f.eval_numeric if isinstance(f, QFunction) else f
     with np.errstate(all="ignore"):
-        return _jet_D(numeric_jet(ev, points[:, 0], points[:, 1]))
-
-
-def apply_D_at(f: Union[QFunction, PairEval], q: Quat) -> Quat:
-    """Pointwise D by central differences, for symbolic or black-box f; a
-    black-box f is called on arrays, like QFunction.eval_numeric."""
-    q = q.to_numeric()
-    d1, d2 = _apply_D_batch(f, np.array([[q.z1, q.z2]], dtype=complex))
+        d1, d2 = _jet_D(numeric_jet(ev, np.array([q.z1], dtype=complex),
+                                    np.array([q.z2], dtype=complex)))
     return Quat(complex(d1[0]), complex(d2[0]))
 
 

@@ -290,9 +290,3 @@ def _join(a: Quat, b: Quat):
         return a, b.to_numeric()
     return a, b
 
-
-ZERO = Quat(0, 0)
-ONE = Quat(1, 0)
-I = Quat(CRAT_I, 0)
-J = Quat(0, 1)
-K = Quat(0, CRAT_I)

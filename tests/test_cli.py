@@ -7,11 +7,11 @@ import shlex
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from helpers import run_bounded
-from qres import cli
 from qres.cli import _fragment, main
 from qres.currents import pairings, quadrature
 
@@ -135,17 +135,22 @@ def test_parse_error_is_a_usage_error():
     assert invoke(["apply-d", "-f", "z1 + * z2 ; 0"]).exit_code == 2
 
 
-@pytest.mark.parametrize("args", [
-    ["pv", "-f", "z1 ; 0", "--psi1", "z1*bump", "--n-eta", "4096"],
-    ["residue", "-f", "conj", "--phi22", "bump"],
+@pytest.mark.parametrize("args, spied", [
+    (["pv", "-f", "z1 ; 0", "--psi1", "z1*bump", "--n-eta", "4096"],
+     ("gauss_legendre", "phase_grid")),
+    # the residue's count grades its eta panels, which takes their small
+    # Gauss-Legendre rule, so only the phase grid is spied on
+    (["residue", "-f", "conj", "--phi22", "bump"], ("phase_grid",)),
 ], ids=["pv", "residue"])
-def test_oversized_rule_is_refused_before_it_is_built(monkeypatch, args):
-    # 4096^2 phase rays per eta node: the count is checked before the
-    # quadrature rule or a mesh exists
+def test_oversized_rule_is_refused_before_it_is_built(monkeypatch, args,
+                                                      spied):
+    # 4096^2 phase rays per eta node: the count is checked before any eta
+    # node, phase grid or mesh exists
     def build(*a):
         raise AssertionError("the rule was built")
 
-    monkeypatch.setattr(cli, "build_quadrature", build)
+    for name in spied:
+        monkeypatch.setattr(quadrature, name, build)
     monkeypatch.setattr(pairings._RayMesh, "build", classmethod(build))
     res = invoke(args + ["--n-xi", "4096"])
     assert res.exit_code == 2
@@ -344,6 +349,29 @@ def test_oracle_1d_overflowing_pole_exits_3_without_output(kind):
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("domain error: ")
+
+
+@pytest.mark.parametrize("kind, n_theta, nodes", [
+    ("residue", 1_000_000_000, 1_000_000_000),
+    ("residue", 1_048_577, 1_048_577),
+    # the default ladder's last rung has 14 radial panels of 10 nodes
+    ("pv", 1_000_000_000, 140_000_000_000),
+    ("pv", 7_490, 1_048_600),
+], ids=["residue", "residue-cap", "pv", "pv-cap"])
+def test_oracle_1d_refuses_a_huge_rule_before_allocating(monkeypatch, kind,
+                                                         n_theta, nodes):
+    # --n-theta 1000000000 once ended in numpy's allocation error, a
+    # traceback with exit 1; the node count is checked before any angle
+    # node exists
+    def arange(*args, **kwargs):
+        raise AssertionError("nodes were allocated")
+
+    monkeypatch.setattr(np, "arange", arange)
+    res = invoke(["oracle-1d", "--kind", kind, "--n-theta", str(n_theta)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (f"usage error: the rule needs {nodes} nodes per "
+                          "rung; at most 1048576 are allowed\n")
 
 
 def test_chart_rays_in_the_zero_set_are_a_domain_error():

@@ -19,17 +19,19 @@ from qres.currents.chart import (ORIENTATION_3FORM, ORIENTATION_4FORM,
 from qres.currents.estimate import ZERO_FLOOR, EpsilonSchedule, finalize
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
 from qres.currents import pairings
-from qres.currents.pairings import (MAX_RAYS, PoleOnDomain, _Nodes,
+from qres.currents.pairings import (PoleOnDomain, _Nodes,
                                     _PvDensity, _RayFunction,
                                     _RayMesh, _RaySplit, _fold, _pv_integrand,
                                     _pv_kernels, _pv_radial,
                                     _level_crossings, _residue_kernels,
                                     _residue_rung, _solve_level_radius,
-                                    _take_rays, pv_pair, pv_rays,
-                                    require_rays, residue_pair, residue_rays)
+                                    _take_rays, pv_pair, residue_pair,
+                                    residue_rays)
 from qres.currents import quadrature
-from qres.currents.quadrature import build_quadrature, graded_eta_panels
-from qres.errors import RuleTooLarge, TooCoarse
+from qres.currents.quadrature import (MAX_RAYS, QuadratureRule,
+                                      build_quadrature, graded_eta_panels,
+                                      phase_grid, pv_rays, require_rays)
+from qres.errors import IdenticallyZero, RuleTooLarge, TooCoarse
 from qres.operators import modulus_function
 from qres.parsing import parse_poly, parse_qfunction
 from qres.qcore import Quat
@@ -228,10 +230,11 @@ class RayParams(NamedTuple):
     @classmethod
     def of(cls, eta_nodes, eta_weights, rule) -> "RayParams":
         n, k = rule.n_xi, len(eta_nodes)
+        xi, xi_w = phase_grid(n)
         return cls(np.repeat(eta_nodes, n * n),
-                   np.tile(np.repeat(rule.xi_nodes, n), k),
-                   np.tile(rule.xi_nodes, k * n),
-                   np.repeat(eta_weights, n * n) * rule.xi_weight ** 2)
+                   np.tile(np.repeat(xi, n), k),
+                   np.tile(xi, k * n),
+                   np.repeat(eta_weights, n * n) * xi_w ** 2)
 
     def take(self, sel) -> "RayParams":
         return RayParams(*(a[sel] for a in self))
@@ -682,7 +685,7 @@ def test_pv_rungs_do_not_depend_on_the_node_budget(monkeypatch, rows,
     rule = build_quadrature(6, 8)
     sched = EpsilonSchedule(0.4, 0.7, 4)
     ref = pv_pair(NODE_SUM_FN, psi, rule=rule, schedule=sched, region=region)
-    n_rays = len(rule.eta_nodes) * len(rule.xi_nodes) ** 2
+    n_rays = len(rule.eta_nodes) * rule.n_xi ** 2
     monkeypatch.setattr(pairings, "_NODE_BUDGET", rows * n_rays)
     got = pv_pair(NODE_SUM_FN, psi, rule=rule, schedule=sched, region=region)
     for u, v in zip(got.values, ref.values):
@@ -1700,21 +1703,51 @@ def test_inverse_times_f_is_one():
     assert np.abs(c2).max() < 1e-14
 
 
-def test_zero_test_forms_are_rejected():
-    with pytest.raises(ValueError, match="identically zero"):
-        residue_pair(Z1_FN, TestForm2())
-    with pytest.raises(ValueError, match="identically zero"):
-        pv_pair(Z1_FN, TestForm3())
+def oversized_pv_rule() -> QuadratureRule:
+    """A 4 x 2048 rule, 2^24 chart rays, built by hand: build_quadrature
+    refuses it itself, so pv_pair's own check is what it reaches."""
+    small = build_quadrature(4, 8)
+    return QuadratureRule(4, 2048, small.eta_nodes, small.eta_weights)
 
 
-def test_schedule_must_start_inside_support():
-    with pytest.raises(ValueError, match="inside the test-form support"):
-        residue_pair(Z1_FN, PHI_PLANE, n_xi=16,
-                     schedule=EpsilonSchedule(2.0, 0.7, 3))
-    psi = TestForm3(psi1=Profile.bump_only(1.0))
-    with pytest.raises(ValueError, match="inside the test-form support"):
-        pv_pair(Z1_FN, psi, rule=build_quadrature(8, 8),
-                schedule=EpsilonSchedule(2.0, 0.7, 3))
+def faulty_pairing(kind: str, faults):
+    """A call of residue_pair or pv_pair with the named faults: "form" (a
+    zero test form), "ladder" (one that starts outside the support),
+    "mesh" (beyond the ray cap) and "f" (f = 0)."""
+    zero = QFunction(ConjRational.zero(), ConjRational.zero())
+    f = zero if "f" in faults else Z1_FN
+    ladder = EpsilonSchedule(2.0 if "ladder" in faults else 0.3, 0.7, 3)
+    if kind == "residue":
+        return functools.partial(
+            residue_pair, f, TestForm2() if "form" in faults else PHI_PLANE,
+            n_xi=4096 if "mesh" in faults else 8, schedule=ladder)
+    psi = TestForm3() if "form" in faults else TestForm3(
+        psi1=Profile.bump_only(1.0))
+    rule = oversized_pv_rule() if "mesh" in faults else build_quadrature(4, 8)
+    return functools.partial(pv_pair, f, psi, rule=rule, schedule=ladder)
+
+
+# in the order the pairings check them
+PAIRING_FAULTS = {
+    "form": (ValueError, "^test form is identically zero$"),
+    "ladder": (ValueError,
+               "^schedule must start inside the test-form support$"),
+    "mesh": (RuleTooLarge, "chart rays per mesh"),
+    "f": (IdenticallyZero, "^f is identically zero"),
+}
+
+
+@pytest.mark.parametrize("kind", ["residue", "pv"])
+@pytest.mark.parametrize("faults", [
+    ("form",), ("ladder",), ("mesh",), ("f",),
+    ("form", "ladder", "mesh", "f"), ("ladder", "mesh", "f"), ("mesh", "f"),
+], ids="+".join)
+def test_both_pairings_refuse_the_same_inputs_in_one_order(kind, faults):
+    # each fault is refused alone, and before every fault later in the
+    # order: the form, the ladder, the mesh size, then f
+    error, message = PAIRING_FAULTS[faults[0]]
+    with pytest.raises(error, match=message):
+        faulty_pairing(kind, faults)()
 
 
 def test_pv_requires_full_modulus_support():
@@ -1740,9 +1773,11 @@ def test_oversized_rules_are_refused_by_their_ray_count():
         require_rays(pv_rays(4096, 4096))
     sched = EpsilonSchedule.for_radius(1.0)
     assert residue_rays(4096, sched, 1.0) > MAX_RAYS
-    with pytest.raises(RuleTooLarge):
+    with pytest.raises(RuleTooLarge, match="chart rays"):
+        build_quadrature(4, 2048)
+    with pytest.raises(RuleTooLarge, match="chart rays"):
         pv_pair(Z1_FN, TestForm3(psi1=Profile.bump_only(1.0)),
-                rule=build_quadrature(4, 2048))
+                rule=oversized_pv_rule())
 
 
 def test_ray_cap_admits_the_rules_in_use():

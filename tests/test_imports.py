@@ -123,14 +123,26 @@ def test_private_names_are_read_in_the_package():
     assert not unread, ", ".join(unread)
 
 
+def top_level_definitions(node):
+    """The names a module-level statement defines: a function or class, or
+    the plain names a constant's assignment binds (__all__ aside)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and t.id != "__all__"]
+
+
 def test_no_function_or_class_is_defined_in_two_modules():
-    """Each top-level function or class is written once in the package; a
-    second module that needs it imports it, so the copies cannot drift."""
+    """Each top-level function, class or constant is written once in the
+    package; a second module that needs it imports it, so the copies cannot
+    drift."""
     where = {}
     for path in ALL_MODULES:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                where.setdefault(node.name, []).append(
+            for name in top_level_definitions(node):
+                where.setdefault(name, []).append(
                     str(path.relative_to(SRC)))
     twice = [f"{name} ({', '.join(paths)})"
              for name, paths in sorted(where.items()) if len(paths) > 1]

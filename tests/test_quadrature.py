@@ -9,10 +9,11 @@ import pytest
 from helpers import run_bounded
 from qres.currents.forms import bump
 from qres.currents import quadrature
-from qres.currents.quadrature import (MAX_ETA_ORDER, build_quadrature,
+from qres.currents.quadrature import (MAX_ETA_ORDER, MAX_RAYS,
+                                      build_quadrature,
                                       gauss_legendre, gauss_panels,
                                       geometric_edges, graded_eta_panels,
-                                      sphere_integral)
+                                      phase_grid, sphere_integral)
 from qres.errors import RuleTooLarge, TooCoarse
 
 AREA = 2 * math.pi ** 2  # unit 3-sphere
@@ -89,11 +90,26 @@ def test_eta_orders_beyond_the_bound_are_refused_before_their_nodes(
     assert orders == [64]
 
 
+@pytest.mark.parametrize("n_eta", [4096, 2])
+def test_rules_beyond_the_ray_cap_are_refused_before_their_nodes(
+        monkeypatch, n_eta):
+    # 4096^2 phase rays per eta node: refused for its rays before the eta
+    # order (4096) or the coarse rule (2) is looked at, and before any node
+    def nodes(order):
+        raise AssertionError("Gauss-Legendre nodes were computed")
+
+    monkeypatch.setattr(quadrature, "gauss_legendre", nodes)
+    with pytest.raises(RuleTooLarge, match=f"at most {MAX_RAYS} are"):
+        build_quadrature(n_eta, 4096)
+
+
 def test_rule_shape():
     rule = build_quadrature(10, 24)
     assert len(rule.eta_nodes) == 10
-    assert len(rule.xi_nodes) == 24
-    assert rule.xi_weight == pytest.approx(2 * math.pi / 24)
+    assert rule.n_xi == 24
+    xi, xi_w = phase_grid(rule.n_xi)
+    assert len(xi) == 24
+    assert xi_w == pytest.approx(2 * math.pi / 24)
     assert np.all(rule.eta_nodes > 0) and np.all(rule.eta_nodes < math.pi / 2)
 
 
