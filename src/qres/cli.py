@@ -10,6 +10,7 @@ hypotheses not met), 4 not-converged under --strict.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -80,11 +81,19 @@ def _emit_csv(estimate) -> None:
     click.echo("\n".join(lines))
 
 
-def _quat_floats(q: Quat):
+@contextlib.contextmanager
+def _in_float_range():
+    """Report an exact number too large for a float, met inside the block,
+    as a domain error."""
     try:
-        z1, z2 = complex(q.z1), complex(q.z2)
+        yield
     except OverflowError:
         raise ValueError("the value lies beyond the float range") from None
+
+
+def _quat_floats(q: Quat):
+    with _in_float_range():
+        z1, z2 = complex(q.z1), complex(q.z2)
     return [z1.real, z1.imag, z2.real, z2.imag]
 
 
@@ -357,8 +366,9 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
     if phi.is_zero:
         raise click.UsageError("all test-form coefficients are zero")
     sched = _parse_schedule(schedule, phi.support_radius)
-    est = residue_pair(f, phi, n_xi=n_xi, schedule=sched,
-                       include_mirror=not no_mirror)
+    with _in_float_range():
+        est = residue_pair(f, phi, n_xi=n_xi, schedule=sched,
+                           include_mirror=not no_mirror)
     inputs = {"function": label, "params": params, "phi11": phi11,
               "phi12": phi12, "phi21": phi21, "phi22": phi22,
               "R": radius, "radial": radial, "schedule": schedule,
@@ -394,8 +404,9 @@ def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
     if psi.is_zero:
         raise click.UsageError("all test-form coefficients are zero")
     sched = _parse_schedule(schedule, psi.support_radius)
-    est = pv_pair(f, psi, rule=build_quadrature(n_eta, n_xi), schedule=sched,
-                  region=region, part=part)
+    with _in_float_range():
+        est = pv_pair(f, psi, rule=build_quadrature(n_eta, n_xi),
+                      schedule=sched, region=region, part=part)
     inputs = {"function": label, "params": params, "psi1": psi1,
               "psi2": psi2, "R": radius, "schedule": schedule,
               "region": region, "part": part}

@@ -17,7 +17,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .errors import IdenticallyZero, NotHyperholomorphic, NotHypermeromorphic
 from .qcore import CRat, Quat
 from .symfun import (ConjRational, PairEval, QFunction, WirtingerJet,
                      numeric_jet)
-
-HALF = ConjRational.const(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,8 @@ class DResult:
 
 def apply_D(f: QFunction) -> DResult:
     f2c = f.f2.conjugate()
-    d1 = HALF * (f.f1.wirtinger("z1b") - f2c.wirtinger("z2"))
-    d2 = HALF * (f.f1.wirtinger("z2b") + f2c.wirtinger("z1"))
+    d1 = (f.f1.wirtinger("z1b") - f2c.wirtinger("z2")).halved()
+    d2 = (f.f1.wirtinger("z2b") + f2c.wirtinger("z1")).halved()
     return DResult(d1, d2)
 
 
@@ -120,10 +118,10 @@ def _leibniz_remainder(f: QFunction, g: QFunction) -> QFunction:
     g1c = g.f1.conjugate()
     g2 = g.f2
     g2c = g.f2.conjugate()
-    t1 = HALF * (f1 * g1.wirtinger("z1b") - f2 * g2c.wirtinger("z1b")
-                 - f1c * g2c.wirtinger("z2") - f2c * g1.wirtinger("z2"))
-    t2 = HALF * (f1 * g2.wirtinger("z1b") + f2 * g1c.wirtinger("z1b")
-                 + f1c * g1c.wirtinger("z2") - f2c * g2.wirtinger("z2"))
+    t1 = (f1 * g1.wirtinger("z1b") - f2 * g2c.wirtinger("z1b")
+          - f1c * g2c.wirtinger("z2") - f2c * g1.wirtinger("z2")).halved()
+    t2 = (f1 * g2.wirtinger("z1b") + f2 * g1c.wirtinger("z1b")
+          + f1c * g1c.wirtinger("z2") - f2c * g2.wirtinger("z2")).halved()
     return QFunction(t1, t2)
 
 
@@ -302,18 +300,69 @@ def _sample_points(f: QFunction, count: int) -> np.ndarray:
     return _sample_points(scale_real(f, Fraction(2) ** k), count)
 
 
+def _norms_sq(z1, z2):
+    """|z1 + z2*j|^2 over arrays of components, summed as Quat.norm sums."""
+    return (z1.real * z1.real + z1.imag * z1.imag
+            + z2.real * z2.real + z2.imag * z2.imag)
+
+
 def _norms(z1, z2):
-    """|z1 + z2*j| over arrays of components, summed as Quat.norm sums."""
-    return np.sqrt(z1.real * z1.real + z1.imag * z1.imag
-                   + z2.real * z2.real + z2.imag * z2.imag)
+    """|z1 + z2*j| over arrays of components, as Quat.norm gives it."""
+    return np.sqrt(_norms_sq(z1, z2))
+
+
+def _inverse_values(f: QFunction, Z1, Z2):
+    """1/f = (conj f1 - f2*j) / |f|^2 on the float values of f at (Z1, Z2):
+    what inverse_function(f) evaluates to, without building it."""
+    v1, v2 = f.eval_numeric(Z1, Z2)
+    m = _norms_sq(v1, v2)
+    return np.conj(v1) / m, -v2 / m
+
+
+def _cross_check_note(f: QFunction, residuals_zero: bool) -> Optional[str]:
+    """classify's note on its numeric D(1/f) check of a nonzero f, or None
+    where the check agrees with the residual system.  D(1/f) is differenced
+    on _inverse_values, one evaluation of f on the jet stencil."""
+    try:
+        pts = _sample_points(f, 8)
+    except OverflowError:
+        return ("numeric D(1/f) check was not run: a coefficient of f lies "
+                "beyond the float range")
+    if not len(pts):
+        return ("numeric D(1/f) check was not run: no candidate sample has "
+                "a finite, nonzero |f| off the poles")
+    with np.errstate(all="ignore"):
+        jet = numeric_jet(functools.partial(_inverse_values, f),
+                          pts[:, 0], pts[:, 1])
+        # |1/f| from the jet's centre values; max propagates nan, so one
+        # undefined sample shows
+        worst = (_norms(*_jet_D(jet)) / _norms(jet.f1, jet.f2)).max()
+    if not np.isfinite(worst):
+        return ("numeric D(1/f) check is inconclusive: D(1/f) overflows or "
+                f"is undefined at some of {len(pts)} samples")
+    if (worst < _CROSS_CHECK_RTOL) == residuals_zero:
+        return None
+    with np.errstate(all="ignore"):
+        coarse, fine = (_jet_D(jet.single_pass(k)) for k in (0, 1))
+        gap = (_norms(coarse[0] - fine[0], coarse[1] - fine[1])
+               / _norms(jet.f1, jet.f2)).max()
+    if not gap <= _CROSS_CHECK_RTOL:
+        return ("numeric D(1/f) check is inconclusive: the jet step does not "
+                "resolve f (max |D(1/f) at h - D(1/f) at h/2|/|1/f| = "
+                f"{gap:.3e} over {len(pts)} samples)")
+    return ("numeric D(1/f) status disagrees with the residual system (max "
+            f"|D(1/f)|/|1/f| = {worst:.3e} over {len(pts)} samples)")
 
 
 def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification:
     """Exact flags plus closure report against optional partner functions.
 
-    The numeric cross-check differentiates 1/f at up to 8 points of
+    The numeric cross-check takes D(1/f) at up to 8 points of
     _sample_points (the same candidates for every f; a note says where
-    there are none) and compares
+    there are none, or where a coefficient of f has no float value) by
+    central differences of the pointwise inverse of f's float values,
+    (conj v1 - v2*j) / (|v1|^2 + |v2|^2) with f = v1 + v2*j on the jet
+    stencil, and compares
     with what the residual system predicts; the two can in principle part
     ways when a component of f vanishes identically, which the derivation of
     the system assumes away, so any disagreement is surfaced in notes.  The
@@ -333,37 +382,9 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
         notes.append("a component vanishes identically; the inversion-"
                      "compatibility system assumes both are nonzero")
     if not f.is_zero:
-        g = inverse_function(f)
-        pts = _sample_points(f, 8)
-        if not len(pts):
-            notes.append("numeric D(1/f) check was not run: no candidate "
-                         "sample has a finite, nonzero |f| off the poles")
-        else:
-            with np.errstate(all="ignore"):
-                jet = numeric_jet(g.eval_numeric, pts[:, 0], pts[:, 1])
-                # |1/f| from the jet's centre values; max propagates nan,
-                # so one undefined sample shows
-                worst = (_norms(*_jet_D(jet))
-                         / _norms(jet.f1, jet.f2)).max()
-            if not np.isfinite(worst):
-                notes.append(
-                    "numeric D(1/f) check is inconclusive: D(1/f) overflows "
-                    f"or is undefined at some of {len(pts)} samples")
-            elif (worst < _CROSS_CHECK_RTOL) != residuals_zero:
-                with np.errstate(all="ignore"):
-                    coarse, fine = (_jet_D(jet.single_pass(k)) for k in (0, 1))
-                    gap = (_norms(coarse[0] - fine[0], coarse[1] - fine[1])
-                           / _norms(jet.f1, jet.f2)).max()
-                if not gap <= _CROSS_CHECK_RTOL:
-                    notes.append(
-                        "numeric D(1/f) check is inconclusive: the jet step "
-                        "does not resolve f (max |D(1/f) at h - D(1/f) at "
-                        f"h/2|/|1/f| = {gap:.3e} over {len(pts)} samples)")
-                else:
-                    notes.append(
-                        "numeric D(1/f) status disagrees with the residual "
-                        f"system (max |D(1/f)|/|1/f| = {worst:.3e} over "
-                        f"{len(pts)} samples)")
+        note = _cross_check_note(f, residuals_zero)
+        if note:
+            notes.append(note)
     closure = []
     for g in partners:
         closure.append({

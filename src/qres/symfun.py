@@ -273,6 +273,11 @@ class ConjPoly:
                 base = base * base
         return out
 
+    def halved(self) -> "ConjPoly":
+        """self / 2: the denominator doubled, in the same key order, as the
+        product with the constant 1/2 gives it."""
+        return ConjPoly._reduced(self._num, 2 * self._den)
+
     def conjugate(self) -> "ConjPoly":
         return ConjPoly._from_parts(
             {(b, a, d, c): (re, -im)
@@ -323,18 +328,23 @@ class ConjPoly:
         Z2 = np.asarray(Z2, dtype=complex)
         out = np.zeros(np.broadcast(Z1, Z2).shape, dtype=complex)
         vals = (Z1, np.conj(Z1), Z2, np.conj(Z2))
+        # first powers: on an array the value itself (numpy's pow gives the
+        # same values at the cost of about three products); a 0-d value
+        # keeps its pow, a numpy scalar, since a term's product with it
+        # rounds otherwise than with the 0-d array
+        firsts = tuple(v if np.ndim(v) else v ** 1 for v in vals)
         den = self._den
         for (a, b, c, d), (re, im) in self._num.items():
             # re / den is correctly rounded, as float(Fraction(re, den)) is
             term = complex(re / den, im / den)
             if a:
-                term = term * vals[0] ** a
+                term = term * (firsts[0] if a == 1 else vals[0] ** a)
             if b:
-                term = term * vals[1] ** b
+                term = term * (firsts[1] if b == 1 else vals[1] ** b)
             if c:
-                term = term * vals[2] ** c
+                term = term * (firsts[2] if c == 1 else vals[2] ** c)
             if d:
-                term = term * vals[3] ** d
+                term = term * (firsts[3] if d == 1 else vals[3] ** d)
             out += term
         return out
 
@@ -528,6 +538,12 @@ class ConjRational:
         return ConjRational._over_real(_times(self.num, other.den),
                                        _times(self.den, other.num))
 
+    def halved(self) -> "ConjRational":
+        """self / 2, as the product with the constant 1/2 gives it: the
+        numerator halved over the same denominator, whose keys are those
+        already in lowest terms."""
+        return ConjRational._from_parts(self.num.halved(), self.den)
+
     def conjugate(self) -> "ConjRational":
         # swapping z with conj z keeps min(a, b) and min(c, d) of every key,
         # so nothing new can be cancelled
@@ -563,9 +579,11 @@ class ConjRational:
             return n / d, pole
 
     def eval_numeric(self, Z1, Z2):
-        """Array evaluation; poles come out as inf/nan for the caller to notice."""
+        """Array evaluation; poles come out as inf/nan for the caller to
+        notice.  A denominator 1 is not evaluated, but divided by, as in
+        eval_screened."""
         n = self.num.eval_numeric(Z1, Z2)
-        d = self.den.eval_numeric(Z1, Z2)
+        d = 1 if self.den is _ONE else self.den.eval_numeric(Z1, Z2)
         with np.errstate(divide="ignore", invalid="ignore"):
             return n / d
 
@@ -712,11 +730,12 @@ class QFunction:
     def eval_numeric(self, Z1, Z2):
         """Array evaluation of both components, as ConjRational.eval_numeric
         gives each.  A denominator the two share, as the inverse_function of
-        an f with two nonzero components has, is evaluated once."""
+        an f with two nonzero components has, is evaluated once, and a
+        shared denominator 1 not at all."""
         f1, f2 = self.f1, self.f2
         if f1.den != f2.den:
             return f1.eval_numeric(Z1, Z2), f2.eval_numeric(Z1, Z2)
-        d = f1.den.eval_numeric(Z1, Z2)
+        d = 1 if f1.den is _ONE else f1.den.eval_numeric(Z1, Z2)
         with np.errstate(divide="ignore", invalid="ignore"):
             return (f1.num.eval_numeric(Z1, Z2) / d,
                     f2.num.eval_numeric(Z1, Z2) / d)
@@ -833,8 +852,10 @@ def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
     Both steps, all four real directions and both components are differenced
     together, each element by the same scalar operations at any batch shape.
     """
-    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex),
-                                 np.asarray(z2, dtype=complex))
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    if z1.shape != z2.shape:
+        z1, z2 = np.broadcast_arrays(z1, z2)
     axes = (slice(None),) + (None,) * z1.ndim
     w1, w2 = ev(z1 + _STENCIL_DZ1[axes], z2 + _STENCIL_DZ2[axes])
     w = np.empty((len(_STENCIL_DZ1), 2) + z1.shape, dtype=complex)
@@ -847,7 +868,10 @@ def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
     # Wirtinger combinations of the two real directions per complex
     # coordinate, as (kind, step, coordinate, component)
     dx, jdy = diff[:, 0::2], 1j * diff[:, 1::2]
-    wirt = np.stack([dx - jdy, dx + jdy]) / 2
+    wirt = np.empty((2,) + dx.shape, dtype=complex)
+    np.subtract(dx, jdy, out=wirt[0])
+    np.add(dx, jdy, out=wirt[1])
+    wirt /= 2
     g = (4 * wirt[:, 1] - wirt[:, 0]) / 3
     out = complex if z1.ndim == 0 else np.asarray
     return WirtingerJet(f1=out(w[0, 0]), f2=out(w[0, 1]),

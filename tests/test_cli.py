@@ -396,6 +396,42 @@ def test_classify_of_an_overflowing_function_stays_quiet(spec):
     json.loads(res.stdout)
 
 
+@pytest.mark.parametrize("spec, note", [
+    # the exact inverse's |f|^2 carried 10^320
+    ("10^160*c1 ; 0", "numeric D(1/f) check is inconclusive: D(1/f) "
+     "overflows or is undefined at some of 8 samples"),
+    ("10^400*c1 ; 0", "numeric D(1/f) check was not run: a coefficient of "
+     "f lies beyond the float range"),
+    ("c1/10^400 ; 0", "numeric D(1/f) check was not run: a coefficient of "
+     "f lies beyond the float range"),
+])
+def test_classify_of_a_coefficient_beyond_the_float_range(spec, note):
+    # an OverflowError traceback, exit 1, once; the exact flags stand
+    res = run_bounded(["-m", "qres.cli", "classify", "-f", spec])
+    assert res.returncode == 0
+    assert res.stderr == ""
+    data = json.loads(res.stdout)
+    assert data["result"]["hyperholomorphic"] is False
+    assert data["result"]["hypermeromorphic"] is False
+    assert data["diagnostics"]["notes"] == [
+        "a component vanishes identically; the inversion-compatibility "
+        "system assumes both are nonzero", note]
+
+
+@pytest.mark.parametrize("args", [
+    ["pv", "-f", "10^400*c1 ; 0", "--psi1", "bump", "--n-eta", "8",
+     "--n-xi", "8"],
+    ["residue", "-f", "10^400*c1 ; 0", "--phi22", "bump", "--n-xi", "8"],
+], ids=["pv", "residue"])
+def test_a_pairing_of_a_coefficient_beyond_the_float_range_exits_3(args):
+    # an OverflowError traceback, exit 1, once
+    res = run_bounded(["-m", "qres.cli", *args])
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "domain error: the value lies beyond the float range"]
+
+
 def test_version_prints_one_line_from_a_source_tree():
     # click looked the version up in the installed package metadata and
     # ended in a traceback when qres ran from src/ without being installed

@@ -1,4 +1,5 @@
 """The first-order operator, inversion, products, and the PDE classifiers."""
+import functools
 import json
 import math
 import random
@@ -13,7 +14,7 @@ from helpers import (hyperholomorphic_sample, rand_point, rand_quat,
 from qres import operators
 from qres.catalogue import NAMES, builtin
 from qres.errors import IdenticallyZero, NotHyperholomorphic, PoleError
-from qres.operators import (_SAMPLE_SEED, _jet_D, _norms,
+from qres.operators import (_SAMPLE_SEED, _inverse_values, _jet_D, _norms,
                             _sample_points, apply_D, apply_D_at,
                             check_product_rule, classify,
                             corollary_product_rule_residual,
@@ -370,13 +371,14 @@ def _sequential_sample_points(f, count, rng):
     return pts
 
 
-def _pointwise_D(g, q, h=1e-4):
-    """D of g at q by the one-point stencil: each of the 17 stencil points
-    evaluated on its own, Richardson-combined at h and h/2."""
+def _pointwise_D(ev, q, h=1e-4):
+    """D at q of the function ev evaluates, by the one-point stencil: each
+    of the 17 stencil points evaluated on its own, Richardson-combined at h
+    and h/2."""
     z1, z2 = q.z1, q.z2
 
     def v(a, b):
-        w1, w2 = g.eval_numeric(np.array([a]), np.array([b]))
+        w1, w2 = ev(np.array([a]), np.array([b]))
         return np.array([w1[0], w2[0]])
 
     def partials(s):
@@ -401,21 +403,22 @@ def test_batched_cross_check_matches_pointwise_path(name):
     assert len(sequential) == 8
     for (a, b), q in zip(pts, sequential):
         assert (a, b) == (q.z1, q.z2)
-    g = inverse_function(f)
+    inv = functools.partial(_inverse_values, f)
     # the batch as classify's cross-check takes it: one stencil evaluation
-    d1, d2 = _jet_D(numeric_jet(g.eval_numeric, pts[:, 0], pts[:, 1]))
+    # of f, inverted pointwise
+    d1, d2 = _jet_D(numeric_jet(inv, pts[:, 0], pts[:, 1]))
     for i, q in enumerate(sequential):
-        want1, want2 = _pointwise_D(g, q)
+        want1, want2 = _pointwise_D(inv, q)
         assert abs(d1[i] - want1) <= 1e-12
         assert abs(d2[i] - want2) <= 1e-12
-        assert apply_D_at(g, q) == Quat(complex(d1[i]), complex(d2[i]))
+        assert apply_D_at(inv, q) == Quat(complex(d1[i]), complex(d2[i]))
 
 
 def test_classify_evaluates_polynomials_a_bounded_number_of_times(monkeypatch):
     # one block screen touches the numerators of f and a denominator they
-    # share (a denominator 1 is not evaluated), and one stencil evaluation
-    # the numerators of 1/f and their one denominator |f|^2; a per-point
-    # loop would make hundreds
+    # share (a denominator 1 is not evaluated), and one stencil evaluation,
+    # inverted pointwise, the same again; a per-point loop would make
+    # hundreds
     calls = [0]
     original = ConjPoly.eval_numeric
 
@@ -527,7 +530,7 @@ def test_cross_check_does_not_depend_on_the_scale_of_f(name, scale):
 def test_a_small_f_is_screened_as_a_power_of_two_times_f(monkeypatch, name):
     # at 1e-8 no candidate has |f| >= 0.3.  The screen is then that of 2^k f,
     # the largest |f| off the poles brought into [1, 2), and the jet runs on
-    # f itself at its points
+    # the pointwise inverse of f itself at its points
     small = scale_real(builtin(name).f, Fraction(1, 10 ** 8))
     z = operators._candidates(200 * 8)
     with np.errstate(all="ignore"):
@@ -549,7 +552,47 @@ def test_a_small_f_is_screened_as_a_power_of_two_times_f(monkeypatch, name):
     classify(small)
     [(ev, z1, z2)] = runs
     assert np.array_equal(z1, pts[:, 0]) and np.array_equal(z2, pts[:, 1])
-    assert ev.__self__ == inverse_function(small)
+    assert ev.func is _inverse_values and ev.args == (small,)
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 10 ** 8), 10 ** 8])
+@pytest.mark.parametrize("name", NAMES)
+def test_the_pointwise_inverse_differences_as_the_exact_inverse(name, scale):
+    # classify differences 1/f on the float values of f, inverted pointwise;
+    # D of the exact inverse_function(f) through the same jet agrees within
+    # 1e-9 |1/f| at its samples (5 for cauchy_kernel at 1e-8, else 8)
+    f = scale_real(builtin(name).f, scale)
+    pts = _sample_points(f, 8)
+    assert len(pts) >= 5
+    pointwise = numeric_jet(functools.partial(_inverse_values, f),
+                            pts[:, 0], pts[:, 1])
+    exact = numeric_jet(inverse_function(f).eval_numeric,
+                        pts[:, 0], pts[:, 1])
+    (p1, p2), (e1, e2) = _jet_D(pointwise), _jet_D(exact)
+    assert (_norms(p1 - e1, p2 - e2)
+            <= 1e-9 * _norms(exact.f1, exact.f2)).all()
+
+
+def test_classify_builds_no_exact_inverse(monkeypatch):
+    # the cross-check inverts f's float values; neither 1/f nor |f|^2 is
+    # built in exact arithmetic, on any branch of the check
+    built = []
+
+    def spy(fn):
+        def recorded(f):
+            built.append(fn.__name__)
+            return fn(f)
+        return recorded
+
+    for fn in (inverse_function, modulus_function):
+        monkeypatch.setattr(operators, fn.__name__, spy(fn))
+    inputs = [scale_real(f, s) for f in CROSS_CHECK_INPUTS.values()
+              for s in (1, Fraction(1, 10 ** 8), Fraction(1, 10 ** 400))]
+    inputs += [parse_qfunction(spec) for spec in (
+        "z1*z2 ; c1*c2", "z1^100000 ; 0", "10^400*c1 ; 0")]
+    for f in inputs:
+        classify(f, partners=[builtin("conj").f])
+    assert built == []
 
 
 def test_an_f_with_no_usable_sample_says_the_check_was_not_run():

@@ -551,6 +551,46 @@ def test_a_polynomial_screens_as_its_quotient_by_one():
     assert not pole.any()
 
 
+def test_a_polynomial_evaluates_as_its_quotient_by_one():
+    # eval_numeric skips evaluating a denominator 1, alone or shared by
+    # both components, but divides by it, as eval_screened does
+    rng = seeded(50)
+    nrng = np.random.default_rng(50)
+    polys = [ConjPoly(rand_terms(rng, rng.randrange(0, 6), max_exp=3))
+             for _ in range(20)]
+    polys += [ConjPoly.const(10 ** 308) * Z1, ConjPoly.zero()]
+    one = ConjPoly.one()
+    for p, q in zip(polys, polys[1:]):
+        f = QFunction.from_polys(p, q)
+        for shape in ((), (1,), (8,), (17, 8)):
+            z1, z2 = (1.5 * (nrng.normal(size=shape)
+                             + 1j * nrng.normal(size=shape))
+                      for _ in range(2))
+            with np.errstate(all="ignore"):
+                got = (f.f1.eval_numeric(z1, z2), *f.eval_numeric(z1, z2))
+                d = one.eval_numeric(z1, z2)
+                want = [r.eval_numeric(z1, z2) / d for r in (p, p, q)]
+            for a, b in zip(got, want):
+                assert type(a) is type(b) and np.shape(a) == np.shape(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_halving_is_the_product_with_one_half():
+    # the numerator's denominator doubled and reduced once: the product
+    # with the constant 1/2, key order and denominator included
+    rng = seeded(51)
+    half = ConjRational.const(Fraction(1, 2))
+    dens = [ConjPoly.one(), Z1 * C1 + Z2 * C2, Z1 * C1 * CRat(3)
+            + ConjPoly.const(Fraction(1, 2))]
+    for i in range(60):
+        num = ConjPoly(rand_terms(rng, rng.randrange(0, 6), max_exp=3))
+        r = ConjRational(num, dens[i % 3])
+        got, want = r.halved(), half * r
+        for a, b in ((got.num, want.num), (got.den, want.den)):
+            assert a == b and list(a.terms) == list(b.terms)
+            assert a._den == b._den
+
+
 # every catalogue f and its inverse, an f that overflows, and a shared
 # denominator |z1|^2 - 1 with a zero set off the origin
 SCREENED = {name: builtin(name).f for name in NAMES}
