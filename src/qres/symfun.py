@@ -540,8 +540,8 @@ class ConjRational:
 
     def halved(self) -> "ConjRational":
         """self / 2, as the product with the constant 1/2 gives it: the
-        numerator halved over the same denominator, whose keys are those
-        already in lowest terms."""
+        numerator halved over the same denominator.  Halving keeps every
+        key, so there is nothing new to cancel."""
         return ConjRational._from_parts(self.num.halved(), self.den)
 
     def conjugate(self) -> "ConjRational":
