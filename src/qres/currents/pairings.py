@@ -63,34 +63,40 @@ pi K1 and conj(pi) K2 are summed per (R, r), and only those that are not
 identically zero are tabulated, so a node needs |f|^2, one bump per
 distinct (R, r) and one Horner evaluation per surviving product.
 
-The principal-value density of a homogeneous f, |f(lam u)|^2 =
-lam^(2m) |f(u)|^2, whose products each have a denominator of one row, is
-split instead (_RaySplit): on each ray it is sum_k alpha_k(u) lam^p_k
-bump(lam / R), with per-ray angular rows alpha_k built once per call.  A
-node then costs one bump per distinct R and its powers of lam, by
-multiplication, and no table is evaluated.  The metric region sums alpha
-over the rays once and weighs the radial profiles lam^p bump(lam / R) at
-each node of its shared column; the levelset region integrates them over
-each virtual ray's shell and dots them with alpha on its chart ray.  Any
-other f is evaluated node by node (_PvDensity.radial).
+Each call decides once, exactly, how to chart f (_Plan, which _ladder
+builds once the inputs pass): g = |f|^2 in lowest terms (modulus_function),
+whether the pairing takes the phase average, and the degree of f.  f is
+homogeneous of degree m when f1 and f2 are each a ratio of homogeneous
+polynomials of degree m, read from their exponent keys: then
+|f(lam u)|^2 = lam^(2m) |f(u)|^2 on every ray, and every denominator a
+pairing reads is homogeneous, one row of its ray table.  The level solve
+takes its closed form from m, and the principal-value density is split
+(_RaySplit): on each ray it is sum_k alpha_k(u) lam^p_k bump(lam / R), with
+per-ray angular rows alpha_k built once per call.  A node then costs one
+bump per distinct R and its powers of lam, by multiplication, and no table
+is evaluated.  The metric region sums alpha over the rays once and weighs
+the radial profiles lam^p bump(lam / R) at each node of its shared column;
+the levelset region integrates them over each virtual ray's shell and dots
+them with alpha on its chart ray.  Any other f is evaluated node by node
+(_PvDensity.radial).
 
-When |f|^2 is exactly a function of |z1|^2 and |z2|^2 (_torus_invariant:
-every catalogue entry but prop34 at its default parameters), so is every
-denominator a pairing of f reads, and the pairing is averaged over the
-phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2).  On a chart ray the
-monomial z1^a conj(z1)^b z2^c conj(z2)^d carries the phase
+When g is exactly a function of |z1|^2 and |z2|^2 (every catalogue entry
+but prop34 at its default parameters), so is every denominator a pairing of
+f reads, and the plan takes the phase average over the torus
+(z1, z2) -> (e^(i t1) z1, e^(i t2) z2).  On a chart ray the monomial
+z1^a conj(z1)^b z2^c conj(z2)^d carries the phase
 e^(i (a - b) xi1 + i (c - d) xi2), while |f|, the term sizes of f, every
 denominator, every bump and so every level radius depend on (lam, eta)
 alone.  So the integral over both phases keeps exactly the monomials with
-a = b and c = d of each folded product's numerator (_phase_average), times
-(2 pi)^2, and the pairing runs on the one-phase mesh _RayMesh.build(...,
-n_xi=1): one ray per eta node, at xi1 = xi2 = 0, of weight (2 pi)^2 times
-the eta weight, through the same tables, integrands and level solve as the
-n_xi^2 rays per eta node of any other f.  The n_xi-point trapezoid rule in
-each phase is exact below phase degree n_xi, so the two agree to rounding
-once n_xi exceeds the density's phase degree, and an averaged pairing does
-not read n_xi except to count its untrusted and dropped rays in rays of
-the n_xi rule, n_xi^2 per averaged ray.
+a = b and c = d of each folded product's numerator (_Plan.fold), times
+(2 pi)^2, and the pairing runs on the one-phase mesh (_Plan.mesh): one ray
+per eta node, at xi1 = xi2 = 0, of weight (2 pi)^2 times the eta weight,
+through the same tables, integrands and level solve as the n_xi^2 rays per
+eta node of any other f.  The n_xi-point trapezoid rule in each phase is
+exact below phase degree n_xi, so the two agree to rounding once n_xi
+exceeds the density's phase degree, and the one-phase mesh does not read
+n_xi except to count its untrusted and dropped rays in rays of the n_xi
+rule, n_xi^2 per ray of the mesh.
 
 A node, or for a split a ray, is a pole when |f| <= POLE_RTOL times the
 term size of f there, the sum over f1 and f2 of the term sizes of the
@@ -114,6 +120,7 @@ are the ray tables of N and D, built as those of any other rational.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -128,7 +135,7 @@ from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import Profile, TestForm2, TestForm3, bump
 from .quadrature import (QuadratureRule, build_quadrature, gauss_panels,
                          geometric_edges, graded_eta_panels, phase_grid,
-                         pv_rays, require_rays)
+                         pv_rays, require_rays, residue_rays)
 
 _LAM_FLOOR_FACTOR = 1e-9
 # nodes per density evaluation in both pairings, and matrix entries per
@@ -150,13 +157,6 @@ def _quiet(fn):
         with np.errstate(all="ignore"):
             return fn(*args, **kwargs)
     return run
-
-
-def residue_rays(n_xi: int, schedule: EpsilonSchedule, support: float) -> int:
-    """Chart rays of the largest graded residue mesh on the ladder."""
-    n_eta = max(len(graded_eta_panels(eps, support)[0])
-                for eps in schedule.values())
-    return n_eta * n_xi * n_xi
 
 
 def _paired(lam):
@@ -253,23 +253,23 @@ class _RayRational(NamedTuple):
 class _RayFunction(NamedTuple):
     """Ray tables of what a pairing reads, on one set of chart rays: f1, f2
     and the other rationals it needs.  A rational that is identically zero
-    has no table (None).  modulus is |f|^2 (modulus_function), which
+    has no table (None).  plan is the pairing's _Plan, whose g = |f|^2
     level_rows tabulates on the unit directions u = (u1, u2) of the rays."""
 
     items: Tuple[Optional[_RayRational], ...]
-    modulus: ConjRational
+    plan: _Plan
     u: Tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def build(cls, rationals: Sequence[ConjRational], u1, u2,
-              modulus: ConjRational) -> "_RayFunction":
+              plan: _Plan) -> "_RayFunction":
         table = _tables(u1, u2)
         return cls(tuple(
             None if r.is_zero else
             _RayRational(table(r.num),
                          None if r.den == ConjPoly.one() else
                          _real(table(r.den)))
-            for r in rationals), modulus, (u1, u2))
+            for r in rationals), plan, (u1, u2))
 
     @_quiet
     def values(self, lam) -> List[object]:
@@ -297,29 +297,14 @@ class _RayFunction(NamedTuple):
                 slope = slope + 2.0 * (F.real * dF.real + F.imag * dF.imag)
         return g, slope
 
-    @property
-    def degree(self) -> Optional[int]:
-        """The degree m of a homogeneous f: every table of f1 and f2 has one
-        row and both components the same degree, so that
-        |f(lam u)|^2 = lam^(2m) a(u) on every ray.  None for any other f;
-        f is not 0."""
-        degrees = set()
-        for t in self.items[:2]:
-            if t is None:
-                continue
-            if len(t.num.c) > 1 or (t.den is not None and len(t.den.c) > 1):
-                return None
-            degrees.add(t.num.low - (0 if t.den is None else t.den.low))
-        return None if len(degrees) > 1 else degrees.pop()
-
     def level_rows(self) -> np.ndarray:
         """Rows (s, q), ascending powers of the radius by ray, of the real
         numerator N and denominator D of |f|^2 = N / D in lowest terms
-        (modulus), tabulated as any other rational, so that
+        (the plan's g), tabulated as any other rational, so that
         D (|f|^2 - eps^2) = lam^L (s - eps^2 q) along the rays."""
         table = _tables(*self.u)
         num, den = (_real(table(p))
-                    for p in (self.modulus.num, self.modulus.den))
+                    for p in (self.plan.g.num, self.plan.g.den))
         low = min(num.low, den.low)
         rows = np.zeros((2, max(num.low + len(num.c), den.low + len(den.c))
                          - low, len(self.u[0])))
@@ -381,7 +366,9 @@ def _untrusted_counts(inside_at_floor, crossings, hidden) -> np.ndarray:
                      np.count_nonzero(hidden)])
 
 
-def _untrusted_notes(untrusted) -> Tuple[str, ...]:
+def _level_notes(untrusted, cones: int) -> Tuple[str, ...]:
+    """The notes on a ladder's level solves: its untrusted counts
+    (_untrusted_counts) and its cone rungs (_LevelRadii)."""
     dips, multiple, hidden = untrusted
     notes = []
     if dips or multiple:
@@ -394,13 +381,11 @@ def _untrusted_notes(untrusted) -> Tuple[str, ...]:
                      f"the radius floor ({_LAM_FLOOR_FACTOR:g} of the "
                      "support), where the level solve does not look; the "
                      "estimate is not converged")
+    if cones:
+        notes.append(f"on {cones} rungs the level set is a cone of whole "
+                     "rays, which no ray crosses (|f| is constant on rays); "
+                     "the estimate is not converged")
     return tuple(notes)
-
-
-def _cone_notes(cones: int) -> Tuple[str, ...]:
-    return ((f"on {cones} rungs the level set is a cone of whole rays, which "
-             "no ray crosses (|f| is constant on rays); the estimate is not "
-             "converged",) if cones else ())
 
 
 def _level_crossings(ray_fn: _RayFunction, level_rows, target: float,
@@ -455,7 +440,7 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     polynomial D (|f|^2 - eps^2) = lam^L (s - eps^2 q) of the exact
     |f|^2 = N / D, whose rows ray_fn.level_rows() builds once per call
     (_level_crossings), one rung at a time.  A homogeneous f of degree m
-    needs no root solve: |f(lam u)|^2
+    (_Plan.degree) needs no root solve: |f(lam u)|^2
     is lam^(2m) a(u), monotone along each ray, so it crosses eps exactly
     when the two ends of (floor, lam_hi] lie on either side, at
     lam_star = (eps^2 / a)^(1/2m) = lam_hi (eps^2 / |f(lam_hi u)|^2)^(1/2m),
@@ -478,7 +463,7 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     g_hi = ray_fn.modulus_sq(hi)
     inside_at_floor = ~(ray_fn.modulus_sq(floor) >= target)
     active = inside_at_floor & (g_hi >= target)
-    m = ray_fn.degree
+    m = ray_fn.plan.degree
     untrusted, cones = np.zeros(3, dtype=int), 0
     if m is None:
         lam_star = np.empty(active.shape)
@@ -521,9 +506,9 @@ class _RayMesh(NamedTuple):
         eta-major: the n_xi^2 rays of eta node i are rays i n_xi^2 onwards.
         The weights, cos, sin and the phases are taken on the axes and
         broadcast, which gives the same values, bit for bit, as taking them
-        per ray.  n_xi = 1 is the mesh of a pairing averaged over the
-        phases: one ray per eta node, at xi1 = xi2 = 0, of phase weight
-        2 pi in each phase."""
+        per ray.  n_xi = 1 is the one-phase mesh of a pairing that takes
+        the phase average (_Plan.mesh): one ray per eta node, at
+        xi1 = xi2 = 0, of phase weight 2 pi in each phase."""
         xi, xi_w = phase_grid(n_xi)
         ne, nx = len(eta_nodes), len(xi)
         eta = np.asarray(eta_nodes, dtype=float)
@@ -535,12 +520,79 @@ class _RayMesh(NamedTuple):
                    np.broadcast_to(u2, shape).ravel())
 
 
+@dataclasses.dataclass(frozen=True)
+class _Plan:
+    """How a pairing of 1/f charts f, decided once per call, exactly
+    (_ladder); g is |f|^2 in lowest terms (modulus_function).
+
+    averaged: g is exactly a function of |z1|^2 and |z2|^2, every exponent
+    key (a, b, c, d) of its numerator and denominator having a == b and
+    c == d (sufficient, not necessary), so the pairing takes the phase
+    average over the torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2) (mesh,
+    fold).  Every denominator the pairing reads is then a polynomial in
+    |z1|^2 and |z2|^2 as well.  Grade polynomials by the phase character
+    (a - b, c - d) of their monomials: a product has a single character only
+    if each factor has one, and a real factor's character is its own
+    negative, so 0.  The denominator of g is D1^2 D2^2 (D^2 for a shared D)
+    over such a monomial, so the real denominators D1 of f1 and D2 of f2
+    have character 0, and every product denominator is made from D1, D2 and
+    the denominator of g by products, conjugation and the cancelling of
+    monomials |z1|^2a |z2|^2c, which keep character 0.
+
+    degree: m when f1 and f2, a zero component aside, are each a ratio of
+    homogeneous polynomials of degree m, else None.  Every product
+    denominator is then homogeneous, one row of its ray table, as products,
+    conjugation and the cancelling of monomials keep a polynomial
+    homogeneous.  m is read from the keys of f, not of g, because the split
+    screens poles only at lam = 1 (_pv_integrand) and so needs the term
+    sizes of f to scale like |f|."""
+
+    g: ConjRational
+    averaged: bool
+    degree: Optional[int]
+
+    @classmethod
+    def of(cls, f: QFunction) -> "_Plan":
+        g = modulus_function(f)
+        degrees = set()
+        for r in (f.f1, f.f2):
+            if not r.is_zero:
+                num, den = ({sum(key) for key in p.terms}
+                            for p in (r.num, r.den))
+                degrees.add(num.pop() - den.pop()
+                            if len(num) == len(den) == 1 else None)
+        return cls(g, all(p.phase_average() == p for p in (g.num, g.den)),
+                   degrees.pop() if len(degrees) == 1 else None)
+
+    def mesh(self, eta_nodes, eta_weights, n_xi: int
+             ) -> Tuple[_RayMesh, int]:
+        """The chart mesh of the eta nodes and the n_xi phase rule, and the
+        rays of that rule each of its rays stands for: under the phase
+        average, one ray per eta node, for n_xi^2."""
+        if self.averaged:
+            return _RayMesh.build(eta_nodes, eta_weights, 1), n_xi * n_xi
+        return _RayMesh.build(eta_nodes, eta_weights, n_xi), 1
+
+    def fold(self, kernels, coefficients):
+        """The folded products of a density (_fold), under the phase average
+        each with the monomials z1^a conj(z1)^a z2^c conj(z2)^c of its
+        numerator, exactly; a product with none averages to 0 and is
+        dropped."""
+        products = _fold(kernels, coefficients)
+        if not self.averaged:
+            return products
+        return [(part, key, ConjRational(num, r.den))
+                for part, key, r in products
+                if not (num := r.num.phase_average()).is_zero]
+
+
 def _ladder(f: QFunction, form, schedule, rays
-            ) -> Tuple[EpsilonSchedule, float]:
+            ) -> Tuple[EpsilonSchedule, float, _Plan]:
     """The ladder of a pairing of 1/f against the form (by default
-    EpsilonSchedule.for_radius of its support) and that support, once the
-    form is not zero, the ladder starts inside the support, the
-    rays(ladder, support) chart rays fit require_rays and f is not zero."""
+    EpsilonSchedule.for_radius of its support), that support and the plan
+    of f, once the form is not zero, the ladder starts inside the support,
+    the rays(ladder, support) chart rays fit require_rays and f is not
+    zero."""
     if form.is_zero:
         raise ValueError("test form is identically zero")
     support = form.support_radius
@@ -552,39 +604,7 @@ def _ladder(f: QFunction, form, schedule, rays
     if f.is_zero:
         raise IdenticallyZero("f is identically zero, so 1/f has no "
                               "currents to pair")
-    return schedule, support
-
-
-def _torus_invariant(g: ConjRational) -> bool:
-    """Whether g = |f|^2 (modulus_function) is exactly a function of
-    |z1|^2 and |z2|^2: every exponent key (a, b, c, d) of its numerator and
-    denominator has a == b and c == d (it is its own phase average).
-    Sufficient, not necessary.  A pairing of such an f is averaged over the
-    phase torus (z1, z2) -> (e^(i t1) z1, e^(i t2) z2) (_phase_average).
-
-    Every denominator the pairing reads is then a polynomial in |z1|^2 and
-    |z2|^2 as well.  Grade polynomials by the phase character (a - b, c - d)
-    of their monomials: a product has a single character only if each
-    factor has one, and a real factor's character is its own negative, so
-    0.  The denominator of |f|^2 is D1^2 D2^2 (D^2 for a shared D) over
-    such a monomial, so the real denominators D1 of f1 and D2 of f2 have
-    character 0, and every
-    product denominator is made from D1, D2 and that of |f|^2 by products,
-    conjugation and the cancelling of monomials |z1|^2a |z2|^2c, which keep
-    character 0."""
-    return all(p.phase_average() == p for p in (g.num, g.den))
-
-
-def _phase_average(products):
-    """The folded products averaged over the phase torus, exactly: each
-    keeps the monomials z1^a conj(z1)^a z2^c conj(z2)^c of its numerator,
-    and a product with none averages to 0 and is dropped."""
-    out = []
-    for part, key, r in products:
-        num = r.num.phase_average()
-        if not num.is_zero:
-            out.append((part, key, ConjRational(num, r.den)))
-    return out
+    return schedule, support, _Plan.of(f)
 
 
 def _right_inverse_kernels(f: QFunction, a, b):
@@ -666,8 +686,8 @@ class _PvDensity(NamedTuple):
     """A folded density (_fold) on one set of chart rays: the residue or the
     principal-value density of f against a test form.
 
-    ray_fn tabulates f1, f2, then each product, and carries g = |f|^2
-    (modulus_function) for the level solve; sizes holds, for f1 and
+    ray_fn tabulates f1, f2, then each product, and carries the plan
+    (_Plan) for the level solve and the split; sizes holds, for f1 and
     f2, the real table of the term sizes of its numerator (None for 0):
     the sum of |c| |u1|^(a+b) |u2|^(c+d) over its terms c z1^a conj(z1)^b
     z2^c conj(z2)^d of each degree.  slots holds, per product, its part
@@ -695,7 +715,7 @@ class _PvDensity(NamedTuple):
             ((key, abs(complex(coeff))) for key, coeff in r.num.terms.items()),
             power, len(u1), float) for r in (f.f1, f.f2))
         ray_fn = ray_fn._replace(items=ray_fn.items + _RayFunction.build(
-            [r for _, _, r in products], u1, u2, ray_fn.modulus).items)
+            [r for _, _, r in products], u1, u2, ray_fn.plan).items)
         return cls(ray_fn, sizes,
                    tuple((part, keys.index(key)) for part, key, _ in products),
                    tuple((R, radius[radial]) for R, radial in keys), w)
@@ -907,19 +927,18 @@ class _RaySplit:
 
 @_quiet
 def _pv_integrand(density: _PvDensity):
-    """The _RaySplit of the density when f is homogeneous and every
-    product's denominator has at most one row, else the density itself."""
+    """The _RaySplit of the density when f is homogeneous (_Plan.degree),
+    so that every product's denominator has one row, else the density
+    itself."""
     ray_fn = density.ray_fn
-    m = ray_fn.degree
-    products = ray_fn.items[2:]
-    if m is None or any(t.den is not None and len(t.den.c) > 1
-                        for t in products):
+    m = ray_fn.plan.degree
+    if m is None:
         return density
     one = np.ones(len(density.w))
     a = ray_fn.modulus_sq(one)
     scale = density.w / a
     rows = {}
-    for (part, k), t in zip(density.slots, products):
+    for (part, k), t in zip(density.slots, ray_fn.items[2:]):
         low_den, s = ((0, scale) if t.den is None
                       else (t.den.low, scale / t.den.c[0]))
         for i, c in enumerate(t.num.c):
@@ -951,25 +970,23 @@ def _residue_rung(density: _PvDensity, lam) -> Tuple[Quat, int]:
     return Quat(complex(z1), complex(z2)), int(np.count_nonzero(~transverse))
 
 
-def _residue_level_set(f: QFunction, g: ConjRational, phi: TestForm2,
-                       n_xi: int, eps: float, support: float, products,
-                       averaged: bool) -> Tuple[Quat, int, np.ndarray, int]:
-    """One residue rung on its graded mesh: the value, the count of nodes
-    that are not transverse and the untrusted counts of the level solve,
-    both counted in rays of the n_xi rule, so that a ray of an averaged
-    (one-phase) mesh counts n_xi^2 times, and the solve's cone count, 1
-    when the level set is a cone of whole rays (_LevelRadii), else 0.
+def _residue_level_set(f: QFunction, plan: _Plan, phi: TestForm2,
+                       n_xi: int, eps: float, support: float, products
+                       ) -> Tuple[Quat, int, np.ndarray, int]:
+    """One residue rung on its graded mesh (_Plan.mesh): the value, the
+    count of nodes that are not transverse and the untrusted counts of the
+    level solve, both counted in rays of the n_xi rule, so that a ray of a
+    one-phase mesh counts n_xi^2 times, and the solve's cone count, 1 when
+    the level set is a cone of whole rays (_LevelRadii), else 0.
     products() gives the folded density; it is asked for only when some ray
     is active, and tabulated on the active rays, where it takes the level
     solve's tables of f1 and f2.  The mesh and its tables die with the
     call, so no two rungs' are held at once."""
-    mesh = _RayMesh.build(*graded_eta_panels(eps, support),
-                          1 if averaged else n_xi)
-    level_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2, g)
+    mesh, weight = plan.mesh(*graded_eta_panels(eps, support), n_xi)
+    level_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2, plan)
     hi = phi.support_lambda(mesh.eta)
     radii = _solve_level_radius(level_fn, hi, (eps,))
     lam, active = radii.lam_star[0], radii.active[0]
-    weight = n_xi ** 2 if averaged else 1
     untrusted = radii.untrusted * weight
     if not active.any():
         return Quat(0.0, 0.0), 0, untrusted, radii.cones
@@ -996,46 +1013,44 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
 
     The density is folded once per call (_residue_kernels, _fold), on the
     first rung with an active ray, and its products are tabulated per rung
-    on the active rays only, beside the level solve's f1 and f2 tables.  A
-    pairing of a _torus_invariant f is averaged over the phases: it runs on
-    one ray per eta node with the phase averages of the products, so n_xi
+    on the active rays only, beside the level solve's f1 and f2 tables.
+    Where the plan takes the phase average (_Plan), the pairing runs on one
+    ray per eta node with the phase averages of the products, so n_xi
     changes none of its values.  A node on the zero set of f, to within
     POLE_RTOL of its term size, raises PoleOnDomain.  A rung
     whose level set is a cone of whole rays (_LevelRadii) reads 0 and
-    leaves the estimate not converged, with a note (_cone_notes).
+    leaves the estimate not converged, with a note (_level_notes).
     """
     if n_xi < 8:
         raise TooCoarse(f"phase rule n_xi = {n_xi} is too coarse: need "
                         "n_xi >= 8")
-    schedule, support = _ladder(f, phi, schedule,
-                                functools.partial(residue_rays, n_xi))
+    schedule, support, plan = _ladder(f, phi, schedule,
+                                      functools.partial(residue_rays, n_xi))
     eps_list = schedule.values()
-    g = modulus_function(f)
-    averaged = _torus_invariant(g)
 
     @functools.cache
     def products():
-        out = _fold(_residue_kernels(f, g, include_mirror), phi.coefficients)
-        return _phase_average(out) if averaged else out
+        return plan.fold(_residue_kernels(f, plan.g, include_mirror),
+                         phi.coefficients)
 
     values: List[Quat] = []
     dropped_total = cones = 0
     untrusted = np.zeros(3, dtype=int)
     for eps in eps_list:
         val, dropped, counts, cone = _residue_level_set(
-            f, g, phi, n_xi, eps, support, products, averaged)
+            f, plan, phi, n_xi, eps, support, products)
         values.append(val)
         dropped_total += dropped
         untrusted += counts
         cones += cone
-    notes = list(_untrusted_notes(untrusted) + _cone_notes(cones))
+    notes = list(_level_notes(untrusted, cones))
     if dropped_total:
         notes.append(f"{dropped_total} level-set nodes were not transverse "
                      "to the radial rays and were dropped")
     part = "(1,0)+(0,1)" if include_mirror else "(1,0)"
     return finalize(eps_list, values, part=part, notes=notes,
                     trusted=not (untrusted.any() or cones),
-                    phases_averaged=averaged)
+                    phases_averaged=plan.averaged)
 
 
 def _levelset_bounds(ray_fn: _RayFunction, n_rays: int, eps_list,
@@ -1144,15 +1159,15 @@ def pv_pair(f: QFunction, psi: TestForm3,
     and |f| above POLE_RTOL times the term size of f
     (_PvDensity.off_zero_set), or PoleOnDomain is raised.
 
-    A pairing of a _torus_invariant f is averaged over the phases: both
-    regions run on one ray per eta node with the phase averages of the
-    products, so rule.n_xi changes none of its values.  A rung whose
-    sublevel set is a cone of whole rays (_LevelRadii) leaves the estimate
-    not converged, with the residue's note (_cone_notes).
+    Where the plan takes the phase average (_Plan), both regions run on one
+    ray per eta node with the phase averages of the products, so rule.n_xi
+    changes none of its values.  A rung whose sublevel set is a cone of
+    whole rays (_LevelRadii) leaves the estimate not converged, with the
+    residue's note (_level_notes).
     """
     if rule is None:
         rule = build_quadrature(32, 64)
-    schedule, support = _ladder(
+    schedule, support, plan = _ladder(
         f, psi, schedule, lambda *_: pv_rays(rule.n_eta, rule.n_xi))
     for p in psi.coefficients:
         if p is not None and p.radial != "q":
@@ -1166,15 +1181,10 @@ def pv_pair(f: QFunction, psi: TestForm3,
     if region not in ("metric", "levelset"):
         raise ValueError("region must be 'metric' or 'levelset'")
     eps_list = schedule.values()
-    products = _fold(_pv_kernels(f), psi.coefficients)
-    g = modulus_function(f)
-    averaged = _torus_invariant(g)
-    if averaged:
-        products = _phase_average(products)
-    mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights,
-                          1 if averaged else rule.n_xi)
+    products = plan.fold(_pv_kernels(f), psi.coefficients)
+    mesh, weight = plan.mesh(rule.eta_nodes, rule.eta_weights, rule.n_xi)
     density = _PvDensity.build(f, _RayFunction.build(
-        (f.f1, f.f2), mesh.u1, mesh.u2, g), products, mesh.w)
+        (f.f1, f.f2), mesh.u1, mesh.u2, plan), products, mesh.w)
     integrand = _pv_integrand(density)
     untrusted, cones = np.zeros(3, dtype=int), 0
     n_rungs = len(eps_list)
@@ -1191,14 +1201,13 @@ def pv_pair(f: QFunction, psi: TestForm3,
         shells = integrand.radial(nodes, n_rungs)
         notes = ()
     else:
-        # untrusted rays are counted in rays of the n_xi rule
-        weight = rule.n_xi ** 2 if averaged else 1
         bounds, untrusted, cones = _levelset_bounds(
             density.ray_fn, len(mesh.eta), eps_list, support)
+        # untrusted rays are counted in rays of the n_xi rule
         untrusted = untrusted * weight
         shells = _levelset_shells(integrand, bounds, support)
         notes = (("excluded region follows the level sets of |f|",)
-                 + _untrusted_notes(untrusted) + _cone_notes(cones))
+                 + _level_notes(untrusted, cones))
     rungs = np.cumsum(shells, axis=1)
     if part == "(0,1)":
         rungs = rungs.conj()
@@ -1207,4 +1216,4 @@ def pv_pair(f: QFunction, psi: TestForm3,
     values = [Quat(z1, z2) for z1, z2 in rungs.T.tolist()]
     return finalize(eps_list, values, part=part, notes=notes,
                     trusted=not (untrusted.any() or cones),
-                    phases_averaged=averaged)
+                    phases_averaged=plan.averaged)

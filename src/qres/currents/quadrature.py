@@ -17,6 +17,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from ..errors import RuleTooLarge, TooCoarse
+from .estimate import EpsilonSchedule
 
 HALF_PI = math.pi / 2.0
 # Gauss-Legendre orders above which an eta rule is refused: numpy's leggauss
@@ -40,6 +41,15 @@ class QuadratureRule:
 
 def pv_rays(n_eta: int, n_xi: int) -> int:
     """Chart rays of the principal-value mesh of an n_eta x n_xi rule."""
+    return n_eta * n_xi * n_xi
+
+
+def residue_rays(n_xi: int, schedule: EpsilonSchedule, support: float) -> int:
+    """Chart rays of the largest graded residue mesh on the ladder: n_xi^2
+    per eta node, the rays of the n_xi rule, even where a pairing takes the
+    phase average on one ray per eta node."""
+    n_eta = max(len(graded_eta_panels(eps, support)[0])
+                for eps in schedule.values())
     return n_eta * n_xi * n_xi
 
 

@@ -14,6 +14,7 @@ identity here; it is only used for the documented cross-checks.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,9 +265,11 @@ def _candidates(limit: int) -> np.ndarray:
     return points
 
 
-def _sample_points(f: QFunction, count: int) -> np.ndarray:
+def _sample_points(f: QFunction, count: int) -> Tuple[np.ndarray, int]:
     """Float points where |f| is bounded away from 0 and nothing poles out,
-    as the rows (z1, z2) of a complex (n, 2) array, n <= count.
+    as the rows (z1, z2) of a complex (n, 2) array, n <= count, and the
+    frexp exponent e of the largest |f| at them (0 if there are none), so
+    that 2^-e |f| < 1 there.
 
     The _candidates of 200 * count attempts, the same for every f, are
     screened in blocks of 4 * count, 8 * count, ... (QFunction.eval_screened)
@@ -277,27 +280,31 @@ def _sample_points(f: QFunction, count: int) -> np.ndarray:
     cross-check is scale-invariant.  If there is no such |f|, there are none.
     """
     candidates = _candidates(200 * count)
-    pts = np.empty((0, 2), dtype=complex)
-    start, block = 0, 4 * count
-    while len(pts) < count and start < len(candidates):
+    pts, sizes = [], []
+    found, start, block = 0, 0, 4 * count
+    while found < count and start < len(candidates):
         z = candidates[start:start + block]
         start += block
         block *= 2
         with np.errstate(all="ignore"):
             v1, v2, pole = f.eval_screened(z[:, 0], z[:, 1])
             norm = _norms(v1, v2)
-        pts = np.concatenate([pts, z[~pole & np.isfinite(norm)
-                                     & (norm >= 0.3)]])
-    if len(pts):
-        return pts[:count]
+        kept = ~pole & np.isfinite(norm) & (norm >= 0.3)
+        pts.append(z[kept])
+        sizes.append(norm[kept])
+        found += len(pts[-1])
+    if found:
+        return (np.concatenate(pts)[:count],
+                math.frexp(max(np.concatenate(sizes)[:count].tolist()))[1])
     with np.errstate(all="ignore"):
         v1, v2, pole = f.eval_screened(candidates[:, 0], candidates[:, 1])
         size = np.hypot(np.abs(v1), np.abs(v2))[~pole]
     largest = size[np.isfinite(size)].max(initial=0.0)
     if not largest > 0.0:
-        return pts
+        return np.empty((0, 2), dtype=complex), 0
     k = 1 - int(np.frexp(largest)[1])
-    return _sample_points(scale_real(f, Fraction(2) ** k), count)
+    pts, e = _sample_points(scale_real(f, Fraction(2) ** k), count)
+    return pts, e - k
 
 
 def _norms_sq(z1, z2):
@@ -311,20 +318,29 @@ def _norms(z1, z2):
     return np.sqrt(_norms_sq(z1, z2))
 
 
-def _inverse_values(f: QFunction, Z1, Z2):
-    """1/f = (conj f1 - f2*j) / |f|^2 on the float values of f at (Z1, Z2):
-    what inverse_function(f) evaluates to, without building it."""
+def _inverse_values(f: QFunction, k: int, Z1, Z2):
+    """1/g = (conj g1 - g2*j) / |g|^2 for g = 2^k f, on the float values of
+    f at (Z1, Z2) times 2^k: what inverse_function(f) / 2^k evaluates to,
+    without building it.  A power of two scales exactly, short of the ends
+    of the float range, and keeps |g|^2 in range where |f|^2 is not.  k
+    above 1023 is taken as 1023, the largest exponent of a float, which
+    already brings the smallest nonzero float to 2^-51."""
+    scale = 2.0 ** min(k, 1023)
     v1, v2 = f.eval_numeric(Z1, Z2)
+    v1, v2 = v1 * scale, v2 * scale
     m = _norms_sq(v1, v2)
     return np.conj(v1) / m, -v2 / m
 
 
 def _cross_check_note(f: QFunction, residuals_zero: bool) -> Optional[str]:
     """classify's note on its numeric D(1/f) check of a nonzero f, or None
-    where the check agrees with the residual system.  D(1/f) is differenced
-    on _inverse_values, one evaluation of f on the jet stencil."""
+    where the check agrees with the residual system.  D(1/g) is differenced
+    on _inverse_values, one evaluation of f on the jet stencil, for
+    g = 2^-e f with e from _sample_points, so that |g| < 1 at the samples:
+    the check is scale-invariant, and |g|^2 stays in the float range where
+    |f|^2 would overflow or underflow."""
     try:
-        pts = _sample_points(f, 8)
+        pts, e = _sample_points(f, 8)
     except OverflowError:
         return ("numeric D(1/f) check was not run: a coefficient of f lies "
                 "beyond the float range")
@@ -332,7 +348,7 @@ def _cross_check_note(f: QFunction, residuals_zero: bool) -> Optional[str]:
         return ("numeric D(1/f) check was not run: no candidate sample has "
                 "a finite, nonzero |f| off the poles")
     with np.errstate(all="ignore"):
-        jet = numeric_jet(functools.partial(_inverse_values, f),
+        jet = numeric_jet(functools.partial(_inverse_values, f, -e),
                           pts[:, 0], pts[:, 1])
         # |1/f| from the jet's centre values; max propagates nan, so one
         # undefined sample shows
@@ -361,17 +377,17 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
     _sample_points (the same candidates for every f; a note says where
     there are none, or where a coefficient of f has no float value) by
     central differences of the pointwise inverse of f's float values,
-    (conj v1 - v2*j) / (|v1|^2 + |v2|^2) with f = v1 + v2*j on the jet
-    stencil, and compares
-    with what the residual system predicts; the two can in principle part
-    ways when a component of f vanishes identically, which the derivation of
-    the system assumes away, so any disagreement is surfaced in notes.  The
-    check is |D(1/f)| < 1e-6 |1/f| at every sample: both scale as 1/c
-    under f -> c f, so the verdict does not depend on the scale of f.  A
-    disagreement is reported only where the jet's two central-difference
-    passes, at steps h and h/2, give D(1/f) within 1e-6 |1/f| of each other
-    at every sample; where they do not, the step does not resolve f, and
-    the note says the check is inconclusive.
+    (conj v1 - v2*j) / (|v1|^2 + |v2|^2) with 2^-e f = v1 + v2*j on the
+    jet stencil (the power of two that brings |f| below 1 at the samples),
+    and compares with what the residual system predicts; the two can in
+    principle part ways when a component of f vanishes identically, which
+    the derivation of the system assumes away, so any disagreement is
+    surfaced in notes.  The check is |D(1/f)| < 1e-6 |1/f| at every
+    sample: both scale as 1/c under f -> c f, so the verdict does not depend
+    on the scale of f.  A disagreement is reported only where the jet's two
+    central-difference passes, at steps h and h/2, give D(1/f) within
+    1e-6 |1/f| of each other at every sample; where they do not, the step
+    does not resolve f, and the note says the check is inconclusive.
     """
     hyperholo = is_hyperholomorphic(f)
     eq3, eq4 = hypermero_residuals(f)

@@ -1,6 +1,7 @@
 """Epsilon-limit pairings against the currents attached to a reciprocal:
 residues over shrinking level sets, principal values over shrinking
 excluded regions.  Reference masses come from radial quadrature."""
+import dataclasses
 import functools
 import itertools
 import json
@@ -19,18 +20,18 @@ from qres.currents.chart import (ORIENTATION_3FORM, ORIENTATION_4FORM,
 from qres.currents.estimate import ZERO_FLOOR, EpsilonSchedule, finalize
 from qres.currents.forms import Profile, TestForm2, TestForm3, bump
 from qres.currents import pairings
-from qres.currents.pairings import (PoleOnDomain, _Nodes,
+from qres.currents.pairings import (PoleOnDomain, _Nodes, _Plan,
                                     _PvDensity, _RayFunction,
-                                    _RayMesh, _RaySplit, _fold, _pv_integrand,
+                                    _RayMesh, _RaySplit, _fold,
                                     _pv_kernels, _pv_radial,
                                     _level_crossings, _residue_kernels,
                                     _residue_rung, _solve_level_radius,
-                                    _take_rays, pv_pair, residue_pair,
-                                    residue_rays)
+                                    _take_rays, pv_pair, residue_pair)
 from qres.currents import quadrature
 from qres.currents.quadrature import (MAX_RAYS, QuadratureRule,
                                       build_quadrature, graded_eta_panels,
-                                      phase_grid, pv_rays, require_rays)
+                                      phase_grid, pv_rays, require_rays,
+                                      residue_rays)
 from qres.errors import IdenticallyZero, RuleTooLarge, TooCoarse
 from qres.operators import modulus_function
 from qres.parsing import parse_poly, parse_qfunction
@@ -48,7 +49,7 @@ def pv_density(f, products, u1, u2, w=None):
     """The _PvDensity of the products on the rays (u1, u2), on the table of
     f1 and f2 that a pairing builds there, with the ray weights w (1 by
     default)."""
-    ray_fn = _RayFunction.build((f.f1, f.f2), u1, u2, modulus_function(f))
+    ray_fn = _RayFunction.build((f.f1, f.f2), u1, u2, _Plan.of(f))
     return _PvDensity.build(f, ray_fn, products,
                             np.ones(len(u1)) if w is None else w)
 
@@ -290,7 +291,7 @@ def test_level_radius_lies_on_the_level_set(name):
     eps = 0.3
     ray_fn = _RayFunction.build((f.f1, f.f2),
                                 *sphere_to_complex(1.0, eta, xi1, xi2),
-                                modulus_function(f))
+                                _Plan.of(f))
     radii = _solve_level_radius(ray_fn, np.ones(n), (eps,))
     lam, active, inside = (a[0] for a in radii[:3])
 
@@ -376,12 +377,12 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
     f = LEVEL_SOLVE_CASES[name]
     mesh = pv_mesh
     ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2,
-                                modulus_function(f))
+                                _Plan.of(f))
     n = len(mesh.eta)
     hi = np.ones(n)
     floor = pairings._LAM_FLOOR_FACTOR * hi
     if name == LEADING_ZERO:
-        assert ray_fn.degree is None and ray_fn.items[1] is None
+        assert ray_fn.plan.degree is None and ray_fn.items[1] is None
         assert (ray_fn.items[0].num.c[-1] == 0).any()
     for eps in EpsilonSchedule.for_radius(1.0).values():
         radii = _solve_level_radius(ray_fn, hi, (eps,))
@@ -389,7 +390,7 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
         ref, ref_active, ref_inside = bisect_level_radius(ray_fn, hi, eps)
         assert np.array_equal(active, ref_active)
         assert np.array_equal(inside, ref_inside)
-        if ray_fn.degree is None:
+        if ray_fn.plan.degree is None:
             # every crossing, from the root solve at this eps; its polish
             # runs on the inf padding, as inside the solve
             with np.errstate(all="ignore"):
@@ -439,8 +440,8 @@ def test_level_rows_are_those_of_the_exact_modulus(pv_mesh):
     # |lam u1 + 1|^2 + lam^2 |u2|^2 and (1 + lam^2 |u1|^2)^2, of degree 4
     f = LEVEL_SOLVE_CASES[SHARED_DEN]
     u1, u2 = pv_mesh.u1, pv_mesh.u2
-    ray_fn = _RayFunction.build((f.f1, f.f2), u1, u2, modulus_function(f))
-    assert ray_fn.degree is None
+    ray_fn = _RayFunction.build((f.f1, f.f2), u1, u2, _Plan.of(f))
+    assert ray_fn.plan.degree is None
     s, q = ray_fn.level_rows()
     assert s.shape == q.shape == (5, len(u1))
     lam = np.linspace(0.1, 2.0, 7)[:, None]
@@ -453,22 +454,36 @@ def test_level_rows_are_those_of_the_exact_modulus(pv_mesh):
 
 
 def test_closed_form_serves_the_homogeneous_functions():
+    # the plan reads the degree from the exponent keys of f; the ray tables
+    # of f1 and f2 encode it as rows: one row in every table, and one
+    # numerator degree minus denominator degree m for both components
     u1, u2 = unit_rays(15)
-    degrees = {name: _RayFunction.build((f.f1, f.f2), u1, u2,
-                                        modulus_function(f)).degree
-               for name, f in ORACLE_FUNCTIONS.items()}
+    cases = {**ORACLE_FUNCTIONS, **GOLDEN_FUNCTIONS}
+    degrees = {}
+    for name, f in cases.items():
+        ray_fn = _RayFunction.build((f.f1, f.f2), u1, u2, _Plan.of(f))
+        degrees[name] = ray_fn.plan.degree
+        tables = [t for t in ray_fn.items if t is not None]
+        one_row = all(len(t.num.c) == 1 and (t.den is None
+                                             or len(t.den.c) == 1)
+                      for t in tables)
+        lows = {t.num.low - (0 if t.den is None else t.den.low)
+                for t in tables}
+        assert degrees[name] == (lows.pop() if one_row and len(lows) == 1
+                                 else None), name
     assert degrees == {"conj": 1, "cauchy_kernel": -3, "F": 1, "prop34": 1,
                        "holo": 1, "q_conj": 1, "prop34(1,2)": None,
                        "prop34(-1/2,3/4)": None, "prop34(1/8,-1/8)": None,
-                       LEADING_ZERO: None}
+                       LEADING_ZERO: None, "z1 ; 0": 1,
+                       "z1 + z1*z2 ; 0": None, "shared-den": None}
 
 
 def test_a_zero_component_has_no_table():
     u1, u2 = unit_rays(15)
     lam = np.linspace(0.1, 1.0, len(u1))
     ray_fn = _RayFunction.build((Z1_FN.f1, Z1_FN.f2), u1, u2,
-                                modulus_function(Z1_FN))
-    assert ray_fn.items[1] is None and ray_fn.degree == 1
+                                _Plan.of(Z1_FN))
+    assert ray_fn.items[1] is None and ray_fn.plan.degree == 1
     F1, F2 = ray_fn.values(lam)
     assert F2 == 0
     assert np.array_equal(ray_fn.modulus_sq(lam), F1.real ** 2 + F1.imag ** 2)
@@ -560,7 +575,7 @@ def test_ladder_level_solve_matches_the_solve_at_each_eps(name):
     rule = build_quadrature(8, 16)
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule.n_xi)
     ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2,
-                                modulus_function(f))
+                                _Plan.of(f))
     n = len(mesh.eta)
     hi = np.where(np.arange(n) % 3 == 0, 1e9, 1.0)
     eps_list = EpsilonSchedule.for_radius(1.0).values()
@@ -589,13 +604,13 @@ def test_crossings_below_the_radius_floor_are_counted(name, pv_mesh):
     # among the real roots (the others)
     f = ORACLE_FUNCTIONS[name]
     ray_fn = _RayFunction.build((f.f1, f.f2), pv_mesh.u1, pv_mesh.u2,
-                                modulus_function(f))
+                                _Plan.of(f))
     n = len(pv_mesh.eta)
     eps = 0.3
     near_hi, far_hi = np.ones(n), np.full(n, 1e9)
     near = _solve_level_radius(ray_fn, near_hi, (eps,))
     far = _solve_level_radius(ray_fn, far_hi, (eps,))
-    if ray_fn.degree is None:
+    if ray_fn.plan.degree is None:
         # the crossing tables of the root solve at this eps
         def tables(hi):
             with np.errstate(all="ignore"):
@@ -790,7 +805,7 @@ def test_ray_tables_match_the_symbolic_evaluators(name, params):
                                 for v in WIRT_VARS]
     u1, u2 = unit_rays(15)
     n = len(u1)
-    ray_fn = _RayFunction.build(rationals, u1, u2, modulus_function(f))
+    ray_fn = _RayFunction.build(rationals, u1, u2, _Plan.of(f))
     rng = np.random.default_rng(16)
     shared = rng.uniform(0.05, 1.2, (5, 1))
     per_ray = rng.uniform(0.05, 1.2, (5, n))
@@ -907,7 +922,7 @@ def test_ray_subsets_are_views_for_slices_and_copies_for_index_arrays():
         for p in polys(sub):
             assert all(row.flags.c_contiguous for row in p.c)
         assert [p.low for p in polys(sub)] == [p.low for p in polys(density)]
-        assert sub.ray_fn.modulus is density.ray_fn.modulus
+        assert sub.ray_fn.plan is density.ray_fn.plan
         assert sub.slots == density.slots
         assert all(a is b for (a, _), (b, _) in zip(sub.bumps,
                                                      density.bumps))
@@ -1021,12 +1036,10 @@ def per_rung_pv_pair(f, psi, rule, region):
     summed down the ladder as Quats.  Kept as its reference."""
     support = psi.support_radius
     eps_list = EpsilonSchedule.for_radius(support).values()
-    products = _fold(_pv_kernels(f), psi.coefficients)
-    averaged = pairings._torus_invariant(modulus_function(f))
-    if averaged:
-        products = pairings._phase_average(products)
+    plan = _Plan.of(f)
+    products = plan.fold(_pv_kernels(f), psi.coefficients)
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights,
-                          1 if averaged else rule.n_xi)
+                          1 if plan.averaged else rule.n_xi)
     density = pv_density(f, products, mesh.u1, mesh.u2, mesh.w)
     integrand = pairings._pv_integrand(density)
     untrusted = np.zeros(3, dtype=int)
@@ -1040,7 +1053,7 @@ def per_rung_pv_pair(f, psi, rule, region):
                                  for e in edges)]
         notes = ()
     else:
-        weight = rule.n_xi ** 2 if averaged else 1
+        weight = rule.n_xi ** 2 if plan.averaged else 1
         hi = np.full(len(mesh.eta), support)
         shells = []
         end = hi
@@ -1052,10 +1065,10 @@ def per_rung_pv_pair(f, psi, rule, region):
                                                   support))
             end = start
         notes = (("excluded region follows the level sets of |f|",)
-                 + pairings._untrusted_notes(untrusted))
+                 + pairings._level_notes(untrusted, 0))
     return finalize(eps_list, list(itertools.accumulate(shells)),
                     notes=notes, trusted=not untrusted.any(),
-                    phases_averaged=averaged)
+                    phases_averaged=plan.averaged)
 
 
 LADDER_CASES = {
@@ -1189,18 +1202,6 @@ def test_finalize_on_arrays_is_bit_identical_to_the_quat_formulas(kind):
     assert est.converged == converged
     assert (complex(est.extrapolated.z1),
             complex(est.extrapolated.z2)) == extrapolated
-
-
-def test_a_product_denominator_of_several_rows_is_not_split():
-    # f is homogeneous, but 1 / (1 + |z1|^2) is no single power of the
-    # radius on a ray, so only the node sum can integrate that product
-    u1, u2 = unit_rays(15)
-    wide = parse_qfunction("(1) / (1 + z1*c1) ; 0").f1
-    narrow = parse_qfunction("(1) / (z1*c1) ; 0").f1
-    for product, kind in ((wide, _PvDensity), (narrow, _RaySplit)):
-        density = pv_density(Z1_FN, [(0, (1.0, "q"), product)], u1, u2)
-        assert density.ray_fn.degree == 1
-        assert isinstance(_pv_integrand(density), kind)
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["split", "node-sum"])
@@ -1398,7 +1399,7 @@ def test_leray_residue_density_matches_the_surface_pullbacks(
     mesh = _RayMesh.build(eta_nodes, eta_weights, rule.n_xi)
     lam_star = _solve_level_radius(
         _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2,
-                                modulus_function(f)),
+                                _Plan.of(f)),
         phi.support_lambda(mesh.eta), (eps,)).lam_star[0]
     sel = np.flatnonzero(lam_star < np.inf)
     assert len(sel) > 100
@@ -1493,22 +1494,24 @@ def spied_call(monkeypatch, kind, f, per_ray, n_xi=COLLAPSE_N_XI):
     the rays that each rung's level solve takes, the untrusted counts behind
     the notes and the rungs of each level solve call."""
     rays, counts, solves = [], [], []
-    solve, notes = pairings._solve_level_radius, pairings._untrusted_notes
+    solve, notes = pairings._solve_level_radius, pairings._level_notes
+    plan_of = _Plan.of
 
     def spy_solve(ray_fn, lam_hi, eps):
         solves.append(len(eps))
         rays.extend([np.size(lam_hi)] * len(eps))
         return solve(ray_fn, lam_hi, eps)
 
-    def spy_notes(untrusted):
+    def spy_notes(untrusted, cones):
         counts.append(tuple(untrusted))
-        return notes(untrusted)
+        return notes(untrusted, cones)
 
     with monkeypatch.context() as patch:
         patch.setattr(pairings, "_solve_level_radius", spy_solve)
-        patch.setattr(pairings, "_untrusted_notes", spy_notes)
+        patch.setattr(pairings, "_level_notes", spy_notes)
         if per_ray:
-            patch.setattr(pairings, "_torus_invariant", lambda g: False)
+            patch.setattr(_Plan, "of", lambda f: dataclasses.replace(
+                plan_of(f), averaged=False))
         return collapse_call(kind, f, n_xi), rays, counts, solves
 
 
@@ -1590,12 +1593,38 @@ def test_torus_invariant_densities_have_phase_free_denominators(kind):
     cases["|z1|^2 / (1 + |z1|^2)^2"] = parse_qfunction(
         "(z1) / (1 + z1*c1) ; 0")
     for f in cases.values():
-        assert pairings._torus_invariant(modulus_function(f))
+        assert _Plan.of(f).averaged
         for r in (f.f1, f.f2) + tuple(
                 r for _, _, r in collapse_products(kind, f)):
             assert r.den.phase_average() == r.den
-    assert not pairings._torus_invariant(modulus_function(
-        parse_qfunction("(1) / (1 + z1 + c1) ; 0")))
+    assert not _Plan.of(parse_qfunction("(1) / (1 + z1 + c1) ; 0")).averaged
+
+
+HOMOGENEOUS_DENOMINATORS = ("(z1*c2) / (z1*c1 + z2*c2) ; "
+                            "(z2^2) / (z1*c1 + z2*c2)", "(z1) / (z1*c1) ; 0")
+
+
+@pytest.mark.parametrize("kind", ["pv", "residue"])
+def test_homogeneous_densities_have_homogeneous_denominators(kind):
+    # a product denominator is made from those of f1, f2 and |f|^2 by
+    # products, conjugation and the cancelling of real monomials, all of
+    # which keep a polynomial homogeneous: for an f of a plan degree every
+    # folded product has a denominator of one total degree, one row of its
+    # ray table, which the split needs.  A shared denominator 1 + |z1|^2
+    # gives products of several degrees
+    cases = {**ORACLE_FUNCTIONS, **GOLDEN_FUNCTIONS, **TORUS_CASES}
+    cases.update((text, parse_qfunction(text))
+                 for text in HOMOGENEOUS_DENOMINATORS)
+    homogeneous = 0
+    for name, f in cases.items():
+        degrees = [{sum(key) for key in r.den.terms}
+                   for _, _, r in collapse_products(kind, f)]
+        if _Plan.of(f).degree is not None:
+            homogeneous += 1
+            assert all(len(d) == 1 for d in degrees), name
+        elif name == "shared-den":
+            assert any(len(d) > 1 for d in degrees)
+    assert homogeneous == 9
 
 
 @pytest.mark.parametrize("kind", ["residue", "metric", "levelset", "(0,1)"])
@@ -1629,8 +1658,8 @@ def test_odd_pairings_average_to_exact_zeros(monkeypatch, region):
     # rounding noise; the pole test still runs on the rays
     f = builtin("conj").f
     psi = TestForm3(psi2=Profile.bump_only(1.0))
-    products = _fold(_pv_kernels(f), psi.coefficients)
-    assert products and pairings._phase_average(products) == []
+    assert _fold(_pv_kernels(f), psi.coefficients)
+    assert _Plan.of(f).fold(_pv_kernels(f), psi.coefficients) == []
     tested = []
     off_zero_set = _PvDensity.off_zero_set
     monkeypatch.setattr(_PvDensity, "off_zero_set", lambda self, lam, g: (

@@ -1,7 +1,8 @@
 """Every name a package module imports is read somewhere in that module,
 every module-level private name is read somewhere in the package, no
-top-level function or class name is defined in two modules, and every
-defaulted parameter is passed by some caller.
+top-level function or class name is defined in two modules, every
+defaulted parameter is passed by some caller, and every parameter is read
+by its function.
 
 An AST scan of src/qres/**/*.py: for imports, package __init__ files
 (re-exports) and names listed in a module's __all__ are exempt.  Annotations
@@ -221,6 +222,44 @@ def test_every_defaulted_parameter_has_a_caller():
                        for attr, n, kw in calls.get(name, ())):
                 unset.append(f"{path.relative_to(SRC)}: {name}({param})")
     assert not unset, ", ".join(unset)
+
+
+def unread_parameters(tree):
+    """(function, parameter) of each parameter of a function or method,
+    nested ones included, that its body never reads as a name; a call of
+    super() with no arguments reads the first parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args
+                  + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        reads = {n.id for stmt in node.body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if "super" in reads:
+            reads.add(params[0])
+        yield from ((node.name, p) for p in params if p not in reads)
+
+
+# a click option callback, which click calls with (ctx, param, value)
+CALLBACK_PARAMETERS = {("cli.py", "_check_radius", "ctx"),
+                       ("cli.py", "_check_radius", "param")}
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function never reads is a knob that does
+    nothing: every caller may pass anything there.  The callback's fixed
+    signature is the one exception, and it must still need the
+    exemption."""
+    unread = {(str(path.relative_to(SRC)), name, param)
+              for path in ALL_MODULES
+              for name, param in unread_parameters(
+                  ast.parse(path.read_text(), filename=str(path)))}
+    assert unread >= CALLBACK_PARAMETERS
+    assert unread == CALLBACK_PARAMETERS, ", ".join(
+        f"{path}: {name}({param})" for path, name, param
+        in sorted(unread - CALLBACK_PARAMETERS))
 
 
 def test_the_library_import_loads_no_cli():

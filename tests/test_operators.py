@@ -397,13 +397,16 @@ def _pointwise_D(ev, q, h=1e-4):
 @pytest.mark.parametrize("name", CROSS_CHECK_INPUTS)
 def test_batched_cross_check_matches_pointwise_path(name):
     f = CROSS_CHECK_INPUTS[name]
-    pts = _sample_points(f, 8)
+    pts, e = _sample_points(f, 8)
     assert pts.shape == (8, 2) and pts.dtype == complex
     sequential = _sequential_sample_points(f, 8, random.Random(_SAMPLE_SEED))
     assert len(sequential) == 8
     for (a, b), q in zip(pts, sequential):
         assert (a, b) == (q.z1, q.z2)
-    inv = functools.partial(_inverse_values, f)
+    # 2^-e brings the largest |f| at the samples into [1/2, 1)
+    assert e == math.frexp(max(q.norm() for q in
+                               map(f.eval, sequential)))[1]
+    inv = functools.partial(_inverse_values, f, -e)
     # the batch as classify's cross-check takes it: one stencil evaluation
     # of f, inverted pointwise
     d1, d2 = _jet_D(numeric_jet(inv, pts[:, 0], pts[:, 1]))
@@ -438,7 +441,7 @@ def test_sample_points_at_other_counts_match_the_sequential_screen(count):
     for name, f in CROSS_CHECK_INPUTS.items():
         sequential = _sequential_sample_points(
             f, count, random.Random(_SAMPLE_SEED))
-        pts = _sample_points(f, count)
+        pts, _ = _sample_points(f, count)
         assert len(pts) == len(sequential) == count, name
         for (a, b), q in zip(pts, sequential):
             assert (a, b) == (q.z1, q.z2)
@@ -448,7 +451,7 @@ def test_sample_points_draw_their_candidates_once(monkeypatch):
     # the candidates never depend on f: after the first call no uniform is
     # drawn again, for any f
     f = builtin("conj").f
-    first = _sample_points(f, 8)
+    first, _ = _sample_points(f, 8)
     drawn = []
     uniform = random.Random.uniform
 
@@ -457,7 +460,7 @@ def test_sample_points_draw_their_candidates_once(monkeypatch):
         return uniform(self, a, b)
 
     monkeypatch.setattr(random.Random, "uniform", spy)
-    assert np.array_equal(_sample_points(f, 8), first)
+    assert np.array_equal(_sample_points(f, 8)[0], first)
     for g in CROSS_CHECK_INPUTS.values():
         classify(g)
         _sample_points(g, 8)
@@ -469,7 +472,7 @@ def test_cross_check_refuses_samples_where_f_overflows(spec):
     # |f| overflows on part of the window; such samples are refused like
     # poles, and the rest are those of the sequential screen
     f = parse_qfunction(spec)
-    pts = _sample_points(f, 8)
+    pts, _ = _sample_points(f, 8)
     with np.errstate(all="ignore"):
         sequential = _sequential_sample_points(
             f, 8, random.Random(_SAMPLE_SEED))
@@ -538,9 +541,9 @@ def test_a_small_f_is_screened_as_a_power_of_two_times_f(monkeypatch, name):
     assert not (_norms(v1, v2)[~pole] >= 0.3).any()
     size = np.hypot(np.abs(v1), np.abs(v2))[~pole]
     k = 1 - math.frexp(size[np.isfinite(size)].max())[1]
-    pts = _sample_points(small, 8)
-    assert len(pts) and np.array_equal(
-        pts, _sample_points(scale_real(small, Fraction(2) ** k), 8))
+    pts, e = _sample_points(small, 8)
+    scaled, e_scaled = _sample_points(scale_real(small, Fraction(2) ** k), 8)
+    assert len(pts) and np.array_equal(pts, scaled) and e == e_scaled - k
     runs = []
     jet = operators.numeric_jet
 
@@ -552,7 +555,10 @@ def test_a_small_f_is_screened_as_a_power_of_two_times_f(monkeypatch, name):
     classify(small)
     [(ev, z1, z2)] = runs
     assert np.array_equal(z1, pts[:, 0]) and np.array_equal(z2, pts[:, 1])
-    assert ev.func is _inverse_values and ev.args == (small,)
+    assert ev.func is _inverse_values and ev.args == (small, -e)
+    with np.errstate(all="ignore"):
+        largest = _norms(*small.eval_numeric(z1, z2)).max()
+    assert e == math.frexp(largest)[1]
 
 
 @pytest.mark.parametrize("scale", [1, Fraction(1, 10 ** 8), 10 ** 8])
@@ -562,15 +568,49 @@ def test_the_pointwise_inverse_differences_as_the_exact_inverse(name, scale):
     # D of the exact inverse_function(f) through the same jet agrees within
     # 1e-9 |1/f| at its samples (5 for cauchy_kernel at 1e-8, else 8)
     f = scale_real(builtin(name).f, scale)
-    pts = _sample_points(f, 8)
+    pts, _ = _sample_points(f, 8)
     assert len(pts) >= 5
-    pointwise = numeric_jet(functools.partial(_inverse_values, f),
+    pointwise = numeric_jet(functools.partial(_inverse_values, f, 0),
                             pts[:, 0], pts[:, 1])
     exact = numeric_jet(inverse_function(f).eval_numeric,
                         pts[:, 0], pts[:, 1])
     (p1, p2), (e1, e2) = _jet_D(pointwise), _jet_D(exact)
     assert (_norms(p1 - e1, p2 - e2)
             <= 1e-9 * _norms(exact.f1, exact.f2)).all()
+
+
+@pytest.mark.parametrize("spec", ["F", "10^160*c1 ; 0", "c1/10^170 ; 0"])
+def test_the_cross_check_inverts_f_scaled_by_a_power_of_two(spec):
+    # classify differences 1/g for g = 2^-e f, |g| in [1/2, 1) at its
+    # largest sample: where |f|^2 is in the float range that is 2^e times
+    # the inverse of f, bit for bit; at 1e160 (1e-170) |f|^2 overflows
+    # (underflows), and only the inverse of g, 1/g1 here, is finite and
+    # nonzero
+    f = builtin(spec).f if spec in NAMES else parse_qfunction(spec)
+    pts, e = _sample_points(f, 8)
+    assert len(pts) == 8
+    z1, z2 = pts[:, 0], pts[:, 1]
+    scaled = _inverse_values(f, -e, z1, z2)
+    with np.errstate(all="ignore"):
+        plain = _inverse_values(f, 0, z1, z2)
+    if spec == "F":
+        for got, want in zip(scaled, plain):
+            assert np.array_equal(got, np.ldexp(1.0, e) * want)
+        return
+    assert not np.all(np.isfinite(plain[0]) & (plain[0] != 0))
+    want = 1.0 / (np.ldexp(1.0, -e) * f.f1.eval_numeric(z1, z2))
+    assert np.all(np.abs(scaled[0] - want) <= 1e-15 * np.abs(want))
+    assert np.all(want != 0) and not np.any(scaled[1])
+
+
+def test_the_cross_check_reaches_the_smallest_floats():
+    # at 1e-315 the float values of f are subnormal, and 2^-e, e = -1045,
+    # lies beyond the float range: the scale stops at 2^1023, which still
+    # keeps |g|^2 in range, and the check agrees as it does for c1 ; 0
+    c1 = parse_qfunction("c1 ; 0")
+    tiny = scale_real(c1, Fraction(1, 10 ** 315))
+    assert _sample_points(tiny, 8)[1] < -1023
+    assert classify(tiny).notes == classify(c1).notes
 
 
 def test_classify_builds_no_exact_inverse(monkeypatch):
@@ -598,7 +638,8 @@ def test_classify_builds_no_exact_inverse(monkeypatch):
 def test_an_f_with_no_usable_sample_says_the_check_was_not_run():
     # at 10^-400 every float value of f underflows to 0
     f = scale_real(builtin("prop34").f, Fraction(1, 10 ** 400))
-    assert len(_sample_points(f, 8)) == 0
+    pts, e = _sample_points(f, 8)
+    assert len(pts) == 0 and e == 0
     assert classify(f).notes == (
         "numeric D(1/f) check was not run: no candidate sample has a "
         "finite, nonzero |f| off the poles",)
@@ -623,7 +664,7 @@ def test_a_step_that_does_not_resolve_f_is_inconclusive():
 def test_single_passes_extrapolate_to_the_jet():
     # d1 and d2 are the Richardson step (4 D(h/2) - D(h)) / 3 of the passes
     f = builtin("F").f
-    pts = _sample_points(f, 8)
+    pts, _ = _sample_points(f, 8)
     jet = numeric_jet(f.eval_numeric, pts[:, 0], pts[:, 1])
     coarse, fine = jet.single_pass(0), jet.single_pass(1)
     for var in ("z1", "z1b", "z2", "z2b"):
