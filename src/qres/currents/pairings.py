@@ -61,13 +61,16 @@ f, and of g for the residue) such that the density is the sum over the
 coefficients of (pi K1 + conj(pi) K2 j) bump(r / R) / |f|^2.  The products
 pi K1 and conj(pi) K2 are summed per (R, r), and only those that are not
 identically zero are tabulated, so a node needs |f|^2, one bump per
-distinct (R, r) and one Horner evaluation per surviving product.
+distinct (R, r) and one Horner evaluation per surviving product.  Every
+ray table on one set of rays, f1, f2, the products, g and the term sizes
+of f, takes its powers of the unit directions from one symfun _PointTable
+of them (_RayFunction.points), the table float evaluation uses.
 
-Each call decides once, exactly, how to chart f (_Plan, which _ladder
-builds once the inputs pass): g = |f|^2 in lowest terms (modulus_function),
-whether the pairing takes the phase average, and the degree of f.  f is
-homogeneous of degree m when f1 and f2 are each a ratio of homogeneous
-polynomials of degree m, read from their exponent keys: then
+Each call decides once, exactly, how to chart f (_Plan, which each pairing
+builds once all its inputs pass): g = |f|^2 in lowest terms
+(modulus_function), whether the pairing takes the phase average, and the
+degree of f.  f is homogeneous of degree m when f1 and f2 are each a ratio
+of homogeneous polynomials of degree m, read from their exponent keys: then
 |f(lam u)|^2 = lam^(2m) |f(u)|^2 on every ray, and every denominator a
 pairing reads is homogeneous, one row of its ray table.  The level solve
 takes its closed form from m, and the principal-value density is split
@@ -129,7 +132,8 @@ import numpy as np
 from ..errors import IdenticallyZero, PoleOnDomain, TooCoarse
 from ..operators import modulus_function
 from ..qcore import Quat
-from ..symfun import POLE_RTOL, ConjPoly, ConjRational, QFunction
+from ..symfun import (POLE_RTOL, ConjPoly, ConjRational, QFunction,
+                      _PointTable)
 from .chart import ORIENTATION_3FORM, ORIENTATION_4FORM, sphere_to_complex
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import Profile, TestForm2, TestForm3, bump
@@ -170,11 +174,14 @@ def _take_rays(tree, sel):
     """A tree of tuples and NamedTuples of per-ray arrays (_RayFunction,
     _PvDensity ...) on the rays sel only.  Every array has its rays on the
     last axis: a slice gives a view, whose rows stay contiguous as a real
-    view needs, and an index array gives a copy.  Anything else (ints,
-    floats, ConjRationals, None) passes through unchanged."""
+    view needs, and an index array gives a copy.  A _PointTable of the rays
+    is built afresh on its taken directions.  Anything else (ints, floats,
+    ConjRationals, None) passes through unchanged."""
     if isinstance(tree, np.ndarray):
         return (tree[..., sel] if isinstance(sel, slice)
                 else tree.take(sel, axis=-1))
+    if isinstance(tree, _PointTable):
+        return _PointTable(*(_take_rays(v, sel) for v in tree.z))
     if isinstance(tree, tuple):
         items = [_take_rays(t, sel) for t in tree]
         return type(tree)(*items) if hasattr(tree, "_fields") else tuple(items)
@@ -254,22 +261,29 @@ class _RayFunction(NamedTuple):
     """Ray tables of what a pairing reads, on one set of chart rays: f1, f2
     and the other rationals it needs.  A rational that is identically zero
     has no table (None).  plan is the pairing's _Plan, whose g = |f|^2
-    level_rows tabulates on the unit directions u = (u1, u2) of the rays."""
+    level_rows tabulates on the unit directions u = (u1, u2) of the rays;
+    points is the _PointTable of u, whose powers every table here is
+    built from."""
 
     items: Tuple[Optional[_RayRational], ...]
     plan: _Plan
-    u: Tuple[np.ndarray, np.ndarray]
+    points: _PointTable
 
     @classmethod
     def build(cls, rationals: Sequence[ConjRational], u1, u2,
               plan: _Plan) -> "_RayFunction":
-        table = _tables(u1, u2)
-        return cls(tuple(
+        return cls((), plan, _PointTable(u1, u2)).extended(rationals)
+
+    def extended(self, rationals: Sequence[ConjRational]) -> "_RayFunction":
+        """self with the tables of more rationals appended, on the same
+        powers of u."""
+        table = _tables(self.points)
+        return self._replace(items=self.items + tuple(
             None if r.is_zero else
             _RayRational(table(r.num),
                          None if r.den == ConjPoly.one() else
                          _real(table(r.den)))
-            for r in rationals), plan, (u1, u2))
+            for r in rationals))
 
     @_quiet
     def values(self, lam) -> List[object]:
@@ -302,34 +316,29 @@ class _RayFunction(NamedTuple):
         numerator N and denominator D of |f|^2 = N / D in lowest terms
         (the plan's g), tabulated as any other rational, so that
         D (|f|^2 - eps^2) = lam^L (s - eps^2 q) along the rays."""
-        table = _tables(*self.u)
+        table = _tables(self.points)
         num, den = (_real(table(p))
                     for p in (self.plan.g.num, self.plan.g.den))
         low = min(num.low, den.low)
         rows = np.zeros((2, max(num.low + len(num.c), den.low + len(den.c))
-                         - low, len(self.u[0])))
+                         - low, self.points.shape[-1]))
         for row, p in zip(rows, (num, den)):
             row[p.low - low:p.low - low + len(p.c)] = p.c
         return rows
 
 
-def _tables(u1, u2):
-    """table(poly): the complex _RayPoly of a polynomial on the rays of unit
-    directions (u1, u2)."""
-    power = _powers((u1, np.conj(u1), u2, np.conj(u2)))
+def _tables(points: _PointTable):
+    """table(poly): the complex _RayPoly of a polynomial on the rays of the
+    unit directions of points, a _PointTable."""
     return lambda poly: _RayPoly.build(((key, complex(coeff))
                                         for key, coeff in poly.terms.items()),
-                                       power, len(u1), complex)
+                                       points.power, points.shape[-1],
+                                       complex)
 
 
 def _real(p: _RayPoly) -> _RayPoly:
     """The real part of a table of a real-valued polynomial."""
     return _RayPoly(p.low, np.ascontiguousarray(p.c.real))
-
-
-def _powers(base):
-    """power(var, e) = base[var] ** e, each computed once."""
-    return functools.lru_cache(maxsize=None)(lambda var, e: base[var] ** e)
 
 
 def _abs_sq(F1, F2):
@@ -522,8 +531,8 @@ class _RayMesh(NamedTuple):
 
 @dataclasses.dataclass(frozen=True)
 class _Plan:
-    """How a pairing of 1/f charts f, decided once per call, exactly
-    (_ladder); g is |f|^2 in lowest terms (modulus_function).
+    """How a pairing of 1/f charts f, decided once per call, exactly, after
+    the call's last refusal; g is |f|^2 in lowest terms (modulus_function).
 
     averaged: g is exactly a function of |z1|^2 and |z2|^2, every exponent
     key (a, b, c, d) of its numerator and denominator having a == b and
@@ -587,12 +596,11 @@ class _Plan:
 
 
 def _ladder(f: QFunction, form, schedule, rays
-            ) -> Tuple[EpsilonSchedule, float, _Plan]:
+            ) -> Tuple[EpsilonSchedule, float]:
     """The ladder of a pairing of 1/f against the form (by default
-    EpsilonSchedule.for_radius of its support), that support and the plan
-    of f, once the form is not zero, the ladder starts inside the support,
-    the rays(ladder, support) chart rays fit require_rays and f is not
-    zero."""
+    EpsilonSchedule.for_radius of its support) and that support, once the
+    form is not zero, the ladder starts inside the support, the
+    rays(ladder, support) chart rays fit require_rays and f is not zero."""
     if form.is_zero:
         raise ValueError("test form is identically zero")
     support = form.support_radius
@@ -604,7 +612,7 @@ def _ladder(f: QFunction, form, schedule, rays
     if f.is_zero:
         raise IdenticallyZero("f is identically zero, so 1/f has no "
                               "currents to pair")
-    return schedule, support, _Plan.of(f)
+    return schedule, support
 
 
 def _right_inverse_kernels(f: QFunction, a, b):
@@ -707,15 +715,14 @@ class _PvDensity(NamedTuple):
               ) -> "_PvDensity":
         """The density on the rays of ray_fn, a _RayFunction of f1, f2."""
         keys = list(dict.fromkeys(key for _, key, _ in products))
-        u1, u2 = ray_fn.u
-        a1, a2 = np.abs(u1), np.abs(u2)
-        radius = {"q": None, "z1": a1, "z2": a2}
-        power = _powers((a1, a1, a2, a2))
+        points = ray_fn.points
+        radius = {"q": None, "z1": points.base(4), "z2": points.base(5)}
+        # a term's size |c| |u1|^(a+b) |u2|^(c+d), from the powers of |u|
         sizes = tuple(None if r.is_zero else _RayPoly.build(
             ((key, abs(complex(coeff))) for key, coeff in r.num.terms.items()),
-            power, len(u1), float) for r in (f.f1, f.f2))
-        ray_fn = ray_fn._replace(items=ray_fn.items + _RayFunction.build(
-            [r for _, _, r in products], u1, u2, ray_fn.plan).items)
+            lambda var, e: points.power(4 + var // 2, e),
+            points.shape[-1], float) for r in (f.f1, f.f2))
+        ray_fn = ray_fn.extended([r for _, _, r in products])
         return cls(ray_fn, sizes,
                    tuple((part, keys.index(key)) for part, key, _ in products),
                    tuple((R, radius[radial]) for R, radial in keys), w)
@@ -1024,8 +1031,9 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     if n_xi < 8:
         raise TooCoarse(f"phase rule n_xi = {n_xi} is too coarse: need "
                         "n_xi >= 8")
-    schedule, support, plan = _ladder(f, phi, schedule,
-                                      functools.partial(residue_rays, n_xi))
+    schedule, support = _ladder(f, phi, schedule,
+                                functools.partial(residue_rays, n_xi))
+    plan = _Plan.of(f)
     eps_list = schedule.values()
 
     @functools.cache
@@ -1167,7 +1175,7 @@ def pv_pair(f: QFunction, psi: TestForm3,
     """
     if rule is None:
         rule = build_quadrature(32, 64)
-    schedule, support, plan = _ladder(
+    schedule, support = _ladder(
         f, psi, schedule, lambda *_: pv_rays(rule.n_eta, rule.n_xi))
     for p in psi.coefficients:
         if p is not None and p.radial != "q":
@@ -1180,6 +1188,7 @@ def pv_pair(f: QFunction, psi: TestForm3,
                           for p in psi.coefficients))
     if region not in ("metric", "levelset"):
         raise ValueError("region must be 'metric' or 'levelset'")
+    plan = _Plan.of(f)
     eps_list = schedule.values()
     products = plan.fold(_pv_kernels(f), psi.coefficients)
     mesh, weight = plan.mesh(rule.eta_nodes, rule.eta_weights, rule.n_xi)

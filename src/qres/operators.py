@@ -25,7 +25,7 @@ import numpy as np
 from .errors import IdenticallyZero, NotHyperholomorphic, NotHypermeromorphic
 from .qcore import CRat, Quat
 from .symfun import (ConjRational, PairEval, QFunction, WirtingerJet,
-                     numeric_jet)
+                     _jet_passes, _jet_stencil, numeric_jet)
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,16 @@ def _dhat(f: QFunction) -> QFunction:
 
 def _jet_D(jet: WirtingerJet) -> Tuple[np.ndarray, np.ndarray]:
     """The pair (d1, d2) of Df = d1 + d2*j from a numeric_jet of f."""
-    return (0.5 * (jet.d1["z1b"] - jet.d2["z2b"].conjugate()),
-            0.5 * (jet.d1["z2b"] + jet.d2["z1b"].conjugate()))
+    return _bar_D(jet.d1["z1b"], jet.d2["z1b"], jet.d1["z2b"], jet.d2["z2b"])
+
+
+def _bar_D(f1_z1b, f2_z1b, f1_z2b, f2_z2b):
+    """The pair (d1, d2) of Df = d1 + d2*j from the conj(z)-partials of f1
+    and f2, the only partials D reads; a pass of _inverse_bar_partials,
+    indexed (coordinate, component, ...), gives them as
+    _bar_D(*bar[0], *bar[1])."""
+    return (0.5 * (f1_z1b - f2_z2b.conjugate()),
+            0.5 * (f1_z2b + f2_z1b.conjugate()))
 
 
 def apply_D_at(f: Union[QFunction, PairEval], q: Quat) -> Quat:
@@ -332,13 +340,40 @@ def _inverse_values(f: QFunction, k: int, Z1, Z2):
     return np.conj(v1) / m, -v2 / m
 
 
+def _inverse_bar_partials(f: QFunction, k: int, pts: np.ndarray):
+    """The conj(z)-half of the numeric_jet of _inverse_values(f, k) at the
+    rows (z1, z2) of pts, bit for bit, and |1/g| there, for g = 2^k f: the
+    partials of each pass, indexed (pass at h or h/2, coordinate,
+    component, point) as _jet_passes gives them, from one evaluation of f
+    on the jet stencil (_jet_stencil).  No WirtingerJet is built."""
+    w = _jet_stencil(functools.partial(_inverse_values, f, k),
+                     pts[:, 0], pts[:, 1])
+    return _jet_passes(w)[1], _norms(w[0, 0], w[0, 1])
+
+
+def _worst_ratio(bar, size) -> float:
+    """max |D(1/g)| / |1/g| over the points, D(1/g) the Richardson value
+    (4 D(h/2) - D(h)) / 3 of the two passes, as numeric_jet takes it; max
+    propagates nan, so one undefined sample shows."""
+    g = (4 * bar[1] - bar[0]) / 3
+    return (_norms(*_bar_D(*g[0], *g[1])) / size).max()
+
+
+def _pass_gap(bar, size) -> float:
+    """max |D(1/g) at h - D(1/g) at h/2| / |1/g| over the points."""
+    coarse, fine = (_bar_D(*b[0], *b[1]) for b in bar)
+    return (_norms(coarse[0] - fine[0], coarse[1] - fine[1]) / size).max()
+
+
 def _cross_check_note(f: QFunction, residuals_zero: bool) -> Optional[str]:
     """classify's note on its numeric D(1/f) check of a nonzero f, or None
     where the check agrees with the residual system.  D(1/g) is differenced
     on _inverse_values, one evaluation of f on the jet stencil, for
     g = 2^-e f with e from _sample_points, so that |g| < 1 at the samples:
     the check is scale-invariant, and |g|^2 stays in the float range where
-    |f|^2 would overflow or underflow."""
+    |f|^2 would overflow or underflow.  Only the conj(z)-partials that D
+    reads are taken from the differences (_inverse_bar_partials), with the
+    values numeric_jet would give them."""
     try:
         pts, e = _sample_points(f, 8)
     except OverflowError:
@@ -348,20 +383,15 @@ def _cross_check_note(f: QFunction, residuals_zero: bool) -> Optional[str]:
         return ("numeric D(1/f) check was not run: no candidate sample has "
                 "a finite, nonzero |f| off the poles")
     with np.errstate(all="ignore"):
-        jet = numeric_jet(functools.partial(_inverse_values, f, -e),
-                          pts[:, 0], pts[:, 1])
-        # |1/f| from the jet's centre values; max propagates nan, so one
-        # undefined sample shows
-        worst = (_norms(*_jet_D(jet)) / _norms(jet.f1, jet.f2)).max()
+        bar, size = _inverse_bar_partials(f, -e, pts)
+        worst = _worst_ratio(bar, size)
     if not np.isfinite(worst):
         return ("numeric D(1/f) check is inconclusive: D(1/f) overflows or "
                 f"is undefined at some of {len(pts)} samples")
     if (worst < _CROSS_CHECK_RTOL) == residuals_zero:
         return None
     with np.errstate(all="ignore"):
-        coarse, fine = (_jet_D(jet.single_pass(k)) for k in (0, 1))
-        gap = (_norms(coarse[0] - fine[0], coarse[1] - fine[1])
-               / _norms(jet.f1, jet.f2)).max()
+        gap = _pass_gap(bar, size)
     if not gap <= _CROSS_CHECK_RTOL:
         return ("numeric D(1/f) check is inconclusive: the jet step does not "
                 "resolve f (max |D(1/f) at h - D(1/f) at h/2|/|1/f| = "
@@ -379,12 +409,14 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
     central differences of the pointwise inverse of f's float values,
     (conj v1 - v2*j) / (|v1|^2 + |v2|^2) with 2^-e f = v1 + v2*j on the
     jet stencil (the power of two that brings |f| below 1 at the samples),
-    and compares with what the residual system predicts; the two can in
-    principle part ways when a component of f vanishes identically, which
-    the derivation of the system assumes away, so any disagreement is
-    surfaced in notes.  The check is |D(1/f)| < 1e-6 |1/f| at every
-    sample: both scale as 1/c under f -> c f, so the verdict does not depend
-    on the scale of f.  A disagreement is reported only where the jet's two
+    of which it takes only the conj(z)-partials that D reads, with the
+    values numeric_jet gives them, and compares with what the residual
+    system predicts; the two can in principle part ways when a component
+    of f vanishes identically, which the derivation of the system assumes
+    away, so any disagreement is surfaced in notes.  The check is
+    |D(1/f)| < 1e-6 |1/f| at every sample: both scale as 1/c under
+    f -> c f, so the verdict does not depend on the scale of f.  A
+    disagreement is reported only where the jet's two
     central-difference passes, at steps h and h/2, give D(1/f) within
     1e-6 |1/f| of each other at every sample; where they do not, the step
     does not resolve f, and the note says the check is inconclusive.

@@ -14,7 +14,13 @@ f = f1 + f2*j.
 Numeric evaluation sums the terms in key order over numpy arrays, each
 coefficient read as the float quotient of its int numerator and the common
 denominator; exact evaluation stays exact end to end, in int arithmetic
-inside a polynomial and in CRat arithmetic at a point.
+inside a polynomial and in CRat arithmetic at a point.  Every float
+evaluation at a set of points runs on one _PointTable of them: z1, conj z1,
+z2, conj z2, their broadcast shape and each power a term asks for, computed
+once and shared by f1, f2 and their denominators (and by the ray tables of
+the pairings), so the values are those of taking each power afresh, bit for
+bit.  A sum, product or derivative with a zero operand returns at once,
+with the _num, _den and key order the general path gives.
 """
 
 from __future__ import annotations
@@ -49,6 +55,44 @@ def _as_crat(x) -> CRat:
     if isinstance(x, (int, Fraction)):
         return CRat(_frac(x))
     raise TypeError(f"expected an exact coefficient, got {type(x).__name__}")
+
+
+class _PointTable:
+    """The coordinates z = (z1, z2) of one set of points, their broadcast
+    shape and the powers of z1, conj z1, z2, conj z2 (var 0 to 3) and of
+    the term sizes |z1|, |z2| of the pole rule (var 4, 5), each base and
+    power computed once, on first use, however many polynomials are
+    evaluated there.
+
+    power(var, e) is base(var) ** e; the first power of an array is the
+    base itself (numpy's pow gives the same values at the cost of about
+    three products), while a 0-d base keeps its pow, a numpy scalar, since
+    a term's product with it rounds otherwise than with the 0-d array."""
+
+    __slots__ = ("z", "shape", "_bases", "_powers")
+
+    def __init__(self, Z1, Z2):
+        Z1 = np.asarray(Z1, dtype=complex)
+        Z2 = np.asarray(Z2, dtype=complex)
+        self.z = (Z1, Z2)
+        self.shape = (Z1.shape if Z1.shape == Z2.shape
+                      else np.broadcast_shapes(Z1.shape, Z2.shape))
+        self._bases = [Z1, None, Z2, None, None, None]
+        self._powers = {}
+
+    def base(self, var: int):
+        b = self._bases[var]
+        if b is None:
+            b = self._bases[var] = (np.conj(self.z[var // 2]) if var < 4
+                                    else np.abs(self.z[var - 4]))
+        return b
+
+    def power(self, var: int, e: int):
+        p = self._powers.get((var, e))
+        if p is None:
+            b = self.base(var)
+            p = self._powers[var, e] = b if e == 1 and b.ndim else b ** e
+        return p
 
 
 class ConjPoly:
@@ -103,6 +147,8 @@ class ConjPoly:
     def _reduced(cls, num: Dict[ExpKey, Tuple[int, int]],
                  den: int) -> "ConjPoly":
         """num / den put in lowest terms (den = 1 when num is empty)."""
+        if not num:
+            return cls._from_parts(num, 1)
         if den != 1:
             g = den
             for re, im in num.values():
@@ -190,7 +236,12 @@ class ConjPoly:
     # -- arithmetic -------------------------------------------------------
 
     def _plus(self, other: "ConjPoly", sign: int) -> "ConjPoly":
-        """self + sign * other over the lcm of the two denominators."""
+        """self + sign * other over the lcm of the two denominators; a zero
+        operand leaves the other as it is, or negated."""
+        if not other._num:
+            return self
+        if not self._num:
+            return other if sign == 1 else -other
         d1, d2 = self._den, other._den
         g = math.gcd(d1, d2)
         m1, m2 = d2 // g, sign * (d1 // g)
@@ -213,7 +264,7 @@ class ConjPoly:
         return ConjPoly._reduced(out, d1 * m1)
 
     def __add__(self, other):
-        o = _poly_coerce(other)
+        o = other if type(other) is ConjPoly else _poly_coerce(other)
         if o is None:
             return NotImplemented
         return self._plus(o, 1)
@@ -225,7 +276,7 @@ class ConjPoly:
             {k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        o = _poly_coerce(other)
+        o = other if type(other) is ConjPoly else _poly_coerce(other)
         if o is None:
             return NotImplemented
         return self._plus(o, -1)
@@ -237,9 +288,11 @@ class ConjPoly:
         return o._plus(self, -1)
 
     def __mul__(self, other):
-        o = _poly_coerce(other)
+        o = other if type(other) is ConjPoly else _poly_coerce(other)
         if o is None:
             return NotImplemented
+        if not self._num or not o._num:
+            return ConjPoly.zero()
         out: Dict[ExpKey, Tuple[int, int]] = {}
         get = out.get
         right = list(o._num.items())
@@ -285,6 +338,8 @@ class ConjPoly:
 
     def wirtinger(self, var: str) -> "ConjPoly":
         """Partial derivative treating the four coordinates as independent."""
+        if not self._num:
+            return self
         idx = VAR_INDEX[var]
         out: Dict[ExpKey, Tuple[int, int]] = {}
         for key, (re, im) in self._num.items():
@@ -324,40 +379,40 @@ class ConjPoly:
         return total
 
     def eval_numeric(self, Z1, Z2):
-        Z1 = np.asarray(Z1, dtype=complex)
-        Z2 = np.asarray(Z2, dtype=complex)
-        out = np.zeros(np.broadcast(Z1, Z2).shape, dtype=complex)
-        vals = (Z1, np.conj(Z1), Z2, np.conj(Z2))
-        # first powers: on an array the value itself (numpy's pow gives the
-        # same values at the cost of about three products); a 0-d value
-        # keeps its pow, a numpy scalar, since a term's product with it
-        # rounds otherwise than with the 0-d array
-        firsts = tuple(v if np.ndim(v) else v ** 1 for v in vals)
+        return self._eval(_PointTable(Z1, Z2))
+
+    def _eval(self, table: _PointTable):
+        """The values at the points of the table, every evaluation's one
+        loop over the terms."""
+        out = np.zeros(table.shape, dtype=complex)
+        power = table.power
         den = self._den
         for (a, b, c, d), (re, im) in self._num.items():
             # re / den is correctly rounded, as float(Fraction(re, den)) is
             term = complex(re / den, im / den)
             if a:
-                term = term * (firsts[0] if a == 1 else vals[0] ** a)
+                term = term * power(0, a)
             if b:
-                term = term * (firsts[1] if b == 1 else vals[1] ** b)
+                term = term * power(1, b)
             if c:
-                term = term * (firsts[2] if c == 1 else vals[2] ** c)
+                term = term * power(2, c)
             if d:
-                term = term * (firsts[3] if d == 1 else vals[3] ** d)
+                term = term * power(3, d)
             out += term
         return out
 
-    def _screened(self, Z1, Z2):
-        """Array values plus the float path's pole rule for self as a
-        denominator: a point is a pole where |value| <= POLE_RTOL times the
-        sum of the term sizes.  Returns (values, pole mask)."""
-        a1, a2 = np.abs(np.asarray(Z1, complex)), np.abs(np.asarray(Z2, complex))
-        scale = np.zeros(np.broadcast(a1, a2).shape, dtype=float)
+    def _screened(self, table: _PointTable):
+        """Values at the points of the table plus the float path's pole rule
+        for self as a denominator: a point is a pole where |value| <=
+        POLE_RTOL times the sum of the term sizes.  Returns (values, pole
+        mask)."""
+        scale = np.zeros(table.shape, dtype=float)
+        power = table.power
         den = self._den
         for (a, b, c, d), (re, im) in self._num.items():
-            scale += abs(complex(re / den, im / den)) * a1 ** (a + b) * a2 ** (c + d)
-        values = self.eval_numeric(Z1, Z2)
+            scale += (abs(complex(re / den, im / den)) * power(4, a + b)
+                      * power(5, c + d))
+        values = self._eval(table)
         return values, np.abs(values) <= POLE_RTOL * np.maximum(scale, 1e-300)
 
     def __str__(self) -> str:
@@ -472,7 +527,7 @@ class ConjRational:
         return self.num.is_real
 
     def __eq__(self, other) -> bool:
-        o = _rat_coerce(other)
+        o = other if type(other) is ConjRational else _rat_coerce(other)
         if o is None:
             return NotImplemented
         if self.den is _ONE and o.den is _ONE:
@@ -485,23 +540,32 @@ class ConjRational:
         return ConjRational._from_parts(-self.num, self.den)
 
     def __add__(self, other):
-        o = _rat_coerce(other)
+        o = other if type(other) is ConjRational else _rat_coerce(other)
         if o is None:
             return NotImplemented
+        if o.num.is_zero:
+            return self
+        if self.num.is_zero:
+            return o
         if self.den is _ONE and o.den is _ONE:
             return ConjRational._from_parts(self.num + o.num, _ONE)
         if self.den == o.den:
             return ConjRational._over_real(self.num + o.num, self.den)
-        return ConjRational._over_real(
-            _times(self.num, o.den) + _times(o.num, self.den),
-            _times(self.den, o.den))
+        n = _times(self.num, o.den) + _times(o.num, self.den)
+        if n.is_zero:
+            return ConjRational.zero()
+        return ConjRational._over_real(n, _times(self.den, o.den))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _rat_coerce(other)
+        o = other if type(other) is ConjRational else _rat_coerce(other)
         if o is None:
             return NotImplemented
+        if o.num.is_zero:
+            return self
+        if self.num.is_zero:
+            return -o
         if self.den is _ONE and o.den is _ONE:
             return ConjRational._from_parts(self.num - o.num, _ONE)
         return self + (-o)
@@ -513,9 +577,11 @@ class ConjRational:
         return o - self
 
     def __mul__(self, other):
-        o = _rat_coerce(other)
+        o = other if type(other) is ConjRational else _rat_coerce(other)
         if o is None:
             return NotImplemented
+        if self.num.is_zero or o.num.is_zero:
+            return ConjRational.zero()
         if self.den is _ONE and o.den is _ONE:
             return ConjRational._from_parts(self.num * o.num, _ONE)
         return ConjRational._over_real(self.num * o.num,
@@ -524,7 +590,7 @@ class ConjRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _rat_coerce(other)
+        o = other if type(other) is ConjRational else _rat_coerce(other)
         if o is None:
             return NotImplemented
         return self.divide_by_real(o)
@@ -555,6 +621,8 @@ class ConjRational:
         if self.is_polynomial:
             return ConjRational._over_real(self.num.wirtinger(var), self.den)
         n = self.num.wirtinger(var) * self.den - self.num * self.den.wirtinger(var)
+        if n.is_zero:
+            return ConjRational.zero()
         return ConjRational._over_real(n, self.den * self.den)
 
     def eval_exact(self, z1: CRat, z2: CRat) -> CRat:
@@ -570,11 +638,14 @@ class ConjRational:
         A polynomial has no pole, so its denominator 1 is neither evaluated
         nor sized; the division by 1 stays, since it turns the other part
         of an infinite value into nan and -0 into 0, as num / den does."""
-        n = self.num.eval_numeric(Z1, Z2)
+        return self._eval_screened(_PointTable(Z1, Z2))
+
+    def _eval_screened(self, table: _PointTable):
+        n = self.num._eval(table)
         if self.den is _ONE:
             with np.errstate(invalid="ignore"):
                 return n / 1, np.zeros(n.shape, dtype=bool)
-        d, pole = self.den._screened(Z1, Z2)
+        d, pole = self.den._screened(table)
         with np.errstate(divide="ignore", invalid="ignore"):
             return n / d, pole
 
@@ -582,8 +653,11 @@ class ConjRational:
         """Array evaluation; poles come out as inf/nan for the caller to
         notice.  A denominator 1 is not evaluated, but divided by, as in
         eval_screened."""
-        n = self.num.eval_numeric(Z1, Z2)
-        d = 1 if self.den is _ONE else self.den.eval_numeric(Z1, Z2)
+        return self._eval_numeric(_PointTable(Z1, Z2))
+
+    def _eval_numeric(self, table: _PointTable):
+        n = self.num._eval(table)
+        d = 1 if self.den is _ONE else self.den._eval(table)
         with np.errstate(divide="ignore", invalid="ignore"):
             return n / d
 
@@ -715,30 +789,31 @@ class QFunction:
 
     def eval_screened(self, Z1, Z2):
         """(v1, v2, pole): both components and the OR of their pole masks,
-        as ConjRational.eval_screened gives them.  A denominator other than
-        1 that the two share is evaluated and sized once."""
+        as ConjRational.eval_screened gives them, on one _PointTable.  A
+        denominator other than 1 that the two share is evaluated and sized
+        once."""
         f1, f2 = self.f1, self.f2
+        table = _PointTable(Z1, Z2)
         if f1.den is _ONE or f1.den != f2.den:
-            (v1, pole1), (v2, pole2) = (r.eval_screened(Z1, Z2)
+            (v1, pole1), (v2, pole2) = (r._eval_screened(table)
                                         for r in (f1, f2))
             return v1, v2, pole1 | pole2
-        d, pole = f1.den._screened(Z1, Z2)
+        d, pole = f1.den._screened(table)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (f1.num.eval_numeric(Z1, Z2) / d,
-                    f2.num.eval_numeric(Z1, Z2) / d, pole)
+            return (f1.num._eval(table) / d, f2.num._eval(table) / d, pole)
 
     def eval_numeric(self, Z1, Z2):
         """Array evaluation of both components, as ConjRational.eval_numeric
-        gives each.  A denominator the two share, as the inverse_function of
-        an f with two nonzero components has, is evaluated once, and a
-        shared denominator 1 not at all."""
+        gives each, on one _PointTable.  A denominator the two share, as the
+        inverse_function of an f with two nonzero components has, is
+        evaluated once, and a shared denominator 1 not at all."""
         f1, f2 = self.f1, self.f2
+        table = _PointTable(Z1, Z2)
         if f1.den != f2.den:
-            return f1.eval_numeric(Z1, Z2), f2.eval_numeric(Z1, Z2)
-        d = 1 if f1.den is _ONE else f1.den.eval_numeric(Z1, Z2)
+            return f1._eval_numeric(table), f2._eval_numeric(table)
+        d = 1 if f1.den is _ONE else f1.den._eval(table)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (f1.num.eval_numeric(Z1, Z2) / d,
-                    f2.num.eval_numeric(Z1, Z2) / d)
+            return (f1.num._eval(table) / d, f2.num._eval(table) / d)
 
     def __str__(self) -> str:
         return f"{self.f1} ; {self.f2}"
@@ -840,18 +915,33 @@ def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
     """First-order jet by central differences at a point or an array of them.
 
     The whole stencil goes through one call ev(Z1, Z2), on complex arrays of
-    shape (stencil size,) + the points' shape; a black-box ev must accept
-    such arrays and return the pair of component values in that shape
-    (QFunction.eval_numeric does).  The step is fixed at h = 1e-4, and a
-    second pass at h/2 always follows: plain central differences carry an
+    shape (stencil size,) + the points' shape (_jet_stencil); a black-box ev
+    must accept such arrays and return the pair of component values in that
+    shape (QFunction.eval_numeric does).  The step is fixed at h = 1e-4, and
+    a second pass at h/2 always follows: plain central differences carry an
     O(h^2) ~ 1e-8 error at that step, right at the 1e-8 mark the D(1/f)
     checks hold to, and a smaller h trades it for rounding error of order
     1e-16 / h.  Richardson extrapolation of the two passes cancels the h^2
     term and leaves the error near 1e-12.
 
     Both steps, all four real directions and both components are differenced
-    together, each element by the same scalar operations at any batch shape.
+    together (_jet_passes), each element by the same scalar operations at any
+    batch shape, so a caller that needs only some partials can index them
+    out of _jet_passes and get these values bit for bit.
     """
+    w = _jet_stencil(ev, z1, z2)
+    wirt = _jet_passes(w)
+    g = (4 * wirt[:, 1] - wirt[:, 0]) / 3
+    out = complex if w.ndim == 2 else np.asarray
+    return WirtingerJet(f1=out(w[0, 0]), f2=out(w[0, 1]),
+                        d1=_jet_partials(g, 0, out),
+                        d2=_jet_partials(g, 1, out), passes=wirt)
+
+
+def _jet_stencil(ev: PairEval, z1, z2) -> np.ndarray:
+    """ev on the jet stencil around the points: the component values as an
+    array indexed (stencil point, component) + the points' shape, the
+    centre first."""
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     if z1.shape != z2.shape:
@@ -861,9 +951,17 @@ def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
     w = np.empty((len(_STENCIL_DZ1), 2) + z1.shape, dtype=complex)
     w[:, 0] = w1
     w[:, 1] = w2
+    return w
+
+
+def _jet_passes(w: np.ndarray) -> np.ndarray:
+    """The central-difference Wirtinger partials of each pass from the
+    stencil values w (_jet_stencil), indexed (d/dz or d/dz-bar, pass at step
+    h or h/2, coordinate, component) + the points' shape."""
+    shape = w.shape[2:]
     # stencil rows as (step, direction x1 y1 x2 y2, sign + -, component)
-    rows = w[1:].reshape((2, 4, 2, 2) + z1.shape)
-    div = _JET_DIV.reshape((2, 1, 1) + (1,) * z1.ndim)
+    rows = w[1:].reshape((2, 4, 2, 2) + shape)
+    div = _JET_DIV.reshape((2, 1, 1) + (1,) * len(shape))
     diff = (rows[:, :, 0] - rows[:, :, 1]) / div
     # Wirtinger combinations of the two real directions per complex
     # coordinate, as (kind, step, coordinate, component)
@@ -872,11 +970,7 @@ def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
     np.subtract(dx, jdy, out=wirt[0])
     np.add(dx, jdy, out=wirt[1])
     wirt /= 2
-    g = (4 * wirt[:, 1] - wirt[:, 0]) / 3
-    out = complex if z1.ndim == 0 else np.asarray
-    return WirtingerJet(f1=out(w[0, 0]), f2=out(w[0, 1]),
-                        d1=_jet_partials(g, 0, out),
-                        d2=_jet_partials(g, 1, out), passes=wirt)
+    return wirt
 
 
 def _jet_partials(g, component: int, out) -> Dict[str, complex | np.ndarray]:

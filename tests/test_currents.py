@@ -909,7 +909,7 @@ def test_ray_subsets_are_views_for_slices_and_copies_for_index_arrays():
                 + [p for p in d.sizes if p is not None])
 
     def arrays(d):
-        return ([p.c for p in polys(d)] + list(d.ray_fn.u)
+        return ([p.c for p in polys(d)] + list(d.ray_fn.points.z)
                 + [r for _, r in d.bumps if r is not None] + [d.w])
 
     assert any(t.den is not None for t in density.ray_fn.items)
@@ -1793,6 +1793,30 @@ def test_bad_region_and_part_are_rejected():
     with pytest.raises(ValueError, match="part"):
         pv_pair(Z1_FN, psi, rule=build_quadrature(8, 8),
                 schedule=EpsilonSchedule(0.3, 0.7, 3), part="(2,0)")
+
+
+@pytest.mark.parametrize("fault", ["region", "part", "radial"])
+def test_pv_refusals_compute_no_modulus(monkeypatch, fault):
+    # pv_pair's own refusals come before the plan, so a bad region, a bad
+    # part or a coefficient not radial in |q| costs no exact |f|^2
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return modulus_function(f)
+
+    monkeypatch.setattr(pairings, "modulus_function", spy)
+    psi = TestForm3(psi1=Profile.bump_only(1.0))
+    kwargs = {"region": "disc"} if fault == "region" else (
+        {"part": "(2,0)"} if fault == "part" else {})
+    if fault == "radial":
+        psi = TestForm3(psi1=Profile(ConjPoly.one(), 1.0, radial="z1"))
+    match = {"region": "^region must be", "part": "^part must be",
+             "radial": "full modulus"}[fault]
+    with pytest.raises(ValueError, match=match):
+        pv_pair(Z1_FN, psi, rule=build_quadrature(8, 8),
+                schedule=EpsilonSchedule(0.3, 0.7, 3), **kwargs)
+    assert calls == []
 
 
 def test_oversized_rules_are_refused_by_their_ray_count():

@@ -1,14 +1,16 @@
 """Every name a package module imports is read somewhere in that module,
 every module-level private name is read somewhere in the package, no
 top-level function or class name is defined in two modules, every
-defaulted parameter is passed by some caller, and every parameter is read
-by its function.
+defaulted parameter is passed by some caller, every parameter is read by
+its function, and the package and its tests import nothing beyond their
+declared dependencies.
 
 An AST scan of src/qres/**/*.py: for imports, package __init__ files
 (re-exports) and names listed in a module's __all__ are exempt.  Annotations
 count as reads, including quoted ones.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,6 +262,55 @@ def test_every_parameter_is_read():
     assert unread == CALLBACK_PARAMETERS, ", ".join(
         f"{path}: {name}({param})" for path, name, param
         in sorted(unread - CALLBACK_PARAMETERS))
+
+
+# the third-party modules each tree may import, beside the standard library
+# and the package itself: pyproject.toml's dependencies, and for tests its
+# test extras and the tests' own helpers
+PACKAGE_IMPORTS = {"numpy", "click"}
+TEST_IMPORTS = PACKAGE_IMPORTS | {"pytest", "hypothesis", "jsonschema",
+                                  "helpers"}
+TESTS = Path(__file__).resolve().parent
+
+
+def foreign_imports(tree, allowed):
+    """(line, module) of each import, nested ones included, of a top-level
+    module that is neither in the standard library, nor qres, nor allowed;
+    a relative import is the package's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if not (top in sys.stdlib_module_names or top == "qres"
+                    or top in allowed):
+                yield node.lineno, name
+
+
+def test_the_dependency_scan_flags_an_undeclared_import():
+    tree = ast.parse("import numpy as np\nfrom . import symfun\n"
+                     "def f():\n    from scipy.special import gamma\n"
+                     "    import sympy, os\n")
+    assert list(foreign_imports(tree, PACKAGE_IMPORTS)) == [
+        (4, "scipy.special"), (5, "sympy")]
+
+
+@pytest.mark.parametrize("root,allowed", [(SRC, PACKAGE_IMPORTS),
+                                          (TESTS, TEST_IMPORTS)],
+                         ids=["src", "tests"])
+def test_imports_stay_within_the_declared_dependencies(root, allowed):
+    """The package needs numpy and click only, and its tests pytest,
+    hypothesis and jsonschema besides; scipy or sympy, importable in a
+    development environment, would be a dependency nobody declared."""
+    found = [f"{path.relative_to(root)}:{line} {name}"
+             for path in sorted(root.rglob("*.py"))
+             for line, name in foreign_imports(
+                 ast.parse(path.read_text(), filename=str(path)), allowed)]
+    assert not found, ", ".join(found)
 
 
 def test_the_library_import_loads_no_cli():

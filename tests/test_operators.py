@@ -9,13 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (hyperholomorphic_sample, rand_point, rand_quat,
-                     real_hyperholomorphic_sample, seeded)
+from helpers import (hyperholomorphic_sample, rand_point, rand_poly,
+                     rand_quat, real_hyperholomorphic_sample, seeded)
 from qres import operators
 from qres.catalogue import NAMES, builtin
 from qres.errors import IdenticallyZero, NotHyperholomorphic, PoleError
-from qres.operators import (_SAMPLE_SEED, _inverse_values, _jet_D, _norms,
-                            _sample_points, apply_D, apply_D_at,
+from qres.operators import (_SAMPLE_SEED, _inverse_bar_partials,
+                            _inverse_values, _jet_D, _norms, _pass_gap,
+                            _sample_points, _worst_ratio, apply_D, apply_D_at,
                             check_product_rule, classify,
                             corollary_product_rule_residual,
                             hypermero_residuals, inverse_function,
@@ -25,7 +26,7 @@ from qres.operators import (_SAMPLE_SEED, _inverse_values, _jet_D, _norms,
                             real_product_compat_residuals, scale_real)
 from qres.parsing import parse_poly, parse_qfunction, parse_rational
 from qres.qcore import CRat, Quat
-from qres.symfun import ConjPoly, QFunction, numeric_jet
+from qres.symfun import ConjPoly, ConjRational, QFunction, numeric_jet
 
 
 def test_operator_annihilates_the_conjugate_pair():
@@ -421,19 +422,20 @@ def test_classify_evaluates_polynomials_a_bounded_number_of_times(monkeypatch):
     # one block screen touches the numerators of f and a denominator they
     # share (a denominator 1 is not evaluated), and one stencil evaluation,
     # inverted pointwise, the same again; a per-point loop would make
-    # hundreds
+    # hundreds.  Every float evaluation of a polynomial, screened or not,
+    # runs ConjPoly._eval
     calls = [0]
-    original = ConjPoly.eval_numeric
+    original = ConjPoly._eval
 
-    def counted(self, Z1, Z2):
+    def counted(self, table):
         calls[0] += 1
-        return original(self, Z1, Z2)
+        return original(self, table)
 
-    monkeypatch.setattr(ConjPoly, "eval_numeric", counted)
+    monkeypatch.setattr(ConjPoly, "_eval", counted)
     for name in NAMES:
         calls[0] = 0
         classify(builtin(name).f)
-        assert calls[0] <= 6, (name, calls[0])
+        assert 4 <= calls[0] <= 6, (name, calls[0])
 
 
 @pytest.mark.parametrize("count", [3, 20])
@@ -509,11 +511,11 @@ def test_classify_matches_its_recorded_output():
 
 
 def test_a_non_finite_cross_check_is_stated_in_words(monkeypatch):
-    def undefined(jet):
-        nan = np.full(jet.f1.shape, complex("nan+nanj"))
+    def undefined(f1_z1b, *partials):
+        nan = np.full(f1_z1b.shape, complex("nan+nanj"))
         return nan, nan
 
-    monkeypatch.setattr(operators, "_jet_D", undefined)
+    monkeypatch.setattr(operators, "_bar_D", undefined)
     notes = classify(builtin("conj").f).notes
     assert notes == ("numeric D(1/f) check is inconclusive: D(1/f) "
                      "overflows or is undefined at some of 8 samples",)
@@ -545,13 +547,13 @@ def test_a_small_f_is_screened_as_a_power_of_two_times_f(monkeypatch, name):
     scaled, e_scaled = _sample_points(scale_real(small, Fraction(2) ** k), 8)
     assert len(pts) and np.array_equal(pts, scaled) and e == e_scaled - k
     runs = []
-    jet = operators.numeric_jet
+    stencil = operators._jet_stencil
 
     def spy(ev, z1, z2):
         runs.append((ev, z1, z2))
-        return jet(ev, z1, z2)
+        return stencil(ev, z1, z2)
 
-    monkeypatch.setattr(operators, "numeric_jet", spy)
+    monkeypatch.setattr(operators, "_jet_stencil", spy)
     classify(small)
     [(ev, z1, z2)] = runs
     assert np.array_equal(z1, pts[:, 0]) and np.array_equal(z2, pts[:, 1])
@@ -674,6 +676,59 @@ def test_single_passes_extrapolate_to_the_jet():
                 (4 * fine.partial(c, var) - coarse.partial(c, var)) / 3)
             assert np.abs(fine.partial(c, var)
                           - coarse.partial(c, var)).max() < 1e-6
+
+
+def cross_check_bit_inputs():
+    """Every catalogue entry at the golden scales, and 20 seeded random f:
+    polynomial pairs, some over the real denominator 1 + |z1|^2, and
+    hyperholomorphic samples."""
+    inputs = {f"{name}*{scale}": scale_real(f, scale)
+              for name, f in CROSS_CHECK_INPUTS.items()
+              for scale in GOLDEN_SCALES}
+    rng = seeded(47)
+    den = parse_poly("1 + z1*c1")
+    for i in range(20):
+        if i % 4 == 3:
+            f = hyperholomorphic_sample(rng)
+        else:
+            p1, p2 = rand_poly(rng, 3, 4), rand_poly(rng, 3, 4)
+            f = QFunction(*(ConjRational(p, den) if i % 4 == 2 and
+                            not p.is_zero else ConjRational(p)
+                            for p in (p1, p2)))
+        if not f.is_zero:
+            inputs[f"random{i}"] = f
+    return inputs
+
+
+def test_the_cross_check_reads_the_jet_bit_for_bit():
+    # the check differences only the conj(z)-partials D reads, on the same
+    # stencil values: its partials, worst ratio and pass gap are those of
+    # D(1/g) through numeric_jet, and of its single passes, bit for bit
+    def same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    inputs = cross_check_bit_inputs()
+    checked = 0
+    for name, f in inputs.items():
+        pts, e = _sample_points(f, 8)
+        if not len(pts):
+            continue
+        with np.errstate(all="ignore"):
+            bar, size = _inverse_bar_partials(f, -e, pts)
+            jet = numeric_jet(functools.partial(_inverse_values, f, -e),
+                              pts[:, 0], pts[:, 1])
+            assert same(bar, jet.passes[1]), name
+            assert same(size, _norms(jet.f1, jet.f2)), name
+            worst = (_norms(*_jet_D(jet)) / _norms(jet.f1, jet.f2)).max()
+            coarse, fine = (_jet_D(jet.single_pass(k)) for k in (0, 1))
+            gap = (_norms(coarse[0] - fine[0], coarse[1] - fine[1])
+                   / _norms(jet.f1, jet.f2)).max()
+            assert same(_worst_ratio(bar, size), worst), name
+            assert same(_pass_gap(bar, size), gap), name
+        checked += 1
+    # every f has samples
+    assert len(inputs) == checked == 4 * len(CROSS_CHECK_INPUTS) + 20
 
 
 def test_classify_multiplies_no_two_unit_denominators(monkeypatch):

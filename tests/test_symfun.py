@@ -251,6 +251,7 @@ def assert_same_terms(p: ConjPoly, ref: RefPoly):
 
 def test_kernel_matches_the_reference_on_random_polynomials():
     rng = seeded(40)
+    fractional = 0
     for _ in range(60):
         ta, tb, tc = (rand_terms(rng, rng.randrange(1, 7)) for _ in range(3))
         a, b, c = ConjPoly(ta), ConjPoly(tb), ConjPoly(tc)
@@ -263,6 +264,18 @@ def test_kernel_matches_the_reference_on_random_polynomials():
         assert_same_terms(a.conjugate(), ra.conjugate())
         for idx, var in enumerate(("z1", "c1", "z2", "c2")):
             assert_same_terms(a.wirtinger(var), ra.wirtinger(idx))
+        # a zero operand skips the algebra but not a term of the result
+        zero, rzero = ConjPoly.zero(), RefPoly({})
+        if a._den != 1:
+            fractional += 1
+        for got, want in ((a + zero, ra + rzero), (zero + a, rzero + ra),
+                          (a - zero, ra - rzero), (zero - a, rzero - ra),
+                          (a * zero, ra * rzero), (zero * a, rzero * ra),
+                          (zero * zero, rzero * rzero),
+                          (zero.wirtinger("z2"), rzero.wirtinger(2))):
+            assert_same_terms(got, want)
+            assert (got._den, got._num) == (ConjPoly(want.terms)._den,
+                                            ConjPoly(want.terms)._num)
         # a chain of operations on smaller polynomials, so the reference
         # stays quick
         ts = [rand_terms(rng, 3, max_exp=1) for _ in range(3)]
@@ -272,6 +285,7 @@ def test_kernel_matches_the_reference_on_random_polynomials():
         assert_same_terms(got, want)
         p1, p2 = rand_crat(rng, 3), rand_crat(rng, 3)
         assert_same_terms(a.shifted(p1, p2), ra.shifted(p1, p2))
+    assert fractional > 30
 
 
 def test_kernel_matches_the_reference_where_sums_cancel():
@@ -292,6 +306,10 @@ def test_kernel_matches_the_reference_where_sums_cancel():
         assert (a - a).is_zero and (a - a) == ConjPoly.zero()
         assert_same_terms(a * ConjPoly.zero(), ra * RefPoly({}))
         assert_same_terms(ConjPoly.zero() + a, RefPoly({}) + ra)
+        # a sum that cancels to zero, taken as an operand again
+        assert_same_terms((a - a) * a, (ra - ra) * ra)
+        assert_same_terms(a + (a - a), ra + (ra - ra))
+        assert_same_terms((a - a) - a, (ra - ra) - ra)
         assert_same_terms(a ** 0, ra ** 0)
 
 
@@ -393,7 +411,11 @@ def rand_rationals(rng):
 def test_polynomial_rational_arithmetic_matches_the_general_path():
     rng = seeded(44)
     for _ in range(25):
-        ops = rand_rationals(rng)
+        # and the zero function, against operands over denominators other
+        # than 1, which a zero operand returns or zeroes without their
+        # denominator algebra
+        zero = ConjRational.zero()
+        ops = rand_rationals(rng) + [(zero, RefPoly({}), ONE)]
         for a, ra_n, ra_d in ops:
             for b, rb_n, rb_d in ops:
                 same_den = ra_d.terms == rb_d.terms
