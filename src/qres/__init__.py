@@ -3,7 +3,7 @@ variables: exact Cauchy-Riemann-type operators, a catalogue of model
 functions, and numerical residue / principal-value pairings."""
 
 from .qcore import CRat, Quat
-from .symfun import ConjPoly, ConjRational, QFunction, numeric_jet
+from .symfun import ConjPoly, ConjRational, QFunction
 from .parsing import parse_point, parse_poly, parse_qfunction, parse_rational
 from .operators import (Classification, DResult, apply_D, apply_D_at,
                         check_product_rule, classify,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CRat", "Quat",
-    "ConjPoly", "ConjRational", "QFunction", "numeric_jet",
+    "ConjPoly", "ConjRational", "QFunction",
     "parse_point", "parse_poly", "parse_qfunction", "parse_rational",
     "Classification", "DResult", "apply_D", "apply_D_at",
     "check_product_rule", "classify", "corollary_product_rule_residual",

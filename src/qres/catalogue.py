@@ -144,12 +144,11 @@ def resolve(text: str, params: Sequence = ()):
     """Turn CLI/user text into a function.
 
     "name" or "name:EXPR" hits the catalogue; anything else parses as a
-    literal "f1 ; f2" expression.  Returns (QFunction, label, entry-or-None).
+    literal "f1 ; f2" expression.  Returns (QFunction, label), the label
+    the catalogue name or "literal".
     """
     head, sep, tail = text.partition(":")
     if head in NAMES:
-        entry = builtin(head, params=params, expr=tail if sep else None)
-        return entry.f, head, entry
+        return builtin(head, params=params, expr=tail if sep else None).f, head
     from .parsing import parse_qfunction
-    f = parse_qfunction(text)
-    return f, "literal", None
+    return parse_qfunction(text), "literal"

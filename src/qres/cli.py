@@ -227,7 +227,7 @@ def _check_radius(ctx, param, value):
 def classify_cmd(spec, params, partners):
     """Classify a function: hyperholomorphic / hypermeromorphic flags,
     residuals, and closure against partners."""
-    f, label, _ = _resolve_function(spec, params)
+    f, label = _resolve_function(spec, params)
     partner_fns = [_resolve_function(p, "")[0] for p in partners]
     c = classify(f, partners=partner_fns)
     result = {
@@ -252,7 +252,7 @@ def classify_cmd(spec, params, partners):
               help="Evaluate the derivative at a point x1,y1,x2,y2.")
 def apply_d_cmd(spec, params, at_point):
     """Apply the Cauchy-Riemann-type operator symbolically."""
-    f, label, _ = _resolve_function(spec, params)
+    f, label = _resolve_function(spec, params)
     d = apply_D(f)
     result = {"d1": str(d.d1), "d2": str(d.d2), "is_zero": d.is_zero}
     if at_point is not None:
@@ -273,7 +273,7 @@ def apply_d_cmd(spec, params, at_point):
               help="Evaluate the inverse at a point x1,y1,x2,y2.")
 def inverse_cmd(spec, params, at_point):
     """Pointwise quaternionic reciprocal 1/f as a symbolic function."""
-    f, label, _ = _resolve_function(spec, params)
+    f, label = _resolve_function(spec, params)
     inv = inverse_function(f)
     result = {"f1": str(inv.f1), "f2": str(inv.f2)}
     if at_point is not None:
@@ -291,8 +291,8 @@ def inverse_cmd(spec, params, at_point):
 @click.option("--params-g", default="")
 def product_rule_cmd(spec_f, spec_g, params_f, params_g):
     """Residual of the product rule for two hyperholomorphic functions."""
-    f, label_f, _ = _resolve_function(spec_f, params_f)
-    g, label_g, _ = _resolve_function(spec_g, params_g)
+    f, label_f = _resolve_function(spec_f, params_f)
+    g, label_g = _resolve_function(spec_g, params_g)
     res = check_product_rule(f, g)
     _emit_report("product-rule",
                  {"f": label_f, "g": label_g,
@@ -307,7 +307,7 @@ def product_rule_cmd(spec_f, spec_g, params_f, params_g):
 @_params_opt
 def hypermero_cmd(spec, params):
     """Residual system deciding whether 1/f stays hyperholomorphic."""
-    f, label, _ = _resolve_function(spec, params)
+    f, label = _resolve_function(spec, params)
     eq3, eq4 = hypermero_residuals(f)
     _emit_report("hypermero",
                  {"function": label, "params": params},
@@ -325,8 +325,8 @@ def hypermero_cmd(spec, params):
               help="Use the real-component specialization.")
 def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
     """Residual system for hypermeromorphy of a product."""
-    f, label_f, _ = _resolve_function(spec_f, params_f)
-    g, label_g, _ = _resolve_function(spec_g, params_g)
+    f, label_f = _resolve_function(spec_f, params_f)
+    g, label_g = _resolve_function(spec_g, params_g)
     if real_form:
         r1, r2 = real_product_compat_residuals(f, g)
     else:
@@ -360,7 +360,7 @@ def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
 def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
                 schedule, no_mirror, n_xi, fmt, strict):
     """Residue pairing of f against a 2-form test datum."""
-    f, label, _ = _resolve_function(spec, params)
+    f, label = _resolve_function(spec, params)
     phi = TestForm2(*(parse_profile(t, radius, radial)
                       for t in (phi11, phi12, phi21, phi22)))
     if phi.is_zero:
@@ -398,7 +398,7 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
 def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
            n_xi, fmt, strict):
     """Principal-value pairing of 1/f against a 3-form test datum."""
-    f, label, _ = _resolve_function(spec, params)
+    f, label = _resolve_function(spec, params)
     psi = TestForm3(*(parse_profile(t, radius, "q")
                       for t in (psi1, psi2)))
     if psi.is_zero:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import IdenticallyZero, NotHyperholomorphic, NotHypermeromorphic
 from .qcore import CRat, Quat
-from .symfun import (ConjRational, PairEval, QFunction, WirtingerJet,
-                     _jet_passes, _jet_stencil, numeric_jet)
+from .symfun import (ConjRational, PairEval, QFunction, _bar_passes,
+                     _jet_stencil)
 
 
 @dataclass(frozen=True)
@@ -62,30 +62,32 @@ def _dhat(f: QFunction) -> QFunction:
     return apply_D(f).as_qfunction()
 
 
-def _jet_D(jet: WirtingerJet) -> Tuple[np.ndarray, np.ndarray]:
-    """The pair (d1, d2) of Df = d1 + d2*j from a numeric_jet of f."""
-    return _bar_D(jet.d1["z1b"], jet.d2["z1b"], jet.d1["z2b"], jet.d2["z2b"])
-
-
 def _bar_D(f1_z1b, f2_z1b, f1_z2b, f2_z2b):
     """The pair (d1, d2) of Df = d1 + d2*j from the conj(z)-partials of f1
-    and f2, the only partials D reads; a pass of _inverse_bar_partials,
-    indexed (coordinate, component, ...), gives them as
-    _bar_D(*bar[0], *bar[1])."""
+    and f2, the only partials D reads; a pass of _bar_passes, indexed
+    (coordinate, component, ...), gives them as _bar_D(*bar[0], *bar[1])."""
     return (0.5 * (f1_z1b - f2_z2b.conjugate()),
             0.5 * (f1_z2b + f2_z1b.conjugate()))
 
 
+def _richardson_D(bar):
+    """D from the two passes of _bar_passes: _bar_D of their Richardson
+    value (4 pass(h/2) - pass(h)) / 3."""
+    g = (4 * bar[1] - bar[0]) / 3
+    return _bar_D(*g[0], *g[1])
+
+
 def apply_D_at(f: Union[QFunction, PairEval], q: Quat) -> Quat:
-    """Pointwise D by central differences (numeric_jet, _jet_D), for
-    symbolic or black-box f; a black-box f is called on arrays, like
-    QFunction.eval_numeric, here of shape (1,).  Overflow inside f is left
-    to show as a non-finite component."""
+    """Pointwise D by central differences, for symbolic or black-box f, as
+    classify's cross-check takes D(1/f): one evaluation on the jet stencil
+    (_jet_stencil), the conj(z)-partials of its two passes (_bar_passes)
+    and D of their Richardson value (_richardson_D).  A black-box f is
+    called on arrays, like QFunction.eval_numeric, here of shape (17, 1).
+    Overflow inside f is left to show as a non-finite component."""
     q = q.to_numeric()
     ev = f.eval_numeric if isinstance(f, QFunction) else f
     with np.errstate(all="ignore"):
-        d1, d2 = _jet_D(numeric_jet(ev, np.array([q.z1], dtype=complex),
-                                    np.array([q.z2], dtype=complex)))
+        d1, d2 = _richardson_D(_bar_passes(_jet_stencil(ev, [q.z1], [q.z2])))
     return Quat(complex(d1[0]), complex(d2[0]))
 
 
@@ -341,22 +343,21 @@ def _inverse_values(f: QFunction, k: int, Z1, Z2):
 
 
 def _inverse_bar_partials(f: QFunction, k: int, pts: np.ndarray):
-    """The conj(z)-half of the numeric_jet of _inverse_values(f, k) at the
-    rows (z1, z2) of pts, bit for bit, and |1/g| there, for g = 2^k f: the
-    partials of each pass, indexed (pass at h or h/2, coordinate,
-    component, point) as _jet_passes gives them, from one evaluation of f
-    on the jet stencil (_jet_stencil).  No WirtingerJet is built."""
+    """The conj(z)-partials of _inverse_values(f, k) at the rows (z1, z2)
+    of pts, and |1/g| there, for g = 2^k f: the partials of each pass,
+    indexed (pass at h or h/2, coordinate, component, point) as
+    _bar_passes gives them, from one evaluation of f on the jet stencil
+    (_jet_stencil)."""
     w = _jet_stencil(functools.partial(_inverse_values, f, k),
                      pts[:, 0], pts[:, 1])
-    return _jet_passes(w)[1], _norms(w[0, 0], w[0, 1])
+    return _bar_passes(w), _norms(w[0, 0], w[0, 1])
 
 
 def _worst_ratio(bar, size) -> float:
     """max |D(1/g)| / |1/g| over the points, D(1/g) the Richardson value
-    (4 D(h/2) - D(h)) / 3 of the two passes, as numeric_jet takes it; max
+    of the two passes (_richardson_D), as apply_D_at takes it; max
     propagates nan, so one undefined sample shows."""
-    g = (4 * bar[1] - bar[0]) / 3
-    return (_norms(*_bar_D(*g[0], *g[1])) / size).max()
+    return (_norms(*_richardson_D(bar)) / size).max()
 
 
 def _pass_gap(bar, size) -> float:
@@ -372,8 +373,8 @@ def _cross_check_note(f: QFunction, residuals_zero: bool) -> Optional[str]:
     g = 2^-e f with e from _sample_points, so that |g| < 1 at the samples:
     the check is scale-invariant, and |g|^2 stays in the float range where
     |f|^2 would overflow or underflow.  Only the conj(z)-partials that D
-    reads are taken from the differences (_inverse_bar_partials), with the
-    values numeric_jet would give them."""
+    reads are taken from the differences (_inverse_bar_partials), and D
+    from them as apply_D_at takes it."""
     try:
         pts, e = _sample_points(f, 8)
     except OverflowError:
@@ -409,8 +410,8 @@ def classify(f: QFunction, partners: Sequence[QFunction] = ()) -> Classification
     central differences of the pointwise inverse of f's float values,
     (conj v1 - v2*j) / (|v1|^2 + |v2|^2) with 2^-e f = v1 + v2*j on the
     jet stencil (the power of two that brings |f| below 1 at the samples),
-    of which it takes only the conj(z)-partials that D reads, with the
-    values numeric_jet gives them, and compares with what the residual
+    of which it takes only the conj(z)-partials that D reads, with D from
+    them as apply_D_at takes it, and compares with what the residual
     system predicts; the two can in principle part ways when a component
     of f vanishes identically, which the derivation of the system assumes
     away, so any disagreement is surfaced in notes.  The check is

@@ -26,10 +26,10 @@ with the _num, _den and key order the general path gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -470,12 +470,13 @@ class ConjRational:
     so they build the result through ``_over_real``, which keeps the public
     constructor's reduction but does not prove den real and nonzero again.
 
-    A denominator equal to 1 is always the one shared polynomial ``_ONE``,
-    so ``den is _ONE`` tells a polynomial apart at the cost of an identity
-    test.  Products, sums, differences, derivatives and comparisons of two
-    such operands work on the numerators alone: the general path would
-    multiply 1 by 1, find 1 real and find no content to strip, which leaves
-    the same numerator over the same 1.
+    A constant denominator c is folded into the coefficients, num * (1/c)
+    over 1 (_lowest_terms), and a denominator 1 is always the one shared
+    polynomial ``_ONE``, so ``den is _ONE`` tells a polynomial apart at the
+    cost of an identity test.  Products, sums, differences, derivatives and
+    comparisons of two such operands work on the numerators alone: the
+    general path would multiply 1 by 1, find 1 real and find no content to
+    strip, which leaves the same numerator over the same 1.
     """
 
     __slots__ = ("num", "den")
@@ -500,7 +501,8 @@ class ConjRational:
     @classmethod
     def _from_parts(cls, num: ConjPoly, den: ConjPoly) -> "ConjRational":
         """Wrap num / den that already keep the invariants: den real, no
-        shared real monomial left to cancel, and den is _ONE if it is 1."""
+        shared real monomial left to cancel, and den is _ONE if it is
+        constant."""
         r = cls.__new__(cls)
         r.num = num
         r.den = den
@@ -520,7 +522,7 @@ class ConjRational:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den.is_constant
+        return self.den is _ONE
 
     @property
     def is_real(self) -> bool:
@@ -618,8 +620,6 @@ class ConjRational:
     def wirtinger(self, var: str) -> "ConjRational":
         if self.den is _ONE:
             return ConjRational._from_parts(self.num.wirtinger(var), _ONE)
-        if self.is_polynomial:
-            return ConjRational._over_real(self.num.wirtinger(var), self.den)
         n = self.num.wirtinger(var) * self.den - self.num * self.den.wirtinger(var)
         if n.is_zero:
             return ConjRational.zero()
@@ -632,34 +632,14 @@ class ConjRational:
         return self.num.eval_exact(z1, z2) / d
 
     def eval_screened(self, Z1, Z2):
-        """Array evaluation plus the float path's pole rule: a point is a
-        pole where |den| <= POLE_RTOL times the sum of den's term sizes.
-        Returns (values, pole mask); values at poles are not meaningful.
-        A polynomial has no pole, so its denominator 1 is neither evaluated
-        nor sized; the division by 1 stays, since it turns the other part
-        of an infinite value into nan and -0 into 0, as num / den does."""
-        return self._eval_screened(_PointTable(Z1, Z2))
-
-    def _eval_screened(self, table: _PointTable):
-        n = self.num._eval(table)
-        if self.den is _ONE:
-            with np.errstate(invalid="ignore"):
-                return n / 1, np.zeros(n.shape, dtype=bool)
-        d, pole = self.den._screened(table)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return n / d, pole
+        """Array evaluation plus the float path's pole rule (_quotients).
+        Returns (values, pole mask); values at poles are not meaningful."""
+        return _quotients(Z1, Z2, (self,), screen=True)
 
     def eval_numeric(self, Z1, Z2):
         """Array evaluation; poles come out as inf/nan for the caller to
-        notice.  A denominator 1 is not evaluated, but divided by, as in
-        eval_screened."""
-        return self._eval_numeric(_PointTable(Z1, Z2))
-
-    def _eval_numeric(self, table: _PointTable):
-        n = self.num._eval(table)
-        d = 1 if self.den is _ONE else self.den._eval(table)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return n / d
+        notice."""
+        return _quotients(Z1, Z2, (self,), screen=False)[0]
 
     def __str__(self) -> str:
         if self.den is _ONE:
@@ -675,12 +655,17 @@ def _times(p: ConjPoly, q: ConjPoly) -> ConjPoly:
 
 
 def _lowest_terms(num: ConjPoly, den: ConjPoly) -> Tuple[ConjPoly, ConjPoly]:
-    """num / den with a shared real monomial cancelled; den is _ONE if it
-    is 1, as it is when num is 0."""
+    """num / den with a shared real monomial cancelled.  A constant
+    denominator c left after that is folded into the coefficients, as
+    num * (1/c) over _ONE in num's key order; den is _ONE when num is 0,
+    too."""
     if num.is_zero:
         return num, _ONE
     num, den = _strip_content(num, den)
-    return num, _ONE if den == _ONE else den
+    if not den.is_constant:
+        return num, den
+    c = den.terms[_ZKEY].re
+    return (num if c == 1 else num * ConjPoly.const(1 / c)), _ONE
 
 
 def _strip_content(num: ConjPoly, den: ConjPoly) -> Tuple[ConjPoly, ConjPoly]:
@@ -788,35 +773,48 @@ class QFunction:
         return Quat(complex(v1), complex(v2))
 
     def eval_screened(self, Z1, Z2):
-        """(v1, v2, pole): both components and the OR of their pole masks,
-        as ConjRational.eval_screened gives them, on one _PointTable.  A
-        denominator other than 1 that the two share is evaluated and sized
-        once."""
-        f1, f2 = self.f1, self.f2
-        table = _PointTable(Z1, Z2)
-        if f1.den is _ONE or f1.den != f2.den:
-            (v1, pole1), (v2, pole2) = (r._eval_screened(table)
-                                        for r in (f1, f2))
-            return v1, v2, pole1 | pole2
-        d, pole = f1.den._screened(table)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (f1.num._eval(table) / d, f2.num._eval(table) / d, pole)
+        """(v1, v2, pole): both components, as ConjRational.eval_screened
+        gives them, and the OR of their pole masks (_quotients)."""
+        return _quotients(Z1, Z2, (self.f1, self.f2), screen=True)
 
     def eval_numeric(self, Z1, Z2):
-        """Array evaluation of both components, as ConjRational.eval_numeric
-        gives each, on one _PointTable.  A denominator the two share, as the
-        inverse_function of an f with two nonzero components has, is
-        evaluated once, and a shared denominator 1 not at all."""
-        f1, f2 = self.f1, self.f2
-        table = _PointTable(Z1, Z2)
-        if f1.den != f2.den:
-            return f1._eval_numeric(table), f2._eval_numeric(table)
-        d = 1 if f1.den is _ONE else f1.den._eval(table)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (f1.num._eval(table) / d, f2.num._eval(table) / d)
+        """(v1, v2): both components, as ConjRational.eval_numeric gives
+        them (_quotients)."""
+        return _quotients(Z1, Z2, (self.f1, self.f2), screen=False)
 
     def __str__(self) -> str:
         return f"{self.f1} ; {self.f2}"
+
+
+def _quotients(Z1, Z2, rationals, screen: bool):
+    """(v1, ..., pole): the float values of the rationals at the points
+    (Z1, Z2), on one _PointTable, and the OR of their pole masks under the
+    float path's pole rule, a point being a pole of a rational where |den|
+    <= POLE_RTOL times the sum of den's term sizes; (v1, ...) alone
+    without screen.
+
+    A denominator 1 has no pole and is neither evaluated nor sized, but it
+    is divided by, since that turns the other part of an infinite value
+    into nan and -0 into 0, as num / den does.  A denominator equal to the
+    one before it, as the inverse_function of an f with two nonzero
+    components has, is evaluated, and screened, once."""
+    table = _PointTable(Z1, Z2)
+    out, pole, seen = [], None, (None, None, None)
+    for r in rationals:
+        if r.den is _ONE:
+            d = 1
+            mask = np.zeros(table.shape, dtype=bool) if screen else None
+        elif r.den == seen[0]:
+            d, mask = seen[1:]
+        else:
+            d, mask = (r.den._screened(table) if screen
+                       else (r.den._eval(table), None))
+            seen = r.den, d, mask
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out.append(r.num._eval(table) / d)
+        if screen:
+            pole = mask if pole is None else pole | mask
+    return (*out, pole) if screen else tuple(out)
 
 
 def _qf_coerce(x):
@@ -858,45 +856,7 @@ def vanishing_order_pair(f: QFunction, point: Quat):
 
 PairEval = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-
-@dataclass
-class WirtingerJet:
-    """Values and first Wirtinger partials of both components.
-
-    d1 and d2 map each of "z1", "z1b", "z2", "z2b" to the corresponding
-    partial of f1 and f2 respectively.  Every field is a complex number for
-    a jet at one point and an array of the points' shape for a jet at an
-    array of points.  A jet from numeric_jet keeps in passes the partials
-    of each central-difference pass alone, indexed (d/dz or d/dz-bar, pass
-    at step h or h/2, coordinate, component) before the points' axes; d1
-    and d2 are their Richardson extrapolation.
-    """
-
-    f1: complex | np.ndarray
-    f2: complex | np.ndarray
-    d1: Dict[str, complex | np.ndarray]
-    d2: Dict[str, complex | np.ndarray]
-    passes: Optional[np.ndarray] = field(default=None, repr=False,
-                                         compare=False)
-
-    def single_pass(self, k: int) -> "WirtingerJet":
-        """The jet of numeric_jet's pass k alone: 0 at step h, 1 at h/2."""
-        out = complex if np.ndim(self.f1) == 0 else np.asarray
-        g = self.passes[:, k]
-        return WirtingerJet(self.f1, self.f2, _jet_partials(g, 0, out),
-                            _jet_partials(g, 1, out))
-
-    def partial(self, component: int, var: str) -> complex | np.ndarray:
-        table = self.d1 if component == 1 else self.d2
-        return table[_canon_var(var)]
-
-
-def _canon_var(var: str) -> str:
-    idx = VAR_INDEX[var]
-    return ("z1", "z1b", "z2", "z2b")[idx]
-
-
-# The jet's step h; a second pass at h/2 refines it (see numeric_jet).
+# The jet's step h; a second pass at h/2 refines it (see _jet_stencil).
 _JET_STEP = 1e-4
 _JET_STEPS = (_JET_STEP, _JET_STEP / 2)
 # Offsets (dz1, dz2) of the jet stencil: the centre, then for each step s
@@ -907,41 +867,22 @@ _STENCIL_DZ2 = np.array([0j] + [m * s for s in _JET_STEPS
                                 for m in (0, 0, 0, 0, 1, -1, 1j, -1j)])
 # The central-difference divisor 2s of each step.
 _JET_DIV = np.array([2 * s for s in _JET_STEPS])
-# Partial name -> (Wirtinger kind: 0 for d/dz, 1 for d/dz-bar; coordinate).
-_JET_PARTIALS = {"z1": (0, 0), "z1b": (1, 0), "z2": (0, 1), "z2b": (1, 1)}
-
-
-def numeric_jet(ev: PairEval, z1, z2) -> WirtingerJet:
-    """First-order jet by central differences at a point or an array of them.
-
-    The whole stencil goes through one call ev(Z1, Z2), on complex arrays of
-    shape (stencil size,) + the points' shape (_jet_stencil); a black-box ev
-    must accept such arrays and return the pair of component values in that
-    shape (QFunction.eval_numeric does).  The step is fixed at h = 1e-4, and
-    a second pass at h/2 always follows: plain central differences carry an
-    O(h^2) ~ 1e-8 error at that step, right at the 1e-8 mark the D(1/f)
-    checks hold to, and a smaller h trades it for rounding error of order
-    1e-16 / h.  Richardson extrapolation of the two passes cancels the h^2
-    term and leaves the error near 1e-12.
-
-    Both steps, all four real directions and both components are differenced
-    together (_jet_passes), each element by the same scalar operations at any
-    batch shape, so a caller that needs only some partials can index them
-    out of _jet_passes and get these values bit for bit.
-    """
-    w = _jet_stencil(ev, z1, z2)
-    wirt = _jet_passes(w)
-    g = (4 * wirt[:, 1] - wirt[:, 0]) / 3
-    out = complex if w.ndim == 2 else np.asarray
-    return WirtingerJet(f1=out(w[0, 0]), f2=out(w[0, 1]),
-                        d1=_jet_partials(g, 0, out),
-                        d2=_jet_partials(g, 1, out), passes=wirt)
 
 
 def _jet_stencil(ev: PairEval, z1, z2) -> np.ndarray:
     """ev on the jet stencil around the points: the component values as an
     array indexed (stencil point, component) + the points' shape, the
-    centre first."""
+    centre first.
+
+    The whole stencil goes through one call ev(Z1, Z2), on complex arrays of
+    shape (stencil size,) + the points' shape; a black-box ev must accept
+    such arrays and return the pair of component values in that shape
+    (QFunction.eval_numeric does).  The step is fixed at h = 1e-4, and a
+    second pass at h/2 always follows: plain central differences carry an
+    O(h^2) ~ 1e-8 error at that step, right at the 1e-8 mark the D(1/f)
+    checks hold to, and a smaller h trades it for rounding error of order
+    1e-16 / h.  Richardson extrapolation of the two passes cancels the h^2
+    term and leaves the error near 1e-12."""
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     if z1.shape != z2.shape:
@@ -954,27 +895,15 @@ def _jet_stencil(ev: PairEval, z1, z2) -> np.ndarray:
     return w
 
 
-def _jet_passes(w: np.ndarray) -> np.ndarray:
-    """The central-difference Wirtinger partials of each pass from the
-    stencil values w (_jet_stencil), indexed (d/dz or d/dz-bar, pass at step
-    h or h/2, coordinate, component) + the points' shape."""
+def _bar_passes(w: np.ndarray) -> np.ndarray:
+    """The central-difference conj(z)-partials, the only ones D reads, of
+    each pass from the stencil values w (_jet_stencil), indexed (pass at
+    step h or h/2, coordinate, component) + the points' shape.  Every
+    element takes the same scalar operations at any batch shape."""
     shape = w.shape[2:]
     # stencil rows as (step, direction x1 y1 x2 y2, sign + -, component)
     rows = w[1:].reshape((2, 4, 2, 2) + shape)
     div = _JET_DIV.reshape((2, 1, 1) + (1,) * len(shape))
     diff = (rows[:, :, 0] - rows[:, :, 1]) / div
-    # Wirtinger combinations of the two real directions per complex
-    # coordinate, as (kind, step, coordinate, component)
-    dx, jdy = diff[:, 0::2], 1j * diff[:, 1::2]
-    wirt = np.empty((2,) + dx.shape, dtype=complex)
-    np.subtract(dx, jdy, out=wirt[0])
-    np.add(dx, jdy, out=wirt[1])
-    wirt /= 2
-    return wirt
-
-
-def _jet_partials(g, component: int, out) -> Dict[str, complex | np.ndarray]:
-    """The partials of one component from an array indexed (Wirtinger
-    kind, coordinate, component), each passed through out."""
-    return {k: out(g[kind, coord, component])
-            for k, (kind, coord) in _JET_PARTIALS.items()}
+    # d/d conj(z) = (d/dx + i d/dy) / 2 for each complex coordinate
+    return (diff[:, 0::2] + 1j * diff[:, 1::2]) / 2

@@ -349,9 +349,11 @@ def _ref_jet_differences(w, s):
     }
 
 
-def ref_numeric_jet(ev, z1, z2):
-    """The jet differenced one real direction at a time: the same 17-point
-    stencil and Richardson step, as (f1, f2, d1, d2)."""
+def ref_jet_passes(ev, z1, z2):
+    """The 17-point jet stencil differenced one real direction at a time,
+    as (f1, f2, coarse, fine): the values at the points, then the partials
+    of the passes at h and h/2, each a dict from "z1", "z1b", "z2", "z2b"
+    to the partials of f1 and f2 stacked."""
     h = 1e-4
     steps = (h, h / 2)
     dz1 = np.array([0j] + [m * s for s in steps
@@ -365,10 +367,16 @@ def ref_numeric_jet(ev, z1, z2):
     w = np.empty((len(dz1), 2) + z1.shape, dtype=complex)
     w[:, 0] = w1
     w[:, 1] = w2
-    g = _ref_jet_differences(w[1:9], h)
-    g2 = _ref_jet_differences(w[9:17], h / 2)
+    return (w[0, 0], w[0, 1], _ref_jet_differences(w[1:9], h),
+            _ref_jet_differences(w[9:17], h / 2))
+
+
+def ref_numeric_jet(ev, z1, z2):
+    """The jet differenced one real direction at a time: the same 17-point
+    stencil and Richardson step, as (f1, f2, d1, d2)."""
+    f1, f2, g, g2 = ref_jet_passes(ev, z1, z2)
     g = {k: (4 * g2[k] - g[k]) / 3 for k in g}
-    return (w[0, 0], w[0, 1], {k: v[0] for k, v in g.items()},
+    return (f1, f2, {k: v[0] for k, v in g.items()},
             {k: v[1] for k, v in g.items()})
 
 

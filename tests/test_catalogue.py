@@ -89,33 +89,34 @@ def test_entry_zero_set_descriptions_exist():
 
 
 def test_resolver_accepts_catalogue_names():
-    f, label, entry = resolve("conj")
+    f, label = resolve("conj")
     assert label == "conj"
-    assert entry is not None and entry.name == "conj"
-    assert (f.f1 - entry.f.f1).is_zero
+    assert (f.f1 - builtin("conj").f.f1).is_zero
 
 
 def test_resolver_accepts_parameters():
-    f, _, entry = resolve("prop34", params=(Fraction(1), Fraction(2)))
+    f, _ = resolve("prop34", params=(Fraction(1), Fraction(2)))
     v = f.eval(Quat(CRat(0), CRat(0)))
     assert v == Quat(CRat(1), CRat(2))
+    entry = builtin("prop34", params=(Fraction(1), Fraction(2)))
     assert entry.params == (Fraction(1), Fraction(2))
+    assert f == entry.f
 
 
 def test_resolver_defaults_for_affine_family():
-    f, _, _ = resolve("prop34")
+    f, _ = resolve("prop34")
     assert f.eval(Quat(CRat(0), CRat(0))) == Quat(CRat(0), CRat(0))
 
 
 def test_resolver_holo_expression_syntax():
-    f, label, _ = resolve("holo:z1^2 + z2")
+    f, label = resolve("holo:z1^2 + z2")
     assert label == "holo"
     q = Quat(CRat(2), CRat(0))
     assert f.eval(q) == Quat(CRat(4), CRat(0))
 
 
 def test_resolver_holo_default_expression():
-    f, _, _ = resolve("holo")
+    f, _ = resolve("holo")
     q = Quat(CRat(3), CRat(1))
     assert f.eval(q) == Quat(CRat(3), CRat(0))
 
@@ -126,9 +127,8 @@ def test_holo_rejects_conjugated_variables():
 
 
 def test_resolver_literal_fallback():
-    f, label, entry = resolve("z1 ; c2")
+    f, label = resolve("z1 ; c2")
     assert label == "literal"
-    assert entry is None
     q = Quat(CRat(1), CRat(2))
     assert f.eval(q) == Quat(CRat(1), CRat(2))
 

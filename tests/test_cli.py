@@ -10,6 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import run_bounded
 from qres.cli import _fragment, main
@@ -399,13 +401,15 @@ def test_classify_of_an_overflowing_function_stays_quiet(spec):
 @pytest.mark.parametrize("spec, note", [
     # |f|^2 at 1e320 overflowed (1e-340 underflowed) in floats, and the
     # check said it was inconclusive; 2^-e f is in range, and the check
-    # agrees with the residual system, as for c1 ; 0
+    # agrees with the residual system, as for c1 ; 0.  The constant
+    # denominator 10^400 is folded into the coefficient 1/10^400, whose
+    # float value underflows to 0, as that of 10^-400 * c1 does
     ("10^160*c1 ; 0", None),
     ("c1/10^170 ; 0", None),
     ("10^400*c1 ; 0", "numeric D(1/f) check was not run: a coefficient of "
      "f lies beyond the float range"),
-    ("c1/10^400 ; 0", "numeric D(1/f) check was not run: a coefficient of "
-     "f lies beyond the float range"),
+    ("c1/10^400 ; 0", "numeric D(1/f) check was not run: no candidate "
+     "sample has a finite, nonzero |f| off the poles"),
 ])
 def test_classify_of_a_coefficient_beyond_the_float_range(spec, note):
     # an OverflowError traceback, exit 1, once; the exact flags stand
@@ -651,11 +655,13 @@ def test_long_ladders_are_usage_errors(args):
                           "100000000 rungs; at most 100 are allowed\n")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands():
     """Every qres command of the README's CLI block, continuation lines
     joined, as argument lists without the program name."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
     block = block.split("```", 1)[0].replace("\\\n", " ")
     return [shlex.split(line)[1:] for line in block.splitlines()
             if line.startswith("qres ")]
@@ -684,6 +690,140 @@ def test_readme_commands_run_and_reproduce(args):
         assert rows and all(len(r.split(",")) == 5 for r in rows)
     else:
         jsonschema.validate(json.loads(first.stdout), SCHEMA)
+
+
+def test_the_readme_library_example_runs():
+    # the README's python block, in a fresh interpreter: D kills prop34,
+    # its reciprocal stays in the class, and the residue estimate converges
+    block = README.read_text().split("## Library example", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    run = run_bounded(["-c", block])
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    first, second, estimate = run.stdout.splitlines()
+    assert (first, second) == ("True", "True")
+    assert estimate.endswith(" True")
+
+
+# -- the CLI contract on drawn invocations ----------------------------------
+
+def _terms(draw):
+    """A polynomial of one to three terms, coefficients up to 10^400."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = str(draw(st.integers(1, 9)))
+        if draw(st.booleans()):
+            coeff += f"*10^{draw(st.integers(0, 400))}"
+        mono = [f"{v}^{draw(st.integers(1, 3))}"
+                for v in ("z1", "c1", "z2", "c2") if draw(st.booleans())]
+        out.append("*".join([coeff] + mono))
+    return " + ".join(out)
+
+
+@st.composite
+def functions(draw):
+    """A catalogue entry, or a literal f1 ; f2 whose components may share a
+    real denominator: constant, a sum of squares, or one with a zero set."""
+    if not draw(st.booleans()):
+        return draw(st.sampled_from(["conj", "F", "cauchy_kernel", "q_conj",
+                                     "prop34", "holo:z1^2 + z2"]))
+    den = draw(st.sampled_from(["", "6", "10^400", "1 + z1*c1",
+                                "z1*c1 + z2*c2", "z1*c1 - 1"]))
+    parts = [_terms(draw) for _ in range(2)]
+    if den:
+        parts = [f"({p}) / ({den})" for p in parts]
+    return " ; ".join(parts)
+
+
+# a valid value first, so that the simplest draw runs to the end
+RADII = st.one_of(st.floats(0.5, 1e300), st.floats(-1.0, 0.5))
+LADDERS = st.one_of(st.just("default"), st.builds(
+    "{},{},{}".format, st.floats(-0.1, 2.0), st.floats(0.0, 1.2),
+    st.integers(0, 10)))
+PROFILES = st.sampled_from(["bump", "z1*bump", "c2*bump", "0"])
+POINTS = st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4).map(
+    lambda xs: ",".join(map(repr, xs)))
+
+
+@st.composite
+def invocations(draw, command):
+    """Arguments of one qres command."""
+    args = [command]
+    if command == "catalogue":
+        if draw(st.booleans()):
+            args += ["--name", draw(st.sampled_from(["conj", "prop34",
+                                                     "nosuch"]))]
+        return args
+    if command in ("product-rule", "product-compat"):
+        args += ["--f", draw(functions()), "--g", draw(functions())]
+        if command == "product-compat" and draw(st.booleans()):
+            args.append("--real")
+        return args
+    if command != "oracle-1d":
+        args += ["-f", draw(functions())]
+    if command == "classify" and draw(st.booleans()):
+        args += ["--partner", draw(functions())]
+    if command in ("apply-d", "inverse") and draw(st.booleans()):
+        args += ["--at", draw(POINTS)]
+    if command not in ("residue", "pv", "oracle-1d"):
+        return args
+    args += ["--R", repr(draw(RADII)), "--schedule", draw(LADDERS)]
+    if command == "residue":
+        args += ["--phi22", draw(PROFILES),
+                 "--radial", draw(st.sampled_from(["q", "z1", "z2"]))]
+    elif command == "pv":
+        args += ["--psi1", draw(PROFILES), "--psi2", draw(PROFILES),
+                 "--region", draw(st.sampled_from(["metric", "levelset"])),
+                 "--n-eta", str(draw(st.integers(1, 8)))]
+    else:
+        args += ["--principal", draw(st.sampled_from(["1", "0,1", "1i"])),
+                 "--kind", draw(st.sampled_from(["residue", "pv"])),
+                 "--n-theta", str(draw(st.integers(1, 64)))]
+    if command != "oracle-1d":
+        args += ["--n-xi", str(draw(st.sampled_from([8, 12])))]
+    if draw(st.booleans()):
+        args += ["--format", "csv"]
+    if draw(st.booleans()):
+        args.append("--strict")
+    return args
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} in the report")
+
+
+def assert_contract(args):
+    """Exit 0 with a report, 4 with a report and a one-line verdict, or 2
+    or 3 with a one-line error and nothing on stdout; never a traceback."""
+    res = run_bounded(["-m", "qres.cli", *args])
+    assert res.returncode in (0, 2, 3, 4), res.stderr
+    if res.returncode in (2, 3):
+        assert res.stdout == ""
+    elif "csv" in args:
+        header, *rows = res.stdout.splitlines()
+        assert header == "epsilon,re1,im1,re_j,im_j"
+        assert rows and all(len(r.split(",")) == 5 and all(
+            math.isfinite(float(v)) for v in r.split(",")) for r in rows)
+    else:
+        jsonschema.validate(json.loads(res.stdout,
+                                       parse_constant=_no_constant), SCHEMA)
+    if res.returncode == 0:
+        assert res.stderr == ""
+        return
+    prefix = {2: "usage error: ", 3: "domain error: ",
+              4: "not converged: "}[res.returncode]
+    assert res.stderr.startswith(prefix) and res.stderr.endswith("\n")
+    assert res.stderr.count("\n") == 1
+
+
+# two drawn invocations of each of the ten commands
+@pytest.mark.parametrize("command", [
+    "catalogue", "classify", "apply-d", "inverse", "hypermero",
+    "product-rule", "product-compat", "residue", "pv", "oracle-1d"])
+@settings(derandomize=True, max_examples=2, deadline=None, database=None)
+@given(data=st.data())
+def test_every_invocation_keeps_the_cli_contract(command, data):
+    assert_contract(data.draw(invocations(command)))
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

@@ -2,14 +2,16 @@
 every module-level private name is read somewhere in the package, no
 top-level function or class name is defined in two modules, every
 defaulted parameter is passed by some caller, every parameter is read by
-its function, and the package and its tests import nothing beyond their
-declared dependencies.
+its function, the package and its tests import nothing beyond their
+declared dependencies, and each package __init__ exports exactly what it
+binds.
 
 An AST scan of src/qres/**/*.py: for imports, package __init__ files
 (re-exports) and names listed in a module's __all__ are exempt.  Annotations
 count as reads, including quoted ones.
 """
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -150,6 +152,40 @@ def test_no_function_or_class_is_defined_in_two_modules():
     twice = [f"{name} ({', '.join(paths)})"
              for name, paths in sorted(where.items()) if len(paths) > 1]
     assert not twice, ", ".join(twice)
+
+
+PACKAGES = sorted(SRC.rglob("__init__.py"))
+
+
+def export_mismatch(tree):
+    """(stale, missing): the names __all__ lists that the file does not
+    bind, and the names it binds, by an import or a top-level definition,
+    that __all__ leaves out."""
+    bound = set(imported_names(tree)).union(
+        *(top_level_definitions(node) for node in tree.body))
+    listed = exported_names(tree)
+    return sorted(listed - bound), sorted(bound - listed)
+
+
+def test_the_export_lint_flags_a_stale_and_a_missing_name():
+    tree = ast.parse("from .a import x, y\nfrom . import b\n"
+                     "__version__ = '1'\n"
+                     "__all__ = ['x', 'b', 'gone', '__version__']\n")
+    assert export_mismatch(tree) == (["gone"], ["y"])
+
+
+@pytest.mark.parametrize("path", PACKAGES,
+                         ids=[str(p.relative_to(SRC)) for p in PACKAGES])
+def test_a_package_exports_exactly_what_it_binds(path):
+    """__all__ of a package __init__ names each of its imports and
+    definitions once and nothing else, and every name resolves on import,
+    so a deleted name cannot linger in the exports."""
+    stale, missing = export_mismatch(ast.parse(path.read_text(),
+                                               filename=str(path)))
+    assert not stale and not missing, f"stale {stale}, missing {missing}"
+    module = importlib.import_module(
+        ".".join(path.parent.relative_to(SRC.parent).parts))
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 CALLERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from helpers import (hyperholomorphic_sample, rand_point, rand_poly,
-                     rand_quat, real_hyperholomorphic_sample, seeded)
+                     rand_quat, real_hyperholomorphic_sample, ref_jet_passes,
+                     seeded)
 from qres import operators
 from qres.catalogue import NAMES, builtin
 from qres.errors import IdenticallyZero, NotHyperholomorphic, PoleError
 from qres.operators import (_SAMPLE_SEED, _inverse_bar_partials,
-                            _inverse_values, _jet_D, _norms, _pass_gap,
-                            _sample_points, _worst_ratio, apply_D, apply_D_at,
+                            _inverse_values, _norms, _pass_gap,
+                            _richardson_D, _sample_points, _worst_ratio,
+                            apply_D, apply_D_at,
                             check_product_rule, classify,
                             corollary_product_rule_residual,
                             hypermero_residuals, inverse_function,
@@ -26,7 +28,8 @@ from qres.operators import (_SAMPLE_SEED, _inverse_bar_partials,
                             real_product_compat_residuals, scale_real)
 from qres.parsing import parse_poly, parse_qfunction, parse_rational
 from qres.qcore import CRat, Quat
-from qres.symfun import ConjPoly, ConjRational, QFunction, numeric_jet
+from qres.symfun import (ConjPoly, ConjRational, QFunction, _bar_passes,
+                         _jet_stencil)
 
 
 def test_operator_annihilates_the_conjugate_pair():
@@ -410,7 +413,7 @@ def test_batched_cross_check_matches_pointwise_path(name):
     inv = functools.partial(_inverse_values, f, -e)
     # the batch as classify's cross-check takes it: one stencil evaluation
     # of f, inverted pointwise
-    d1, d2 = _jet_D(numeric_jet(inv, pts[:, 0], pts[:, 1]))
+    d1, d2 = _richardson_D(_inverse_bar_partials(f, -e, pts)[0])
     for i, q in enumerate(sequential):
         want1, want2 = _pointwise_D(inv, q)
         assert abs(d1[i] - want1) <= 1e-12
@@ -572,13 +575,14 @@ def test_the_pointwise_inverse_differences_as_the_exact_inverse(name, scale):
     f = scale_real(builtin(name).f, scale)
     pts, _ = _sample_points(f, 8)
     assert len(pts) >= 5
-    pointwise = numeric_jet(functools.partial(_inverse_values, f, 0),
-                            pts[:, 0], pts[:, 1])
-    exact = numeric_jet(inverse_function(f).eval_numeric,
-                        pts[:, 0], pts[:, 1])
-    (p1, p2), (e1, e2) = _jet_D(pointwise), _jet_D(exact)
+    pointwise = _jet_stencil(functools.partial(_inverse_values, f, 0),
+                             pts[:, 0], pts[:, 1])
+    exact = _jet_stencil(inverse_function(f).eval_numeric,
+                         pts[:, 0], pts[:, 1])
+    (p1, p2), (e1, e2) = (_richardson_D(_bar_passes(w))
+                          for w in (pointwise, exact))
     assert (_norms(p1 - e1, p2 - e2)
-            <= 1e-9 * _norms(exact.f1, exact.f2)).all()
+            <= 1e-9 * _norms(exact[0, 0], exact[0, 1])).all()
 
 
 @pytest.mark.parametrize("spec", ["F", "10^160*c1 ; 0", "c1/10^170 ; 0"])
@@ -647,6 +651,16 @@ def test_an_f_with_no_usable_sample_says_the_check_was_not_run():
         "finite, nonzero |f| off the poles",)
 
 
+def test_a_constant_denominator_classifies_as_its_scaled_numerator():
+    # c1/10^400 is the polynomial 10^-400 * c1: its residuals and notes are
+    # those of c1 ; 0 scaled by 10^-400
+    got = classify(parse_qfunction("c1/10^400 ; 0"))
+    want = classify(scale_real(parse_qfunction("c1 ; 0"),
+                               Fraction(1, 10 ** 400)))
+    assert (str(got.eq3_residual), str(got.eq4_residual), got.notes) == (
+        str(want.eq3_residual), str(want.eq4_residual), want.notes)
+
+
 def test_a_step_that_does_not_resolve_f_is_inconclusive():
     # z1^100000 is hypermeromorphic, but it changes by e^10 over one jet
     # step: D(1/f) at h and h/2 part by 1.8e7 |1/f|, and the 6.0e6 |1/f|
@@ -661,21 +675,6 @@ def test_a_step_that_does_not_resolve_f_is_inconclusive():
     assert classify(parse_qfunction("z1^2000 ; c2^3")).notes == (
         "numeric D(1/f) status disagrees with the residual system "
         "(max |D(1/f)|/|1/f| = 3.083e-12 over 8 samples)",)
-
-
-def test_single_passes_extrapolate_to_the_jet():
-    # d1 and d2 are the Richardson step (4 D(h/2) - D(h)) / 3 of the passes
-    f = builtin("F").f
-    pts, _ = _sample_points(f, 8)
-    jet = numeric_jet(f.eval_numeric, pts[:, 0], pts[:, 1])
-    coarse, fine = jet.single_pass(0), jet.single_pass(1)
-    for var in ("z1", "z1b", "z2", "z2b"):
-        for c in (1, 2):
-            assert np.array_equal(
-                jet.partial(c, var),
-                (4 * fine.partial(c, var) - coarse.partial(c, var)) / 3)
-            assert np.abs(fine.partial(c, var)
-                          - coarse.partial(c, var)).max() < 1e-6
 
 
 def cross_check_bit_inputs():
@@ -700,10 +699,17 @@ def cross_check_bit_inputs():
     return inputs
 
 
-def test_the_cross_check_reads_the_jet_bit_for_bit():
-    # the check differences only the conj(z)-partials D reads, on the same
-    # stencil values: its partials, worst ratio and pass gap are those of
-    # D(1/g) through numeric_jet, and of its single passes, bit for bit
+def ref_D(d):
+    """D = d1 + d2*j from a reference partials dict, whose entries pair
+    the partials of f1 and f2."""
+    return (0.5 * (d["z1b"][0] - np.conj(d["z2b"][1])),
+            0.5 * (d["z2b"][0] + np.conj(d["z1b"][1])))
+
+
+def test_the_cross_check_matches_the_reference_jet_bit_for_bit():
+    # the check's conj(z)-partials, worst ratio and pass gap are those of
+    # the reference jet of 1/g, differenced one real direction at a time,
+    # bit for bit
     def same(got, want):
         got, want = np.asarray(got), np.asarray(want)
         return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -716,14 +722,18 @@ def test_the_cross_check_reads_the_jet_bit_for_bit():
             continue
         with np.errstate(all="ignore"):
             bar, size = _inverse_bar_partials(f, -e, pts)
-            jet = numeric_jet(functools.partial(_inverse_values, f, -e),
-                              pts[:, 0], pts[:, 1])
-            assert same(bar, jet.passes[1]), name
-            assert same(size, _norms(jet.f1, jet.f2)), name
-            worst = (_norms(*_jet_D(jet)) / _norms(jet.f1, jet.f2)).max()
-            coarse, fine = (_jet_D(jet.single_pass(k)) for k in (0, 1))
-            gap = (_norms(coarse[0] - fine[0], coarse[1] - fine[1])
-                   / _norms(jet.f1, jet.f2)).max()
+            f1, f2, *passes = ref_jet_passes(
+                functools.partial(_inverse_values, f, -e),
+                pts[:, 0], pts[:, 1])
+            want = [[[d[var][c] for c in (0, 1)] for var in ("z1b", "z2b")]
+                    for d in passes]
+            assert same(bar, want), name
+            assert same(size, _norms(f1, f2)), name
+            coarse, fine = passes
+            rich = {k: (4 * fine[k] - coarse[k]) / 3 for k in fine}
+            worst = (_norms(*ref_D(rich)) / _norms(f1, f2)).max()
+            (c1, c2), (h1, h2) = ref_D(coarse), ref_D(fine)
+            gap = (_norms(c1 - h1, c2 - h2) / _norms(f1, f2)).max()
             assert same(_worst_ratio(bar, size), worst), name
             assert same(_pass_gap(bar, size), gap), name
         checked += 1

@@ -12,12 +12,12 @@ from helpers import (RefPoly, rand_crat, rand_point, rand_poly, rand_quat,
                      ref_numeric_jet, ref_strip_content, seeded)
 from qres.errors import PoleError
 from qres.catalogue import NAMES, builtin
-from qres.operators import inverse_function, modulus_function
+from qres.operators import _richardson_D, inverse_function, modulus_function
 from qres.parsing import parse_qfunction
 from qres.qcore import CRat, Quat
 from qres import symfun
-from qres.symfun import (ConjPoly, ConjRational, QFunction, numeric_jet,
-                         poly_vanishing_order, vanishing_order,
+from qres.symfun import (ConjPoly, ConjRational, QFunction, _bar_passes,
+                         _jet_stencil, poly_vanishing_order, vanishing_order,
                          vanishing_order_pair)
 
 Z1, C1, Z2, C2 = (ConjPoly.var(v) for v in ("z1", "c1", "z2", "c2"))
@@ -108,18 +108,24 @@ def test_shifted_recenters_evaluation():
         assert p.shifted(a, b).eval_exact(z1, z2) == p.eval_exact(z1 + a, z2 + b)
 
 
-def test_numeric_jet_matches_symbolic_derivatives():
+def richardson(bar):
+    """The Richardson value (4 pass(h/2) - pass(h)) / 3 of _bar_passes,
+    indexed (coordinate, component) + the points' shape."""
+    return (4 * bar[1] - bar[0]) / 3
+
+
+def test_the_jet_matches_symbolic_conj_partials():
     rng = seeded(15)
     f = QFunction.from_polys(rand_poly(rng, 3, 4), rand_poly(rng, 3, 4))
     for _ in range(8):
         z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        jet = numeric_jet(f.eval_numeric, z1, z2)
-        for var in ("z1", "c1", "z2", "c2"):
-            want1 = complex(f.f1.wirtinger(var).eval_numeric(z1, z2))
-            want2 = complex(f.f2.wirtinger(var).eval_numeric(z1, z2))
-            assert jet.partial(1, var) == pytest.approx(want1, rel=1e-7, abs=1e-7)
-            assert jet.partial(2, var) == pytest.approx(want2, rel=1e-7, abs=1e-7)
+        g = richardson(_bar_passes(_jet_stencil(f.eval_numeric, z1, z2)))
+        for coord, var in enumerate(("c1", "c2")):
+            for comp, r in enumerate((f.f1, f.f2)):
+                want = complex(r.wirtinger(var).eval_numeric(z1, z2))
+                assert complex(g[coord, comp]) == pytest.approx(
+                    want, rel=1e-7, abs=1e-7)
 
 
 def test_qfunction_product_is_pointwise_quaternion_product():
@@ -466,21 +472,28 @@ def test_eval_numeric_is_bit_identical_to_the_reference():
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_numeric_jet_is_bit_identical_to_the_reference(name):
+def test_the_jet_is_bit_identical_to_the_reference(name):
+    # the values at the points, the conj(z)-partials of the Richardson step
+    # and D from them (apply_D_at at one point), as the reference
+    # differences them one real direction at a time
     g = inverse_function(builtin(name).f)
     nrng = np.random.default_rng(46)
     for shape in ((), (1,), (8,), (3, 4)):
         z1, z2 = (nrng.normal(size=shape) + 1j * nrng.normal(size=shape)
                   for _ in range(2))
-        jet = numeric_jet(g.eval_numeric, z1, z2)
+        w = _jet_stencil(g.eval_numeric, z1, z2)
+        bar = _bar_passes(w)
         f1, f2, d1, d2 = ref_numeric_jet(g.eval_numeric, z1, z2)
-        pairs = [(jet.f1, f1), (jet.f2, f2)]
-        pairs += [(jet.d1[k], d1[k]) for k in d1]
-        pairs += [(jet.d2[k], d2[k]) for k in d2]
-        assert list(jet.d1) == list(d1) and list(jet.d2) == list(d2)
+        assert w.shape == (17, 2) + shape and bar.shape == (2, 2, 2) + shape
+        rich = richardson(bar)
+        pairs = [(w[0, 0], f1), (w[0, 1], f2), (rich[0, 0], d1["z1b"]),
+                 (rich[0, 1], d2["z1b"]), (rich[1, 0], d1["z2b"]),
+                 (rich[1, 1], d2["z2b"])]
+        want_D = (0.5 * (d1["z1b"] - np.conj(d2["z2b"])),
+                  0.5 * (d1["z2b"] + np.conj(d2["z1b"])))
+        pairs += list(zip(_richardson_D(bar), want_D))
         for got, want in pairs:
-            if shape == ():
-                assert type(got) is complex
+            assert np.shape(got) == np.shape(want) == shape
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
@@ -595,6 +608,23 @@ def test_a_polynomial_evaluates_as_its_quotient_by_one():
             for a, b in zip(got, want):
                 assert type(a) is type(b) and np.shape(a) == np.shape(b)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_a_constant_denominator_is_folded_into_the_coefficients():
+    # num / c is the polynomial num * (1/c) in num's key order, after a
+    # shared real monomial is cancelled, and differentiates as one
+    rng = seeded(52)
+    for _ in range(30):
+        num = ConjPoly(rand_terms(rng, rng.randrange(1, 6), max_exp=3))
+        c = Fraction(rng.choice((1, -1)) * rng.randrange(1, 50),
+                     rng.randrange(1, 9))
+        want = num * ConjPoly.const(1 / c)
+        for r in (ConjRational(num, ConjPoly.const(c)),
+                  ConjRational(num * Z1 * C1, Z1 * C1 * CRat(c))):
+            assert r.den is symfun._ONE and r.is_polynomial
+            assert r.num == want and list(r.num.terms) == list(want.terms)
+            assert r.wirtinger("c1") == ConjRational(want.wirtinger("c1"))
+    assert str(parse_qfunction("(z1 + 3*c2)/6 ; 0")) == "1/6*z1 + 1/2*c2 ; 0"
 
 
 def test_halving_is_the_product_with_one_half():
