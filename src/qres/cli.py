@@ -5,12 +5,14 @@ Every subcommand prints a single JSON report (or a CSV convergence table with
 sorted and every float is written with 17 significant digits.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (poles, zero functions,
-hypotheses not met), 4 not-converged under --strict.
+hypotheses not met), 4 not-converged under --strict.  The package's error
+classes carry their code and label (qres.errors), and _one_line_usage
+reports those and click's usage errors only; any other exception is a bug
+and ends in its traceback.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import sys
@@ -24,16 +26,13 @@ from .catalogue import NAMES, builtin, resolve
 from .currents import (EpsilonSchedule, Laurent1D, TestForm2, TestForm3,
                        build_quadrature, bump, parse_profile, pv_1d, pv_pair,
                        res_limit_1d, residue_pair)
-from .errors import (NotConverged, ParseError, QresError, RuleTooLarge,
-                     TooCoarse, UnknownName)
+from .errors import DomainError, NotConverged, ParseError, QresError
 from .operators import (apply_D, classify, hypermero_residuals,
                         inverse_function, is_hypermeromorphic,
                         check_product_rule, product_compat_residuals,
                         real_product_compat_residuals)
 from .parsing import parse_point
 from .qcore import Quat
-
-_USAGE_ERRORS = (ParseError, UnknownName, TooCoarse, RuleTooLarge)
 
 
 # ---------------------------------------------------------------- emitters
@@ -48,7 +47,7 @@ def _fragment(x) -> str:
     if isinstance(x, float):
         if not math.isfinite(x):
             # JSON has no nan or infinity; refuse rather than print them
-            raise ValueError(f"non-finite value {x!r} in the report")
+            raise DomainError(f"non-finite value {x!r} in the report")
         return f"{x:.17g}"
     if isinstance(x, str):
         return json.dumps(x, ensure_ascii=True)
@@ -81,19 +80,8 @@ def _emit_csv(estimate) -> None:
     click.echo("\n".join(lines))
 
 
-@contextlib.contextmanager
-def _in_float_range():
-    """Report an exact number too large for a float, met inside the block,
-    as a domain error."""
-    try:
-        yield
-    except OverflowError:
-        raise ValueError("the value lies beyond the float range") from None
-
-
 def _quat_floats(q: Quat):
-    with _in_float_range():
-        z1, z2 = complex(q.z1), complex(q.z2)
+    z1, z2 = complex(q.z1), complex(q.z2)
     return [z1.real, z1.imag, z2.real, z2.imag]
 
 
@@ -156,9 +144,10 @@ def _finish_estimate(command, inputs, est, diagnostics, fmt, strict):
 
 
 def _one_line_usage(call, *args, **kwargs):
-    """Run a click step, reporting a usage error (click's or the package's),
-    a domain error or a missed convergence as one line on stderr and
-    exiting with its code."""
+    """Run a click step, reporting click's usage errors and the package's
+    errors as one line on stderr, "label: message", and exiting with the
+    code of the error's class.  An exact number too large for a float is a
+    domain error."""
     try:
         return call(*args, **kwargs)
     except click.exceptions.NoArgsIsHelpError:
@@ -167,15 +156,11 @@ def _one_line_usage(call, *args, **kwargs):
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         sys.exit(2)
-    except _USAGE_ERRORS as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(2)
-    except NotConverged as exc:
-        click.echo(f"not converged: {exc}", err=True)
-        sys.exit(4)
-    except (QresError, ZeroDivisionError, ValueError) as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(3)
+    except (QresError, OverflowError) as exc:
+        if isinstance(exc, OverflowError):
+            exc = DomainError("the value lies beyond the float range")
+        click.echo(f"{exc.label}: {exc}", err=True)
+        sys.exit(exc.exit_code)
 
 
 class _Main(click.Group):
@@ -366,9 +351,8 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
     if phi.is_zero:
         raise click.UsageError("all test-form coefficients are zero")
     sched = _parse_schedule(schedule, phi.support_radius)
-    with _in_float_range():
-        est = residue_pair(f, phi, n_xi=n_xi, schedule=sched,
-                           include_mirror=not no_mirror)
+    est = residue_pair(f, phi, n_xi=n_xi, schedule=sched,
+                       include_mirror=not no_mirror)
     inputs = {"function": label, "params": params, "phi11": phi11,
               "phi12": phi12, "phi21": phi21, "phi22": phi22,
               "R": radius, "radial": radial, "schedule": schedule,
@@ -404,9 +388,8 @@ def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
     if psi.is_zero:
         raise click.UsageError("all test-form coefficients are zero")
     sched = _parse_schedule(schedule, psi.support_radius)
-    with _in_float_range():
-        est = pv_pair(f, psi, rule=build_quadrature(n_eta, n_xi),
-                      schedule=sched, region=region, part=part)
+    est = pv_pair(f, psi, rule=build_quadrature(n_eta, n_xi),
+                  schedule=sched, region=region, part=part)
     inputs = {"function": label, "params": params, "psi1": psi1,
               "psi2": psi2, "R": radius, "schedule": schedule,
               "region": region, "part": part}

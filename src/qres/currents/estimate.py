@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import DomainError
 from ..operators import _norms
 from ..qcore import Quat
 
@@ -34,32 +35,32 @@ class EpsilonSchedule:
 
     def __post_init__(self):
         if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
+            raise DomainError("eps0 must be positive")
         if not 0.0 < self.ratio < 1.0:
-            raise ValueError("ratio must lie in (0, 1)")
+            raise DomainError("ratio must lie in (0, 1)")
         if self.count < 3:
-            raise ValueError("need at least 3 rungs")
+            raise DomainError("need at least 3 rungs")
         if self.count > MAX_RUNGS:
-            raise ValueError(f"the ladder has {self.count} rungs; at most "
-                             f"{MAX_RUNGS} are allowed")
+            raise DomainError(f"the ladder has {self.count} rungs; at most "
+                              f"{MAX_RUNGS} are allowed")
         # the first rung is the largest: both 4-D pairings compare |f|^2
         # with eps^2 and the fit squares the rungs, so its square must be
         # finite
         if not self.eps0 * self.eps0 < math.inf:
-            raise ValueError(f"the ladder overflows: its first rung "
-                             f"{self.eps0:g} squared is not finite")
+            raise DomainError(f"the ladder overflows: its first rung "
+                              f"{self.eps0:g} squared is not finite")
         # the last rung is the smallest; a ladder reaching 0 has no limit
         # left to extrapolate and hands the integrators a zero radius
         last = self.eps0 * self.ratio ** (self.count - 1)
         if not last > 0:
-            raise ValueError("the ladder underflows: its last rung rounds "
-                             "to 0")
+            raise DomainError("the ladder underflows: its last rung rounds "
+                              "to 0")
         # both 4-D pairings compare |f|^2 with eps^2; a square below the
         # smallest normal float loses its digits or rounds to 0, and then
         # no ray crosses the level set
         if last * last < sys.float_info.min:
-            raise ValueError(f"the ladder underflows: its last rung {last:g} "
-                             "squared is below the smallest normal float")
+            raise DomainError(f"the ladder underflows: its last rung {last:g} "
+                              "squared is below the smallest normal float")
 
     @classmethod
     def for_radius(cls, R: float) -> "EpsilonSchedule":
@@ -131,9 +132,9 @@ def finalize(epsilons: Sequence[float], values: Sequence[Quat],
     arithmetic of Quat subtraction and Quat.norm.
     """
     if len(epsilons) != len(values):
-        raise ValueError("epsilons and values must align")
+        raise DomainError("epsilons and values must align")
     if not values:
-        raise ValueError("no values to finalize")
+        raise DomainError("no values to finalize")
     z = np.array([(complex(v.z1), complex(v.z2)) for v in values])
     # rungs that overflow here come out as inf or nan, which the report
     # writer refuses; numpy need not warn on the way there

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ParseError
+from ..errors import DomainError, ParseError
 from ..parsing import parse_poly
 from ..symfun import ConjPoly
 
@@ -44,9 +44,9 @@ class Profile:
 
     def __post_init__(self):
         if self.radial not in RADIAL_KINDS:
-            raise ValueError(f"unknown radial kind {self.radial!r}")
+            raise DomainError(f"unknown radial kind {self.radial!r}")
         if not self.R > 0:
-            raise ValueError("support radius must be positive")
+            raise DomainError("support radius must be positive")
 
     @classmethod
     def bump_only(cls, R: float, radial: str = "q") -> "Profile":
@@ -72,9 +72,12 @@ class Profile:
         eta = np.asarray(eta, dtype=float)
         if self.radial == "q":
             return np.full(eta.shape, self.R)
-        if self.radial == "z1":
-            return self.R / np.maximum(np.cos(eta), 1e-12)
-        return self.R / np.maximum(np.sin(eta), 1e-12)
+        # an extent beyond the float range is inf, the unbounded support
+        # it stands for
+        with np.errstate(over="ignore"):
+            if self.radial == "z1":
+                return self.R / np.maximum(np.cos(eta), 1e-12)
+            return self.R / np.maximum(np.sin(eta), 1e-12)
 
 
 class _TestForm:
@@ -91,7 +94,7 @@ class _TestForm:
     def support_radius(self) -> float:
         rs = [p.R for p in self.coefficients if p is not None]
         if not rs:
-            raise ValueError("test form has no nonzero coefficient")
+            raise DomainError("test form has no nonzero coefficient")
         return max(rs)
 
     def support_lambda(self, eta):

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..errors import PoleOnDomain, RuleTooLarge
+from ..errors import DomainError, PoleOnDomain, RuleTooLarge
 from ..qcore import Quat
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import bump
@@ -104,7 +104,7 @@ def pv_1d(g, psi0: Callable[[np.ndarray], np.ndarray], R: float,
     if schedule is None:
         schedule = EpsilonSchedule.for_disc(R)
     if not schedule.eps0 < R:
-        raise ValueError("schedule starts outside the support radius")
+        raise DomainError("schedule starts outside the support radius")
     eps_list = schedule.values()
     panels = len(geometric_edges(eps_list[-1], R, eps_list[-1])) - 1
     phase = _unit_circle(n_theta, n_theta * panels * n_r)

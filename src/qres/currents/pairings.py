@@ -129,7 +129,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import IdenticallyZero, PoleOnDomain, TooCoarse
+from ..errors import DomainError, IdenticallyZero, PoleOnDomain, TooCoarse
 from ..operators import modulus_function
 from ..qcore import Quat
 from ..symfun import (POLE_RTOL, ConjPoly, ConjRational, QFunction,
@@ -602,12 +602,12 @@ def _ladder(f: QFunction, form, schedule, rays
     form is not zero, the ladder starts inside the support, the
     rays(ladder, support) chart rays fit require_rays and f is not zero."""
     if form.is_zero:
-        raise ValueError("test form is identically zero")
+        raise DomainError("test form is identically zero")
     support = form.support_radius
     if schedule is None:
         schedule = EpsilonSchedule.for_radius(support)
     if not schedule.eps0 < support:
-        raise ValueError("schedule must start inside the test-form support")
+        raise DomainError("schedule must start inside the test-form support")
     require_rays(rays(schedule, support))
     if f.is_zero:
         raise IdenticallyZero("f is identically zero, so 1/f has no "
@@ -1179,15 +1179,15 @@ def pv_pair(f: QFunction, psi: TestForm3,
         f, psi, schedule, lambda *_: pv_rays(rule.n_eta, rule.n_xi))
     for p in psi.coefficients:
         if p is not None and p.radial != "q":
-            raise ValueError("principal-value pairing needs coefficients "
-                             "supported in the full modulus |q|")
+            raise DomainError("principal-value pairing needs coefficients "
+                              "supported in the full modulus |q|")
     if part not in ("(1,0)", "(0,1)"):
-        raise ValueError("part must be '(1,0)' or '(0,1)'")
+        raise DomainError("part must be '(1,0)' or '(0,1)'")
     if part == "(0,1)":
         psi = TestForm3(*(None if p is None else p.conjugated()
                           for p in psi.coefficients))
     if region not in ("metric", "levelset"):
-        raise ValueError("region must be 'metric' or 'levelset'")
+        raise DomainError("region must be 'metric' or 'levelset'")
     plan = _Plan.of(f)
     eps_list = schedule.values()
     products = plan.fold(_pv_kernels(f), psi.coefficients)

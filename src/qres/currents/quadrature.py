@@ -16,7 +16,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import RuleTooLarge, TooCoarse
+from ..errors import DomainError, RuleTooLarge, TooCoarse
 from .estimate import EpsilonSchedule
 
 HALF_PI = math.pi / 2.0
@@ -135,9 +135,9 @@ def geometric_edges(lo: float, hi: float, first: float) -> list:
     whose widths double.  Used to resolve integrands that vary on a scale
     much smaller than the interval."""
     if not lo < hi:
-        raise ValueError("empty interval")
+        raise DomainError("empty interval")
     if not first > 0:
-        raise ValueError(f"first panel width {first!r} is not positive")
+        raise DomainError(f"first panel width {first!r} is not positive")
     edges = [lo]
     width = first
     while edges[-1] + width < hi:

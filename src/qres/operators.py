@@ -22,7 +22,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import IdenticallyZero, NotHyperholomorphic, NotHypermeromorphic
+from .errors import (DomainError, IdenticallyZero, NotHyperholomorphic,
+                     NotHypermeromorphic)
 from .qcore import CRat, Quat
 from .symfun import (ConjRational, PairEval, QFunction, _bar_passes,
                      _jet_stencil)
@@ -216,19 +217,12 @@ def product_compat_residuals(f: QFunction, g: QFunction,
 
 def real_product_compat_residuals(f: QFunction, g: QFunction
                                   ) -> Tuple[ConjRational, ConjRational]:
-    """The product-compatibility system specialized to real components."""
+    """The product-compatibility system of f and g with real components,
+    where conj(h) = h; the realness is checked, not hypermeromorphy."""
     for h in (f, g):
         if not (h.f1.is_real and h.f2.is_real):
-            raise ValueError("real-component system needs real-valued components")
-    f1, f2 = f.f1, f.f2
-    g1, g2 = g.f1, g.f2
-    rc1 = (g1 * (f1.wirtinger("z1b") + f2.wirtinger("z2"))
-           + f2 * g1.wirtinger("z2")
-           - f2 * g2.wirtinger("z1b"))
-    rc2 = (g1 * (f1.wirtinger("z2b") - f2.wirtinger("z1"))
-           - f2 * g1.wirtinger("z1")
-           - f2 * g2.wirtinger("z2b"))
-    return rc1, rc2
+            raise DomainError("real-component system needs real-valued components")
+    return product_compat_residuals(f, g, strict=False)
 
 
 def scale_real(f: QFunction, alpha) -> QFunction:

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .qcore import CRAT_ONE, CRAT_ZERO, CRat, Quat, _frac
 
 # Exponent order: (z1, conj z1, z2, conj z2).  The surface syntax calls the
@@ -489,7 +489,7 @@ class ConjRational:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if not den.is_real:
-            raise ValueError("denominator must be real-valued")
+            raise DomainError("denominator must be real-valued")
         self.num, self.den = _lowest_terms(num, den)
 
     @classmethod
@@ -599,7 +599,7 @@ class ConjRational:
 
     def divide_by_real(self, other: "ConjRational") -> "ConjRational":
         if not other.is_real:
-            raise ValueError("can only divide by a real-valued function")
+            raise DomainError("can only divide by a real-valued function")
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
         # other = N/D with N, D real, so 1/other = D/N keeps the invariant
@@ -795,7 +795,8 @@ def _quotients(Z1, Z2, rationals, screen: bool):
 
     A denominator 1 has no pole and is neither evaluated nor sized, but it
     is divided by, since that turns the other part of an infinite value
-    into nan and -0 into 0, as num / den does.  A denominator equal to the
+    into nan and -0 into 0, as num / den does; its mask at a single point
+    is a numpy bool, as a screened denominator's is.  A denominator equal to the
     one before it, as the inverse_function of an f with two nonzero
     components has, is evaluated, and screened, once."""
     table = _PointTable(Z1, Z2)
@@ -803,7 +804,7 @@ def _quotients(Z1, Z2, rationals, screen: bool):
     for r in rationals:
         if r.den is _ONE:
             d = 1
-            mask = np.zeros(table.shape, dtype=bool) if screen else None
+            mask = np.zeros(table.shape, dtype=bool)[()] if screen else None
         elif r.den == seen[0]:
             d, mask = seen[1:]
         else:

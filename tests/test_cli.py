@@ -3,6 +3,7 @@ reproducibility, exit codes, and a few pinned values."""
 import importlib.resources
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import run_bounded
+from qres import cli, errors
 from qres.cli import _fragment, main
 from qres.currents import pairings, quadrature
 
@@ -610,14 +612,70 @@ ERROR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("args, code, prefix", ERROR_CASES,
-                         ids=[f"{a[0]}-{c}" for a, c, _ in ERROR_CASES])
+# refusals that the library raised as a bare ValueError, by id
+DOMAIN_ERROR_CASES = {
+    "residue-schedule-outside-3": (
+        ["residue", "-f", "conj", "--phi22", "bump", "--n-xi", "8",
+         "--schedule", "2,0.5,3"], 3, "domain error: schedule must start "),
+    "pv-schedule-outside-3": (
+        ["pv", "-f", "conj", "--psi1", "bump", "--n-eta", "4", "--n-xi", "8",
+         "--schedule", "2,0.5,3"], 3, "domain error: schedule must start "),
+    "product-compat-real-3": (
+        ["product-compat", "--real", "--f", "conj", "--g", "conj"], 3,
+        "domain error: real-component system needs real-valued components"),
+}
+
+
+@pytest.mark.parametrize("args, code, prefix",
+                         ERROR_CASES + list(DOMAIN_ERROR_CASES.values()),
+                         ids=[f"{a[0]}-{c}" for a, c, _ in ERROR_CASES]
+                         + list(DOMAIN_ERROR_CASES))
 def test_every_subcommand_maps_errors_to_exit_codes(args, code, prefix):
     res = invoke(args)
     assert res.exit_code == code
     assert res.stdout == ""
     assert res.stderr.startswith(prefix)
     assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc", [ValueError("a bug"),
+                                 ZeroDivisionError("a bug")],
+                         ids=["ValueError", "ZeroDivisionError"])
+def test_a_builtin_error_is_not_masked_as_a_domain_error(monkeypatch, exc):
+    # every ValueError and ZeroDivisionError used to print "domain error"
+    # with exit 3, a bug's included; only the package's errors are reported
+    def broken(f):
+        raise exc
+
+    monkeypatch.setattr(cli, "hypermero_residuals", broken)
+    res = invoke(["hypermero", "-f", "conj"])
+    assert res.exception is exc
+    assert res.exit_code not in (0, 2, 3, 4)
+    assert "domain error" not in res.stderr
+
+
+def readme_exit_codes():
+    """(exit code, label, names) of each row of the README's table of error
+    classes, the names being every CamelCase name in backquotes."""
+    rows = re.findall(r"^\| (\d) \| `([a-z ]+)` \| (.*) \|$",
+                      README.read_text(), re.MULTILINE)
+    return [(int(code), label, re.findall(r"`([A-Z]\w+)`", names))
+            for code, label, names in rows]
+
+
+def test_each_error_class_exits_as_the_readme_says():
+    rows = readme_exit_codes()
+    assert [code for code, _, _ in rows] == [2, 3, 4]
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.QresError)}
+    listed = []
+    for code, label, names in rows:
+        for name in names:
+            if name in classes:
+                assert (classes[name].exit_code, classes[name].label) == (
+                    code, label), name
+                listed.append(name)
+    assert sorted(listed) == sorted(classes)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -794,7 +852,8 @@ def _no_constant(token):
 
 def assert_contract(args):
     """Exit 0 with a report, 4 with a report and a one-line verdict, or 2
-    or 3 with a one-line error and nothing on stdout; never a traceback."""
+    or 3 with a one-line error and nothing on stdout; never a traceback.
+    Returns the finished run."""
     res = run_bounded(["-m", "qres.cli", *args])
     assert res.returncode in (0, 2, 3, 4), res.stderr
     if res.returncode in (2, 3):
@@ -809,11 +868,22 @@ def assert_contract(args):
                                        parse_constant=_no_constant), SCHEMA)
     if res.returncode == 0:
         assert res.stderr == ""
-        return
+        return res
     prefix = {2: "usage error: ", 3: "domain error: ",
               4: "not converged: "}[res.returncode]
     assert res.stderr.startswith(prefix) and res.stderr.endswith("\n")
     assert res.stderr.count("\n") == 1
+    return res
+
+
+@pytest.mark.parametrize("radial", ["z1", "z2"])
+def test_a_support_beyond_the_float_range_leaves_stderr_empty(radial):
+    # R / cos(eta) overflowed near the axis and numpy warned on stderr; the
+    # extent is inf, the unbounded support it stands for
+    res = assert_contract(["residue", "-f", "conj", "--phi22", "bump",
+                           "--radial", radial, "--R", "1e299",
+                           "--schedule", "0.5,0.5,3", "--n-xi", "8"])
+    assert res.returncode == 0 and res.stderr == ""
 
 
 # two drawn invocations of each of the ten commands

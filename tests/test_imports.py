@@ -3,8 +3,8 @@ every module-level private name is read somewhere in the package, no
 top-level function or class name is defined in two modules, every
 defaulted parameter is passed by some caller, every parameter is read by
 its function, the package and its tests import nothing beyond their
-declared dependencies, and each package __init__ exports exactly what it
-binds.
+declared dependencies, each package __init__ exports exactly what it
+binds, and refused input raises a package error, not a builtin one.
 
 An AST scan of src/qres/**/*.py: for imports, package __init__ files
 (re-exports) and names listed in a module's __all__ are exempt.  Annotations
@@ -359,3 +359,63 @@ def test_the_library_import_loads_no_cli():
                              "sys.modules if m in ('click', 'qres.cli')))"])
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+# exact division by zero raises ZeroDivisionError, as any numeric type's
+# does; every other refusal of input is a package error, which carries its
+# exit code (qres.errors)
+ZERO_DIVISION_RAISERS = {("qcore.py", "CRat.__truediv__"),
+                         ("qcore.py", "Quat.inv"),
+                         ("symfun.py", "ConjRational.__init__"),
+                         ("symfun.py", "ConjRational.divide_by_real")}
+
+
+def builtin_raises(tree, scope=()):
+    """(function, exception, line) of each raise of a builtin ValueError or
+    ZeroDivisionError, the function as its dotted name within the module
+    (Class.method)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield from builtin_raises(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (isinstance(exc, ast.Name)
+                    and exc.id in ("ValueError", "ZeroDivisionError")):
+                yield ".".join(scope), exc.id, node.lineno
+        yield from builtin_raises(node, scope)
+
+
+def raise_violations(raises):
+    """What the raise lint reports of (module, function, exception, line)
+    raises: every ValueError, a ZeroDivisionError outside the exempt
+    functions, and an exemption that no raise uses any more."""
+    bad = [f"{path}:{line} {fn} raises {name}"
+           for path, fn, name, line in raises
+           if name == "ValueError"
+           or (path, fn) not in ZERO_DIVISION_RAISERS]
+    used = {(path, fn) for path, fn, name, _ in raises
+            if name == "ZeroDivisionError"}
+    return bad + [f"{path} {fn}: unused exemption"
+                  for path, fn in sorted(ZERO_DIVISION_RAISERS - used)]
+
+
+def test_the_raise_lint_flags_a_builtin_value_error():
+    tree = ast.parse("class Quat:\n    def inv(self):\n"
+                     "        raise ZeroDivisionError('zero')\n"
+                     "    def check(self):\n"
+                     "        if self:\n            raise ValueError\n")
+    raises = [("qcore.py", *r) for r in builtin_raises(tree)]
+    assert raises == [("qcore.py", "Quat.inv", "ZeroDivisionError", 3),
+                      ("qcore.py", "Quat.check", "ValueError", 6)]
+    assert raise_violations(raises)[0] == (
+        "qcore.py:6 Quat.check raises ValueError")
+
+
+def test_refused_input_raises_a_package_error():
+    raises = [(str(path.relative_to(SRC)), *r) for path in ALL_MODULES
+              for r in builtin_raises(ast.parse(path.read_text(),
+                                                filename=str(path)))]
+    violations = raise_violations(raises)
+    assert not violations, ", ".join(violations)

@@ -13,7 +13,7 @@ from helpers import (RefPoly, rand_crat, rand_point, rand_poly, rand_quat,
 from qres.errors import PoleError
 from qres.catalogue import NAMES, builtin
 from qres.operators import _richardson_D, inverse_function, modulus_function
-from qres.parsing import parse_qfunction
+from qres.parsing import parse_qfunction, parse_rational
 from qres.qcore import CRat, Quat
 from qres import symfun
 from qres.symfun import (ConjPoly, ConjRational, QFunction, _bar_passes,
@@ -584,6 +584,19 @@ def test_a_polynomial_screens_as_its_quotient_by_one():
                                                       np.array([0j]))
     assert np.isinf(values.real).all() and np.isnan(values.imag).all()
     assert not pole.any()
+
+
+@pytest.mark.parametrize("z1, z2", [(0.5, 0.25),
+                                    (np.full(3, 0.5), np.full(3, 0.25))],
+                         ids=["scalar", "array"])
+def test_a_polynomial_and_a_rational_screen_to_one_mask_type(z1, z2):
+    # the mask of a denominator 1 at a single point was a 0-d array, while a
+    # screened denominator's was a numpy bool
+    _, poly_mask = parse_rational("z1").eval_screened(z1, z2)
+    _, rat_mask = parse_rational("z1/(1 + z1*c1)").eval_screened(z1, z2)
+    assert type(poly_mask) is type(rat_mask)
+    assert poly_mask.shape == rat_mask.shape == np.shape(z1)
+    assert not poly_mask.any() and not rat_mask.any()
 
 
 def test_a_polynomial_evaluates_as_its_quotient_by_one():
