@@ -612,7 +612,7 @@ ERROR_CASES = [
 ]
 
 
-# refusals that the library raised as a bare ValueError, by id
+# refusals the library raises as DomainError, by test id
 DOMAIN_ERROR_CASES = {
     "residue-schedule-outside-3": (
         ["residue", "-f", "conj", "--phi22", "bump", "--n-xi", "8",
@@ -883,7 +883,8 @@ def test_a_support_beyond_the_float_range_leaves_stderr_empty(radial):
     res = assert_contract(["residue", "-f", "conj", "--phi22", "bump",
                            "--radial", radial, "--R", "1e299",
                            "--schedule", "0.5,0.5,3", "--n-xi", "8"])
-    assert res.returncode == 0 and res.stderr == ""
+    # assert_contract has found stderr empty at exit 0
+    assert res.returncode == 0
 
 
 # two drawn invocations of each of the ten commands
