@@ -23,9 +23,11 @@ import click
 
 from . import __version__
 from .catalogue import NAMES, builtin, resolve
-from .currents import (EpsilonSchedule, Laurent1D, TestForm2, TestForm3,
-                       build_quadrature, bump, parse_profile, pv_1d, pv_pair,
-                       res_limit_1d, residue_pair)
+from .currents.estimate import EpsilonSchedule
+from .currents.forms import TestForm2, TestForm3, bump, parse_profile
+from .currents.oned import Laurent1D, pv_1d, res_limit_1d
+from .currents.pairings import pv_pair, residue_pair
+from .currents.quadrature import build_quadrature
 from .errors import DomainError, NotConverged, ParseError, QresError
 from .operators import (apply_D, classify, hypermero_residuals,
                         inverse_function, is_hypermeromorphic,
@@ -80,11 +82,6 @@ def _emit_csv(estimate) -> None:
     click.echo("\n".join(lines))
 
 
-def _quat_floats(q: Quat):
-    z1, z2 = complex(q.z1), complex(q.z2)
-    return [z1.real, z1.imag, z2.real, z2.imag]
-
-
 # ---------------------------------------------------------------- helpers
 
 def _resolve_function(spec: str, params: str):
@@ -136,7 +133,7 @@ def _finish_estimate(command, inputs, est, diagnostics, fmt, strict):
     if fmt == "csv":
         _emit_csv(est)
     else:
-        result = {"value": _quat_floats(est.extrapolated),
+        result = {"value": est.extrapolated.to_numeric().basis_coeffs(),
                   "converged": est.converged}
         _emit_report(command, inputs, result, diagnostics, exact=False)
     if strict and not est.converged:
@@ -244,7 +241,7 @@ def apply_d_cmd(spec, params, at_point):
         q = parse_point(at_point)
         v1 = d.d1.eval_exact(q.z1, q.z2)
         v2 = d.d2.eval_exact(q.z1, q.z2)
-        result["value"] = _quat_floats(Quat(v1, v2))
+        result["value"] = Quat(v1, v2).to_numeric().basis_coeffs()
     _emit_report("apply-d",
                  {"function": label, "params": params,
                   "at": at_point},
@@ -263,7 +260,7 @@ def inverse_cmd(spec, params, at_point):
     result = {"f1": str(inv.f1), "f2": str(inv.f2)}
     if at_point is not None:
         q = parse_point(at_point)
-        result["value"] = _quat_floats(inv.eval(q))
+        result["value"] = inv.eval(q).to_numeric().basis_coeffs()
     _emit_report("inverse",
                  {"function": label, "params": params, "at": at_point},
                  result, {}, exact=True)

@@ -95,11 +95,8 @@ class CurrentEstimate:
 
     def rows(self):
         """(epsilon, re1, im1, re_j, im_j) per rung, for tabular export."""
-        out = []
-        for eps, v in zip(self.epsilons, self.values):
-            z1, z2 = complex(v.z1), complex(v.z2)
-            out.append((eps, z1.real, z1.imag, z2.real, z2.imag))
-        return out
+        return [(eps, *v.to_numeric().basis_coeffs())
+                for eps, v in zip(self.epsilons, self.values)]
 
 
 def _extrapolate(epsilons: Sequence[float], values: Sequence[Quat],

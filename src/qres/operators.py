@@ -109,10 +109,6 @@ def inverse_function(f: QFunction) -> QFunction:
     return QFunction(f.f1.conjugate() / m, -(f.f2 / m))
 
 
-def product(f: QFunction, g: QFunction) -> QFunction:
-    return f * g
-
-
 def _j_times(g: QFunction) -> QFunction:
     """Left multiplication by the constant j."""
     return QFunction(-g.f2.conjugate(), g.f1.conjugate())

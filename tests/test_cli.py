@@ -626,10 +626,47 @@ DOMAIN_ERROR_CASES = {
 }
 
 
+# refusals of malformed test forms, points and function specs, by test id
+USAGE_ERROR_CASES = {
+    "residue-zero-test-form-2": (
+        ["residue", "-f", "conj"], 2,
+        "usage error: all test-form coefficients are zero"),
+    "pv-zero-test-form-2": (
+        ["pv", "-f", "conj"], 2,
+        "usage error: all test-form coefficients are zero"),
+    "residue-bad-profile-2": (
+        ["residue", "-f", "conj", "--phi22", "z1"], 2,
+        "usage error: expected '0', 'bump', or 'POLY*bump'"),
+    "oracle-1d-bad-principal-2": (
+        ["oracle-1d", "--principal", "1,x"], 2,
+        "usage error: bad complex number 'x'"),
+    "classify-prop34-one-parameter-2": (
+        ["classify", "-f", "prop34", "--params", "1"], 2,
+        "usage error: prop34 needs exactly two real parameters A, B"),
+    "classify-prop34-expression-2": (
+        ["classify", "-f", "prop34:z1"], 2,
+        "usage error: prop34 takes numeric parameters, not an expression"),
+    "classify-holo-parameters-2": (
+        ["classify", "-f", "holo:z1", "--params", "1"], 2,
+        "usage error: holo takes a polynomial expression, not numeric "
+        "parameters"),
+    "classify-trailing-point-2": (
+        ["classify", "-f", "1."], 2, "usage error: trailing decimal point"),
+    "classify-bad-character-2": (
+        ["classify", "-f", "z1$"], 2,
+        "usage error: unexpected character '$'"),
+    "classify-unclosed-parenthesis-2": (
+        ["classify", "-f", "(z1"], 2,
+        "usage error: unexpected 'end of input' at position 3 "
+        "(expected ')')"),
+}
+
+
 @pytest.mark.parametrize("args, code, prefix",
-                         ERROR_CASES + list(DOMAIN_ERROR_CASES.values()),
+                         ERROR_CASES + list(DOMAIN_ERROR_CASES.values())
+                         + list(USAGE_ERROR_CASES.values()),
                          ids=[f"{a[0]}-{c}" for a, c, _ in ERROR_CASES]
-                         + list(DOMAIN_ERROR_CASES))
+                         + list(DOMAIN_ERROR_CASES) + list(USAGE_ERROR_CASES))
 def test_every_subcommand_maps_errors_to_exit_codes(args, code, prefix):
     res = invoke(args)
     assert res.exit_code == code

@@ -32,7 +32,7 @@ from qres.currents.quadrature import (MAX_RAYS, QuadratureRule,
                                       build_quadrature, graded_eta_panels,
                                       phase_grid, pv_rays, require_rays,
                                       residue_rays)
-from qres.errors import IdenticallyZero, RuleTooLarge, TooCoarse
+from qres.errors import DomainError, IdenticallyZero, RuleTooLarge, TooCoarse
 from qres.operators import modulus_function
 from qres.parsing import parse_poly, parse_qfunction
 from qres.qcore import Quat
@@ -1831,6 +1831,24 @@ def test_oversized_rules_are_refused_by_their_ray_count():
     with pytest.raises(RuleTooLarge, match="chart rays"):
         pv_pair(Z1_FN, TestForm3(psi1=Profile.bump_only(1.0)),
                 rule=oversized_pv_rule())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Profile(ConjPoly.one(), 1.0, "r"), "^unknown radial kind 'r'$"),
+    (lambda: Profile(ConjPoly.one(), 0.0),
+     "^support radius must be positive$"),
+    (lambda: TestForm2().support_radius,
+     "^test form has no nonzero coefficient$"),
+    (lambda: quadrature.geometric_edges(1.0, 1.0, 0.1), "^empty interval$"),
+    (lambda: finalize((0.1, 0.2), (Quat(1j, 0j),)),
+     "^epsilons and values must align$"),
+    (lambda: finalize((), ()), "^no values to finalize$"),
+], ids=["profile-radial", "profile-radius", "form-support", "edges",
+        "finalize-align", "finalize-empty"])
+def test_malformed_forms_intervals_and_estimates_are_domain_errors(
+        call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_ray_cap_admits_the_rules_in_use():

@@ -6,9 +6,10 @@ its function, the package and its tests import nothing beyond their
 declared dependencies, each package __init__ exports exactly what it
 binds, and refused input raises a package error, not a builtin one.
 
-An AST scan of src/qres/**/*.py: for imports, package __init__ files
-(re-exports) and names listed in a module's __all__ are exempt.  Annotations
-count as reads, including quoted ones.
+An AST scan of src/qres/**/*.py, package __init__ files included: an
+import that only a module's __all__ lists counts as unused, so a package
+cannot grow a re-export layer back.  Annotations count as reads, including
+quoted ones.
 """
 import ast
 import importlib
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qres"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.rglob("*.py"))
 
 
 def imported_names(tree):
@@ -62,18 +63,28 @@ def exported_names(tree):
 
 
 def test_the_scan_sees_the_package():
-    assert len(MODULES) > 10
+    assert len(ALL_MODULES) > 10
 
 
-@pytest.mark.parametrize("path", MODULES,
-                         ids=[str(p.relative_to(SRC)) for p in MODULES])
-def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    unused = (set(imported_names(tree)) - read_names(tree)
-              - exported_names(tree))
+def unused_imports(tree):
+    """name (line) of each import the module never reads; a listing in
+    __all__ is not a read."""
     lines = imported_names(tree)
-    assert not unused, ", ".join(f"{name} (line {lines[name]})"
-                                 for name in sorted(unused))
+    return [f"{name} (line {lines[name]})"
+            for name in sorted(set(lines) - read_names(tree))]
+
+
+def test_the_import_lint_flags_a_re_export():
+    tree = ast.parse('from .symfun import QFunction\n'
+                     '__all__ = ["QFunction"]\n')
+    assert unused_imports(tree) == ["QFunction (line 1)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in ALL_MODULES])
+def test_no_unused_imports(path):
+    unused = unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, ", ".join(unused)
 
 
 def private_definitions(tree):
@@ -107,9 +118,6 @@ def package_reads(stmt):
         elif isinstance(node, ast.ImportFrom):
             names |= {alias.name for alias in node.names}
     return names
-
-
-ALL_MODULES = sorted(SRC.rglob("*.py"))
 
 
 def test_private_names_are_read_in_the_package():
@@ -350,13 +358,14 @@ def test_imports_stay_within_the_declared_dependencies(root, allowed):
 
 
 def test_the_library_import_loads_no_cli():
-    """import qres stays free of the command line: neither click nor
-    qres.cli is loaded, so library users and the benchmark's set-up do not
-    pay for them."""
+    """import qres loads the package alone: neither click, numpy nor any
+    qres module, the command line included, so a library user pays only
+    for the modules they import."""
     from helpers import run_bounded
 
     run = run_bounded(["-c", "import sys, qres; print(sorted(m for m in "
-                             "sys.modules if m in ('click', 'qres.cli')))"])
+                             "sys.modules if m in ('click', 'numpy') "
+                             "or m.startswith('qres.')))"])
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
 

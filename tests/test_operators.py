@@ -23,8 +23,7 @@ from qres.operators import (_SAMPLE_SEED, _inverse_bar_partials,
                             corollary_product_rule_residual,
                             hypermero_residuals, inverse_function,
                             is_hyperholomorphic, is_hypermeromorphic,
-                            modulus_function, product,
-                            product_compat_residuals,
+                            modulus_function, product_compat_residuals,
                             real_product_compat_residuals, scale_real)
 from qres.parsing import parse_poly, parse_qfunction, parse_rational
 from qres.qcore import CRat, Quat
@@ -129,14 +128,14 @@ def test_modulus_function_is_squared_norm_pointwise():
 def test_product_closed_form_from_the_conjugate_pairs():
     f = parse_qfunction("z1 ; c2")
     g = parse_qfunction("c1 ; 0 - c2")
-    p = product(f, g)
+    p = f * g
     assert (p.f1 - parse_rational("z1*c1 + z2*c2")).is_zero
     assert p.f2.is_zero
 
 
 def test_product_of_j_with_itself():
     j = QFunction.const(Quat(CRat(0), CRat(1)))
-    p = product(j, j)
+    p = j * j
     assert (p.f1 - parse_rational("-1")).is_zero
     assert p.f2.is_zero
 
@@ -147,7 +146,7 @@ def test_product_evaluation_homomorphism_exact():
         f = hyperholomorphic_sample(rng)
         g = hyperholomorphic_sample(rng)
         q = rand_quat(rng, 2)
-        assert product(f, g).eval(q) == f.eval(q) * g.eval(q)
+        assert (f * g).eval(q) == f.eval(q) * g.eval(q)
 
 
 def test_product_rule_residual_zero_for_hyperholomorphic_pairs():
@@ -272,7 +271,7 @@ def test_product_compat_residuals_on_affine_pair():
     assert (r2 - parse_rational("4*z1 + 4*c1 - 10")).is_zero
     # the conditions are sufficient, not necessary: this product is
     # hypermeromorphic even though they fail
-    e3, e4 = hypermero_residuals(product(f, g))
+    e3, e4 = hypermero_residuals(f * g)
     assert e3.is_zero and e4.is_zero
 
 
