@@ -600,7 +600,13 @@ def _ladder(f: QFunction, form, schedule, rays
     """The ladder of a pairing of 1/f against the form (by default
     EpsilonSchedule.for_radius of its support) and that support, once the
     form is not zero, the ladder starts inside the support, the
-    rays(ladder, support) chart rays fit require_rays and f is not zero."""
+    rays(ladder, support) chart rays fit require_rays and f is not zero.
+
+    Both pairings refuse in this one order, form, ladder, mesh, f, so a
+    ladder that starts outside the support (exit 3) wins over a mesh past
+    MAX_RAYS (exit 2).  The CLI's pv is the one exception: it builds its
+    rule (build_quadrature) before calling pv_pair, so there the mesh is
+    refused first."""
     if form.is_zero:
         raise DomainError("test form is identically zero")
     support = form.support_radius

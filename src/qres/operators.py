@@ -228,7 +228,7 @@ def scale_real(f: QFunction, alpha) -> QFunction:
     if not isinstance(alpha, (int, Fraction)):
         raise TypeError("scale factor must be real")
     a = CRat(alpha)
-    return QFunction(a * f.f1, a * f.f2)
+    return QFunction(f.f1 * a, f.f2 * a)
 
 
 @dataclass(frozen=True)

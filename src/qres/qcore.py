@@ -5,6 +5,10 @@ structural rule is ``j*w = conj(w)*j`` for complex ``w``.  Products,
 conjugates and inverses all follow from it.  Components live on one of two
 paths: exact complex rationals (:class:`CRat`) or machine ``complex``; an
 exact quaternion meeting a float one demotes both to floats.
+
+Operand rule: a :class:`Quat` operator takes a Quat on the right and nothing
+else, so ``q + 1`` and ``2 * q`` raise TypeError.  CRat alone mixes with int
+and Fraction on either side.
 """
 
 from __future__ import annotations
@@ -53,9 +57,6 @@ class CRat:
 
     def __neg__(self) -> "CRat":
         return CRat(-self.re, -self.im)
-
-    def __pos__(self) -> "CRat":
-        return self
 
     def __add__(self, other):
         o = _crat_coerce(other)
@@ -156,7 +157,10 @@ def _as_component(x) -> Component:
 
 @dataclass(frozen=True, slots=True)
 class Quat:
-    """Quaternion ``z1 + z2*j`` over exact or float complex components."""
+    """Quaternion ``z1 + z2*j`` over exact or float complex components.
+
+    ``+ - * /`` take a Quat on the right only; there are no reflected
+    operators, so a scalar must be made a Quat first."""
 
     z1: Component
     z2: Component
@@ -226,61 +230,33 @@ class Quat:
         return Quat(-self.z1, -self.z2)
 
     def __add__(self, other):
-        o = _as_quat(other)
-        if o is None:
+        if not isinstance(other, Quat):
             return NotImplemented
-        a, b = _join(self, o)
+        a, b = _join(self, other)
         return Quat(a.z1 + b.z1, a.z2 + b.z2)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        o = _as_quat(other)
-        if o is None:
+        if not isinstance(other, Quat):
             return NotImplemented
-        a, b = _join(self, o)
+        a, b = _join(self, other)
         return Quat(a.z1 - b.z1, a.z2 - b.z2)
 
-    def __rsub__(self, other):
-        o = _as_quat(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
-        o = _as_quat(other)
-        if o is None:
+        if not isinstance(other, Quat):
             return NotImplemented
-        a, b = _join(self, o)
+        a, b = _join(self, other)
         # (z1 + z2 j)(w1 + w2 j) with j w = conj(w) j:
         return Quat(a.z1 * b.z1 - a.z2 * b.z2.conjugate(),
                     a.z1 * b.z2 + a.z2 * b.z1.conjugate())
 
-    def __rmul__(self, other):
-        o = _as_quat(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
     def __truediv__(self, other):
         """Right division: q / p means q * p.inv()."""
-        o = _as_quat(other)
-        if o is None:
+        if not isinstance(other, Quat):
             return NotImplemented
-        return self * o.inv()
+        return self * other.inv()
 
     def __str__(self) -> str:
         return f"({self.z1}) + ({self.z2})j"
-
-
-def _as_quat(x):
-    if isinstance(x, Quat):
-        return x
-    if isinstance(x, (int, Fraction, CRat)):
-        return Quat(x, CRAT_ZERO)
-    if isinstance(x, (float, complex)):
-        return Quat(complex(x), 0j)
-    return None
 
 
 def _join(a: Quat, b: Quat):

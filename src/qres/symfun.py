@@ -21,6 +21,11 @@ once and shared by f1, f2 and their denominators (and by the ray tables of
 the pairings), so the values are those of taking each power afresh, bit for
 bit.  A sum, product or derivative with a zero operand returns at once,
 with the _num, _den and key order the general path gives.
+
+Operand rule: none of these classes defines a reflected operator, so a
+scalar goes on the right (``p * 3``, not ``3 * p``).  There ConjPoly takes
+a ConjPoly, CRat, int or Fraction, ConjRational those and a ConjRational,
+and QFunction a QFunction only; anything else raises TypeError.
 """
 
 from __future__ import annotations
@@ -112,6 +117,8 @@ class ConjPoly:
     every evaluation.  A sum or product appends keys in the order its
     running sum first meets them, and drops a key whose running sum cancels
     (a later term appends it again).
+
+    ``+ - *`` take a ConjPoly, CRat, int or Fraction on the right only.
     """
 
     __slots__ = ("_num", "_den", "_terms")
@@ -269,8 +276,6 @@ class ConjPoly:
             return NotImplemented
         return self._plus(o, 1)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "ConjPoly":
         return ConjPoly._from_parts(
             {k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
@@ -280,12 +285,6 @@ class ConjPoly:
         if o is None:
             return NotImplemented
         return self._plus(o, -1)
-
-    def __rsub__(self, other):
-        o = _poly_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o._plus(self, -1)
 
     def __mul__(self, other):
         o = other if type(other) is ConjPoly else _poly_coerce(other)
@@ -310,8 +309,6 @@ class ConjPoly:
                         continue
                 out[key] = (re, im)
         return ConjPoly._reduced(out, self._den * o._den)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ConjPoly":
         if not isinstance(n, int) or n < 0:
@@ -452,8 +449,6 @@ _ONE = ConjPoly.one()
 
 
 def _poly_coerce(x):
-    if isinstance(x, ConjPoly):
-        return x
     if isinstance(x, (int, Fraction, CRat)):
         return ConjPoly.const(x)
     return None
@@ -477,6 +472,9 @@ class ConjRational:
     comparisons of two such operands work on the numerators alone: the
     general path would multiply 1 by 1, find 1 real and find no content to
     strip, which leaves the same numerator over the same 1.
+
+    ``+ - * /`` and ``==`` take a ConjRational, ConjPoly, CRat, int or
+    Fraction on the right only; ``/`` divides by a real-valued one.
     """
 
     __slots__ = ("num", "den")
@@ -558,8 +556,6 @@ class ConjRational:
             return ConjRational.zero()
         return ConjRational._over_real(n, _times(self.den, o.den))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = other if type(other) is ConjRational else _rat_coerce(other)
         if o is None:
@@ -572,12 +568,6 @@ class ConjRational:
             return ConjRational._from_parts(self.num - o.num, _ONE)
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = _rat_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = other if type(other) is ConjRational else _rat_coerce(other)
         if o is None:
@@ -588,8 +578,6 @@ class ConjRational:
             return ConjRational._from_parts(self.num * o.num, _ONE)
         return ConjRational._over_real(self.num * o.num,
                                        _times(self.den, o.den))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = other if type(other) is ConjRational else _rat_coerce(other)
@@ -688,8 +676,6 @@ def _strip_content(num: ConjPoly, den: ConjPoly) -> Tuple[ConjPoly, ConjPoly]:
 
 
 def _rat_coerce(x):
-    if isinstance(x, ConjRational):
-        return x
     if isinstance(x, ConjPoly):
         return ConjRational(x)
     if isinstance(x, (int, Fraction, CRat)):
@@ -700,7 +686,9 @@ def _rat_coerce(x):
 @dataclass(frozen=True)
 class QFunction:
     """Quaternion-valued function in component form f = f1 + f2*j; on
-    floats, eval and eval_screened screen for poles, eval_numeric does not."""
+    floats, eval and eval_screened screen for poles, eval_numeric does not.
+    ``+ - *`` take a QFunction on the right only: a constant or a component
+    is made a QFunction first (QFunction.const, QFunction.from_polys)."""
 
     f1: ConjRational
     f2: ConjRational
@@ -730,38 +718,21 @@ class QFunction:
         return QFunction(-self.f1, -self.f2)
 
     def __add__(self, other):
-        o = _qf_coerce(other)
-        if o is None:
+        if not isinstance(other, QFunction):
             return NotImplemented
-        return QFunction(self.f1 + o.f1, self.f2 + o.f2)
-
-    __radd__ = __add__
+        return QFunction(self.f1 + other.f1, self.f2 + other.f2)
 
     def __sub__(self, other):
-        o = _qf_coerce(other)
-        if o is None:
+        if not isinstance(other, QFunction):
             return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _qf_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self + (-other)
 
     def __mul__(self, other):
-        o = _qf_coerce(other)
-        if o is None:
+        if not isinstance(other, QFunction):
             return NotImplemented
         # pointwise quaternion product in components
-        return QFunction(self.f1 * o.f1 - self.f2 * o.f2.conjugate(),
-                         self.f1 * o.f2 + self.f2 * o.f1.conjugate())
-
-    def __rmul__(self, other):
-        o = _qf_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
+        return QFunction(self.f1 * other.f1 - self.f2 * other.f2.conjugate(),
+                         self.f1 * other.f2 + self.f2 * other.f1.conjugate())
 
     def eval(self, q: Quat) -> Quat:
         if q.is_exact:
@@ -816,21 +787,6 @@ def _quotients(Z1, Z2, rationals, screen: bool):
         if screen:
             pole = mask if pole is None else pole | mask
     return (*out, pole) if screen else tuple(out)
-
-
-def _qf_coerce(x):
-    if isinstance(x, QFunction):
-        return x
-    if isinstance(x, Quat):
-        if not x.is_exact:
-            return None
-        return QFunction.const(x)
-    if isinstance(x, (int, Fraction, CRat)):
-        return QFunction(ConjRational.const(x), ConjRational.zero())
-    if isinstance(x, (ConjPoly, ConjRational)):
-        r = _rat_coerce(x)
-        return QFunction(r, ConjRational.zero())
-    return None
 
 
 # -- vanishing orders ------------------------------------------------------

@@ -449,6 +449,15 @@ def test_version_prints_one_line_from_a_source_tree():
     assert res.stderr == ""
 
 
+def test_no_arguments_print_the_help_to_stderr():
+    # click's no-arguments help passes through the one-line error boundary
+    res = run_bounded(["-m", "qres.cli"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("Usage:")
+    assert "Commands:" in res.stderr
+
+
 @pytest.mark.parametrize("args, code", [
     (["residue", "-f", "conj", "--phi22", "bump",
       "--schedule", "0.3,1e-200,3"], 2),

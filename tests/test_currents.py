@@ -555,6 +555,28 @@ def test_level_sets_of_whole_rays_are_not_converged():
                               "|f|", note)
 
 
+def test_dropped_nodes_are_noted_but_leave_convergence(monkeypatch):
+    # one node per rung reported not transverse: the note counts it in rays
+    # of the n_xi rule (64 per ray of conj's one-phase mesh), and the
+    # rungs and the verdict stay as they are
+    phi = TestForm2(phi22=Profile.bump_only(1.0))
+    schedule = EpsilonSchedule(0.4, 0.7, 6)
+    clean = residue_pair(builtin("conj").f, phi, n_xi=8, schedule=schedule)
+    rung = pairings._residue_rung
+
+    def one_more_dropped(density, lam):
+        value, dropped = rung(density, lam)
+        return value, dropped + 1
+
+    monkeypatch.setattr(pairings, "_residue_rung", one_more_dropped)
+    est = residue_pair(builtin("conj").f, phi, n_xi=8, schedule=schedule)
+    assert est.notes == ("384 level-set nodes were not transverse to the "
+                         "radial rays and were dropped",)
+    assert clean.notes == ()
+    assert est.values == clean.values
+    assert est.converged and clean.converged
+
+
 LADDER_SOLVE_CASES = {
     "z1 ; 0": Z1_FN, "conj": builtin("conj").f,
     # degree 0: |f| is constant along every ray

@@ -4,7 +4,8 @@ top-level function or class name is defined in two modules, every
 defaulted parameter is passed by some caller, every parameter is read by
 its function, the package and its tests import nothing beyond their
 declared dependencies, each package __init__ exports exactly what it
-binds, and refused input raises a package error, not a builtin one.
+binds, refused input raises a package error, not a builtin one, and no
+class but CRat defines a reflected operator.
 
 An AST scan of src/qres/**/*.py, package __init__ files included: an
 import that only a module's __all__ lists counts as unused, so a package
@@ -428,3 +429,52 @@ def test_refused_input_raises_a_package_error():
                                                 filename=str(path)))]
     violations = raise_violations(raises)
     assert not violations, ", ".join(violations)
+
+
+REFLECTED_OPERATORS = frozenset(("__radd__", "__rsub__", "__rmul__",
+                                 "__rtruediv__"))
+# perfbench/spans.py wraps CRat's reflected operators by name (CRAT_OPS),
+# so CRat keeps them; every other class takes its scalars on the right
+REFLECTED_EXEMPT = {("qcore.py", "CRat")}
+
+
+def reflected_operators(tree):
+    """(class, operator, line) of each reflected operator that a class
+    body defines or binds, or that an assignment sets as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                else:
+                    names = top_level_definitions(item)
+                yield from ((node.name, n, item.lineno) for n in names
+                            if n in REFLECTED_OPERATORS)
+        elif isinstance(node, ast.Assign):
+            for t in node.targets:
+                if (isinstance(t, ast.Attribute)
+                        and t.attr in REFLECTED_OPERATORS
+                        and isinstance(t.value, ast.Name)):
+                    yield t.value.id, t.attr, node.lineno
+
+
+def test_the_operator_lint_flags_an_alias_and_an_attribute():
+    tree = ast.parse("class A:\n    def f(self, o): ...\n    __radd__ = f\n"
+                     "A.__rmul__ = A.f\n")
+    assert sorted(reflected_operators(tree)) == [("A", "__radd__", 3),
+                                                 ("A", "__rmul__", 4)]
+
+
+def test_no_class_but_crat_defines_a_reflected_operator():
+    """Quat, ConjPoly, ConjRational and QFunction take a scalar on the
+    right only (p * 3), so 3 * p raises TypeError; a reflected operator
+    that no caller reaches would grow the coercion layer back.  The
+    exemption must still be needed."""
+    found = [(str(path.relative_to(SRC)), cls, name)
+             for path in ALL_MODULES
+             for cls, name, _ in reflected_operators(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    outside = [f"{path} {cls}.{name}" for path, cls, name in found
+               if (path, cls) not in REFLECTED_EXEMPT]
+    assert not outside, ", ".join(outside)
+    assert {(path, cls) for path, cls, _ in found} == REFLECTED_EXEMPT

@@ -14,7 +14,9 @@ from helpers import (hyperholomorphic_sample, rand_point, rand_poly,
                      seeded)
 from qres import operators
 from qres.catalogue import NAMES, builtin
-from qres.errors import IdenticallyZero, NotHyperholomorphic, PoleError
+from qres.currents.estimate import finalize
+from qres.errors import (DomainError, IdenticallyZero, NotHyperholomorphic,
+                         PoleError)
 from qres.operators import (_SAMPLE_SEED, _inverse_bar_partials,
                             _inverse_values, _norms, _pass_gap,
                             _richardson_D, _sample_points, _worst_ratio,
@@ -28,7 +30,7 @@ from qres.operators import (_SAMPLE_SEED, _inverse_bar_partials,
 from qres.parsing import parse_poly, parse_qfunction, parse_rational
 from qres.qcore import CRat, Quat
 from qres.symfun import (ConjPoly, ConjRational, QFunction, _bar_passes,
-                         _jet_stencil)
+                         _jet_stencil, vanishing_order_pair)
 
 
 def test_operator_annihilates_the_conjugate_pair():
@@ -310,6 +312,80 @@ def test_scale_real_accepts_floats_with_exact_effect():
     q = Quat(CRat(2), CRat(4))
     v = h.eval(q)
     assert v == Quat(CRat(1), CRat(2))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_scale_real_multiplies_each_numerator_by_the_constant(name):
+    # a * f is f1 * a + (f2 * a) j for real a: each numerator times the
+    # constant polynomial, in its key order, over the same denominator
+    f = builtin(name).f
+    q = Quat(CRat(Fraction(1, 2), 1), CRat(-1, Fraction(1, 3)))
+    for alpha in (3, -1, Fraction(-1, 2), Fraction(7, 5), 0.5):
+        a = Fraction(alpha)
+        h = scale_real(f, alpha)
+        for got, r in ((h.f1, f.f1), (h.f2, f.f2)):
+            want = r.num * ConjPoly.const(a)
+            assert (got.num._num, got.num._den) == (want._num, want._den)
+            assert list(got.num._num) == list(want._num)
+            assert (got.den._num, got.den._den) == (r.den._num, r.den._den)
+            assert str(got) == str(ConjRational._from_parts(want, r.den))
+        assert h.eval(q) == f.eval(q) * Quat(CRat(a), CRat(0))
+
+
+# (call, exception, message) of each library refusal
+REFUSALS = {
+    "const-float": (lambda: QFunction.const(Quat(1.0, 0.0)), TypeError,
+                    "constant functions need exact components"),
+    "product-rule-second": (
+        lambda: check_product_rule(builtin("conj").f, builtin("F").f),
+        NotHyperholomorphic, "second factor is not hyperholomorphic"),
+    "scale-complex": (lambda: scale_real(builtin("conj").f, 1j), TypeError,
+                      "scale factor must be real"),
+    "prop34-str": (lambda: builtin("prop34", ("a", 1)), TypeError,
+                   "parameters must be real numbers"),
+    "order-float-point": (
+        lambda: vanishing_order_pair(builtin("conj").f, Quat(1.0, 0.0)),
+        TypeError, "vanishing order needs an exact point"),
+    "divide-by-complex": (
+        lambda: parse_rational("z1").divide_by_real(parse_rational("z1")),
+        DomainError, "can only divide by a real-valued function"),
+    "divide-by-zero": (
+        lambda: parse_rational("z1").divide_by_real(ConjRational.zero()),
+        ZeroDivisionError, "division by the zero function"),
+    "float-coefficient": (lambda: ConjPoly({(1, 0, 0, 0): 0.5}), TypeError,
+                          "expected an exact coefficient, got float"),
+    "inverse-of-zero": (lambda: Quat(0j, 0j).inv(), ZeroDivisionError,
+                        "zero quaternion has no inverse"),
+    "str-component": (lambda: Quat("x", 0), TypeError,
+                      "cannot use str as a quaternion component"),
+}
+
+# (call, value) of each fallback
+FALLBACKS = {
+    "prop34-floats": (lambda: builtin("prop34", (0.5, 0.25)).zero_set,
+                      "the real 2-plane x1 = -1/16, x2 = -3/16"),
+    "order-of-zero": (lambda: ConjPoly.zero().min_total_degree(), math.inf),
+    "float-inverse": (lambda: str(Quat(1j, 0j).inv()), "(-1j) + (-0j)j"),
+    "mixed-components": (lambda: Quat(1, 0.5), Quat(1 + 0j, 0.5 + 0j)),
+    "float-basis": (lambda: Quat.from_basis(0.5, 0, 0, 0), Quat(0.5 + 0j, 0j)),
+    "two-rungs": (lambda: finalize((0.2, 0.1), (Quat(1j, 0j), Quat(2j, 0j))
+                                   ).extrapolated, Quat(2j, 0j)),
+}
+
+
+@pytest.mark.parametrize("case", [*REFUSALS, *FALLBACKS])
+def test_library_refusals_and_fallbacks(case):
+    if case in REFUSALS:
+        call, exc, message = REFUSALS[case]
+        with pytest.raises(exc) as info:
+            call()
+        assert str(info.value) == message
+    else:
+        call, want = FALLBACKS[case]
+        got = call()
+        assert got == want
+        # a float value stays on the float path
+        assert not getattr(got, "is_exact", False)
 
 
 def test_classification_of_catalogue_entries():
@@ -756,7 +832,6 @@ def test_classify_multiplies_no_two_unit_denominators(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(ConjPoly, "__mul__", spy)
-    monkeypatch.setattr(ConjPoly, "__rmul__", spy)
     for f, g in pairs:
         assert check_product_rule(f, g).is_zero
     for name in ("conj", "F", "prop34", "holo", "q_conj"):

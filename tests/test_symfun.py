@@ -749,3 +749,39 @@ def test_rational_results_prove_no_product_denominator_real(monkeypatch):
     assert checked == [str((b * b.conjugate()).num)]
     with pytest.raises(ValueError):
         ConjRational(Z1, Z1 + 1)
+
+
+# operands of the operand rule: a ConjPoly, a ConjRational, a QFunction
+# and a Quat
+P = Z1 * C2 + 1
+R = ConjRational(Z1, Z1 * C1 + 1)
+F = parse_qfunction("z1 ; c2")
+Q = Quat(CRat(1, 2), CRat(-1))
+
+
+@pytest.mark.parametrize("form", [
+    lambda: 3 * P, lambda: 1 - P, lambda: CRat(2) * R, lambda: 1 - F,
+    lambda: F * 2, lambda: F + P, lambda: Q + 1, lambda: 2 * Q,
+    lambda: sum([F, F])],
+    ids=["3*p", "1-p", "CRat(2)*r", "1-f", "f*2", "f+p", "q+1", "2*q",
+         "sum([f,f])"])
+def test_a_scalar_on_the_left_or_a_foreign_operand_is_refused(form):
+    # no class of the exact algebra but CRat defines a reflected operator
+    with pytest.raises(TypeError):
+        form()
+
+
+def test_scalars_on_the_right_still_coerce():
+    assert P * 3 == P + P + P
+    assert P - CRat(1) == Z1 * C2
+    assert R * P == R * ConjRational(P)
+    assert R * CRat(2) == R + R
+    assert (F * F).f1 == F.f1 * F.f1 - F.f2 * F.f2.conjugate()
+    # (1 + 2i - j)^2 = (1 + 2i)^2 - 1 + ((1 + 2i)(-1) - (1 - 2i)) j
+    assert Q * Q == Quat(CRat(-4, 4), CRat(-2))
+    c = CRat(1, 2)
+    assert [c + 1, 1 + c, c - 1, 1 - c] == [CRat(2, 2), CRat(2, 2),
+                                            CRat(0, 2), CRat(0, -2)]
+    assert [c * 2, 2 * c, c / 2, 2 / c] == [
+        CRat(2, 4), CRat(2, 4), CRat(Fraction(1, 2), 1),
+        CRat(Fraction(2, 5), Fraction(-4, 5))]
