@@ -9,6 +9,9 @@ hypotheses not met), 4 not-converged under --strict.  The package's error
 classes carry their code and label (qres.errors), and _one_line_usage
 reports those and click's usage errors only; any other exception is a bug
 and ends in its traceback.
+
+The numeric pairings (qres.currents) are imported by the commands that run
+them, so the exact commands start without loading them.
 """
 
 from __future__ import annotations
@@ -23,11 +26,6 @@ import click
 
 from . import __version__
 from .catalogue import NAMES, builtin, resolve
-from .currents.estimate import EpsilonSchedule
-from .currents.forms import TestForm2, TestForm3, bump, parse_profile
-from .currents.oned import Laurent1D, pv_1d, res_limit_1d
-from .currents.pairings import pv_pair, residue_pair
-from .currents.quadrature import build_quadrature
 from .errors import DomainError, NotConverged, ParseError, QresError
 from .operators import (apply_D, classify, hypermero_residuals,
                         inverse_function, is_hypermeromorphic,
@@ -97,7 +95,8 @@ def _resolve_function(spec: str, params: str):
     return resolve(spec, tuple(values))
 
 
-def _parse_schedule(text: str, support: float) -> EpsilonSchedule:
+def _parse_schedule(text: str, support: float):
+    from .currents.estimate import EpsilonSchedule
     if text == "default":
         return EpsilonSchedule.for_radius(support)
     parts = text.split(",")
@@ -118,7 +117,7 @@ def _rule(est, **sizes) -> dict:
             "phases": "averaged" if est.phases_averaged else "trapezoid"}
 
 
-def _estimate_diagnostics(est, schedule: EpsilonSchedule) -> dict:
+def _estimate_diagnostics(est, schedule) -> dict:
     return {
         "table": [list(r) for r in est.rows()],
         "diff_ratios": list(est.diff_ratios),
@@ -342,6 +341,8 @@ def product_compat_cmd(spec_f, spec_g, params_f, params_g, real_form):
 def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
                 schedule, no_mirror, n_xi, fmt, strict):
     """Residue pairing of f against a 2-form test datum."""
+    from .currents.forms import TestForm2, parse_profile
+    from .currents.pairings import residue_pair
     f, label = _resolve_function(spec, params)
     phi = TestForm2(*(parse_profile(t, radius, radial)
                       for t in (phi11, phi12, phi21, phi22)))
@@ -379,6 +380,9 @@ def residue_cmd(spec, params, phi11, phi12, phi21, phi22, radius, radial,
 def pv_cmd(spec, params, psi1, psi2, radius, schedule, region, part, n_eta,
            n_xi, fmt, strict):
     """Principal-value pairing of 1/f against a 3-form test datum."""
+    from .currents.forms import TestForm3, parse_profile
+    from .currents.pairings import pv_pair
+    from .currents.quadrature import build_quadrature
     f, label = _resolve_function(spec, params)
     psi = TestForm3(*(parse_profile(t, radius, "q")
                       for t in (psi1, psi2)))
@@ -427,6 +431,9 @@ def oracle_1d_cmd(principal, tail, kind, power, radius, schedule, n_theta,
                   fmt, strict):
     """One-complex-variable reference pairings for a Laurent function."""
     import numpy as np
+    from .currents.estimate import EpsilonSchedule
+    from .currents.forms import bump
+    from .currents.oned import Laurent1D, pv_1d, res_limit_1d
     g = Laurent1D(_parse_complex_list(principal),
                   _parse_complex_list(tail))
     if power < 0:

@@ -106,11 +106,11 @@ def pv_1d(g, psi0: Callable[[np.ndarray], np.ndarray], R: float,
     if not schedule.eps0 < R:
         raise DomainError("schedule starts outside the support radius")
     eps_list = schedule.values()
-    panels = len(geometric_edges(eps_list[-1], R, eps_list[-1])) - 1
+    panels = len(geometric_edges(eps_list[-1], R)) - 1
     phase = _unit_circle(n_theta, n_theta * panels * n_r)
     values = []
     for eps in eps_list:
-        edges = geometric_edges(eps, R, eps)
+        edges = geometric_edges(eps, R)
         r, wr = gauss_panels(edges, n_r)
         z = r[:, None] * phase[None, :]
         with np.errstate(all="ignore"):

@@ -132,8 +132,7 @@ import numpy as np
 from ..errors import DomainError, IdenticallyZero, PoleOnDomain, TooCoarse
 from ..operators import modulus_function
 from ..qcore import Quat
-from ..symfun import (POLE_RTOL, ConjPoly, ConjRational, QFunction,
-                      _PointTable)
+from ..symfun import POLE_RTOL, ConjRational, QFunction, _PointTable
 from .chart import ORIENTATION_3FORM, ORIENTATION_4FORM, sphere_to_complex
 from .estimate import CurrentEstimate, EpsilonSchedule, finalize
 from .forms import Profile, TestForm2, TestForm3, bump
@@ -281,7 +280,7 @@ class _RayFunction(NamedTuple):
         return self._replace(items=self.items + tuple(
             None if r.is_zero else
             _RayRational(table(r.num),
-                         None if r.den == ConjPoly.one() else
+                         None if r.is_polynomial else
                          _real(table(r.den)))
             for r in rationals))
 
@@ -868,11 +867,9 @@ def _pv_radial(density: _PvDensity, nodes: _Nodes, n_seg: int,
 
 
 def _power(lam, p: int):
-    """lam^p by multiplication: pow per node, as lam ** p takes on per-ray
-    radii, costs several times more."""
-    if p < 0:
-        return 1.0 / _power(lam, -p)
-    out = np.ones(np.shape(lam)) if p == 0 else lam
+    """lam^p for p >= 1 by multiplication: pow per node, as lam ** p takes
+    on per-ray radii, costs several times more."""
+    out = lam
     for _ in range(p - 1):
         out = out * lam
     return out
@@ -890,19 +887,17 @@ class _RaySplit:
     bumps holds, per distinct R, the triple (R, p_lo, alpha): alpha[i] is
     the pair (scalar part, j part) of the rows of exponent p_lo + i, summed,
     per ray.  ok marks the rays that are off the zero set and the poles of
-    f (_PvDensity.off_zero_set)."""
+    f (_PvDensity.off_zero_set).
+
+    p_lo >= 2 always: a folded product is pi K, pi the coefficient
+    polynomial and K = conj(f1) a + f2 conj(b), which is homogeneous of
+    degree 2m - 1, so every exponent is 3 + (2m - 1 + deg) - 2m = 2 + deg
+    for the degrees deg >= 0 of pi's terms, and _power needs no branch for
+    p <= 0."""
 
     def __init__(self, ok: np.ndarray, bumps):
         self.ok = ok
         self.bumps = bumps
-
-    @functools.cached_property
-    def _ray_sums(self) -> "_RaySplit":
-        """The split summed over all its rays, for radii shared by every
-        ray: alpha summed and ok ANDed over the rays."""
-        return _RaySplit(np.all(self.ok, keepdims=True),
-                         tuple((R, p_lo, alpha.sum(axis=-1, keepdims=True))
-                               for R, p_lo, alpha in self.bumps))
 
     @_quiet
     def radial(self, nodes: _Nodes, n_seg: int) -> np.ndarray:
@@ -914,7 +909,10 @@ class _RaySplit:
         ray that is not ok is a pole."""
         by_row = nodes.seg is not None
         if by_row and nodes.width == 1 and len(self.ok) > 1:
-            return self._ray_sums.radial(nodes, n_seg)
+            # the split summed over its rays: alpha summed, ok ANDed
+            return _RaySplit(np.all(self.ok, keepdims=True), tuple(
+                (R, p_lo, alpha.sum(axis=-1, keepdims=True))
+                for R, p_lo, alpha in self.bumps)).radial(nodes, n_seg)
         step = max(1, _NODE_BUDGET // nodes.rows)
         totals = np.zeros((2, n_seg), dtype=complex)
         for first in range(0, nodes.width, step):
@@ -1067,18 +1065,18 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
                     phases_averaged=plan.averaged)
 
 
-def _levelset_bounds(ray_fn: _RayFunction, n_rays: int, eps_list,
-                     support: float) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The start radius of every ray on every rung of the levelset region,
-    below a first row of the support, as one array (rungs + 1, n_rays), and
-    the untrusted counts and cone rungs of the ladder's level solve, one
-    call for every rung.  A start is the level radius on active rays,
-    the support on rays below eps over all of it, the radius floor on rays
-    that start at or above eps.  As |f| is continuous along a ray and
-    starts below the smaller eps, a start never moves out; the running
-    minimum down the rungs takes up rounding.  The raw radii die with the
-    call."""
-    hi = np.full(n_rays, support)
+def _levelset_bounds(ray_fn: _RayFunction, eps_list, support: float
+                     ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The start radius of every ray of ray_fn (its points) on every rung
+    of the levelset region, below a first row of the support, as one array
+    (rungs + 1, n_rays), and the untrusted counts and cone rungs of the
+    ladder's level solve, one call for every rung.  A start is the level
+    radius on active rays, the support on rays below eps over all of it,
+    the radius floor on rays that start at or above eps.  As |f| is
+    continuous along a ray and starts below the smaller eps, a start never
+    moves out; the running minimum down the rungs takes up rounding.  The
+    raw radii die with the call."""
+    hi = np.full(ray_fn.points.shape[-1], support)
     lam_star, active, inside, untrusted, cones = _solve_level_radius(
         ray_fn, hi, eps_list)
     bounds = np.vstack([hi, np.where(active, lam_star,
@@ -1206,7 +1204,7 @@ def pv_pair(f: QFunction, psi: TestForm3,
     if region == "metric":
         # the first shell's panels, then [eps_k, eps_(k-1)] for every k > 0
         eps = np.array(eps_list)
-        lam0, w0 = gauss_panels(geometric_edges(eps[0], support, eps[0]),
+        lam0, w0 = gauss_panels(geometric_edges(eps[0], support),
                                 _SHELL_ORDER)
         lam, w = gauss_panels([eps[1:], eps[:-1]], _SHELL_ORDER)
         seg = np.repeat(np.arange(n_rungs),
@@ -1216,8 +1214,8 @@ def pv_pair(f: QFunction, psi: TestForm3,
         shells = integrand.radial(nodes, n_rungs)
         notes = ()
     else:
-        bounds, untrusted, cones = _levelset_bounds(
-            density.ray_fn, len(mesh.eta), eps_list, support)
+        bounds, untrusted, cones = _levelset_bounds(density.ray_fn,
+                                                    eps_list, support)
         # untrusted rays are counted in rays of the n_xi rule
         untrusted = untrusted * weight
         shells = _levelset_shells(integrand, bounds, support)

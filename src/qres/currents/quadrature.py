@@ -130,19 +130,19 @@ def gauss_panels(edges: Sequence, n_per: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def geometric_edges(lo: float, hi: float, first: float) -> list:
-    """Panel edges from lo to hi whose first panel has width ``first`` and
-    whose widths double.  Used to resolve integrands that vary on a scale
-    much smaller than the interval."""
+def geometric_edges(lo: float, hi: float) -> list:
+    """Panel edges from lo to hi whose first panel has width lo and whose
+    widths double, so that every edge below hi is twice the one before.
+    Used to resolve integrands that vary on the scale lo, much smaller than
+    the interval, as next to a hole of radius lo.  A first width lo <= 0
+    would never grow, and is refused."""
     if not lo < hi:
         raise DomainError("empty interval")
-    if not first > 0:
-        raise DomainError(f"first panel width {first!r} is not positive")
+    if not lo > 0:
+        raise DomainError(f"first panel width {lo!r} is not positive")
     edges = [lo]
-    width = first
-    while edges[-1] + width < hi:
-        edges.append(edges[-1] + width)
-        width *= 2.0
+    while 2.0 * edges[-1] < hi:
+        edges.append(2.0 * edges[-1])
     edges.append(hi)
     return edges
 

@@ -827,9 +827,9 @@ _JET_DIV = np.array([2 * s for s in _JET_STEPS])
 
 
 def _jet_stencil(ev: PairEval, z1, z2) -> np.ndarray:
-    """ev on the jet stencil around the points: the component values as an
-    array indexed (stencil point, component) + the points' shape, the
-    centre first.
+    """ev on the jet stencil around the points (z1, z2), z1 and z2 of one
+    shape: the component values as an array indexed
+    (stencil point, component) + the points' shape, the centre first.
 
     The whole stencil goes through one call ev(Z1, Z2), on complex arrays of
     shape (stencil size,) + the points' shape; a black-box ev must accept
@@ -842,8 +842,6 @@ def _jet_stencil(ev: PairEval, z1, z2) -> np.ndarray:
     term and leaves the error near 1e-12."""
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
-    if z1.shape != z2.shape:
-        z1, z2 = np.broadcast_arrays(z1, z2)
     axes = (slice(None),) + (None,) * z1.ndim
     w1, w2 = ev(z1 + _STENCIL_DZ1[axes], z2 + _STENCIL_DZ2[axes])
     w = np.empty((len(_STENCIL_DZ1), 2) + z1.shape, dtype=complex)

@@ -947,3 +947,8 @@ def test_every_invocation_keeps_the_cli_contract(command, data):
 def test_report_refuses_non_finite_floats(x):
     with pytest.raises(ValueError, match="non-finite"):
         _fragment({"value": [0.5, x]})
+
+
+def test_report_refuses_a_value_it_cannot_serialize():
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        _fragment(object())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import chart_jacobian, det4
-from qres.catalogue import NAMES, builtin
+from qres.catalogue import NAMES, builtin, resolve
 from qres.currents.chart import (ORIENTATION_3FORM, ORIENTATION_4FORM,
                                  sphere_to_complex)
 from qres.currents.estimate import ZERO_FLOOR, EpsilonSchedule, finalize
@@ -1002,6 +1002,37 @@ def test_ray_split_matches_the_node_sum(monkeypatch, name, region):
     assert got.notes == want.notes
 
 
+EXPONENT_CASES = {name: builtin(name).f for name in NAMES}
+EXPONENT_CASES.update((text, resolve(text)[0]) for text in (
+    "z1 ; 0", "holo:z1^3", "z1^2 + z2^2 ; z1*z2",
+    "(z1) / (z1*c1 + z2*c2) ; (c2) / (z1*c1 + z2*c2)"))
+EXPONENT_COEFFICIENTS = (None, "1", "z1", "c2", "z2^2", "3*z1*c1")
+
+
+@pytest.mark.parametrize("name", list(EXPONENT_CASES))
+def test_the_ray_split_has_no_radial_power_below_two(name):
+    # a folded product pi K has K = conj(f1) a + f2 conj(b) of degree
+    # 2m - 1 for f of degree m, so each row's exponent
+    # 3 + (2m - 1 + deg pi) - 2m is at least 2 and _power needs no p <= 0.
+    # q_conj's principal-value kernels vanish, so its split has no bump
+    f = EXPONENT_CASES[name]
+    rule = build_quadrature(8, 16)
+    plan = _Plan.of(f)
+    mesh, _ = plan.mesh(rule.eta_nodes, rule.eta_weights, rule.n_xi)
+    ray_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2, plan)
+    lowest = set()
+    for c1, c2 in itertools.product(EXPONENT_COEFFICIENTS, repeat=2):
+        psi = TestForm3(*(None if c is None else Profile(parse_poly(c), R)
+                          for c, R in ((c1, 1.0), (c2, 0.8))))
+        products = plan.fold(_pv_kernels(f), psi.coefficients)
+        density = _PvDensity.build(f, ray_fn, products, mesh.w)
+        split = pairings._pv_integrand(density)
+        assert isinstance(split, _RaySplit)
+        lowest.update(p_lo for _, p_lo, _ in split.bumps)
+    assert bool(lowest) == (name != "q_conj")
+    assert all(p_lo >= 2 for p_lo in lowest), sorted(lowest)
+
+
 @pytest.mark.parametrize("region", ["metric", "levelset"])
 @pytest.mark.parametrize("name,psi", [
     ("z1 ; 0", TestForm3(psi1=Profile(ConjPoly.var("z1") * 3, 1.0))),
@@ -1066,8 +1097,7 @@ def per_rung_pv_pair(f, psi, rule, region):
     integrand = pairings._pv_integrand(density)
     untrusted = np.zeros(3, dtype=int)
     if region == "metric":
-        edges = [quadrature.geometric_edges(eps_list[0], support,
-                                            eps_list[0])]
+        edges = [quadrature.geometric_edges(eps_list[0], support)]
         edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
         shells = [one_segment(integrand, _Nodes.table(
                       lam[:, None], w[:, None], np.zeros(len(lam), int)))
@@ -1861,7 +1891,7 @@ def test_oversized_rules_are_refused_by_their_ray_count():
      "^support radius must be positive$"),
     (lambda: TestForm2().support_radius,
      "^test form has no nonzero coefficient$"),
-    (lambda: quadrature.geometric_edges(1.0, 1.0, 0.1), "^empty interval$"),
+    (lambda: quadrature.geometric_edges(1.0, 1.0), "^empty interval$"),
     (lambda: finalize((0.1, 0.2), (Quat(1j, 0j),)),
      "^epsilons and values must align$"),
     (lambda: finalize((), ()), "^no values to finalize$"),

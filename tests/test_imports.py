@@ -371,6 +371,21 @@ def test_the_library_import_loads_no_cli():
     assert run.stdout.strip() == "[]"
 
 
+def test_an_exact_command_loads_no_currents_module():
+    """qres catalogue builds no arrays, so its process imports none of the
+    numeric pairings: the commands that run them import them."""
+    from helpers import run_bounded
+
+    run = run_bounded(["-c", "import sys; from qres.cli import main; "
+                             "main(['catalogue'], standalone_mode=False); "
+                             "print(sorted(m for m in sys.modules "
+                             "if m.startswith('qres.currents')))"])
+    assert run.returncode == 0, run.stderr
+    report, modules = run.stdout.splitlines()
+    assert report.startswith('{"command":"catalogue"')
+    assert modules == "[]"
+
+
 # exact division by zero raises ZeroDivisionError, as any numeric type's
 # does; every other refusal of input is a package error, which carries its
 # exit code (qres.errors)

@@ -175,7 +175,7 @@ def test_bump_is_bit_identical_to_the_masked_formula():
 
 
 def test_geometric_edges_cover_interval():
-    edges = geometric_edges(0.01, 1.0, 0.01)
+    edges = geometric_edges(0.01, 1.0)
     assert edges[0] == pytest.approx(0.01)
     assert edges[-1] == pytest.approx(1.0)
     assert all(b > a for a, b in zip(edges, edges[1:]))
@@ -201,7 +201,7 @@ def test_graded_eta_panels_integrate_area_exactly():
 
 
 @pytest.mark.parametrize("call", [
-    "geometric_edges(1.0, 2.0, 0.0)",
+    "geometric_edges(0.0, 2.0)",
     "graded_eta_panels(0.0, 1.0)",
     # positive eps, but 0.2 * eps / support underflows
     "graded_eta_panels(1e-310, 1e15)",

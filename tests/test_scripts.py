@@ -1,9 +1,15 @@
 """The scripts the README documents run to completion in a fresh
-interpreter, with the package on the path as the README sets it up."""
+interpreter, with the package on the path as the README sets it up, and
+the paired-run summary gives each of its verdicts on small synthetic
+runs."""
+import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +42,57 @@ def test_catalogue_classification_script_runs():
     proc = run_script("scripts/classify_catalogue.py")
     assert proc.returncode == 0, proc.stderr
     assert "closure of two affine-family instances:" in proc.stdout
+
+
+PARENT_WALL = [1.00, 1.04, 1.01, 1.06, 1.02, 1.08, 1.03, 1.05, 1.09, 1.07]
+
+
+def write_runs(path, walls, failed=0):
+    """One perfbench result per line, wall_s from walls and every other
+    end-to-end metric the same on every line."""
+    with open(path, "w") as fh:
+        for w in walls:
+            metrics = {"setup_s": 0.1, "wall_s": w, "op_p50_ms": 0.2,
+                       "peak_rss_mb": 40.0}
+            fh.write(json.dumps({
+                "attempted": 100, "correct": True, "failed": failed,
+                "metrics": {k: {"unit": "", "value": v}
+                            for k, v in metrics.items()}}) + "\n")
+
+
+@pytest.mark.parametrize("parent, change, want, won", [
+    (PARENT_WALL, [0.9 * w for w in PARENT_WALL], "gain", 10),
+    # ties count for neither side: 8 of 10 won is no gain
+    (PARENT_WALL, [0.8 * w for w in PARENT_WALL[:8]] + PARENT_WALL[8:],
+     "within bound", 8),
+    (PARENT_WALL, [1.3 * w for w in PARENT_WALL], "worse", 0),
+    # the parent's quartile distance, 1, is wider than 25 % of its median
+    ([1.0, 2.0] * 5, [2.0, 1.0] * 5, "unresolved", 5),
+    (PARENT_WALL, [1.05 * w for w in PARENT_WALL], "within bound", 0),
+], ids=["gain", "ties", "worse", "unresolved", "within-bound"])
+def test_paired_runs_gives_each_verdict(tmp_path, parent, change, want, won):
+    write_runs(tmp_path / "parent.jsonl", parent)
+    write_runs(tmp_path / "change.jsonl", change, failed=1)
+    proc = run_script("scripts/paired_runs.py", str(tmp_path / "parent.jsonl"),
+                      str(tmp_path / "change.jsonl"))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    wall = summary["metrics"]["wall_s"]
+    assert (wall["verdict"], wall["won"]) == (want, won)
+    assert wall["parent_median"] == statistics.median(parent)
+    # metrics that read the same on both sides change nothing
+    for name in ("setup_s", "op_p50_ms", "peak_rss_mb"):
+        assert summary["metrics"][name]["verdict"] == "within bound"
+        assert summary["metrics"][name]["won"] == 0
+    assert summary["failed"] == {"parent": {"failed": 0, "attempted": 1000},
+                                 "change": {"failed": 10, "attempted": 1000}}
+    assert "change failed/attempted: 10/1000 (1.000%)" in proc.stdout
+
+
+def test_paired_runs_refuses_unpaired_files(tmp_path):
+    write_runs(tmp_path / "parent.jsonl", PARENT_WALL)
+    write_runs(tmp_path / "change.jsonl", PARENT_WALL[:9])
+    proc = run_script("scripts/paired_runs.py", str(tmp_path / "parent.jsonl"),
+                      str(tmp_path / "change.jsonl"))
+    assert proc.returncode == 2
+    assert "need two or more pairs" in proc.stderr

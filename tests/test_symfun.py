@@ -771,6 +771,51 @@ def test_a_scalar_on_the_left_or_a_foreign_operand_is_refused(form):
         form()
 
 
+C = CRat(1, 2)
+RAT = ConjRational(Z1)
+ONE_Q = Quat(CRat(1), CRat(0))
+
+
+def quat_parts(q):
+    """Each component of q with its type."""
+    return [(v, type(v)) for v in (q.z1, q.z2)]
+
+
+@pytest.mark.parametrize("form, outcome", [
+    (lambda: C + "x", TypeError), (lambda: C - "x", TypeError),
+    (lambda: C * "x", TypeError), (lambda: C / "x", TypeError),
+    (lambda: "x" - C, TypeError), (lambda: "x" / C, TypeError),
+    (lambda: C ** -1, TypeError), (lambda: C ** 0.5, TypeError),
+    (lambda: Z1 + "x", TypeError), (lambda: Z1 - "x", TypeError),
+    (lambda: Z1 * "x", TypeError), (lambda: Z1 ** -1, TypeError),
+    (lambda: RAT + "x", TypeError), (lambda: RAT - "x", TypeError),
+    (lambda: RAT * "x", TypeError), (lambda: RAT / "x", TypeError),
+    (lambda: ONE_Q - 1, TypeError), (lambda: ONE_Q * 1, TypeError),
+    (lambda: ONE_Q / 1, TypeError),
+    (lambda: builtin("conj").f - Z1, TypeError),
+    (lambda: RAT == "x", False),
+    (lambda: bool(CRat(0)), False),
+    (lambda: bool(CRat(0, 1)), True),
+    (lambda: quat_parts(Quat(1.0, CRat(1))),
+     [(1 + 0j, complex), (1 + 0j, complex)]),
+    # _join demotes the exact right operand
+    (lambda: quat_parts(Quat(0.5 + 0j, 0j) + ONE_Q),
+     [(1.5 + 0j, complex), (0j, complex)]),
+], ids=["c+x", "c-x", "c*x", "c/x", "x-c", "x/c", "c**-1", "c**0.5",
+        "p+x", "p-x", "p*x", "p**-1", "r+x", "r-x", "r*x", "r/x",
+        "q-1", "q*1", "q/1", "f-p", "r==x", "bool-zero", "bool-i",
+        "quat-demotes", "join-demotes"])
+def test_each_operator_refuses_a_foreign_operand_or_demotes(form, outcome):
+    # each NotImplemented branch of an operator, and the outcomes of
+    # equality, truth and the float demotion of a mixed Quat
+    if outcome is TypeError:
+        with pytest.raises(TypeError):
+            form()
+    else:
+        got = form()
+        assert got == outcome and type(got) is type(outcome)
+
+
 def test_scalars_on_the_right_still_coerce():
     assert P * 3 == P + P + P
     assert P - CRat(1) == Z1 * C2
