@@ -20,8 +20,12 @@ side) and a verdict, the first of these that holds:
                 every change run beats every parent run
   within bound  any other case
 
-Then it prints each side's failed/attempted share of operations, and last
-one JSON line holding all of it.  Malformed input exits 2.
+Beside the verdict it prints the median and the inclusive quartiles of the
+per-pair relative change, change_i / parent_i - 1, which a host that
+drifts between pairs moves less than it moves either side's median; they
+are a readout only and enter no verdict.  Then it prints each side's
+failed/attempted share of operations, and last one JSON line holding all
+of it.  Malformed input exits 2.
 """
 import json
 import statistics
@@ -39,10 +43,14 @@ def read_runs(path):
 
 def compare(parent, change, better, bound):
     """The summary of one metric's runs on each side, pair by pair: the
-    medians, the parent's quartiles, the relative change, the pairs won and
-    the verdict; better is "lower" or "higher"."""
+    medians, the parent's quartiles, the relative change, the median and
+    quartiles of the per-pair relative change, the pairs won and the
+    verdict; better is "lower" or "higher"."""
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    paired = [c / p - 1.0 for p, c in zip(parent, change)]
+    paired_q1, _, paired_q3 = statistics.quantiles(paired, n=4,
+                                                   method="inclusive")
     # in the sign where lower reads better
     sign = 1.0 if better == "lower" else -1.0
     won = sum(sign * c < sign * p for p, c in zip(parent, change))
@@ -58,6 +66,8 @@ def compare(parent, change, better, bound):
         word = "within bound"
     return {"parent_median": p_med, "parent_q1": q1, "parent_q3": q3,
             "change_median": c_med, "relative_change": (c_med - p_med) / p_med,
+            "paired_median": statistics.median(paired),
+            "paired_q1": paired_q1, "paired_q3": paired_q3,
             "won": won, "verdict": word}
 
 
@@ -85,12 +95,15 @@ def report(summary) -> str:
     n = summary["pairs"]
     lines = [f"{'metric':<12} {'unit':<5} {'parent median':>14} "
              f"{'parent q1':>12} {'parent q3':>12} {'change median':>14} "
-             f"{'change':>9} {'won':>6}  verdict"]
+             f"{'change':>9} {'paired':>9} {'paired q1, q3':>20} {'won':>6}  "
+             "verdict"]
     for name, s in summary["metrics"].items():
+        quartiles = f"[{s['paired_q1']:+.2%}, {s['paired_q3']:+.2%}]"
         lines.append(
             f"{name:<12} {s['unit']:<5} {s['parent_median']:>14.6g} "
             f"{s['parent_q1']:>12.6g} {s['parent_q3']:>12.6g} "
             f"{s['change_median']:>14.6g} {s['relative_change']:>+9.2%} "
+            f"{s['paired_median']:>+9.2%} {quartiles:>20} "
             f"{s['won']:>3}/{n:<2}  {s['verdict']}")
     for side, f in summary["failed"].items():
         share = f["failed"] / f["attempted"] if f["attempted"] else 0.0

@@ -52,7 +52,10 @@ starting below it, crosses eps more than once or crosses it below the
 radius floor, is counted, and any such ray on the ladder leaves the
 estimate not converged, with a note, as does a rung of an f of degree 0
 whose level set is a cone of whole rays, which no ray crosses; the same
-rung leaves the levelset principal value not converged.
+rung leaves the levelset principal value not converged.  Both pairings
+count every such case into one tally, an integer array (_LevelRadii), and
+one function (_verdict) turns a ladder's tally into its notes and whether
+the pairing is trusted.
 
 Both densities are folded once per call, in exact arithmetic.  Each
 test-form coefficient pi bump(r / R), with r = |q|, |z1| or |z2|, has a
@@ -98,8 +101,8 @@ through the same tables, integrands and level solve as the n_xi^2 rays per
 eta node of any other f.  The n_xi-point trapezoid rule in each phase is
 exact below phase degree n_xi, so the two agree to rounding once n_xi
 exceeds the density's phase degree, and the one-phase mesh does not read
-n_xi except to count its untrusted and dropped rays in rays of the n_xi
-rule, n_xi^2 per ray of the mesh.
+n_xi except to count its tally in rays of the n_xi rule, n_xi^2 per ray of
+the mesh (_in_rays).
 
 A node, or for a split a ray, is a pole when |f| <= POLE_RTOL times the
 term size of f there, the sum over f1 and f2 of the term sizes of the
@@ -349,17 +352,22 @@ def _abs_sq(F1, F2):
 
 class _LevelRadii(NamedTuple):
     """A level solve on a ladder of eps: lam_star, active and
-    inside_at_floor of shape (rungs, n_rays), untrusted, the counts of
-    the rays on which the level set is not a radial graph above the floor,
-    summed over the ladder (_untrusted_counts), and cones, the count of
-    rungs whose level set is a cone of whole rays, which no ray crosses:
-    f has degree 0 and |f| < eps on some rays but not all."""
+    inside_at_floor of shape (rungs, n_rays), and its tally over the
+    ladder.
+
+    A tally is what a pairing cannot trust, one integer array of the counts
+    (dips, multiple, hidden, cones, dropped): the rays on which the level
+    set is not a radial graph above the floor (_untrusted_counts), the
+    rungs whose level set is a cone of whole rays, which no ray crosses (f
+    has degree 0 and |f| < eps on some rays but not all), and the residue
+    nodes not transverse to their ray (_residue_rung), which the solve
+    leaves 0.  _in_rays counts it in rays of the n_xi rule and _verdict
+    turns it into notes and a verdict."""
 
     lam_star: np.ndarray
     active: np.ndarray
     inside_at_floor: np.ndarray
-    untrusted: np.ndarray
-    cones: int
+    tally: np.ndarray
 
 
 def _untrusted_counts(inside_at_floor, crossings, hidden) -> np.ndarray:
@@ -374,10 +382,18 @@ def _untrusted_counts(inside_at_floor, crossings, hidden) -> np.ndarray:
                      np.count_nonzero(hidden)])
 
 
-def _level_notes(untrusted, cones: int) -> Tuple[str, ...]:
-    """The notes on a ladder's level solves: its untrusted counts
-    (_untrusted_counts) and its cone rungs (_LevelRadii)."""
-    dips, multiple, hidden = untrusted
+def _in_rays(tally, weight: int) -> np.ndarray:
+    """A tally (_LevelRadii) of a mesh each of whose rays stands for weight
+    rays of the n_xi rule (_Plan.mesh), counted in rays of that rule; the
+    cones stay counted in rungs."""
+    return tally * np.array([weight, weight, weight, 1, weight])
+
+
+def _verdict(tally) -> Tuple[Tuple[str, ...], bool]:
+    """The notes on a pairing's tally over its ladder (_LevelRadii), counted
+    by _in_rays, and whether the pairing is trusted: no count but the
+    dropped nodes' is non-zero."""
+    dips, multiple, hidden, cones, dropped = tally
     notes = []
     if dips or multiple:
         notes.append(f"level sets are not radial graphs: over the ladder, "
@@ -393,7 +409,10 @@ def _level_notes(untrusted, cones: int) -> Tuple[str, ...]:
         notes.append(f"on {cones} rungs the level set is a cone of whole "
                      "rays, which no ray crosses (|f| is constant on rays); "
                      "the estimate is not converged")
-    return tuple(notes)
+    if dropped:
+        notes.append(f"{dropped} level-set nodes were not transverse to the "
+                     "radial rays and were dropped")
+    return tuple(notes), not (dips or multiple or hidden or cones)
 
 
 def _level_crossings(ray_fn: _RayFunction, level_rows, target: float,
@@ -455,13 +474,14 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     one broadcast over every rung and ray.  |f|^2 at both ends is taken
     once per call, for every rung.
 
-    Returns (lam_star, active, inside_at_floor), the untrusted counts over
-    the ladder and the cone rungs of an f of degree 0, as a _LevelRadii; a
-    ray that crosses below the floor (for a homogeneous f, one whose
-    closed-form radius lies in (0, floor]) is counted there.  A ray is
-    active when |f| < eps at the floor and |f| >= eps at the ray's support
-    end; since lam_hi bounds the test-form support, inactive rays with
-    |f| < eps throughout carry no pairing mass.
+    Returns (lam_star, active, inside_at_floor) and the tally of the ladder
+    (its rays that are not radial graphs, and the cone rungs of an f of
+    degree 0) as a _LevelRadii; a ray that crosses below the floor (for a
+    homogeneous f, one whose closed-form radius lies in (0, floor]) is
+    counted there.  A ray is active when |f| < eps at the floor and
+    |f| >= eps at the ray's support end; since lam_hi bounds the test-form
+    support, inactive rays with |f| < eps throughout carry no pairing
+    mass.
     Rays already at or above eps at the floor are flagged separately (third
     array) for the principal-value domain, where they are included in full.
     """
@@ -472,7 +492,7 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
     inside_at_floor = ~(ray_fn.modulus_sq(floor) >= target)
     active = inside_at_floor & (g_hi >= target)
     m = ray_fn.plan.degree
-    untrusted, cones = np.zeros(3, dtype=int), 0
+    tally = np.zeros(5, dtype=int)
     if m is None:
         lam_star = np.empty(active.shape)
         rows = ray_fn.level_rows()
@@ -482,19 +502,19 @@ def _solve_level_radius(ray_fn: _RayFunction, lam_hi, eps) -> _LevelRadii:
             crossings, hidden = _level_crossings(ray_fn, rows, row[0], floor,
                                                  hi)
             lam_star[k] = crossings[:, 0]
-            untrusted += _untrusted_counts(inside_at_floor[k], crossings,
+            tally[:3] += _untrusted_counts(inside_at_floor[k], crossings,
                                            hidden)
     elif m:
         lam = hi * (target / g_hi) ** (0.5 / m)
         lam_star = np.where(inside_at_floor != ~(g_hi >= target), lam, np.inf)
-        untrusted = _untrusted_counts(inside_at_floor, lam_star[..., None],
+        tally[:3] = _untrusted_counts(inside_at_floor, lam_star[..., None],
                                       (lam > 0.0) & (lam <= floor))
     else:
         # |f| is constant along every ray
         lam_star = np.full(active.shape, np.inf)
-        cones = np.count_nonzero(inside_at_floor.any(axis=1)
-                                 & ~inside_at_floor.all(axis=1))
-    return _LevelRadii(lam_star, active, inside_at_floor, untrusted, cones)
+        tally[3] = np.count_nonzero(inside_at_floor.any(axis=1)
+                                    & ~inside_at_floor.all(axis=1))
+    return _LevelRadii(lam_star, active, inside_at_floor, tally)
 
 
 class _RayMesh(NamedTuple):
@@ -983,29 +1003,27 @@ def _residue_rung(density: _PvDensity, lam) -> Tuple[Quat, int]:
 
 def _residue_level_set(f: QFunction, plan: _Plan, phi: TestForm2,
                        n_xi: int, eps: float, support: float, products
-                       ) -> Tuple[Quat, int, np.ndarray, int]:
-    """One residue rung on its graded mesh (_Plan.mesh): the value, the
-    count of nodes that are not transverse and the untrusted counts of the
-    level solve, both counted in rays of the n_xi rule, so that a ray of a
-    one-phase mesh counts n_xi^2 times, and the solve's cone count, 1 when
-    the level set is a cone of whole rays (_LevelRadii), else 0.
-    products() gives the folded density; it is asked for only when some ray
-    is active, and tabulated on the active rays, where it takes the level
-    solve's tables of f1 and f2.  The mesh and its tables die with the
+                       ) -> Tuple[Quat, np.ndarray]:
+    """One residue rung on its graded mesh (_Plan.mesh): the value and the
+    rung's tally (_LevelRadii), its level solve's with the count of nodes
+    that are not transverse, counted by _in_rays: a ray of a one-phase mesh
+    counts n_xi^2 times, and the cone count is 1 when the level set is a
+    cone of whole rays, else 0.  products() gives the folded density; it
+    is asked for only when some ray is active, and tabulated on the active
+    rays, where it takes the level solve's tables of f1 and f2.  The mesh and its tables die with the
     call, so no two rungs' are held at once."""
     mesh, weight = plan.mesh(*graded_eta_panels(eps, support), n_xi)
     level_fn = _RayFunction.build((f.f1, f.f2), mesh.u1, mesh.u2, plan)
     hi = phi.support_lambda(mesh.eta)
     radii = _solve_level_radius(level_fn, hi, (eps,))
-    lam, active = radii.lam_star[0], radii.active[0]
-    untrusted = radii.untrusted * weight
+    lam, active, tally = radii.lam_star[0], radii.active[0], radii.tally
     if not active.any():
-        return Quat(0.0, 0.0), 0, untrusted, radii.cones
+        return Quat(0.0, 0.0), _in_rays(tally, weight)
     rays = np.flatnonzero(active)
     density = _PvDensity.build(f, _take_rays(level_fn, rays), products(),
                                mesh.w[rays])
-    value, dropped = _residue_rung(density, lam[rays])
-    return value, dropped * weight, untrusted, radii.cones
+    value, tally[4] = _residue_rung(density, lam[rays])
+    return value, _in_rays(tally, weight)
 
 
 def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
@@ -1030,7 +1048,7 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
     changes none of its values.  A node on the zero set of f, to within
     POLE_RTOL of its term size, raises PoleOnDomain.  A rung
     whose level set is a cone of whole rays (_LevelRadii) reads 0 and
-    leaves the estimate not converged, with a note (_level_notes).
+    leaves the estimate not converged, with a note (_verdict).
     """
     if n_xi < 8:
         raise TooCoarse(f"phase rule n_xi = {n_xi} is too coarse: need "
@@ -1045,45 +1063,34 @@ def residue_pair(f: QFunction, phi: TestForm2, n_xi: int = 32,
         return plan.fold(_residue_kernels(f, plan.g, include_mirror),
                          phi.coefficients)
 
-    values: List[Quat] = []
-    dropped_total = cones = 0
-    untrusted = np.zeros(3, dtype=int)
-    for eps in eps_list:
-        val, dropped, counts, cone = _residue_level_set(
-            f, plan, phi, n_xi, eps, support, products)
-        values.append(val)
-        dropped_total += dropped
-        untrusted += counts
-        cones += cone
-    notes = list(_level_notes(untrusted, cones))
-    if dropped_total:
-        notes.append(f"{dropped_total} level-set nodes were not transverse "
-                     "to the radial rays and were dropped")
+    values, tallies = zip(*(_residue_level_set(f, plan, phi, n_xi, eps,
+                                               support, products)
+                            for eps in eps_list))
+    notes, trusted = _verdict(sum(tallies))
     part = "(1,0)+(0,1)" if include_mirror else "(1,0)"
     return finalize(eps_list, values, part=part, notes=notes,
-                    trusted=not (untrusted.any() or cones),
-                    phases_averaged=plan.averaged)
+                    trusted=trusted, phases_averaged=plan.averaged)
 
 
 def _levelset_bounds(ray_fn: _RayFunction, eps_list, support: float
-                     ) -> Tuple[np.ndarray, np.ndarray, int]:
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     """The start radius of every ray of ray_fn (its points) on every rung
     of the levelset region, below a first row of the support, as one array
-    (rungs + 1, n_rays), and the untrusted counts and cone rungs of the
-    ladder's level solve, one call for every rung.  A start is the level
+    (rungs + 1, n_rays), and the tally (_LevelRadii) of the ladder's level
+    solve, one call for every rung, in rays of ray_fn.  A start is the level
     radius on active rays, the support on rays below eps over all of it,
     the radius floor on rays that start at or above eps.  As |f| is
     continuous along a ray and starts below the smaller eps, a start never
     moves out; the running minimum down the rungs takes up rounding.  The
     raw radii die with the call."""
     hi = np.full(ray_fn.points.shape[-1], support)
-    lam_star, active, inside, untrusted, cones = _solve_level_radius(
-        ray_fn, hi, eps_list)
+    lam_star, active, inside, tally = _solve_level_radius(ray_fn, hi,
+                                                          eps_list)
     bounds = np.vstack([hi, np.where(active, lam_star,
                                      np.where(inside, support,
                                               _LAM_FLOOR_FACTOR * support))])
     np.minimum.accumulate(bounds, axis=0, out=bounds)
-    return bounds, untrusted, cones
+    return bounds, tally
 
 
 def _log_nodes(a, b):
@@ -1175,7 +1182,7 @@ def pv_pair(f: QFunction, psi: TestForm3,
     ray per eta node with the phase averages of the products, so rule.n_xi
     changes none of its values.  A rung whose sublevel set is a cone of
     whole rays (_LevelRadii) leaves the estimate not converged, with the
-    residue's note (_level_notes).
+    residue's note (_verdict).
     """
     if rule is None:
         rule = build_quadrature(32, 64)
@@ -1199,7 +1206,7 @@ def pv_pair(f: QFunction, psi: TestForm3,
     density = _PvDensity.build(f, _RayFunction.build(
         (f.f1, f.f2), mesh.u1, mesh.u2, plan), products, mesh.w)
     integrand = _pv_integrand(density)
-    untrusted, cones = np.zeros(3, dtype=int), 0
+    tally = np.zeros(5, dtype=int)
     n_rungs = len(eps_list)
     if region == "metric":
         # the first shell's panels, then [eps_k, eps_(k-1)] for every k > 0
@@ -1214,13 +1221,11 @@ def pv_pair(f: QFunction, psi: TestForm3,
         shells = integrand.radial(nodes, n_rungs)
         notes = ()
     else:
-        bounds, untrusted, cones = _levelset_bounds(density.ray_fn,
-                                                    eps_list, support)
-        # untrusted rays are counted in rays of the n_xi rule
-        untrusted = untrusted * weight
+        bounds, tally = _levelset_bounds(density.ray_fn, eps_list, support)
         shells = _levelset_shells(integrand, bounds, support)
-        notes = (("excluded region follows the level sets of |f|",)
-                 + _level_notes(untrusted, cones))
+        notes = ("excluded region follows the level sets of |f|",)
+    level_notes, trusted = _verdict(_in_rays(tally, weight))
+    notes += level_notes
     rungs = np.cumsum(shells, axis=1)
     if part == "(0,1)":
         rungs = rungs.conj()
@@ -1228,5 +1233,4 @@ def pv_pair(f: QFunction, psi: TestForm3,
     # Python complexes, which Quat takes as they are
     values = [Quat(z1, z2) for z1, z2 in rungs.T.tolist()]
     return finalize(eps_list, values, part=part, notes=notes,
-                    trusted=not (untrusted.any() or cones),
-                    phases_averaged=plan.averaged)
+                    trusted=trusted, phases_averaged=plan.averaged)

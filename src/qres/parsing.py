@@ -46,10 +46,10 @@ def _tokenize(src: str) -> List[_Tok]:
             toks.append(_Tok("OP", ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and src[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+            while j < n and (src[j].isdecimal() or (src[j] == "." and not seen_dot)):
                 if src[j] == ".":
                     seen_dot = True
                 j += 1

@@ -664,6 +664,10 @@ USAGE_ERROR_CASES = {
     "classify-bad-character-2": (
         ["classify", "-f", "z1$"], 2,
         "usage error: unexpected character '$'"),
+    # a superscript passes str.isdigit but is no decimal digit
+    "classify-superscript-digit-2": (
+        ["classify", "-f", "z1^²"], 2,
+        "usage error: unexpected character '²' at position 3"),
     "classify-unclosed-parenthesis-2": (
         ["classify", "-f", "(z1"], 2,
         "usage error: unexpected 'end of input' at position 3 "

@@ -400,7 +400,7 @@ def test_level_solve_matches_the_bisection(name, pv_mesh):
         else:
             # the closed form: a monotone |f| crosses eps at most once
             crossings = lam[:, None]
-            assert radii.untrusted[1] == 0
+            assert radii.tally[1] == 0
         count = np.count_nonzero(crossings < np.inf, axis=1)
         assert np.all(count[active] >= 1)
         # on active monotone rays, within the bisection's final bracket
@@ -577,6 +577,43 @@ def test_dropped_nodes_are_noted_but_leave_convergence(monkeypatch):
     assert est.converged and clean.converged
 
 
+def graph_note(dips, multiple):
+    return ("level sets are not radial graphs: over the ladder, "
+            f"{dips} rays dip below eps without starting below it and "
+            f"{multiple} rays cross |f| = eps more than once; the estimate "
+            "is not converged")
+
+
+HIDDEN_NOTE = ("over the ladder, 20 rays cross |f| = eps below the radius "
+               "floor (1e-09 of the support), where the level solve does "
+               "not look; the estimate is not converged")
+CONE_NOTE = ("on 7 rungs the level set is a cone of whole rays, which no "
+             "ray crosses (|f| is constant on rays); the estimate is not "
+             "converged")
+DROPPED_NOTE = ("44 level-set nodes were not transverse to the radial rays "
+                "and were dropped")
+
+
+@pytest.mark.parametrize("tally, notes, trusted", [
+    ((0, 0, 0, 0, 0), (), True),
+    ((2, 0, 0, 0, 0), (graph_note(8, 0),), False),
+    ((0, 3, 0, 0, 0), (graph_note(0, 12),), False),
+    ((0, 0, 5, 0, 0), (HIDDEN_NOTE,), False),
+    ((0, 0, 0, 7, 0), (CONE_NOTE,), False),
+    ((0, 0, 0, 0, 11), (DROPPED_NOTE,), True),
+    ((2, 3, 5, 7, 11),
+     (graph_note(8, 12), HIDDEN_NOTE, CONE_NOTE, DROPPED_NOTE), False),
+], ids=["zero", "dips", "multiple", "hidden", "cones", "dropped", "all"])
+def test_one_writer_turns_a_tally_into_notes_and_a_verdict(tally, notes,
+                                                           trusted):
+    # a tally (dips, multiple, hidden, cones, dropped) of a mesh whose rays
+    # each stand for 4 rays of the n_xi rule: every count but the cone
+    # rungs' is counted 4 times, and only dropped nodes leave it trusted
+    got = pairings._verdict(pairings._in_rays(np.array(tally), 4))
+    assert got == (notes, trusted)
+    assert type(got[1]) is bool
+
+
 LADDER_SOLVE_CASES = {
     "z1 ; 0": Z1_FN, "conj": builtin("conj").f,
     # degree 0: |f| is constant along every ray
@@ -590,9 +627,9 @@ LADDER_SOLVE_CASES = {
 @pytest.mark.parametrize("name", list(LADDER_SOLVE_CASES))
 def test_ladder_level_solve_matches_the_solve_at_each_eps(name):
     # one call for the whole ladder gives each rung's radii and masks bit
-    # for bit as a one-rung ladder at that eps, and the untrusted counts
-    # summed over the rungs.  On every third ray lam_hi = 1e9 puts the
-    # floor at 1, so crossings there lie below it (hidden)
+    # for bit as a one-rung ladder at that eps, and the tally summed over
+    # the rungs.  On every third ray lam_hi = 1e9 puts the floor at 1, so
+    # crossings there lie below it (hidden)
     f = LADDER_SOLVE_CASES[name]
     rule = build_quadrature(8, 16)
     mesh = _RayMesh.build(rule.eta_nodes, rule.eta_weights, rule.n_xi)
@@ -603,20 +640,20 @@ def test_ladder_level_solve_matches_the_solve_at_each_eps(name):
     eps_list = EpsilonSchedule.for_radius(1.0).values()
     ladder = _solve_level_radius(ray_fn, hi, eps_list)
     assert all(a.shape == (len(eps_list), n) for a in ladder[:3])
-    untrusted = np.zeros(3, dtype=int)
+    tally = np.zeros(5, dtype=int)
     for k, eps in enumerate(eps_list):
         rung = _solve_level_radius(ray_fn, hi, (eps,))
         for got, want in zip(ladder[:3], rung[:3], strict=True):
             assert want.shape == (1, n) and got.dtype == want.dtype
             assert got[k].tobytes() == want[0].tobytes()
-        untrusted += rung.untrusted
-    assert np.array_equal(ladder.untrusted, untrusted)
+        tally += rung.tally
+    assert np.array_equal(ladder.tally, tally)
     if name == "1/100 ; 0":
-        assert not untrusted.any() and not ladder[1].any()
+        assert not tally.any() and not ladder[1].any()
     else:
-        assert untrusted[2] > 0 and ladder[1].any()
+        assert tally[2] > 0 and ladder[1].any()
     if name == "prop34(1/8,-1/8)":
-        assert untrusted[1] > 0
+        assert tally[1] > 0
 
 
 @pytest.mark.parametrize("name", ["conj", LEADING_ZERO, "prop34(1/8,-1/8)"])
@@ -648,8 +685,8 @@ def test_crossings_below_the_radius_floor_are_counted(name, pv_mesh):
         # the closed form crosses at lam_star, or nowhere
         want = near.lam_star[0] < np.inf
     assert want.sum() > n // 4
-    assert near.untrusted[2] == 0
-    assert far.untrusted[2] == want.sum()
+    assert near.tally[2] == 0
+    assert far.tally[2] == want.sum()
 
 
 @pytest.mark.parametrize("kind", ["residue", "levelset"])
@@ -1095,7 +1132,7 @@ def per_rung_pv_pair(f, psi, rule, region):
                           1 if plan.averaged else rule.n_xi)
     density = pv_density(f, products, mesh.u1, mesh.u2, mesh.w)
     integrand = pairings._pv_integrand(density)
-    untrusted = np.zeros(3, dtype=int)
+    tally = np.zeros(5, dtype=int)
     if region == "metric":
         edges = [quadrature.geometric_edges(eps_list[0], support)]
         edges += [[a, b] for a, b in zip(eps_list[1:], eps_list)]
@@ -1111,15 +1148,15 @@ def per_rung_pv_pair(f, psi, rule, region):
         end = hi
         for eps in eps_list:
             radii = _solve_level_radius(density.ray_fn, hi, (eps,))
-            untrusted += radii.untrusted * weight
+            tally[:3] += radii.tally[:3] * weight
             start = levelset_start(radii, end, support)
             shells.append(per_rung_levelset_shell(integrand, start, end,
                                                   support))
             end = start
-        notes = (("excluded region follows the level sets of |f|",)
-                 + pairings._level_notes(untrusted, 0))
+        notes = ("excluded region follows the level sets of |f|",)
+    level_notes, trusted = pairings._verdict(tally)
     return finalize(eps_list, list(itertools.accumulate(shells)),
-                    notes=notes, trusted=not untrusted.any(),
+                    notes=notes + level_notes, trusted=trusted,
                     phases_averaged=plan.averaged)
 
 
@@ -1543,10 +1580,10 @@ def rungs_per_solve(kind):
 
 def spied_call(monkeypatch, kind, f, per_ray, n_xi=COLLAPSE_N_XI):
     """collapse_call, with the phase average off when per_ray; also returns
-    the rays that each rung's level solve takes, the untrusted counts behind
-    the notes and the rungs of each level solve call."""
+    the rays that each rung's level solve takes, the tallies behind the
+    notes and the rungs of each level solve call."""
     rays, counts, solves = [], [], []
-    solve, notes = pairings._solve_level_radius, pairings._level_notes
+    solve, verdict = pairings._solve_level_radius, pairings._verdict
     plan_of = _Plan.of
 
     def spy_solve(ray_fn, lam_hi, eps):
@@ -1554,13 +1591,13 @@ def spied_call(monkeypatch, kind, f, per_ray, n_xi=COLLAPSE_N_XI):
         rays.extend([np.size(lam_hi)] * len(eps))
         return solve(ray_fn, lam_hi, eps)
 
-    def spy_notes(untrusted, cones):
-        counts.append(tuple(untrusted))
-        return notes(untrusted, cones)
+    def spy_verdict(tally):
+        counts.append(tuple(tally))
+        return verdict(tally)
 
     with monkeypatch.context() as patch:
         patch.setattr(pairings, "_solve_level_radius", spy_solve)
-        patch.setattr(pairings, "_level_notes", spy_notes)
+        patch.setattr(pairings, "_verdict", spy_verdict)
         if per_ray:
             patch.setattr(_Plan, "of", lambda f: dataclasses.replace(
                 plan_of(f), averaged=False))

@@ -62,6 +62,30 @@ def test_error_reports_position():
         parse_poly("")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("\u0663*z1", "3*z1"),                    # Arabic-Indic three
+    ("\uff11.\uff15*z1", "3/2*z1"),           # fullwidth 1.5
+    ("\U0001d7d7*c2", "9*c2"),                 # mathematical bold nine
+])
+def test_decimal_digits_of_any_script_are_numbers(text, want):
+    assert str(parse_qfunction(text).f1) == want
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("\u00b2", 0), ("z1^\u00b2", 3), ("\u00b2*bump", 0), ("3\u00b2", 1),
+    ("\u2079*z2", 0), (".\u00b2", 0),
+])
+def test_digits_that_are_not_decimal_are_refused(text, pos):
+    # superscripts pass str.isdigit but are no Fraction literal; they used
+    # to end in a ValueError from Fraction
+    for parse in (parse_poly, parse_qfunction):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert e.value.pos == pos
+        assert str(e.value).startswith(
+            f"unexpected character {text[pos]!r} at position {pos}")
+
+
 def test_exponent_must_be_nonnegative_integer():
     with pytest.raises(ParseError):
         parse_poly("z1^1.5")

@@ -89,6 +89,41 @@ def test_paired_runs_gives_each_verdict(tmp_path, parent, change, want, won):
     assert "change failed/attempted: 10/1000 (1.000%)" in proc.stdout
 
 
+def test_paired_runs_reads_the_per_pair_change_through_host_drift(tmp_path):
+    # the host slows down pair by pair, 1.0 to 1.9, and each pair is a tie:
+    # the per-pair relative change reads 0 while the parent's own quartile
+    # distance, 0.45, exceeds 25 % of its median, and the verdict still
+    # follows its rules alone
+    drift = [1.0 + 0.1 * i for i in range(10)]
+    write_runs(tmp_path / "parent.jsonl", drift)
+    write_runs(tmp_path / "change.jsonl", drift)
+    proc = run_script("scripts/paired_runs.py", str(tmp_path / "parent.jsonl"),
+                      str(tmp_path / "change.jsonl"))
+    assert proc.returncode == 0, proc.stderr
+    wall = json.loads(proc.stdout.splitlines()[-1])["metrics"]["wall_s"]
+    assert (wall["paired_median"], wall["paired_q1"],
+            wall["paired_q3"]) == (0.0, 0.0, 0.0)
+    assert (wall["verdict"], wall["won"]) == ("unresolved", 0)
+    assert wall["parent_q3"] - wall["parent_q1"] > 0.25 * wall["parent_median"]
+    row = next(line for line in proc.stdout.splitlines()
+               if line.startswith("wall_s"))
+    assert row.split()[7:11] == ["+0.00%", "[+0.00%,", "+0.00%]", "0/10"]
+
+
+def test_paired_runs_gives_the_quartiles_of_the_per_pair_change(tmp_path):
+    # change_i / parent_i - 1 over the pairs is 0 %, 1 %, ..., 9 %
+    write_runs(tmp_path / "parent.jsonl", PARENT_WALL)
+    write_runs(tmp_path / "change.jsonl",
+               [w * (1 + i / 100) for i, w in enumerate(PARENT_WALL)])
+    proc = run_script("scripts/paired_runs.py", str(tmp_path / "parent.jsonl"),
+                      str(tmp_path / "change.jsonl"))
+    assert proc.returncode == 0, proc.stderr
+    wall = json.loads(proc.stdout.splitlines()[-1])["metrics"]["wall_s"]
+    assert wall["paired_median"] == pytest.approx(0.045)
+    assert wall["paired_q1"] == pytest.approx(0.0225)
+    assert wall["paired_q3"] == pytest.approx(0.0675)
+
+
 def test_paired_runs_refuses_unpaired_files(tmp_path):
     write_runs(tmp_path / "parent.jsonl", PARENT_WALL)
     write_runs(tmp_path / "change.jsonl", PARENT_WALL[:9])
